@@ -18,7 +18,7 @@
 //! 2. **Route.** Each proposal `(u, a, b)` becomes two half-edges —
 //!    `(a, b)` owned by `owner(a)` and `(b, a)` owned by `owner(b)` — and
 //!    is appended to the mailbox `mail[source][owner]`, tagged with its
-//!    global slot in the node-order proposal stream. Sources process their
+//!    slot in the source's node-order proposal stream. Sources process their
 //!    chunks in index order, so every mailbox is internally in node order.
 //! 3. **Apply, shard-parallel.** Owner `t` concatenates
 //!    `mail[0][t], mail[1][t], …` — fixed *(source shard, chunk index)*
@@ -73,16 +73,18 @@ use gossip_core::{
     ConvergenceCheck, EngineBuilder, MembershipPlan, MembershipStats, Parallelism, ProposalRule,
     RoundStats, RunOutcome, TaggedProposal,
 };
-use gossip_graph::{HalfEdge, ShardSeg, ShardedArenaGraph, SHARD_ALIGN};
+use gossip_graph::{HalfEdge, ShardedArenaGraph, SHARD_ALIGN};
 use rayon::prelude::*;
 use std::time::Instant;
 
 pub use gossip_core::listener::PhaseNanos;
 
+mod driver;
 pub mod framed;
 pub mod transport;
 pub mod wire;
 
+use driver::{apply_grid, route_span};
 pub use framed::{parse_framed, FramedConn};
 pub use transport::{
     maybe_run_worker, LossyConfig, TransportBuilder, TransportEngine, TransportMode, TransportStats,
@@ -98,16 +100,6 @@ pub use wire::{
 const _: () = assert!(
     PROPOSAL_CHUNK == SHARD_ALIGN,
     "shard alignment must equal the engine's propose chunk"
-);
-
-/// One owner shard's apply-phase work unit: `(shard index, its segment,
-/// its merge scratch, its added-count slot)` — disjoint borrows the pool
-/// fans out with no aliasing.
-type ShardWork<'a> = (
-    usize,
-    &'a mut ShardSeg,
-    &'a mut Vec<(u64, u32)>,
-    &'a mut u64,
 );
 
 /// Drives a [`ProposalRule`] over a [`ShardedArenaGraph`] in synchronous
@@ -248,7 +240,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
     ) -> RoundStats {
         let parallel = self.use_parallel();
         let plan = *self.graph.plan();
-        let shards = self.graph.shard_count();
 
         // Phase 0 (membership): apply due join/leave events before anything
         // observes the graph this round — the same point, keyed by the same
@@ -300,52 +291,23 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
             self.round,
         );
 
-        // Global slot base of each chunk: the proposal stream is the
-        // concatenation of the chunk buffers, so chunk c's first proposal
-        // sits at the prefix sum of the earlier buffers' lengths.
+        // Phase 2: route — source shard s walks its own chunks in index
+        // order, appending both half-edges of each proposal to the owner
+        // mailboxes. Mailboxes end up internally ordered by (chunk, slot).
         let t = Instant::now();
         let proposed: u64 = self.chunk_bufs.iter().map(|b| b.len() as u64).sum();
         assert!(
             proposed < u32::MAX as u64,
             "round proposal stream overflows u32 slots"
         );
-        let mut slot_bases = Vec::with_capacity(self.chunk_bufs.len());
-        let mut acc = 0u32;
-        for buf in &self.chunk_bufs {
-            slot_bases.push(acc);
-            acc += buf.len() as u32;
-        }
-
-        // Phase 2: route — source shard s walks its own chunks in index
-        // order, appending both half-edges of each proposal to the owner
-        // mailboxes. Mailboxes end up internally ordered by (chunk, slot).
         let chunk_bufs = &self.chunk_bufs;
-        let slot_bases = &slot_bases;
-        let route = |s: usize, boxes: &mut Vec<Vec<HalfEdge>>| {
-            for b in boxes.iter_mut() {
-                b.clear();
-            }
-            for c in plan.chunk_span(s) {
-                for (i, &(_, a, b)) in chunk_bufs[c].iter().enumerate() {
-                    let here = slot_bases[c] + i as u32;
-                    if a == b {
-                        continue;
-                    }
-                    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                    boxes[plan.owner(lo)].push((here, lo, hi));
-                    boxes[plan.owner(hi)].push((here, hi, lo));
-                }
-            }
+        let route = |(s, boxes): (usize, &mut Vec<Vec<HalfEdge>>)| {
+            route_span(&plan, chunk_bufs, plan.chunk_span(s), boxes);
         };
         if parallel {
-            self.mail
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(s, boxes)| route(s, boxes));
+            self.mail.par_iter_mut().enumerate().for_each(route);
         } else {
-            for (s, boxes) in self.mail.iter_mut().enumerate() {
-                route(s, boxes);
-            }
+            self.mail.iter_mut().enumerate().for_each(route);
         }
         emit(
             &mut self.phases,
@@ -357,36 +319,13 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         // Phase 3: apply — owner t merges its mailbox column in fixed
         // (source shard, chunk index) order into its own segment.
         let t = Instant::now();
-        let mail = &self.mail;
-        let apply = |t_shard: usize, seg: &mut ShardSeg, scratch: &mut Vec<(u64, u32)>| -> u64 {
-            let sources: Vec<&[HalfEdge]> =
-                (0..shards).map(|s| mail[s][t_shard].as_slice()).collect();
-            seg.apply_half_edges(&sources, scratch)
-        };
-        // segments_mut is the CoW commit point: any segment still shared
-        // with an epoch snapshot is deep-copied here, before the fan-out.
-        let segs = self.graph.segments_mut();
-        if parallel {
-            let mut work: Vec<ShardWork<'_>> = segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-                .map(|(t, ((seg, scratch), added))| (t, seg, scratch, added))
-                .collect();
-            work.par_iter_mut().for_each(|(t, seg, scratch, added)| {
-                **added = apply(*t, seg, scratch);
-            });
-        } else {
-            for (t_shard, ((seg, scratch), added)) in segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-            {
-                *added = apply(t_shard, seg, scratch);
-            }
-        }
+        apply_grid(
+            &mut self.graph,
+            &mut self.scratch,
+            &mut self.added,
+            parallel,
+            &self.mail,
+        );
         emit(
             &mut self.phases,
             RoundPhase::Apply,
