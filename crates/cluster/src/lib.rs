@@ -74,20 +74,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::seam::{run_engine_until, RoundEngine};
 use gossip_core::{
-    with_rule, ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId,
-    RunOutcome, TaggedProposal,
+    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId, RunOutcome,
 };
-use gossip_graph::{HalfEdge, SegSnapshotAssembler, ShardSeg, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_graph::{SegSnapshotAssembler, ShardSegSnapshot, ShardedArenaGraph};
 use gossip_shard::wire::{
     mailbox_frames, DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig,
     MAX_FRAME_ENTRIES,
 };
-use gossip_shard::TransportMode;
-use rayon::prelude::*;
+use gossip_shard::{peak_rss_bytes, protocol_err, ShardReplica, TransportMode};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::process::{Child, Command};
@@ -114,34 +111,6 @@ pub const CLUSTER_MTU_ENV: &str = "GOSSIP_CLUSTER_MTU";
 /// peers dead. Generous: at `n = 2^20` a peer can legitimately spend
 /// seconds inside a propose or apply phase without pumping its socket.
 const RECV_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// One shard's slice of the parallel apply: `(shard index, owned segment,
-/// merge scratch, added-count slot)`.
-type ApplyWork<'a> = Vec<(
-    usize,
-    &'a mut ShardSeg,
-    &'a mut Vec<(u64, u32)>,
-    &'a mut u64,
-)>;
-
-fn protocol_err(msg: impl ToString) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Linux peak-RSS (`VmHWM`) of the calling process, in bytes; 0 where
-/// unavailable.
-fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
 
 /// Entry budget for one snapshot chunk, sized so a typical chunk frame
 /// fits one datagram (fragmentation remains the safety net for chunks
@@ -301,18 +270,11 @@ impl std::fmt::Debug for WorkerHandle {
 /// cross-checked against every worker each round.
 #[derive(Debug)]
 pub struct ClusterEngine {
-    graph: ShardedArenaGraph,
-    rule: RuleId,
-    seed: u64,
+    /// The authoritative replica; the coordinator is shard 0.
+    replica: ShardReplica,
     round: u64,
-    parallel: bool,
-    membership: Option<MembershipPlan>,
     endpoint: Endpoint,
     workers: Vec<WorkerHandle>,
-    chunk_bufs: Vec<Vec<TaggedProposal>>,
-    mail_out: Vec<Vec<HalfEdge>>,
-    scratch: Vec<Vec<(u64, u32)>>,
-    added: Vec<u64>,
     phases: PhaseNanos,
     snapshot_chunks: u64,
     bootstrap_overlap_datagrams: u64,
@@ -327,11 +289,6 @@ pub struct ClusterEngine {
 impl ClusterEngine {
     fn spawn(b: ClusterBuilder) -> io::Result<ClusterEngine> {
         let shards = b.graph.shard_count();
-        let parallel = match b.parallelism {
-            Parallelism::Sequential => false,
-            Parallelism::Parallel => true,
-            Parallelism::Auto { threshold } => b.graph.n() >= threshold,
-        };
 
         // Resolve the peer table. The coordinator binds first so
         // `peers[0]` is concrete even when auto-assigned.
@@ -402,20 +359,18 @@ impl ClusterEngine {
         }
 
         let endpoint = Endpoint::new(coord_socket, 0, table.clone(), b.loss, b.mtu)?;
-        let n_chunks = b.graph.n().div_ceil(PROPOSAL_CHUNK);
         let mut engine = ClusterEngine {
-            graph: b.graph,
-            rule: b.rule,
-            seed: b.seed,
+            replica: ShardReplica::new(
+                b.graph,
+                b.rule,
+                b.seed,
+                b.parallelism,
+                b.membership,
+                Some(0),
+            ),
             round: 0,
-            parallel,
-            membership: b.membership,
             endpoint,
             workers,
-            chunk_bufs: vec![Vec::new(); n_chunks],
-            mail_out: vec![Vec::new(); shards],
-            scratch: vec![Vec::new(); shards],
-            added: vec![0; shards],
             phases: PhaseNanos::default(),
             snapshot_chunks: 0,
             bootstrap_overlap_datagrams: 0,
@@ -431,29 +386,18 @@ impl ClusterEngine {
         // Bootstrap: Config then every segment's chunk stream, to every
         // worker. Queued, not awaited — per-link FIFO guarantees each
         // worker sees Config → chunks → (later) Start in order.
-        let events = engine
-            .membership
-            .as_ref()
-            .map(|p| p.events().to_vec())
-            .unwrap_or_default();
         let budget = snapshot_chunk_entries(b.mtu);
         let snapshots: Vec<ShardSegSnapshot> = (0..shards)
-            .map(|s| engine.graph.segment(s).snapshot())
+            .map(|s| engine.replica.graph().segment(s).snapshot())
             .collect();
         for d in 1..shards {
             engine.endpoint.send_frame(
                 d,
-                &Frame::Config(WorkerConfig {
-                    shard: d as u32,
-                    shards: shards as u32,
-                    n: engine.graph.n() as u64,
-                    seed: engine.seed,
-                    rule: engine.rule,
-                    parallel,
-                    strict: b.loss.is_none(),
-                    events: events.clone(),
-                    peers: table.iter().map(|a| a.to_string()).collect(),
-                }),
+                &Frame::Config(engine.replica.worker_config(
+                    d,
+                    b.loss.is_none(),
+                    table.iter().map(|a| a.to_string()).collect(),
+                )),
             )?;
             for (s, snap) in snapshots.iter().enumerate() {
                 for chunk in snap.chunks(budget) {
@@ -492,7 +436,7 @@ impl ClusterEngine {
     /// The authoritative graph `G_t` (the coordinator's replica).
     #[inline]
     pub fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
 
     /// Rounds executed so far.
@@ -504,12 +448,12 @@ impl ClusterEngine {
     /// Number of shards (coordinator included).
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.graph.shard_count()
+        self.replica.shards()
     }
 
     /// The rule's registry id.
     pub fn rule(&self) -> RuleId {
-        self.rule
+        self.replica.rule()
     }
 
     /// The resolved static peer table (shard order; index 0 is the
@@ -561,14 +505,10 @@ impl ClusterEngine {
     ) -> io::Result<RoundStats> {
         let shards = self.shard_count();
         let r = self.round;
-        let plan = *self.graph.plan();
 
         // Membership — same pre-increment round key as every engine.
         let t = Instant::now();
-        let mem_delta = match self.membership.as_mut() {
-            Some(p) => p.apply_due(r, &mut self.graph),
-            None => MembershipStats::default(),
-        };
+        let mem_delta = self.replica.apply_membership(r);
         let mem_nanos = t.elapsed().as_nanos() as u64;
 
         // Kick off the round everywhere, then do our own propose while
@@ -581,26 +521,18 @@ impl ClusterEngine {
         flush_ns += t.elapsed().as_nanos() as u64;
         self.round += 1;
 
-        let t = Instant::now();
-        if r == 0 && !self.blocking_bootstrap {
+        let p = if r == 0 && !self.blocking_bootstrap {
             // The streamed-bootstrap overlap: the windows only move when
             // the endpoint is pumped, so run the first propose on a
             // helper thread and keep draining the snapshot stream under
             // it. Everything confirmed in this window transferred during
             // compute the blocking handshake would have spent idle.
             let pending_before = self.endpoint.pending_datagrams();
-            let graph = &self.graph;
-            let (rule, seed, parallel) = (self.rule, self.seed, self.parallel);
-            let chunk_bufs = &mut self.chunk_bufs;
+            let replica = &mut self.replica;
             let endpoint = &mut self.endpoint;
-            let span = plan.chunk_span(0);
             let mut overlap_ns = 0u64;
-            std::thread::scope(|scope| -> io::Result<()> {
-                let propose = scope.spawn(move || {
-                    with_rule!(rule, |rl| propose_chunk_range(
-                        graph, &rl, seed, r, chunk_bufs, span, parallel,
-                    ));
-                });
+            let p = std::thread::scope(|scope| -> io::Result<_> {
+                let propose = scope.spawn(move || replica.propose_and_route(r));
                 let t_overlap = Instant::now();
                 while !propose.is_finished() {
                     endpoint.pump()?;
@@ -615,51 +547,19 @@ impl ClusterEngine {
             self.bootstrap_overlap_ns = overlap_ns;
             self.bootstrap_overlap_datagrams =
                 pending_before.saturating_sub(self.endpoint.pending_datagrams());
+            p
         } else {
-            with_rule!(self.rule, |rule| propose_chunk_range(
-                &self.graph,
-                &rule,
-                self.seed,
-                r,
-                &mut self.chunk_bufs,
-                plan.chunk_span(0),
-                self.parallel,
-            ));
-        }
-        let mut propose_ns = t.elapsed().as_nanos() as u64;
-
-        // Route own proposals with source-local slots (safe: the merge
-        // discards slots after dedup — see gossip_shard's module docs).
-        let t = Instant::now();
-        for b in self.mail_out.iter_mut() {
-            b.clear();
-        }
-        let mut proposed_total = 0u64;
-        let mut base = 0u32;
-        for c in plan.chunk_span(0) {
-            let buf = &self.chunk_bufs[c];
-            proposed_total += buf.len() as u64;
-            for (i, &(_, a, b)) in buf.iter().enumerate() {
-                let here = base + i as u32;
-                if a == b {
-                    continue;
-                }
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                self.mail_out[plan.owner(lo)].push((here, lo, hi));
-                self.mail_out[plan.owner(hi)].push((here, hi, lo));
-            }
-            base += buf.len() as u32;
-        }
-        let mut route_ns = t.elapsed().as_nanos() as u64;
+            self.replica.propose_and_route(r)
+        };
+        let mut proposed_total = p.proposed;
+        let (mut propose_ns, mut route_ns) = (p.propose_ns, p.route_ns);
 
         // Upload our streams peer-to-peer: every (0, owner) stream goes
         // to every worker.
         let t = Instant::now();
         for d in 1..shards {
-            for owner in 0..shards {
-                for f in
-                    mailbox_frames(r, 0, owner as u32, &self.mail_out[owner], MAX_FRAME_ENTRIES)
-                {
+            for (owner, mailbox) in self.replica.mail_out().iter().enumerate() {
+                for f in mailbox_frames(r, 0, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
                     self.endpoint.send_frame(d, &Frame::Mail(f))?;
                 }
             }
@@ -713,53 +613,19 @@ impl ClusterEngine {
 
         // Authoritative apply: full grid, own source from local buffers.
         let t_apply = Instant::now();
-        let grid = asm.into_mail();
-        let mail_out = &self.mail_out;
-        let apply = |t_shard: usize, seg: &mut ShardSeg, scr: &mut Vec<(u64, u32)>| -> u64 {
-            let sources: Vec<&[HalfEdge]> = (0..shards)
-                .map(|s| {
-                    if s == 0 {
-                        mail_out[t_shard].as_slice()
-                    } else {
-                        grid[s][t_shard].as_slice()
-                    }
-                })
-                .collect();
-            seg.apply_half_edges(&sources, scr)
-        };
-        let segs = self.graph.segments_mut();
-        if self.parallel {
-            let mut work: ApplyWork<'_> = segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-                .map(|(t, ((seg, scr), added))| (t, seg, scr, added))
-                .collect();
-            work.par_iter_mut().for_each(|(t, seg, scr, added)| {
-                **added = apply(*t, seg, scr);
-            });
-        } else {
-            for (t_shard, ((seg, scr), added)) in segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-            {
-                *added = apply(t_shard, seg, scr);
-            }
-        }
+        self.replica.apply_grid(&mut asm.into_mail());
         let apply_ns = t_apply.elapsed().as_nanos() as u64;
-        self.worker_peak_rss_bytes[0] = self.worker_peak_rss_bytes[0].max(peak_rss_bytes());
+        self.worker_peak_rss_bytes[0] =
+            self.worker_peak_rss_bytes[0].max(peak_rss_bytes().unwrap_or(0));
 
         // Cross-check every worker's own-segment count against ours — a
         // divergent replica is a protocol bug, not something to paper
         // over.
         for (d, &theirs) in worker_added.iter().enumerate().take(shards).skip(1) {
-            if theirs != self.added[d] {
+            if theirs != self.replica.added()[d] {
                 return Err(protocol_err(format!(
                     "shard {d} added {theirs} edges in round {r}, coordinator added {}",
-                    self.added[d]
+                    self.replica.added()[d]
                 )));
             }
         }
@@ -788,7 +654,7 @@ impl ClusterEngine {
 
         Ok(RoundStats {
             proposed: proposed_total,
-            added: self.added.iter().sum(),
+            added: self.replica.added().iter().sum(),
         })
     }
 
@@ -850,7 +716,7 @@ impl RoundEngine for ClusterEngine {
     type Graph = ShardedArenaGraph;
     #[inline]
     fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
     #[inline]
     fn quanta(&self) -> u64 {
@@ -942,20 +808,6 @@ pub fn maybe_run_cluster_shard() {
     }
 }
 
-struct WorkerState {
-    shard: usize,
-    shards: usize,
-    graph: ShardedArenaGraph,
-    rule: RuleId,
-    seed: u64,
-    parallel: bool,
-    membership: MembershipPlan,
-    chunk_bufs: Vec<Vec<TaggedProposal>>,
-    mail_out: Vec<Vec<HalfEdge>>,
-    scratch: Vec<Vec<(u64, u32)>>,
-    added: Vec<u64>,
-}
-
 /// The worker loop for shard `shard`, shared verbatim by thread mode and
 /// process mode: bootstrap (Config + streamed snapshot chunks, answered
 /// with `Hello`), then rounds driven by the coordinator's `Start`
@@ -1010,9 +862,7 @@ pub fn run_cluster_shard(
         }
     };
     let snaps: Vec<ShardSegSnapshot> = asms.into_iter().map(SegSnapshotAssembler::finish).collect();
-    let shards = cfg.shards as usize;
-    let graph = ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, shards, &snaps)
-        .map_err(protocol_err)?;
+    let mut replica = ShardReplica::from_config(cfg, &snaps)?;
     ep.send_frame(
         0,
         &Frame::Hello {
@@ -1020,27 +870,12 @@ pub fn run_cluster_shard(
         },
     )?;
 
-    let n_chunks = graph.n().div_ceil(PROPOSAL_CHUNK);
-    let mut state = WorkerState {
-        shard,
-        shards,
-        graph,
-        rule: cfg.rule,
-        seed: cfg.seed,
-        parallel: cfg.parallel,
-        membership: MembershipPlan::new(cfg.events),
-        chunk_bufs: vec![Vec::new(); n_chunks],
-        mail_out: vec![Vec::new(); shards],
-        scratch: vec![Vec::new(); shards],
-        added: vec![0; shards],
-    };
-
     let mut expected = 0u64;
     loop {
         let (from, frame) = ep.recv(RECV_TIMEOUT)?;
         match frame {
             Frame::Start { round } if from == 0 && round == expected => {
-                cluster_round(round, &mut state, &mut ep, &mut pending)?;
+                cluster_round(round, &mut replica, &mut ep, &mut pending)?;
                 expected += 1;
             }
             // A faster peer's mail for the round we have not started yet
@@ -1062,54 +897,15 @@ pub fn run_cluster_shard(
 
 fn cluster_round(
     r: u64,
-    state: &mut WorkerState,
+    replica: &mut ShardReplica,
     ep: &mut Endpoint,
     pending: &mut Vec<MailFrame>,
 ) -> io::Result<()> {
-    let plan = *state.graph.plan();
-    let shards = state.shards;
-    let shard = state.shard;
+    let shards = replica.shards();
+    let shard = replica.shard().expect("workers own a span");
 
-    // Membership — same pre-increment round key as every other engine.
-    state.membership.apply_due(r, &mut state.graph);
-
-    // Propose only this shard's chunk span (RNG streams are keyed by
-    // (seed, round, node) alone, so the restricted phase fills exactly
-    // the buffers the full phase would).
-    let t = Instant::now();
-    with_rule!(state.rule, |rule| propose_chunk_range(
-        &state.graph,
-        &rule,
-        state.seed,
-        r,
-        &mut state.chunk_bufs,
-        plan.chunk_span(shard),
-        state.parallel,
-    ));
-    let propose_ns = t.elapsed().as_nanos() as u64;
-
-    // Route with source-local slots.
-    let t = Instant::now();
-    for b in state.mail_out.iter_mut() {
-        b.clear();
-    }
-    let mut proposed = 0u64;
-    let mut base = 0u32;
-    for c in plan.chunk_span(shard) {
-        let buf = &state.chunk_bufs[c];
-        proposed += buf.len() as u64;
-        for (i, &(_, a, b)) in buf.iter().enumerate() {
-            let here = base + i as u32;
-            if a == b {
-                continue;
-            }
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            state.mail_out[plan.owner(lo)].push((here, lo, hi));
-            state.mail_out[plan.owner(hi)].push((here, hi, lo));
-        }
-        base += buf.len() as u32;
-    }
-    let route_ns = t.elapsed().as_nanos() as u64;
+    replica.apply_membership(r);
+    let p = replica.propose_and_route(r);
 
     // Peer-to-peer upload: every (shard, owner) stream to every peer —
     // no supervisor hop.
@@ -1118,14 +914,8 @@ fn cluster_round(
         if d == shard {
             continue;
         }
-        for owner in 0..shards {
-            for f in mailbox_frames(
-                r,
-                shard as u32,
-                owner as u32,
-                &state.mail_out[owner],
-                MAX_FRAME_ENTRIES,
-            ) {
+        for (owner, mailbox) in replica.mail_out().iter().enumerate() {
+            for f in mailbox_frames(r, shard as u32, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
                 ep.send_frame(d, &Frame::Mail(f))?;
             }
         }
@@ -1136,9 +926,9 @@ fn cluster_round(
         &Frame::Proposed(ProposedBarrier {
             round: r,
             source: shard as u32,
-            proposed,
-            propose_ns,
-            route_ns,
+            proposed: p.proposed,
+            propose_ns: p.propose_ns,
+            route_ns: p.route_ns,
             serialize_ns,
         }),
     )?;
@@ -1169,42 +959,7 @@ fn cluster_round(
     // Apply the full grid — peer streams from the assembler, this
     // shard's own from its local route buffers — to the replica.
     let t = Instant::now();
-    let grid = asm.into_mail();
-    let mail_out = &state.mail_out;
-    let apply = |t_shard: usize, seg: &mut ShardSeg, scr: &mut Vec<(u64, u32)>| -> u64 {
-        let sources: Vec<&[HalfEdge]> = (0..shards)
-            .map(|s| {
-                if s == shard {
-                    mail_out[t_shard].as_slice()
-                } else {
-                    grid[s][t_shard].as_slice()
-                }
-            })
-            .collect();
-        seg.apply_half_edges(&sources, scr)
-    };
-    let segs = state.graph.segments_mut();
-    if state.parallel {
-        let mut work: ApplyWork<'_> = segs
-            .into_iter()
-            .zip(state.scratch.iter_mut())
-            .zip(state.added.iter_mut())
-            .enumerate()
-            .map(|(t, ((seg, scr), added))| (t, seg, scr, added))
-            .collect();
-        work.par_iter_mut().for_each(|(t, seg, scr, added)| {
-            **added = apply(*t, seg, scr);
-        });
-    } else {
-        for (t_shard, ((seg, scr), added)) in segs
-            .into_iter()
-            .zip(state.scratch.iter_mut())
-            .zip(state.added.iter_mut())
-            .enumerate()
-        {
-            *added = apply(t_shard, seg, scr);
-        }
-    }
+    replica.apply_grid(&mut asm.into_mail());
     let apply_ns = t.elapsed().as_nanos() as u64;
 
     ep.send_frame(
@@ -1212,10 +967,10 @@ fn cluster_round(
         &Frame::Done(DoneBarrier {
             round: r,
             source: shard as u32,
-            added: state.added[shard],
+            added: replica.added()[shard],
             apply_ns,
             drain_ns,
-            peak_rss_bytes: peak_rss_bytes(),
+            peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
         }),
     )?;
     Ok(())

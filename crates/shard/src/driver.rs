@@ -6,10 +6,39 @@
 //! in-process [`ShardedEngine`](crate::ShardedEngine) and the two
 //! cross-process carriers share.
 
-use gossip_core::TaggedProposal;
-use gossip_graph::{HalfEdge, ShardPlan, ShardSeg, ShardedArenaGraph};
+use crate::wire::WorkerConfig;
+use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
+use gossip_core::{
+    with_rule, MembershipPlan, MembershipStats, Parallelism, RuleId, TaggedProposal,
+};
+use gossip_graph::{HalfEdge, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArenaGraph};
 use rayon::prelude::*;
+use std::io;
 use std::ops::Range;
+use std::time::Instant;
+
+/// An `InvalidData` error for a peer that broke the round protocol.
+pub fn protocol_err(msg: impl ToString) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+}
+
+/// Linux peak RSS (`VmHWM`) of the calling process, in bytes, if the
+/// platform exposes it.
+pub fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Whether `policy` engages the rayon pool on an `n`-node graph.
+pub(crate) fn use_parallel(policy: Parallelism, n: usize) -> bool {
+    match policy {
+        Parallelism::Sequential => false,
+        Parallelism::Parallel => true,
+        Parallelism::Auto { threshold } => n >= threshold,
+    }
+}
 
 /// Routes the proposals of the chunks in `span` into per-owner mailboxes
 /// (cleared first): each proposal `(u, a, b)` becomes the half-edge
@@ -85,5 +114,199 @@ pub(crate) fn apply_grid(
         work.par_iter_mut().for_each(apply);
     } else {
         work.iter_mut().for_each(apply);
+    }
+}
+
+/// What [`ShardReplica::propose_and_route`] did: the proposal count of
+/// the replica's own span and the wall time of each half.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Proposed {
+    /// Proposals drawn by the span's nodes.
+    pub proposed: u64,
+    /// Wall time of the propose phase.
+    pub propose_ns: u64,
+    /// Wall time of the route phase.
+    pub route_ns: u64,
+}
+
+/// One participant's state for the cross-process round: a **full
+/// replica** of `G_t` (a Pull proposal is a two-hop walk through
+/// arbitrary rows, so shard-local state is not enough to propose), the
+/// rule and seed every replica replays, the membership schedule shipped
+/// at bootstrap, and the reusable round buffers. What is sharded is the
+/// *work*: a replica proposes and routes only its own shard's chunk
+/// span, then applies the whole round's mail grid.
+#[derive(Debug)]
+pub struct ShardReplica {
+    graph: ShardedArenaGraph,
+    rule: RuleId,
+    seed: u64,
+    parallel: bool,
+    membership: MembershipPlan,
+    /// The shard whose span this replica proposes; `None` for a
+    /// coordinator that owns no span (the stream transport's supervisor).
+    shard: Option<usize>,
+    chunk_bufs: Vec<Vec<TaggedProposal>>,
+    /// `mail_out[owner]`: this replica's own routed half-edges.
+    mail_out: Vec<Vec<HalfEdge>>,
+    scratch: Vec<Vec<(u64, u32)>>,
+    added: Vec<u64>,
+}
+
+impl ShardReplica {
+    /// A replica over `graph` (its shard count fixes the grid) proposing
+    /// `shard`'s span.
+    pub fn new(
+        graph: ShardedArenaGraph,
+        rule: RuleId,
+        seed: u64,
+        parallelism: Parallelism,
+        membership: Option<MembershipPlan>,
+        shard: Option<usize>,
+    ) -> Self {
+        let shards = graph.shard_count();
+        ShardReplica {
+            rule,
+            seed,
+            parallel: use_parallel(parallelism, graph.n()),
+            membership: membership.unwrap_or_else(|| MembershipPlan::new(Vec::new())),
+            shard,
+            chunk_bufs: vec![Vec::new(); graph.n().div_ceil(PROPOSAL_CHUNK)],
+            mail_out: vec![Vec::new(); shards],
+            scratch: vec![Vec::new(); shards],
+            added: vec![0; shards],
+            graph,
+        }
+    }
+
+    /// The worker-side constructor: rebuilds the coordinator's state from
+    /// its bootstrap `Config` and one snapshot per segment.
+    pub fn from_config(cfg: WorkerConfig, snaps: &[ShardSegSnapshot]) -> io::Result<Self> {
+        let graph =
+            ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, cfg.shards as usize, snaps)
+                .map_err(protocol_err)?;
+        let parallelism = if cfg.parallel {
+            Parallelism::Parallel
+        } else {
+            Parallelism::Sequential
+        };
+        Ok(ShardReplica::new(
+            graph,
+            cfg.rule,
+            cfg.seed,
+            parallelism,
+            Some(MembershipPlan::new(cfg.events)),
+            Some(cfg.shard as usize),
+        ))
+    }
+
+    /// The bootstrap `Config` that makes worker `shard` a copy of this
+    /// replica (the segment snapshots travel separately).
+    pub fn worker_config(&self, shard: usize, strict: bool, peers: Vec<String>) -> WorkerConfig {
+        WorkerConfig {
+            shard: shard as u32,
+            shards: self.shards() as u32,
+            n: self.graph.n() as u64,
+            seed: self.seed,
+            rule: self.rule,
+            parallel: self.parallel,
+            strict,
+            events: self.membership.events().to_vec(),
+            peers,
+        }
+    }
+
+    /// The replica's current graph `G_t`.
+    #[inline]
+    pub fn graph(&self) -> &ShardedArenaGraph {
+        &self.graph
+    }
+
+    /// The rule's registry id.
+    pub fn rule(&self) -> RuleId {
+        self.rule
+    }
+
+    /// Number of shards in the grid.
+    #[inline]
+    pub fn shards(&self) -> usize {
+        self.mail_out.len()
+    }
+
+    /// The shard whose span this replica proposes, if any.
+    pub fn shard(&self) -> Option<usize> {
+        self.shard
+    }
+
+    /// This replica's routed half-edges, `mail_out[owner]`, as of the
+    /// last [`ShardReplica::propose_and_route`].
+    pub fn mail_out(&self) -> &[Vec<HalfEdge>] {
+        &self.mail_out
+    }
+
+    /// Per-segment new-canonical-edge counts of the last
+    /// [`ShardReplica::apply_grid`].
+    pub fn added(&self) -> &[u64] {
+        &self.added
+    }
+
+    /// Applies the membership events due at `round` — the same
+    /// pre-increment round key as every other engine.
+    pub fn apply_membership(&mut self, round: u64) -> MembershipStats {
+        self.membership.apply_due(round, &mut self.graph)
+    }
+
+    /// Proposes this replica's own chunk span against `G_t` and routes
+    /// the result into `mail_out`. The restricted propose fills exactly
+    /// the buffers the full phase would (RNG streams are keyed by
+    /// `(seed, round, node)` alone).
+    pub fn propose_and_route(&mut self, round: u64) -> Proposed {
+        let shard = self
+            .shard
+            .expect("a replica without a span proposes nothing");
+        let plan = *self.graph.plan();
+        let t = Instant::now();
+        with_rule!(self.rule, |rule| propose_chunk_range(
+            &self.graph,
+            &rule,
+            self.seed,
+            round,
+            &mut self.chunk_bufs,
+            plan.chunk_span(shard),
+            self.parallel,
+        ));
+        let propose_ns = t.elapsed().as_nanos() as u64;
+        let t = Instant::now();
+        let proposed = route_span(
+            &plan,
+            &self.chunk_bufs,
+            plan.chunk_span(shard),
+            &mut self.mail_out,
+        );
+        Proposed {
+            proposed,
+            propose_ns,
+            route_ns: t.elapsed().as_nanos() as u64,
+        }
+    }
+
+    /// Merges the round's full mail grid into the replica. `grid[s][t]`
+    /// holds every *other* source's mail (as a
+    /// [`MailboxAssembler`](crate::wire::MailboxAssembler) hands it back);
+    /// the replica's own row is swapped in from `mail_out` for the merge.
+    pub fn apply_grid(&mut self, grid: &mut [Vec<Vec<HalfEdge>>]) {
+        if let Some(s) = self.shard {
+            std::mem::swap(&mut grid[s], &mut self.mail_out);
+        }
+        apply_grid(
+            &mut self.graph,
+            &mut self.scratch,
+            &mut self.added,
+            self.parallel,
+            grid,
+        );
+        if let Some(s) = self.shard {
+            std::mem::swap(&mut grid[s], &mut self.mail_out);
+        }
     }
 }

@@ -79,12 +79,13 @@ use std::time::Instant;
 
 pub use gossip_core::listener::PhaseNanos;
 
-mod driver;
+pub mod driver;
 pub mod framed;
 pub mod transport;
 pub mod wire;
 
-use driver::{apply_grid, route_span};
+use driver::{apply_grid, route_span, use_parallel};
+pub use driver::{peak_rss_bytes, protocol_err, Proposed, ShardReplica};
 pub use framed::{parse_framed, FramedConn};
 pub use transport::{
     maybe_run_worker, LossyConfig, TransportBuilder, TransportEngine, TransportMode, TransportStats,
@@ -217,14 +218,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         self.phases = PhaseNanos::default();
     }
 
-    fn use_parallel(&self) -> bool {
-        match self.parallelism {
-            Parallelism::Sequential => false,
-            Parallelism::Parallel => true,
-            Parallelism::Auto { threshold } => self.graph.n() >= threshold,
-        }
-    }
-
     /// Executes one synchronous round; returns what happened.
     pub fn step(&mut self) -> RoundStats {
         self.step_inner(None)
@@ -238,7 +231,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         &mut self,
         mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
     ) -> RoundStats {
-        let parallel = self.use_parallel();
+        let parallel = use_parallel(self.parallelism, self.graph.n());
         let plan = *self.graph.plan();
 
         // Phase 0 (membership): apply due join/leave events before anything

@@ -58,22 +58,20 @@
 //! libtest harness** — the re-execed child would be the test harness
 //! itself and would run the whole test suite instead of a worker.
 
+use crate::driver::{peak_rss_bytes, protocol_err, ShardReplica};
 use crate::framed::FramedConn;
 use crate::wire::{
     mailbox_frames, Frame, MailboxAssembler, NakFrame, WireStats, MAX_FRAME_ENTRIES,
 };
 use bytes::BytesMut;
-use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::rng::stream_rng;
 use gossip_core::seam::{run_engine_until, RoundEngine};
 use gossip_core::{
-    with_rule, ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId,
-    RunOutcome, TaggedProposal,
+    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId, RunOutcome,
 };
-use gossip_graph::{HalfEdge, ShardSeg, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_graph::{HalfEdge, ShardSegSnapshot, ShardedArenaGraph};
 use rand::Rng;
-use rayon::prelude::*;
 use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -85,15 +83,6 @@ use std::time::Instant;
 /// Environment variable carrying the supervisor's socket path to a
 /// re-execed worker process. Set only by [`TransportMode::Process`].
 pub const WORKER_SOCKET_ENV: &str = "GOSSIP_TRANSPORT_SOCKET";
-
-/// One shard's slice of the parallel apply: `(shard index, owned segment,
-/// merge scratch, added-count slot)`.
-type ApplyWork<'a> = Vec<(
-    usize,
-    &'a mut ShardSeg,
-    &'a mut Vec<(u64, u32)>,
-    &'a mut u64,
-)>;
 
 /// How the shard workers are hosted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -232,17 +221,12 @@ struct EncodedMail {
 /// [`ShardedEngine`]: crate::ShardedEngine
 #[derive(Debug)]
 pub struct TransportEngine {
-    graph: ShardedArenaGraph,
-    rule: RuleId,
-    seed: u64,
+    /// The authoritative replica; the supervisor owns no span.
+    replica: ShardReplica,
     round: u64,
-    parallel: bool,
     lossy: Option<LossyConfig>,
-    membership: Option<MembershipPlan>,
     links: Vec<WorkerLink>,
     mail: Vec<Vec<Vec<HalfEdge>>>,
-    scratch: Vec<Vec<(u64, u32)>>,
-    added: Vec<u64>,
     phases: PhaseNanos,
     stats: TransportStats,
     enc: BytesMut,
@@ -268,35 +252,10 @@ fn socket_path_for(shard: usize) -> PathBuf {
     ))
 }
 
-/// Linux peak-RSS (`VmHWM`) of the calling process, in bytes; 0 where
-/// unavailable.
-pub(crate) fn peak_rss_bytes() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<u64>().ok())
-        })
-        .map(|kb| kb * 1024)
-        .unwrap_or(0)
-}
-
 impl TransportEngine {
     fn spawn(b: TransportBuilder) -> io::Result<TransportEngine> {
         let shards = b.graph.shard_count();
-        let parallel = match b.parallelism {
-            Parallelism::Sequential => false,
-            Parallelism::Parallel => true,
-            Parallelism::Auto { threshold } => b.graph.n() >= threshold,
-        };
         let strict = b.lossy.is_none();
-        let events = b
-            .membership
-            .as_ref()
-            .map(|p| p.events().to_vec())
-            .unwrap_or_default();
 
         // Encode the bootstrap segment frames once; every worker gets the
         // same bytes.
@@ -348,17 +307,11 @@ impl TransportEngine {
         }
 
         let mut engine = TransportEngine {
-            graph: b.graph,
-            rule: b.rule,
-            seed: b.seed,
+            replica: ShardReplica::new(b.graph, b.rule, b.seed, b.parallelism, b.membership, None),
             round: 0,
-            parallel,
             lossy: b.lossy,
-            membership: b.membership,
             links,
             mail: vec![vec![Vec::new(); shards]; shards],
-            scratch: vec![Vec::new(); shards],
-            added: vec![0; shards],
             phases: PhaseNanos::default(),
             stats: TransportStats {
                 worker_peak_rss_bytes: vec![0; shards],
@@ -371,17 +324,7 @@ impl TransportEngine {
         // Bootstrap each worker: Config, then every segment, then wait for
         // its Hello ack.
         for s in 0..shards {
-            let cfg = Frame::Config(crate::wire::WorkerConfig {
-                shard: s as u32,
-                shards: shards as u32,
-                n: engine.graph.n() as u64,
-                seed: engine.seed,
-                rule: engine.rule,
-                parallel,
-                strict,
-                events: events.clone(),
-                peers: Vec::new(),
-            });
+            let cfg = Frame::Config(engine.replica.worker_config(s, strict, Vec::new()));
             engine.send(s, &cfg)?;
             for bytes in &seg_frames {
                 engine.links[s].conn.send_raw(bytes)?;
@@ -423,7 +366,7 @@ impl TransportEngine {
     /// round cross-checks the workers against it).
     #[inline]
     pub fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
 
     /// Rounds executed so far.
@@ -440,7 +383,7 @@ impl TransportEngine {
 
     /// The rule's registry id.
     pub fn rule(&self) -> RuleId {
-        self.rule
+        self.replica.rule()
     }
 
     /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
@@ -483,10 +426,7 @@ impl TransportEngine {
         // Membership: the supervisor applies due events to the
         // authoritative replica; workers do the same on Start.
         let t = Instant::now();
-        let mem_delta = match self.membership.as_mut() {
-            Some(p) => p.apply_due(r, &mut self.graph),
-            None => MembershipStats::default(),
-        };
+        let mem_delta = self.replica.apply_membership(r);
         let mem_nanos = t.elapsed().as_nanos() as u64;
 
         // Kick off the round.
@@ -651,40 +591,14 @@ impl TransportEngine {
         // Authoritative apply: merge the full grid into the supervisor's
         // replica — identical to the in-process engine's phase 3.
         let t_apply = Instant::now();
-        let mail = &self.mail;
-        let apply = |t_shard: usize, seg: &mut ShardSeg, scratch: &mut Vec<(u64, u32)>| -> u64 {
-            let sources: Vec<&[HalfEdge]> =
-                (0..shards).map(|s| mail[s][t_shard].as_slice()).collect();
-            seg.apply_half_edges(&sources, scratch)
-        };
-        let segs = self.graph.segments_mut();
-        if self.parallel {
-            let mut work: ApplyWork<'_> = segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-                .map(|(t, ((seg, scratch), added))| (t, seg, scratch, added))
-                .collect();
-            work.par_iter_mut().for_each(|(t, seg, scratch, added)| {
-                **added = apply(*t, seg, scratch);
-            });
-        } else {
-            for (t_shard, ((seg, scratch), added)) in segs
-                .into_iter()
-                .zip(self.scratch.iter_mut())
-                .zip(self.added.iter_mut())
-                .enumerate()
-            {
-                *added = apply(t_shard, seg, scratch);
-            }
-        }
+        self.replica.apply_grid(&mut self.mail);
         let apply_ns = t_apply.elapsed().as_nanos() as u64;
 
         // Cross-check: each worker's own-segment merge must agree with
         // the supervisor's — a divergent replica is a protocol bug, not
         // something to paper over.
-        for (s, (&from_worker, &local)) in worker_added.iter().zip(self.added.iter()).enumerate() {
+        for (s, (&from_worker, &local)) in worker_added.iter().zip(self.replica.added()).enumerate()
+        {
             if from_worker != local {
                 return Err(protocol_err(format!(
                     "worker {s} added {from_worker} edges in round {r}, supervisor added {local}"
@@ -718,7 +632,7 @@ impl TransportEngine {
 
         Ok(RoundStats {
             proposed: proposed_total,
-            added: self.added.iter().sum(),
+            added: self.replica.added().iter().sum(),
         })
     }
 
@@ -800,10 +714,6 @@ impl TransportEngine {
     }
 }
 
-fn protocol_err(msg: impl ToString) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 impl Drop for TransportEngine {
     fn drop(&mut self) {
         let _ = self.shutdown();
@@ -814,7 +724,7 @@ impl RoundEngine for TransportEngine {
     type Graph = ShardedArenaGraph;
     #[inline]
     fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
     #[inline]
     fn quanta(&self) -> u64 {
@@ -856,22 +766,6 @@ pub fn maybe_run_worker() {
     }
 }
 
-struct WorkerState {
-    shard: usize,
-    shards: usize,
-    graph: ShardedArenaGraph,
-    rule: RuleId,
-    seed: u64,
-    parallel: bool,
-    strict: bool,
-    membership: MembershipPlan,
-    chunk_bufs: Vec<Vec<TaggedProposal>>,
-    /// `mail_out[owner]`: this worker's own routed half-edges.
-    mail_out: Vec<Vec<HalfEdge>>,
-    scratch: Vec<Vec<(u64, u32)>>,
-    added: Vec<u64>,
-}
-
 /// The worker loop, shared verbatim by thread mode and process mode: the
 /// only difference between the two is who owns the other end of `stream`.
 pub fn run_worker(stream: UnixStream) -> io::Result<()> {
@@ -890,94 +784,37 @@ pub fn run_worker(stream: UnixStream) -> io::Result<()> {
             other => return Err(protocol_err(format!("expected Segment {i}, got {other:?}"))),
         }
     }
-    let graph = ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, shards, &snaps)
-        .map_err(protocol_err)?;
-    let n_chunks = graph.n().div_ceil(PROPOSAL_CHUNK);
-    let mut state = WorkerState {
-        shard: cfg.shard as usize,
-        shards,
-        graph,
-        rule: cfg.rule,
-        seed: cfg.seed,
-        parallel: cfg.parallel,
-        strict: cfg.strict,
-        membership: MembershipPlan::new(cfg.events),
-        chunk_bufs: vec![Vec::new(); n_chunks],
-        mail_out: vec![Vec::new(); shards],
-        scratch: vec![Vec::new(); shards],
-        added: vec![0; shards],
-    };
-    conn.send(&Frame::Hello { shard: cfg.shard })?;
+    let (shard, strict) = (cfg.shard, cfg.strict);
+    let mut replica = ShardReplica::from_config(cfg, &snaps)?;
+    conn.send(&Frame::Hello { shard })?;
     conn.flush()?;
 
     loop {
         match conn.recv()? {
-            Frame::Start { round } => worker_round(round, &mut state, &mut conn)?,
+            Frame::Start { round } => worker_round(round, &mut replica, strict, &mut conn)?,
             Frame::Shutdown => return Ok(()),
             other => return Err(protocol_err(format!("expected Start, got {other:?}"))),
         }
     }
 }
 
-fn worker_round(r: u64, state: &mut WorkerState, conn: &mut FramedConn) -> io::Result<()> {
-    let plan = *state.graph.plan();
-    let shards = state.shards;
-    let shard = state.shard;
+fn worker_round(
+    r: u64,
+    replica: &mut ShardReplica,
+    strict: bool,
+    conn: &mut FramedConn,
+) -> io::Result<()> {
+    let shards = replica.shards();
+    let shard = replica.shard().expect("workers own a span");
 
-    // Membership — same pre-increment round key as every other engine.
-    state.membership.apply_due(r, &mut state.graph);
-
-    // Propose only this worker's chunk span. The restricted phase fills
-    // exactly the buffers the full phase would (RNG streams are keyed by
-    // (seed, round, node) alone).
-    let t = Instant::now();
-    with_rule!(state.rule, |rule| propose_chunk_range(
-        &state.graph,
-        &rule,
-        state.seed,
-        r,
-        &mut state.chunk_bufs,
-        plan.chunk_span(shard),
-        state.parallel,
-    ));
-    let propose_ns = t.elapsed().as_nanos() as u64;
-
-    // Route into per-owner mailboxes with slots local to this source
-    // stream (safe: the merge discards slots after dedup — see the
-    // module docs).
-    let t = Instant::now();
-    for b in state.mail_out.iter_mut() {
-        b.clear();
-    }
-    let mut proposed = 0u64;
-    let mut base = 0u32;
-    for c in plan.chunk_span(shard) {
-        let buf = &state.chunk_bufs[c];
-        proposed += buf.len() as u64;
-        for (i, &(_, a, b)) in buf.iter().enumerate() {
-            let here = base + i as u32;
-            if a == b {
-                continue;
-            }
-            let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-            state.mail_out[plan.owner(lo)].push((here, lo, hi));
-            state.mail_out[plan.owner(hi)].push((here, hi, lo));
-        }
-        base += buf.len() as u32;
-    }
-    let route_ns = t.elapsed().as_nanos() as u64;
+    replica.apply_membership(r);
+    let p = replica.propose_and_route(r);
 
     // Serialize and upload every (shard, owner) stream in canonical
     // order, then barrier.
     let t = Instant::now();
-    for owner in 0..shards {
-        for f in mailbox_frames(
-            r,
-            shard as u32,
-            owner as u32,
-            &state.mail_out[owner],
-            MAX_FRAME_ENTRIES,
-        ) {
+    for (owner, mailbox) in replica.mail_out().iter().enumerate() {
+        for f in mailbox_frames(r, shard as u32, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
             conn.send(&Frame::Mail(f))?;
         }
     }
@@ -985,16 +822,16 @@ fn worker_round(r: u64, state: &mut WorkerState, conn: &mut FramedConn) -> io::R
     conn.send(&Frame::Proposed(crate::wire::ProposedBarrier {
         round: r,
         source: shard as u32,
-        proposed,
-        propose_ns,
-        route_ns,
+        proposed: p.proposed,
+        propose_ns: p.propose_ns,
+        route_ns: p.route_ns,
         serialize_ns,
     }))?;
     conn.flush()?;
 
     // Drain the broadcast; nak gaps until the round's mail is complete.
     let t = Instant::now();
-    let mut asm = MailboxAssembler::for_worker(shards, shard, r, state.strict);
+    let mut asm = MailboxAssembler::for_worker(shards, shard, r, strict);
     loop {
         match conn.recv()? {
             Frame::Mail(f) => {
@@ -1022,51 +859,16 @@ fn worker_round(r: u64, state: &mut WorkerState, conn: &mut FramedConn) -> io::R
     // Apply the full grid — peer streams from the assembler, this
     // worker's own from its local route buffers — to the replica.
     let t = Instant::now();
-    let grid = asm.into_mail();
-    let mail_out = &state.mail_out;
-    let apply = |t_shard: usize, seg: &mut ShardSeg, scr: &mut Vec<(u64, u32)>| -> u64 {
-        let sources: Vec<&[HalfEdge]> = (0..shards)
-            .map(|s| {
-                if s == shard {
-                    mail_out[t_shard].as_slice()
-                } else {
-                    grid[s][t_shard].as_slice()
-                }
-            })
-            .collect();
-        seg.apply_half_edges(&sources, scr)
-    };
-    let segs = state.graph.segments_mut();
-    if state.parallel {
-        let mut work: ApplyWork<'_> = segs
-            .into_iter()
-            .zip(state.scratch.iter_mut())
-            .zip(state.added.iter_mut())
-            .enumerate()
-            .map(|(t, ((seg, scr), added))| (t, seg, scr, added))
-            .collect();
-        work.par_iter_mut().for_each(|(t, seg, scr, added)| {
-            **added = apply(*t, seg, scr);
-        });
-    } else {
-        for (t_shard, ((seg, scr), added)) in segs
-            .into_iter()
-            .zip(state.scratch.iter_mut())
-            .zip(state.added.iter_mut())
-            .enumerate()
-        {
-            *added = apply(t_shard, seg, scr);
-        }
-    }
+    replica.apply_grid(&mut asm.into_mail());
     let apply_ns = t.elapsed().as_nanos() as u64;
 
     conn.send(&Frame::Done(crate::wire::DoneBarrier {
         round: r,
         source: shard as u32,
-        added: state.added[shard],
+        added: replica.added()[shard],
         apply_ns,
         drain_ns,
-        peak_rss_bytes: peak_rss_bytes(),
+        peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
     }))?;
     conn.flush()?;
     Ok(())
