@@ -84,11 +84,10 @@ use gossip_shard::wire::{
     mailbox_frames, DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig,
     MAX_FRAME_ENTRIES,
 };
-use gossip_shard::{peak_rss_bytes, protocol_err, ShardReplica, TransportMode};
+use gossip_shard::{peak_rss_bytes, protocol_err, ShardReplica, TransportMode, Workers};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::process::{Child, Command};
-use std::thread::JoinHandle;
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 pub mod window;
@@ -249,20 +248,6 @@ impl ClusterBuilder {
     }
 }
 
-enum WorkerHandle {
-    Thread(JoinHandle<io::Result<()>>),
-    Process(Child),
-}
-
-impl std::fmt::Debug for WorkerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WorkerHandle::Thread(_) => f.write_str("WorkerHandle::Thread"),
-            WorkerHandle::Process(c) => write!(f, "WorkerHandle::Process({})", c.id()),
-        }
-    }
-}
-
 /// The coordinator (shard 0) of a datagram shard cluster. Implements
 /// [`RoundEngine`], so the convergence seam, listeners, and the serve
 /// layer drive it exactly like the in-process engines;
@@ -274,7 +259,7 @@ pub struct ClusterEngine {
     replica: ShardReplica,
     round: u64,
     endpoint: Endpoint,
-    workers: Vec<WorkerHandle>,
+    workers: Workers,
     phases: PhaseNanos,
     snapshot_chunks: u64,
     bootstrap_overlap_datagrams: u64,
@@ -316,31 +301,28 @@ impl ClusterEngine {
         // probe-binds auto addresses to reserve a free port, then drops
         // the socket so the child can bind it — a tiny reuse window that
         // is acceptable on loopback and absent with explicit tables.
-        let mut worker_sockets: Vec<Option<UdpSocket>> = Vec::new();
+        let mut worker_sockets: Vec<UdpSocket> = Vec::new();
         for (i, want) in worker_addrs.iter().enumerate() {
             let addr = want.unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback addr"));
             let sock = UdpSocket::bind(addr).map_err(|e| {
                 io::Error::new(e.kind(), format!("binding worker {} at {addr}: {e}", i + 1))
             })?;
             table.push(sock.local_addr()?);
-            worker_sockets.push(Some(sock));
+            worker_sockets.push(sock);
         }
 
-        let mut workers = Vec::with_capacity(shards.saturating_sub(1));
-        for s in 1..shards {
-            let handle = match b.mode {
+        let mut workers = Workers::default();
+        for (s, socket) in (1..shards).zip(worker_sockets) {
+            match b.mode {
                 TransportMode::Thread => {
-                    let socket = worker_sockets[s - 1].take().expect("socket bound above");
                     let peers = table.clone();
-                    let loss = b.loss;
-                    let mtu = b.mtu;
-                    let thread = std::thread::Builder::new()
-                        .name(format!("gossip-cluster-{s}"))
-                        .spawn(move || run_cluster_shard(socket, peers, s, loss, mtu))?;
-                    WorkerHandle::Thread(thread)
+                    let (loss, mtu) = (b.loss, b.mtu);
+                    workers.spawn_thread(format!("gossip-cluster-{s}"), move || {
+                        run_cluster_shard(socket, peers, s, loss, mtu)
+                    })?;
                 }
                 TransportMode::Process => {
-                    drop(worker_sockets[s - 1].take());
+                    drop(socket);
                     let peers_env: Vec<String> = table.iter().map(|a| a.to_string()).collect();
                     let mut cmd = Command::new(std::env::current_exe()?);
                     cmd.env(CLUSTER_SHARD_ENV, s.to_string())
@@ -352,10 +334,9 @@ impl ClusterEngine {
                             format!("{}:{}:{}", l.seed, l.drop_per_mille, l.dup_per_mille),
                         );
                     }
-                    WorkerHandle::Process(cmd.spawn()?)
+                    workers.spawn_process(&mut cmd)?;
                 }
-            };
-            workers.push(handle);
+            }
         }
 
         let endpoint = Endpoint::new(coord_socket, 0, table.clone(), b.loss, b.mtu)?;
@@ -675,34 +656,10 @@ impl ClusterEngine {
         if let Err(e) = self.endpoint.drain(Duration::from_secs(30)) {
             first_err.get_or_insert(e);
         }
-        for w in self.workers.drain(..) {
-            match w {
-                WorkerHandle::Thread(handle) => match handle.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert_with(|| protocol_err("worker thread panicked"));
-                    }
-                },
-                WorkerHandle::Process(mut child) => match child.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => {
-                        first_err.get_or_insert_with(|| {
-                            protocol_err(format!("worker process exited with {status}"))
-                        });
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                },
-            }
+        if let Err(e) = self.workers.reap() {
+            first_err.get_or_insert(e);
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 

@@ -15,7 +15,12 @@ use gossip_graph::{HalfEdge, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArena
 use rayon::prelude::*;
 use std::io;
 use std::ops::Range;
-use std::time::Instant;
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
+use std::process::{Child, Command};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// An `InvalidData` error for a peer that broke the round protocol.
 pub fn protocol_err(msg: impl ToString) -> io::Error {
@@ -308,5 +313,181 @@ impl ShardReplica {
         if let Some(s) = self.shard {
             std::mem::swap(&mut grid[s], &mut self.mail_out);
         }
+    }
+}
+
+/// How long [`Workers::spawn_process_on_socket`] waits for a re-execed
+/// child to connect back before giving up on it.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+
+static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+enum WorkerHandle {
+    Thread(JoinHandle<io::Result<()>>),
+    Process(Child),
+}
+
+/// The worker lifecycle, for either carrier and either hosting mode:
+/// starts shard workers as OS threads or as re-execed child processes,
+/// and reaps them. Whatever was started and never reaped — a spawn that
+/// failed half-way, an engine dropped after a failed round — is cleaned
+/// up on drop: children are killed and waited for, socket files unlinked.
+#[derive(Default)]
+pub struct Workers {
+    handles: Vec<WorkerHandle>,
+    socket_paths: Vec<PathBuf>,
+}
+
+impl std::fmt::Debug for Workers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Workers")
+            .field("live", &self.handles.len())
+            .field("socket_paths", &self.socket_paths)
+            .finish()
+    }
+}
+
+impl Workers {
+    /// Starts a worker as a named OS thread running `body`.
+    pub fn spawn_thread(
+        &mut self,
+        name: String,
+        body: impl FnOnce() -> io::Result<()> + Send + 'static,
+    ) -> io::Result<()> {
+        let thread = std::thread::Builder::new().name(name).spawn(body)?;
+        self.handles.push(WorkerHandle::Thread(thread));
+        Ok(())
+    }
+
+    /// Starts a worker as the child process `cmd` describes.
+    pub fn spawn_process(&mut self, cmd: &mut Command) -> io::Result<()> {
+        self.handles.push(WorkerHandle::Process(cmd.spawn()?));
+        Ok(())
+    }
+
+    /// Starts a child process that is expected to connect back over a
+    /// fresh Unix socket whose path it finds in the environment variable
+    /// `env`, and returns the accepted connection. The wait is bounded: a
+    /// child that exits without connecting (a host `main` that forgot its
+    /// re-exec hook, a failed exec) or stays silent past the connect
+    /// timeout is an error, not a hang.
+    pub fn spawn_process_on_socket(
+        &mut self,
+        cmd: &mut Command,
+        env: &str,
+    ) -> io::Result<UnixStream> {
+        let path = std::env::temp_dir().join(format!(
+            "gossip-uds-{}-{}-{}.sock",
+            std::process::id(),
+            SOCKET_COUNTER.fetch_add(1, Ordering::Relaxed),
+            self.handles.len(),
+        ));
+        let _ = std::fs::remove_file(&path);
+        let listener = UnixListener::bind(&path)?;
+        self.socket_paths.push(path.clone());
+        listener.set_nonblocking(true)?;
+        let mut child = cmd.env(env, &path).spawn()?;
+        let deadline = Instant::now() + CONNECT_TIMEOUT;
+        let accepted = loop {
+            match listener.accept() {
+                Ok((stream, _addr)) => break stream.set_nonblocking(false).map(|()| stream),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => break Err(e),
+            }
+            match child.try_wait() {
+                Ok(None) if Instant::now() < deadline => {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Ok(None) => {
+                    break Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("worker process did not connect within {CONNECT_TIMEOUT:?}"),
+                    ))
+                }
+                Ok(Some(status)) => {
+                    break Err(io::Error::new(
+                        io::ErrorKind::ConnectionRefused,
+                        format!("worker process exited with {status} before connecting"),
+                    ))
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        self.handles.push(WorkerHandle::Process(child));
+        accepted
+    }
+
+    /// Joins every thread and waits for every process, unlinks the socket
+    /// files, and returns the first failure: a worker loop's own error, a
+    /// panic, or a non-zero exit status. Blocks until the workers exit, so
+    /// tell them to stop first.
+    pub fn reap(&mut self) -> io::Result<()> {
+        let mut first_err: Option<io::Error> = None;
+        for handle in self.handles.drain(..) {
+            let outcome = match handle {
+                WorkerHandle::Thread(thread) => thread
+                    .join()
+                    .unwrap_or_else(|_| Err(protocol_err("worker thread panicked"))),
+                WorkerHandle::Process(mut child) => child.wait().and_then(|status| {
+                    if status.success() {
+                        Ok(())
+                    } else {
+                        Err(protocol_err(format!("worker process exited with {status}")))
+                    }
+                }),
+            };
+            if let Err(e) = outcome {
+                first_err.get_or_insert(e);
+            }
+        }
+        self.unlink_sockets();
+        first_err.map_or(Ok(()), Err)
+    }
+
+    fn unlink_sockets(&mut self) {
+        for path in self.socket_paths.drain(..) {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        // Reached with live handles only when something failed before an
+        // orderly `reap`. Children are killed; threads cannot be, and are
+        // detached — they exit on their own once their link closes.
+        for handle in self.handles.drain(..) {
+            if let WorkerHandle::Process(mut child) = handle {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+        }
+        self.unlink_sockets();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_child_that_exits_without_connecting_is_an_error_and_leaves_no_socket() {
+        // The child is this libtest binary asked only to list its tests:
+        // it exits 0 without ever looking at the socket variable — the
+        // shape of a host `main` that forgot its re-exec hook.
+        let mut cmd = Command::new(std::env::current_exe().unwrap());
+        cmd.arg("--list").stdout(std::process::Stdio::null());
+        let mut workers = Workers::default();
+        let t = Instant::now();
+        let err = workers
+            .spawn_process_on_socket(&mut cmd, "GOSSIP_TEST_UNREAD_SOCKET")
+            .expect_err("nobody connects");
+        assert!(t.elapsed() < CONNECT_TIMEOUT, "waited out the deadline");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
+        assert!(err.to_string().contains("before connecting"), "{err}");
+        let path = workers.socket_paths[0].clone();
+        assert!(path.exists(), "the socket lives as long as its owner");
+        drop(workers);
+        assert!(!path.exists(), "drop must unlink {path:?}");
     }
 }

@@ -85,7 +85,7 @@ pub mod transport;
 pub mod wire;
 
 use driver::{apply_grid, route_span, use_parallel};
-pub use driver::{peak_rss_bytes, protocol_err, Proposed, ShardReplica};
+pub use driver::{peak_rss_bytes, protocol_err, Proposed, ShardReplica, Workers};
 pub use framed::{parse_framed, FramedConn};
 pub use transport::{
     maybe_run_worker, LossyConfig, TransportBuilder, TransportEngine, TransportMode, TransportStats,

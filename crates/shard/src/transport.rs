@@ -58,7 +58,7 @@
 //! libtest harness** — the re-execed child would be the test harness
 //! itself and would run the whole test suite instead of a worker.
 
-use crate::driver::{peak_rss_bytes, protocol_err, ShardReplica};
+use crate::driver::{peak_rss_bytes, protocol_err, ShardReplica, Workers};
 use crate::framed::FramedConn;
 use crate::wire::{
     mailbox_frames, Frame, MailboxAssembler, NakFrame, WireStats, MAX_FRAME_ENTRIES,
@@ -73,11 +73,8 @@ use gossip_core::{
 use gossip_graph::{HalfEdge, ShardSegSnapshot, ShardedArenaGraph};
 use rand::Rng;
 use std::io;
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::thread::JoinHandle;
+use std::os::unix::net::UnixStream;
+use std::process::Command;
 use std::time::Instant;
 
 /// Environment variable carrying the supervisor's socket path to a
@@ -198,13 +195,6 @@ impl TransportBuilder {
     }
 }
 
-struct WorkerLink {
-    conn: FramedConn,
-    thread: Option<JoinHandle<io::Result<()>>>,
-    child: Option<Child>,
-    socket_path: Option<PathBuf>,
-}
-
 /// One `(source, owner)` mail frame, encoded once and broadcast to every
 /// non-source destination.
 struct EncodedMail {
@@ -225,31 +215,16 @@ pub struct TransportEngine {
     replica: ShardReplica,
     round: u64,
     lossy: Option<LossyConfig>,
-    links: Vec<WorkerLink>,
+    /// One connection per worker, in shard order. Declared before
+    /// `workers` so a failed engine closes them first and thread-mode
+    /// workers see EOF.
+    conns: Vec<FramedConn>,
+    workers: Workers,
     mail: Vec<Vec<Vec<HalfEdge>>>,
     phases: PhaseNanos,
     stats: TransportStats,
     enc: BytesMut,
     shut_down: bool,
-}
-
-impl std::fmt::Debug for WorkerLink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerLink")
-            .field("thread", &self.thread.is_some())
-            .field("child", &self.child.as_ref().map(Child::id))
-            .finish()
-    }
-}
-
-static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-fn socket_path_for(shard: usize) -> PathBuf {
-    let nonce = SOCKET_COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "gossip-uds-{}-{nonce}-{shard}.sock",
-        std::process::id()
-    ))
 }
 
 impl TransportEngine {
@@ -272,45 +247,31 @@ impl TransportEngine {
             })
             .collect();
 
-        let mut links = Vec::with_capacity(shards);
+        // `workers` before `conns`: should a later step fail, the
+        // connections close first and the lifecycle cleans up after.
+        let mut workers = Workers::default();
+        let mut conns = Vec::with_capacity(shards);
         for s in 0..shards {
-            let link = match b.mode {
+            let stream = match b.mode {
                 TransportMode::Thread => {
                     let (sup, wrk) = UnixStream::pair()?;
-                    let thread = std::thread::Builder::new()
-                        .name(format!("gossip-worker-{s}"))
-                        .spawn(move || run_worker(wrk))?;
-                    WorkerLink {
-                        conn: FramedConn::from_stream(sup)?,
-                        thread: Some(thread),
-                        child: None,
-                        socket_path: None,
-                    }
+                    workers.spawn_thread(format!("gossip-worker-{s}"), move || run_worker(wrk))?;
+                    sup
                 }
-                TransportMode::Process => {
-                    let path = socket_path_for(s);
-                    let _ = std::fs::remove_file(&path);
-                    let listener = UnixListener::bind(&path)?;
-                    let child = Command::new(std::env::current_exe()?)
-                        .env(WORKER_SOCKET_ENV, &path)
-                        .spawn()?;
-                    let (sup, _addr) = listener.accept()?;
-                    WorkerLink {
-                        conn: FramedConn::from_stream(sup)?,
-                        thread: None,
-                        child: Some(child),
-                        socket_path: Some(path),
-                    }
-                }
+                TransportMode::Process => workers.spawn_process_on_socket(
+                    &mut Command::new(std::env::current_exe()?),
+                    WORKER_SOCKET_ENV,
+                )?,
             };
-            links.push(link);
+            conns.push(FramedConn::from_stream(stream)?);
         }
 
         let mut engine = TransportEngine {
             replica: ShardReplica::new(b.graph, b.rule, b.seed, b.parallelism, b.membership, None),
             round: 0,
             lossy: b.lossy,
-            links,
+            conns,
+            workers,
             mail: vec![vec![Vec::new(); shards]; shards],
             phases: PhaseNanos::default(),
             stats: TransportStats {
@@ -327,11 +288,11 @@ impl TransportEngine {
             let cfg = Frame::Config(engine.replica.worker_config(s, strict, Vec::new()));
             engine.send(s, &cfg)?;
             for bytes in &seg_frames {
-                engine.links[s].conn.send_raw(bytes)?;
+                engine.conns[s].send_raw(bytes)?;
                 engine.stats.wire.frames_sent += 1;
                 engine.stats.wire.bytes_sent += bytes.len() as u64;
             }
-            engine.links[s].conn.flush()?;
+            engine.conns[s].flush()?;
         }
         for s in 0..shards {
             match engine.recv(s)? {
@@ -348,17 +309,17 @@ impl TransportEngine {
     }
 
     fn send(&mut self, s: usize, frame: &Frame) -> io::Result<()> {
-        let bytes = self.links[s].conn.send(frame)?;
+        let bytes = self.conns[s].send(frame)?;
         self.stats.wire.frames_sent += 1;
         self.stats.wire.bytes_sent += bytes;
         Ok(())
     }
 
     fn recv(&mut self, s: usize) -> io::Result<Frame> {
-        let link = &mut self.links[s];
-        let frame = link.conn.recv()?;
+        let conn = &mut self.conns[s];
+        let frame = conn.recv()?;
         self.stats.wire.frames_received += 1;
-        self.stats.wire.bytes_received += link.conn.last_recv_bytes();
+        self.stats.wire.bytes_received += conn.last_recv_bytes();
         Ok(frame)
     }
 
@@ -378,7 +339,7 @@ impl TransportEngine {
     /// Number of shard workers.
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.links.len()
+        self.conns.len()
     }
 
     /// The rule's registry id.
@@ -434,7 +395,7 @@ impl TransportEngine {
         let t = Instant::now();
         for s in 0..shards {
             self.send(s, &Frame::Start { round: r })?;
-            self.links[s].conn.flush()?;
+            self.conns[s].flush()?;
         }
         flush_ns += t.elapsed().as_nanos() as u64;
         self.round += 1;
@@ -536,12 +497,12 @@ impl TransportEngine {
             }
             for i in deliver {
                 let bytes = &encoded[i].bytes;
-                self.links[d].conn.send_raw(bytes)?;
+                self.conns[d].send_raw(bytes)?;
                 self.stats.wire.frames_sent += 1;
                 self.stats.wire.bytes_sent += bytes.len() as u64;
             }
             self.send(d, &Frame::EndMail { round: r })?;
-            self.links[d].conn.flush()?;
+            self.conns[d].flush()?;
         }
         flush_ns += t.elapsed().as_nanos() as u64;
 
@@ -573,7 +534,7 @@ impl TransportEngine {
                         // End of this nak batch: close the retransmit
                         // cycle so the worker re-checks completeness.
                         self.send(d, &Frame::EndMail { round: r })?;
-                        self.links[d].conn.flush()?;
+                        self.conns[d].flush()?;
                     }
                     other => {
                         return Err(protocol_err(format!(
@@ -658,7 +619,7 @@ impl TransportEngine {
             )));
         }
         for e in wanted {
-            self.links[d].conn.send_raw(&e.bytes)?;
+            self.conns[d].send_raw(&e.bytes)?;
             self.stats.wire.frames_sent += 1;
             self.stats.wire.bytes_sent += e.bytes.len() as u64;
             self.stats.wire.retransmitted_frames += 1;
@@ -673,44 +634,11 @@ impl TransportEngine {
             return Ok(());
         }
         self.shut_down = true;
-        for s in 0..self.links.len() {
+        for s in 0..self.conns.len() {
             let _ = self.send(s, &Frame::Shutdown);
-            let _ = self.links[s].conn.flush();
+            let _ = self.conns[s].flush();
         }
-        let mut first_err: Option<io::Error> = None;
-        for link in &mut self.links {
-            if let Some(handle) = link.thread.take() {
-                match handle.join() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        first_err.get_or_insert(e);
-                    }
-                    Err(_) => {
-                        first_err.get_or_insert_with(|| protocol_err("worker thread panicked"));
-                    }
-                }
-            }
-            if let Some(mut child) = link.child.take() {
-                match child.wait() {
-                    Ok(status) if status.success() => {}
-                    Ok(status) => {
-                        first_err.get_or_insert_with(|| {
-                            protocol_err(format!("worker process exited with {status}"))
-                        });
-                    }
-                    Err(e) => {
-                        first_err.get_or_insert(e);
-                    }
-                };
-            }
-            if let Some(path) = link.socket_path.take() {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        self.workers.reap()
     }
 }
 
