@@ -74,17 +74,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
-use gossip_core::seam::{run_engine_until, RoundEngine};
-use gossip_core::{
-    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId, RunOutcome,
+use gossip_core::{MembershipPlan, Parallelism, RuleId};
+use gossip_graph::{HalfEdge, SegSnapshotAssembler, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_shard::wire::{mailbox_frames, Frame, MailFrame, MailboxAssembler, MAX_FRAME_ENTRIES};
+use gossip_shard::{
+    peak_rss_bytes, protocol_err, run_shard, run_shard_process, Proposed, RoundInbox, ShardLink,
+    ShardReplica, ShardRoundDriver, TransportMode, Workers,
 };
-use gossip_graph::{SegSnapshotAssembler, ShardSegSnapshot, ShardedArenaGraph};
-use gossip_shard::wire::{
-    mailbox_frames, DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig,
-    MAX_FRAME_ENTRIES,
-};
-use gossip_shard::{peak_rss_bytes, protocol_err, ShardReplica, TransportMode, Workers};
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 use std::process::Command;
@@ -140,8 +136,8 @@ pub struct ClusterStats {
     /// `Hello`s (blocking mode only; streamed mode never waits).
     pub bootstrap_wait_ns: u64,
     /// Peak RSS reported by each shard in its latest `Done` barrier
-    /// (index 0 is the coordinator's own). Genuine per-process
-    /// high-water marks in process mode.
+    /// (index 0 is the coordinator's own, read when the stats are).
+    /// Genuine per-process high-water marks in process mode.
     pub worker_peak_rss_bytes: Vec<u64>,
 }
 
@@ -244,45 +240,16 @@ impl ClusterBuilder {
     /// Binds the sockets, spawns the workers, streams bootstrap state,
     /// and returns the running engine (the coordinator, shard 0).
     pub fn spawn(self) -> io::Result<ClusterEngine> {
-        ClusterEngine::spawn(self)
-    }
-}
-
-/// The coordinator (shard 0) of a datagram shard cluster. Implements
-/// [`RoundEngine`], so the convergence seam, listeners, and the serve
-/// layer drive it exactly like the in-process engines;
-/// [`ClusterEngine::graph`] is the coordinator's authoritative replica,
-/// cross-checked against every worker each round.
-#[derive(Debug)]
-pub struct ClusterEngine {
-    /// The authoritative replica; the coordinator is shard 0.
-    replica: ShardReplica,
-    round: u64,
-    endpoint: Endpoint,
-    workers: Workers,
-    phases: PhaseNanos,
-    snapshot_chunks: u64,
-    bootstrap_overlap_datagrams: u64,
-    bootstrap_overlap_ns: u64,
-    bootstrap_wait_ns: u64,
-    worker_peak_rss_bytes: Vec<u64>,
-    hello_seen: Vec<bool>,
-    blocking_bootstrap: bool,
-    shut_down: bool,
-}
-
-impl ClusterEngine {
-    fn spawn(b: ClusterBuilder) -> io::Result<ClusterEngine> {
-        let shards = b.graph.shard_count();
+        let shards = self.graph.shard_count();
 
         // Resolve the peer table. The coordinator binds first so
         // `peers[0]` is concrete even when auto-assigned.
-        let bind = b
+        let bind = self
             .bind
             .unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback addr"));
         let coord_socket = UdpSocket::bind(bind)?;
         let mut table = vec![coord_socket.local_addr()?];
-        let worker_addrs: Vec<Option<SocketAddr>> = match &b.peers {
+        let worker_addrs: Vec<Option<SocketAddr>> = match &self.peers {
             Some(list) => {
                 if list.len() != shards.saturating_sub(1) {
                     return Err(protocol_err(format!(
@@ -313,12 +280,12 @@ impl ClusterEngine {
 
         let mut workers = Workers::default();
         for (s, socket) in (1..shards).zip(worker_sockets) {
-            match b.mode {
+            match self.mode {
                 TransportMode::Thread => {
                     let peers = table.clone();
-                    let (loss, mtu) = (b.loss, b.mtu);
+                    let (loss, mtu) = (self.loss, self.mtu);
                     workers.spawn_thread(format!("gossip-cluster-{s}"), move || {
-                        run_cluster_shard(socket, peers, s, loss, mtu)
+                        run_shard(MeshLink::worker(socket, peers, s, loss, mtu)?)
                     })?;
                 }
                 TransportMode::Process => {
@@ -327,8 +294,8 @@ impl ClusterEngine {
                     let mut cmd = Command::new(std::env::current_exe()?);
                     cmd.env(CLUSTER_SHARD_ENV, s.to_string())
                         .env(CLUSTER_PEERS_ENV, peers_env.join(","))
-                        .env(CLUSTER_MTU_ENV, b.mtu.to_string());
-                    if let Some(l) = b.loss {
+                        .env(CLUSTER_MTU_ENV, self.mtu.to_string());
+                    if let Some(l) = self.loss {
                         cmd.env(
                             CLUSTER_LOSS_ENV,
                             format!("{}:{}:{}", l.seed, l.drop_per_mille, l.dup_per_mille),
@@ -339,69 +306,52 @@ impl ClusterEngine {
             }
         }
 
-        let endpoint = Endpoint::new(coord_socket, 0, table.clone(), b.loss, b.mtu)?;
-        let mut engine = ClusterEngine {
-            replica: ShardReplica::new(
-                b.graph,
-                b.rule,
-                b.seed,
-                b.parallelism,
-                b.membership,
-                Some(0),
-            ),
-            round: 0,
-            endpoint,
-            workers,
-            phases: PhaseNanos::default(),
-            snapshot_chunks: 0,
-            bootstrap_overlap_datagrams: 0,
-            bootstrap_overlap_ns: 0,
-            bootstrap_wait_ns: 0,
-            worker_peak_rss_bytes: vec![0; shards],
-            hello_seen: vec![false; shards],
-            blocking_bootstrap: b.blocking_bootstrap,
-            shut_down: false,
-        };
-        engine.hello_seen[0] = true;
+        let replica = ShardReplica::new(
+            self.graph,
+            self.rule,
+            self.seed,
+            self.parallelism,
+            self.membership,
+            Some(0),
+        );
+        let mut link = MeshLink::worker(coord_socket, table.clone(), 0, self.loss, self.mtu)?;
+        link.workers = workers;
+        link.blocking_bootstrap = self.blocking_bootstrap;
+        link.stats.worker_peak_rss_bytes = vec![0; shards];
 
         // Bootstrap: Config then every segment's chunk stream, to every
         // worker. Queued, not awaited — per-link FIFO guarantees each
         // worker sees Config → chunks → (later) Start in order.
-        let budget = snapshot_chunk_entries(b.mtu);
+        let budget = snapshot_chunk_entries(self.mtu);
         let snapshots: Vec<ShardSegSnapshot> = (0..shards)
-            .map(|s| engine.replica.graph().segment(s).snapshot())
+            .map(|s| replica.graph().segment(s).snapshot())
             .collect();
         for d in 1..shards {
-            engine.endpoint.send_frame(
-                d,
-                &Frame::Config(engine.replica.worker_config(
-                    d,
-                    b.loss.is_none(),
-                    table.iter().map(|a| a.to_string()).collect(),
-                )),
-            )?;
+            let peers = table.iter().map(|a| a.to_string()).collect();
+            let cfg = replica.worker_config(d, self.loss.is_none(), peers);
+            link.endpoint.send_frame(d, &Frame::Config(cfg))?;
             for (s, snap) in snapshots.iter().enumerate() {
                 for chunk in snap.chunks(budget) {
-                    engine.endpoint.send_frame(
+                    link.endpoint.send_frame(
                         d,
                         &Frame::SnapshotChunk {
                             segment: s as u32,
                             chunk,
                         },
                     )?;
-                    engine.snapshot_chunks += 1;
+                    link.stats.snapshot_chunks += 1;
                 }
             }
         }
 
-        if engine.blocking_bootstrap {
+        if self.blocking_bootstrap {
             let t = Instant::now();
-            while !engine.hello_seen.iter().all(|&h| h) {
-                let (from, frame) = engine.endpoint.recv(RECV_TIMEOUT)?;
+            let mut hello_seen = vec![false; shards];
+            hello_seen[0] = true;
+            while hello_seen.contains(&false) {
+                let (from, frame) = link.endpoint.recv(RECV_TIMEOUT)?;
                 match frame {
-                    Frame::Hello { shard } if shard as usize == from => {
-                        engine.hello_seen[from] = true;
-                    }
+                    Frame::Hello { shard } if shard as usize == from => hello_seen[from] = true,
                     other => {
                         return Err(protocol_err(format!(
                             "worker {from}: expected Hello during blocking bootstrap, got {other:?}"
@@ -409,32 +359,55 @@ impl ClusterEngine {
                     }
                 }
             }
-            engine.bootstrap_wait_ns = t.elapsed().as_nanos() as u64;
+            link.stats.bootstrap_wait_ns = t.elapsed().as_nanos() as u64;
         }
-        Ok(engine)
+        Ok(ShardRoundDriver::new(replica, link))
     }
+}
 
-    /// The authoritative graph `G_t` (the coordinator's replica).
-    #[inline]
-    pub fn graph(&self) -> &ShardedArenaGraph {
-        self.replica.graph()
-    }
+/// The coordinator (shard 0) of a datagram shard cluster: a
+/// [`ShardRoundDriver`] over a [`MeshLink`]. The round it drives is
+/// `gossip_shard::driver`'s, shared with the stream transport.
+pub type ClusterEngine = ShardRoundDriver<MeshLink>;
 
-    /// Rounds executed so far.
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
+/// One shard's end of the datagram carrier: its [`Endpoint`] onto the
+/// peer-to-peer mesh. Every shard — the coordinator included, which *is*
+/// shard 0 — publishes its mail straight to every peer; only barriers
+/// converge on the coordinator, whose end additionally owns the workers
+/// it spawned and the bootstrap counters.
+#[derive(Debug)]
+pub struct MeshLink {
+    endpoint: Endpoint,
+    /// Worker end: the next round a `Start` may name. A faster peer's
+    /// mail for it may arrive first and is stashed in `pending` (it
+    /// cannot be further ahead: `Start{r+1}` implies every shard
+    /// finished `r`).
+    expected: u64,
+    pending: Vec<MailFrame>,
+    workers: Workers,
+    blocking_bootstrap: bool,
+    /// Everything in [`ClusterStats`] but the endpoint's own counters.
+    stats: ClusterStats,
+}
 
-    /// Number of shards (coordinator included).
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.replica.shards()
-    }
-
-    /// The rule's registry id.
-    pub fn rule(&self) -> RuleId {
-        self.replica.rule()
+impl MeshLink {
+    /// Shard `shard`'s end, over its bound socket. (The coordinator's
+    /// end starts as shard 0's and is then given its workers.)
+    fn worker(
+        socket: UdpSocket,
+        peers: Vec<SocketAddr>,
+        shard: usize,
+        loss: Option<DatagramLoss>,
+        mtu: usize,
+    ) -> io::Result<MeshLink> {
+        Ok(MeshLink {
+            endpoint: Endpoint::new(socket, shard, peers, loss, mtu)?,
+            expected: 0,
+            pending: Vec::new(),
+            workers: Workers::default(),
+            blocking_bootstrap: false,
+            stats: ClusterStats::default(),
+        })
     }
 
     /// The resolved static peer table (shard order; index 0 is the
@@ -443,212 +416,102 @@ impl ClusterEngine {
         self.endpoint.peers()
     }
 
-    /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
-    /// the max over shards (the critical path), `Flush` coordinator send
-    /// time, `Drain` coordinator collect time, `Apply` the coordinator's
-    /// own merge.
-    pub fn phases(&self) -> PhaseNanos {
-        self.phases
-    }
-
     /// Cluster counters so far.
     pub fn stats(&self) -> ClusterStats {
-        ClusterStats {
-            endpoint: self.endpoint.stats().clone(),
-            snapshot_chunks: self.snapshot_chunks,
-            bootstrap_overlap_datagrams: self.bootstrap_overlap_datagrams,
-            bootstrap_overlap_ns: self.bootstrap_overlap_ns,
-            bootstrap_wait_ns: self.bootstrap_wait_ns,
-            worker_peak_rss_bytes: self.worker_peak_rss_bytes.clone(),
-        }
+        let mut stats = self.stats.clone();
+        stats.endpoint = self.endpoint.stats().clone();
+        stats.worker_peak_rss_bytes[0] = peak_rss_bytes().unwrap_or(0);
+        stats
     }
 
-    /// Executes one synchronous round across the cluster.
-    pub fn step(&mut self) -> RoundStats {
-        self.try_step(None).expect("cluster round failed")
+    fn is_coordinator(&self) -> bool {
+        self.endpoint.shard() == 0
     }
+}
 
-    /// Runs until `check` fires or `max_rounds` is reached (the shared
-    /// loop from [`gossip_core::seam`]).
-    pub fn run_until<C: ConvergenceCheck<ShardedArenaGraph>>(
-        &mut self,
-        check: &mut C,
-        max_rounds: u64,
-    ) -> RunOutcome {
-        run_engine_until(self, check, max_rounds)
-    }
-
-    /// One round, with full error reporting (worker death, protocol
-    /// violations, cross-check failures all surface as `io::Error`).
-    pub fn try_step(
-        &mut self,
-        mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
-    ) -> io::Result<RoundStats> {
-        let shards = self.shard_count();
-        let r = self.round;
-
-        // Membership — same pre-increment round key as every engine.
-        let t = Instant::now();
-        let mem_delta = self.replica.apply_membership(r);
-        let mem_nanos = t.elapsed().as_nanos() as u64;
-
-        // Kick off the round everywhere, then do our own propose while
-        // the Start frames (and, in round 0, the bootstrap tail) drain.
-        let mut flush_ns = 0u64;
-        let t = Instant::now();
-        for d in 1..shards {
-            self.endpoint.send_frame(d, &Frame::Start { round: r })?;
-        }
-        flush_ns += t.elapsed().as_nanos() as u64;
-        self.round += 1;
-
-        let p = if r == 0 && !self.blocking_bootstrap {
-            // The streamed-bootstrap overlap: the windows only move when
-            // the endpoint is pumped, so run the first propose on a
-            // helper thread and keep draining the snapshot stream under
-            // it. Everything confirmed in this window transferred during
-            // compute the blocking handshake would have spent idle.
-            let pending_before = self.endpoint.pending_datagrams();
-            let replica = &mut self.replica;
-            let endpoint = &mut self.endpoint;
-            let mut overlap_ns = 0u64;
-            let p = std::thread::scope(|scope| -> io::Result<_> {
-                let propose = scope.spawn(move || replica.propose_and_route(r));
-                let t_overlap = Instant::now();
-                while !propose.is_finished() {
-                    endpoint.pump()?;
-                    if endpoint.pending_datagrams() > 0 {
-                        overlap_ns = t_overlap.elapsed().as_nanos() as u64;
-                    }
-                }
-                propose
-                    .join()
-                    .map_err(|_| protocol_err("propose thread panicked"))
-            })?;
-            self.bootstrap_overlap_ns = overlap_ns;
-            self.bootstrap_overlap_datagrams =
-                pending_before.saturating_sub(self.endpoint.pending_datagrams());
-            p
-        } else {
-            self.replica.propose_and_route(r)
-        };
-        let mut proposed_total = p.proposed;
-        let (mut propose_ns, mut route_ns) = (p.propose_ns, p.route_ns);
-
-        // Upload our streams peer-to-peer: every (0, owner) stream goes
-        // to every worker.
-        let t = Instant::now();
-        for d in 1..shards {
-            for (owner, mailbox) in self.replica.mail_out().iter().enumerate() {
-                for f in mailbox_frames(r, 0, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
-                    self.endpoint.send_frame(d, &Frame::Mail(f))?;
-                }
-            }
-        }
-        let mut serialize_ns = t.elapsed().as_nanos() as u64;
-
-        // Collect: peer mail until our assembler completes, plus every
-        // worker's Proposed and Done barriers.
-        let t = Instant::now();
-        let mut asm = MailboxAssembler::for_worker(shards, 0, r, false);
-        let mut proposed_seen = vec![false; shards];
-        let mut done_seen = vec![false; shards];
-        proposed_seen[0] = true;
-        done_seen[0] = true;
-        let mut worker_added = vec![0u64; shards];
-        while !(asm.is_complete()
-            && proposed_seen.iter().all(|&p| p)
-            && done_seen.iter().all(|&d| d))
-        {
+impl ShardLink for MeshLink {
+    fn bootstrap(&mut self) -> io::Result<ShardReplica> {
+        // Config, then every segment's chunk stream. Early round-0 mail
+        // from faster peers is legal here — only the coordinator's own
+        // link is FIFO-ordered ahead of Start.
+        let (shard, shards) = (self.endpoint.shard(), self.endpoint.peers().len());
+        let mut cfg = None;
+        let mut asms: Vec<SegSnapshotAssembler> = Vec::new();
+        let mut segments_done = 0usize;
+        let cfg = loop {
             let (from, frame) = self.endpoint.recv(RECV_TIMEOUT)?;
             match frame {
-                Frame::Mail(f) if f.round == r && f.source as usize == from => {
-                    asm.accept(&f).map_err(protocol_err)?;
+                Frame::Config(c) if from == 0 && cfg.is_none() => {
+                    if c.shard as usize != shard || c.shards as usize != shards {
+                        return Err(protocol_err(format!(
+                            "config for shard {}/{} but I am {shard}/{shards}",
+                            c.shard, c.shards,
+                        )));
+                    }
+                    asms = (0..shards).map(|_| SegSnapshotAssembler::new()).collect();
+                    cfg = Some(c);
                 }
-                Frame::Proposed(b) if b.round == r && b.source as usize == from => {
-                    proposed_total += b.proposed;
-                    propose_ns = propose_ns.max(b.propose_ns);
-                    route_ns = route_ns.max(b.route_ns);
-                    serialize_ns = serialize_ns.max(b.serialize_ns);
-                    proposed_seen[from] = true;
+                Frame::SnapshotChunk { segment, chunk } if from == 0 => {
+                    let asm = asms
+                        .get_mut(segment as usize)
+                        .ok_or_else(|| protocol_err(format!("chunk for segment {segment}")))?;
+                    if asm.accept(&chunk).map_err(protocol_err)? {
+                        segments_done += 1;
+                    }
+                    if segments_done == asms.len() {
+                        break cfg.take().expect("config precedes chunks on a FIFO link");
+                    }
                 }
-                Frame::Done(b) if b.round == r && b.source as usize == from => {
-                    worker_added[from] = b.added;
-                    self.worker_peak_rss_bytes[from] =
-                        self.worker_peak_rss_bytes[from].max(b.peak_rss_bytes);
-                    done_seen[from] = true;
+                Frame::Mail(f) if f.round == 0 => self.pending.push(f),
+                other => {
+                    return Err(protocol_err(format!(
+                        "peer {from}: unexpected {other:?} during bootstrap"
+                    )))
                 }
-                Frame::Hello { shard } if shard as usize == from => {
-                    // Streamed bootstrap: the worker's assembly ack
-                    // arrives mid-round instead of up front.
-                    self.hello_seen[from] = true;
+            }
+        };
+        let snaps: Vec<ShardSegSnapshot> =
+            asms.into_iter().map(SegSnapshotAssembler::finish).collect();
+        let replica = ShardReplica::from_config(cfg, &snaps)?;
+        self.report(&Frame::Hello {
+            shard: shard as u32,
+        })?;
+        Ok(replica)
+    }
+
+    fn next_round(&mut self) -> io::Result<Option<u64>> {
+        loop {
+            let (from, frame) = self.endpoint.recv(RECV_TIMEOUT)?;
+            match frame {
+                Frame::Start { round } if from == 0 && round == self.expected => {
+                    self.expected += 1;
+                    return Ok(Some(round));
+                }
+                Frame::Mail(f) if f.round == self.expected => self.pending.push(f),
+                Frame::Shutdown if from == 0 => {
+                    self.endpoint.drain(Duration::from_secs(30))?;
+                    return Ok(None);
                 }
                 other => {
                     return Err(protocol_err(format!(
-                        "peer {from}: unexpected {other:?} in round {r}"
+                        "peer {from}: expected Start/Shutdown, got {other:?}"
                     )))
                 }
             }
         }
-        let drain_ns = t.elapsed().as_nanos() as u64;
-
-        // Authoritative apply: full grid, own source from local buffers.
-        let t_apply = Instant::now();
-        self.replica.apply_grid(&mut asm.into_mail());
-        let apply_ns = t_apply.elapsed().as_nanos() as u64;
-        self.worker_peak_rss_bytes[0] =
-            self.worker_peak_rss_bytes[0].max(peak_rss_bytes().unwrap_or(0));
-
-        // Cross-check every worker's own-segment count against ours — a
-        // divergent replica is a protocol bug, not something to paper
-        // over.
-        for (d, &theirs) in worker_added.iter().enumerate().take(shards).skip(1) {
-            if theirs != self.replica.added()[d] {
-                return Err(protocol_err(format!(
-                    "shard {d} added {theirs} edges in round {r}, coordinator added {}",
-                    self.replica.added()[d]
-                )));
-            }
-        }
-
-        let round_for_events = self.round;
-        let mut emit = |phase: RoundPhase, nanos: u64| {
-            let ev = PhaseEvent {
-                round: round_for_events,
-                phase,
-                nanos,
-            };
-            self.phases.absorb(&ev);
-            if let Some(l) = listener.as_deref_mut() {
-                l.on_phase(&ev);
-            }
-        };
-        if mem_delta != MembershipStats::default() {
-            emit(RoundPhase::Membership, mem_nanos);
-        }
-        emit(RoundPhase::Propose, propose_ns);
-        emit(RoundPhase::Route, route_ns);
-        emit(RoundPhase::Serialize, serialize_ns);
-        emit(RoundPhase::Flush, flush_ns);
-        emit(RoundPhase::Drain, drain_ns);
-        emit(RoundPhase::Apply, apply_ns);
-
-        Ok(RoundStats {
-            proposed: proposed_total,
-            added: self.replica.added().iter().sum(),
-        })
     }
 
-    /// Sends `Shutdown` to every worker, drains the windows, and reaps
-    /// threads/processes. Called automatically on drop; explicit calls
-    /// surface errors.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        if self.shut_down {
-            return Ok(());
+    fn start(&mut self, round: u64) -> io::Result<()> {
+        for d in 1..self.endpoint.peers().len() {
+            self.endpoint.send_frame(d, &Frame::Start { round })?;
         }
-        self.shut_down = true;
+        Ok(())
+    }
+
+    /// Sends `Shutdown` to every worker, drains the windows, and reaps.
+    fn stop(&mut self) -> io::Result<()> {
         let mut first_err: Option<io::Error> = None;
-        for d in 1..self.shard_count() {
+        for d in 1..self.endpoint.peers().len() {
             if let Err(e) = self.endpoint.send_frame(d, &Frame::Shutdown) {
                 first_err.get_or_insert(e);
             }
@@ -661,31 +524,96 @@ impl ClusterEngine {
         }
         first_err.map_or(Ok(()), Err)
     }
-}
 
-impl Drop for ClusterEngine {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
+    /// The coordinator's round-0 propose under a streamed bootstrap: the
+    /// windows only move when the endpoint is pumped, so the propose
+    /// runs on a helper thread while this one keeps draining the
+    /// snapshot stream under it. Everything confirmed in that window
+    /// transferred during compute the blocking handshake would have
+    /// spent idle. Every other propose is the plain one.
+    fn propose_and_route(
+        &mut self,
+        replica: &mut ShardReplica,
+        round: u64,
+    ) -> io::Result<Proposed> {
+        if !(self.is_coordinator() && round == 0 && !self.blocking_bootstrap) {
+            return Ok(replica.propose_and_route(round));
+        }
+        let pending_before = self.endpoint.pending_datagrams();
+        let endpoint = &mut self.endpoint;
+        let mut overlap_ns = 0u64;
+        let proposed = std::thread::scope(|scope| -> io::Result<Proposed> {
+            let propose = scope.spawn(move || replica.propose_and_route(round));
+            let t_overlap = Instant::now();
+            while !propose.is_finished() {
+                endpoint.pump()?;
+                if endpoint.pending_datagrams() > 0 {
+                    overlap_ns = t_overlap.elapsed().as_nanos() as u64;
+                }
+            }
+            propose
+                .join()
+                .map_err(|_| protocol_err("propose thread panicked"))
+        })?;
+        self.stats.bootstrap_overlap_ns = overlap_ns;
+        self.stats.bootstrap_overlap_datagrams =
+            pending_before.saturating_sub(self.endpoint.pending_datagrams());
+        Ok(proposed)
     }
-}
 
-impl RoundEngine for ClusterEngine {
-    type Graph = ShardedArenaGraph;
-    #[inline]
-    fn graph(&self) -> &ShardedArenaGraph {
-        self.replica.graph()
+    /// Peer-to-peer upload: every `(shard, owner)` stream to every peer —
+    /// no supervisor hop.
+    fn publish(&mut self, round: u64, shard: usize, mail_out: &[Vec<HalfEdge>]) -> io::Result<()> {
+        for d in (0..self.endpoint.peers().len()).filter(|&d| d != shard) {
+            for (owner, mailbox) in mail_out.iter().enumerate() {
+                for f in mailbox_frames(
+                    round,
+                    shard as u32,
+                    owner as u32,
+                    mailbox,
+                    MAX_FRAME_ENTRIES,
+                ) {
+                    self.endpoint.send_frame(d, &Frame::Mail(f))?;
+                }
+            }
+        }
+        Ok(())
     }
-    #[inline]
-    fn quanta(&self) -> u64 {
-        self.round
+
+    fn report(&mut self, barrier: &Frame) -> io::Result<()> {
+        if self.is_coordinator() {
+            return Ok(());
+        }
+        self.endpoint.send_frame(0, barrier)
     }
-    #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step()
-    }
-    #[inline]
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<ShardedArenaGraph>) -> RoundStats {
-        self.try_step(Some(listener)).expect("cluster round failed")
+
+    /// Collects every other shard's streams — and, at the coordinator,
+    /// every worker's barriers. The window layer already repaired loss
+    /// and restored per-link order, so completeness is just "all expected
+    /// streams closed, all owed barriers in".
+    fn collect(&mut self, round: u64) -> io::Result<RoundInbox> {
+        let (shard, shards) = (self.endpoint.shard(), self.endpoint.peers().len());
+        let coordinator = self.is_coordinator();
+        let mut inbox = RoundInbox::new(
+            round,
+            MailboxAssembler::for_worker(shards, shard, round, false),
+            (0..shards).map(|s| coordinator && s != 0).collect(),
+        );
+        for f in self.pending.drain(..) {
+            inbox.accept_mail(&f)?;
+        }
+        while !inbox.is_complete() {
+            match self.endpoint.recv(RECV_TIMEOUT)? {
+                // Streamed bootstrap: a worker's assembly ack arrives
+                // mid-round instead of up front.
+                (from, Frame::Hello { shard }) if coordinator && shard as usize == from => {}
+                (from, frame) => inbox.accept(from, frame)?,
+            }
+        }
+        for (s, peak) in self.stats.worker_peak_rss_bytes.iter_mut().enumerate() {
+            *peak = (*peak).max(inbox.done(s).map_or(0, |b| b.peak_rss_bytes));
+        }
+        Ok(inbox)
     }
 }
 
@@ -756,181 +684,7 @@ pub fn maybe_run_cluster_shard() {
     let Some(socket) = socket else {
         exit(format!("cannot bind {addr}"));
     };
-    match run_cluster_shard(socket, peers, shard, loss, mtu) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("gossip cluster worker: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// The worker loop for shard `shard`, shared verbatim by thread mode and
-/// process mode: bootstrap (Config + streamed snapshot chunks, answered
-/// with `Hello`), then rounds driven by the coordinator's `Start`
-/// barriers until `Shutdown`.
-pub fn run_cluster_shard(
-    socket: UdpSocket,
-    peers: Vec<SocketAddr>,
-    shard: usize,
-    loss: Option<DatagramLoss>,
-    mtu: usize,
-) -> io::Result<()> {
-    let mut ep = Endpoint::new(socket, shard, peers, loss, mtu)?;
-
-    // Bootstrap. Early round-0 mail from faster peers is legal here —
-    // only the coordinator's own link is FIFO-ordered ahead of Start.
-    let mut cfg: Option<WorkerConfig> = None;
-    let mut asms: Vec<SegSnapshotAssembler> = Vec::new();
-    let mut segments_done = 0usize;
-    let mut pending: Vec<MailFrame> = Vec::new();
-    let cfg = loop {
-        let (from, frame) = ep.recv(RECV_TIMEOUT)?;
-        match frame {
-            Frame::Config(c) if from == 0 && cfg.is_none() => {
-                if c.shard as usize != shard || c.shards as usize != ep.peers().len() {
-                    return Err(protocol_err(format!(
-                        "config for shard {}/{} but I am {shard}/{}",
-                        c.shard,
-                        c.shards,
-                        ep.peers().len()
-                    )));
-                }
-                asms = (0..c.shards).map(|_| SegSnapshotAssembler::new()).collect();
-                cfg = Some(c);
-            }
-            Frame::SnapshotChunk { segment, chunk } if from == 0 => {
-                let asm = asms
-                    .get_mut(segment as usize)
-                    .ok_or_else(|| protocol_err(format!("chunk for segment {segment}")))?;
-                if asm.accept(&chunk).map_err(protocol_err)? {
-                    segments_done += 1;
-                }
-                if segments_done == asms.len() {
-                    break cfg.take().expect("config precedes chunks on a FIFO link");
-                }
-            }
-            Frame::Mail(f) if f.round == 0 => pending.push(f),
-            other => {
-                return Err(protocol_err(format!(
-                    "peer {from}: unexpected {other:?} during bootstrap"
-                )))
-            }
-        }
-    };
-    let snaps: Vec<ShardSegSnapshot> = asms.into_iter().map(SegSnapshotAssembler::finish).collect();
-    let mut replica = ShardReplica::from_config(cfg, &snaps)?;
-    ep.send_frame(
-        0,
-        &Frame::Hello {
-            shard: shard as u32,
-        },
-    )?;
-
-    let mut expected = 0u64;
-    loop {
-        let (from, frame) = ep.recv(RECV_TIMEOUT)?;
-        match frame {
-            Frame::Start { round } if from == 0 && round == expected => {
-                cluster_round(round, &mut replica, &mut ep, &mut pending)?;
-                expected += 1;
-            }
-            // A faster peer's mail for the round we have not started yet
-            // (it cannot be further ahead: Start{r+1} implies every shard
-            // finished r).
-            Frame::Mail(f) if f.round == expected => pending.push(f),
-            Frame::Shutdown if from == 0 => {
-                ep.drain(Duration::from_secs(30))?;
-                return Ok(());
-            }
-            other => {
-                return Err(protocol_err(format!(
-                    "peer {from}: expected Start/Shutdown, got {other:?}"
-                )))
-            }
-        }
-    }
-}
-
-fn cluster_round(
-    r: u64,
-    replica: &mut ShardReplica,
-    ep: &mut Endpoint,
-    pending: &mut Vec<MailFrame>,
-) -> io::Result<()> {
-    let shards = replica.shards();
-    let shard = replica.shard().expect("workers own a span");
-
-    replica.apply_membership(r);
-    let p = replica.propose_and_route(r);
-
-    // Peer-to-peer upload: every (shard, owner) stream to every peer —
-    // no supervisor hop.
-    let t = Instant::now();
-    for d in 0..shards {
-        if d == shard {
-            continue;
-        }
-        for (owner, mailbox) in replica.mail_out().iter().enumerate() {
-            for f in mailbox_frames(r, shard as u32, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
-                ep.send_frame(d, &Frame::Mail(f))?;
-            }
-        }
-    }
-    let serialize_ns = t.elapsed().as_nanos() as u64;
-    ep.send_frame(
-        0,
-        &Frame::Proposed(ProposedBarrier {
-            round: r,
-            source: shard as u32,
-            proposed: p.proposed,
-            propose_ns: p.propose_ns,
-            route_ns: p.route_ns,
-            serialize_ns,
-        }),
-    )?;
-
-    // Collect every other shard's streams. The window layer already
-    // repaired loss and restored per-link order, so completeness is just
-    // "all expected streams closed".
-    let t = Instant::now();
-    let mut asm = MailboxAssembler::for_worker(shards, shard, r, false);
-    for f in pending.drain(..) {
-        asm.accept(&f).map_err(protocol_err)?;
-    }
-    while !asm.is_complete() {
-        let (from, frame) = ep.recv(RECV_TIMEOUT)?;
-        match frame {
-            Frame::Mail(f) if f.round == r && f.source as usize == from => {
-                asm.accept(&f).map_err(protocol_err)?;
-            }
-            other => {
-                return Err(protocol_err(format!(
-                    "peer {from}: expected round-{r} mail, got {other:?}"
-                )))
-            }
-        }
-    }
-    let drain_ns = t.elapsed().as_nanos() as u64;
-
-    // Apply the full grid — peer streams from the assembler, this
-    // shard's own from its local route buffers — to the replica.
-    let t = Instant::now();
-    replica.apply_grid(&mut asm.into_mail());
-    let apply_ns = t.elapsed().as_nanos() as u64;
-
-    ep.send_frame(
-        0,
-        &Frame::Done(DoneBarrier {
-            round: r,
-            source: shard as u32,
-            added: replica.added()[shard],
-            apply_ns,
-            drain_ns,
-            peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
-        }),
-    )?;
-    Ok(())
+    run_shard_process(MeshLink::worker(socket, peers, shard, loss, mtu));
 }
 
 #[cfg(test)]

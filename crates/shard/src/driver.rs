@@ -2,14 +2,30 @@
 //!
 //! Every engine in this workspace runs the same round — propose against
 //! `G_t`, route half-edges to their owner shards, merge each owner's
-//! column — and this module holds the one copy of each step that the
-//! in-process [`ShardedEngine`](crate::ShardedEngine) and the two
-//! cross-process carriers share.
+//! column — and this module holds the one copy of each step:
+//!
+//! * `route_span` and `apply_grid`, shared with the in-process
+//!   [`ShardedEngine`](crate::ShardedEngine);
+//! * [`ShardReplica`], the state one cross-process participant keeps and
+//!   the round body it runs;
+//! * [`ShardRoundDriver`], the coordinator every cross-process engine is
+//!   (`try_step`, accessors, the [`RoundEngine`] impl, shutdown), and
+//!   [`run_shard`], the loop every worker runs;
+//! * [`RoundInbox`], the one place that says which frames are legal in a
+//!   round;
+//! * [`Workers`], the thread/process lifecycle.
+//!
+//! What differs between carriers — Unix-socket streams through a
+//! supervisor ([`HubLink`](crate::transport::HubLink)), UDP datagrams
+//! peer-to-peer (`gossip_cluster::MeshLink`) — sits behind [`ShardLink`].
 
-use crate::wire::WorkerConfig;
+use crate::wire::{DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig};
 use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
+use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
+use gossip_core::seam::{run_engine_until, RoundEngine};
 use gossip_core::{
-    with_rule, MembershipPlan, MembershipStats, Parallelism, RuleId, TaggedProposal,
+    with_rule, ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId,
+    RunOutcome, TaggedProposal,
 };
 use gossip_graph::{HalfEdge, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArenaGraph};
 use rayon::prelude::*;
@@ -297,7 +313,7 @@ impl ShardReplica {
 
     /// Merges the round's full mail grid into the replica. `grid[s][t]`
     /// holds every *other* source's mail (as a
-    /// [`MailboxAssembler`](crate::wire::MailboxAssembler) hands it back);
+    /// [`MailboxAssembler`] hands it back);
     /// the replica's own row is swapped in from `mail_out` for the merge.
     pub fn apply_grid(&mut self, grid: &mut [Vec<Vec<HalfEdge>>]) {
         if let Some(s) = self.shard {
@@ -466,9 +482,742 @@ impl Drop for Workers {
     }
 }
 
+/// One round's incoming frames at one participant: the mail grid being
+/// reassembled plus, at the coordinator, the `Proposed` and `Done`
+/// barriers still owed by the workers. Every frame a link receives
+/// during a round goes through [`RoundInbox::accept`], which is the one
+/// place that decides whether it is legal — anything else is an
+/// `InvalidData` error naming the shard and the round.
+#[derive(Debug)]
+pub struct RoundInbox {
+    round: u64,
+    asm: MailboxAssembler,
+    owes_proposed: Vec<bool>,
+    owes_done: Vec<bool>,
+    done: Vec<Option<DoneBarrier>>,
+    /// The accepted `Proposed` barriers, merged (see [`merge_proposed`]).
+    proposed: ProposedBarrier,
+    /// Time inside `collect` the link spent sending rather than waiting.
+    flush_ns: u64,
+}
+
+/// Merges barrier `b` into `acc`: proposal counts add up; phase times
+/// take the max — the critical path of phases that ran in parallel.
+fn merge_proposed(acc: &mut ProposedBarrier, b: &ProposedBarrier) {
+    acc.proposed += b.proposed;
+    acc.propose_ns = acc.propose_ns.max(b.propose_ns);
+    acc.route_ns = acc.route_ns.max(b.route_ns);
+    acc.serialize_ns = acc.serialize_ns.max(b.serialize_ns);
+}
+
+impl RoundInbox {
+    /// An inbox filling `asm`. `owed[s]` says whether shard `s` still
+    /// owes this participant its two barriers: the workers at the
+    /// coordinator, nobody at a worker.
+    pub fn new(round: u64, asm: MailboxAssembler, owed: Vec<bool>) -> Self {
+        RoundInbox {
+            round,
+            asm,
+            owes_proposed: owed.clone(),
+            done: vec![None; owed.len()],
+            owes_done: owed,
+            proposed: ProposedBarrier::default(),
+            flush_ns: 0,
+        }
+    }
+
+    /// Whether shard `s` has yet to send its `Proposed` barrier.
+    pub fn owes_proposed(&self, s: usize) -> bool {
+        self.owes_proposed[s]
+    }
+
+    /// Whether shard `s` has yet to send its `Done` barrier.
+    pub fn owes_done(&self, s: usize) -> bool {
+        self.owes_done[s]
+    }
+
+    /// Shard `s`'s `Done` barrier, once accepted.
+    pub fn done(&self, s: usize) -> Option<&DoneBarrier> {
+        self.done[s].as_ref()
+    }
+
+    /// Whether the grid is whole and no barrier is owed.
+    pub fn is_complete(&self) -> bool {
+        self.asm.is_complete() && !self.owes_done.contains(&true)
+    }
+
+    /// Streams still missing frames (the stream transport's nak source).
+    pub fn missing(&self) -> Vec<crate::wire::NakFrame> {
+        self.asm.missing()
+    }
+
+    /// Whether the grid is whole.
+    pub fn mail_complete(&self) -> bool {
+        self.asm.is_complete()
+    }
+
+    /// Books time a link spent *sending* inside its `collect` (the
+    /// supervisor's broadcast), so it is reported as flush, not drain.
+    pub fn add_flush_ns(&mut self, ns: u64) {
+        self.flush_ns += ns;
+    }
+
+    fn reject(&self, from: usize, what: impl std::fmt::Display) -> io::Error {
+        protocol_err(format!("shard {from}, round {}: {what}", self.round))
+    }
+
+    /// Feeds one mail frame whose carrier does not vouch for its origin
+    /// (relayed by the supervisor, or stashed before the round started).
+    pub fn accept_mail(&mut self, f: &MailFrame) -> io::Result<()> {
+        match self.asm.accept(f) {
+            Ok(_) => Ok(()),
+            Err(e) => Err(self.reject(f.source as usize, e)),
+        }
+    }
+
+    /// Feeds one frame received from shard `from`. Mail must be `from`'s
+    /// own and for this round; a `Proposed` barrier must be owed and come
+    /// after `from`'s mail streams closed; a `Done` barrier must be owed
+    /// and follow `from`'s `Proposed`.
+    pub fn accept(&mut self, from: usize, frame: Frame) -> io::Result<()> {
+        let r = self.round;
+        // `get`, not indexing: a shard index from outside the grid is the
+        // peer's violation, not a reason to panic.
+        let owes = |owed: &[bool]| owed.get(from) == Some(&true);
+        match frame {
+            Frame::Mail(f) if f.source as usize == from => self.accept_mail(&f),
+            Frame::Proposed(b)
+                if b.round == r && b.source as usize == from && owes(&self.owes_proposed) =>
+            {
+                if !self.asm.source_complete(from) {
+                    return Err(self.reject(from, "Proposed barrier before its mail completed"));
+                }
+                self.owes_proposed[from] = false;
+                merge_proposed(&mut self.proposed, &b);
+                Ok(())
+            }
+            Frame::Done(b)
+                if b.round == r
+                    && b.source as usize == from
+                    && owes(&self.owes_done)
+                    && !self.owes_proposed[from] =>
+            {
+                self.owes_done[from] = false;
+                self.done[from] = Some(b);
+                Ok(())
+            }
+            other => Err(self.reject(from, format_args!("unexpected {other:?}"))),
+        }
+    }
+}
+
+/// One participant's attachment to a carrier — what the stream transport
+/// and the datagram transport actually differ in: how mail is published,
+/// how the round's grid and barriers are collected, how workers are told
+/// to start and stop. A link value sits at one end of the carrier; the
+/// coordinator's end additionally owns the [`Workers`] it spawned.
+pub trait ShardLink {
+    /// Worker end: receives the bootstrap state, builds the replica, and
+    /// acknowledges with `Hello`.
+    fn bootstrap(&mut self) -> io::Result<ShardReplica>;
+
+    /// Worker end: blocks for the coordinator's next `Start{round}`;
+    /// `None` once it says `Shutdown`.
+    fn next_round(&mut self) -> io::Result<Option<u64>>;
+
+    /// Coordinator end: tells every worker to start `round`.
+    fn start(&mut self, round: u64) -> io::Result<()>;
+
+    /// Coordinator end: tells every worker to shut down and reaps them.
+    fn stop(&mut self) -> io::Result<()>;
+
+    /// Runs `replica`'s propose and route phases. A link whose carrier
+    /// needs servicing while the CPU is busy overrides this to keep it
+    /// moving.
+    fn propose_and_route(
+        &mut self,
+        replica: &mut ShardReplica,
+        round: u64,
+    ) -> io::Result<Proposed> {
+        Ok(replica.propose_and_route(round))
+    }
+
+    /// Ships shard `shard`'s routed mail, `mail_out[owner]`, towards
+    /// every other replica.
+    fn publish(&mut self, round: u64, shard: usize, mail_out: &[Vec<HalfEdge>]) -> io::Result<()>;
+
+    /// Hands a span-owning replica's `Proposed` or `Done` barrier to the
+    /// coordinator (which, reporting to itself, has nobody to tell).
+    fn report(&mut self, barrier: &Frame) -> io::Result<()>;
+
+    /// Receives until the round's mail from every other shard — and, at
+    /// the coordinator, every worker's barriers — is in.
+    fn collect(&mut self, round: u64) -> io::Result<RoundInbox>;
+}
+
+/// What one replica round took, for the phase events and the cross-check.
+struct RoundReport {
+    /// Every span's `Proposed` barrier — the replica's own and, at the
+    /// coordinator, the workers' — merged.
+    proposed: ProposedBarrier,
+    flush_ns: u64,
+    drain_ns: u64,
+    apply_ns: u64,
+    /// The workers' `Done` barriers (coordinator only).
+    done: Vec<Option<DoneBarrier>>,
+}
+
+/// The replica round body, the same at every participant: propose and
+/// route the own span, publish it, collect everyone else's, apply the
+/// grid — with the two barriers reported on the way. Membership is the
+/// caller's, since the coordinator applies it *before* starting workers.
+fn replica_round<L: ShardLink>(
+    link: &mut L,
+    replica: &mut ShardReplica,
+    r: u64,
+) -> io::Result<RoundReport> {
+    let mut proposed = ProposedBarrier::default();
+    if let Some(shard) = replica.shard() {
+        let own = link.propose_and_route(replica, r)?;
+        let t = Instant::now();
+        link.publish(r, shard, replica.mail_out())?;
+        proposed = ProposedBarrier {
+            round: r,
+            source: shard as u32,
+            proposed: own.proposed,
+            propose_ns: own.propose_ns,
+            route_ns: own.route_ns,
+            serialize_ns: t.elapsed().as_nanos() as u64,
+        };
+        link.report(&Frame::Proposed(proposed))?;
+    }
+
+    let t = Instant::now();
+    let inbox = link.collect(r)?;
+    if !inbox.is_complete() {
+        return Err(protocol_err(format!(
+            "round {r}: collect returned with mail or barriers outstanding"
+        )));
+    }
+    let drain_ns = (t.elapsed().as_nanos() as u64).saturating_sub(inbox.flush_ns);
+    merge_proposed(&mut proposed, &inbox.proposed);
+
+    let t = Instant::now();
+    replica.apply_grid(&mut inbox.asm.into_mail());
+    let apply_ns = t.elapsed().as_nanos() as u64;
+
+    if let Some(shard) = replica.shard() {
+        link.report(&Frame::Done(DoneBarrier {
+            round: r,
+            source: shard as u32,
+            added: replica.added()[shard],
+            apply_ns,
+            drain_ns,
+            peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
+        }))?;
+    }
+    Ok(RoundReport {
+        proposed,
+        flush_ns: inbox.flush_ns,
+        drain_ns,
+        apply_ns,
+        done: inbox.done,
+    })
+}
+
+/// The worker loop, the same for every carrier and hosting mode:
+/// bootstrap, then one replica round per `Start` until `Shutdown`.
+pub fn run_shard<L: ShardLink>(mut link: L) -> io::Result<()> {
+    let mut replica = link.bootstrap()?;
+    while let Some(r) = link.next_round()? {
+        replica.apply_membership(r);
+        replica_round(&mut link, &mut replica, r)?;
+    }
+    Ok(())
+}
+
+/// [`run_shard`] for a re-execed worker process: runs the loop and exits
+/// — 0 after an orderly `Shutdown`, 1 on any error — so the host binary's
+/// own `main` never runs in a worker copy.
+pub fn run_shard_process<L: ShardLink>(link: io::Result<L>) -> ! {
+    match link.and_then(run_shard) {
+        Ok(()) => std::process::exit(0),
+        Err(e) => {
+            eprintln!("gossip shard worker: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// The coordinator of a cross-process shard cluster: owns the
+/// authoritative replica (what [`ShardRoundDriver::graph`] exposes and
+/// the convergence seam reads), drives one synchronous round per
+/// [`ShardRoundDriver::try_step`] over its link, and cross-checks every
+/// worker's merge against its own. Implements [`RoundEngine`], so
+/// everything that drives a [`ShardedEngine`](crate::ShardedEngine) —
+/// the convergence seam, listeners, the serve layer — drives this
+/// unchanged. Dereferences to the link for carrier-specific accessors
+/// (`stats()`, the datagram transport's `peer_table()`).
+#[derive(Debug)]
+pub struct ShardRoundDriver<L: ShardLink> {
+    replica: ShardReplica,
+    link: L,
+    round: u64,
+    phases: PhaseNanos,
+    shut_down: bool,
+}
+
+impl<L: ShardLink> ShardRoundDriver<L> {
+    /// A coordinator over `replica` whose workers, reachable through
+    /// `link`, have been spawned and sent their bootstrap state.
+    pub fn new(replica: ShardReplica, link: L) -> Self {
+        ShardRoundDriver {
+            replica,
+            link,
+            round: 0,
+            phases: PhaseNanos::default(),
+            shut_down: false,
+        }
+    }
+
+    /// The authoritative graph `G_t` (the coordinator's replica — every
+    /// round cross-checks the workers against it).
+    #[inline]
+    pub fn graph(&self) -> &ShardedArenaGraph {
+        self.replica.graph()
+    }
+
+    /// Rounds executed so far.
+    #[inline]
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// Number of shards.
+    #[inline]
+    pub fn shard_count(&self) -> usize {
+        self.replica.shards()
+    }
+
+    /// The rule's registry id.
+    pub fn rule(&self) -> RuleId {
+        self.replica.rule()
+    }
+
+    /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
+    /// the max over shards (the critical path of the parallel phase);
+    /// `Flush` is coordinator send time, `Drain` coordinator
+    /// receive/reassembly/barrier time, `Apply` the coordinator's own
+    /// merge.
+    pub fn phases(&self) -> PhaseNanos {
+        self.phases
+    }
+
+    /// Executes one synchronous round across the shards.
+    pub fn step(&mut self) -> RoundStats {
+        self.try_step(None).expect("shard round failed")
+    }
+
+    /// Runs until `check` fires or `max_rounds` is reached (the shared
+    /// loop from [`gossip_core::seam`]).
+    pub fn run_until<C: ConvergenceCheck<ShardedArenaGraph>>(
+        &mut self,
+        check: &mut C,
+        max_rounds: u64,
+    ) -> RunOutcome {
+        run_engine_until(self, check, max_rounds)
+    }
+
+    /// One round, with full error reporting (worker death, protocol
+    /// violations, cross-check failures all surface as `io::Error`).
+    pub fn try_step(
+        &mut self,
+        mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
+    ) -> io::Result<RoundStats> {
+        let r = self.round;
+
+        // Membership: the coordinator applies due events to the
+        // authoritative replica; workers do the same on Start (the plan
+        // was shipped at bootstrap, so churn costs no wire bytes).
+        let t = Instant::now();
+        let mem_delta = self.replica.apply_membership(r);
+        let mem_nanos = t.elapsed().as_nanos() as u64;
+
+        let t = Instant::now();
+        self.link.start(r)?;
+        let start_ns = t.elapsed().as_nanos() as u64;
+        self.round += 1;
+
+        let report = replica_round(&mut self.link, &mut self.replica, r)?;
+
+        // Cross-check: each worker's own-segment merge must agree with
+        // the coordinator's — a divergent replica is a protocol bug, not
+        // something to paper over.
+        for (s, (done, &ours)) in report.done.iter().zip(self.replica.added()).enumerate() {
+            if let Some(theirs) = done.map(|b| b.added).filter(|&a| a != ours) {
+                return Err(protocol_err(format!(
+                    "shard {s} added {theirs} edges in round {r}, coordinator added {ours}"
+                )));
+            }
+        }
+
+        // Emit phase events in enum order (the accumulator sums, but
+        // listeners see a canonical sequence).
+        let round = self.round;
+        let mut emit = |phase: RoundPhase, nanos: u64| {
+            let ev = PhaseEvent {
+                round,
+                phase,
+                nanos,
+            };
+            self.phases.absorb(&ev);
+            if let Some(l) = listener.as_deref_mut() {
+                l.on_phase(&ev);
+            }
+        };
+        if mem_delta != MembershipStats::default() {
+            emit(RoundPhase::Membership, mem_nanos);
+        }
+        emit(RoundPhase::Propose, report.proposed.propose_ns);
+        emit(RoundPhase::Route, report.proposed.route_ns);
+        emit(RoundPhase::Serialize, report.proposed.serialize_ns);
+        emit(RoundPhase::Flush, start_ns + report.flush_ns);
+        emit(RoundPhase::Drain, report.drain_ns);
+        emit(RoundPhase::Apply, report.apply_ns);
+
+        Ok(RoundStats {
+            proposed: report.proposed.proposed,
+            added: self.replica.added().iter().sum(),
+        })
+    }
+
+    /// Tells every worker to shut down and reaps threads/processes.
+    /// Called automatically on drop; explicit calls surface errors.
+    pub fn shutdown(&mut self) -> io::Result<()> {
+        if self.shut_down {
+            return Ok(());
+        }
+        self.shut_down = true;
+        self.link.stop()
+    }
+}
+
+impl<L: ShardLink> std::ops::Deref for ShardRoundDriver<L> {
+    type Target = L;
+    fn deref(&self) -> &L {
+        &self.link
+    }
+}
+
+impl<L: ShardLink> Drop for ShardRoundDriver<L> {
+    fn drop(&mut self) {
+        let _ = self.shutdown();
+    }
+}
+
+impl<L: ShardLink> RoundEngine for ShardRoundDriver<L> {
+    type Graph = ShardedArenaGraph;
+    #[inline]
+    fn graph(&self) -> &ShardedArenaGraph {
+        self.replica.graph()
+    }
+    #[inline]
+    fn quanta(&self) -> u64 {
+        self.round
+    }
+    #[inline]
+    fn step_quantum(&mut self) -> RoundStats {
+        self.step()
+    }
+    #[inline]
+    fn step_listened(&mut self, listener: &mut dyn RoundListener<ShardedArenaGraph>) -> RoundStats {
+        self.try_step(Some(listener)).expect("shard round failed")
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{mailbox_frames, MAX_FRAME_ENTRIES};
+    use crate::ShardedEngine;
+    use gossip_core::rng::stream_rng;
+    use gossip_core::Pull;
+    use gossip_graph::generators;
+    use std::cell::RefCell;
+    use std::collections::VecDeque;
+    use std::rc::Rc;
+
+    /// A link whose far side is a script: `collect` and `next_round` are
+    /// fed `(from, frame)` pairs no socket produces on demand, everything
+    /// the near side sends is recorded, and a script that runs dry ends
+    /// the call instead of blocking. Shaped like the datagram mesh (mail
+    /// arrives from its source; the coordinator is shard 0).
+    struct ScriptedLink {
+        shard: usize,
+        shards: usize,
+        script: VecDeque<(usize, Frame)>,
+        replica: Option<ShardReplica>,
+        /// Shared, so a test can still read it once `run_shard` has
+        /// consumed the link.
+        sent: Rc<RefCell<Vec<Frame>>>,
+    }
+
+    impl ScriptedLink {
+        fn new(shard: usize, shards: usize, script: Vec<(usize, Frame)>) -> Self {
+            ScriptedLink {
+                shard,
+                shards,
+                script: script.into(),
+                replica: None,
+                sent: Rc::default(),
+            }
+        }
+    }
+
+    impl ShardLink for ScriptedLink {
+        fn bootstrap(&mut self) -> io::Result<ShardReplica> {
+            Ok(self.replica.take().expect("bootstrap state scripted"))
+        }
+        fn next_round(&mut self) -> io::Result<Option<u64>> {
+            match self.script.pop_front() {
+                Some((0, Frame::Start { round })) => Ok(Some(round)),
+                Some((0, Frame::Shutdown)) | None => Ok(None),
+                Some((from, other)) => Err(protocol_err(format!("peer {from}: {other:?}"))),
+            }
+        }
+        fn start(&mut self, round: u64) -> io::Result<()> {
+            self.sent.borrow_mut().push(Frame::Start { round });
+            Ok(())
+        }
+        fn stop(&mut self) -> io::Result<()> {
+            self.sent.borrow_mut().push(Frame::Shutdown);
+            Ok(())
+        }
+        fn publish(&mut self, r: u64, shard: usize, mail_out: &[Vec<HalfEdge>]) -> io::Result<()> {
+            let frames = mail_frames(r, shard, mail_out).into_iter().map(|(_, f)| f);
+            self.sent.borrow_mut().extend(frames);
+            Ok(())
+        }
+        fn report(&mut self, barrier: &Frame) -> io::Result<()> {
+            self.sent.borrow_mut().push(barrier.clone());
+            Ok(())
+        }
+        fn collect(&mut self, round: u64) -> io::Result<RoundInbox> {
+            let coordinator = self.shard == 0;
+            let mut inbox = RoundInbox::new(
+                round,
+                MailboxAssembler::for_worker(self.shards, self.shard, round, false),
+                (0..self.shards).map(|s| coordinator && s != 0).collect(),
+            );
+            while !inbox.is_complete() {
+                let Some((from, frame)) = self.script.pop_front() else {
+                    break;
+                };
+                inbox.accept(from, frame)?;
+            }
+            Ok(inbox)
+        }
+    }
+
+    /// `shard`'s mail streams as the frames its peers would receive.
+    fn mail_frames(r: u64, shard: usize, mail_out: &[Vec<HalfEdge>]) -> Vec<(usize, Frame)> {
+        mail_out
+            .iter()
+            .enumerate()
+            .flat_map(|(owner, mailbox)| {
+                mailbox_frames(r, shard as u32, owner as u32, mailbox, MAX_FRAME_ENTRIES)
+            })
+            .map(|f| (shard, Frame::Mail(f)))
+            .collect()
+    }
+
+    const SEED: u64 = 77;
+
+    fn graph() -> ShardedArenaGraph {
+        let und = generators::tree_plus_random_edges(3000, 6000, &mut stream_rng(11, 0, 0));
+        ShardedArenaGraph::from_undirected(&und, 2)
+    }
+
+    fn replica(shard: usize) -> ShardReplica {
+        let policy = Parallelism::Sequential;
+        ShardReplica::new(graph(), RuleId::Pull, SEED, policy, None, Some(shard))
+    }
+
+    /// Round 0 of the two-shard cluster, as honest replicas play it:
+    /// each shard's mail frames, and worker 1's two barriers.
+    struct Round0 {
+        mail: [Vec<(usize, Frame)>; 2],
+        proposed: ProposedBarrier,
+        done: DoneBarrier,
+    }
+
+    fn round0() -> Round0 {
+        let (mut zero, mut one) = (replica(0), replica(1));
+        zero.propose_and_route(0);
+        let p = one.propose_and_route(0);
+        let mut grid = vec![zero.mail_out().to_vec(), vec![Vec::new(); 2]];
+        one.apply_grid(&mut grid);
+        Round0 {
+            mail: [
+                mail_frames(0, 0, zero.mail_out()),
+                mail_frames(0, 1, one.mail_out()),
+            ],
+            proposed: ProposedBarrier {
+                source: 1,
+                proposed: p.proposed,
+                ..ProposedBarrier::default()
+            },
+            done: DoneBarrier {
+                source: 1,
+                added: one.added()[1],
+                ..DoneBarrier::default()
+            },
+        }
+    }
+
+    /// What worker 1 sends the coordinator in an honest round 0.
+    fn honest_worker_script(h: &Round0) -> Vec<(usize, Frame)> {
+        let mut script = h.mail[1].clone();
+        script.push((1, Frame::Proposed(h.proposed)));
+        script.push((1, Frame::Done(h.done)));
+        script
+    }
+
+    fn coordinator(script: Vec<(usize, Frame)>) -> ShardRoundDriver<ScriptedLink> {
+        ShardRoundDriver::new(replica(0), ScriptedLink::new(0, 2, script))
+    }
+
+    /// The error every scripted violation must produce: typed, and
+    /// naming the offending shard and the round.
+    fn assert_rejected(result: io::Result<impl std::fmt::Debug>, shard: usize, round: u64) {
+        let err = result.expect_err("the violation must be rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains(&format!("shard {shard}")),
+            "no shard in: {msg}"
+        );
+        assert!(
+            msg.contains(&format!("round {round}")),
+            "no round in: {msg}"
+        );
+    }
+
+    #[test]
+    fn scripted_worker_drives_try_step_to_the_in_process_result() {
+        let mut oracle = ShardedEngine::new(graph(), Pull, SEED);
+        let mut driver = coordinator(honest_worker_script(&round0()));
+        assert_eq!(driver.try_step(None).unwrap(), oracle.step());
+        assert_eq!(driver.round(), 1);
+        for u in oracle.graph().nodes() {
+            assert_eq!(oracle.graph().neighbors(u), driver.graph().neighbors(u));
+        }
+        // The coordinator started the round and published its own mail.
+        assert_eq!(driver.sent.borrow()[0], Frame::Start { round: 0 });
+        assert!(driver
+            .sent
+            .borrow()
+            .iter()
+            .any(|f| matches!(f, Frame::Mail(_))));
+        driver.shutdown().unwrap();
+        assert_eq!(driver.sent.borrow().last(), Some(&Frame::Shutdown));
+    }
+
+    #[test]
+    fn a_proposed_barrier_before_its_mail_stream_closes_is_rejected() {
+        let h = round0();
+        let mut script = honest_worker_script(&h);
+        // The barrier jumps the queue, ahead of the last mail frame.
+        let barrier = script.remove(h.mail[1].len());
+        script.insert(h.mail[1].len() - 1, barrier);
+        assert_rejected(coordinator(script).try_step(None), 1, 0);
+    }
+
+    #[test]
+    fn wrong_round_mail_is_rejected_at_either_end() {
+        let h = round0();
+        let stale = |mut script: Vec<(usize, Frame)>| {
+            if let Frame::Mail(f) = &mut script[0].1 {
+                f.round = 7;
+            }
+            script
+        };
+        assert_rejected(
+            coordinator(stale(honest_worker_script(&h))).try_step(None),
+            1,
+            0,
+        );
+
+        // Worker 1's view: Start, then shard 0's mail — stale.
+        let mut script = vec![(0, Frame::Start { round: 0 })];
+        script.extend(stale(h.mail[0].clone()));
+        let mut link = ScriptedLink::new(1, 2, script);
+        link.replica = Some(replica(1));
+        assert_rejected(run_shard(link), 0, 0);
+    }
+
+    #[test]
+    fn a_stray_done_from_another_shard_is_rejected() {
+        let h = round0();
+        let mut script = honest_worker_script(&h);
+        // Arrives on worker 1's link but claims to be shard 0's.
+        let stray = DoneBarrier {
+            source: 0,
+            ..h.done
+        };
+        *script.last_mut().unwrap() = (1, Frame::Done(stray));
+        assert_rejected(coordinator(script).try_step(None), 1, 0);
+
+        // And a worker is owed no barriers at all.
+        let mut script = vec![(0, Frame::Start { round: 0 })];
+        script.push((0, Frame::Done(h.done)));
+        let mut link = ScriptedLink::new(1, 2, script);
+        link.replica = Some(replica(1));
+        assert_rejected(run_shard(link), 0, 0);
+    }
+
+    #[test]
+    fn a_worker_whose_added_disagrees_fails_the_cross_check() {
+        let h = round0();
+        let mut script = honest_worker_script(&h);
+        let off_by_one = DoneBarrier {
+            added: h.done.added + 1,
+            ..h.done
+        };
+        *script.last_mut().unwrap() = (1, Frame::Done(off_by_one));
+        assert_rejected(coordinator(script).try_step(None), 1, 0);
+    }
+
+    #[test]
+    fn a_link_that_goes_quiet_mid_round_is_an_error_not_a_panic() {
+        let mut script = honest_worker_script(&round0());
+        script.truncate(1);
+        let err = coordinator(script).try_step(None).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn run_shard_plays_a_scripted_round_and_reports_both_barriers() {
+        let h = round0();
+        let mut script = vec![(0, Frame::Start { round: 0 })];
+        script.extend(h.mail[0].clone());
+        script.push((0, Frame::Shutdown));
+        let mut link = ScriptedLink::new(1, 2, script);
+        link.replica = Some(replica(1));
+        let sent = link.sent.clone();
+        run_shard(link).unwrap();
+        let reported: Vec<Frame> = sent
+            .borrow()
+            .iter()
+            .filter(|f| !matches!(f, Frame::Mail(_)))
+            .cloned()
+            .collect();
+        let [Frame::Proposed(p), Frame::Done(d)] = reported.as_slice() else {
+            panic!("expected Proposed then Done, got {reported:?}");
+        };
+        assert_eq!((p.round, p.source, p.proposed), (0, 1, h.proposed.proposed));
+        assert_eq!((d.round, d.source, d.added), (0, 1, h.done.added));
+    }
 
     #[test]
     fn a_child_that_exits_without_connecting_is_an_error_and_leaves_no_socket() {

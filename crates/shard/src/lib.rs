@@ -85,10 +85,14 @@ pub mod transport;
 pub mod wire;
 
 use driver::{apply_grid, route_span, use_parallel};
-pub use driver::{peak_rss_bytes, protocol_err, Proposed, ShardReplica, Workers};
+pub use driver::{
+    peak_rss_bytes, protocol_err, run_shard, run_shard_process, Proposed, RoundInbox, ShardLink,
+    ShardReplica, ShardRoundDriver, Workers,
+};
 pub use framed::{parse_framed, FramedConn};
 pub use transport::{
-    maybe_run_worker, LossyConfig, TransportBuilder, TransportEngine, TransportMode, TransportStats,
+    maybe_run_worker, HubLink, LossyConfig, TransportBuilder, TransportEngine, TransportMode,
+    TransportStats,
 };
 pub use wire::{
     fragment_frames, AckFrame, Defragmenter, FragmentError, FragmentFrame, Frame, MailboxAssembler,

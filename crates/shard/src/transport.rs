@@ -22,9 +22,8 @@
 //! 1. supervisor → workers: `Start{round}`; each side applies due
 //!    membership events locally (the plan was shipped in `Config`, so
 //!    churn costs zero wire bytes per round).
-//! 2. worker `s`: propose own span ([`propose_chunk_range`]), route,
-//!    serialize each `(s, owner)` mailbox into `Mail` frames, upload,
-//!    then barrier with `Proposed`.
+//! 2. worker `s`: propose own span, route, serialize each `(s, owner)`
+//!    mailbox into `Mail` frames, upload, then barrier with `Proposed`.
 //! 3. supervisor: reassemble uploads, broadcast each `(source, owner)`
 //!    stream to every worker except its source — in canonical
 //!    `(source, owner, seq)` order in deterministic mode, through the
@@ -46,6 +45,12 @@
 //! sequential engine for any `(S, mode, thread count)` — pinned by the
 //! determinism suite.
 //!
+//! The round itself — the supervisor's `try_step`, the worker loop, the
+//! replica round body — is [`driver`](crate::driver)'s, shared with the
+//! datagram transport; this module is the carrier: [`HubLink`], one value
+//! per end of a Unix-socket connection. The supervisor's end owns no
+//! span: it only relays, then applies.
+//!
 //! # Modes
 //!
 //! [`TransportMode::Thread`] runs each worker as an OS thread on a
@@ -58,18 +63,17 @@
 //! libtest harness** — the re-execed child would be the test harness
 //! itself and would run the whole test suite instead of a worker.
 
-use crate::driver::{peak_rss_bytes, protocol_err, ShardReplica, Workers};
+use crate::driver::{
+    protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink, ShardReplica,
+    ShardRoundDriver, Workers,
+};
 use crate::framed::FramedConn;
 use crate::wire::{
     mailbox_frames, Frame, MailboxAssembler, NakFrame, WireStats, MAX_FRAME_ENTRIES,
 };
 use bytes::BytesMut;
-use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::rng::stream_rng;
-use gossip_core::seam::{run_engine_until, RoundEngine};
-use gossip_core::{
-    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId, RunOutcome,
-};
+use gossip_core::{MembershipPlan, Parallelism, RuleId};
 use gossip_graph::{HalfEdge, ShardSegSnapshot, ShardedArenaGraph};
 use rand::Rng;
 use std::io;
@@ -191,46 +195,7 @@ impl TransportBuilder {
     /// Spawns the workers, ships bootstrap state (config, membership
     /// schedule, segment snapshots), and returns the running engine.
     pub fn spawn(self) -> io::Result<TransportEngine> {
-        TransportEngine::spawn(self)
-    }
-}
-
-/// One `(source, owner)` mail frame, encoded once and broadcast to every
-/// non-source destination.
-struct EncodedMail {
-    source: u32,
-    seq_key: (u32, u32, u32),
-    bytes: Vec<u8>,
-}
-
-/// The supervisor half of the cross-process transport. Implements
-/// [`RoundEngine`], so everything that drives a [`ShardedEngine`] — the
-/// convergence seam, listeners, the serve layer — drives this engine
-/// unchanged over the serialized path.
-///
-/// [`ShardedEngine`]: crate::ShardedEngine
-#[derive(Debug)]
-pub struct TransportEngine {
-    /// The authoritative replica; the supervisor owns no span.
-    replica: ShardReplica,
-    round: u64,
-    lossy: Option<LossyConfig>,
-    /// One connection per worker, in shard order. Declared before
-    /// `workers` so a failed engine closes them first and thread-mode
-    /// workers see EOF.
-    conns: Vec<FramedConn>,
-    workers: Workers,
-    mail: Vec<Vec<Vec<HalfEdge>>>,
-    phases: PhaseNanos,
-    stats: TransportStats,
-    enc: BytesMut,
-    shut_down: bool,
-}
-
-impl TransportEngine {
-    fn spawn(b: TransportBuilder) -> io::Result<TransportEngine> {
-        let shards = b.graph.shard_count();
-        let strict = b.lossy.is_none();
+        let shards = self.graph.shard_count();
 
         // Encode the bootstrap segment frames once; every worker gets the
         // same bytes.
@@ -240,7 +205,7 @@ impl TransportEngine {
                 enc.clear();
                 Frame::Segment {
                     index: s as u32,
-                    snapshot: b.graph.segment(s).snapshot(),
+                    snapshot: self.graph.segment(s).snapshot(),
                 }
                 .encode(&mut enc);
                 enc.to_vec()
@@ -252,10 +217,12 @@ impl TransportEngine {
         let mut workers = Workers::default();
         let mut conns = Vec::with_capacity(shards);
         for s in 0..shards {
-            let stream = match b.mode {
+            let stream = match self.mode {
                 TransportMode::Thread => {
                     let (sup, wrk) = UnixStream::pair()?;
-                    workers.spawn_thread(format!("gossip-worker-{s}"), move || run_worker(wrk))?;
+                    workers.spawn_thread(format!("gossip-worker-{s}"), move || {
+                        run_shard(HubLink::worker(wrk)?)
+                    })?;
                     sup
                 }
                 TransportMode::Process => workers.spawn_process_on_socket(
@@ -266,52 +233,119 @@ impl TransportEngine {
             conns.push(FramedConn::from_stream(stream)?);
         }
 
-        let mut engine = TransportEngine {
-            replica: ShardReplica::new(b.graph, b.rule, b.seed, b.parallelism, b.membership, None),
-            round: 0,
-            lossy: b.lossy,
+        let replica = ShardReplica::new(
+            self.graph,
+            self.rule,
+            self.seed,
+            self.parallelism,
+            self.membership,
+            None,
+        );
+        let mut link = HubLink {
             conns,
+            worker: None,
+            lossy: self.lossy,
             workers,
-            mail: vec![vec![Vec::new(); shards]; shards],
-            phases: PhaseNanos::default(),
             stats: TransportStats {
                 worker_peak_rss_bytes: vec![0; shards],
                 ..TransportStats::default()
             },
             enc,
-            shut_down: false,
         };
 
         // Bootstrap each worker: Config, then every segment, then wait for
         // its Hello ack.
         for s in 0..shards {
-            let cfg = Frame::Config(engine.replica.worker_config(s, strict, Vec::new()));
-            engine.send(s, &cfg)?;
+            let cfg = replica.worker_config(s, self.lossy.is_none(), Vec::new());
+            link.send(s, &Frame::Config(cfg))?;
             for bytes in &seg_frames {
-                engine.conns[s].send_raw(bytes)?;
-                engine.stats.wire.frames_sent += 1;
-                engine.stats.wire.bytes_sent += bytes.len() as u64;
+                link.send_raw(s, bytes)?;
             }
-            engine.conns[s].flush()?;
+            link.conns[s].flush()?;
         }
         for s in 0..shards {
-            match engine.recv(s)? {
+            match link.recv(s)? {
                 Frame::Hello { shard } if shard as usize == s => {}
                 other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("worker {s}: expected Hello, got {other:?}"),
-                    ))
+                    return Err(protocol_err(format!(
+                        "worker {s}: expected Hello, got {other:?}"
+                    )))
                 }
             }
         }
-        Ok(engine)
+        Ok(ShardRoundDriver::new(replica, link))
+    }
+}
+
+/// The supervisor half of the cross-process transport: a
+/// [`ShardRoundDriver`] over a [`HubLink`].
+pub type TransportEngine = ShardRoundDriver<HubLink>;
+
+/// One `(source, owner)` mail frame, encoded once and broadcast to every
+/// non-source destination.
+struct EncodedMail {
+    source: u32,
+    seq_key: (u32, u32, u32),
+    bytes: Vec<u8>,
+}
+
+/// What the worker end learns from its bootstrap `Config`.
+#[derive(Clone, Copy, Debug)]
+struct WorkerEnd {
+    shard: usize,
+    shards: usize,
+    strict: bool,
+}
+
+/// One end of the stream carrier. The **supervisor's** end holds a
+/// connection per worker and relays: every mail byte crosses it, so this
+/// is where the seeded [`LossyConfig`] injector and the nak/retransmit
+/// repair live, and where [`TransportStats`] are counted. A **worker's**
+/// end holds the single connection to the supervisor.
+#[derive(Debug)]
+pub struct HubLink {
+    /// Supervisor end: one connection per worker, in shard order. Worker
+    /// end: the connection to the supervisor. Declared before `workers`
+    /// so a failed engine closes them first and thread-mode workers see
+    /// EOF.
+    conns: Vec<FramedConn>,
+    /// `Some` at a worker's end, once bootstrapped.
+    worker: Option<WorkerEnd>,
+    lossy: Option<LossyConfig>,
+    workers: Workers,
+    stats: TransportStats,
+    enc: BytesMut,
+}
+
+impl HubLink {
+    /// A worker's end, over its connection to the supervisor.
+    fn worker(stream: UnixStream) -> io::Result<HubLink> {
+        Ok(HubLink {
+            conns: vec![FramedConn::from_stream(stream)?],
+            worker: None,
+            lossy: None,
+            workers: Workers::default(),
+            stats: TransportStats::default(),
+            enc: BytesMut::new(),
+        })
+    }
+
+    /// Transport counters so far (supervisor's viewpoint).
+    pub fn stats(&self) -> &TransportStats {
+        &self.stats
     }
 
     fn send(&mut self, s: usize, frame: &Frame) -> io::Result<()> {
         let bytes = self.conns[s].send(frame)?;
         self.stats.wire.frames_sent += 1;
         self.stats.wire.bytes_sent += bytes;
+        Ok(())
+    }
+
+    fn send_raw(&mut self, s: usize, bytes: &[u8]) -> io::Result<()> {
+        self.conns[s].send_raw(bytes)?;
+        self.stats.wire.frames_sent += 1;
+        self.stats.wire.bytes_sent += bytes.len() as u64;
         Ok(())
     }
 
@@ -323,149 +357,74 @@ impl TransportEngine {
         Ok(frame)
     }
 
-    /// The authoritative graph `G_t` (the supervisor's replica — every
-    /// round cross-checks the workers against it).
-    #[inline]
-    pub fn graph(&self) -> &ShardedArenaGraph {
-        self.replica.graph()
-    }
+    /// The supervisor's `collect`: reassemble every worker's upload,
+    /// broadcast, then gather the `Done` barriers while servicing naks.
+    fn relay(&mut self, r: u64) -> io::Result<RoundInbox> {
+        let shards = self.conns.len();
+        let mut inbox = RoundInbox::new(
+            r,
+            MailboxAssembler::for_relay(shards, r),
+            vec![true; shards],
+        );
 
-    /// Rounds executed so far.
-    #[inline]
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// Number of shard workers.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.conns.len()
-    }
-
-    /// The rule's registry id.
-    pub fn rule(&self) -> RuleId {
-        self.replica.rule()
-    }
-
-    /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
-    /// the max over workers (the critical path of the parallel phase);
-    /// `Flush` is supervisor write/broadcast time, `Drain` supervisor
-    /// read/reassembly/barrier time, `Apply` the supervisor's own merge.
-    pub fn phases(&self) -> PhaseNanos {
-        self.phases
-    }
-
-    /// Transport counters so far.
-    pub fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-
-    /// Executes one synchronous round across the workers.
-    pub fn step(&mut self) -> RoundStats {
-        self.try_step(None).expect("transport round failed")
-    }
-
-    /// Runs until `check` fires or `max_rounds` is reached (the shared
-    /// loop from [`gossip_core::seam`]).
-    pub fn run_until<C: ConvergenceCheck<ShardedArenaGraph>>(
-        &mut self,
-        check: &mut C,
-        max_rounds: u64,
-    ) -> RunOutcome {
-        run_engine_until(self, check, max_rounds)
-    }
-
-    /// One round, with full error reporting (worker death, protocol
-    /// violations, cross-check failures all surface as `io::Error`).
-    pub fn try_step(
-        &mut self,
-        mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
-    ) -> io::Result<RoundStats> {
-        let shards = self.shard_count();
-        let r = self.round;
-
-        // Membership: the supervisor applies due events to the
-        // authoritative replica; workers do the same on Start.
-        let t = Instant::now();
-        let mem_delta = self.replica.apply_membership(r);
-        let mem_nanos = t.elapsed().as_nanos() as u64;
-
-        // Kick off the round.
-        let mut flush_ns = 0u64;
-        let t = Instant::now();
-        for s in 0..shards {
-            self.send(s, &Frame::Start { round: r })?;
-            self.conns[s].flush()?;
-        }
-        flush_ns += t.elapsed().as_nanos() as u64;
-        self.round += 1;
-
-        // Collect uploads: each worker sends its S mailbox streams in
-        // canonical order, then a Proposed barrier.
-        let mut drain_ns = 0u64;
-        let t = Instant::now();
-        let mut proposed_total = 0u64;
-        let (mut propose_ns, mut route_ns, mut serialize_ns) = (0u64, 0u64, 0u64);
-        for s in 0..shards {
-            let mut asm = MailboxAssembler::for_source(shards, s, r);
-            loop {
-                match self.recv(s)? {
-                    Frame::Mail(f) => {
-                        asm.accept(&f).map_err(protocol_err)?;
-                    }
-                    Frame::Proposed(b) => {
-                        if b.round != r || b.source as usize != s {
-                            return Err(protocol_err(format!(
-                                "worker {s}: stray barrier {b:?} in round {r}"
-                            )));
-                        }
-                        proposed_total += b.proposed;
-                        propose_ns = propose_ns.max(b.propose_ns);
-                        route_ns = route_ns.max(b.route_ns);
-                        serialize_ns = serialize_ns.max(b.serialize_ns);
-                        break;
-                    }
-                    other => {
-                        return Err(protocol_err(format!(
-                            "worker {s}: expected Mail/Proposed, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            if !asm.is_complete() {
-                return Err(protocol_err(format!(
-                    "worker {s}: barrier before its mail completed"
-                )));
-            }
-            self.mail[s] = std::mem::take(&mut asm.into_mail()[s]);
-        }
-        drain_ns += t.elapsed().as_nanos() as u64;
-
-        // Broadcast: encode each (source, owner) stream once, deliver to
-        // every non-source destination — canonical order when strict,
-        // through the injector when lossy.
-        let t = Instant::now();
+        // Uploads: each worker sends its S mailbox streams in canonical
+        // order, then a Proposed barrier. Each mail frame is encoded once
+        // here, for every destination it will be forwarded to.
         let mut encoded: Vec<EncodedMail> = Vec::new();
         for s in 0..shards {
-            for owner in 0..shards {
-                for f in mailbox_frames(
-                    r,
-                    s as u32,
-                    owner as u32,
-                    &self.mail[s][owner],
-                    MAX_FRAME_ENTRIES,
-                ) {
+            while inbox.owes_proposed(s) {
+                let frame = self.recv(s)?;
+                if let Frame::Mail(f) = &frame {
                     self.enc.clear();
-                    Frame::Mail(f.clone()).encode(&mut self.enc);
+                    frame.encode(&mut self.enc);
                     encoded.push(EncodedMail {
-                        source: s as u32,
-                        seq_key: (s as u32, owner as u32, f.seq),
+                        source: f.source,
+                        seq_key: (f.source, f.owner, f.seq),
                         bytes: self.enc.to_vec(),
                     });
                 }
+                inbox.accept(s, frame)?;
             }
         }
+
+        let t = Instant::now();
+        self.broadcast(r, &encoded)?;
+        inbox.add_flush_ns(t.elapsed().as_nanos() as u64);
+
+        // Apply barriers — servicing nak/retransmit cycles until every
+        // worker reports Done.
         for d in 0..shards {
+            let mut recovered = false;
+            while inbox.owes_done(d) {
+                match self.recv(d)? {
+                    Frame::Nak(nak) => {
+                        self.stats.wire.naks += 1;
+                        recovered = true;
+                        self.retransmit(d, &nak, &encoded)?;
+                    }
+                    Frame::EndMail { round } if round == r => {
+                        // End of this nak batch: close the retransmit
+                        // cycle so the worker re-checks completeness.
+                        self.send(d, &Frame::EndMail { round: r })?;
+                        self.conns[d].flush()?;
+                    }
+                    other => inbox.accept(d, other)?,
+                }
+            }
+            let peak = &mut self.stats.worker_peak_rss_bytes[d];
+            *peak = (*peak).max(inbox.done(d).map_or(0, |b| b.peak_rss_bytes));
+            if recovered {
+                self.stats.recovered_rounds += 1;
+            }
+        }
+        Ok(inbox)
+    }
+
+    /// Delivers each (source, owner) stream to every non-source
+    /// destination — canonical order when strict, through the injector
+    /// when lossy — then `EndMail`.
+    fn broadcast(&mut self, r: u64, encoded: &[EncodedMail]) -> io::Result<()> {
+        for d in 0..self.conns.len() {
             let mut deliver: Vec<usize> = (0..encoded.len())
                 .filter(|&i| encoded[i].source as usize != d)
                 .collect();
@@ -496,105 +455,12 @@ impl TransportEngine {
                 deliver = shaped;
             }
             for i in deliver {
-                let bytes = &encoded[i].bytes;
-                self.conns[d].send_raw(bytes)?;
-                self.stats.wire.frames_sent += 1;
-                self.stats.wire.bytes_sent += bytes.len() as u64;
+                self.send_raw(d, &encoded[i].bytes)?;
             }
             self.send(d, &Frame::EndMail { round: r })?;
             self.conns[d].flush()?;
         }
-        flush_ns += t.elapsed().as_nanos() as u64;
-
-        // Apply barriers — servicing nak/retransmit cycles until every
-        // worker reports Done.
-        let t = Instant::now();
-        let mut worker_added = vec![0u64; shards];
-        for (d, added_slot) in worker_added.iter_mut().enumerate() {
-            let mut recovered = false;
-            loop {
-                match self.recv(d)? {
-                    Frame::Done(b) => {
-                        if b.round != r || b.source as usize != d {
-                            return Err(protocol_err(format!(
-                                "worker {d}: stray Done {b:?} in round {r}"
-                            )));
-                        }
-                        *added_slot = b.added;
-                        self.stats.worker_peak_rss_bytes[d] =
-                            self.stats.worker_peak_rss_bytes[d].max(b.peak_rss_bytes);
-                        break;
-                    }
-                    Frame::Nak(nak) => {
-                        self.stats.wire.naks += 1;
-                        recovered = true;
-                        self.retransmit(d, &nak, &encoded)?;
-                    }
-                    Frame::EndMail { round } if round == r => {
-                        // End of this nak batch: close the retransmit
-                        // cycle so the worker re-checks completeness.
-                        self.send(d, &Frame::EndMail { round: r })?;
-                        self.conns[d].flush()?;
-                    }
-                    other => {
-                        return Err(protocol_err(format!(
-                            "worker {d}: expected Done/Nak, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            if recovered {
-                self.stats.recovered_rounds += 1;
-            }
-        }
-        drain_ns += t.elapsed().as_nanos() as u64;
-
-        // Authoritative apply: merge the full grid into the supervisor's
-        // replica — identical to the in-process engine's phase 3.
-        let t_apply = Instant::now();
-        self.replica.apply_grid(&mut self.mail);
-        let apply_ns = t_apply.elapsed().as_nanos() as u64;
-
-        // Cross-check: each worker's own-segment merge must agree with
-        // the supervisor's — a divergent replica is a protocol bug, not
-        // something to paper over.
-        for (s, (&from_worker, &local)) in worker_added.iter().zip(self.replica.added()).enumerate()
-        {
-            if from_worker != local {
-                return Err(protocol_err(format!(
-                    "worker {s} added {from_worker} edges in round {r}, supervisor added {local}"
-                )));
-            }
-        }
-
-        // Emit phase events in enum order (the accumulator sums, but
-        // listeners see a canonical sequence).
-        let round_for_events = self.round;
-        let mut emit = |phase: RoundPhase, nanos: u64| {
-            let ev = PhaseEvent {
-                round: round_for_events,
-                phase,
-                nanos,
-            };
-            self.phases.absorb(&ev);
-            if let Some(l) = listener.as_deref_mut() {
-                l.on_phase(&ev);
-            }
-        };
-        if mem_delta != MembershipStats::default() {
-            emit(RoundPhase::Membership, mem_nanos);
-        }
-        emit(RoundPhase::Propose, propose_ns);
-        emit(RoundPhase::Route, route_ns);
-        emit(RoundPhase::Serialize, serialize_ns);
-        emit(RoundPhase::Flush, flush_ns);
-        emit(RoundPhase::Drain, drain_ns);
-        emit(RoundPhase::Apply, apply_ns);
-
-        Ok(RoundStats {
-            proposed: proposed_total,
-            added: self.replica.added().iter().sum(),
-        })
+        Ok(())
     }
 
     /// Services one nak: resend the reported stream's missing frames —
@@ -619,53 +485,118 @@ impl TransportEngine {
             )));
         }
         for e in wanted {
-            self.conns[d].send_raw(&e.bytes)?;
-            self.stats.wire.frames_sent += 1;
-            self.stats.wire.bytes_sent += e.bytes.len() as u64;
+            self.send_raw(d, &e.bytes)?;
             self.stats.wire.retransmitted_frames += 1;
         }
         Ok(())
     }
 
-    /// Sends `Shutdown` to every worker and reaps threads/processes.
-    /// Called automatically on drop; explicit calls surface errors.
-    pub fn shutdown(&mut self) -> io::Result<()> {
-        if self.shut_down {
-            return Ok(());
+    /// A worker's `collect`: drain the broadcast; nak gaps until the
+    /// round's mail is complete.
+    fn assemble(&mut self, r: u64, w: WorkerEnd) -> io::Result<RoundInbox> {
+        let asm = MailboxAssembler::for_worker(w.shards, w.shard, r, w.strict);
+        let mut inbox = RoundInbox::new(r, asm, vec![false; w.shards]);
+        loop {
+            match self.recv(0)? {
+                Frame::Mail(f) => inbox.accept_mail(&f)?,
+                Frame::EndMail { round } if round == r => {
+                    if inbox.mail_complete() {
+                        return Ok(inbox);
+                    }
+                    for nak in inbox.missing() {
+                        self.send(0, &Frame::Nak(nak))?;
+                    }
+                    self.send(0, &Frame::EndMail { round: r })?;
+                    self.conns[0].flush()?;
+                }
+                other => {
+                    return Err(protocol_err(format!(
+                        "shard {}, round {r}: expected Mail/EndMail, got {other:?}",
+                        w.shard
+                    )))
+                }
+            }
         }
-        self.shut_down = true;
+    }
+}
+
+impl ShardLink for HubLink {
+    fn bootstrap(&mut self) -> io::Result<ShardReplica> {
+        // Config, then one Segment per shard, then ack.
+        let cfg = match self.recv(0)? {
+            Frame::Config(c) => c,
+            other => return Err(protocol_err(format!("expected Config, got {other:?}"))),
+        };
+        let shards = cfg.shards as usize;
+        let mut snaps: Vec<ShardSegSnapshot> = Vec::with_capacity(shards);
+        for i in 0..shards {
+            match self.recv(0)? {
+                Frame::Segment { index, snapshot } if index as usize == i => snaps.push(snapshot),
+                other => return Err(protocol_err(format!("expected Segment {i}, got {other:?}"))),
+            }
+        }
+        self.worker = Some(WorkerEnd {
+            shard: cfg.shard as usize,
+            shards,
+            strict: cfg.strict,
+        });
+        let hello = Frame::Hello { shard: cfg.shard };
+        let replica = ShardReplica::from_config(cfg, &snaps)?;
+        self.report(&hello)?;
+        Ok(replica)
+    }
+
+    fn next_round(&mut self) -> io::Result<Option<u64>> {
+        match self.recv(0)? {
+            Frame::Start { round } => Ok(Some(round)),
+            Frame::Shutdown => Ok(None),
+            other => Err(protocol_err(format!("expected Start, got {other:?}"))),
+        }
+    }
+
+    fn start(&mut self, round: u64) -> io::Result<()> {
+        for s in 0..self.conns.len() {
+            self.send(s, &Frame::Start { round })?;
+            self.conns[s].flush()?;
+        }
+        Ok(())
+    }
+
+    fn stop(&mut self) -> io::Result<()> {
         for s in 0..self.conns.len() {
             let _ = self.send(s, &Frame::Shutdown);
             let _ = self.conns[s].flush();
         }
         self.workers.reap()
     }
-}
 
-impl Drop for TransportEngine {
-    fn drop(&mut self) {
-        let _ = self.shutdown();
+    /// Uploads every `(shard, owner)` stream in canonical order; the
+    /// `Proposed` barrier that follows flushes them.
+    fn publish(&mut self, round: u64, shard: usize, mail_out: &[Vec<HalfEdge>]) -> io::Result<()> {
+        for (owner, mailbox) in mail_out.iter().enumerate() {
+            for f in mailbox_frames(
+                round,
+                shard as u32,
+                owner as u32,
+                mailbox,
+                MAX_FRAME_ENTRIES,
+            ) {
+                self.send(0, &Frame::Mail(f))?;
+            }
+        }
+        Ok(())
     }
-}
 
-impl RoundEngine for TransportEngine {
-    type Graph = ShardedArenaGraph;
-    #[inline]
-    fn graph(&self) -> &ShardedArenaGraph {
-        self.replica.graph()
+    fn report(&mut self, barrier: &Frame) -> io::Result<()> {
+        self.send(0, barrier)?;
+        self.conns[0].flush()
     }
-    #[inline]
-    fn quanta(&self) -> u64 {
-        self.round
-    }
-    #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step()
-    }
-    #[inline]
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<ShardedArenaGraph>) -> RoundStats {
-        self.try_step(Some(listener))
-            .expect("transport round failed")
+
+    fn collect(&mut self, round: u64) -> io::Result<RoundInbox> {
+        match self.worker {
+            Some(w) => self.assemble(round, w),
+            None => self.relay(round),
+        }
     }
 }
 
@@ -675,131 +606,9 @@ impl RoundEngine for TransportEngine {
 /// `exp_transport`, the `uds_process` test — call this first thing in
 /// `main`.
 pub fn maybe_run_worker() {
-    let Ok(path) = std::env::var(WORKER_SOCKET_ENV) else {
-        return;
-    };
-    let stream = match UnixStream::connect(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("gossip worker: cannot connect to {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    match run_worker(stream) {
-        Ok(()) => std::process::exit(0),
-        Err(e) => {
-            eprintln!("gossip worker: {e}");
-            std::process::exit(1);
-        }
+    if let Ok(path) = std::env::var(WORKER_SOCKET_ENV) {
+        run_shard_process(UnixStream::connect(&path).and_then(HubLink::worker));
     }
-}
-
-/// The worker loop, shared verbatim by thread mode and process mode: the
-/// only difference between the two is who owns the other end of `stream`.
-pub fn run_worker(stream: UnixStream) -> io::Result<()> {
-    let mut conn = FramedConn::from_stream(stream)?;
-
-    // Bootstrap: Config, then one Segment per shard, then ack.
-    let cfg = match conn.recv()? {
-        Frame::Config(c) => c,
-        other => return Err(protocol_err(format!("expected Config, got {other:?}"))),
-    };
-    let shards = cfg.shards as usize;
-    let mut snaps: Vec<ShardSegSnapshot> = Vec::with_capacity(shards);
-    for i in 0..shards {
-        match conn.recv()? {
-            Frame::Segment { index, snapshot } if index as usize == i => snaps.push(snapshot),
-            other => return Err(protocol_err(format!("expected Segment {i}, got {other:?}"))),
-        }
-    }
-    let (shard, strict) = (cfg.shard, cfg.strict);
-    let mut replica = ShardReplica::from_config(cfg, &snaps)?;
-    conn.send(&Frame::Hello { shard })?;
-    conn.flush()?;
-
-    loop {
-        match conn.recv()? {
-            Frame::Start { round } => worker_round(round, &mut replica, strict, &mut conn)?,
-            Frame::Shutdown => return Ok(()),
-            other => return Err(protocol_err(format!("expected Start, got {other:?}"))),
-        }
-    }
-}
-
-fn worker_round(
-    r: u64,
-    replica: &mut ShardReplica,
-    strict: bool,
-    conn: &mut FramedConn,
-) -> io::Result<()> {
-    let shards = replica.shards();
-    let shard = replica.shard().expect("workers own a span");
-
-    replica.apply_membership(r);
-    let p = replica.propose_and_route(r);
-
-    // Serialize and upload every (shard, owner) stream in canonical
-    // order, then barrier.
-    let t = Instant::now();
-    for (owner, mailbox) in replica.mail_out().iter().enumerate() {
-        for f in mailbox_frames(r, shard as u32, owner as u32, mailbox, MAX_FRAME_ENTRIES) {
-            conn.send(&Frame::Mail(f))?;
-        }
-    }
-    let serialize_ns = t.elapsed().as_nanos() as u64;
-    conn.send(&Frame::Proposed(crate::wire::ProposedBarrier {
-        round: r,
-        source: shard as u32,
-        proposed: p.proposed,
-        propose_ns: p.propose_ns,
-        route_ns: p.route_ns,
-        serialize_ns,
-    }))?;
-    conn.flush()?;
-
-    // Drain the broadcast; nak gaps until the round's mail is complete.
-    let t = Instant::now();
-    let mut asm = MailboxAssembler::for_worker(shards, shard, r, strict);
-    loop {
-        match conn.recv()? {
-            Frame::Mail(f) => {
-                asm.accept(&f).map_err(protocol_err)?;
-            }
-            Frame::EndMail { round } if round == r => {
-                if asm.is_complete() {
-                    break;
-                }
-                for nak in asm.missing() {
-                    conn.send(&Frame::Nak(nak))?;
-                }
-                conn.send(&Frame::EndMail { round: r })?;
-                conn.flush()?;
-            }
-            other => {
-                return Err(protocol_err(format!(
-                    "expected Mail/EndMail, got {other:?}"
-                )))
-            }
-        }
-    }
-    let drain_ns = t.elapsed().as_nanos() as u64;
-
-    // Apply the full grid — peer streams from the assembler, this
-    // worker's own from its local route buffers — to the replica.
-    let t = Instant::now();
-    replica.apply_grid(&mut asm.into_mail());
-    let apply_ns = t.elapsed().as_nanos() as u64;
-
-    conn.send(&Frame::Done(crate::wire::DoneBarrier {
-        round: r,
-        source: shard as u32,
-        added: replica.added()[shard],
-        apply_ns,
-        drain_ns,
-        peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
-    }))?;
-    conn.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]

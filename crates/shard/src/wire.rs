@@ -1089,6 +1089,13 @@ impl MailboxAssembler {
         Self::with_expected(shards, round, true, expected)
     }
 
+    /// Assembler for the supervisor's whole round: expects every stream.
+    /// It reads its worker links in shard order and each worker uploads
+    /// in canonical order, so this side is always strict.
+    pub fn for_relay(shards: usize, round: u64) -> Self {
+        Self::with_expected(shards, round, true, vec![true; shards * shards])
+    }
+
     fn with_expected(shards: usize, round: u64, strict: bool, expected: Vec<bool>) -> Self {
         let mut streams = Vec::with_capacity(shards * shards);
         streams.resize_with(shards * shards, StreamState::default);
@@ -1211,9 +1218,16 @@ impl MailboxAssembler {
 
     /// Whether every expected stream is fully received.
     pub fn is_complete(&self) -> bool {
-        self.expected
+        (0..self.shards).all(|s| self.source_complete(s))
+    }
+
+    /// Whether every expected stream from `source` is fully received —
+    /// the condition its `Proposed` barrier asserts.
+    pub fn source_complete(&self, source: usize) -> bool {
+        let row = source * self.shards..(source + 1) * self.shards;
+        self.expected[row.clone()]
             .iter()
-            .zip(&self.streams)
+            .zip(&self.streams[row])
             .all(|(&exp, st)| !exp || st.total.is_some_and(|t| st.received == t))
     }
 
