@@ -21,6 +21,7 @@
 //! The `AdjSet` comparison runs **last**: peak RSS is process-wide and
 //! monotone, so the bitmap build must not pollute the arena rows.
 
+use crate::experiments::shard::{fmt_mib, peak_rss_bytes};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{
@@ -62,18 +63,6 @@ pub(crate) fn sparse_arena(n: usize, extra: u64, seed: u64) -> ArenaGraph {
         g.add_edge(NodeId(a), NodeId(b));
     }
     g
-}
-
-/// Process peak RSS (`VmHWM`) in bytes, if the platform exposes it.
-fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-fn fmt_mib(bytes: u64) -> String {
-    format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))
 }
 
 /// E15: arena-backend scaling sweep.

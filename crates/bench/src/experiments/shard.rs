@@ -84,15 +84,10 @@ fn cross_shard_fraction(g: &ShardedArenaGraph) -> f64 {
     crossing as f64 / g.m() as f64
 }
 
-/// Process peak RSS (`VmHWM`) in bytes, if the platform exposes it.
-/// Monotone and process-wide: inside `run_all` earlier experiments raise
-/// the floor, so the standalone `exp_shard` run is the clean source.
-pub(crate) fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
+/// Process peak RSS (`VmHWM`). Monotone and process-wide: inside
+/// `run_all` earlier experiments raise the floor, so the standalone
+/// `exp_shard` run is the clean source.
+pub(crate) use gossip_shard::peak_rss_bytes;
 
 pub(crate) fn fmt_mib(bytes: u64) -> String {
     format!("{:.1}", bytes as f64 / (1024.0 * 1024.0))

@@ -51,6 +51,7 @@
 
 use gossip_core::rng::stream_rng;
 use gossip_shard::framed::parse_framed;
+use gossip_shard::protocol_err;
 use gossip_shard::wire::{fragment_frames, AckFrame, Defragmenter, Frame};
 use rand::Rng;
 use std::collections::{BTreeMap, VecDeque};
@@ -133,11 +134,11 @@ pub struct EndpointStats {
     pub duplicates_received: u64,
     /// Timer- or nak-driven retransmissions.
     pub retransmitted: u64,
-    /// Ack control datagrams sent / received.
+    /// Ack control datagrams sent.
     pub acks_sent: u64,
     /// Ack control datagrams received.
     pub acks_received: u64,
-    /// Nak control datagrams sent / received.
+    /// Nak control datagrams sent.
     pub naks_sent: u64,
     /// Nak control datagrams received.
     pub naks_received: u64,
@@ -220,10 +221,6 @@ impl std::fmt::Debug for Endpoint {
     }
 }
 
-fn invalid(msg: impl ToString) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
 impl Endpoint {
     /// Wraps a bound socket as shard `shard` of the mesh described by
     /// `peers` (indexed by shard; `peers[shard]` is this socket's own
@@ -300,7 +297,8 @@ impl Endpoint {
                 self.queue_data(to, bytes, true);
             }
         }
-        self.service_sends(to, Instant::now())
+        self.service_sends(to, Instant::now());
+        Ok(())
     }
 
     fn queue_data(&mut self, to: usize, frame_bytes: Vec<u8>, fragment: bool) {
@@ -336,7 +334,7 @@ impl Endpoint {
 
     /// Admits outbox datagrams to the window (first transmissions, where
     /// the loss shim applies) while there is room.
-    fn service_sends(&mut self, to: usize, now: Instant) -> io::Result<()> {
+    fn service_sends(&mut self, to: usize, now: Instant) {
         let link_id = self.link_id(to);
         let link = &mut self.links[to];
         while link.inflight.len() < SEND_WINDOW {
@@ -367,7 +365,6 @@ impl Endpoint {
                 },
             );
         }
-        Ok(())
     }
 
     /// Expired-timer retransmissions (always transmitted — the shim never
@@ -428,19 +425,16 @@ impl Endpoint {
                 self.stats.naks_received += 1;
                 let now = Instant::now();
                 let link = &mut self.links[from];
-                let mut resend = 0u64;
                 for (_, p) in link.inflight.range_mut(lo..=hi) {
                     p.attempts += 1;
                     p.rto = INITIAL_RTO;
                     p.deadline = now + INITIAL_RTO;
-                    resend += 1;
                     self.stats.retransmitted += 1;
                     Self::transmit(&self.socket, &mut self.stats, self.peers[from], &p.bytes);
                 }
-                let _ = resend;
             }
             other => {
-                return Err(invalid(format!(
+                return Err(protocol_err(format!(
                     "peer {from}: unsequenced datagram must be Ack/NakRange, got {other:?}"
                 )))
             }
@@ -461,7 +455,7 @@ impl Endpoint {
             let frame = parse_framed(&bytes)?;
             match frame {
                 Frame::Fragment(f) => {
-                    if let Some(whole) = link.defrag.accept(&f).map_err(invalid)? {
+                    if let Some(whole) = link.defrag.accept(&f).map_err(protocol_err)? {
                         self.delivery.push_back((from, parse_framed(&whole)?));
                     }
                 }
@@ -478,7 +472,7 @@ impl Endpoint {
         let now = Instant::now();
         for to in 0..self.peers.len() {
             if to != self.shard {
-                self.service_sends(to, now)?;
+                self.service_sends(to, now);
             }
         }
         self.service_retransmits(now)?;
@@ -502,7 +496,7 @@ impl Endpoint {
             let from = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
             let seq = u64::from_le_bytes(self.buf[4..12].try_into().unwrap());
             if from >= self.peers.len() || from == self.shard {
-                return Err(invalid(format!(
+                return Err(protocol_err(format!(
                     "datagram from unknown shard {from} ({addr})"
                 )));
             }

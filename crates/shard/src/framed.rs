@@ -11,6 +11,7 @@
 //! a single datagram, or the concatenation a
 //! [`Defragmenter`](crate::wire::Defragmenter) hands back.
 
+use crate::driver::protocol_err;
 use crate::wire::{Frame, MAX_FRAME_BYTES};
 use bytes::BytesMut;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -22,10 +23,7 @@ use std::os::unix::net::UnixStream;
 /// allocation.
 pub fn check_frame_len(len: usize) -> io::Result<()> {
     if len == 0 || len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} out of range"),
-        ));
+        return Err(protocol_err(format!("frame length {len} out of range")));
     }
     Ok(())
 }
@@ -37,24 +35,20 @@ pub fn check_frame_len(len: usize) -> io::Result<()> {
 /// single-datagram frames and for reassembled fragment payloads.
 pub fn parse_framed(bytes: &[u8]) -> io::Result<Frame> {
     if bytes.len() < 4 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("framed blob of {} bytes has no length prefix", bytes.len()),
-        ));
+        return Err(protocol_err(format!(
+            "framed blob of {} bytes has no length prefix",
+            bytes.len()
+        )));
     }
     let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
     check_frame_len(len)?;
     if bytes.len() - 4 != len {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "frame length prefix {len} but {} body bytes",
-                bytes.len() - 4
-            ),
-        ));
+        return Err(protocol_err(format!(
+            "frame length prefix {len} but {} body bytes",
+            bytes.len() - 4
+        )));
     }
-    Frame::decode(&bytes[4..])
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    Frame::decode(&bytes[4..]).map_err(protocol_err)
 }
 
 /// One framed Unix-domain connection: buffered halves plus reusable
@@ -109,8 +103,7 @@ impl FramedConn {
         self.scratch.clear();
         self.scratch.resize(len, 0);
         self.reader.read_exact(&mut self.scratch)?;
-        Frame::decode(&self.scratch)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        Frame::decode(&self.scratch).map_err(protocol_err)
     }
 
     /// Wire size of the most recently received frame (prefix included).
