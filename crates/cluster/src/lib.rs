@@ -20,6 +20,12 @@
 //! round ahead, which bounds worker-side buffering to a single stash of
 //! early next-round mail.
 //!
+//! The round itself is not this crate's: the coordinator's `try_step`,
+//! the worker loop and the replica round body are
+//! [`gossip_shard::driver`]'s, shared with the stream transport, and
+//! [`ClusterEngine`] is its [`ShardRoundDriver`] over this crate's
+//! carrier, [`MeshLink`].
+//!
 //! Datagrams are unreliable, so a [`window`] layer supplies per-peer
 //! send windows with ack/nak control frames, timeout + exponential
 //! backoff retransmit, duplicate suppression, in-order delivery, and
@@ -76,9 +82,11 @@
 
 use gossip_core::{MembershipPlan, Parallelism, RuleId};
 use gossip_graph::{HalfEdge, SegSnapshotAssembler, ShardSegSnapshot, ShardedArenaGraph};
-use gossip_shard::wire::{mailbox_frames, Frame, MailFrame, MailboxAssembler, MAX_FRAME_ENTRIES};
+use gossip_shard::wire::{
+    mailbox_frames, Frame, MailFrame, MailboxAssembler, ProposedBarrier, MAX_FRAME_ENTRIES,
+};
 use gossip_shard::{
-    peak_rss_bytes, protocol_err, run_shard, run_shard_process, Proposed, RoundInbox, ShardLink,
+    peak_rss_bytes, protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink,
     ShardReplica, ShardRoundDriver, TransportMode, Workers,
 };
 use std::io;
@@ -535,14 +543,14 @@ impl ShardLink for MeshLink {
         &mut self,
         replica: &mut ShardReplica,
         round: u64,
-    ) -> io::Result<Proposed> {
+    ) -> io::Result<ProposedBarrier> {
         if !(self.is_coordinator() && round == 0 && !self.blocking_bootstrap) {
             return Ok(replica.propose_and_route(round));
         }
         let pending_before = self.endpoint.pending_datagrams();
         let endpoint = &mut self.endpoint;
         let mut overlap_ns = 0u64;
-        let proposed = std::thread::scope(|scope| -> io::Result<Proposed> {
+        let proposed = std::thread::scope(|scope| -> io::Result<ProposedBarrier> {
             let propose = scope.spawn(move || replica.propose_and_route(round));
             let t_overlap = Instant::now();
             while !propose.is_finished() {

@@ -138,18 +138,6 @@ pub(crate) fn apply_grid(
     }
 }
 
-/// What [`ShardReplica::propose_and_route`] did: the proposal count of
-/// the replica's own span and the wall time of each half.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Proposed {
-    /// Proposals drawn by the span's nodes.
-    pub proposed: u64,
-    /// Wall time of the propose phase.
-    pub propose_ns: u64,
-    /// Wall time of the route phase.
-    pub route_ns: u64,
-}
-
 /// One participant's state for the cross-process round: a **full
 /// replica** of `G_t` (a Pull proposal is a two-hop walk through
 /// arbitrary rows, so shard-local state is not enough to propose), the
@@ -278,10 +266,11 @@ impl ShardReplica {
     }
 
     /// Proposes this replica's own chunk span against `G_t` and routes
-    /// the result into `mail_out`. The restricted propose fills exactly
-    /// the buffers the full phase would (RNG streams are keyed by
-    /// `(seed, round, node)` alone).
-    pub fn propose_and_route(&mut self, round: u64) -> Proposed {
+    /// the result into `mail_out`, returning the `Proposed` barrier that
+    /// describes it (its `serialize_ns` still zero: nothing is encoded
+    /// yet). The restricted propose fills exactly the buffers the full
+    /// phase would (RNG streams are keyed by `(seed, round, node)` alone).
+    pub fn propose_and_route(&mut self, round: u64) -> ProposedBarrier {
         let shard = self
             .shard
             .expect("a replica without a span proposes nothing");
@@ -304,10 +293,13 @@ impl ShardReplica {
             plan.chunk_span(shard),
             &mut self.mail_out,
         );
-        Proposed {
+        ProposedBarrier {
+            round,
+            source: shard as u32,
             proposed,
             propose_ns,
             route_ns: t.elapsed().as_nanos() as u64,
+            serialize_ns: 0,
         }
     }
 
@@ -638,7 +630,7 @@ pub trait ShardLink {
         &mut self,
         replica: &mut ShardReplica,
         round: u64,
-    ) -> io::Result<Proposed> {
+    ) -> io::Result<ProposedBarrier> {
         Ok(replica.propose_and_route(round))
     }
 
@@ -678,17 +670,10 @@ fn replica_round<L: ShardLink>(
 ) -> io::Result<RoundReport> {
     let mut proposed = ProposedBarrier::default();
     if let Some(shard) = replica.shard() {
-        let own = link.propose_and_route(replica, r)?;
+        proposed = link.propose_and_route(replica, r)?;
         let t = Instant::now();
         link.publish(r, shard, replica.mail_out())?;
-        proposed = ProposedBarrier {
-            round: r,
-            source: shard as u32,
-            proposed: own.proposed,
-            propose_ns: own.propose_ns,
-            route_ns: own.route_ns,
-            serialize_ns: t.elapsed().as_nanos() as u64,
-        };
+        proposed.serialize_ns = t.elapsed().as_nanos() as u64;
         link.report(&Frame::Proposed(proposed))?;
     }
 
@@ -1062,11 +1047,7 @@ mod tests {
                 mail_frames(0, 0, zero.mail_out()),
                 mail_frames(0, 1, one.mail_out()),
             ],
-            proposed: ProposedBarrier {
-                source: 1,
-                proposed: p.proposed,
-                ..ProposedBarrier::default()
-            },
+            proposed: p,
             done: DoneBarrier {
                 source: 1,
                 added: one.added()[1],
@@ -1229,7 +1210,7 @@ mod tests {
         let mut workers = Workers::default();
         let t = Instant::now();
         let err = workers
-            .spawn_process_on_socket(&mut cmd, "GOSSIP_TEST_UNREAD_SOCKET")
+            .spawn_process_on_socket(&mut cmd, "UNREAD_WORKER_SOCKET")
             .expect_err("nobody connects");
         assert!(t.elapsed() < CONNECT_TIMEOUT, "waited out the deadline");
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");

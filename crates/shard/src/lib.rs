@@ -86,7 +86,7 @@ pub mod wire;
 
 use driver::{apply_grid, route_span, use_parallel};
 pub use driver::{
-    peak_rss_bytes, protocol_err, run_shard, run_shard_process, Proposed, RoundInbox, ShardLink,
+    peak_rss_bytes, protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink,
     ShardReplica, ShardRoundDriver, Workers,
 };
 pub use framed::{parse_framed, FramedConn};
