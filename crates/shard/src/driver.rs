@@ -19,7 +19,9 @@
 //! supervisor ([`HubLink`](crate::transport::HubLink)), UDP datagrams
 //! peer-to-peer (`gossip_cluster::MeshLink`) — sits behind [`ShardLink`].
 
-use crate::wire::{DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig};
+use crate::wire::{
+    DoneBarrier, Frame, MailFrame, MailboxAssembler, NakFrame, ProposedBarrier, WorkerConfig,
+};
 use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::seam::{run_engine_until, RoundEngine};
@@ -539,7 +541,7 @@ impl RoundInbox {
     }
 
     /// Streams still missing frames (the stream transport's nak source).
-    pub fn missing(&self) -> Vec<crate::wire::NakFrame> {
+    pub fn missing(&self) -> Vec<NakFrame> {
         self.asm.missing()
     }
 

@@ -241,17 +241,10 @@ impl TransportBuilder {
             self.membership,
             None,
         );
-        let mut link = HubLink {
-            conns,
-            worker: None,
-            lossy: self.lossy,
-            workers,
-            stats: TransportStats {
-                worker_peak_rss_bytes: vec![0; shards],
-                ..TransportStats::default()
-            },
-            enc,
-        };
+        let mut link = HubLink::over(conns);
+        link.lossy = self.lossy;
+        link.workers = workers;
+        link.stats.worker_peak_rss_bytes = vec![0; shards];
 
         // Bootstrap each worker: Config, then every segment, then wait for
         // its Hello ack.
@@ -318,16 +311,21 @@ pub struct HubLink {
 }
 
 impl HubLink {
-    /// A worker's end, over its connection to the supervisor.
-    fn worker(stream: UnixStream) -> io::Result<HubLink> {
-        Ok(HubLink {
-            conns: vec![FramedConn::from_stream(stream)?],
+    /// A link over `conns` with nothing else set: as is, a worker's end.
+    fn over(conns: Vec<FramedConn>) -> HubLink {
+        HubLink {
+            conns,
             worker: None,
             lossy: None,
             workers: Workers::default(),
             stats: TransportStats::default(),
             enc: BytesMut::new(),
-        })
+        }
+    }
+
+    /// A worker's end, over its connection to the supervisor.
+    fn worker(stream: UnixStream) -> io::Result<HubLink> {
+        Ok(HubLink::over(vec![FramedConn::from_stream(stream)?]))
     }
 
     /// Transport counters so far (supervisor's viewpoint).
