@@ -1,6 +1,6 @@
 //! Frame-codec hot path: encode/decode cost of the transport's mailbox
 //! frames. Every proposal a shard ships crosses this codec twice (once
-//! serialized, once parsed — more under lossy retransmit), so its
+//! serialized, once parsed), so its
 //! per-entry cost bounds how much the serialized seam can add on top of
 //! the in-process round. The decode rows exercise the fully-checked
 //! parser (count validation, exact-remainder, trailing-garbage scan),

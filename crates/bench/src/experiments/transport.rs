@@ -7,17 +7,14 @@
 //! same two-hop walk through [`gossip_shard::transport`]: every shard is
 //! its own **OS process** holding a full replica, mailboxes travel as
 //! length-prefixed frames over Unix domain sockets, and a supervisor
-//! routes frames and collects round barriers. Per `(n, S, mode)` it
-//! records:
+//! routes frames and collects round barriers. Per `(n, S)` it records:
 //!
 //! * **trajectory invariance** — per-round stats, final edge count, and
 //!   the row checksum must equal the in-process `ShardedEngine` run of
 //!   the same `(n, seed)` (which PR 5 pinned to the sequential engine),
-//!   measured for the deterministic *and* the lossy mode,
 //! * **wire volume** — frames and bytes actually written per round (a
-//!   deterministic function of the trajectory in canonical mode), plus
-//!   the lossy mode's injected drop/duplicate counts and the nak/
-//!   retransmit traffic that repairs them,
+//!   deterministic function of the trajectory: frames travel in
+//!   canonical order),
 //! * **memory** — per-shard worker peak RSS (`VmHWM`, read by each worker
 //!   from its own `/proc`) and the supervisor's process-wide peak,
 //! * **wall-clock** — rounds/sec across the serialized seam. Wall-clock
@@ -30,12 +27,16 @@
 //! transport run execute **sequentially** (the oracle graph is dropped
 //! before workers spawn), so peak memory is the transport's own
 //! `S + 1` replicas, not oracle + transport.
+//!
+//! A stream socket loses nothing, so there is no loss leg here: seeded
+//! carrier loss and its repair are E20's grid (0/5/20 % on the datagram
+//! window).
 
 use crate::experiments::shard::{fmt_mib, peak_rss_bytes, row_checksum, sparse_sharded};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{Pull, RoundStats, RuleId};
-use gossip_shard::transport::{LossyConfig, TransportBuilder, TransportMode};
+use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::{ShardedEngine, TransportStats};
 use std::time::Instant;
 
@@ -58,24 +59,19 @@ struct TransportRun {
     wall_ns_per_round: f64,
 }
 
-/// One fixed-horizon run across the serialized seam. `lossy = None` is
-/// the deterministic mode (canonical frame order, strict assembler);
-/// `Some(cfg)` injects seeded drop/duplicate/reorder on every worker-bound
-/// mailbox stream and repairs through nak/retransmit.
+/// One fixed-horizon run across the serialized seam.
 fn transport_run(
     n: usize,
     shards: usize,
     horizon: u64,
     seed: u64,
     mode: TransportMode,
-    lossy: Option<LossyConfig>,
 ) -> TransportRun {
     let g = sparse_sharded(n, 2 * n as u64, seed, shards);
-    let mut b = TransportBuilder::new(g, RuleId::Pull, seed ^ 0x5A4D).with_mode(mode);
-    if let Some(cfg) = lossy {
-        b = b.with_lossy(cfg);
-    }
-    let mut e = b.spawn().expect("spawn shard workers");
+    let mut e = TransportBuilder::new(g, RuleId::Pull, seed ^ 0x5A4D)
+        .with_mode(mode)
+        .spawn()
+        .expect("spawn shard workers");
     let t = Instant::now();
     let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
     let wall_ns_per_round = t.elapsed().as_nanos() as f64 / horizon as f64;
@@ -96,136 +92,92 @@ fn transport_run(
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E19-transport");
 
-    // (n, S grid, horizon). Quick keeps both modes but shrinks n; the
-    // full run's 10^7 row is the acceptance workload. Horizons are short
-    // everywhere: each worker holds a full replica, so the row exists to
+    // (n, S grid, horizon). Quick shrinks n; the full run's 10^7 row is
+    // the acceptance workload. Horizons are short everywhere: each worker holds a full replica, so the row exists to
     // prove the seam at scale, not to re-measure convergence (E1-E16).
     let sweeps: Vec<(usize, Vec<usize>, u64)> = if args.quick {
         vec![(1 << 14, vec![2, 4], 4)]
     } else {
         vec![(1 << 20, vec![2, 4], 5), (10_000_000, vec![4], 4)]
     };
-    // The lossy leg re-runs the deterministic workload under injected
-    // faults at every size except the 10^7 acceptance row (one more
-    // full-replica fleet there buys no new information — the property
-    // and determinism suites cover lossy at dozens of (n, S) points).
-    let lossy_at = |n: usize| n < 10_000_000;
-    let lossy_cfg = |seed: u64| LossyConfig {
-        seed: seed ^ 0x10_55,
-        drop_per_mille: 60,
-        dup_per_mille: 40,
-        reorder: true,
-    };
-
     let mut table = Table::new([
-        "mode",
         "n",
         "S",
         "rounds",
         "edges added",
         "wire MiB",
         "frames",
-        "dropped",
-        "naks",
-        "retransmits",
         "rounds/sec",
         "worker RSS MiB (max)",
         "supervisor RSS MiB",
     ]);
 
+    // The config label the claims table selects E19's rows by.
+    let label = "uds";
     for (n, shard_grid, horizon) in sweeps {
         for shards in shard_grid {
             let (oracle_stats, oracle_m, oracle_sum) = oracle(n, shards, horizon, args.seed);
+            let r = transport_run(n, shards, horizon, args.seed, TransportMode::Process);
 
-            let mut modes: Vec<(&str, Option<LossyConfig>)> = vec![("uds", None)];
-            if lossy_at(n) {
-                modes.push(("lossy", Some(lossy_cfg(args.seed))));
-            }
-            for (label, lossy) in modes {
-                let r = transport_run(n, shards, horizon, args.seed, TransportMode::Process, lossy);
+            // The headline contract, measured per run: the serialized
+            // seam replays the in-process engine bit-for-bit.
+            let invariant =
+                r.stats == oracle_stats && r.final_m == oracle_m && r.checksum == oracle_sum;
+            assert!(
+                invariant,
+                "{label} transport diverged from in-process engine at n={n}, S={shards}"
+            );
 
-                // The headline contract, measured per run: the serialized
-                // seam replays the in-process engine bit-for-bit — in
-                // lossy mode through nak/retransmit repair.
-                let invariant =
-                    r.stats == oracle_stats && r.final_m == oracle_m && r.checksum == oracle_sum;
-                assert!(
-                    invariant,
-                    "{label} transport diverged from in-process engine at n={n}, S={shards}"
-                );
-                if label == "lossy" {
-                    assert!(
-                        r.wire.wire.frames_dropped > 0,
-                        "lossy leg at n={n}, S={shards} never dropped a frame — \
-                         injection rates too low to exercise recovery"
-                    );
-                    assert!(r.wire.wire.retransmitted_frames > 0);
-                }
+            let added: u64 = r.stats.iter().map(|st| st.added).sum();
+            let fam = format!("shards-{shards}");
+            report.measure_scalar(
+                "trajectory_invariant_vs_inproc",
+                label,
+                fam.clone(),
+                n as u64,
+                invariant as u64 as f64,
+            );
+            report.measure_scalar("edges_added", label, fam.clone(), n as u64, added as f64);
+            // Wire volume is a pure function of the trajectory, so it
+            // belongs with the reproducible rows.
+            report.measure_scalar(
+                "wire_bytes_sent",
+                label,
+                fam.clone(),
+                n as u64,
+                r.wire.wire.bytes_sent as f64,
+            );
 
-                let added: u64 = r.stats.iter().map(|st| st.added).sum();
-                let fam = format!("shards-{shards}");
-                report.measure_scalar(
-                    "trajectory_invariant_vs_inproc",
-                    label,
-                    fam.clone(),
-                    n as u64,
-                    invariant as u64 as f64,
-                );
-                report.measure_scalar("edges_added", label, fam.clone(), n as u64, added as f64);
-                // Wire volume is a pure function of (trajectory, fault
-                // seed), so it belongs with the reproducible rows.
-                report.measure_scalar(
-                    "wire_bytes_sent",
-                    label,
-                    fam.clone(),
-                    n as u64,
-                    r.wire.wire.bytes_sent as f64,
-                );
-                if label == "lossy" {
-                    report.measure_scalar(
-                        "retransmitted_frames",
-                        label,
-                        fam.clone(),
-                        n as u64,
-                        r.wire.wire.retransmitted_frames as f64,
-                    );
-                }
-
-                // Machine-dependent rows: throughput and memory.
-                let worker_rss = r.wire.worker_peak_rss_bytes.iter().copied().max();
+            // Machine-dependent rows: throughput and memory.
+            let worker_rss = r.wire.worker_peak_rss_bytes.iter().copied().max();
+            report.measure_wallclock_scalar(
+                "rounds_per_sec",
+                label,
+                fam.clone(),
+                n as u64,
+                1e9 / r.wall_ns_per_round,
+            );
+            if let Some(rss) = worker_rss {
                 report.measure_wallclock_scalar(
-                    "rounds_per_sec",
+                    "worker_peak_rss_bytes",
                     label,
                     fam.clone(),
                     n as u64,
-                    1e9 / r.wall_ns_per_round,
+                    rss as f64,
                 );
-                if let Some(rss) = worker_rss {
-                    report.measure_wallclock_scalar(
-                        "worker_peak_rss_bytes",
-                        label,
-                        fam.clone(),
-                        n as u64,
-                        rss as f64,
-                    );
-                }
-
-                table.push_row([
-                    label.into(),
-                    n.to_string(),
-                    shards.to_string(),
-                    horizon.to_string(),
-                    added.to_string(),
-                    fmt_mib(r.wire.wire.bytes_sent),
-                    r.wire.wire.frames_sent.to_string(),
-                    r.wire.wire.frames_dropped.to_string(),
-                    r.wire.wire.naks.to_string(),
-                    r.wire.wire.retransmitted_frames.to_string(),
-                    fmt_f64(1e9 / r.wall_ns_per_round),
-                    worker_rss.map_or("-".into(), fmt_mib),
-                    peak_rss_bytes().map_or("-".into(), fmt_mib),
-                ]);
             }
+
+            table.push_row([
+                n.to_string(),
+                shards.to_string(),
+                horizon.to_string(),
+                added.to_string(),
+                fmt_mib(r.wire.wire.bytes_sent),
+                r.wire.wire.frames_sent.to_string(),
+                fmt_f64(1e9 / r.wall_ns_per_round),
+                worker_rss.map_or("-".into(), fmt_mib),
+                peak_rss_bytes().map_or("-".into(), fmt_mib),
+            ]);
         }
     }
 
@@ -233,9 +185,7 @@ pub fn run(args: &Args) -> Report {
         "every transport run — one OS process per shard, mailboxes as \
          length-prefixed frames over Unix domain sockets — replayed the \
          in-process ShardedEngine bit-for-bit (per-round stats, final m, row \
-         checksum), deterministic and lossy modes alike; lossy legs repaired \
-         seeded drop/duplicate/reorder through nak-driven retransmit. \
-         Horizons: {}.",
+         checksum). Horizons: {}.",
         if args.quick {
             "quick (4 rounds at n = 2^14)"
         } else {
@@ -243,9 +193,9 @@ pub fn run(args: &Args) -> Report {
         }
     ));
     report.note(
-        "wire bytes and retransmit counts are pure functions of (trajectory, \
-         fault seed) and sit with the reproducible rows; rounds/sec, worker \
-         peak RSS (per-shard VmHWM, reported by each worker over the wire), \
+        "wire bytes are a pure function of the trajectory and sit with the \
+         reproducible rows; rounds/sec, worker peak RSS (per-shard VmHWM, \
+         reported by each worker over the wire), \
          and supervisor RSS are machine-dependent and stay in the wall-clock \
          appendix. Worker RSS is the per-shard memory story: each worker \
          holds a full replica, so the figure tracks graph size, not 1/S of it.",
@@ -264,21 +214,10 @@ mod tests {
     #[test]
     fn transport_run_matches_oracle_in_thread_mode() {
         let (stats, m, sum) = oracle(1500, 3, 3, 9);
-        for lossy in [None, Some(lossy_cfg_for_test())] {
-            let r = transport_run(1500, 3, 3, 9, TransportMode::Thread, lossy);
-            assert_eq!(r.stats, stats);
-            assert_eq!(r.final_m, m);
-            assert_eq!(r.checksum, sum);
-            assert!(r.wire.wire.bytes_sent > 0);
-        }
-    }
-
-    fn lossy_cfg_for_test() -> LossyConfig {
-        LossyConfig {
-            seed: 5,
-            drop_per_mille: 150,
-            dup_per_mille: 100,
-            reorder: true,
-        }
+        let r = transport_run(1500, 3, 3, 9, TransportMode::Thread);
+        assert_eq!(r.stats, stats);
+        assert_eq!(r.final_m, m);
+        assert_eq!(r.checksum, sum);
+        assert!(r.wire.wire.bytes_sent > 0);
     }
 }

@@ -336,7 +336,7 @@ impl ClusterBuilder {
             .collect();
         for d in 1..shards {
             let peers = table.iter().map(|a| a.to_string()).collect();
-            let cfg = replica.worker_config(d, self.loss.is_none(), peers);
+            let cfg = replica.worker_config(d, false, peers);
             link.endpoint.send_frame(d, &Frame::Config(cfg))?;
             for (s, snap) in snapshots.iter().enumerate() {
                 for chunk in snap.chunks(budget) {

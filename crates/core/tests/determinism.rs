@@ -524,62 +524,6 @@ fn churned_transport_engine_bit_identical_to_sequential() {
 }
 
 #[test]
-fn lossy_transport_replays_a_pinned_trajectory() {
-    // Lossy mode's regression pin: a seeded drop/duplicate/reorder run
-    // still produces the deterministic trajectory (retransmit makes every
-    // round complete), and replaying the same injection seed reproduces
-    // the exact same fault pattern — drops, dups, naks, retransmits.
-    use gossip_core::RuleId;
-    use gossip_shard::transport::{LossyConfig, TransportBuilder};
-
-    let n = 1200;
-    let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(3, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
-    let mut seq = Engine::new(arena.clone(), Push, 17).with_parallelism(Parallelism::Sequential);
-    let stats_ref: Vec<_> = (0..6).map(|_| seq.step()).collect();
-
-    let lossy = LossyConfig {
-        seed: 0x10_55,
-        drop_per_mille: 150,
-        dup_per_mille: 100,
-        reorder: true,
-    };
-    let run = |_: u32| {
-        let g = ShardedArenaGraph::from_arena(&arena, 4);
-        let mut wire = TransportBuilder::new(g, RuleId::Push, 17)
-            .with_lossy(lossy)
-            .spawn()
-            .expect("spawn lossy transport");
-        let stats: Vec<_> = (0..6).map(|_| wire.step()).collect();
-        let wire_stats = wire.stats().clone();
-        let final_g = {
-            let g = wire.graph();
-            let rows: Vec<Vec<_>> = g.nodes().map(|u| g.neighbors(u).to_vec()).collect();
-            rows
-        };
-        wire.shutdown().unwrap();
-        (stats, wire_stats, final_g)
-    };
-    let (stats_a, inj_a, rows_a) = run(0);
-    let (stats_b, inj_b, rows_b) = run(1);
-
-    assert_eq!(stats_a, stats_ref, "lossy run diverged from sequential");
-    assert_eq!(stats_b, stats_ref, "lossy replay diverged from sequential");
-    assert!(
-        inj_a.wire.frames_dropped > 0 && inj_a.wire.naks > 0,
-        "injection never fired: {inj_a:?}"
-    );
-    assert_eq!(
-        inj_a.wire, inj_b.wire,
-        "same injection seed produced a different fault pattern"
-    );
-    assert_eq!(rows_a, rows_b, "lossy replay final rows diverged");
-    for (u, row) in seq.graph().nodes().zip(&rows_a) {
-        assert_eq!(seq.graph().neighbors(u), row.as_slice(), "row {u:?}");
-    }
-}
-
-#[test]
 fn cluster_datagram_transport_is_bit_identical_across_loss_rates() {
     // The datagram cluster's centerpiece pin: a two-"host" loopback grid
     // (shards 0–1 on 127.0.0.1, shards 2–3 on 127.0.0.2, explicit static

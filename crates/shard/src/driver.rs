@@ -19,9 +19,7 @@
 //! supervisor ([`HubLink`](crate::transport::HubLink)), UDP datagrams
 //! peer-to-peer (`gossip_cluster::MeshLink`) — sits behind [`ShardLink`].
 
-use crate::wire::{
-    DoneBarrier, Frame, MailFrame, MailboxAssembler, NakFrame, ProposedBarrier, WorkerConfig,
-};
+use crate::wire::{DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig};
 use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::seam::{run_engine_until, RoundEngine};
@@ -538,11 +536,6 @@ impl RoundInbox {
     /// Whether the grid is whole and no barrier is owed.
     pub fn is_complete(&self) -> bool {
         self.asm.is_complete() && !self.owes_done.contains(&true)
-    }
-
-    /// Streams still missing frames (the stream transport's nak source).
-    pub fn missing(&self) -> Vec<NakFrame> {
-        self.asm.missing()
     }
 
     /// Whether the grid is whole.

@@ -91,8 +91,7 @@ pub use driver::{
 };
 pub use framed::{parse_framed, FramedConn};
 pub use transport::{
-    maybe_run_worker, HubLink, LossyConfig, TransportBuilder, TransportEngine, TransportMode,
-    TransportStats,
+    maybe_run_worker, HubLink, TransportBuilder, TransportEngine, TransportMode, TransportStats,
 };
 pub use wire::{
     fragment_frames, AckFrame, Defragmenter, FragmentError, FragmentFrame, Frame, MailboxAssembler,

@@ -25,13 +25,12 @@
 //! 2. worker `s`: propose own span, route, serialize each `(s, owner)`
 //!    mailbox into `Mail` frames, upload, then barrier with `Proposed`.
 //! 3. supervisor: reassemble uploads, broadcast each `(source, owner)`
-//!    stream to every worker except its source — in canonical
-//!    `(source, owner, seq)` order in deterministic mode, through the
-//!    seeded drop/duplicate/reorder injector in lossy mode — then
-//!    `EndMail`.
-//! 4. worker: reassemble; on gaps send `Nak`s (terminated by `EndMail`)
-//!    and wait for clean retransmits; once complete, apply all mail to
-//!    the replica and barrier with `Done{added, timings, peak RSS}`.
+//!    stream to every worker except its source, in canonical
+//!    `(source, owner, seq)` order, then `EndMail`.
+//! 4. worker: reassemble, asserting that order frame by frame; an
+//!    `EndMail` before the round's mail is complete is a protocol error.
+//!    Then apply all mail to the replica and barrier with
+//!    `Done{added, timings, peak RSS}`.
 //! 5. supervisor: apply the same grid to its own graph and cross-check
 //!    each worker's `added` against its own per-segment count.
 //!
@@ -41,9 +40,14 @@
 //! dedups by key, and then *discards the slot* — only the relative order
 //! within one source stream could ever matter, and that is preserved.
 //! Hence no global slot prefix-sum synchronization round is needed, and
-//! the deterministic mode is bit-identical to [`ShardedEngine`](crate::ShardedEngine) and the
+//! the result is bit-identical to [`ShardedEngine`](crate::ShardedEngine) and the
 //! sequential engine for any `(S, mode, thread count)` — pinned by the
 //! determinism suite.
+//!
+//! A stream socket cannot lose a byte, so this carrier has no repair
+//! protocol. Seeded carrier faults live on the one layer that repairs real
+//! loss: the datagram window of `gossip-cluster` (`DatagramLoss`), which
+//! is also where the CLI's `--transport lossy` runs.
 //!
 //! The round itself — the supervisor's `try_step`, the worker loop, the
 //! replica round body — is [`driver`](crate::driver)'s, shared with the
@@ -68,14 +72,10 @@ use crate::driver::{
     ShardRoundDriver, Workers,
 };
 use crate::framed::FramedConn;
-use crate::wire::{
-    mailbox_frames, Frame, MailboxAssembler, NakFrame, WireStats, MAX_FRAME_ENTRIES,
-};
+use crate::wire::{mailbox_frames, Frame, MailboxAssembler, WireStats, MAX_FRAME_ENTRIES};
 use bytes::BytesMut;
-use gossip_core::rng::stream_rng;
 use gossip_core::{MembershipPlan, Parallelism, RuleId};
 use gossip_graph::{HalfEdge, ShardSegSnapshot, ShardedArenaGraph};
-use rand::Rng;
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::process::Command;
@@ -98,34 +98,6 @@ pub enum TransportMode {
     Process,
 }
 
-/// Seeded fault injection for the supervisor → worker broadcast leg.
-///
-/// Injection applies only to forwarded `Mail` frames (never control
-/// frames, never retransmissions), so every round terminates: one nak
-/// cycle delivers the survivors' complement cleanly.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LossyConfig {
-    /// Seed for the per-`(round, destination)` injection streams.
-    pub seed: u64,
-    /// Per-frame drop probability, in thousandths.
-    pub drop_per_mille: u16,
-    /// Per-frame duplication probability, in thousandths.
-    pub dup_per_mille: u16,
-    /// Whether each destination's round stream is shuffled.
-    pub reorder: bool,
-}
-
-impl Default for LossyConfig {
-    fn default() -> Self {
-        LossyConfig {
-            seed: 0,
-            drop_per_mille: 50,
-            dup_per_mille: 25,
-            reorder: true,
-        }
-    }
-}
-
 /// Transport-level counters for a run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
@@ -134,8 +106,6 @@ pub struct TransportStats {
     /// Peak RSS reported by each worker in its latest `Done` barrier. In
     /// process mode these are genuine per-process high-water marks.
     pub worker_peak_rss_bytes: Vec<u64>,
-    /// Rounds that needed at least one retransmit cycle.
-    pub recovered_rounds: u64,
 }
 
 /// Builds a [`TransportEngine`] (builder style).
@@ -147,7 +117,6 @@ pub struct TransportBuilder {
     parallelism: Parallelism,
     membership: Option<MembershipPlan>,
     mode: TransportMode,
-    lossy: Option<LossyConfig>,
 }
 
 impl TransportBuilder {
@@ -161,7 +130,6 @@ impl TransportBuilder {
             parallelism: Parallelism::default(),
             membership: None,
             mode: TransportMode::Thread,
-            lossy: None,
         }
     }
 
@@ -182,13 +150,6 @@ impl TransportBuilder {
     /// same pre-increment round points as the in-process engines.
     pub fn with_membership(mut self, plan: MembershipPlan) -> Self {
         self.membership = Some(plan);
-        self
-    }
-
-    /// Switches the broadcast leg to lossy mode with the given injection
-    /// parameters (default: deterministic canonical-order delivery).
-    pub fn with_lossy(mut self, cfg: LossyConfig) -> Self {
-        self.lossy = Some(cfg);
         self
     }
 
@@ -242,14 +203,13 @@ impl TransportBuilder {
             None,
         );
         let mut link = HubLink::over(conns);
-        link.lossy = self.lossy;
         link.workers = workers;
         link.stats.worker_peak_rss_bytes = vec![0; shards];
 
         // Bootstrap each worker: Config, then every segment, then wait for
         // its Hello ack.
         for s in 0..shards {
-            let cfg = replica.worker_config(s, self.lossy.is_none(), Vec::new());
+            let cfg = replica.worker_config(s, true, Vec::new());
             link.send(s, &Frame::Config(cfg))?;
             for bytes in &seg_frames {
                 link.send_raw(s, bytes)?;
@@ -278,7 +238,6 @@ pub type TransportEngine = ShardRoundDriver<HubLink>;
 /// non-source destination.
 struct EncodedMail {
     source: u32,
-    seq_key: (u32, u32, u32),
     bytes: Vec<u8>,
 }
 
@@ -287,14 +246,12 @@ struct EncodedMail {
 struct WorkerEnd {
     shard: usize,
     shards: usize,
-    strict: bool,
 }
 
 /// One end of the stream carrier. The **supervisor's** end holds a
 /// connection per worker and relays: every mail byte crosses it, so this
-/// is where the seeded [`LossyConfig`] injector and the nak/retransmit
-/// repair live, and where [`TransportStats`] are counted. A **worker's**
-/// end holds the single connection to the supervisor.
+/// is where [`TransportStats`] are counted. A **worker's** end holds the
+/// single connection to the supervisor.
 #[derive(Debug)]
 pub struct HubLink {
     /// Supervisor end: one connection per worker, in shard order. Worker
@@ -304,7 +261,6 @@ pub struct HubLink {
     conns: Vec<FramedConn>,
     /// `Some` at a worker's end, once bootstrapped.
     worker: Option<WorkerEnd>,
-    lossy: Option<LossyConfig>,
     workers: Workers,
     stats: TransportStats,
     enc: BytesMut,
@@ -316,7 +272,6 @@ impl HubLink {
         HubLink {
             conns,
             worker: None,
-            lossy: None,
             workers: Workers::default(),
             stats: TransportStats::default(),
             enc: BytesMut::new(),
@@ -356,7 +311,7 @@ impl HubLink {
     }
 
     /// The supervisor's `collect`: reassemble every worker's upload,
-    /// broadcast, then gather the `Done` barriers while servicing naks.
+    /// broadcast, then gather the `Done` barriers.
     fn relay(&mut self, r: u64) -> io::Result<RoundInbox> {
         let shards = self.conns.len();
         let mut inbox = RoundInbox::new(
@@ -377,7 +332,6 @@ impl HubLink {
                     frame.encode(&mut self.enc);
                     encoded.push(EncodedMail {
                         source: f.source,
-                        seq_key: (f.source, f.owner, f.seq),
                         bytes: self.enc.to_vec(),
                     });
                 }
@@ -389,71 +343,24 @@ impl HubLink {
         self.broadcast(r, &encoded)?;
         inbox.add_flush_ns(t.elapsed().as_nanos() as u64);
 
-        // Apply barriers — servicing nak/retransmit cycles until every
-        // worker reports Done.
+        // Apply barriers.
         for d in 0..shards {
-            let mut recovered = false;
             while inbox.owes_done(d) {
-                match self.recv(d)? {
-                    Frame::Nak(nak) => {
-                        self.stats.wire.naks += 1;
-                        recovered = true;
-                        self.retransmit(d, &nak, &encoded)?;
-                    }
-                    Frame::EndMail { round } if round == r => {
-                        // End of this nak batch: close the retransmit
-                        // cycle so the worker re-checks completeness.
-                        self.send(d, &Frame::EndMail { round: r })?;
-                        self.conns[d].flush()?;
-                    }
-                    other => inbox.accept(d, other)?,
-                }
+                let frame = self.recv(d)?;
+                inbox.accept(d, frame)?;
             }
             let peak = &mut self.stats.worker_peak_rss_bytes[d];
             *peak = (*peak).max(inbox.done(d).map_or(0, |b| b.peak_rss_bytes));
-            if recovered {
-                self.stats.recovered_rounds += 1;
-            }
         }
         Ok(inbox)
     }
 
     /// Delivers each (source, owner) stream to every non-source
-    /// destination — canonical order when strict, through the injector
-    /// when lossy — then `EndMail`.
+    /// destination in canonical order, then `EndMail`.
     fn broadcast(&mut self, r: u64, encoded: &[EncodedMail]) -> io::Result<()> {
         for d in 0..self.conns.len() {
-            let mut deliver: Vec<usize> = (0..encoded.len())
-                .filter(|&i| encoded[i].source as usize != d)
-                .collect();
-            if let Some(lossy) = self.lossy {
-                let mut rng = stream_rng(lossy.seed, r, d as u64);
-                let drop_p = f64::from(lossy.drop_per_mille) / 1000.0;
-                let dup_p = f64::from(lossy.dup_per_mille) / 1000.0;
-                let mut shaped = Vec::with_capacity(deliver.len());
-                for i in deliver {
-                    if rng.random_bool(drop_p) {
-                        self.stats.wire.frames_dropped += 1;
-                        continue;
-                    }
-                    shaped.push(i);
-                    if rng.random_bool(dup_p) {
-                        self.stats.wire.frames_duplicated += 1;
-                        shaped.push(i);
-                    }
-                }
-                if lossy.reorder && shaped.len() > 1 {
-                    // Fisher–Yates on the injection stream.
-                    for k in (1..shaped.len()).rev() {
-                        let j = rng.random_range(0..=k);
-                        shaped.swap(k, j);
-                    }
-                    self.stats.wire.streams_reordered += 1;
-                }
-                deliver = shaped;
-            }
-            for i in deliver {
-                self.send_raw(d, &encoded[i].bytes)?;
+            for e in encoded.iter().filter(|e| e.source as usize != d) {
+                self.send_raw(d, &e.bytes)?;
             }
             self.send(d, &Frame::EndMail { round: r })?;
             self.conns[d].flush()?;
@@ -461,55 +368,21 @@ impl HubLink {
         Ok(())
     }
 
-    /// Services one nak: resend the reported stream's missing frames —
-    /// clean, in seq order, injection-free.
-    fn retransmit(&mut self, d: usize, nak: &NakFrame, encoded: &[EncodedMail]) -> io::Result<()> {
-        let wanted: Vec<&EncodedMail> = encoded
-            .iter()
-            .filter(|e| {
-                let (s, o, q) = e.seq_key;
-                s == nak.source
-                    && o == nak.owner
-                    && match nak.known_total {
-                        None => true,
-                        Some(_) => nak.missing.contains(&q),
-                    }
-            })
-            .collect();
-        if wanted.is_empty() {
-            return Err(protocol_err(format!(
-                "worker {d} nak'd unknown stream ({} -> {})",
-                nak.source, nak.owner
-            )));
-        }
-        for e in wanted {
-            self.send_raw(d, &e.bytes)?;
-            self.stats.wire.retransmitted_frames += 1;
-        }
-        Ok(())
-    }
-
-    /// A worker's `collect`: drain the broadcast; nak gaps until the
-    /// round's mail is complete.
+    /// A worker's `collect`: drain the broadcast up to its `EndMail`,
+    /// which must find the round's mail complete.
     fn assemble(&mut self, r: u64, w: WorkerEnd) -> io::Result<RoundInbox> {
-        let asm = MailboxAssembler::for_worker(w.shards, w.shard, r, w.strict);
+        let asm = MailboxAssembler::for_worker(w.shards, w.shard, r, true);
         let mut inbox = RoundInbox::new(r, asm, vec![false; w.shards]);
         loop {
             match self.recv(0)? {
                 Frame::Mail(f) => inbox.accept_mail(&f)?,
-                Frame::EndMail { round } if round == r => {
-                    if inbox.mail_complete() {
-                        return Ok(inbox);
-                    }
-                    for nak in inbox.missing() {
-                        self.send(0, &Frame::Nak(nak))?;
-                    }
-                    self.send(0, &Frame::EndMail { round: r })?;
-                    self.conns[0].flush()?;
+                Frame::EndMail { round } if round == r && inbox.mail_complete() => {
+                    return Ok(inbox)
                 }
                 other => {
                     return Err(protocol_err(format!(
-                        "shard {}, round {r}: expected Mail/EndMail, got {other:?}",
+                        "shard {}, round {r}: expected Mail, or EndMail once the mail is \
+                         complete, got {other:?}",
                         w.shard
                     )))
                 }
@@ -536,7 +409,6 @@ impl ShardLink for HubLink {
         self.worker = Some(WorkerEnd {
             shard: cfg.shard as usize,
             shards,
-            strict: cfg.strict,
         });
         let hello = Frame::Hello { shard: cfg.shard };
         let replica = ShardReplica::from_config(cfg, &snaps)?;
@@ -614,7 +486,7 @@ mod tests {
     use super::*;
     use crate::ShardedEngine;
     use gossip_core::rng::stream_rng;
-    use gossip_core::{ChurnBursts, ComponentwiseComplete, Pull, Push};
+    use gossip_core::{ChurnBursts, ComponentwiseComplete, Pull};
     use gossip_graph::generators;
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
@@ -652,30 +524,22 @@ mod tests {
     }
 
     #[test]
-    fn lossy_transport_converges_to_the_same_graph() {
-        let n = 2000;
-        let g = sharded(n, n as u64, 5, 3);
-        let mut inproc = ShardedEngine::new(g.clone(), Push, 9);
-        let mut wire = TransportBuilder::new(g, RuleId::Push, 9)
-            .with_lossy(LossyConfig {
-                seed: 0xBAD,
-                drop_per_mille: 120,
-                dup_per_mille: 80,
-                reorder: true,
-            })
-            .spawn()
-            .expect("spawn");
-        for round in 0..5 {
-            assert_eq!(inproc.step(), wire.step(), "round {round}");
-        }
-        assert_graphs_equal(inproc.graph(), wire.graph(), "lossy transport");
-        let stats = wire.stats().clone();
-        assert!(
-            stats.wire.frames_dropped > 0 && stats.wire.naks > 0,
-            "injection never fired: {stats:?}"
-        );
-        assert!(stats.wire.retransmitted_frames >= stats.wire.frames_dropped);
-        wire.shutdown().unwrap();
+    fn an_endmail_before_the_rounds_mail_is_complete_is_a_protocol_error() {
+        let (sup, wrk) = UnixStream::pair().unwrap();
+        let mut sup = FramedConn::from_stream(sup).unwrap();
+        sup.send(&Frame::EndMail { round: 3 }).unwrap();
+        sup.flush().unwrap();
+        let mut link = HubLink::worker(wrk).unwrap();
+        let end = WorkerEnd {
+            shard: 1,
+            shards: 2,
+        };
+        let err = link
+            .assemble(3, end)
+            .expect_err("shard 0's mail never came");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("shard 1") && msg.contains("round 3"), "{msg}");
     }
 
     #[test]
@@ -735,8 +599,6 @@ mod tests {
             s.wire.bytes_sent > s.wire.frames_sent,
             "length prefixes alone exceed this"
         );
-        assert_eq!(s.wire.frames_dropped, 0, "deterministic mode never drops");
-        assert_eq!(s.recovered_rounds, 0);
         assert!(s.worker_peak_rss_bytes.iter().all(|&b| b > 0));
         wire.shutdown().unwrap();
     }

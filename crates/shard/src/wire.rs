@@ -4,8 +4,8 @@
 //! # Frame layout
 //!
 //! Every frame is `[u32 len][u8 kind][body]`, all integers little-endian;
-//! `len` counts the kind byte plus the body. Fourteen kinds cover both
-//! transports (bootstrap, round data, barriers, recovery, datagrams):
+//! `len` counts the kind byte plus the body. Thirteen kinds cover both
+//! transports (bootstrap, round data, barriers, datagrams):
 //!
 //! | kind | frame        | direction           | body |
 //! |------|--------------|---------------------|------|
@@ -16,7 +16,7 @@
 //! | 5    | `Mail`       | both                | one chunk of a `(source, owner)` mailbox |
 //! | 6    | `Proposed`   | worker → supervisor | propose barrier: proposal count + phase timings |
 //! | 7    | `EndMail`    | supervisor → worker | "all forwarded mail for this round sent" |
-//! | 8    | `Nak`        | worker → supervisor | missing-frame report for one stream |
+//! | 8    | *(retired)*  | —                   | was the stream transport's `Nak`; never reused, decodes as [`WireError::UnknownKind`] |
 //! | 9    | `Done`       | worker → supervisor | apply barrier: added count, timings, peak RSS |
 //! | 10   | `Shutdown`   | supervisor → worker | end of run |
 //! | 11   | `Ack`        | datagram peer ↔ peer | cumulative + selective datagram-seq acknowledgment |
@@ -24,7 +24,7 @@
 //! | 13   | `Fragment`   | datagram peer ↔ peer | one MTU-sized piece of an oversized frame |
 //! | 14   | `SnapshotChunk` | coordinator → peer | one [`SegSnapshotChunk`] of a streamed bootstrap segment |
 //!
-//! Kinds 1–10 are the stream (UDS) transport's vocabulary; kinds 11–14
+//! Kinds 1–7, 9 and 10 are the stream (UDS) transport's vocabulary; kinds 11–14
 //! belong to the datagram (`gossip-cluster`) reliability layer, which
 //! wraps *any* frame in per-peer sequenced datagrams — see
 //! [`fragment_frames`] and [`Defragmenter`] for how frames larger than
@@ -41,14 +41,15 @@
 //!
 //! # Canonical ordering and determinism
 //!
-//! The deterministic transport mode delivers mail to every destination in
+//! The stream transport's hub delivers mail to every destination in
 //! **canonical `(source shard, owner, chunk seq)` order** — exactly the
-//! order the in-process engine concatenates `mail[0][t], mail[1][t], …`.
-//! [`MailboxAssembler`] in `strict` mode *asserts* that order frame by
-//! frame; in lossy mode it accepts any arrival order, ignores duplicates,
-//! and reports gaps as [`NakFrame`]s so the supervisor can retransmit —
-//! reassembly is keyed by `(source, owner, seq)`, so the concatenation it
-//! hands back is canonical regardless of what the wire did.
+//! order the in-process engine concatenates `mail[0][t], mail[1][t], …` —
+//! and its [`MailboxAssembler`]s are `strict`: they *assert* that order
+//! frame by frame. The datagram mesh has one in-order link per source, so
+//! its assemblers are *interleaved*: any interleaving of sources is
+//! accepted, each stream still in `seq` order. Reassembly is keyed by
+//! `(source, owner, seq)`, so the concatenation handed back is canonical
+//! either way.
 //!
 //! Decoding is **checked end to end**: every getter is the non-panicking
 //! `try_*` form from the bytes shim, truncated or trailing bytes are
@@ -63,8 +64,9 @@ use serde::Serialize;
 
 /// Wire protocol version, checked during the `Config` handshake.
 /// Version 2 added the static peer table to `Config` and frame kinds
-/// 11–14 for the datagram transport.
-pub const WIRE_VERSION: u32 = 2;
+/// 11–14 for the datagram transport. Version 3 retired kind 8 (`Nak`),
+/// so a peer that still speaks it fails the handshake.
+pub const WIRE_VERSION: u32 = 3;
 
 /// Maximum half-edges per [`MailFrame`] (12 KiB of entry payload) — one
 /// propose chunk's worth, so frame `seq` numbers track chunk granularity.
@@ -111,7 +113,7 @@ impl std::error::Error for WireError {}
 /// The bootstrap configuration a worker needs to reconstruct the
 /// supervisor's engine state: shard identity, the `(n, shards)` plan, the
 /// RNG seed, the proposal rule (by registry id), the parallelism flag,
-/// strict-vs-lossy delivery, and the full membership schedule.
+/// strict-vs-interleaved delivery, and the full membership schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerConfig {
     /// This worker's shard index.
@@ -127,7 +129,9 @@ pub struct WorkerConfig {
     pub rule: RuleId,
     /// Whether the worker's propose phase runs on the rayon pool.
     pub parallel: bool,
-    /// Deterministic (strict canonical delivery) vs lossy mode.
+    /// How the coordinator's carrier delivers mail: strict canonical
+    /// order (the stream hub) or any interleaving of sources (the
+    /// datagram mesh).
     pub strict: bool,
     /// The membership plan's `(round, event)` schedule, applied by the
     /// worker at the same pre-increment round points as the supervisor.
@@ -172,23 +176,6 @@ pub struct ProposedBarrier {
     pub route_ns: u64,
     /// Wall nanoseconds spent encoding mail frames.
     pub serialize_ns: u64,
-}
-
-/// Missing-frame report for one `(source, owner)` stream: everything the
-/// receiver still needs before it can apply the round.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct NakFrame {
-    /// The round.
-    pub round: u64,
-    /// Source shard of the incomplete stream.
-    pub source: u32,
-    /// Owner shard of the incomplete stream.
-    pub owner: u32,
-    /// The stream's total frame count, if the `last` frame was seen;
-    /// `None` asks the supervisor to resend the entire stream.
-    pub known_total: Option<u32>,
-    /// Missing `seq` numbers (empty when `known_total` is `None`).
-    pub missing: Vec<u32>,
 }
 
 /// Apply-side round barrier: the worker merged every mailbox into its
@@ -271,8 +258,6 @@ pub enum Frame {
         /// The round.
         round: u64,
     },
-    /// Missing-frame report.
-    Nak(NakFrame),
     /// Apply barrier.
     Done(DoneBarrier),
     /// End of run.
@@ -305,7 +290,7 @@ const KIND_START: u8 = 4;
 const KIND_MAIL: u8 = 5;
 const KIND_PROPOSED: u8 = 6;
 const KIND_ENDMAIL: u8 = 7;
-const KIND_NAK: u8 = 8;
+// Kind 8 (`Nak`) is retired: never renumbered, never reused.
 const KIND_DONE: u8 = 9;
 const KIND_SHUTDOWN: u8 = 10;
 const KIND_ACK: u8 = 11;
@@ -412,23 +397,6 @@ impl Frame {
             Frame::EndMail { round } => {
                 buf.put_u8(KIND_ENDMAIL);
                 buf.put_u64_le(*round);
-            }
-            Frame::Nak(n) => {
-                buf.put_u8(KIND_NAK);
-                buf.put_u64_le(n.round);
-                buf.put_u32_le(n.source);
-                buf.put_u32_le(n.owner);
-                match n.known_total {
-                    None => buf.put_u8(0),
-                    Some(total) => {
-                        buf.put_u8(1);
-                        buf.put_u32_le(total);
-                    }
-                }
-                buf.put_u32_le(n.missing.len() as u32);
-                for &seq in &n.missing {
-                    buf.put_u32_le(seq);
-                }
             }
             Frame::Done(b) => {
                 buf.put_u8(KIND_DONE);
@@ -647,31 +615,6 @@ impl Frame {
             KIND_ENDMAIL => Frame::EndMail {
                 round: cur.try_get_u64_le().ok_or(WireError::Truncated)?,
             },
-            KIND_NAK => {
-                let round = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let source = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let owner = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let known_total = match cur.try_get_u8().ok_or(WireError::Truncated)? {
-                    0 => None,
-                    1 => Some(cur.try_get_u32_le().ok_or(WireError::Truncated)?),
-                    _ => return Err(WireError::Bad("known-total flag not a boolean")),
-                };
-                let k = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-                if k > cur.remaining() / 4 {
-                    return Err(WireError::Bad("missing count exceeds frame size"));
-                }
-                let mut missing = Vec::with_capacity(k);
-                for _ in 0..k {
-                    missing.push(cur.try_get_u32_le().ok_or(WireError::Truncated)?);
-                }
-                Frame::Nak(NakFrame {
-                    round,
-                    source,
-                    owner,
-                    known_total,
-                    missing,
-                })
-            }
             KIND_DONE => Frame::Done(DoneBarrier {
                 round: cur.try_get_u64_le().ok_or(WireError::Truncated)?,
                 source: cur.try_get_u32_le().ok_or(WireError::Truncated)?,
@@ -973,10 +916,10 @@ impl Defragmenter {
 /// Streams are keyed `(source, owner)`; the constructor fixes which
 /// streams are *expected* (a worker expects every source but itself; the
 /// supervisor expects exactly one source per worker link). `strict` mode
-/// additionally asserts canonical `(source, owner, seq)` arrival order
-/// and rejects duplicates — the deterministic transport's contract. Lossy
-/// mode accepts any order, ignores duplicates, and reports gaps via
-/// [`MailboxAssembler::missing`].
+/// additionally asserts canonical `(source, owner, seq)` arrival order —
+/// the stream transport's contract. Non-strict mode accepts any
+/// interleaving of sources, as the datagram mesh's one link per peer
+/// produces.
 #[derive(Debug)]
 pub struct MailboxAssembler {
     shards: usize,
@@ -1231,38 +1174,6 @@ impl MailboxAssembler {
             .all(|(&exp, st)| !exp || st.total.is_some_and(|t| st.received == t))
     }
 
-    /// Missing-frame reports for every incomplete expected stream.
-    pub fn missing(&self) -> Vec<NakFrame> {
-        let mut naks = Vec::new();
-        for (i, st) in self.streams.iter().enumerate() {
-            if !self.expected[i] {
-                continue;
-            }
-            let source = (i / self.shards) as u32;
-            let owner = (i % self.shards) as u32;
-            match st.total {
-                Some(total) if st.received == total => {}
-                Some(total) => naks.push(NakFrame {
-                    round: self.round,
-                    source,
-                    owner,
-                    known_total: Some(total),
-                    missing: (0..total)
-                        .filter(|&q| st.chunks.get(q as usize).is_none_or(|c| c.is_none()))
-                        .collect(),
-                }),
-                None => naks.push(NakFrame {
-                    round: self.round,
-                    source,
-                    owner,
-                    known_total: None,
-                    missing: Vec::new(),
-                }),
-            }
-        }
-        naks
-    }
-
     /// Hands back the reassembled mail grid `mail[source][owner]`, each
     /// mailbox the canonical seq-order concatenation of its chunks.
     /// Unexpected streams (e.g. the worker's own source row) come back
@@ -1296,16 +1207,6 @@ pub struct WireStats {
     pub bytes_sent: u64,
     /// Bytes read by the supervisor, including length prefixes.
     pub bytes_received: u64,
-    /// Mail frames the lossy injector dropped.
-    pub frames_dropped: u64,
-    /// Mail frames the lossy injector duplicated.
-    pub frames_duplicated: u64,
-    /// Per-destination round streams the lossy injector shuffled.
-    pub streams_reordered: u64,
-    /// Nak frames received from workers.
-    pub naks: u64,
-    /// Mail frames retransmitted in response to naks.
-    pub retransmitted_frames: u64,
 }
 
 #[cfg(test)]
@@ -1364,20 +1265,6 @@ mod tests {
                 serialize_ns: 3000,
             }),
             Frame::EndMail { round: 9 },
-            Frame::Nak(NakFrame {
-                round: 9,
-                source: 1,
-                owner: 0,
-                known_total: Some(4),
-                missing: vec![1, 3],
-            }),
-            Frame::Nak(NakFrame {
-                round: 9,
-                source: 2,
-                owner: 2,
-                known_total: None,
-                missing: vec![],
-            }),
             Frame::Done(DoneBarrier {
                 round: 9,
                 source: 3,
@@ -1461,6 +1348,20 @@ mod tests {
         );
         assert_eq!(Frame::decode(&[0]), Err(WireError::UnknownKind(0)));
         assert_eq!(Frame::decode(&[99, 1, 2]), Err(WireError::UnknownKind(99)));
+        // Kind 8 was `Nak` up to wire version 2: round, source, owner,
+        // known-total flag + total, missing count + seqs. Retired, so a
+        // well-formed old frame is as unknown as kind 99.
+        let mut old_nak = BytesMut::new();
+        old_nak.put_u8(8);
+        old_nak.put_u64_le(9);
+        old_nak.put_u32_le(1);
+        old_nak.put_u32_le(0);
+        old_nak.put_u8(1);
+        old_nak.put_u32_le(4);
+        old_nak.put_u32_le(2);
+        old_nak.put_u32_le(1);
+        old_nak.put_u32_le(3);
+        assert_eq!(Frame::decode(&old_nak), Err(WireError::UnknownKind(8)));
         assert_eq!(Frame::decode(&[]), Err(WireError::Truncated));
         // A mail frame whose count promises more entries than bytes.
         let mut buf = BytesMut::new();
@@ -1519,7 +1420,6 @@ mod tests {
             assert_eq!(asm.accept(f), Ok(true), "frame {f:?}");
         }
         assert!(asm.is_complete());
-        assert!(asm.missing().is_empty());
         let mail = asm.into_mail();
         assert_eq!(mail[0][2].len(), 6);
         assert_eq!(mail[2][1].len(), 9);
@@ -1577,13 +1477,8 @@ mod tests {
             asm.accept(f).unwrap();
         }
         assert!(!asm.is_complete());
-        let naks = asm.missing();
-        assert_eq!(naks.len(), 2);
-        let by_owner = |o: u32| naks.iter().find(|n| n.owner == o).unwrap();
-        assert_eq!(by_owner(1).known_total, Some(5));
-        assert_eq!(by_owner(1).missing, vec![2]);
-        assert_eq!(by_owner(0).known_total, None, "fully lost stream");
-        // Retransmit the gaps: completeness and canonical reassembly.
+        assert!(!asm.source_complete(1));
+        // The gaps arrive late: completeness and canonical reassembly.
         asm.accept(&frames[2]).unwrap();
         for f in mailbox_frames(3, 1, 0, &[], 4) {
             asm.accept(&f).unwrap();

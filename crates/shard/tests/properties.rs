@@ -8,7 +8,7 @@
 use gossip_core::rng::stream_rng;
 use gossip_core::{ChurnBursts, Engine, MembershipPlan, Parallelism, Pull, Push, RuleId};
 use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph, UndirectedGraph};
-use gossip_shard::transport::{LossyConfig, TransportBuilder};
+use gossip_shard::transport::TransportBuilder;
 use gossip_shard::ShardedEngine;
 use proptest::prelude::*;
 
@@ -112,31 +112,20 @@ proptest! {
         n in 2usize..300,
         shards in 1usize..6,
         rounds in 1usize..4,
-        lossy in any::<bool>(),
     ) {
-        // The serialized seam under ANY (n, S, mode): thread-hosted workers
+        // The serialized seam under ANY (n, S): thread-hosted workers
         // exchanging length-prefixed frames over socketpairs must replay
-        // the sequential oracle bit-for-bit — in deterministic mode by
-        // canonical delivery, in lossy mode through nak/retransmit.
+        // the sequential oracle bit-for-bit, by canonical delivery.
         let und = sparse(n, n as u64, seed, 0);
         let arena = ArenaGraph::from_undirected(&und);
         let mut seq = Engine::new(arena, Push, seed).with_parallelism(Parallelism::Sequential);
-        let mut builder = TransportBuilder::new(
+        let mut wire = TransportBuilder::new(
             ShardedArenaGraph::from_undirected(&und, shards),
             RuleId::Push,
             seed,
-        );
-        if lossy {
-            builder = builder.with_lossy(LossyConfig {
-                seed,
-                drop_per_mille: 200,
-                dup_per_mille: 150,
-                reorder: true,
-            });
-        }
-        let mut wire = builder
-            .spawn()
-            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        )
+        .spawn()
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
         for _ in 0..rounds {
             let expect = seq.step();
             let got = wire

@@ -1,10 +1,10 @@
 //! The `gossip` CLI shim; all logic lives in `discovery_gossip::cli`.
 
 fn main() {
-    // `serve --transport uds|lossy` re-execs this binary once per shard;
+    // `serve --transport uds` re-execs this binary once per shard;
     // a worker copy connects to its socket here and never reaches the CLI.
     discovery_gossip::shard::maybe_run_worker();
-    // Likewise `serve --transport udp` re-execs one datagram shard
+    // Likewise `serve --transport udp|lossy` re-execs one datagram shard
     // worker per peer-table slot.
     discovery_gossip::cluster::maybe_run_cluster_shard();
 

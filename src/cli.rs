@@ -6,7 +6,7 @@
 //! grammar.
 
 use gossip_analysis::{exact_expected_rounds, ProcessKind, Summary};
-use gossip_cluster::ClusterBuilder;
+use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::{
     convergence_rounds, with_rule, ChurnBursts, ClosureReached, ComponentwiseComplete,
     DirectedPull, DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine,
@@ -16,7 +16,7 @@ use gossip_graph::{
     generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph, UndirectedGraph,
 };
 use gossip_serve::{GossipService, GraphQuery, MetricsCounters, ServeConfig};
-use gossip_shard::transport::{LossyConfig, TransportBuilder, TransportMode};
+use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
 use std::fmt::Write as _;
 
@@ -109,9 +109,9 @@ pub enum Command {
         /// Churn bursts to schedule (0 = static membership).
         churn: usize,
         /// Shard transport: `inproc` (shared memory), `uds` (one OS
-        /// process per shard over Unix domain sockets), `lossy`
-        /// (uds plus seeded drop/duplicate/reorder fault injection), or
-        /// `udp` (datagram cluster with a static peer table).
+        /// process per shard over Unix domain sockets), `udp` (datagram
+        /// cluster with a static peer table), or `lossy` (the datagram
+        /// cluster on loopback with seeded drop/duplicate injection).
         transport: Transport,
         /// `--transport udp` only: address the coordinator binds
         /// (default `127.0.0.1:0`).
@@ -125,15 +125,16 @@ pub enum Command {
 }
 
 /// How `serve` hosts its shards. All four replay the same trajectory;
-/// see [`TransportBuilder`] for the wire protocol behind `uds`/`lossy`
-/// and [`ClusterBuilder`] for `udp`.
+/// see [`TransportBuilder`] for the wire protocol behind `uds` and
+/// [`ClusterBuilder`] for `udp`/`lossy`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
     /// Shared-memory sharding in this process (the default).
     Inproc,
     /// One worker process per shard, mailboxes serialized over UDS.
     Uds,
-    /// `uds` with seeded loss/duplication/reordering plus retransmit.
+    /// `udp` on auto-assigned loopback ports with seeded datagram
+    /// drop/duplication ([`DatagramLoss`]), repaired by the window layer.
     Lossy,
     /// One worker process per shard, frames exchanged peer-to-peer over
     /// UDP sockets from a static peer table (`--bind`/`--peers`).
@@ -191,13 +192,14 @@ CHURN: --churn B schedules B bursts of n/16 departures (rejoining two rounds
 
 TRANSPORT: --transport uds runs each shard as its own OS process and
        exchanges mailboxes as length-prefixed frames over Unix domain
-       sockets; --transport lossy adds seeded drop/duplicate/reorder fault
-       injection with nak-driven retransmit. --transport udp runs the
-       datagram cluster: shard processes exchange frames peer-to-peer over
-       UDP sockets from a static peer table (--bind sets the coordinator
-       address, --peers the K-1 worker addresses; both default to
-       auto-assigned loopback ports). All replay the in-process trajectory
-       bit-for-bit and need --shards K > 1.
+       sockets. --transport udp runs the datagram cluster: shard processes
+       exchange frames peer-to-peer over UDP sockets from a static peer
+       table (--bind sets the coordinator address, --peers the K-1 worker
+       addresses; both default to auto-assigned loopback ports).
+       --transport lossy is that cluster on loopback with seeded datagram
+       drop/duplicate injection, repaired by its ack/nak retransmit window.
+       All replay the in-process trajectory bit-for-bit and need
+       --shards K > 1.
 
 PROTOCOLS: resolved through the gossip-core registry (push, pull, hybrid);
            --process is accepted as an alias of --protocol.
@@ -591,7 +593,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             };
             let id = RuleId::parse(process)?;
             let plan = (*churn > 0).then(|| churn_plan(g.n(), *churn, *seed));
-            let line = if *transport == Transport::Udp {
+            let line = if matches!(transport, Transport::Udp | Transport::Lossy) {
                 // Datagram cluster: coordinator in this process, one
                 // re-execed worker process per remaining peer-table slot
                 // (`maybe_run_cluster_shard` diverts the copies).
@@ -599,6 +601,13 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let mut b = ClusterBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
                 if let Some(plan) = plan.clone() {
                     b = b.with_membership(plan);
+                }
+                if *transport == Transport::Lossy {
+                    b = b.with_loss(DatagramLoss {
+                        seed: seed ^ 0x1055,
+                        drop_per_mille: 50,
+                        dup_per_mille: 30,
+                    });
                 }
                 if let Some(addr) = bind {
                     b = b.with_bind(addr.parse().map_err(|e| format!("--bind {addr}: {e}"))?);
@@ -612,7 +621,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 }
                 let engine = b.spawn().map_err(|e| format!("cluster spawn: {e}"))?;
                 serve_report(engine, cfg)
-            } else if *transport != Transport::Inproc {
+            } else if *transport == Transport::Uds {
                 // Serialized seam: one OS process per shard, framed
                 // mailboxes over UDS. Worker copies of this binary never
                 // reach the CLI — `maybe_run_worker` diverts them at the
@@ -621,14 +630,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let mut b = TransportBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
                 if let Some(plan) = plan.clone() {
                     b = b.with_membership(plan);
-                }
-                if *transport == Transport::Lossy {
-                    b = b.with_lossy(LossyConfig {
-                        seed: seed ^ 0x1055,
-                        drop_per_mille: 50,
-                        dup_per_mille: 30,
-                        reorder: true,
-                    });
                 }
                 let engine = b.spawn().map_err(|e| format!("transport spawn: {e}"))?;
                 serve_report(engine, cfg)

@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`graph`] (`gossip-graph`) | dynamic graphs with O(1) neighbor sampling, generators incl. the paper's lower-bound constructions, traversal/SCC/closure |
 //! | [`core`] (`gossip-core`) | the push/pull/directed processes, deterministic parallel engine, engine builder, unified round-listener seam, membership lifecycle seam (join/leave between rounds), Monte Carlo trials, robustness variants |
-//! | [`shard`] (`gossip-shard`) | deterministic multi-shard round engine: shard-parallel propose/apply over owner-partitioned arena segments, plus the cross-process transport (framed mailboxes over Unix domain sockets, deterministic and lossy modes) |
+//! | [`shard`] (`gossip-shard`) | deterministic multi-shard round engine: shard-parallel propose/apply over owner-partitioned arena segments, plus the cross-process transport (framed mailboxes over Unix domain sockets) |
 //! | [`cluster`] (`gossip-cluster`) | datagram shard transport for cross-host runs: static peer tables, per-peer ack/timeout/backoff windows with fragmentation, streamed bootstrap snapshots, shard-0 round coordinator |
 //! | [`serve`] (`gossip-serve`) | resident service: a live engine behind cheap epoch snapshots, a concurrent query surface, and pluggable listeners |
 //! | [`baselines`] (`gossip-baselines`) | Name Dropper, Random Pointer Jump, throttled ND, flooding — with message-bit accounting |
@@ -78,6 +78,6 @@ pub mod prelude {
         TrajectoryRecorder,
     };
     pub use gossip_shard::{
-        BuildSharded, LossyConfig, ShardedEngine, TransportBuilder, TransportEngine, TransportMode,
+        BuildSharded, ShardedEngine, TransportBuilder, TransportEngine, TransportMode,
     };
 }
