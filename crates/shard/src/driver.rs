@@ -556,10 +556,9 @@ impl RoundInbox {
     /// Feeds one mail frame whose carrier does not vouch for its origin
     /// (relayed by the supervisor, or stashed before the round started).
     pub fn accept_mail(&mut self, f: &MailFrame) -> io::Result<()> {
-        match self.asm.accept(f) {
-            Ok(_) => Ok(()),
-            Err(e) => Err(self.reject(f.source as usize, e)),
-        }
+        self.asm
+            .accept(f)
+            .map_err(|e| self.reject(f.source as usize, e))
     }
 
     /// Feeds one frame received from shard `from`. Mail must be `from`'s
@@ -918,8 +917,10 @@ impl<L: ShardLink> RoundEngine for ShardRoundDriver<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framed::parse_framed;
     use crate::wire::{mailbox_frames, MAX_FRAME_ENTRIES};
     use crate::ShardedEngine;
+    use bytes::{BufMut, BytesMut};
     use gossip_core::rng::stream_rng;
     use gossip_core::Pull;
     use gossip_graph::generators;
@@ -931,11 +932,13 @@ mod tests {
     /// fed `(from, frame)` pairs no socket produces on demand, everything
     /// the near side sends is recorded, and a script that runs dry ends
     /// the call instead of blocking. Shaped like the datagram mesh (mail
-    /// arrives from its source; the coordinator is shard 0).
+    /// arrives from its source; the coordinator is shard 0). The script
+    /// is kept as wire bytes and decoded on receipt, as a real carrier
+    /// does, so it can also hold bytes no current encoder writes.
     struct ScriptedLink {
         shard: usize,
         shards: usize,
-        script: VecDeque<(usize, Frame)>,
+        script: VecDeque<(usize, Vec<u8>)>,
         replica: Option<ShardReplica>,
         /// Shared, so a test can still read it once `run_shard` has
         /// consumed the link.
@@ -944,13 +947,25 @@ mod tests {
 
     impl ScriptedLink {
         fn new(shard: usize, shards: usize, script: Vec<(usize, Frame)>) -> Self {
+            let encode = |(from, frame): (usize, Frame)| {
+                let mut buf = BytesMut::new();
+                frame.encode(&mut buf);
+                (from, buf.to_vec())
+            };
             ScriptedLink {
                 shard,
                 shards,
-                script: script.into(),
+                script: script.into_iter().map(encode).collect(),
                 replica: None,
                 sent: Rc::default(),
             }
+        }
+
+        fn recv(&mut self) -> io::Result<Option<(usize, Frame)>> {
+            let Some((from, bytes)) = self.script.pop_front() else {
+                return Ok(None);
+            };
+            Ok(Some((from, parse_framed(&bytes)?)))
         }
     }
 
@@ -959,7 +974,7 @@ mod tests {
             Ok(self.replica.take().expect("bootstrap state scripted"))
         }
         fn next_round(&mut self) -> io::Result<Option<u64>> {
-            match self.script.pop_front() {
+            match self.recv()? {
                 Some((0, Frame::Start { round })) => Ok(Some(round)),
                 Some((0, Frame::Shutdown)) | None => Ok(None),
                 Some((from, other)) => Err(protocol_err(format!("peer {from}: {other:?}"))),
@@ -990,7 +1005,7 @@ mod tests {
                 (0..self.shards).map(|s| coordinator && s != 0).collect(),
             );
             while !inbox.is_complete() {
-                let Some((from, frame)) = self.script.pop_front() else {
+                let Some((from, frame)) = self.recv()? else {
                     break;
                 };
                 inbox.accept(from, frame)?;
@@ -1130,6 +1145,40 @@ mod tests {
         let mut link = ScriptedLink::new(1, 2, script);
         link.replica = Some(replica(1));
         assert_rejected(run_shard(link), 0, 0);
+    }
+
+    #[test]
+    fn a_repeated_mail_frame_is_rejected_not_swallowed() {
+        let h = round0();
+        let mut script = honest_worker_script(&h);
+        script.insert(1, script[0].clone());
+        assert_rejected(coordinator(script).try_step(None), 1, 0);
+    }
+
+    #[test]
+    fn frames_the_hub_protocol_retired_or_never_takes_from_a_worker_are_rejected() {
+        // A worker echoing the supervisor's EndMail decodes, and is then
+        // illegal in the round.
+        let h = round0();
+        let mut script = honest_worker_script(&h);
+        script.insert(0, (1, Frame::EndMail { round: 0 }));
+        assert_rejected(coordinator(script).try_step(None), 1, 0);
+
+        // Kind 8, byte for byte as wire version 2 wrote a `Nak` asking for
+        // a whole stream: round, source, owner, no known total, no seqs.
+        let mut old_nak = BytesMut::new();
+        old_nak.put_u32_le(22);
+        old_nak.put_u8(8);
+        old_nak.put_u64_le(0);
+        old_nak.put_u32_le(0);
+        old_nak.put_u32_le(1);
+        old_nak.put_u8(0);
+        old_nak.put_u32_le(0);
+        let mut driver = coordinator(honest_worker_script(&h));
+        driver.link.script.push_front((1, old_nak.to_vec()));
+        let err = driver.try_step(None).expect_err("kind 8 is retired");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("unknown frame kind 8"), "{err}");
     }
 
     #[test]

@@ -49,7 +49,8 @@
 //! its assemblers are *interleaved*: any interleaving of sources is
 //! accepted, each stream still in `seq` order. Reassembly is keyed by
 //! `(source, owner, seq)`, so the concatenation handed back is canonical
-//! either way.
+//! either way. No carrier delivers a mail frame twice, so a repeated
+//! `(source, owner, seq)` is a protocol violation in both modes.
 //!
 //! Decoding is **checked end to end**: every getter is the non-panicking
 //! `try_*` form from the bytes shim, truncated or trailing bytes are
@@ -919,7 +920,7 @@ impl Defragmenter {
 /// additionally asserts canonical `(source, owner, seq)` arrival order —
 /// the stream transport's contract. Non-strict mode accepts any
 /// interleaving of sources, as the datagram mesh's one link per peer
-/// produces.
+/// produces. A repeated frame is an error in both.
 #[derive(Debug)]
 pub struct MailboxAssembler {
     shards: usize,
@@ -957,8 +958,8 @@ pub enum AssembleError {
         /// The frame's owner shard.
         owner: u32,
     },
-    /// Same `(source, owner, seq)` seen twice (strict mode only — lossy
-    /// mode silently ignores duplicates).
+    /// Same `(source, owner, seq)` seen twice. No carrier delivers a
+    /// mail frame twice, so this is a misbehaving peer in either mode.
     Duplicate {
         /// The duplicated frame's source.
         source: u32,
@@ -1077,9 +1078,8 @@ impl MailboxAssembler {
         Some((source, owner, seq))
     }
 
-    /// Feeds one mail frame. Returns `Ok(true)` if the frame was new,
-    /// `Ok(false)` if it was a duplicate ignored in lossy mode.
-    pub fn accept(&mut self, f: &MailFrame) -> Result<bool, AssembleError> {
+    /// Feeds one mail frame.
+    pub fn accept(&mut self, f: &MailFrame) -> Result<(), AssembleError> {
         if f.round != self.round {
             return Err(AssembleError::WrongRound {
                 got: f.round,
@@ -1095,31 +1095,22 @@ impl MailboxAssembler {
                 owner: f.owner,
             });
         }
-        if self.strict {
-            match self.next_expected() {
-                Some((s, o, q)) if (s, o, q) == (f.source, f.owner, f.seq) => {}
-                _ => {
-                    // Distinguish a replayed frame from a skipped one for
-                    // the error message; both are protocol violations.
-                    let st = &self.streams[self.idx(f.source, f.owner)];
-                    let seen = st.chunks.get(f.seq as usize).is_some_and(|c| c.is_some());
-                    return Err(if seen {
-                        AssembleError::Duplicate {
-                            source: f.source,
-                            owner: f.owner,
-                            seq: f.seq,
-                        }
-                    } else {
-                        AssembleError::OutOfOrder {
-                            source: f.source,
-                            owner: f.owner,
-                            seq: f.seq,
-                        }
-                    });
-                }
-            }
-        }
         let idx = self.idx(f.source, f.owner);
+        let seen = &self.streams[idx].chunks;
+        if seen.get(f.seq as usize).is_some_and(|c| c.is_some()) {
+            return Err(AssembleError::Duplicate {
+                source: f.source,
+                owner: f.owner,
+                seq: f.seq,
+            });
+        }
+        if self.strict && self.next_expected() != Some((f.source, f.owner, f.seq)) {
+            return Err(AssembleError::OutOfOrder {
+                source: f.source,
+                owner: f.owner,
+                seq: f.seq,
+            });
+        }
         let st = &mut self.streams[idx];
         if let Some(total) = st.total {
             let conflicting_last = f.last && f.seq + 1 != total;
@@ -1134,10 +1125,6 @@ impl MailboxAssembler {
         if st.chunks.len() <= f.seq as usize {
             st.chunks.resize_with(f.seq as usize + 1, || None);
         }
-        if st.chunks[f.seq as usize].is_some() {
-            // Lossy duplicate: drop it (strict mode already errored above).
-            return Ok(false);
-        }
         if f.last {
             if st.chunks.len() > f.seq as usize + 1 {
                 return Err(AssembleError::BeyondLast {
@@ -1150,13 +1137,11 @@ impl MailboxAssembler {
         }
         st.chunks[f.seq as usize] = Some(f.entries.clone());
         st.received += 1;
-        if self.strict {
+        if self.strict && f.last {
             // Advance the canonical cursor past completed streams.
-            if f.last {
-                self.cursor = self.next_expected_from(self.cursor + 1);
-            }
+            self.cursor = self.next_expected_from(self.cursor + 1);
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Whether every expected stream is fully received.
@@ -1417,7 +1402,7 @@ mod tests {
         }
         let mut asm = MailboxAssembler::for_worker(shards, 1, 5, true);
         for f in &frames {
-            assert_eq!(asm.accept(f), Ok(true), "frame {f:?}");
+            assert_eq!(asm.accept(f), Ok(()), "frame {f:?}");
         }
         assert!(asm.is_complete());
         let mail = asm.into_mail();
@@ -1440,7 +1425,7 @@ mod tests {
                 seq: 1
             })
         );
-        assert_eq!(asm.accept(&frames[0]), Ok(true));
+        assert_eq!(asm.accept(&frames[0]), Ok(()));
         assert_eq!(
             asm.accept(&frames[0]),
             Err(AssembleError::Duplicate {
@@ -1471,11 +1456,20 @@ mod tests {
         let entries: Vec<HalfEdge> = (0..20u32).map(|i| (i, NodeId(i), NodeId(i + 1))).collect();
         let frames = mailbox_frames(3, 1, 1, &entries, 4); // 5 frames
         let mut asm = MailboxAssembler::for_worker(shards, 0, 3, false);
-        // Deliver out of order, duplicated, with frame 2 missing; the
-        // other stream (1 -> 0) never arrives at all.
-        for f in [&frames[4], &frames[0], &frames[0], &frames[3], &frames[1]] {
+        // Deliver out of order, with frame 2 missing; the other stream
+        // (1 -> 0) never arrives at all. A repeated frame is rejected
+        // and leaves the assembly as it was.
+        for f in [&frames[4], &frames[0], &frames[3], &frames[1]] {
             asm.accept(f).unwrap();
         }
+        assert_eq!(
+            asm.accept(&frames[0]),
+            Err(AssembleError::Duplicate {
+                source: 1,
+                owner: 1,
+                seq: 0
+            })
+        );
         assert!(!asm.is_complete());
         assert!(!asm.source_complete(1));
         // The gaps arrive late: completeness and canonical reassembly.

@@ -12,8 +12,8 @@ use gossip_core::rng::stream_rng;
 use gossip_graph::{generators, HalfEdge, NodeId, SegSnapshotAssembler, ShardedArenaGraph};
 use gossip_shard::framed::parse_framed;
 use gossip_shard::wire::{
-    fragment_frames, mailbox_frames, AckFrame, Defragmenter, FragmentError, Frame, MailFrame,
-    MailboxAssembler,
+    fragment_frames, mailbox_frames, AckFrame, AssembleError, Defragmenter, FragmentError, Frame,
+    MailFrame, MailboxAssembler,
 };
 use gossip_shard::MAX_FRAME_ENTRIES;
 use proptest::prelude::*;
@@ -148,8 +148,9 @@ proptest! {
     }
 
     /// The non-strict assembler reconstructs the canonical mailbox from
-    /// any delivery order with any duplication pattern, and stays
-    /// incomplete exactly until the withheld frame arrives.
+    /// any delivery order, rejects every repeated frame without losing
+    /// its place, and stays incomplete exactly until the withheld frame
+    /// arrives.
     #[test]
     fn lossy_assembler_recovers_any_permutation(
         raw in proptest::collection::vec(any::<u64>(), 0..600),
@@ -160,7 +161,7 @@ proptest! {
         let entries = entries_from(&raw);
         let frames = mailbox_frames(round, 1, 0, &entries, 64);
         let mut asm = MailboxAssembler::for_worker(shards, 0, round, false);
-        // Deliver a seeded shuffle with duplicates, withholding one frame
+        // Deliver a seeded shuffle with repeats, withholding one frame
         // when there are at least two.
         let mut rng = stream_rng(seed, 0, 0);
         let withheld = if frames.len() > 1 {
@@ -176,8 +177,15 @@ proptest! {
             let j = rng.random_range(0..=k);
             order.swap(k, j);
         }
+        let mut delivered = vec![false; frames.len()];
         for i in order {
-            asm.accept(&frames[i]).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let got = asm.accept(&frames[i]);
+            if std::mem::replace(&mut delivered[i], true) {
+                let seq = i as u32;
+                prop_assert_eq!(got, Err(AssembleError::Duplicate { source: 1, owner: 0, seq }));
+            } else {
+                prop_assert_eq!(got, Ok(()));
+            }
         }
         // The other expected stream (1 -> 1) arrives intact.
         for f in mailbox_frames(round, 1, 1, &[], 64) {
