@@ -32,24 +32,14 @@
 //! million-node round over 2×2 shard processes on two loopback hosts,
 //! bit-identical to the in-process engine at every loss rate.
 
-use crate::experiments::shard::{fmt_mib, row_checksum, sparse_sharded};
+use crate::experiments::shard::{fixed_horizon, fmt_mib, oracle, sparse_sharded, FixedHorizon};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_cluster::{ClusterBuilder, ClusterStats, DatagramLoss};
-use gossip_core::{Pull, RoundStats, RuleId};
-use gossip_shard::{ShardedEngine, TransportMode};
+use gossip_core::RuleId;
+use gossip_shard::TransportMode;
 use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
-
-/// The in-process oracle: same reduction as E19 — per-round stats, final
-/// `m`, row checksum — dropped before any worker process spawns.
-fn oracle(n: usize, shards: usize, horizon: u64, seed: u64) -> (Vec<RoundStats>, u64, u64) {
-    let g = sparse_sharded(n, 2 * n as u64, seed, shards);
-    let mut e = ShardedEngine::new(g, Pull, seed ^ 0x5A4D);
-    let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
-    let g = e.into_graph();
-    (stats, g.m(), row_checksum(&g))
-}
 
 /// The two-host loopback peer table: shard 1 beside the coordinator on
 /// `127.0.0.1`, shards 2..S on `127.0.0.2` (falling back to single-host
@@ -76,11 +66,8 @@ fn two_host_table(shards: usize) -> Vec<SocketAddr> {
 }
 
 struct ClusterRun {
-    stats: Vec<RoundStats>,
-    final_m: u64,
-    checksum: u64,
+    run: FixedHorizon,
     cluster: ClusterStats,
-    wall_ns_per_round: f64,
     /// Spawn through the end of round 0, the window the streamed
     /// bootstrap overlaps with snapshot transfer.
     first_round_ns: u64,
@@ -106,22 +93,13 @@ fn cluster_run(
         b = b.with_loss(l);
     }
     let mut e = b.spawn().expect("spawn cluster shards");
-    let t = Instant::now();
-    let mut stats: Vec<RoundStats> = vec![e.step()];
-    let first_round_ns = t_boot.elapsed().as_nanos() as u64;
-    stats.extend((1..horizon).map(|_| e.step()));
-    let wall_ns_per_round = t.elapsed().as_nanos() as f64 / horizon as f64;
-    let final_m = e.graph().m();
-    let checksum = row_checksum(e.graph());
+    let run = fixed_horizon(&mut e, horizon);
     let cluster = e.stats();
     e.shutdown().expect("clean shard exit");
     ClusterRun {
-        stats,
-        final_m,
-        checksum,
+        first_round_ns: (run.first_round_end - t_boot).as_nanos() as u64,
+        run,
         cluster,
-        wall_ns_per_round,
-        first_round_ns,
     }
 }
 
@@ -184,8 +162,9 @@ pub fn run(args: &Args) -> Report {
 
         // The headline contract: the datagram cluster replays the
         // in-process engine bit-for-bit at every loss rate.
-        let invariant =
-            r.stats == oracle_stats && r.final_m == oracle_m && r.checksum == oracle_sum;
+        let invariant = r.run.stats == oracle_stats
+            && r.run.final_m == oracle_m
+            && r.run.checksum == oracle_sum;
         assert!(
             invariant,
             "{label} cluster diverged from in-process engine at n={n}, S={shards}"
@@ -208,7 +187,7 @@ pub fn run(args: &Args) -> Report {
             );
         }
 
-        let added: u64 = r.stats.iter().map(|st| st.added).sum();
+        let added: u64 = r.run.stats.iter().map(|st| st.added).sum();
         report.measure_scalar(
             "trajectory_invariant_vs_inproc",
             label,
@@ -250,7 +229,7 @@ pub fn run(args: &Args) -> Report {
             label,
             fam.clone(),
             n as u64,
-            1e9 / r.wall_ns_per_round,
+            1e9 / r.run.wall_ns_per_round,
         );
         report.measure_wallclock_scalar(
             "retransmitted_datagrams",
@@ -289,7 +268,7 @@ pub fn run(args: &Args) -> Report {
             r.cluster.endpoint.injected_drops.to_string(),
             r.cluster.endpoint.retransmitted.to_string(),
             r.cluster.endpoint.acks_sent.to_string(),
-            fmt_f64(1e9 / r.wall_ns_per_round),
+            fmt_f64(1e9 / r.run.wall_ns_per_round),
             worker_rss.map_or("-".into(), fmt_mib),
         ]);
     }
@@ -302,9 +281,9 @@ pub fn run(args: &Args) -> Report {
     // the baseline spends idle: the savings (wall-clock appendix only).
     let blocking = cluster_run(n, shards, horizon, args.seed, None, true);
     assert!(
-        blocking.stats == oracle_stats
-            && blocking.final_m == oracle_m
-            && blocking.checksum == oracle_sum,
+        blocking.run.stats == oracle_stats
+            && blocking.run.final_m == oracle_m
+            && blocking.run.checksum == oracle_sum,
         "blocking-bootstrap cluster diverged from in-process engine"
     );
     assert_eq!(blocking.cluster.bootstrap_overlap_datagrams, 0);
@@ -386,10 +365,10 @@ mod tests {
                 b = b.with_loss(l);
             }
             let mut e = b.spawn().expect("spawn");
-            let got: Vec<RoundStats> = (0..3).map(|_| e.step()).collect();
-            assert_eq!(got, stats);
-            assert_eq!(e.graph().m(), m);
-            assert_eq!(row_checksum(e.graph()), sum);
+            let r = fixed_horizon(&mut e, 3);
+            assert_eq!(r.stats, stats);
+            assert_eq!(r.final_m, m);
+            assert_eq!(r.checksum, sum);
             if loss.is_some() {
                 assert!(e.stats().endpoint.injected_drops > 0);
             }

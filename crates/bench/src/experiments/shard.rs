@@ -31,7 +31,7 @@ use gossip_analysis::{fmt_f64, Table};
 use gossip_core::engine::{propose_round, PROPOSAL_CHUNK};
 use gossip_core::{EngineBuilder, GossipGraph, ProposalRule, Pull, Push, RoundStats};
 use gossip_graph::{NodeId, ShardedArenaGraph};
-use gossip_shard::{BuildSharded, ShardedEngine};
+use gossip_shard::{BuildSharded, ShardLink, ShardRoundDriver, ShardedEngine};
 use std::time::Instant;
 
 /// Connected sparse start graph built directly in the sharded layout: a
@@ -68,6 +68,53 @@ pub(crate) fn row_checksum(g: &ShardedArenaGraph) -> u64 {
         h.write(&[0xFF]); // row boundary
     }
     h.finish()
+}
+
+/// The in-process oracle E19 and E20 compare against: the workload both
+/// run — sparse `2n`-edge graph, Pull, `horizon` rounds — on
+/// [`ShardedEngine`], reduced to what invariance compares: per-round
+/// stats, final `m`, row checksum. The graph itself is dropped here,
+/// before any worker spawns.
+pub(crate) fn oracle(
+    n: usize,
+    shards: usize,
+    horizon: u64,
+    seed: u64,
+) -> (Vec<RoundStats>, u64, u64) {
+    let g = sparse_sharded(n, 2 * n as u64, seed, shards);
+    let mut e = ShardedEngine::new(g, Pull, seed ^ 0x5A4D);
+    let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
+    let g = e.into_graph();
+    (stats, g.m(), row_checksum(&g))
+}
+
+/// What [`fixed_horizon`] measured.
+pub(crate) struct FixedHorizon {
+    pub stats: Vec<RoundStats>,
+    pub final_m: u64,
+    pub checksum: u64,
+    pub wall_ns_per_round: f64,
+    /// When round 0 finished (E20 times its bootstrap up to here).
+    pub first_round_end: Instant,
+}
+
+/// Steps a cross-process engine, over either carrier, `horizon` rounds
+/// and reduces the run to the oracle's terms plus wall time per round.
+pub(crate) fn fixed_horizon<L: ShardLink>(
+    e: &mut ShardRoundDriver<L>,
+    horizon: u64,
+) -> FixedHorizon {
+    let t = Instant::now();
+    let mut stats = vec![e.step()];
+    let first_round_end = Instant::now();
+    stats.extend((1..horizon).map(|_| e.step()));
+    FixedHorizon {
+        stats,
+        final_m: e.graph().m(),
+        checksum: row_checksum(e.graph()),
+        wall_ns_per_round: t.elapsed().as_nanos() as f64 / horizon as f64,
+        first_round_end,
+    }
 }
 
 /// Fraction of edges whose endpoints live in different shards — the

@@ -32,32 +32,14 @@
 //! carrier loss and its repair are E20's grid (0/5/20 % on the datagram
 //! window).
 
-use crate::experiments::shard::{fmt_mib, peak_rss_bytes, row_checksum, sparse_sharded};
+use crate::experiments::shard::{
+    fixed_horizon, fmt_mib, oracle, peak_rss_bytes, sparse_sharded, FixedHorizon,
+};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
-use gossip_core::{Pull, RoundStats, RuleId};
+use gossip_core::RuleId;
 use gossip_shard::transport::{TransportBuilder, TransportMode};
-use gossip_shard::{ShardedEngine, TransportStats};
-use std::time::Instant;
-
-/// The in-process oracle: same `(n, seed, horizon)` on `ShardedEngine`,
-/// reduced to what invariance compares — per-round stats, final `m`, row
-/// checksum. The graph itself is dropped here, before any worker spawns.
-fn oracle(n: usize, shards: usize, horizon: u64, seed: u64) -> (Vec<RoundStats>, u64, u64) {
-    let g = sparse_sharded(n, 2 * n as u64, seed, shards);
-    let mut e = ShardedEngine::new(g, Pull, seed ^ 0x5A4D);
-    let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
-    let g = e.into_graph();
-    (stats, g.m(), row_checksum(&g))
-}
-
-struct TransportRun {
-    stats: Vec<RoundStats>,
-    final_m: u64,
-    checksum: u64,
-    wire: TransportStats,
-    wall_ns_per_round: f64,
-}
+use gossip_shard::TransportStats;
 
 /// One fixed-horizon run across the serialized seam.
 fn transport_run(
@@ -66,26 +48,16 @@ fn transport_run(
     horizon: u64,
     seed: u64,
     mode: TransportMode,
-) -> TransportRun {
+) -> (FixedHorizon, TransportStats) {
     let g = sparse_sharded(n, 2 * n as u64, seed, shards);
     let mut e = TransportBuilder::new(g, RuleId::Pull, seed ^ 0x5A4D)
         .with_mode(mode)
         .spawn()
         .expect("spawn shard workers");
-    let t = Instant::now();
-    let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
-    let wall_ns_per_round = t.elapsed().as_nanos() as f64 / horizon as f64;
-    let final_m = e.graph().m();
-    let checksum = row_checksum(e.graph());
+    let run = fixed_horizon(&mut e, horizon);
     let wire = e.stats().clone();
     e.shutdown().expect("clean worker exit");
-    TransportRun {
-        stats,
-        final_m,
-        checksum,
-        wire,
-        wall_ns_per_round,
-    }
+    (run, wire)
 }
 
 /// E19: framed mailbox exchange across shard processes.
@@ -117,7 +89,7 @@ pub fn run(args: &Args) -> Report {
     for (n, shard_grid, horizon) in sweeps {
         for shards in shard_grid {
             let (oracle_stats, oracle_m, oracle_sum) = oracle(n, shards, horizon, args.seed);
-            let r = transport_run(n, shards, horizon, args.seed, TransportMode::Process);
+            let (r, wire) = transport_run(n, shards, horizon, args.seed, TransportMode::Process);
 
             // The headline contract, measured per run: the serialized
             // seam replays the in-process engine bit-for-bit.
@@ -145,11 +117,11 @@ pub fn run(args: &Args) -> Report {
                 label,
                 fam.clone(),
                 n as u64,
-                r.wire.wire.bytes_sent as f64,
+                wire.wire.bytes_sent as f64,
             );
 
             // Machine-dependent rows: throughput and memory.
-            let worker_rss = r.wire.worker_peak_rss_bytes.iter().copied().max();
+            let worker_rss = wire.worker_peak_rss_bytes.iter().copied().max();
             report.measure_wallclock_scalar(
                 "rounds_per_sec",
                 label,
@@ -172,8 +144,8 @@ pub fn run(args: &Args) -> Report {
                 shards.to_string(),
                 horizon.to_string(),
                 added.to_string(),
-                fmt_mib(r.wire.wire.bytes_sent),
-                r.wire.wire.frames_sent.to_string(),
+                fmt_mib(wire.wire.bytes_sent),
+                wire.wire.frames_sent.to_string(),
                 fmt_f64(1e9 / r.wall_ns_per_round),
                 worker_rss.map_or("-".into(), fmt_mib),
                 peak_rss_bytes().map_or("-".into(), fmt_mib),
@@ -214,10 +186,10 @@ mod tests {
     #[test]
     fn transport_run_matches_oracle_in_thread_mode() {
         let (stats, m, sum) = oracle(1500, 3, 3, 9);
-        let r = transport_run(1500, 3, 3, 9, TransportMode::Thread);
+        let (r, wire) = transport_run(1500, 3, 3, 9, TransportMode::Thread);
         assert_eq!(r.stats, stats);
         assert_eq!(r.final_m, m);
         assert_eq!(r.checksum, sum);
-        assert!(r.wire.wire.bytes_sent > 0);
+        assert!(wire.wire.bytes_sent > 0);
     }
 }
