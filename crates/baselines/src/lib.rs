@@ -16,7 +16,7 @@
 //!   bandwidth; the round-complexity envelope.
 //!
 //! The push/pull processes themselves live in `gossip-core`; experiment
-//! `exp_baselines` puts all of them in one table (rounds vs message size vs
+//! `run_all --only E10` puts all of them in one table (rounds vs message size vs
 //! total traffic).
 
 #![warn(missing_docs)]

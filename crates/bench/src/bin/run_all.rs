@@ -1,6 +1,11 @@
-//! Runs the full experiment battery (E1–E20) and writes every report to the
+//! Runs the experiment battery (E1–E20) and writes every report to the
 //! results directory. `--quick` keeps the whole thing under a couple of
 //! minutes; the full run is sized for a coffee break.
+//!
+//! `--only ID[,ID…]` runs just the named experiments (the ids `battery()`
+//! lists, in its order) — e.g. `--only E19,E20 --quick`. Run E15, E16,
+//! E18 or E19 alone for clean peak-RSS readings: inside a longer battery
+//! the process RSS floor is set by earlier experiments.
 //!
 //! `--report` switches to paper-results mode: the battery runs once per
 //! seed (`--report-seeds`, default 3), the per-configuration measurements
@@ -14,9 +19,11 @@ use gossip_bench::{parse_args, report, Args, Measurement, Report};
 use std::io::Write as _;
 use std::time::Instant;
 
+/// One battery entry: its id and its `run`.
+type Experiment = (&'static str, fn(&Args) -> Report);
+
 /// The battery, in fixed order (report reproducibility relies on it).
-#[allow(clippy::type_complexity)] // dispatch table
-fn battery() -> Vec<(&'static str, fn(&Args) -> Report)> {
+fn battery() -> Vec<Experiment> {
     vec![
         ("E1", exp::scaling::run_push),
         ("E2/E4", exp::dense::run),
@@ -39,6 +46,28 @@ fn battery() -> Vec<(&'static str, fn(&Args) -> Report)> {
     ]
 }
 
+/// The battery entries `--only` selects — all of them when it is absent.
+/// An id the battery does not list exits 2 naming the ones it does.
+fn selected(args: &Args) -> Vec<Experiment> {
+    let mut battery = battery();
+    if let Some(bad) = args
+        .only
+        .iter()
+        .find(|id| !battery.iter().any(|(known, _)| known == id))
+    {
+        let ids: Vec<&str> = battery.iter().map(|&(id, _)| id).collect();
+        eprintln!(
+            "error: unknown experiment id {bad}; expected one of: {}",
+            ids.join(", ")
+        );
+        std::process::exit(2);
+    }
+    if !args.only.is_empty() {
+        battery.retain(|(id, _)| args.only.iter().any(|o| o == id));
+    }
+    battery
+}
+
 fn main() {
     // E19/E20 spawn one re-execed copy of this binary per shard; divert
     // worker copies before they can start a second battery.
@@ -46,12 +75,13 @@ fn main() {
     gossip_cluster::maybe_run_cluster_shard();
 
     let args = parse_args();
+    let battery = selected(&args);
     if args.report {
-        run_report(&args);
+        run_report(&args, &battery);
         return;
     }
     let total = Instant::now();
-    for (id, run) in battery() {
+    for (id, run) in battery {
         let t = Instant::now();
         eprintln!("[run_all] starting {id} ...");
         let report = run(&args);
@@ -66,7 +96,7 @@ fn main() {
 }
 
 /// Paper-results mode: battery × seeds → pooled measurements → RESULTS.md.
-fn run_report(args: &Args) {
+fn run_report(args: &Args, battery: &[Experiment]) {
     let total = Instant::now();
     let mut all: Vec<Measurement> = Vec::new();
     for i in 0..args.report_seeds {
@@ -81,7 +111,7 @@ fn run_report(args: &Args) {
             report: false,
             ..args.clone()
         };
-        for (id, run) in battery() {
+        for &(id, run) in battery {
             let t = Instant::now();
             eprintln!(
                 "[run_all --report] seed {}/{}: {id} ...",

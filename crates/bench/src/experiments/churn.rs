@@ -21,7 +21,7 @@
 //!   copy held alongside the live graph),
 //! * **memory** (acceptance): the `n = 2^22` churn sweep completes within
 //!   1 GiB peak RSS when this experiment sets the process's high-water
-//!   mark (run `exp_churn` standalone for the clean reading); the
+//!   mark (run `run_all --only E18` for the clean reading); the
 //!   acceptance size runs a shorter `ACCEPT_HORIZON` window so edge growth
 //!   stays inside the ceiling.
 //!
@@ -517,7 +517,7 @@ pub fn run(args: &Args) -> Report {
         // process-wide and monotone — inside run_all the floor is set by
         // earlier experiments (E16 also allocates 2^22 graphs), so the
         // ceiling is enforced only when this experiment owns the
-        // high-water mark: run exp_churn standalone for the clean reading.
+        // high-water mark: `run_all --only E18` gives the clean reading.
         if n == 1 << 22 {
             if let (Some(floor), Some(peak)) = (rss_floor, rss) {
                 const GIB: u64 = 1 << 30;
@@ -559,7 +559,7 @@ pub fn run(args: &Args) -> Report {
          regains the pre-leave value; staleness integrates the deficit (edge-rounds) \
          from the leave until recovery. Departed nodes are scrubbed from every row, \
          so both metrics are exact functions of the plan — no failure detector is \
-         modeled. Peak RSS is process-wide and monotone; the standalone exp_churn \
+         modeled. Peak RSS is process-wide and monotone; the standalone `run_all --only E18` \
          run is the clean 1-GiB acceptance reading.",
     );
     report.table("churn bursts: re-discovery and staleness (pull)", deficit);

@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn quick_run_records_deterministic_measurements() {
         // A scaled-down args set (the real quick sweep reaches 2^20 and is
-        // exercised by CI's exp_scale smoke run, not unit tests).
+        // exercised by CI's `run_all --only E15` smoke run, not unit tests).
         let args = Args {
             quick: true,
             trials: 1,

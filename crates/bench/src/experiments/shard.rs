@@ -36,7 +36,7 @@ use std::time::Instant;
 
 /// Connected sparse start graph built directly in the sharded layout: a
 /// random parent tree plus `extra` uniform random edges — the same stream
-/// and workload shape as `exp_scale`'s `sparse_arena`, so edge sets match
+/// and workload shape as E15's `sparse_arena`, so edge sets match
 /// across experiments at the same `(n, seed)`.
 pub(crate) fn sparse_sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
     use rand::Rng;
@@ -133,7 +133,7 @@ fn cross_shard_fraction(g: &ShardedArenaGraph) -> f64 {
 
 /// Process peak RSS (`VmHWM`). Monotone and process-wide: inside
 /// `run_all` earlier experiments raise the floor, so the standalone
-/// `exp_shard` run is the clean source.
+/// `run_all --only E16` run is the clean source.
 pub(crate) use gossip_shard::peak_rss_bytes;
 
 pub(crate) fn fmt_mib(bytes: u64) -> String {
@@ -478,7 +478,7 @@ pub fn run(args: &Args) -> Report {
         "wall-clock columns (phase times, speedups, RSS) are machine-dependent and \
          stay out of the reproducible sections; RESULTS.md carries them in its \
          appendix only. Peak RSS is process-wide and monotone — inside run_all the \
-         floor is set by earlier experiments, so the standalone exp_shard run is \
+         floor is set by earlier experiments, so the standalone `run_all --only E16` run is \
          the clean memory reading.",
     );
     report.table("fixed-horizon throughput vs shard count (pull)", throughput);
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn sparse_sharded_matches_scale_generator() {
-        // Same stream as exp_scale::sparse_arena -> same edge set.
+        // Same stream as experiments::scale::sparse_arena -> same edge set.
         let n = 2048;
         let a = sparse_sharded(n, 2 * n as u64, 7, 4);
         let b = crate::experiments::scale::sparse_arena(n, 2 * n as u64, 7);

@@ -16,9 +16,11 @@ pub struct Args {
     pub trials: usize,
     /// Output directory for CSV/JSON artifacts.
     pub out_dir: PathBuf,
-    /// `run_all` only: render the aggregated paper-results report.
+    /// Battery ids (`E1` … `E20`) to run; empty runs the whole battery.
+    pub only: Vec<String>,
+    /// Render the aggregated paper-results report.
     pub report: bool,
-    /// `run_all --report` only: how many seeds to pool per configuration.
+    /// `--report` only: how many seeds to pool per configuration.
     pub report_seeds: usize,
 }
 
@@ -29,33 +31,30 @@ impl Default for Args {
             seed: 0xD15C0,
             trials: 0,
             out_dir: PathBuf::from("results"),
+            only: Vec::new(),
             report: false,
             report_seeds: 3,
         }
     }
 }
 
-/// Parses `--quick`, `--seed N`, `--trials N`, `--out DIR`, `--report`,
-/// `--report-seeds N` from argv. Unknown flags abort with usage — silent
-/// typos in experiment flags have burned too many lab notebooks.
+/// Parses `--only ID[,ID…]`, `--quick`, `--seed N`, `--trials N`,
+/// `--out DIR`, `--report`, `--report-seeds N` from argv. Unknown flags
+/// abort with usage — silent typos in experiment flags have burned too
+/// many lab notebooks.
 pub fn parse_args() -> Args {
     let mut args = Args::default();
-    let mut argv = std::env::args();
-    // Only run_all implements report mode; accepting --report in an exp_*
-    // binary would silently do an ordinary single run instead. Match the
-    // binary's file stem, not the whole path — a checkout under a directory
-    // named "run_all*" must not defeat the guard.
-    let is_run_all = argv.next().is_some_and(|bin| {
-        std::path::Path::new(&bin)
-            .file_stem()
-            .is_some_and(|stem| stem == "run_all")
-    });
-    let mut it = argv;
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => args.quick = true,
-            "--report" if is_run_all => args.report = true,
-            "--report" => usage("--report is only supported by run_all"),
+            "--report" => args.report = true,
+            "--only" => {
+                let ids = it
+                    .next()
+                    .unwrap_or_else(|| usage("--only needs a comma-separated id list"));
+                args.only.extend(ids.split(',').map(String::from));
+            }
             "--seed" => {
                 args.seed = it
                     .next()
@@ -68,7 +67,6 @@ pub fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage("--trials needs an integer"))
             }
-            "--report-seeds" if !is_run_all => usage("--report-seeds is only supported by run_all"),
             "--report-seeds" => {
                 args.report_seeds = it
                     .next()
@@ -90,8 +88,10 @@ pub fn parse_args() -> Args {
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
-    eprintln!("usage: exp_* [--quick] [--seed N] [--trials N] [--out DIR]");
-    eprintln!("       run_all additionally accepts [--report] [--report-seeds N]");
+    eprintln!(
+        "usage: run_all [--only ID[,ID...]] [--quick] [--seed N] [--trials N] [--out DIR] \
+         [--report] [--report-seeds N]"
+    );
     std::process::exit(2);
 }
 

@@ -1,9 +1,9 @@
 //! # gossip-bench
 //!
 //! The experiment harness: one module per paper artifact (theorem/figure),
-//! each regenerating its table from scratch. Binaries under `src/bin/` are
-//! thin wrappers so `cargo run -p gossip-bench --release --bin exp_*` works;
-//! `run_all` executes the full battery and writes `results/`.
+//! each regenerating its table from scratch. The one binary, `run_all`,
+//! executes the battery — all of it, or `--only E1,E19,…` — and writes
+//! `results/`.
 //!
 //! Conventions:
 //! * `--quick` shrinks sweeps for CI-speed runs; the full battery is sized

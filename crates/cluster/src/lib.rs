@@ -629,7 +629,7 @@ impl ShardLink for MeshLink {
 /// worker (binding its slot of the peer table from
 /// [`CLUSTER_PEERS_ENV`]) and exits; otherwise returns immediately.
 /// Binaries that may host [`TransportMode::Process`] cluster workers —
-/// the CLI, `exp_cluster`, `run_all`, the `udp_process` test — call this
+/// the CLI, `run_all`, the `udp_process` test — call this
 /// first thing in `main`.
 pub fn maybe_run_cluster_shard() {
     let Ok(shard_s) = std::env::var(CLUSTER_SHARD_ENV) else {

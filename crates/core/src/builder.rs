@@ -4,8 +4,8 @@
 //! it: `Engine::new(graph, rule, seed).with_parallelism(..)` here, an
 //! `AsyncEngine::new` there, a `ShardedEngine` with a shard plan somewhere
 //! else — and anything generic over "an engine" (the serve loop, the trial
-//! runners, the exp_* bins) had to duplicate that choice. [`EngineBuilder`]
-//! centralizes it: collect the ingredients (graph, rule, seed, parallelism
+//! runners, the experiment battery) had to duplicate that choice.
+//! [`EngineBuilder`] centralizes it: collect the ingredients (graph, rule, seed, parallelism
 //! policy), then pick the execution variant at the end — statically
 //! ([`EngineBuilder::build`], [`EngineBuilder::build_async`]) or as a
 //! trait object behind the [`RoundEngine`] seam

@@ -73,7 +73,7 @@ where
 /// `consume` as it completes instead of batching engines across workers.
 ///
 /// This is the memory-bound entry point for giant-`n` configurations
-/// (`gossip-bench`'s `exp_scale` sweeps to `n = 2^20`): at any instant
+/// (`gossip-bench`'s `run_all --only E15` sweeps to `n = 2^20`): at any instant
 /// exactly one engine — one graph clone plus its proposal buffers — is
 /// alive, so peak memory is `O(edges)`, not `O(workers · edges)` like the
 /// parallel batch path, and nothing accumulates with the trial count.

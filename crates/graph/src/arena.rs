@@ -20,7 +20,7 @@
 //! Memory is `O(m + n)` — `4` bytes per stored half-edge plus fixed per-node
 //! bookkeeping — restoring the paper's large-`n` regime: the same machine
 //! that tops out near `n = 2^17` on the bitmap layout runs `n = 2^20`
-//! comfortably on the arena (see `gossip-bench`'s `exp_scale`).
+//! comfortably on the arena (see `gossip-bench`'s `run_all --only E15`).
 //!
 //! # Why determinism survives compaction order under churn
 //!

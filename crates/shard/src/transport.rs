@@ -62,7 +62,7 @@
 //! normal test harness. [`TransportMode::Process`] re-execs the current
 //! binary for each worker; the child detects [`WORKER_SOCKET_ENV`] via
 //! [`maybe_run_worker`], which binaries embedding this engine must call
-//! at the top of `main` (the CLI, `exp_transport`, and the `uds_process`
+//! at the top of `main` (the CLI, `run_all`, and the `uds_process`
 //! integration test all do). **Never use `Process` mode from a default
 //! libtest harness** — the re-execed child would be the test harness
 //! itself and would run the whole test suite instead of a worker.
@@ -473,7 +473,7 @@ impl ShardLink for HubLink {
 /// If [`WORKER_SOCKET_ENV`] is set, runs this process as a shard worker
 /// against that socket and exits; otherwise returns immediately. Binaries
 /// that may host [`TransportMode::Process`] workers — the CLI,
-/// `exp_transport`, the `uds_process` test — call this first thing in
+/// `run_all`, the `uds_process` test — call this first thing in
 /// `main`.
 pub fn maybe_run_worker() {
     if let Ok(path) = std::env::var(WORKER_SOCKET_ENV) {

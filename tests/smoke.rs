@@ -20,7 +20,7 @@ fn quickstart_push_completes_a_32_node_star() {
 
 /// The README's million-node snippet, shrunk to test scale: the arena
 /// backend drives the same engine through the same prelude, in O(m + n)
-/// memory (the full 2^20 run is exercised by `exp_scale --quick` in CI).
+/// memory (the full 2^20 run is exercised by `run_all --only E15 --quick` in CI).
 #[test]
 fn quickstart_arena_backend_runs_the_same_engine() {
     let n: u32 = 1 << 12;
@@ -36,7 +36,7 @@ fn quickstart_arena_backend_runs_the_same_engine() {
 
 /// The README's sharded-engine snippet, verbatim: the multi-shard engine
 /// drives the same process through the same prelude (the full 2^22 run is
-/// exercised by `exp_shard --quick` in CI).
+/// exercised by `run_all --only E16 --quick` in CI).
 #[test]
 fn quickstart_sharded_engine_runs_the_same_process() {
     let und = generators::star(64);
@@ -49,7 +49,7 @@ fn quickstart_sharded_engine_runs_the_same_process() {
 
 /// The README's churn snippet, verbatim: a burst schedule attached through
 /// the membership lifecycle seam, leaves and rejoins applied between
-/// rounds (the full 2^22 run is `exp_churn` in CI).
+/// rounds (the full 2^22 run is `run_all --only E18` in CI).
 #[test]
 fn quickstart_churn_applies_membership_bursts() {
     let und = generators::star(256);
@@ -72,7 +72,7 @@ fn quickstart_churn_applies_membership_bursts() {
 /// The README's transport snippet, verbatim: the sharded round across a
 /// serialized seam — thread-hosted shard workers exchanging framed
 /// mailboxes over Unix-domain socketpairs (process mode and the 10^7 run
-/// are `exp_transport` in CI; libtest harnesses must not re-exec).
+/// are `run_all --only E19` in CI; libtest harnesses must not re-exec).
 #[test]
 fn quickstart_transport_runs_shard_workers_over_framed_sockets() {
     let und = generators::star(512);
@@ -92,7 +92,7 @@ fn quickstart_transport_runs_shard_workers_over_framed_sockets() {
 /// over UDP — thread-hosted shard peers on real datagram sockets resolved
 /// from an auto-reserved loopback peer table, seeded drop/duplication
 /// repaired by the ack/timeout/backoff windows (process mode, the
-/// two-host grid, and the 2^20 run are `exp_cluster` in CI; libtest
+/// two-host grid, and the 2^20 run are `run_all --only E20` in CI; libtest
 /// harnesses must not re-exec).
 #[test]
 fn quickstart_cluster_runs_shard_peers_over_udp() {
@@ -115,7 +115,7 @@ fn quickstart_cluster_runs_shard_peers_over_udp() {
 
 /// The README's serving snippet, verbatim: any engine behind the resident
 /// service, queried live through epoch snapshots, engine returned on join
-/// (the full 2^20 run under concurrent query load is `exp_serve` in CI).
+/// (the full 2^20 run under concurrent query load is `run_all --only E17` in CI).
 #[test]
 fn quickstart_serve_queries_a_live_engine() {
     let und = generators::star(64);
