@@ -81,22 +81,6 @@ impl OnlineStats {
         self.max
     }
 
-    /// Reconstructs an accumulator from externally stored summary moments
-    /// (count, mean, and sum of squared deviations `m2 = stddev² · (n-1)`),
-    /// so summaries persisted without raw samples can still [`merge`]
-    /// exactly.
-    ///
-    /// [`merge`]: OnlineStats::merge
-    pub fn from_moments(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> OnlineStats {
-        OnlineStats {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
     /// Merges another accumulator (parallel reduction).
     pub fn merge(&mut self, other: &OnlineStats) {
         if other.count == 0 {

@@ -3,11 +3,10 @@
 //! 1. within-round rayon vs sequential proposal generation (pays off only
 //!    for large `n` — this bench shows where the crossover sits),
 //! 2. trial-level parallelism, the workhorse of every experiment sweep,
-//! 3. the persistent pool vs the retired spawn-per-call fan-out on an
-//!    identical propose-like kernel (the PR-2 acceptance number: pool ≥ 2×
-//!    spawn at n = 65_536 on ≥ 4 cores), and
-//! 4. an imbalanced batch — one heavy item among many light ones — where
-//!    dynamic chunk claiming beats static one-chunk-per-core splitting.
+//! 3. the persistent pool on a propose-like kernel, asserting that
+//!    steady-state calls spawn no threads, and
+//! 4. an imbalanced batch — one heavy item among many light ones — that
+//!    dynamic chunk claiming lets idle executors drain.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use gossip_core::{
@@ -54,8 +53,8 @@ fn bench_parallel(c: &mut Criterion) {
     }
     group.finish();
 
-    // Pool (persistent workers, dynamic chunk claiming) vs the seed's
-    // spawn-per-call one-chunk-per-core fan-out, identical kernel.
+    // Pool (persistent workers, dynamic chunk claiming) on the propose-like
+    // kernel. Saved baselines are keyed by the group name, so it stays.
     let mut group = c.benchmark_group("pool_vs_spawn");
     group
         .warm_up_time(Duration::from_millis(500))
@@ -68,9 +67,6 @@ fn bench_parallel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("pool", n), &slots, |b, slots| {
             b.iter(|| rayon::fan_out(slots.len(), |i| propose_like_kernel(slots, i)))
         });
-        group.bench_with_input(BenchmarkId::new("spawn", n), &slots, |b, slots| {
-            b.iter(|| rayon::fan_out_with(threads, slots.len(), |i| propose_like_kernel(slots, i)))
-        });
     }
     group.finish();
     // Steady state reached: the pool must not have spawned per call.
@@ -80,8 +76,8 @@ fn bench_parallel(c: &mut Criterion) {
     );
 
     // Imbalanced batch: item 0 costs ~64x the rest (a heavy-tailed Monte
-    // Carlo trial). Static splitting strands the heavy item's neighbors on
-    // one thread; chunk claiming lets idle executors drain the light items.
+    // Carlo trial): chunk claiming lets idle executors drain the light items
+    // instead of stranding the heavy item's neighbors behind it.
     let mut group = c.benchmark_group("imbalanced_batch");
     group
         .warm_up_time(Duration::from_millis(500))
@@ -99,9 +95,6 @@ fn bench_parallel(c: &mut Criterion) {
     };
     group.bench_function(BenchmarkId::new("pool", "1_heavy_15_light"), |b| {
         b.iter(|| rayon::fan_out(items, spin))
-    });
-    group.bench_function(BenchmarkId::new("spawn", "1_heavy_15_light"), |b| {
-        b.iter(|| rayon::fan_out_with(threads, items, spin))
     });
     group.finish();
 

@@ -23,8 +23,7 @@
 
 use crate::harness::{Args, Measurement};
 use gossip_analysis::{
-    bootstrap_mean_ci, fit_model, fmt_f64, loglog_exponent, ols, GrowthModel, OnlineStats, Summary,
-    Table,
+    bootstrap_mean_ci, fit_model, fmt_f64, loglog_exponent, ols, GrowthModel, Summary, Table,
 };
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -48,33 +47,20 @@ fn config_seed(key: &(String, String, String, String, u64)) -> u64 {
 
 /// Pools per-seed measurements of the same configuration into one summary.
 ///
-/// Rows carrying their raw per-trial [`samples`](Measurement::samples) —
-/// all of them, since PR 5 — are pooled by **concatenating the raw
-/// samples** across seeds: mean/stddev/min/max are recomputed from the
-/// combined sample, and `ci95` is the half-width of a deterministic
-/// percentile-bootstrap interval for the mean
-/// ([`gossip_analysis::bootstrap_mean_ci`], seeded from the configuration
-/// key). Round-count distributions are skewed; the bootstrap stays honest
-/// where the old normal-theory moment merge undercovered on small trial
-/// counts.
-///
-/// Rows without raw samples (none are produced in-tree; kept for old JSON
-/// artifacts) fall back to the exact [`OnlineStats`] moment merge. Output
-/// order is first-appearance order, which the fixed battery order makes
-/// stable.
+/// Every row carries its raw per-trial [`samples`](Measurement::samples)
+/// (`Report::measure` is the one constructor and always fills them), so
+/// pooling **concatenates the raw samples** across seeds: mean/stddev/
+/// min/max are recomputed from the combined sample, and `ci95` is the
+/// half-width of a deterministic percentile-bootstrap interval for the
+/// mean ([`gossip_analysis::bootstrap_mean_ci`], seeded from the
+/// configuration key). Round-count distributions are skewed; the bootstrap
+/// stays honest where a normal-theory moment merge undercovers on small
+/// trial counts. Output order is first-appearance order, which the fixed
+/// battery order makes stable.
 pub fn pool(all: &[Measurement]) -> Vec<Measurement> {
     let mut index: BTreeMap<(String, String, String, String, u64), usize> = BTreeMap::new();
     let mut pooled: Vec<Measurement> = Vec::new();
     let mut keys: Vec<(String, String, String, String, u64)> = Vec::new();
-    // Per pooled config: every contributor so far carried raw samples. One
-    // sample-less contributor demotes the whole config to the moment merge
-    // (mixing a raw sub-sample with merged moments would double-count).
-    let mut raw_ok: Vec<bool> = Vec::new();
-    let mut accs: Vec<OnlineStats> = Vec::new();
-    let to_acc = |m: &Measurement| {
-        let m2 = m.stddev * m.stddev * (m.trials.saturating_sub(1)) as f64;
-        OnlineStats::from_moments(m.trials, m.mean, m2, m.min, m.max)
-    };
     for m in all {
         let key = (
             m.experiment.clone(),
@@ -86,41 +72,27 @@ pub fn pool(all: &[Measurement]) -> Vec<Measurement> {
         match index.get(&key) {
             None => {
                 index.insert(key.clone(), pooled.len());
-                raw_ok.push(!m.samples.is_empty());
-                accs.push(to_acc(m));
                 pooled.push(m.clone());
                 keys.push(key);
             }
             Some(&i) => {
-                raw_ok[i] &= !m.samples.is_empty();
-                accs[i].merge(&to_acc(m));
                 let p = &mut pooled[i];
                 p.samples.extend_from_slice(&m.samples);
                 p.wallclock |= m.wallclock;
             }
         }
     }
-    for ((p, key), (&ok, acc)) in pooled.iter_mut().zip(&keys).zip(raw_ok.iter().zip(&accs)) {
-        if ok {
-            // The raw pooled sample is the ground truth: exact moments plus
-            // a deterministic percentile-bootstrap interval for the mean.
-            let s = Summary::of(&p.samples);
-            p.trials = s.count as u64;
-            p.mean = s.mean;
-            p.stddev = s.stddev;
-            p.min = s.min;
-            p.max = s.max;
-            p.ci95 = bootstrap_mean_ci(&p.samples, BOOTSTRAP_RESAMPLES, 0.95, config_seed(key))
-                .half_width();
-        } else {
-            p.samples.clear();
-            p.trials = acc.count();
-            p.mean = acc.mean();
-            p.stddev = acc.stddev();
-            p.ci95 = acc.ci95();
-            p.min = acc.min();
-            p.max = acc.max();
-        }
+    for (p, key) in pooled.iter_mut().zip(&keys) {
+        // The raw pooled sample is the ground truth: exact moments plus a
+        // deterministic percentile-bootstrap interval for the mean.
+        let s = Summary::of(&p.samples);
+        p.trials = s.count as u64;
+        p.mean = s.mean;
+        p.stddev = s.stddev;
+        p.min = s.min;
+        p.max = s.max;
+        p.ci95 =
+            bootstrap_mean_ci(&p.samples, BOOTSTRAP_RESAMPLES, 0.95, config_seed(key)).half_width();
     }
     pooled
 }
@@ -868,24 +840,6 @@ fn wallclock_section(out: &mut String, all: &[Measurement]) {
 mod tests {
     use super::*;
 
-    fn m(alg: &str, fam: &str, n: u64, trials: u64, mean: f64, stddev: f64) -> Measurement {
-        Measurement {
-            experiment: "E1-push-scaling".into(),
-            metric: "rounds".into(),
-            algorithm: alg.into(),
-            family: fam.into(),
-            n,
-            trials,
-            mean,
-            stddev,
-            ci95: 0.5,
-            min: mean - 1.0,
-            max: mean + 1.0,
-            samples: Vec::new(),
-            wallclock: false,
-        }
-    }
-
     /// A row built the way `Report::measure` builds them: raw samples
     /// attached, summary derived from them.
     fn m_raw(alg: &str, fam: &str, n: u64, samples: &[f64]) -> Measurement {
@@ -916,40 +870,6 @@ mod tests {
             m_raw("push", "star", 64, &[30.0, 40.0]),
         ]);
         assert_eq!(p.ci95, again[0].ci95, "bootstrap must be deterministic");
-    }
-
-    #[test]
-    fn pool_merges_sampleless_rows_via_moments() {
-        // Legacy rows without raw samples (e.g. old JSON artifacts) still
-        // pool exactly through the Welford moment merge.
-        let a = m("push", "star", 64, 2, 15.0, (50.0_f64).sqrt());
-        let b = m("push", "star", 64, 2, 35.0, (50.0_f64).sqrt());
-        let pooled = pool(&[a, b]);
-        assert_eq!(pooled.len(), 1);
-        let p = &pooled[0];
-        assert_eq!(p.trials, 4);
-        assert!((p.mean - 25.0).abs() < 1e-9);
-        assert!((p.stddev - (500.0_f64 / 3.0).sqrt()).abs() < 1e-9);
-        assert_eq!((p.min, p.max), (14.0, 36.0));
-        assert!(p.ci95 > 0.0);
-        assert!(p.samples.is_empty());
-    }
-
-    #[test]
-    fn mixed_contributors_demote_to_moment_merge() {
-        // One sample-backed row + one legacy row: mixing a raw sub-sample
-        // with merged moments would double-count, so the config demotes.
-        let a = m_raw("push", "star", 64, &[10.0, 20.0]);
-        let b = m("push", "star", 64, 2, 35.0, (50.0_f64).sqrt());
-        let pooled = pool(&[a, b]);
-        assert_eq!(pooled.len(), 1);
-        let p = &pooled[0];
-        assert_eq!(p.trials, 4);
-        assert!((p.mean - 25.0).abs() < 1e-9);
-        assert!(
-            p.samples.is_empty(),
-            "demoted rows must not keep partial samples"
-        );
     }
 
     #[test]
@@ -984,9 +904,9 @@ mod tests {
     #[test]
     fn pool_keeps_distinct_configs_apart() {
         let rows = vec![
-            m("push", "star", 64, 2, 10.0, 1.0),
-            m("push", "star", 128, 2, 20.0, 1.0),
-            m("pull", "star", 64, 2, 30.0, 1.0),
+            m_raw("push", "star", 64, &[9.0, 11.0]),
+            m_raw("push", "star", 128, &[19.0, 21.0]),
+            m_raw("pull", "star", 64, &[29.0, 31.0]),
         ];
         let pooled = pool(&rows);
         assert_eq!(pooled.len(), 3);
@@ -999,8 +919,8 @@ mod tests {
     #[test]
     fn render_is_deterministic() {
         let rows = vec![
-            m("push", "star", 64, 8, 100.0, 5.0),
-            m("push", "star", 128, 8, 260.0, 9.0),
+            m_raw("push", "star", 64, &[95.0, 105.0]),
+            m_raw("push", "star", 128, &[251.0, 269.0]),
         ];
         let args = Args::default();
         let a = render_results(&pool(&rows), &args);
