@@ -46,10 +46,10 @@
 //! order the in-process engine concatenates `mail[0][t], mail[1][t], …` —
 //! and its [`MailboxAssembler`]s are `strict`: they *assert* that order
 //! frame by frame. The datagram mesh has one in-order link per source, so
-//! its assemblers are *interleaved*: any interleaving of sources is
-//! accepted, each stream still in `seq` order. Reassembly is keyed by
-//! `(source, owner, seq)`, so the concatenation handed back is canonical
-//! either way. No carrier delivers a mail frame twice, so a repeated
+//! its assemblers are *interleaved* (non-strict): frames are placed by
+//! their `(source, owner, seq)` key in whatever order the links interleave
+//! them. Reassembly is keyed either way, so the concatenation handed back
+//! is canonical. No carrier delivers a mail frame twice, so a repeated
 //! `(source, owner, seq)` is a protocol violation in both modes.
 //!
 //! Decoding is **checked end to end**: every getter is the non-panicking
