@@ -151,7 +151,7 @@ pub fn run(args: &Args) -> Report {
         "worker RSS MiB (max)",
     ]);
 
-    let (oracle_stats, oracle_m, oracle_sum) = oracle(n, shards, horizon, args.seed);
+    let oracle = oracle(n, shards, horizon, args.seed);
     let fam = format!("hosts-2x{}", shards / 2);
     let mut streamed_first_round_ns = 0u64;
     let mut streamed_overlap_dgrams = 0u64;
@@ -162,9 +162,7 @@ pub fn run(args: &Args) -> Report {
 
         // The headline contract: the datagram cluster replays the
         // in-process engine bit-for-bit at every loss rate.
-        let invariant = r.run.stats == oracle_stats
-            && r.run.final_m == oracle_m
-            && r.run.checksum == oracle_sum;
+        let invariant = r.run.matches(&oracle);
         assert!(
             invariant,
             "{label} cluster diverged from in-process engine at n={n}, S={shards}"
@@ -281,9 +279,7 @@ pub fn run(args: &Args) -> Report {
     // the baseline spends idle: the savings (wall-clock appendix only).
     let blocking = cluster_run(n, shards, horizon, args.seed, None, true);
     assert!(
-        blocking.run.stats == oracle_stats
-            && blocking.run.final_m == oracle_m
-            && blocking.run.checksum == oracle_sum,
+        blocking.run.matches(&oracle),
         "blocking-bootstrap cluster diverged from in-process engine"
     );
     assert_eq!(blocking.cluster.bootstrap_overlap_datagrams, 0);

@@ -98,6 +98,13 @@ pub(crate) struct FixedHorizon {
     pub first_round_end: Instant,
 }
 
+impl FixedHorizon {
+    /// Whether the run replayed `oracle`'s trajectory bit-for-bit.
+    pub fn matches(&self, oracle: &(Vec<RoundStats>, u64, u64)) -> bool {
+        (&self.stats, self.final_m, self.checksum) == (&oracle.0, oracle.1, oracle.2)
+    }
+}
+
 /// Steps a cross-process engine, over either carrier, `horizon` rounds
 /// and reduces the run to the oracle's terms plus wall time per round.
 pub(crate) fn fixed_horizon<L: ShardLink>(

@@ -65,8 +65,9 @@ pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E19-transport");
 
     // (n, S grid, horizon). Quick shrinks n; the full run's 10^7 row is
-    // the acceptance workload. Horizons are short everywhere: each worker holds a full replica, so the row exists to
-    // prove the seam at scale, not to re-measure convergence (E1-E16).
+    // the acceptance workload. Horizons are short everywhere: each worker
+    // holds a full replica, so the row exists to prove the seam at scale,
+    // not to re-measure convergence (E1-E16).
     let sweeps: Vec<(usize, Vec<usize>, u64)> = if args.quick {
         vec![(1 << 14, vec![2, 4], 4)]
     } else {
@@ -88,13 +89,12 @@ pub fn run(args: &Args) -> Report {
     let label = "uds";
     for (n, shard_grid, horizon) in sweeps {
         for shards in shard_grid {
-            let (oracle_stats, oracle_m, oracle_sum) = oracle(n, shards, horizon, args.seed);
+            let oracle = oracle(n, shards, horizon, args.seed);
             let (r, wire) = transport_run(n, shards, horizon, args.seed, TransportMode::Process);
 
             // The headline contract, measured per run: the serialized
             // seam replays the in-process engine bit-for-bit.
-            let invariant =
-                r.stats == oracle_stats && r.final_m == oracle_m && r.checksum == oracle_sum;
+            let invariant = r.matches(&oracle);
             assert!(
                 invariant,
                 "{label} transport diverged from in-process engine at n={n}, S={shards}"
