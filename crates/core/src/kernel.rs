@@ -30,13 +30,27 @@
 //! * No hidden mutation: the kernel writes its decisions into
 //!   [`Effects`] — edges to propose, payload descriptors to send,
 //!   contacts learned from a message — and the surrounding runtime (batch
-//!   engine, baseline round loop, network simulator) interprets them.
+//!   engine, baseline runner, network simulator) interprets them.
 //!
-//! The legacy traits survive as thin adapters: `rules.rs` drives the
-//! graph kernels through [`GraphView`], the baselines drive the
-//! gossip-message kernels through [`LocalView`], and `gossip-net`'s
-//! `PushProtocol` maps [`Effects`] onto its outbox. Trajectories are
-//! pinned bit-identical by the determinism suite and the
+//! # Worlds
+//!
+//! Each runtime is one interpreter of [`Effects`] over one kind of world:
+//!
+//! * **graph world** — [`kernel_propose`] runs a kernel through
+//!   [`GraphView`] and hands its `connects` to the batch engines;
+//!   `rules.rs` builds every [`crate::process::ProposalRule`] from it.
+//! * **knowledge world** — `gossip-baselines`' `KernelBaseline<K>` runs a
+//!   kernel through [`LocalView`] over a directed `Knowledge` state and
+//!   gives each [`Share`] its delivery and bit cost; Name Dropper, pointer
+//!   jumping, the throttled variant and flooding are that one runner with
+//!   four kernels.
+//! * **message world** — `gossip-net`'s `PushProtocol` maps [`Effects`]
+//!   onto its outbox and hands each delivery to `on_message`.
+//! * **model checker** — `gossip-model` swaps the chooser for an
+//!   enumerating one and applies every outcome of a graph- or
+//!   knowledge-world kernel to a packed joint state, at `n ≤ 5`.
+//!
+//! Trajectories are pinned bit-identical by the determinism suite and the
 //! adapter-equivalence proptests in `crates/core/tests/`.
 
 use crate::process::ProposalSet;
