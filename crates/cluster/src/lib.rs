@@ -671,10 +671,8 @@ pub fn maybe_run_cluster_shard() {
             dup_per_mille: parse(2) as u16,
         }
     });
-    let mtu = std::env::var(CLUSTER_MTU_ENV)
-        .ok()
-        .and_then(|m| m.parse().ok())
-        .unwrap_or(DEFAULT_MTU);
+    let mtu = parse_mtu(std::env::var(CLUSTER_MTU_ENV).ok().as_deref())
+        .unwrap_or_else(|m| exit(format!("bad {CLUSTER_MTU_ENV}={m}")));
 
     // The parent released this port just before exec; retry briefly in
     // case the OS is slow to make it available again.
@@ -695,6 +693,17 @@ pub fn maybe_run_cluster_shard() {
     run_shard_process(MeshLink::worker(socket, peers, shard, loss, mtu));
 }
 
+/// The worker's datagram budget from [`CLUSTER_MTU_ENV`]'s value: absent
+/// means [`DEFAULT_MTU`]; anything but a positive integer is handed back
+/// as the error, because a worker that guessed a budget would fragment
+/// differently from its coordinator.
+fn parse_mtu(value: Option<&str>) -> Result<usize, &str> {
+    match value {
+        None => Ok(DEFAULT_MTU),
+        Some(m) => m.parse().ok().filter(|&mtu| mtu > 0).ok_or(m),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,6 +721,15 @@ mod tests {
         assert_eq!(a.m(), b.m(), "{what}: edge count diverged");
         for u in a.nodes() {
             assert_eq!(a.neighbors(u), b.neighbors(u), "{what}: row {u:?} diverged");
+        }
+    }
+
+    #[test]
+    fn mtu_env_must_be_a_positive_integer() {
+        assert_eq!(parse_mtu(None), Ok(DEFAULT_MTU));
+        assert_eq!(parse_mtu(Some("512")), Ok(512));
+        for bad in ["0", "", "-1", "1400 ", "1k"] {
+            assert_eq!(parse_mtu(Some(bad)), Err(bad));
         }
     }
 

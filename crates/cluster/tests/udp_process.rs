@@ -129,6 +129,27 @@ fn converged_cluster_answers_queries() {
     println!("  ok: converged_cluster_answers_queries");
 }
 
+/// A worker handed an MTU that is not a positive integer refuses to start
+/// (exit 2, like a bad shard, peer table or loss spec) instead of
+/// guessing a budget its coordinator does not share or panicking.
+fn worker_rejects_a_bad_mtu() {
+    for bad in ["0", "jumbo"] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .env(gossip_cluster::CLUSTER_SHARD_ENV, "1")
+            .env(gossip_cluster::CLUSTER_PEERS_ENV, "127.0.0.1:1,127.0.0.1:1")
+            .env(gossip_cluster::CLUSTER_MTU_ENV, bad)
+            .output()
+            .expect("re-exec as a worker");
+        assert_eq!(out.status.code(), Some(2), "mtu {bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad GOSSIP_CLUSTER_MTU={bad}")),
+            "mtu {bad:?}: {stderr}"
+        );
+    }
+    println!("  ok: worker_rejects_a_bad_mtu");
+}
+
 fn main() {
     // Worker re-execs enter here and never return.
     gossip_cluster::maybe_run_cluster_shard();
@@ -138,5 +159,6 @@ fn main() {
     lossy_process_cluster_recovers();
     two_host_loopback_grid_is_bit_identical();
     converged_cluster_answers_queries();
+    worker_rejects_a_bad_mtu();
     println!("udp_process: all tests passed");
 }
