@@ -315,6 +315,57 @@ fn put_mail_header(buf: &mut BytesMut, f: &MailFrame) {
     buf.put_u32_le(f.entries.len() as u32);
 }
 
+/// Appends an arena image: the row count, each row's `(len, cap)`, then
+/// every row's entries back to back.
+fn put_rows(buf: &mut BytesMut, len_cap: &[(u32, u32)], entries: &[NodeId]) {
+    buf.put_u32_le(len_cap.len() as u32);
+    for &(l, c) in len_cap {
+        buf.put_u32_le(l);
+        buf.put_u32_le(c);
+    }
+    for id in entries {
+        buf.put_u32_le(id.0);
+    }
+}
+
+/// Checked inverse of [`put_rows`]. The image is the frame's tail: the
+/// entry bytes must run exactly to the end of `cur`, else `mismatch`.
+fn get_rows(cur: &mut &[u8], mismatch: &'static str) -> Result<ArenaSnapshot, WireError> {
+    let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
+    if rows > cur.remaining() / 8 {
+        return Err(WireError::Bad("row count exceeds frame size"));
+    }
+    let mut len_cap = Vec::with_capacity(rows);
+    let mut total = 0usize;
+    for _ in 0..rows {
+        let l = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
+        let c = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
+        if l > c {
+            return Err(WireError::Bad("row len exceeds cap"));
+        }
+        total += l as usize;
+        len_cap.push((l, c));
+    }
+    if cur.remaining() != total * 4 {
+        return Err(WireError::Bad(mismatch));
+    }
+    let mut entries = Vec::with_capacity(total);
+    for chunk in cur.chunk().chunks_exact(4) {
+        entries.push(NodeId(u32::from_le_bytes(chunk.try_into().unwrap())));
+    }
+    cur.advance(total * 4);
+    Ok(ArenaSnapshot { len_cap, entries })
+}
+
+/// A `last` flag: one byte, `0` or `1`.
+fn get_flag(cur: &mut &[u8]) -> Result<bool, WireError> {
+    match cur.try_get_u8().ok_or(WireError::Truncated)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(WireError::Bad("last flag not a boolean")),
+    }
+}
+
 impl Frame {
     /// Appends the full length-prefixed encoding of `self` to `buf`.
     pub fn encode(&self, buf: &mut BytesMut) {
@@ -364,14 +415,7 @@ impl Frame {
                 buf.put_u32_le(*index);
                 buf.put_u64_le(snapshot.base as u64);
                 buf.put_u64_le(snapshot.m_canonical);
-                buf.put_u32_le(snapshot.adj.len_cap.len() as u32);
-                for &(l, c) in &snapshot.adj.len_cap {
-                    buf.put_u32_le(l);
-                    buf.put_u32_le(c);
-                }
-                for id in &snapshot.adj.entries {
-                    buf.put_u32_le(id.0);
-                }
+                put_rows(buf, &snapshot.adj.len_cap, &snapshot.adj.entries);
             }
             Frame::Start { round } => {
                 buf.put_u8(KIND_START);
@@ -437,14 +481,7 @@ impl Frame {
                 buf.put_u32_le(chunk.row_start);
                 buf.put_u8(chunk.last as u8);
                 buf.put_u64_le(chunk.m_canonical);
-                buf.put_u32_le(chunk.len_cap.len() as u32);
-                for &(l, c) in &chunk.len_cap {
-                    buf.put_u32_le(l);
-                    buf.put_u32_le(c);
-                }
-                for id in &chunk.entries {
-                    buf.put_u32_le(id.0);
-                }
+                put_rows(buf, &chunk.len_cap, &chunk.entries);
             }
         }
         let body = (buf.len() - len_at - 4) as u32;
@@ -539,35 +576,13 @@ impl Frame {
                 let index = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let base = cur.try_get_u64_le().ok_or(WireError::Truncated)? as usize;
                 let m_canonical = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-                if rows > cur.remaining() / 8 {
-                    return Err(WireError::Bad("row count exceeds frame size"));
-                }
-                let mut len_cap = Vec::with_capacity(rows);
-                let mut total = 0usize;
-                for _ in 0..rows {
-                    let l = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                    let c = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                    if l > c {
-                        return Err(WireError::Bad("row len exceeds cap"));
-                    }
-                    total += l as usize;
-                    len_cap.push((l, c));
-                }
-                if cur.remaining() != total * 4 {
-                    return Err(WireError::Bad("segment entry bytes mismatch"));
-                }
-                let mut entries = Vec::with_capacity(total);
-                for chunk in cur.chunk().chunks_exact(4) {
-                    entries.push(NodeId(u32::from_le_bytes(chunk.try_into().unwrap())));
-                }
-                cur.advance(total * 4);
+                let adj = get_rows(&mut cur, "segment entry bytes mismatch")?;
                 Frame::Segment {
                     index,
                     snapshot: ShardSegSnapshot {
                         base,
                         m_canonical,
-                        adj: ArenaSnapshot { len_cap, entries },
+                        adj,
                     },
                 }
             }
@@ -579,11 +594,7 @@ impl Frame {
                 let source = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let owner = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let seq = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let last = match cur.try_get_u8().ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Bad("last flag not a boolean")),
-                };
+                let last = get_flag(&mut cur)?;
                 let count = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
                 if cur.remaining() != count * 12 {
                     return Err(WireError::Bad("mail entry bytes mismatch"));
@@ -657,11 +668,7 @@ impl Frame {
             KIND_FRAGMENT => {
                 let msg_id = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
                 let index = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let last = match cur.try_get_u8().ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Bad("last flag not a boolean")),
-                };
+                let last = get_flag(&mut cur)?;
                 let len = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
                 if cur.remaining() != len {
                     return Err(WireError::Bad("fragment payload bytes mismatch"));
@@ -679,35 +686,10 @@ impl Frame {
                 let segment = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let base = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
                 let row_start = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let last = match cur.try_get_u8().ok_or(WireError::Truncated)? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Bad("last flag not a boolean")),
-                };
+                let last = get_flag(&mut cur)?;
                 let m_canonical = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-                if rows > cur.remaining() / 8 {
-                    return Err(WireError::Bad("row count exceeds frame size"));
-                }
-                let mut len_cap = Vec::with_capacity(rows);
-                let mut total = 0usize;
-                for _ in 0..rows {
-                    let l = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                    let c = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                    if l > c {
-                        return Err(WireError::Bad("row len exceeds cap"));
-                    }
-                    total += l as usize;
-                    len_cap.push((l, c));
-                }
-                if cur.remaining() != total * 4 {
-                    return Err(WireError::Bad("snapshot chunk entry bytes mismatch"));
-                }
-                let mut entries = Vec::with_capacity(total);
-                for chunk in cur.chunk().chunks_exact(4) {
-                    entries.push(NodeId(u32::from_le_bytes(chunk.try_into().unwrap())));
-                }
-                cur.advance(total * 4);
+                let ArenaSnapshot { len_cap, entries } =
+                    get_rows(&mut cur, "snapshot chunk entry bytes mismatch")?;
                 Frame::SnapshotChunk {
                     segment,
                     chunk: SegSnapshotChunk {
