@@ -38,7 +38,7 @@ use gossip_core::{
     ChurnBursts, Engine, EngineBuilder, ListenerSet, MembershipEvent, MembershipPlan,
     MembershipStats, Pull, RoundEngine,
 };
-use gossip_graph::{ArenaGraph, NodeId};
+use gossip_graph::NodeId;
 use gossip_serve::{GossipService, ServeConfig, TrajectoryRecorder};
 use gossip_shard::{BuildSharded, ShardedEngine};
 use std::time::Instant;
@@ -164,19 +164,6 @@ fn sharded_run(n: usize, shards: usize, seed: u64, horizon: u64) -> ChurnRun {
     }
 }
 
-/// FNV row checksum of the unsharded arena — same canonical rows as
-/// [`row_checksum`] on the sharded layout, so the two are comparable.
-fn arena_checksum(g: &ArenaGraph) -> u64 {
-    let mut h = gossip_analysis::Fnv1a::new();
-    for u in g.nodes() {
-        for &v in g.neighbors(u) {
-            h.write_u64((u.0 as u64) << 32 | v.0 as u64);
-        }
-        h.write(&[0xFF]); // row boundary
-    }
-    h.finish()
-}
-
 /// The sequential oracle: the plain arena [`Engine`] under the same graph,
 /// rule, seed, and plan. Its trajectory must equal the sharded runs' —
 /// the membership seam keeps the engines bit-identical under churn.
@@ -200,7 +187,7 @@ fn sequential_run(n: usize, seed: u64, horizon: u64) -> ChurnRun {
     let stats = e.membership_stats();
     let g = e.graph();
     ChurnRun {
-        checksum: arena_checksum(g),
+        checksum: row_checksum(g),
         final_m: g.m(),
         mem_bytes: g.memory_bytes(),
         traj,
@@ -640,6 +627,6 @@ mod tests {
         let n = 2048;
         let a = crate::experiments::scale::sparse_arena(n, 2 * n as u64, 7);
         let s = sparse_sharded(n, 2 * n as u64, 7, 4);
-        assert_eq!(arena_checksum(&a), row_checksum(&s));
+        assert_eq!(row_checksum(&a), row_checksum(&s));
     }
 }

@@ -23,7 +23,7 @@
 //!    second served while the engine advances, and the round latency paid
 //!    under that load.
 
-use crate::experiments::shard::{row_checksum, sparse_sharded};
+use crate::experiments::shard::{fixed_horizon, row_checksum, sparse_sharded};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{EngineBuilder, ListenerSet, Pull};
@@ -38,16 +38,20 @@ const SHARDS: usize = 8;
 const READERS: usize = 2;
 
 /// Batch reference: same engine, no service, no readers. Returns the
-/// per-round edge counts and the final row checksum.
+/// per-round edge counts (pull only ever adds, so each is the start count
+/// plus the rounds' `added` so far), the final row checksum and `m`.
 fn batch_reference(g: ShardedArenaGraph, seed: u64, horizon: u64) -> (Vec<u64>, u64, u64) {
-    let mut e = ShardedEngine::new(g, Pull, seed);
-    let mut edges_per_round = Vec::with_capacity(horizon as usize);
-    for _ in 0..horizon {
-        e.step();
-        edges_per_round.push(e.graph().m());
-    }
-    let m = e.graph().m();
-    (edges_per_round, row_checksum(e.graph()), m)
+    let mut m = g.m();
+    let run = fixed_horizon(&mut ShardedEngine::new(g, Pull, seed), horizon);
+    let edges_per_round = run
+        .stats
+        .iter()
+        .map(|s| {
+            m += s.added;
+            m
+        })
+        .collect();
+    (edges_per_round, run.checksum, run.final_m)
 }
 
 /// One reader thread's share of the query mix: grab the current snapshot,

@@ -29,9 +29,10 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::engine::{propose_round, PROPOSAL_CHUNK};
-use gossip_core::{EngineBuilder, GossipGraph, ProposalRule, Pull, Push, RoundStats};
+use gossip_core::{EngineBuilder, GossipGraph, ProposalRule, Pull, Push, RoundEngine, RoundStats};
 use gossip_graph::{NodeId, ShardedArenaGraph};
-use gossip_shard::{BuildSharded, ShardLink, ShardRoundDriver, ShardedEngine};
+use gossip_serve::GraphQuery;
+use gossip_shard::{BuildSharded, ShardedEngine};
 use std::time::Instant;
 
 /// Connected sparse start graph built directly in the sharded layout: a
@@ -59,9 +60,9 @@ pub(crate) fn sparse_sharded(n: usize, extra: u64, seed: u64, shards: usize) -> 
 /// equal `m` are (with overwhelming probability) identical, which is how
 /// trajectory invariance across `S` is measured without holding two
 /// million-node graphs at once.
-pub(crate) fn row_checksum(g: &ShardedArenaGraph) -> u64 {
+pub(crate) fn row_checksum<G: GraphQuery>(g: &G) -> u64 {
     let mut h = gossip_analysis::Fnv1a::new();
-    for u in g.nodes() {
+    for u in (0..g.node_count()).map(NodeId::new) {
         for &v in g.neighbors(u) {
             h.write_u64((u.0 as u64) << 32 | v.0 as u64);
         }
@@ -82,10 +83,8 @@ pub(crate) fn oracle(
     seed: u64,
 ) -> (Vec<RoundStats>, u64, u64) {
     let g = sparse_sharded(n, 2 * n as u64, seed, shards);
-    let mut e = ShardedEngine::new(g, Pull, seed ^ 0x5A4D);
-    let stats: Vec<RoundStats> = (0..horizon).map(|_| e.step()).collect();
-    let g = e.into_graph();
-    (stats, g.m(), row_checksum(&g))
+    let run = fixed_horizon(&mut ShardedEngine::new(g, Pull, seed ^ 0x5A4D), horizon);
+    (run.stats, run.final_m, run.checksum)
 }
 
 /// What [`fixed_horizon`] measured.
@@ -105,19 +104,20 @@ impl FixedHorizon {
     }
 }
 
-/// Steps a cross-process engine, over either carrier, `horizon` rounds
-/// and reduces the run to the oracle's terms plus wall time per round.
-pub(crate) fn fixed_horizon<L: ShardLink>(
-    e: &mut ShardRoundDriver<L>,
-    horizon: u64,
-) -> FixedHorizon {
+/// Steps any engine — in-process or cross-process, over either carrier —
+/// `horizon` rounds and reduces the run to the oracle's terms plus wall
+/// time per round.
+pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon
+where
+    E::Graph: GraphQuery,
+{
     let t = Instant::now();
-    let mut stats = vec![e.step()];
+    let mut stats = vec![e.step_quantum()];
     let first_round_end = Instant::now();
-    stats.extend((1..horizon).map(|_| e.step()));
+    stats.extend((1..horizon).map(|_| e.step_quantum()));
     FixedHorizon {
         stats,
-        final_m: e.graph().m(),
+        final_m: e.graph().edge_count(),
         checksum: row_checksum(e.graph()),
         wall_ns_per_round: t.elapsed().as_nanos() as f64 / horizon as f64,
         first_round_end,
