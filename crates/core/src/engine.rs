@@ -129,6 +129,18 @@ pub enum Parallelism {
     Parallel,
 }
 
+impl Parallelism {
+    /// Whether this policy engages the rayon pool on an `n`-node graph.
+    #[inline]
+    pub fn engages(self, n: usize) -> bool {
+        match self {
+            Parallelism::Sequential => false,
+            Parallelism::Parallel => true,
+            Parallelism::Auto { threshold } => n >= threshold,
+        }
+    }
+}
+
 impl Default for Parallelism {
     fn default() -> Self {
         // Cost model, re-measured against the flat proposal pipeline
@@ -242,14 +254,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
         self.rule.name()
     }
 
-    fn use_parallel(&self) -> bool {
-        match self.parallelism {
-            Parallelism::Sequential => false,
-            Parallelism::Parallel => true,
-            Parallelism::Auto { threshold } => self.graph.node_count() >= threshold,
-        }
-    }
-
     /// Executes one synchronous round; returns what happened.
     pub fn step(&mut self) -> RoundStats {
         self.step_attributed(|_, _, _, _| {})
@@ -274,7 +278,7 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
         // its own flat buffer (the shared phase in [`propose_round`]). The
         // per-node work is identical either way; only the scheduling of
         // whole chunks differs.
-        let parallel = self.use_parallel();
+        let parallel = self.parallelism.engages(self.graph.node_count());
         propose_round(
             &self.graph,
             &self.rule,

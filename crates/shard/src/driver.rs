@@ -52,15 +52,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Whether `policy` engages the rayon pool on an `n`-node graph.
-pub(crate) fn use_parallel(policy: Parallelism, n: usize) -> bool {
-    match policy {
-        Parallelism::Sequential => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto { threshold } => n >= threshold,
-    }
-}
-
 /// Routes the proposals of the chunks in `span` into per-owner mailboxes
 /// (cleared first): each proposal `(u, a, b)` becomes the half-edge
 /// `(a, b)` in `boxes[owner(a)]` and `(b, a)` in `boxes[owner(b)]`, tagged
@@ -177,7 +168,7 @@ impl ShardReplica {
         ShardReplica {
             rule,
             seed,
-            parallel: use_parallel(parallelism, graph.n()),
+            parallel: parallelism.engages(graph.n()),
             membership: membership.unwrap_or_else(|| MembershipPlan::new(Vec::new())),
             shard,
             chunk_bufs: vec![Vec::new(); graph.n().div_ceil(PROPOSAL_CHUNK)],

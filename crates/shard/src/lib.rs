@@ -84,7 +84,7 @@ pub mod framed;
 pub mod transport;
 pub mod wire;
 
-use driver::{apply_grid, route_span, use_parallel};
+use driver::{apply_grid, route_span};
 pub use driver::{
     peak_rss_bytes, protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink,
     ShardReplica, ShardRoundDriver, Workers,
@@ -234,7 +234,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         &mut self,
         mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
     ) -> RoundStats {
-        let parallel = use_parallel(self.parallelism, self.graph.n());
+        let parallel = self.parallelism.engages(self.graph.n());
         let plan = *self.graph.plan();
 
         // Phase 0 (membership): apply due join/leave events before anything
