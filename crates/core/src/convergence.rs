@@ -80,13 +80,6 @@ impl ClosureReached {
         }
     }
 
-    /// Builds from a precomputed closure (avoids recomputation across trials).
-    pub fn from_closure(c: &Closure) -> Self {
-        ClosureReached {
-            target_arcs: c.pair_count(),
-        }
-    }
-
     /// The target arc count.
     pub fn target_arcs(&self) -> u64 {
         self.target_arcs

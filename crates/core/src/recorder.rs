@@ -66,11 +66,6 @@ impl SeriesRecorder {
         &self.rows
     }
 
-    /// Consumes the recorder, returning its rows.
-    pub fn into_rows(self) -> Vec<SeriesRow> {
-        self.rows
-    }
-
     /// Observes round `round` (1-based) with the post-round graph.
     pub fn observe(&mut self, round: u64, g: &UndirectedGraph, stats: &RoundStats) {
         if round == 1 || round.is_multiple_of(self.stride) {

@@ -82,11 +82,6 @@ impl Closure {
     }
 }
 
-/// Convenience: the arc count of the transitive closure of `g`.
-pub fn closure_arc_count(g: &DirectedGraph) -> u64 {
-    Closure::of(g).pair_count()
-}
-
 /// Checks that `g_t`'s arcs are a subset of `closure` — the key safety
 /// invariant of the directed process (it can only ever add arcs that shortcut
 /// existing paths).

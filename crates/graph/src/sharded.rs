@@ -432,11 +432,6 @@ impl SegSnapshotAssembler {
         self.complete
     }
 
-    /// Live adjacency entries absorbed so far (progress reporting).
-    pub fn entries_so_far(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Hands back the reassembled snapshot. Panics if called before
     /// [`SegSnapshotAssembler::is_complete`].
     pub fn finish(self) -> ShardSegSnapshot {
