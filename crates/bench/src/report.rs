@@ -4,9 +4,8 @@
 //! `run_all --report` runs the whole experiment battery once per seed,
 //! pools every `(experiment, metric, algorithm, family, n)` configuration
 //! across seeds by **concatenating the raw per-trial samples** (the `± CI`
-//! columns are deterministic percentile bootstraps of the pooled sample;
-//! sample-less legacy rows fall back to exact moment merging), and renders
-//! a Markdown document:
+//! columns are deterministic percentile bootstraps of the pooled sample),
+//! and renders a Markdown document:
 //!
 //! 1. a **paper claim vs. measured** table — one row per theorem/figure,
 //! 2. **mean rounds ± 95% CI per algorithm per n** for the headline
