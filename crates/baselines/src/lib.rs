@@ -27,11 +27,11 @@
 //! each kind with the delivery and bit cost below (an id is
 //! [`id_bits`]`(n)` bits; every message also carries its sender's id):
 //!
-//! | `Share`       | messages          | payload                                            | who absorbs |
-//! |---------------|-------------------|----------------------------------------------------|-------------|
-//! | `KnownList`   | 1                 | sender's round-start list, ascending id            | target      |
-//! | `PullRequest` | 2: 1-id request + reply | target's round-start list, ascending id      | requester   |
-//! | `Slice`       | 1                 | window of the sender's arrival-ordered list        | target      |
+//! | `Share`       | messages               | payload                                     | who absorbs |
+//! |---------------|------------------------|---------------------------------------------|-------------|
+//! | `KnownList`   | 1                      | sender's round-start list, ascending id     | target      |
+//! | `PullRequest` | 2: 1-id request, reply | target's round-start list, ascending id     | requester   |
+//! | `Slice`       | 1                      | window of the sender's arrival-ordered list | target      |
 //!
 //! The four names above are type aliases over the runner; a new baseline
 //! (rate-limited dissemination, say) is a new kernel, not a new loop.
@@ -51,8 +51,9 @@ pub use algorithm::{id_bits, DiscoveryAlgorithm, DiscoveryOutcome, RoundIO};
 pub use knowledge::Knowledge;
 pub use runner::{Flooding, KernelBaseline, NameDropper, PointerJump, ThrottledNameDropper};
 
-// The runner's unit tests, one module per alias, under the paths they had
-// as per-driver tests.
+// The runner's unit tests, one module per alias. They sit at the crate root
+// so their ids stay `flooding::tests::…`, `name_dropper::tests::…` and so
+// on, the names test reports have always listed them under.
 
 #[cfg(test)]
 mod flooding {

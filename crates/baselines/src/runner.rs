@@ -117,7 +117,7 @@ impl<K: ProtocolKernel> DiscoveryAlgorithm for KernelBaseline<K> {
     fn step(&mut self) -> RoundIO {
         // Phase 1: nothing is delivered until every node has decided, so
         // each kernel sees round-start state by construction.
-        let mut sends: Vec<(NodeId, NodeId, Share)> = Vec::new();
+        let mut sends: Vec<(NodeId, NodeId, Share)> = Vec::with_capacity(self.states.len());
         let mut effects = Effects::default();
         for (u, state) in self.states.iter_mut().enumerate() {
             let me = NodeId::new(u);
@@ -140,12 +140,11 @@ impl<K: ProtocolKernel> DiscoveryAlgorithm for KernelBaseline<K> {
         // windows, which need no snapshot.
         let lists =
             (self.kernel.max_message_ids().is_none()).then(|| self.knowledge.sorted_snapshot());
-        let whole_list = |of: NodeId| match &lists {
-            Some(lists) => lists.slice(of.index()),
-            None => panic!(
-                "{} declares bounded messages but shared a whole list",
-                self.kernel.name()
-            ),
+        let whole_list = |of: NodeId| {
+            lists
+                .as_ref()
+                .expect("a kernel that declares bounded messages shared a whole list")
+                .slice(of.index())
         };
         // Phase 2: the one place a `Share` gets its delivery and its cost.
         // A payload of `k` addresses costs `k + 1` ids: the sender's own
