@@ -4,12 +4,16 @@
 //! per-entry cost bounds how much the serialized seam can add on top of
 //! the in-process round. The decode rows exercise the fully-checked
 //! parser (count validation, exact-remainder, trailing-garbage scan),
-//! which is the part with regression potential.
+//! which is the part with regression potential. The `window` row holds
+//! what carries those frames across a datagram link: the ack clock.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use gossip_cluster::{Endpoint, DEFAULT_MTU};
 use gossip_graph::{HalfEdge, NodeId};
 use gossip_shard::wire::{fragment_frames, mailbox_frames, Defragmenter, Frame};
 use gossip_shard::MAX_FRAME_ENTRIES;
+use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 fn entries(count: usize) -> Vec<HalfEdge> {
@@ -107,5 +111,46 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec);
+/// 256 one-datagram frames — four turns of the 64-datagram send window —
+/// across a two-thread loopback `Endpoint` pair, until the sender holds
+/// every ack. No payload to speak of, so the time is the window's turn
+/// latency: how soon an arrival is acked and how soon the ack admits the
+/// next datagrams; a pump that sits out a socket timeout with work in
+/// hand shows here as milliseconds. The receiver thread outlives the
+/// iterations, so its own idle wait is never inside one.
+fn bench_window(c: &mut Criterion) {
+    const FRAMES: u64 = 256;
+    let mut group = c.benchmark_group("window");
+    group
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(1))
+        .sample_size(30)
+        .throughput(Throughput::Elements(FRAMES));
+
+    let bind = || UdpSocket::bind("127.0.0.1:0").unwrap();
+    let (a, b) = (bind(), bind());
+    let peers = vec![a.local_addr().unwrap(), b.local_addr().unwrap()];
+    let mut tx = Endpoint::new(a, 0, peers.clone(), None, DEFAULT_MTU).unwrap();
+    let mut rx = Endpoint::new(b, 1, peers, None, DEFAULT_MTU).unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Acquire) {
+                std::hint::black_box(rx.try_recv().unwrap());
+            }
+        });
+        group.bench_function("loopback_256_frames", |bench| {
+            bench.iter(|| {
+                for round in 0..FRAMES {
+                    tx.send_frame(1, &Frame::Start { round }).unwrap();
+                }
+                tx.drain(Duration::from_secs(10)).unwrap();
+            })
+        });
+        done.store(true, Ordering::Release);
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_codec, bench_window);
 criterion_main!(benches);

@@ -323,8 +323,9 @@ pub fn run(args: &Args) -> Report {
          coordinator's first propose ({} datagrams confirmed while it \
          ran) — the span the blocking handshake spends idle, its overlap \
          being zero by construction; raw time through round 0: {} ms \
-         streamed vs {} ms blocking (both ack-clock dominated — \
-         wall-clock appendix, machine-dependent). Datagram and \
+         streamed vs {} ms blocking (both bounded by snapshot transfer \
+         and round-0 compute: a window turn costs a loopback round trip, \
+         not a socket timeout — wall-clock appendix, machine-dependent). Datagram and \
          snapshot-chunk counts are coordinator-endpoint, deterministic \
          rows; retransmit/ack traffic and RSS stay in the appendix.",
         streamed_overlap_ns as f64 / 1e6,

@@ -29,7 +29,11 @@
 //! Datagrams are unreliable, so a [`window`] layer supplies per-peer
 //! send windows with ack/nak control frames, timeout + exponential
 //! backoff retransmit, duplicate suppression, in-order delivery, and
-//! datagram-sized fragmentation for frames over the MTU budget.
+//! datagram-sized fragmentation for frames over the MTU budget. Its
+//! pump is event-driven — whatever the socket has ready is read without
+//! blocking and acked at once, a hole is nak'd as the arrival exposing
+//! it is read — so a window turn costs a loopback round trip, not a
+//! socket-timeout quantum; only an idle endpoint waits on the timeout.
 //!
 //! # Bootstrap: streamed snapshots
 //!

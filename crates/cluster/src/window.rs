@@ -20,15 +20,26 @@
 //!   deadline; expiry retransmits it and doubles its RTO (capped). A
 //!   received `Ack { cumulative, selective }` clears everything `≤
 //!   cumulative` plus the named stragglers; a `NakRange` retransmits the
-//!   still-unacked part of the range immediately.
+//!   still-unacked part of the range immediately, except what was
+//!   retransmitted within the last [`NAK_INTERVAL`] (naks queue up while
+//!   this side computes). Only timer expiries count toward
+//!   [`MAX_ATTEMPTS`] — a peer that naks is alive. A first transmission
+//!   the kernel refuses stays in the outbox.
 //! * **Receive side**: per-link cumulative counter plus an out-of-order
 //!   buffer. A datagram at or below the cumulative mark (or already
 //!   buffered) is a duplicate — dropped, but re-acked, since a duplicate
 //!   usually means the peer lost our ack. Frames are handed up **only in
 //!   send order**: out-of-order arrivals are held until the gap closes.
-//!   Whenever the buffer is non-empty after an advance, seq
-//!   `cumulative + 1` is provably missing; a rate-limited `NakRange`
-//!   names the hole so recovery does not wait out the full RTO.
+//!   An arrival with `seq > max_seen + 1` exposes exactly the hole
+//!   `max_seen + 1 ..= seq - 1`, and a `NakRange` names it **as that
+//!   arrival is read**, so repair costs a round trip, not a timer. While
+//!   the buffer stays non-empty every open hole is re-nak'd, each as its
+//!   own exact range, once per [`NAK_INTERVAL`].
+//! * **The ack clock**: [`Endpoint::pump`] reads whatever the socket has
+//!   ready without blocking and answers at once — one ack per link that
+//!   received data, then the first transmissions the acks just read made
+//!   room for. It blocks (bounded by the socket read timeout) only when
+//!   its first read found nothing.
 //!
 //! # Seeded loss, and why termination survives it
 //!
@@ -79,7 +90,9 @@ pub const MAX_RTO: Duration = Duration::from_millis(1000);
 /// Retransmit attempts before the link is declared dead (~50 s of
 /// backoff — far beyond any legitimate peer stall).
 pub const MAX_ATTEMPTS: u32 = 60;
-/// Minimum spacing between receiver-driven naks for the same link.
+/// Spacing between re-naks of a hole that stays open (a fresh hole is
+/// nak'd when seen); also how recently retransmitted a datagram must be
+/// for a nak to skip it.
 pub const NAK_INTERVAL: Duration = Duration::from_millis(10);
 /// Cap on selective-ack entries per ack frame.
 pub const SELECTIVE_ACK_CAP: usize = 64;
@@ -152,7 +165,11 @@ struct Pending {
     bytes: Vec<u8>,
     deadline: Instant,
     rto: Duration,
+    /// Transmissions the timer has driven, the first included. A
+    /// nak-driven resend is not one: a nak proves the peer alive.
     attempts: u32,
+    /// Last retransmission, timer- or nak-driven.
+    resent: Option<Instant>,
 }
 
 /// Per-directed-link state (both directions of one peer).
@@ -169,9 +186,10 @@ struct Link {
     recv_buffered: BTreeMap<u64, Vec<u8>>,
     /// Reassembles fragment runs (in-order delivery makes them contiguous).
     defrag: Defragmenter,
-    /// An ack is owed after this pump.
+    /// An ack is owed at the end of this pump.
     ack_due: bool,
-    /// Last receiver-driven nak, for rate limiting.
+    /// When the open holes were last named: the sighting of the first
+    /// one, then each re-nak.
     last_nak: Option<Instant>,
 }
 
@@ -234,9 +252,12 @@ impl Endpoint {
     ) -> io::Result<Endpoint> {
         assert!(shard < peers.len(), "shard index outside the peer table");
         assert!(mtu > 0, "mtu must be positive");
-        // Short poll quantum: every receive attempt doubles as a tick for
-        // the retransmit timers.
+        // Reads are non-blocking; the read timeout bounds only `pump`'s
+        // idle wait, which doubles as the tick of the retransmit and
+        // re-nak timers. The kernel rounds it up to its own tick: on a
+        // 250 Hz kernel a "1 ms" timeout measures 6-10 ms.
         socket.set_read_timeout(Some(Duration::from_millis(1)))?;
+        socket.set_nonblocking(true)?;
         let links = (0..peers.len()).map(|_| Link::new()).collect();
         Ok(Endpoint {
             socket,
@@ -322,23 +343,35 @@ impl Endpoint {
         (self.shard * self.peers.len() + to) as u64
     }
 
-    fn transmit(socket: &UdpSocket, stats: &mut EndpointStats, addr: SocketAddr, bytes: &[u8]) {
-        // A full socket buffer surfaces as WouldBlock/ENOBUFS on some
-        // stacks; treat any send error as a drop — the window will
-        // retransmit, and a persistently dead link fails via MAX_ATTEMPTS.
-        if socket.send_to(bytes, addr).is_ok() {
+    /// Whether the kernel took the datagram. The socket is non-blocking,
+    /// so a full send buffer refuses with `WouldBlock` (`ENOBUFS` on some
+    /// stacks). For a retransmit or a control datagram any refusal is a
+    /// drop — the timers repair it, and a persistently dead link fails
+    /// via MAX_ATTEMPTS; a first transmission is held back instead (see
+    /// `service_sends`).
+    fn transmit(
+        socket: &UdpSocket,
+        stats: &mut EndpointStats,
+        addr: SocketAddr,
+        bytes: &[u8],
+    ) -> bool {
+        let sent = socket.send_to(bytes, addr).is_ok();
+        if sent {
             stats.datagrams_sent += 1;
             stats.bytes_sent += bytes.len() as u64;
         }
+        sent
     }
 
     /// Admits outbox datagrams to the window (first transmissions, where
-    /// the loss shim applies) while there is room.
+    /// the loss shim applies) while there is room. One the kernel refuses
+    /// is not in flight: it stays at the head of the outbox, seq and loss
+    /// verdict unchanged, for the next pump.
     fn service_sends(&mut self, to: usize, now: Instant) {
         let link_id = self.link_id(to);
         let link = &mut self.links[to];
         while link.inflight.len() < SEND_WINDOW {
-            let Some(dgram) = link.outbox.pop_front() else {
+            let Some(dgram) = link.outbox.front() else {
                 break;
             };
             let seq = u64::from_le_bytes(dgram[4..12].try_into().unwrap());
@@ -349,19 +382,23 @@ impl Endpoint {
             if drop {
                 self.stats.injected_drops += 1;
             } else {
-                Self::transmit(&self.socket, &mut self.stats, self.peers[to], &dgram);
+                if !Self::transmit(&self.socket, &mut self.stats, self.peers[to], dgram) {
+                    break;
+                }
                 if dup {
                     self.stats.injected_dups += 1;
-                    Self::transmit(&self.socket, &mut self.stats, self.peers[to], &dgram);
+                    Self::transmit(&self.socket, &mut self.stats, self.peers[to], dgram);
                 }
             }
+            let bytes = link.outbox.pop_front().expect("the front just read");
             link.inflight.insert(
                 seq,
                 Pending {
-                    bytes: dgram,
+                    bytes,
                     deadline: now + INITIAL_RTO,
                     rto: INITIAL_RTO,
                     attempts: 1,
+                    resent: None,
                 },
             );
         }
@@ -391,6 +428,7 @@ impl Endpoint {
                 p.attempts += 1;
                 p.rto = (p.rto * 2).min(MAX_RTO);
                 p.deadline = now + p.rto;
+                p.resent = Some(now);
                 self.stats.retransmitted += 1;
                 Self::transmit(&self.socket, &mut self.stats, self.peers[to], &p.bytes);
             }
@@ -406,6 +444,11 @@ impl Endpoint {
         dgram.extend_from_slice(&0u64.to_le_bytes());
         dgram.extend_from_slice(&self.enc);
         Self::transmit(&self.socket, &mut self.stats, self.peers[to], &dgram);
+    }
+
+    fn send_nak(&mut self, to: usize, lo: u64, hi: u64) {
+        self.send_control(to, &Frame::NakRange { from: lo, to: hi });
+        self.stats.naks_sent += 1;
     }
 
     fn handle_control(&mut self, from: usize, frame: Frame) -> io::Result<()> {
@@ -426,7 +469,12 @@ impl Endpoint {
                 let now = Instant::now();
                 let link = &mut self.links[from];
                 for (_, p) in link.inflight.range_mut(lo..=hi) {
-                    p.attempts += 1;
+                    // Naks queue up while this side computes; the first
+                    // repaired the hole the rest still name.
+                    if p.resent.is_some_and(|t| now < t + NAK_INTERVAL) {
+                        continue;
+                    }
+                    p.resent = Some(now);
                     p.rto = INITIAL_RTO;
                     p.deadline = now + INITIAL_RTO;
                     self.stats.retransmitted += 1;
@@ -449,6 +497,18 @@ impl Endpoint {
             self.stats.duplicates_received += 1;
             return Ok(());
         }
+        let max_seen = link
+            .recv_buffered
+            .last_key_value()
+            .map_or(link.recv_cumulative, |(&s, _)| s);
+        if seq - 1 > max_seen {
+            // This arrival exposes the hole below it: name it now.
+            if link.recv_buffered.is_empty() {
+                link.last_nak = Some(Instant::now());
+            }
+            self.send_nak(from, max_seen + 1, seq - 1);
+        }
+        let link = &mut self.links[from];
         link.recv_buffered.insert(seq, frame_bytes.to_vec());
         while let Some(bytes) = link.recv_buffered.remove(&(link.recv_cumulative + 1)) {
             link.recv_cumulative += 1;
@@ -465,20 +525,22 @@ impl Endpoint {
         Ok(())
     }
 
-    /// One service pass: first transmissions, timer retransmits, a
-    /// bounded batch of socket reads, then deferred acks and gap naks.
-    /// Blocks at most ~the socket poll quantum when idle.
+    /// One service pass, event-driven: every datagram the socket has
+    /// ready (a bounded batch, read without blocking), then the response
+    /// at once — expired-timer retransmits, one ack per link that
+    /// received data, re-naks for holes still open, and the first
+    /// transmissions the acks just read made room for. Only when the
+    /// first read finds the socket empty does it block, for at most the
+    /// read timeout, and it handles whatever wakes it before returning.
     pub fn pump(&mut self) -> io::Result<()> {
-        let now = Instant::now();
-        for to in 0..self.peers.len() {
-            if to != self.shard {
-                self.service_sends(to, now);
+        for read in 0..128 {
+            let mut got = self.socket.recv_from(&mut self.buf);
+            if read == 0 && matches!(&got, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
+                self.socket.set_nonblocking(false)?;
+                got = self.socket.recv_from(&mut self.buf);
+                self.socket.set_nonblocking(true)?;
             }
-        }
-        self.service_retransmits(now)?;
-
-        for _ in 0..128 {
-            let (len, addr) = match self.socket.recv_from(&mut self.buf) {
+            let (len, addr) = match got {
                 Ok(x) => x,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -511,13 +573,15 @@ impl Endpoint {
             }
         }
 
-        // Deferred per-link acks (one per pump, not one per datagram) and
-        // receiver-driven naks for persistent gaps.
-        for from in 0..self.peers.len() {
-            if from == self.shard {
+        // Timers after the reads: an ack already in the socket must beat
+        // the deadline it clears.
+        let now = Instant::now();
+        self.service_retransmits(now)?;
+        for peer in 0..self.peers.len() {
+            if peer == self.shard {
                 continue;
             }
-            let link = &mut self.links[from];
+            let link = &mut self.links[peer];
             if link.ack_due {
                 link.ack_due = false;
                 let cumulative = link.recv_cumulative;
@@ -528,7 +592,7 @@ impl Endpoint {
                     .copied()
                     .collect();
                 self.send_control(
-                    from,
+                    peer,
                     &Frame::Ack(AckFrame {
                         cumulative,
                         selective,
@@ -536,24 +600,28 @@ impl Endpoint {
                 );
                 self.stats.acks_sent += 1;
             }
-            let link = &mut self.links[from];
-            if let Some((&max_seen, _)) = link.recv_buffered.iter().next_back() {
-                // Buffer non-empty after the advance loop means
-                // cumulative + 1 is missing right now.
-                let due = link.last_nak.is_none_or(|t| now >= t + NAK_INTERVAL);
-                if due {
-                    link.last_nak = Some(now);
-                    let lo = link.recv_cumulative + 1;
-                    self.send_control(
-                        from,
-                        &Frame::NakRange {
-                            from: lo,
-                            to: max_seen,
-                        },
-                    );
-                    self.stats.naks_sent += 1;
+            let link = &mut self.links[peer];
+            if !link.recv_buffered.is_empty()
+                && link.last_nak.is_none_or(|t| now >= t + NAK_INTERVAL)
+            {
+                // Holes that outlived their first nak: each gap between
+                // consecutive buffered seqs, as its own exact range.
+                link.last_nak = Some(now);
+                let mut below = link.recv_cumulative;
+                let holes: Vec<(u64, u64)> = link
+                    .recv_buffered
+                    .keys()
+                    .filter_map(|&seq| {
+                        let hole = (seq - below > 1).then_some((below + 1, seq - 1));
+                        below = seq;
+                        hole
+                    })
+                    .collect();
+                for (lo, hi) in holes {
+                    self.send_nak(peer, lo, hi);
                 }
             }
+            self.service_sends(peer, now);
         }
         Ok(())
     }
@@ -713,6 +781,198 @@ mod tests {
         assert_eq!(a1.injected_drops, a2.injected_drops);
         assert_eq!(a1.injected_dups, a2.injected_dups);
         assert_eq!(a1.data_datagrams, a2.data_datagrams);
+    }
+
+    /// Shard 0 of a two-shard table whose shard 1 is a raw socket the
+    /// test scripts by hand.
+    fn scripted_peer() -> (Endpoint, UdpSocket) {
+        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.connect(a.local_addr().unwrap()).unwrap();
+        let peers = vec![a.local_addr().unwrap(), raw.local_addr().unwrap()];
+        (Endpoint::new(a, 0, peers, None, DEFAULT_MTU).unwrap(), raw)
+    }
+
+    fn datagram(shard: u32, seq: u64, frame: &Frame) -> Vec<u8> {
+        let mut enc = bytes::BytesMut::new();
+        frame.encode(&mut enc);
+        let mut d = shard.to_le_bytes().to_vec();
+        d.extend_from_slice(&seq.to_le_bytes());
+        d.extend_from_slice(&enc);
+        d
+    }
+
+    /// The control frames the endpoint has sent the raw peer since the
+    /// last call (loopback delivers inside `send_to`, so none is still on
+    /// its way).
+    fn controls(raw: &UdpSocket) -> Vec<Frame> {
+        let mut buf = [0u8; 2048];
+        let mut got = Vec::new();
+        raw.set_nonblocking(true).unwrap();
+        while let Ok(len) = raw.recv(&mut buf) {
+            assert_eq!(buf[..12], [0u8; 12], "from shard 0, unsequenced");
+            got.push(parse_framed(&buf[12..len]).unwrap());
+        }
+        got
+    }
+
+    fn naks(sent: &[Frame]) -> Vec<(u64, u64)> {
+        sent.iter()
+            .filter_map(|f| match f {
+                Frame::NakRange { from, to } => Some((*from, *to)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_gap_is_nakd_on_sight_and_renakd_only_after_the_interval() {
+        let (mut a, raw) = scripted_peer();
+        for seq in [1u64, 4, 5, 9] {
+            raw.send(&datagram(1, seq, &Frame::Start { round: seq }))
+                .unwrap();
+        }
+        let t = Instant::now();
+        a.pump().unwrap();
+        let took = t.elapsed();
+        // One nak per hole, each naming exactly the missing seqs, in the
+        // pump that read the arrivals exposing them — no timer involved.
+        let sent = controls(&raw);
+        assert!(
+            naks(&sent) == [(2, 3), (6, 8)] || took >= NAK_INTERVAL,
+            "fresh holes: {sent:?}"
+        );
+        assert!(sent.contains(&Frame::Ack(AckFrame {
+            cumulative: 1,
+            selective: vec![4, 5, 9],
+        })));
+        assert_eq!(a.try_recv().unwrap(), Some((1, Frame::Start { round: 1 })));
+
+        // The holes stay open: they are named again, but never sooner
+        // than NAK_INTERVAL after the sighting.
+        let named = a.links[1].last_nak.expect("a hole is open");
+        let first = a.stats().naks_sent;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while a.stats().naks_sent == first {
+            assert!(Instant::now() < deadline, "hole never re-nak'd");
+            a.pump().unwrap();
+        }
+        assert!(Instant::now() >= named + NAK_INTERVAL, "re-nak'd early");
+        assert_eq!(naks(&controls(&raw)), [(2, 3), (6, 8)]);
+
+        // Closing one hole delivers up to the next, and only the open
+        // one is named from then on.
+        for seq in [2u64, 3] {
+            raw.send(&datagram(1, seq, &Frame::Start { round: seq }))
+                .unwrap();
+        }
+        let got: Vec<_> = std::iter::from_fn(|| a.try_recv().unwrap()).collect();
+        let rounds: Vec<_> = (2..=5).map(|round| (1, Frame::Start { round })).collect();
+        assert_eq!(got, rounds);
+        let second = a.stats().naks_sent;
+        while a.stats().naks_sent == second {
+            assert!(Instant::now() < deadline, "open hole never re-nak'd");
+            a.pump().unwrap();
+        }
+        let last = naks(&controls(&raw));
+        assert!(!last.is_empty() && last.iter().all(|&hole| hole == (6, 8)));
+    }
+
+    #[test]
+    fn foreign_datagrams_are_ignored_or_typed_errors() {
+        let (mut a, raw) = scripted_peer();
+        // A runt is not ours: dropped without a trace.
+        raw.send(&[0xAB; 11]).unwrap();
+        a.pump().unwrap();
+        assert_eq!(a.stats().datagrams_received, 0);
+        // A sender outside the peer table, our own shard id, and a data
+        // frame riding the unsequenced lane are protocol violations.
+        for bad in [
+            datagram(7, 1, &Frame::Start { round: 0 }),
+            datagram(0, 1, &Frame::Start { round: 0 }),
+            datagram(1, 0, &Frame::Start { round: 0 }),
+        ] {
+            raw.send(&bad).unwrap();
+            let err = a.pump().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        }
+        // None of it wedged the endpoint.
+        raw.send(&datagram(1, 1, &Frame::Start { round: 3 }))
+            .unwrap();
+        assert_eq!(a.try_recv().unwrap(), Some((1, Frame::Start { round: 3 })));
+    }
+
+    #[test]
+    fn queued_naks_resend_once_and_never_kill_the_link() {
+        let (mut a, raw) = scripted_peer();
+        a.send_frame(1, &Frame::Start { round: 0 }).unwrap();
+        // What a sender finds after a long compute phase: the receiver's
+        // re-naks for one hole, queued up. More than MAX_ATTEMPTS of them.
+        let nak = datagram(1, 0, &Frame::NakRange { from: 1, to: 1 });
+        for _ in 0..100 {
+            raw.send(&nak).unwrap();
+        }
+        while a.stats().naks_received < 100 {
+            a.pump().unwrap();
+        }
+        let resent = a.stats().retransmitted;
+        assert!((1..=2).contains(&resent), "{resent} resends for one hole");
+        // The naks proved the peer alive, so the timer's next expiries
+        // are ordinary retransmits, not "peer unresponsive".
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while a.stats().retransmitted < resent + 2 {
+            assert!(Instant::now() < deadline, "timer never fired");
+            a.pump().unwrap();
+        }
+        assert_eq!(a.pending_datagrams(), 1);
+        let ack = Frame::Ack(AckFrame {
+            cumulative: 1,
+            selective: Vec::new(),
+        });
+        raw.send(&datagram(1, 0, &ack)).unwrap();
+        a.drain(Duration::from_secs(10)).unwrap();
+    }
+
+    #[test]
+    fn a_clean_link_never_retransmits() {
+        let (mut a, mut b) = pair();
+        for r in 0..2000u64 {
+            a.send_frame(1, &Frame::Start { round: r }).unwrap();
+        }
+        let got = shuttle(&mut a, &mut b, 2000);
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(r, f)| f == &Frame::Start { round: r as u64 }));
+        a.drain(Duration::from_secs(10)).unwrap();
+        assert_eq!(a.stats().retransmitted, 0, "{:?}", a.stats());
+        assert_eq!(b.stats().duplicates_received, 0, "{:?}", b.stats());
+    }
+
+    #[test]
+    fn every_retransmit_under_loss_is_a_repair() {
+        let loss = DatagramLoss {
+            seed: 0xC0FFEE,
+            drop_per_mille: 250,
+            dup_per_mille: 0,
+        };
+        let (mut a, mut b) = pair_with(Some(loss), DEFAULT_MTU);
+        for r in 0..2000u64 {
+            a.send_frame(1, &Frame::Start { round: r }).unwrap();
+        }
+        let got = shuttle(&mut a, &mut b, 2000);
+        assert!(got
+            .iter()
+            .enumerate()
+            .all(|(r, f)| f == &Frame::Start { round: r as u64 }));
+        a.drain(Duration::from_secs(30)).unwrap();
+        let (sent, seen) = (a.stats(), b.stats());
+        assert!(sent.injected_drops > 400, "{sent:?}");
+        // Each hole is named once, exactly, so nothing already received
+        // is sent again (a timer nak over `cumulative+1 ..= max_seen`
+        // re-sent whole windows here).
+        assert!(sent.retransmitted <= sent.injected_drops + 8, "{sent:?}");
+        assert!(seen.duplicates_received <= 8, "{seen:?}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Thread mode only: proptest cases run inside the libtest harness,
 //! where re-exec process workers are off limits.
 
-use gossip_cluster::{ClusterBuilder, DatagramLoss};
+use gossip_cluster::{ClusterBuilder, DatagramLoss, DEFAULT_MTU};
 use gossip_core::rng::stream_rng;
 use gossip_core::RuleId;
 use gossip_graph::{generators, ShardedArenaGraph};
@@ -69,6 +69,8 @@ proptest! {
     /// Seeded datagram loss (drops + duplicates) never changes the
     /// result — the window layer repairs everything before the round
     /// barrier — and the injected-fault counters themselves reproduce.
+    /// A third of the cases pair heavy loss with a small MTU, so holes
+    /// open (and are nak'd on sight) in the middle of fragment runs.
     #[test]
     fn lossy_cluster_still_matches_and_injects_deterministically(
         n in 64usize..400,
@@ -76,7 +78,8 @@ proptest! {
         engine_seed in 0u64..1_000,
         shards in 2usize..4,
         loss_seed in 0u64..1_000,
-        drop_per_mille in (0usize..2).prop_map(|i| [50u16, 200][i]),
+        (drop_per_mille, mtu) in (0usize..3)
+            .prop_map(|i| [(50u16, DEFAULT_MTU), (200, DEFAULT_MTU), (200, 256)][i]),
         dup_per_mille in 0u16..100,
         rounds in 1u64..4,
     ) {
@@ -85,6 +88,7 @@ proptest! {
         let run = |g: ShardedArenaGraph| {
             let mut cluster = ClusterBuilder::new(g, RuleId::Pull, engine_seed)
                 .with_loss(loss)
+                .with_mtu(mtu)
                 .spawn()
                 .expect("spawn lossy cluster");
             let stats: Vec<_> = (0..rounds).map(|_| cluster.step()).collect();
