@@ -35,7 +35,6 @@ pub mod arena;
 pub mod bitset;
 pub mod closure;
 pub mod components;
-pub mod csr;
 pub mod directed;
 pub mod generators;
 pub mod io;
@@ -49,7 +48,6 @@ pub use adjacency::AdjSet;
 pub use arena::{ArenaGraph, ArenaSnapshot, SliceArena, UniformNeighbors};
 pub use bitset::BitSet;
 pub use closure::Closure;
-pub use csr::Csr;
 pub use directed::DirectedGraph;
 pub use node::{Arc, Edge, NodeId};
 pub use sharded::{

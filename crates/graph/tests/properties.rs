@@ -5,7 +5,6 @@ use gossip_graph::closure::Closure;
 use gossip_graph::components::{
     connected_components, is_connected, strongly_connected_components, UnionFind,
 };
-use gossip_graph::csr::Csr;
 use gossip_graph::traversal::{bfs_distances, rings_up_to, UNREACHABLE};
 use gossip_graph::{generators, io, DirectedGraph, NodeId, UndirectedGraph};
 use proptest::prelude::*;
@@ -94,20 +93,6 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// CSR snapshots preserve adjacency and BFS semantics exactly.
-    #[test]
-    fn csr_equivalence(seed in any::<u64>(), n in 2usize..40, extra in 0usize..60) {
-        let g = random_graph(seed, n, extra);
-        let csr = Csr::from(&g);
-        prop_assert_eq!(csr.entry_count() as u64, 2 * g.m());
-        for u in g.nodes() {
-            prop_assert_eq!(csr.neighbors(u), g.neighbors(u).as_slice());
-        }
-        let d1 = bfs_distances(&g, NodeId(0));
-        let d2 = bfs_distances(&csr, NodeId(0));
-        prop_assert_eq!(d1, d2);
     }
 
     /// Edge-list text roundtrips losslessly.

@@ -67,7 +67,7 @@ pub mod prelude {
         TrialConfig,
     };
     pub use gossip_graph::{
-        generators, ArenaGraph, Csr, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph,
+        generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph,
     };
     pub use gossip_net::{
         ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PullProtocol as NetPull,
