@@ -6,10 +6,10 @@
 //! else — and anything generic over "an engine" (the serve loop, the trial
 //! runners, the experiment battery) had to duplicate that choice.
 //! [`EngineBuilder`] centralizes it: collect the ingredients (graph, rule, seed, parallelism
-//! policy), then pick the execution variant at the end — statically
-//! ([`EngineBuilder::build`], [`EngineBuilder::build_async`]) or as a
-//! trait object behind the [`RoundEngine`] seam
-//! ([`EngineBuilder::build_boxed`]) when the variant is a runtime choice.
+//! policy), then pick the execution variant at the end
+//! ([`EngineBuilder::build`], [`EngineBuilder::build_async`]). Every
+//! variant is a [`RoundEngine`](crate::seam::RoundEngine), so callers
+//! generic over the seam take whichever was built.
 //!
 //! The sharded variant lives downstream (crate `gossip-shard`, which this
 //! crate cannot depend on); it plugs in through the same builder via an
@@ -20,7 +20,6 @@ use crate::async_engine::AsyncEngine;
 use crate::engine::{Engine, Parallelism};
 use crate::membership::MembershipPlan;
 use crate::process::{GossipGraph, ProposalRule};
-use crate::seam::RoundEngine;
 
 /// Collects the ingredients of a run — initial graph, proposal rule,
 /// experiment seed, parallelism policy — and builds whichever engine
@@ -66,9 +65,8 @@ impl<G: GossipGraph, R: ProposalRule<G>> EngineBuilder<G, R> {
 
     /// Installs a join/leave schedule (the [`crate::membership`] lifecycle
     /// seam). Every synchronous engine variant built from this builder —
-    /// batch, sharded, or either one boxed behind [`RoundEngine`] (the
-    /// served path) — applies the identical event stream at the identical
-    /// round boundaries.
+    /// batch or sharded, served or not — applies the identical event
+    /// stream at the identical round boundaries.
     pub fn membership(mut self, plan: MembershipPlan) -> Self {
         self.membership = Some(plan);
         self
@@ -117,34 +115,12 @@ impl<G: GossipGraph, R: ProposalRule<G>> EngineBuilder<G, R> {
         );
         AsyncEngine::new(self.graph, self.rule, self.seed)
     }
-
-    /// Builds the synchronous engine as a boxed [`RoundEngine`] trait
-    /// object — for callers that select the variant at runtime.
-    pub fn build_boxed(self) -> Box<dyn RoundEngine<Graph = G> + Send>
-    where
-        G: 'static,
-        R: 'static,
-    {
-        Box::new(self.build())
-    }
-
-    /// Builds the asynchronous engine as a boxed [`RoundEngine`] trait
-    /// object (one quantum = one activation).
-    pub fn build_async_boxed(self) -> Box<dyn RoundEngine<Graph = G> + Send>
-    where
-        G: 'static,
-        R: 'static,
-    {
-        Box::new(self.build_async())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::{ComponentwiseComplete, Never};
-    use crate::rules::{Pull, Push};
-    use crate::seam::run_engine_until;
+    use crate::rules::Push;
     use gossip_graph::generators;
 
     #[test]
@@ -157,32 +133,5 @@ mod tests {
         for round in 0..20 {
             assert_eq!(hand.step(), built.step(), "round {round}");
         }
-    }
-
-    #[test]
-    fn boxed_sync_engine_is_bit_identical_to_static() {
-        let g = generators::star(48);
-        let mut fixed = EngineBuilder::new(g.clone(), Pull, 5).build();
-        let mut boxed = EngineBuilder::new(g, Pull, 5).build_boxed();
-        let a = run_engine_until(&mut fixed, &mut Never, 25);
-        let b = run_engine_until(&mut boxed, &mut Never, 25);
-        assert_eq!(a, b);
-        for u in fixed.graph().nodes() {
-            assert_eq!(
-                fixed.graph().neighbors(u).as_slice(),
-                boxed.graph().neighbors(u).as_slice()
-            );
-        }
-    }
-
-    #[test]
-    fn boxed_async_engine_counts_activations() {
-        let g = generators::star(12);
-        let mut check = ComponentwiseComplete::for_graph(&g);
-        let mut e = EngineBuilder::new(g, Push, 3).build_async_boxed();
-        let out = run_engine_until(&mut e, &mut check, 1_000_000);
-        assert!(out.converged);
-        assert!(e.graph().is_complete());
-        assert_eq!(out.rounds, e.quanta());
     }
 }

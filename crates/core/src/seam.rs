@@ -47,29 +47,6 @@ pub trait RoundEngine {
     }
 }
 
-// A boxed engine is an engine: `Box<dyn RoundEngine<Graph = G>>` is what
-// `EngineBuilder::build_boxed` hands to callers (gossip-serve, the CLI)
-// that select an engine variant at runtime.
-impl<E: RoundEngine + ?Sized> RoundEngine for Box<E> {
-    type Graph = E::Graph;
-    #[inline]
-    fn graph(&self) -> &E::Graph {
-        (**self).graph()
-    }
-    #[inline]
-    fn quanta(&self) -> u64 {
-        (**self).quanta()
-    }
-    #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        (**self).step_quantum()
-    }
-    #[inline]
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<E::Graph>) -> RoundStats {
-        (**self).step_listened(listener)
-    }
-}
-
 /// The one shared run loop: advances `engine` until `listener` votes
 /// [`RoundControl::Stop`] or `budget` quanta have executed. `converged` in
 /// the outcome means "a listener stopped the run".

@@ -10,7 +10,7 @@
 //! Three pieces:
 //!
 //! - [`GossipService`] owns any [`RoundEngine`](gossip_core::RoundEngine)
-//!   (sequential, async, sharded, or boxed) and drives it through the same
+//!   (sequential, async, sharded, cross-process) and drives it through the same
 //!   listener-seam run loop batch experiments use, so a served trajectory
 //!   is bit-identical to a batch run of the same `(graph, rule, seed)`.
 //! - [`Snapshot`] is one published epoch. For the sharded backend a

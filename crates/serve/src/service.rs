@@ -4,10 +4,9 @@
 //! ## The loop
 //!
 //! [`GossipService::spawn`] takes ownership of any [`RoundEngine`] — the
-//! sequential engine, the async engine, the sharded engine, or a boxed
-//! runtime choice from `EngineBuilder::build_boxed` — and drives it on a
-//! dedicated thread through the same [`run_engine_listened`] loop every
-//! batch experiment uses. Serving adds exactly one listener to that loop: a
+//! sequential engine, the async engine, the sharded engine, a
+//! cross-process driver — and drives it on a dedicated thread through the
+//! same [`run_engine_listened`] loop every batch experiment uses. Serving adds exactly one listener to that loop: a
 //! snapshot publisher that, every `snapshot_every` rounds, clones the graph
 //! and swaps it into an `RwLock<Arc<Snapshot>>`. Because the engine's
 //! trajectory is a pure function of `(graph, rule, seed)` and the publisher

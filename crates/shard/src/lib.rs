@@ -386,12 +386,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
 pub trait BuildSharded<R> {
     /// Builds the multi-shard round engine.
     fn build_sharded(self) -> ShardedEngine<R>;
-
-    /// Builds the multi-shard engine as a boxed [`RoundEngine`] trait
-    /// object — for callers selecting the variant at runtime.
-    fn build_sharded_boxed(self) -> Box<dyn RoundEngine<Graph = ShardedArenaGraph> + Send>
-    where
-        R: Send + 'static;
 }
 
 impl<R: ProposalRule<ShardedArenaGraph>> BuildSharded<R> for EngineBuilder<ShardedArenaGraph, R> {
@@ -402,13 +396,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> BuildSharded<R> for EngineBuilder<Shard
             engine = engine.with_membership(plan);
         }
         engine
-    }
-
-    fn build_sharded_boxed(self) -> Box<dyn RoundEngine<Graph = ShardedArenaGraph> + Send>
-    where
-        R: Send + 'static,
-    {
-        Box::new(self.build_sharded())
     }
 }
 
@@ -523,16 +510,12 @@ mod tests {
         use gossip_core::EngineBuilder;
         let g = sharded(2000, 4000, 3, 4);
         let mut hand = ShardedEngine::new(g.clone(), Push, 21);
-        let mut built = EngineBuilder::new(g.clone(), Push, 21).build_sharded();
-        let mut boxed = EngineBuilder::new(g, Push, 21).build_sharded_boxed();
+        let mut built = EngineBuilder::new(g, Push, 21).build_sharded();
         for round in 0..6 {
-            let s = hand.step();
-            assert_eq!(s, built.step(), "round {round}");
-            assert_eq!(s, boxed.step_quantum(), "round {round} (boxed)");
+            assert_eq!(hand.step(), built.step(), "round {round}");
         }
         for u in hand.graph().nodes() {
             assert_eq!(hand.graph().neighbors(u), built.graph().neighbors(u));
-            assert_eq!(hand.graph().neighbors(u), boxed.graph().neighbors(u));
         }
     }
 
