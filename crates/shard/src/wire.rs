@@ -41,16 +41,20 @@
 //!
 //! # Canonical ordering and determinism
 //!
-//! The stream transport's hub delivers mail to every destination in
-//! **canonical `(source shard, owner, chunk seq)` order** — exactly the
-//! order the in-process engine concatenates `mail[0][t], mail[1][t], …` —
-//! and its [`MailboxAssembler`]s are `strict`: they *assert* that order
-//! frame by frame. The datagram mesh has one in-order link per source, so
-//! its assemblers are *interleaved* (non-strict): frames are placed by
-//! their `(source, owner, seq)` key in whatever order the links interleave
-//! them. Reassembly is keyed either way, so the concatenation handed back
-//! is canonical. No carrier delivers a mail frame twice, so a repeated
-//! `(source, owner, seq)` is a protocol violation in both modes.
+//! Both carriers deliver each link's frames exactly once and in send
+//! order, so a [`MailboxAssembler`] is **in-order per stream** in both of
+//! its modes: a `(source, owner)` stream's frames must arrive `seq = 0,
+//! 1, …, last`, each is appended to its mailbox as it arrives, and a
+//! repeated, skipped or late frame is a typed protocol violation — there
+//! is no reorder buffer to size from a peer's `seq`. The modes differ
+//! only *across* streams. The stream transport's hub delivers mail to
+//! every destination in **canonical `(source shard, owner, chunk seq)`
+//! order** — exactly the order the in-process engine concatenates
+//! `mail[0][t], mail[1][t], …` — and its assemblers are `strict`: they
+//! *assert* that order frame by frame. The datagram mesh has one in-order
+//! link per source, so its assemblers are non-strict: streams of
+//! different sources interleave however the links do. Mailboxes are keyed
+//! by `(source, owner)` either way, so the grid handed back is canonical.
 //!
 //! Decoding is **checked end to end**: every getter is the non-panicking
 //! `try_*` form from the bytes shim, truncated or trailing bytes are
@@ -898,31 +902,33 @@ impl Defragmenter {
 ///
 /// Streams are keyed `(source, owner)`; the constructor fixes which
 /// streams are *expected* (a worker expects every source but itself; the
-/// supervisor expects exactly one source per worker link). `strict` mode
-/// additionally asserts canonical `(source, owner, seq)` arrival order —
-/// the stream transport's contract. Non-strict mode accepts any
-/// interleaving of sources, as the datagram mesh's one link per peer
-/// produces. A repeated frame is an error in both.
+/// supervisor expects exactly one source per worker link). Every carrier
+/// delivers a link's frames exactly once and in send order, so each
+/// stream is a **cursor**, not a reorder buffer: a frame is appended to
+/// its mailbox iff its `seq` is the one the stream accepts next, and
+/// anything else is an [`AssembleError`] — no buffer is ever sized by a
+/// number the peer chose. Streams from different sources may interleave
+/// freely, as the datagram mesh's one link per peer produces; `strict`
+/// mode additionally asserts canonical order *across* streams — the
+/// stream hub's contract.
 #[derive(Debug)]
 pub struct MailboxAssembler {
     shards: usize,
     round: u64,
     strict: bool,
     expected: Vec<bool>,
-    streams: Vec<StreamState>,
+    /// The mail grid being filled, `grid[source][owner]`.
+    grid: Vec<Vec<Vec<HalfEdge>>>,
+    /// Per stream, the `seq` it accepts next; `None` once it is closed
+    /// (its `last` frame came, or it has used every `seq`).
+    next_seq: Vec<Option<u32>>,
     /// Strict mode: position in the canonical stream walk.
     cursor: usize,
 }
 
-#[derive(Debug, Default)]
-struct StreamState {
-    chunks: Vec<Option<Vec<HalfEdge>>>,
-    total: Option<u32>,
-    received: u32,
-}
-
-/// A reassembly protocol violation (strict mode, or structurally
-/// impossible frames in any mode).
+/// A reassembly protocol violation: a frame that is not the next one of
+/// an expected stream of this round (or, in strict mode, of the stream
+/// canonical order is at).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AssembleError {
     /// Frame belongs to a different round.
@@ -940,8 +946,8 @@ pub enum AssembleError {
         /// The frame's owner shard.
         owner: u32,
     },
-    /// Same `(source, owner, seq)` seen twice. No carrier delivers a
-    /// mail frame twice, so this is a misbehaving peer in either mode.
+    /// A `seq` the stream has already taken. No carrier delivers a mail
+    /// frame twice, so this is a misbehaving peer in either mode.
     Duplicate {
         /// The duplicated frame's source.
         source: u32,
@@ -950,7 +956,8 @@ pub enum AssembleError {
         /// The duplicated sequence number.
         seq: u32,
     },
-    /// Arrival violated canonical order (strict mode only).
+    /// A `seq` ahead of the one the stream accepts next (either mode),
+    /// or a frame of a stream canonical order has not reached (strict).
     OutOfOrder {
         /// The frame's source.
         source: u32,
@@ -959,8 +966,7 @@ pub enum AssembleError {
         /// The frame's sequence number.
         seq: u32,
     },
-    /// A `seq` at or beyond a previously seen `last` frame's total, or a
-    /// second conflicting `last`.
+    /// A frame for a stream that is already closed.
     BeyondLast {
         /// The frame's source.
         source: u32,
@@ -1023,14 +1029,13 @@ impl MailboxAssembler {
     }
 
     fn with_expected(shards: usize, round: u64, strict: bool, expected: Vec<bool>) -> Self {
-        let mut streams = Vec::with_capacity(shards * shards);
-        streams.resize_with(shards * shards, StreamState::default);
         let mut a = MailboxAssembler {
             shards,
             round,
             strict,
             expected,
-            streams,
+            grid: vec![vec![Vec::new(); shards]; shards],
+            next_seq: vec![Some(0); shards * shards],
             cursor: 0,
         };
         a.cursor = a.next_expected_from(0);
@@ -1051,16 +1056,14 @@ impl MailboxAssembler {
     /// The next frame strict mode will accept, as `(source, owner, seq)`
     /// — `None` once every expected stream is complete.
     pub fn next_expected(&self) -> Option<(u32, u32, u32)> {
-        if self.cursor >= self.expected.len() {
-            return None;
-        }
+        let seq = (*self.next_seq.get(self.cursor)?)?;
         let source = (self.cursor / self.shards) as u32;
         let owner = (self.cursor % self.shards) as u32;
-        let seq = self.streams[self.cursor].received;
         Some((source, owner, seq))
     }
 
-    /// Feeds one mail frame.
+    /// Feeds one mail frame: appended to its mailbox if it is the next
+    /// frame of its stream, a typed error (and no change) otherwise.
     pub fn accept(&mut self, f: &MailFrame) -> Result<(), AssembleError> {
         if f.round != self.round {
             return Err(AssembleError::WrongRound {
@@ -1068,59 +1071,28 @@ impl MailboxAssembler {
                 want: self.round,
             });
         }
-        if f.source as usize >= self.shards
-            || f.owner as usize >= self.shards
-            || !self.expected[self.idx(f.source, f.owner)]
+        let (source, owner, seq) = (f.source, f.owner, f.seq);
+        if source as usize >= self.shards
+            || owner as usize >= self.shards
+            || !self.expected[self.idx(source, owner)]
         {
-            return Err(AssembleError::UnexpectedStream {
-                source: f.source,
-                owner: f.owner,
-            });
+            return Err(AssembleError::UnexpectedStream { source, owner });
         }
-        let idx = self.idx(f.source, f.owner);
-        let seen = &self.streams[idx].chunks;
-        if seen.get(f.seq as usize).is_some_and(|c| c.is_some()) {
-            return Err(AssembleError::Duplicate {
-                source: f.source,
-                owner: f.owner,
-                seq: f.seq,
-            });
+        let idx = self.idx(source, owner);
+        let Some(next) = self.next_seq[idx] else {
+            return Err(AssembleError::BeyondLast { source, owner, seq });
+        };
+        if seq < next {
+            return Err(AssembleError::Duplicate { source, owner, seq });
         }
-        if self.strict && self.next_expected() != Some((f.source, f.owner, f.seq)) {
-            return Err(AssembleError::OutOfOrder {
-                source: f.source,
-                owner: f.owner,
-                seq: f.seq,
-            });
+        if seq > next || (self.strict && idx != self.cursor) {
+            return Err(AssembleError::OutOfOrder { source, owner, seq });
         }
-        let st = &mut self.streams[idx];
-        if let Some(total) = st.total {
-            let conflicting_last = f.last && f.seq + 1 != total;
-            if f.seq >= total || conflicting_last {
-                return Err(AssembleError::BeyondLast {
-                    source: f.source,
-                    owner: f.owner,
-                    seq: f.seq,
-                });
-            }
-        }
-        if st.chunks.len() <= f.seq as usize {
-            st.chunks.resize_with(f.seq as usize + 1, || None);
-        }
-        if f.last {
-            if st.chunks.len() > f.seq as usize + 1 {
-                return Err(AssembleError::BeyondLast {
-                    source: f.source,
-                    owner: f.owner,
-                    seq: f.seq,
-                });
-            }
-            st.total = Some(f.seq + 1);
-        }
-        st.chunks[f.seq as usize] = Some(f.entries.clone());
-        st.received += 1;
-        if self.strict && f.last {
-            // Advance the canonical cursor past completed streams.
+        self.grid[source as usize][owner as usize].extend_from_slice(&f.entries);
+        // Nothing can follow `seq = u32::MAX`, so that closes a stream too.
+        self.next_seq[idx] = if f.last { None } else { seq.checked_add(1) };
+        if self.strict && self.next_seq[idx].is_none() {
+            // Advance the canonical cursor past the completed stream.
             self.cursor = self.next_expected_from(self.cursor + 1);
         }
         Ok(())
@@ -1137,28 +1109,17 @@ impl MailboxAssembler {
         let row = source * self.shards..(source + 1) * self.shards;
         self.expected[row.clone()]
             .iter()
-            .zip(&self.streams[row])
-            .all(|(&exp, st)| !exp || st.total.is_some_and(|t| st.received == t))
+            .zip(&self.next_seq[row])
+            .all(|(&exp, next)| !exp || next.is_none())
     }
 
     /// Hands back the reassembled mail grid `mail[source][owner]`, each
-    /// mailbox the canonical seq-order concatenation of its chunks.
-    /// Unexpected streams (e.g. the worker's own source row) come back
-    /// empty. Panics if called before [`MailboxAssembler::is_complete`].
+    /// mailbox its stream's frames in `seq` order. Unexpected streams
+    /// (e.g. the worker's own source row) come back empty. Panics if
+    /// called before [`MailboxAssembler::is_complete`].
     pub fn into_mail(self) -> Vec<Vec<Vec<HalfEdge>>> {
         assert!(self.is_complete(), "into_mail on incomplete assembly");
-        let shards = self.shards;
-        let mut grid: Vec<Vec<Vec<HalfEdge>>> = vec![vec![Vec::new(); shards]; shards];
-        for (i, st) in self.streams.into_iter().enumerate() {
-            if !self.expected[i] {
-                continue;
-            }
-            let mailbox = &mut grid[i / shards][i % shards];
-            for chunk in st.chunks.into_iter().flatten() {
-                mailbox.extend_from_slice(&chunk);
-            }
-        }
-        grid
+        self.grid
     }
 }
 
@@ -1434,35 +1395,88 @@ mod tests {
 
     #[test]
     fn lossy_assembler_recovers_from_disorder_dup_and_loss() {
-        let shards = 2;
+        // What a lossy carrier's repair layer leaves the assembler: each
+        // source's streams in order, the sources interleaved. Non-strict
+        // mode takes any such interleaving, here frame by frame.
+        let shards = 3;
         let entries: Vec<HalfEdge> = (0..20u32).map(|i| (i, NodeId(i), NodeId(i + 1))).collect();
-        let frames = mailbox_frames(3, 1, 1, &entries, 4); // 5 frames
+        let link = |source: u32| -> Vec<MailFrame> {
+            (0..shards as u32)
+                .flat_map(|owner| {
+                    let n = (4 * source + 5 * owner) as usize;
+                    mailbox_frames(3, source, owner, &entries[..n], 4)
+                })
+                .collect()
+        };
+        let (one, two) = (link(1), link(2));
+        assert!(one.len() != two.len() && one.len().min(two.len()) > 3);
         let mut asm = MailboxAssembler::for_worker(shards, 0, 3, false);
-        // Deliver out of order, with frame 2 missing; the other stream
-        // (1 -> 0) never arrives at all. A repeated frame is rejected
-        // and leaves the assembly as it was.
-        for f in [&frames[4], &frames[0], &frames[3], &frames[1]] {
-            asm.accept(f).unwrap();
+        for i in 0..one.len().max(two.len()) {
+            for f in [one.get(i), two.get(i)].into_iter().flatten() {
+                assert_eq!(asm.accept(f), Ok(()), "frame {f:?}");
+            }
         }
+        assert!(asm.is_complete());
+        let mail = asm.into_mail();
+        for (source, owner) in [(1usize, 0usize), (1, 2), (2, 0), (2, 1), (2, 2)] {
+            assert_eq!(
+                mail[source][owner],
+                entries[..4 * source + 5 * owner],
+                "stream ({source} -> {owner})"
+            );
+        }
+        assert!(mail[0].iter().all(Vec::is_empty), "own source row empty");
+
+        // Within a stream nothing but the next frame is taken, in this
+        // mode too, and a rejected frame leaves the assembly as it was.
+        let frames = mailbox_frames(3, 1, 1, &entries, 4); // 5 frames
+        let mut asm = MailboxAssembler::for_worker(2, 0, 3, false);
+        use AssembleError::{BeyondLast, Duplicate, OutOfOrder};
+        let (source, owner) = (1, 1);
+        asm.accept(&frames[0]).unwrap();
+        let skipped = asm.accept(&frames[2]);
         assert_eq!(
-            asm.accept(&frames[0]),
-            Err(AssembleError::Duplicate {
-                source: 1,
-                owner: 1,
+            skipped,
+            Err(OutOfOrder {
+                source,
+                owner,
+                seq: 2
+            })
+        );
+        asm.accept(&frames[1]).unwrap();
+        let repeated = asm.accept(&frames[0]);
+        assert_eq!(
+            repeated,
+            Err(Duplicate {
+                source,
+                owner,
                 seq: 0
             })
         );
-        assert!(!asm.is_complete());
-        assert!(!asm.source_complete(1));
-        // The gaps arrive late: completeness and canonical reassembly.
-        asm.accept(&frames[2]).unwrap();
+        // The frame that made a reorder buffer allocate by the peer's
+        // number: empty, `seq = u32::MAX`.
+        let seq = u32::MAX;
+        let hostile = MailFrame {
+            seq,
+            entries: vec![],
+            ..frames[4].clone()
+        };
+        assert_eq!(asm.accept(&hostile), Err(OutOfOrder { source, owner, seq }));
+        for f in &frames[2..] {
+            asm.accept(f).unwrap();
+        }
+        assert!(!asm.source_complete(1), "stream (1 -> 0) still owed");
+        assert_eq!(asm.accept(&hostile), Err(BeyondLast { source, owner, seq }));
+        let seq = 4;
+        assert_eq!(
+            asm.accept(&frames[4]),
+            Err(BeyondLast { source, owner, seq })
+        );
         for f in mailbox_frames(3, 1, 0, &[], 4) {
             asm.accept(&f).unwrap();
         }
         assert!(asm.is_complete());
-        let mail = asm.into_mail();
-        assert_eq!(mail[1][1], entries, "seq-order concatenation");
-        assert!(mail[1][0].is_empty());
+        assert_eq!(asm.into_mail()[1][1], entries, "seq-order concatenation");
     }
 
     #[test]

@@ -147,57 +147,76 @@ proptest! {
         let _ = Frame::decode(&soup);
     }
 
-    /// The non-strict assembler reconstructs the canonical mailbox from
-    /// any delivery order, rejects every repeated frame without losing
-    /// its place, and stays incomplete exactly until the withheld frame
-    /// arrives.
+    /// What a repaired lossy carrier hands the assembler: every source's
+    /// link in its own order, the links interleaved arbitrarily. Any such
+    /// interleaving assembles to the canonical grid in non-strict mode;
+    /// swap two neighbouring frames of one stream and both modes reject
+    /// the schedule at the first frame out of place.
     #[test]
     fn lossy_assembler_recovers_any_permutation(
         raw in proptest::collection::vec(any::<u64>(), 0..600),
         seed in any::<u64>(),
         round in any::<u64>(),
+        shards in 2usize..5,
     ) {
-        let shards = 2;
         let entries = entries_from(&raw);
-        let frames = mailbox_frames(round, 1, 0, &entries, 64);
-        let mut asm = MailboxAssembler::for_worker(shards, 0, round, false);
-        // Deliver a seeded shuffle with repeats, withholding one frame
-        // when there are at least two.
-        let mut rng = stream_rng(seed, 0, 0);
-        let withheld = if frames.len() > 1 {
-            Some(rng.random_range(0..frames.len()))
-        } else {
-            None
+        let mailbox = |source: usize, owner: usize| {
+            &entries[..entries.len() * (source + owner) / (2 * shards)]
         };
-        let mut order: Vec<usize> = (0..frames.len())
-            .filter(|&i| Some(i) != withheld)
-            .flat_map(|i| if rng.random_bool(0.3) { vec![i, i] } else { vec![i] })
+        // Destination shard 0 hears one link per other source.
+        let links: Vec<Vec<MailFrame>> = (1..shards)
+            .map(|source| {
+                (0..shards)
+                    .flat_map(|owner| {
+                        let mailbox = mailbox(source, owner);
+                        mailbox_frames(round, source as u32, owner as u32, mailbox, 64)
+                    })
+                    .collect()
+            })
             .collect();
-        for k in (1..order.len()).rev() {
-            let j = rng.random_range(0..=k);
-            order.swap(k, j);
-        }
-        let mut delivered = vec![false; frames.len()];
-        for i in order {
-            let got = asm.accept(&frames[i]);
-            if std::mem::replace(&mut delivered[i], true) {
-                let seq = i as u32;
-                prop_assert_eq!(got, Err(AssembleError::Duplicate { source: 1, owner: 0, seq }));
-            } else {
-                prop_assert_eq!(got, Ok(()));
+        let mut rng = stream_rng(seed, 0, 0);
+        let mut asm = MailboxAssembler::for_worker(shards, 0, round, false);
+        let mut heads = vec![0usize; links.len()];
+        loop {
+            let open: Vec<usize> =
+                (0..links.len()).filter(|&l| heads[l] < links[l].len()).collect();
+            if open.is_empty() {
+                break;
             }
-        }
-        // The other expected stream (1 -> 1) arrives intact.
-        for f in mailbox_frames(round, 1, 1, &[], 64) {
-            asm.accept(&f).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        }
-        if let Some(w) = withheld {
-            prop_assert!(!asm.is_complete());
-            asm.accept(&frames[w]).map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let l = open[rng.random_range(0..open.len())];
+            prop_assert_eq!(asm.accept(&links[l][heads[l]]), Ok(()));
+            heads[l] += 1;
         }
         prop_assert!(asm.is_complete());
         let mail = asm.into_mail();
-        prop_assert_eq!(&mail[1][0], &entries);
+        for (source, row) in mail.iter().enumerate().skip(1) {
+            for (owner, got) in row.iter().enumerate() {
+                prop_assert_eq!(got.as_slice(), mailbox(source, owner));
+            }
+        }
+
+        // The links end to end are the canonical schedule, legal in both
+        // modes until two frames of one stream trade places.
+        let mut schedule: Vec<&MailFrame> = links.iter().flatten().collect();
+        let stream = |f: &MailFrame| (f.source, f.owner);
+        let swaps: Vec<usize> = (0..schedule.len() - 1)
+            .filter(|&k| stream(schedule[k]) == stream(schedule[k + 1]))
+            .collect();
+        if !swaps.is_empty() {
+            let k = swaps[rng.random_range(0..swaps.len())];
+            schedule.swap(k, k + 1);
+            for strict in [false, true] {
+                let mut asm = MailboxAssembler::for_worker(shards, 0, round, strict);
+                for f in &schedule[..k] {
+                    prop_assert_eq!(asm.accept(f), Ok(()));
+                }
+                let ((source, owner), seq) = (stream(schedule[k]), schedule[k].seq);
+                prop_assert_eq!(
+                    asm.accept(schedule[k]),
+                    Err(AssembleError::OutOfOrder { source, owner, seq })
+                );
+            }
+        }
     }
 
     /// Ack frames round-trip for any cumulative floor and any valid
