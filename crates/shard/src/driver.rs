@@ -298,7 +298,28 @@ impl ShardReplica {
     /// holds every *other* source's mail (as a
     /// [`MailboxAssembler`] hands it back);
     /// the replica's own row is swapped in from `mail_out` for the merge.
-    pub fn apply_grid(&mut self, grid: &mut [Vec<Vec<HalfEdge>>]) {
+    ///
+    /// Received mail is outside input, and the merge indexes rows with
+    /// it: a half-edge whose row its owner does not hold, or whose other
+    /// endpoint is no node, is an `InvalidData` error naming the source
+    /// shard, found before anything is merged.
+    pub fn apply_grid(&mut self, grid: &mut [Vec<Vec<HalfEdge>>]) -> io::Result<()> {
+        let plan = *self.graph.plan();
+        for (source, row) in grid.iter().enumerate() {
+            for (owner, mailbox) in row.iter().enumerate() {
+                let span = plan.span(owner);
+                let stray = |&&(_, row, other): &&HalfEdge| {
+                    !span.contains(&row.index()) || other.index() >= plan.n()
+                };
+                if let Some((_, row, other)) = mailbox.iter().find(stray) {
+                    return Err(protocol_err(format!(
+                        "shard {source} sent half-edge ({row:?}, {other:?}) to owner {owner} \
+                         of rows {span:?} (n = {})",
+                        plan.n()
+                    )));
+                }
+            }
+        }
         if let Some(s) = self.shard {
             std::mem::swap(&mut grid[s], &mut self.mail_out);
         }
@@ -312,6 +333,7 @@ impl ShardReplica {
         if let Some(s) = self.shard {
             std::mem::swap(&mut grid[s], &mut self.mail_out);
         }
+        Ok(())
     }
 }
 
@@ -673,7 +695,9 @@ fn replica_round<L: ShardLink>(
     merge_proposed(&mut proposed, &inbox.proposed);
 
     let t = Instant::now();
-    replica.apply_grid(&mut inbox.asm.into_mail());
+    replica
+        .apply_grid(&mut inbox.asm.into_mail())
+        .map_err(|e| protocol_err(format!("round {r}: {e}")))?;
     let apply_ns = t.elapsed().as_nanos() as u64;
 
     if let Some(shard) = replica.shard() {
@@ -914,7 +938,7 @@ mod tests {
     use bytes::{BufMut, BytesMut};
     use gossip_core::rng::stream_rng;
     use gossip_core::Pull;
-    use gossip_graph::generators;
+    use gossip_graph::{generators, NodeId};
     use std::cell::RefCell;
     use std::collections::VecDeque;
     use std::rc::Rc;
@@ -1042,7 +1066,7 @@ mod tests {
         zero.propose_and_route(0);
         let p = one.propose_and_route(0);
         let mut grid = vec![zero.mail_out().to_vec(), vec![Vec::new(); 2]];
-        one.apply_grid(&mut grid);
+        one.apply_grid(&mut grid).unwrap();
         Round0 {
             mail: [
                 mail_frames(0, 0, zero.mail_out()),
@@ -1067,6 +1091,16 @@ mod tests {
 
     fn coordinator(script: Vec<(usize, Frame)>) -> ShardRoundDriver<ScriptedLink> {
         ShardRoundDriver::new(replica(0), ScriptedLink::new(0, 2, script))
+    }
+
+    /// Worker 1's end, bootstrapped: the coordinator's `Start{0}`, then
+    /// `script`.
+    fn worker(script: Vec<(usize, Frame)>) -> ScriptedLink {
+        let start = (0, Frame::Start { round: 0 });
+        let script = std::iter::once(start).chain(script).collect();
+        let mut link = ScriptedLink::new(1, 2, script);
+        link.replica = Some(replica(1));
+        link
     }
 
     /// The error every scripted violation must produce: typed, and
@@ -1131,11 +1165,7 @@ mod tests {
         );
 
         // Worker 1's view: Start, then shard 0's mail — stale.
-        let mut script = vec![(0, Frame::Start { round: 0 })];
-        script.extend(stale(h.mail[0].clone()));
-        let mut link = ScriptedLink::new(1, 2, script);
-        link.replica = Some(replica(1));
-        assert_rejected(run_shard(link), 0, 0);
+        assert_rejected(run_shard(worker(stale(h.mail[0].clone()))), 0, 0);
     }
 
     #[test]
@@ -1144,6 +1174,33 @@ mod tests {
         let mut script = honest_worker_script(&h);
         script.insert(1, script[0].clone());
         assert_rejected(coordinator(script).try_step(None), 1, 0);
+    }
+
+    #[test]
+    fn stray_half_edges_are_rejected_before_the_merge_at_either_end() {
+        let h = round0();
+        let plan = *graph().plan();
+        let (cut, n) = (plan.span(0).end as u32, plan.n() as u32);
+        // As `(owner, row, other)`: a row below its owner's span, a row at
+        // its owner's span end, a neighbour that is no node.
+        let strays = [
+            (1, NodeId(cut - 1), NodeId(5)),
+            (0, NodeId(cut), NodeId(5)),
+            (0, NodeId(5), NodeId(n)),
+        ];
+        for (owner, row, other) in strays {
+            let plant = |mut script: Vec<(usize, Frame)>| {
+                let entry = script.iter_mut().find_map(|(_, frame)| match frame {
+                    Frame::Mail(f) if f.owner == owner => f.entries.first_mut(),
+                    _ => None,
+                });
+                *entry.expect("some mail for the owner") = (0, row, other);
+                script
+            };
+            let script = plant(honest_worker_script(&h));
+            assert_rejected(coordinator(script).try_step(None), 1, 0);
+            assert_rejected(run_shard(worker(plant(h.mail[0].clone()))), 0, 0);
+        }
     }
 
     #[test]
@@ -1185,11 +1242,8 @@ mod tests {
         assert_rejected(coordinator(script).try_step(None), 1, 0);
 
         // And a worker is owed no barriers at all.
-        let mut script = vec![(0, Frame::Start { round: 0 })];
-        script.push((0, Frame::Done(h.done)));
-        let mut link = ScriptedLink::new(1, 2, script);
-        link.replica = Some(replica(1));
-        assert_rejected(run_shard(link), 0, 0);
+        let script = vec![(0, Frame::Done(h.done))];
+        assert_rejected(run_shard(worker(script)), 0, 0);
     }
 
     #[test]
@@ -1215,11 +1269,9 @@ mod tests {
     #[test]
     fn run_shard_plays_a_scripted_round_and_reports_both_barriers() {
         let h = round0();
-        let mut script = vec![(0, Frame::Start { round: 0 })];
-        script.extend(h.mail[0].clone());
+        let mut script = h.mail[0].clone();
         script.push((0, Frame::Shutdown));
-        let mut link = ScriptedLink::new(1, 2, script);
-        link.replica = Some(replica(1));
+        let link = worker(script);
         let sent = link.sent.clone();
         run_shard(link).unwrap();
         let reported: Vec<Frame> = sent
