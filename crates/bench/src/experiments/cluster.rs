@@ -21,10 +21,8 @@
 //!   its own and reports it in the `Done` barrier),
 //! * **bootstrap overlap** — how long the coordinator's first propose
 //!   ran while bootstrap snapshot datagrams were still pending (transfer
-//!   hidden under compute — the blocking-handshake baseline spends that
-//!   span idle, so its overlap is zero by construction), how many
-//!   datagrams were confirmed during that propose, and the raw
-//!   time-through-round-0 for both modes. Savings are reported in the
+//!   hidden under compute), how many datagrams were confirmed during
+//!   that propose, and the raw time through round 0. These sit in the
 //!   wall-clock appendix; the deterministic sections never depend on
 //!   them.
 //!
@@ -79,7 +77,6 @@ fn cluster_run(
     horizon: u64,
     seed: u64,
     loss: Option<DatagramLoss>,
-    blocking_bootstrap: bool,
 ) -> ClusterRun {
     let g = sparse_sharded(n, 2 * n as u64, seed, shards);
     let peers = two_host_table(shards);
@@ -87,8 +84,7 @@ fn cluster_run(
     let mut b = ClusterBuilder::new(g, RuleId::Pull, seed ^ 0x5A4D)
         .with_mode(TransportMode::Process)
         .with_bind("127.0.0.1:0".parse().unwrap())
-        .with_peers(peers)
-        .with_blocking_bootstrap(blocking_bootstrap);
+        .with_peers(peers);
     if let Some(l) = loss {
         b = b.with_loss(l);
     }
@@ -108,7 +104,7 @@ pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E20-cluster");
 
     // 2 loopback hosts × 2 shard processes each. Quick shrinks n only;
-    // the loss grid and both bootstrap modes run either way.
+    // the loss grid runs either way.
     let shards = 4usize;
     let (n, horizon) = if args.quick {
         (1 << 17, 4u64)
@@ -158,7 +154,7 @@ pub fn run(args: &Args) -> Report {
     let mut streamed_overlap_ns = 0u64;
 
     for (label, loss) in loss_grid {
-        let r = cluster_run(n, shards, horizon, args.seed, loss, false);
+        let r = cluster_run(n, shards, horizon, args.seed, loss);
 
         // The headline contract: the datagram cluster replays the
         // in-process engine bit-for-bit at every loss rate.
@@ -271,19 +267,6 @@ pub fn run(args: &Args) -> Report {
         ]);
     }
 
-    // The bootstrap baseline: same lossless workload, but the coordinator
-    // waits for every worker's Hello before round 0 instead of streaming
-    // snapshots under its own propose. Its overlap is zero by
-    // construction, so the streamed run's overlap time — propose wall
-    // time during which transfer was still pending — is exactly the span
-    // the baseline spends idle: the savings (wall-clock appendix only).
-    let blocking = cluster_run(n, shards, horizon, args.seed, None, true);
-    assert!(
-        blocking.run.matches(&oracle),
-        "blocking-bootstrap cluster diverged from in-process engine"
-    );
-    assert_eq!(blocking.cluster.bootstrap_overlap_datagrams, 0);
-    assert_eq!(blocking.cluster.bootstrap_overlap_ns, 0);
     report.measure_wallclock_scalar(
         "bootstrap_first_round_ns",
         "udp",
@@ -292,14 +275,7 @@ pub fn run(args: &Args) -> Report {
         streamed_first_round_ns as f64,
     );
     report.measure_wallclock_scalar(
-        "bootstrap_first_round_ns",
-        "udp-blocking",
-        fam.clone(),
-        n as u64,
-        blocking.first_round_ns as f64,
-    );
-    report.measure_wallclock_scalar(
-        "bootstrap_overlap_savings_ns",
+        "bootstrap_overlap_ns",
         "udp",
         fam,
         n as u64,
@@ -319,19 +295,17 @@ pub fn run(args: &Args) -> Report {
         shards / 2,
     ));
     report.note(format!(
-        "streamed bootstrap hid {:.1} ms of snapshot transfer under the \
-         coordinator's first propose ({} datagrams confirmed while it \
-         ran) — the span the blocking handshake spends idle, its overlap \
-         being zero by construction; raw time through round 0: {} ms \
-         streamed vs {} ms blocking (both bounded by snapshot transfer \
-         and round-0 compute: a window turn costs a loopback round trip, \
-         not a socket timeout — wall-clock appendix, machine-dependent). Datagram and \
-         snapshot-chunk counts are coordinator-endpoint, deterministic \
-         rows; retransmit/ack traffic and RSS stay in the appendix.",
+        "the streamed bootstrap hid {:.1} ms of snapshot transfer under \
+         the coordinator's first propose ({} datagrams confirmed while it \
+         ran); raw time through round 0: {} ms, bounded by snapshot \
+         transfer and round-0 compute (a window turn costs a loopback \
+         round trip, not a socket timeout — wall-clock appendix, \
+         machine-dependent). Datagram and snapshot-chunk counts are \
+         coordinator-endpoint, deterministic rows; retransmit/ack traffic \
+         and RSS stay in the appendix.",
         streamed_overlap_ns as f64 / 1e6,
         streamed_overlap_dgrams,
         streamed_first_round_ns / 1_000_000,
-        blocking.first_round_ns / 1_000_000,
     ));
     report.table("datagram cluster vs in-process engine (pull)", table);
     report

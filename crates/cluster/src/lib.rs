@@ -47,8 +47,6 @@
 //! snapshot transfer, and
 //! [`ClusterStats::bootstrap_overlap_datagrams`] records how many
 //! datagrams were confirmed inside that window.
-//! [`ClusterBuilder::with_blocking_bootstrap`] restores the classic
-//! handshake (wait for every worker's `Hello`) as the baseline.
 //!
 //! # Why determinism survives datagram reordering
 //!
@@ -136,17 +134,11 @@ pub struct ClusterStats {
     pub snapshot_chunks: u64,
     /// Datagrams confirmed while the coordinator's round-0 propose ran
     /// on its helper thread — the volume of bootstrap transfer that
-    /// overlapped compute the blocking handshake would have spent idle.
-    /// Zero in blocking mode, where the stream fully drains first.
+    /// overlapped compute.
     pub bootstrap_overlap_datagrams: u64,
     /// Wall time the round-0 propose ran while bootstrap datagrams were
-    /// still pending — transfer hidden under compute. The blocking
-    /// handshake spends this same span idle, so it doubles as the
-    /// overlap savings against that baseline. Zero in blocking mode.
+    /// still pending — transfer hidden under compute.
     pub bootstrap_overlap_ns: u64,
-    /// Wall time the coordinator spent blocked waiting for worker
-    /// `Hello`s (blocking mode only; streamed mode never waits).
-    pub bootstrap_wait_ns: u64,
     /// Peak RSS reported by each shard in its latest `Done` barrier
     /// (index 0 is the coordinator's own, read when the stats are).
     /// Genuine per-process high-water marks in process mode.
@@ -164,7 +156,6 @@ pub struct ClusterBuilder {
     mode: TransportMode,
     loss: Option<DatagramLoss>,
     mtu: usize,
-    blocking_bootstrap: bool,
     bind: Option<SocketAddr>,
     peers: Option<Vec<SocketAddr>>,
 }
@@ -182,7 +173,6 @@ impl ClusterBuilder {
             mode: TransportMode::Thread,
             loss: None,
             mtu: DEFAULT_MTU,
-            blocking_bootstrap: false,
             bind: None,
             peers: None,
         }
@@ -224,14 +214,6 @@ impl ClusterBuilder {
     pub fn with_mtu(mut self, mtu: usize) -> Self {
         assert!(mtu > 0, "mtu must be positive");
         self.mtu = mtu;
-        self
-    }
-
-    /// Switches bootstrap to the blocking-handshake baseline: wait for
-    /// every worker's `Hello` before the first `Start` (default:
-    /// streamed, overlapping the first propose with snapshot transfer).
-    pub fn with_blocking_bootstrap(mut self, blocking: bool) -> Self {
-        self.blocking_bootstrap = blocking;
         self
     }
 
@@ -328,7 +310,6 @@ impl ClusterBuilder {
         );
         let mut link = MeshLink::worker(coord_socket, table.clone(), 0, self.loss, self.mtu)?;
         link.workers = workers;
-        link.blocking_bootstrap = self.blocking_bootstrap;
         link.stats.worker_peak_rss_bytes = vec![0; shards];
 
         // Bootstrap: Config then every segment's chunk stream, to every
@@ -355,24 +336,6 @@ impl ClusterBuilder {
                 }
             }
         }
-
-        if self.blocking_bootstrap {
-            let t = Instant::now();
-            let mut hello_seen = vec![false; shards];
-            hello_seen[0] = true;
-            while hello_seen.contains(&false) {
-                let (from, frame) = link.endpoint.recv(RECV_TIMEOUT)?;
-                match frame {
-                    Frame::Hello { shard } if shard as usize == from => hello_seen[from] = true,
-                    other => {
-                        return Err(protocol_err(format!(
-                            "worker {from}: expected Hello during blocking bootstrap, got {other:?}"
-                        )))
-                    }
-                }
-            }
-            link.stats.bootstrap_wait_ns = t.elapsed().as_nanos() as u64;
-        }
         Ok(ShardRoundDriver::new(replica, link))
     }
 }
@@ -397,7 +360,6 @@ pub struct MeshLink {
     expected: u64,
     pending: Vec<MailFrame>,
     workers: Workers,
-    blocking_bootstrap: bool,
     /// Everything in [`ClusterStats`] but the endpoint's own counters.
     stats: ClusterStats,
 }
@@ -417,7 +379,6 @@ impl MeshLink {
             expected: 0,
             pending: Vec::new(),
             workers: Workers::default(),
-            blocking_bootstrap: false,
             stats: ClusterStats::default(),
         })
     }
@@ -484,11 +445,7 @@ impl ShardLink for MeshLink {
         };
         let snaps: Vec<ShardSegSnapshot> =
             asms.into_iter().map(SegSnapshotAssembler::finish).collect();
-        let replica = ShardReplica::from_config(cfg, &snaps)?;
-        self.report(&Frame::Hello {
-            shard: shard as u32,
-        })?;
-        Ok(replica)
+        ShardReplica::from_config(cfg, &snaps)
     }
 
     fn next_round(&mut self) -> io::Result<Option<u64>> {
@@ -537,18 +494,17 @@ impl ShardLink for MeshLink {
         first_err.map_or(Ok(()), Err)
     }
 
-    /// The coordinator's round-0 propose under a streamed bootstrap: the
-    /// windows only move when the endpoint is pumped, so the propose
-    /// runs on a helper thread while this one keeps draining the
-    /// snapshot stream under it. Everything confirmed in that window
-    /// transferred during compute the blocking handshake would have
-    /// spent idle. Every other propose is the plain one.
+    /// The coordinator's round-0 propose: the bootstrap stream is still
+    /// queued behind it, and the windows only move when the endpoint is
+    /// pumped, so the propose runs on a helper thread while this one
+    /// keeps draining the snapshot stream under it. Every other propose
+    /// is the plain one.
     fn propose_and_route(
         &mut self,
         replica: &mut ShardReplica,
         round: u64,
     ) -> io::Result<ProposedBarrier> {
-        if !(self.is_coordinator() && round == 0 && !self.blocking_bootstrap) {
+        if !(self.is_coordinator() && round == 0) {
             return Ok(replica.propose_and_route(round));
         }
         let pending_before = self.endpoint.pending_datagrams();
@@ -615,12 +571,8 @@ impl ShardLink for MeshLink {
             inbox.accept_mail(&f)?;
         }
         while !inbox.is_complete() {
-            match self.endpoint.recv(RECV_TIMEOUT)? {
-                // Streamed bootstrap: a worker's assembly ack arrives
-                // mid-round instead of up front.
-                (from, Frame::Hello { shard }) if coordinator && shard as usize == from => {}
-                (from, frame) => inbox.accept(from, frame)?,
-            }
+            let (from, frame) = self.endpoint.recv(RECV_TIMEOUT)?;
+            inbox.accept(from, frame)?;
         }
         for (s, peak) in self.stats.worker_peak_rss_bytes.iter_mut().enumerate() {
             *peak = (*peak).max(inbox.done(s).map_or(0, |b| b.peak_rss_bytes));
@@ -783,28 +735,6 @@ mod tests {
         );
         assert!(stats.endpoint.retransmitted >= stats.endpoint.injected_drops);
         cluster.shutdown().unwrap();
-    }
-
-    #[test]
-    fn blocking_bootstrap_matches_streamed_and_reports_no_overlap() {
-        let n = 1500;
-        let g = sharded(n, n as u64, 3, 2);
-        let mut streamed = ClusterBuilder::new(g.clone(), RuleId::Pull, 4)
-            .spawn()
-            .expect("spawn streamed");
-        let mut blocking = ClusterBuilder::new(g, RuleId::Pull, 4)
-            .with_blocking_bootstrap(true)
-            .spawn()
-            .expect("spawn blocking");
-        for round in 0..3 {
-            assert_eq!(streamed.step(), blocking.step(), "round {round}");
-        }
-        assert_graphs_equal(streamed.graph(), blocking.graph(), "bootstrap modes");
-        assert_eq!(blocking.stats().bootstrap_overlap_datagrams, 0);
-        assert!(blocking.stats().bootstrap_wait_ns > 0);
-        assert!(streamed.stats().snapshot_chunks > 0);
-        streamed.shutdown().unwrap();
-        blocking.shutdown().unwrap();
     }
 
     #[test]
