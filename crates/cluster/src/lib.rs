@@ -39,23 +39,26 @@
 //!
 //! Workers start empty; the coordinator streams every segment of the
 //! starting [`ShardedArenaGraph`] as [`gossip_graph::SegSnapshotChunk`]
-//! frames. In the
-//! default **streamed** mode the coordinator queues all chunks and the
-//! round-0 `Start` behind them (per-link FIFO keeps the order), then
+//! frames — the bootstrap stream [`gossip_shard::driver`] writes and
+//! reads for both carriers, chunked here to fit a datagram. The
+//! coordinator queues all chunks and the round-0 `Start` behind them
+//! (per-link FIFO keeps the order) and waits for no acknowledgment: it
 //! runs its own round-0 propose on a helper thread while the main thread
 //! keeps pumping the windows — the first propose overlaps the tail of
 //! snapshot transfer, and
 //! [`ClusterStats::bootstrap_overlap_datagrams`] records how many
-//! datagrams were confirmed inside that window.
+//! datagrams were confirmed inside that window. A worker that cannot
+//! assemble its replica never reports round 0's barriers, which is where
+//! the coordinator finds out.
 //!
 //! # Why determinism survives datagram reordering
 //!
 //! For any `(S, peer table, seeded loss rate)` the final state is
 //! **bit-identical to the sequential engine** — pinned by the
 //! determinism suite and a shrinking property suite. The chain: the
-//! window layer delivers each directed link's frames in send order, the
-//! mailbox assembler keys streams by `(source, owner, seq)` so
-//! cross-link interleaving cannot matter, and the merge
+//! window layer delivers each directed link's frames exactly once in
+//! send order, the mailbox assembler keys its in-order streams by
+//! `(source, owner)` so cross-link interleaving cannot matter, and the merge
 //! ([`gossip_graph::ShardSeg::apply_half_edges`]) sorts by `(key, slot)`
 //! and discards slots after dedup — only the relative order *within one
 //! source stream* could ever matter, and that is exactly what the
@@ -83,7 +86,7 @@
 #![warn(rust_2018_idioms)]
 
 use gossip_core::{MembershipPlan, Parallelism, RuleId};
-use gossip_graph::{HalfEdge, SegSnapshotAssembler, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_graph::{HalfEdge, ShardedArenaGraph};
 use gossip_shard::wire::{
     mailbox_frames, Frame, MailFrame, MailboxAssembler, ProposedBarrier, MAX_FRAME_ENTRIES,
 };
@@ -315,27 +318,13 @@ impl ClusterBuilder {
         // Bootstrap: Config then every segment's chunk stream, to every
         // worker. Queued, not awaited — per-link FIFO guarantees each
         // worker sees Config → chunks → (later) Start in order.
-        let budget = snapshot_chunk_entries(self.mtu);
-        let snapshots: Vec<ShardSegSnapshot> = (0..shards)
-            .map(|s| replica.graph().segment(s).snapshot())
-            .collect();
-        for d in 1..shards {
-            let peers = table.iter().map(|a| a.to_string()).collect();
-            let cfg = replica.worker_config(d, false, peers);
-            link.endpoint.send_frame(d, &Frame::Config(cfg))?;
-            for (s, snap) in snapshots.iter().enumerate() {
-                for chunk in snap.chunks(budget) {
-                    link.endpoint.send_frame(
-                        d,
-                        &Frame::SnapshotChunk {
-                            segment: s as u32,
-                            chunk,
-                        },
-                    )?;
-                    link.stats.snapshot_chunks += 1;
-                }
-            }
-        }
+        let peers: Vec<String> = table.iter().map(|a| a.to_string()).collect();
+        link.stats.snapshot_chunks = replica.send_bootstrap(
+            1..shards,
+            &peers,
+            snapshot_chunk_entries(self.mtu),
+            |d, frame| link.endpoint.send_frame(d, frame),
+        )?;
         Ok(ShardRoundDriver::new(replica, link))
     }
 }
@@ -404,48 +393,30 @@ impl MeshLink {
 
 impl ShardLink for MeshLink {
     fn bootstrap(&mut self) -> io::Result<ShardReplica> {
-        // Config, then every segment's chunk stream. Early round-0 mail
-        // from faster peers is legal here — only the coordinator's own
-        // link is FIFO-ordered ahead of Start.
         let (shard, shards) = (self.endpoint.shard(), self.endpoint.peers().len());
-        let mut cfg = None;
-        let mut asms: Vec<SegSnapshotAssembler> = Vec::new();
-        let mut segments_done = 0usize;
-        let cfg = loop {
+        ShardReplica::bootstrap(|| loop {
             let (from, frame) = self.endpoint.recv(RECV_TIMEOUT)?;
             match frame {
-                Frame::Config(c) if from == 0 && cfg.is_none() => {
-                    if c.shard as usize != shard || c.shards as usize != shards {
-                        return Err(protocol_err(format!(
-                            "config for shard {}/{} but I am {shard}/{shards}",
-                            c.shard, c.shards,
-                        )));
-                    }
-                    asms = (0..shards).map(|_| SegSnapshotAssembler::new()).collect();
-                    cfg = Some(c);
-                }
-                Frame::SnapshotChunk { segment, chunk } if from == 0 => {
-                    let asm = asms
-                        .get_mut(segment as usize)
-                        .ok_or_else(|| protocol_err(format!("chunk for segment {segment}")))?;
-                    if asm.accept(&chunk).map_err(protocol_err)? {
-                        segments_done += 1;
-                    }
-                    if segments_done == asms.len() {
-                        break cfg.take().expect("config precedes chunks on a FIFO link");
-                    }
-                }
+                // Early round-0 mail from faster peers is legal here —
+                // only the coordinator's own link is FIFO-ordered ahead
+                // of Start.
                 Frame::Mail(f) if f.round == 0 => self.pending.push(f),
+                Frame::Config(c)
+                    if from == 0 && (c.shard as usize != shard || c.shards as usize != shards) =>
+                {
+                    return Err(protocol_err(format!(
+                        "config for shard {}/{} but I am {shard}/{shards}",
+                        c.shard, c.shards,
+                    )))
+                }
+                frame if from == 0 => return Ok(frame),
                 other => {
                     return Err(protocol_err(format!(
                         "peer {from}: unexpected {other:?} during bootstrap"
                     )))
                 }
             }
-        };
-        let snaps: Vec<ShardSegSnapshot> =
-            asms.into_iter().map(SegSnapshotAssembler::finish).collect();
-        ShardReplica::from_config(cfg, &snaps)
+        })
     }
 
     fn next_round(&mut self) -> io::Result<Option<u64>> {

@@ -283,9 +283,9 @@ impl ShardSegSnapshot {
     /// carries at least one row, so a single row larger than the budget
     /// still ships — as one oversized chunk). Streaming the chunks in
     /// order and feeding them to a [`SegSnapshotAssembler`] reproduces
-    /// `self` exactly; the datagram transport uses this so worker
-    /// bootstrap can overlap the tail of the transfer instead of waiting
-    /// for a monolithic per-segment frame.
+    /// `self` exactly; the cross-process transports bootstrap their
+    /// workers with this, so no frame grows with the segment and the
+    /// datagram one can overlap the tail of the transfer with compute.
     pub fn chunks(&self, max_entries: usize) -> SnapshotChunks<'_> {
         assert!(max_entries > 0, "max_entries must be positive");
         SnapshotChunks {
@@ -366,8 +366,8 @@ impl Iterator for SnapshotChunks<'_> {
 
 /// Incrementally rebuilds a [`ShardSegSnapshot`] from its chunk stream.
 ///
-/// Chunks must arrive in row order, exactly once (the datagram transport's
-/// per-peer windows guarantee both); every structural violation — base
+/// Chunks must arrive in row order, exactly once (a stream socket and the
+/// datagram transport's per-peer windows both guarantee it); every structural violation — base
 /// drift, a row gap, a chunk after the final one — is a typed error so a
 /// corrupted stream can never silently assemble into a wrong segment.
 #[derive(Debug, Default)]

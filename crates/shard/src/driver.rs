@@ -6,8 +6,9 @@
 //!
 //! * `route_span` and `apply_grid`, shared with the in-process
 //!   [`ShardedEngine`](crate::ShardedEngine);
-//! * [`ShardReplica`], the state one cross-process participant keeps and
-//!   the round body it runs;
+//! * [`ShardReplica`], the state one cross-process participant keeps,
+//!   the bootstrap stream that copies it to a worker (sender and
+//!   receiver) and the round body it runs;
 //! * [`ShardRoundDriver`], the coordinator every cross-process engine is
 //!   (`try_step`, accessors, the [`RoundEngine`] impl, shutdown), and
 //!   [`run_shard`], the loop every worker runs;
@@ -27,7 +28,9 @@ use gossip_core::{
     with_rule, ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId,
     RunOutcome, TaggedProposal,
 };
-use gossip_graph::{HalfEdge, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_graph::{
+    HalfEdge, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArenaGraph,
+};
 use rayon::prelude::*;
 use std::io;
 use std::ops::Range;
@@ -179,11 +182,42 @@ impl ShardReplica {
         }
     }
 
-    /// The worker-side constructor: rebuilds the coordinator's state from
-    /// its bootstrap `Config` and one snapshot per segment.
-    pub fn from_config(cfg: WorkerConfig, snaps: &[ShardSegSnapshot]) -> io::Result<Self> {
+    /// The worker-side constructor, the same over every carrier: reads the
+    /// coordinator's bootstrap stream from `next_frame` — `Config`, then
+    /// each segment's snapshot as a `SnapshotChunk` stream, segments in
+    /// shard order — and rebuilds the coordinator's state from it. Whatever
+    /// else a carrier may legally deliver meanwhile is `next_frame`'s to
+    /// set aside; any other frame here is a protocol error.
+    pub fn bootstrap(mut next_frame: impl FnMut() -> io::Result<Frame>) -> io::Result<Self> {
+        let cfg = match next_frame()? {
+            Frame::Config(c) if c.shard < c.shards => c,
+            other => {
+                return Err(protocol_err(format!(
+                    "expected the Config of a shard of its grid, got {other:?}"
+                )))
+            }
+        };
+        let mut snaps: Vec<ShardSegSnapshot> = Vec::new();
+        for s in 0..cfg.shards {
+            let mut asm = SegSnapshotAssembler::new();
+            loop {
+                match next_frame()? {
+                    Frame::SnapshotChunk { segment, chunk } if segment == s => {
+                        if asm.accept(&chunk).map_err(protocol_err)? {
+                            break;
+                        }
+                    }
+                    other => {
+                        return Err(protocol_err(format!(
+                            "expected a chunk of segment {s}, got {other:?}"
+                        )))
+                    }
+                }
+            }
+            snaps.push(asm.finish());
+        }
         let graph =
-            ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, cfg.shards as usize, snaps)
+            ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, cfg.shards as usize, &snaps)
                 .map_err(protocol_err)?;
         let parallelism = if cfg.parallel {
             Parallelism::Parallel
@@ -200,9 +234,37 @@ impl ShardReplica {
         ))
     }
 
+    /// The coordinator-side counterpart, the same over every carrier:
+    /// hands `send` the bootstrap stream of each of `workers` — the
+    /// `Config` that makes it a copy of this replica, then every
+    /// segment's snapshot in chunks of at most `chunk_entries` adjacency
+    /// entries, made as they are sent. Returns the number of chunks.
+    pub fn send_bootstrap(
+        &self,
+        workers: Range<usize>,
+        peers: &[String],
+        chunk_entries: usize,
+        mut send: impl FnMut(usize, &Frame) -> io::Result<()>,
+    ) -> io::Result<u64> {
+        let snaps: Vec<ShardSegSnapshot> = (0..self.shards())
+            .map(|s| self.graph.segment(s).snapshot())
+            .collect();
+        let mut chunks = 0;
+        for d in workers {
+            send(d, &Frame::Config(self.worker_config(d, peers.to_vec())))?;
+            for (segment, snap) in (0u32..).zip(&snaps) {
+                for chunk in snap.chunks(chunk_entries) {
+                    send(d, &Frame::SnapshotChunk { segment, chunk })?;
+                    chunks += 1;
+                }
+            }
+        }
+        Ok(chunks)
+    }
+
     /// The bootstrap `Config` that makes worker `shard` a copy of this
     /// replica (the segment snapshots travel separately).
-    pub fn worker_config(&self, shard: usize, strict: bool, peers: Vec<String>) -> WorkerConfig {
+    fn worker_config(&self, shard: usize, peers: Vec<String>) -> WorkerConfig {
         WorkerConfig {
             shard: shard as u32,
             shards: self.shards() as u32,
@@ -210,7 +272,6 @@ impl ShardReplica {
             seed: self.seed,
             rule: self.rule,
             parallel: self.parallel,
-            strict,
             events: self.membership.events().to_vec(),
             peers,
         }
@@ -616,8 +677,8 @@ impl RoundInbox {
 /// to start and stop. A link value sits at one end of the carrier; the
 /// coordinator's end additionally owns the [`Workers`] it spawned.
 pub trait ShardLink {
-    /// Worker end: receives the bootstrap state, builds the replica, and
-    /// acknowledges with `Hello`.
+    /// Worker end: builds the replica from the coordinator's bootstrap
+    /// stream ([`ShardReplica::bootstrap`] over this carrier's frames).
     fn bootstrap(&mut self) -> io::Result<ShardReplica>;
 
     /// Worker end: blocks for the coordinator's next `Start{round}`;
@@ -1201,6 +1262,59 @@ mod tests {
             assert_rejected(coordinator(script).try_step(None), 1, 0);
             assert_rejected(run_shard(worker(plant(h.mail[0].clone()))), 0, 0);
         }
+    }
+
+    #[test]
+    fn the_bootstrap_stream_rebuilds_the_replica_and_admits_no_other_order() {
+        let coordinator = replica(0);
+        let mut stream = Vec::new();
+        let chunks = coordinator
+            .send_bootstrap(1..2, &[], 512, |to, frame| {
+                assert_eq!(to, 1);
+                stream.push(frame.clone());
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(chunks as usize, stream.len() - 1);
+        let first_of_segment_1 = stream
+            .iter()
+            .position(|f| matches!(f, Frame::SnapshotChunk { segment: 1, .. }))
+            .expect("two segments");
+        assert!(first_of_segment_1 > 2, "segment 0 spans several chunks");
+
+        let bootstrap = |frames: &[Frame]| {
+            let mut frames = frames.iter().cloned();
+            ShardReplica::bootstrap(|| frames.next().ok_or_else(|| protocol_err("stream ended")))
+        };
+        let worker = bootstrap(&stream).unwrap();
+        assert_eq!((worker.shard(), worker.shards()), (Some(1), 2));
+        for u in coordinator.graph().nodes() {
+            assert_eq!(
+                worker.graph().neighbors(u),
+                coordinator.graph().neighbors(u)
+            );
+        }
+
+        let rejected = |frames: &[Frame], what: &str| {
+            let err = bootstrap(frames).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        };
+        rejected(&stream[1..], "chunks without a Config");
+        rejected(&stream[..stream.len() - 1], "a stream that stops short");
+        let mut swapped = stream.clone();
+        swapped.swap(1, 2);
+        rejected(&swapped, "two chunks of a segment out of order");
+        let mut early = stream.clone();
+        early.swap(1, first_of_segment_1);
+        rejected(&early, "segment 1 ahead of segment 0");
+        let mut twice = stream.clone();
+        twice.insert(1, stream[0].clone());
+        rejected(&twice, "a second Config");
+        let mut outside = stream.clone();
+        if let Frame::Config(c) = &mut outside[0] {
+            c.shard = c.shards;
+        }
+        rejected(&outside, "a Config for a shard outside its grid");
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //! reads). The replication cost is the honest price of the model — the
 //! E19 experiment reports it as per-worker peak RSS.
 //!
+//! # Bootstrap
+//!
+//! The supervisor sends each worker the bootstrap stream
+//! [`ShardReplica::send_bootstrap`] writes for both carriers — `Config`,
+//! then every segment's snapshot in `SnapshotChunk`s of at most
+//! [`MAX_FRAME_ENTRIES`] entries — and waits for the worker's `Hello`:
+//! the replica is built ([`ShardReplica::bootstrap`]) and rounds may
+//! start.
+//!
 //! # One round on the wire
 //!
 //! 1. supervisor → workers: `Start{round}`; each side applies due
@@ -75,7 +84,7 @@ use crate::framed::FramedConn;
 use crate::wire::{mailbox_frames, Frame, MailboxAssembler, WireStats, MAX_FRAME_ENTRIES};
 use bytes::BytesMut;
 use gossip_core::{MembershipPlan, Parallelism, RuleId};
-use gossip_graph::{HalfEdge, ShardSegSnapshot, ShardedArenaGraph};
+use gossip_graph::{HalfEdge, ShardedArenaGraph};
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::process::Command;
@@ -154,24 +163,9 @@ impl TransportBuilder {
     }
 
     /// Spawns the workers, ships bootstrap state (config, membership
-    /// schedule, segment snapshots), and returns the running engine.
+    /// schedule, segment snapshot chunks), and returns the running engine.
     pub fn spawn(self) -> io::Result<TransportEngine> {
         let shards = self.graph.shard_count();
-
-        // Encode the bootstrap segment frames once; every worker gets the
-        // same bytes.
-        let mut enc = BytesMut::new();
-        let seg_frames: Vec<Vec<u8>> = (0..shards)
-            .map(|s| {
-                enc.clear();
-                Frame::Segment {
-                    index: s as u32,
-                    snapshot: self.graph.segment(s).snapshot(),
-                }
-                .encode(&mut enc);
-                enc.to_vec()
-            })
-            .collect();
 
         // `workers` before `conns`: should a later step fail, the
         // connections close first and the lifecycle cleans up after.
@@ -206,15 +200,13 @@ impl TransportBuilder {
         link.workers = workers;
         link.stats.worker_peak_rss_bytes = vec![0; shards];
 
-        // Bootstrap each worker: Config, then every segment, then wait for
-        // its Hello ack.
-        for s in 0..shards {
-            let cfg = replica.worker_config(s, true, Vec::new());
-            link.send(s, &Frame::Config(cfg))?;
-            for bytes in &seg_frames {
-                link.send_raw(s, bytes)?;
-            }
-            link.conns[s].flush()?;
+        // Bootstrap each worker: Config, then every segment's chunk stream,
+        // then wait for its Hello ack.
+        replica.send_bootstrap(0..shards, &[], MAX_FRAME_ENTRIES, |s, frame| {
+            link.send(s, frame)
+        })?;
+        for conn in &mut link.conns {
+            conn.flush()?;
         }
         for s in 0..shards {
             match link.recv(s)? {
@@ -393,26 +385,15 @@ impl HubLink {
 
 impl ShardLink for HubLink {
     fn bootstrap(&mut self) -> io::Result<ShardReplica> {
-        // Config, then one Segment per shard, then ack.
-        let cfg = match self.recv(0)? {
-            Frame::Config(c) => c,
-            other => return Err(protocol_err(format!("expected Config, got {other:?}"))),
-        };
-        let shards = cfg.shards as usize;
-        let mut snaps: Vec<ShardSegSnapshot> = Vec::with_capacity(shards);
-        for i in 0..shards {
-            match self.recv(0)? {
-                Frame::Segment { index, snapshot } if index as usize == i => snaps.push(snapshot),
-                other => return Err(protocol_err(format!("expected Segment {i}, got {other:?}"))),
-            }
-        }
+        let replica = ShardReplica::bootstrap(|| self.recv(0))?;
+        let shard = replica.shard().expect("a bootstrapped replica has a span");
         self.worker = Some(WorkerEnd {
-            shard: cfg.shard as usize,
-            shards,
+            shard,
+            shards: replica.shards(),
         });
-        let hello = Frame::Hello { shard: cfg.shard };
-        let replica = ShardReplica::from_config(cfg, &snaps)?;
-        self.report(&hello)?;
+        self.report(&Frame::Hello {
+            shard: shard as u32,
+        })?;
         Ok(replica)
     }
 
@@ -487,7 +468,7 @@ mod tests {
     use crate::ShardedEngine;
     use gossip_core::rng::stream_rng;
     use gossip_core::{ChurnBursts, ComponentwiseComplete, Pull};
-    use gossip_graph::generators;
+    use gossip_graph::{generators, NodeId};
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
@@ -521,6 +502,30 @@ mod tests {
             wire.graph().validate().unwrap();
             wire.shutdown().unwrap();
         }
+    }
+
+    #[test]
+    fn bootstrap_chunks_carry_tombstoned_rows_and_segments_of_many_chunks() {
+        let n = 3000;
+        let mut g = sharded(n, 2 * n as u64, 5, 2);
+        for u in (0..n as u32).step_by(97) {
+            g.remove_member(NodeId(u));
+        }
+        let entries = g.segment(0).half_edge_count();
+        assert!(
+            entries > 2 * MAX_FRAME_ENTRIES,
+            "{entries} entries: one chunk"
+        );
+        let mut inproc = ShardedEngine::new(g.clone(), Pull, 31);
+        let mut wire = TransportBuilder::new(g, RuleId::Pull, 31)
+            .spawn()
+            .expect("spawn");
+        for round in 0..4 {
+            assert_eq!(inproc.step(), wire.step(), "round {round}");
+        }
+        assert_graphs_equal(inproc.graph(), wire.graph(), "tombstoned bootstrap");
+        wire.graph().validate().unwrap();
+        wire.shutdown().unwrap();
     }
 
     #[test]

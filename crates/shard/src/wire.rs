@@ -4,14 +4,14 @@
 //! # Frame layout
 //!
 //! Every frame is `[u32 len][u8 kind][body]`, all integers little-endian;
-//! `len` counts the kind byte plus the body. Thirteen kinds cover both
+//! `len` counts the kind byte plus the body. Twelve live kinds cover both
 //! transports (bootstrap, round data, barriers, datagrams):
 //!
 //! | kind | frame        | direction           | body |
 //! |------|--------------|---------------------|------|
-//! | 1    | `Hello`      | worker → supervisor | shard id |
-//! | 2    | `Config`     | supervisor → worker | version, shard grid, seed, rule, membership events, peer table |
-//! | 3    | `Segment`    | supervisor → worker | one [`ShardSegSnapshot`] (rows + caps + tombstones) |
+//! | 1    | `Hello`      | worker → supervisor | shard id (the stream transport's bootstrap ack) |
+//! | 2    | `Config`     | coordinator → worker | version, shard grid, seed, rule, membership events, peer table |
+//! | 3    | *(retired)*  | —                   | was `Segment`, a whole segment snapshot in one O(m) frame; never reused, decodes as [`WireError::UnknownKind`] |
 //! | 4    | `Start`      | supervisor → worker | round number |
 //! | 5    | `Mail`       | both                | one chunk of a `(source, owner)` mailbox |
 //! | 6    | `Proposed`   | worker → supervisor | propose barrier: proposal count + phase timings |
@@ -22,13 +22,16 @@
 //! | 11   | `Ack`        | datagram peer ↔ peer | cumulative + selective datagram-seq acknowledgment |
 //! | 12   | `NakRange`   | datagram peer ↔ peer | receiver-driven retransmit request for a seq range |
 //! | 13   | `Fragment`   | datagram peer ↔ peer | one MTU-sized piece of an oversized frame |
-//! | 14   | `SnapshotChunk` | coordinator → peer | one [`SegSnapshotChunk`] of a streamed bootstrap segment |
+//! | 14   | `SnapshotChunk` | coordinator → worker | one [`SegSnapshotChunk`] of a bootstrap segment's stream |
 //!
-//! Kinds 1–7, 9 and 10 are the stream (UDS) transport's vocabulary; kinds 11–14
-//! belong to the datagram (`gossip-cluster`) reliability layer, which
-//! wraps *any* frame in per-peer sequenced datagrams — see
-//! [`fragment_frames`] and [`Defragmenter`] for how frames larger than
-//! one datagram ride kind 13.
+//! Kinds 2 and 14 are the bootstrap stream and kinds 4–6, 9 and 10 the
+//! round, the same on both carriers; kinds 1 and 7 are the stream (UDS)
+//! hub's alone; kinds 11–13 belong to the datagram (`gossip-cluster`)
+//! reliability layer, which wraps *any* frame in per-peer sequenced
+//! datagrams — see [`fragment_frames`] and [`Defragmenter`] for how
+//! frames larger than one datagram ride kind 13. No frame carries a
+//! whole segment: the bootstrap snapshot travels in chunks of a bounded
+//! entry count (a single row longer than the bound ships whole).
 //!
 //! A `(source, owner)` mailbox is split into [`MailFrame`]s of at most
 //! [`MAX_FRAME_ENTRIES`] half-edges, numbered `seq = 0, 1, …` with the
@@ -64,14 +67,17 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use gossip_core::{MembershipEvent, RuleId};
-use gossip_graph::{ArenaSnapshot, HalfEdge, NodeId, SegSnapshotChunk, ShardSegSnapshot};
+use gossip_graph::{ArenaSnapshot, HalfEdge, NodeId, SegSnapshotChunk};
 use serde::Serialize;
 
 /// Wire protocol version, checked during the `Config` handshake.
 /// Version 2 added the static peer table to `Config` and frame kinds
-/// 11–14 for the datagram transport. Version 3 retired kind 8 (`Nak`),
-/// so a peer that still speaks it fails the handshake.
-pub const WIRE_VERSION: u32 = 3;
+/// 11–14 for the datagram transport. Version 3 retired kind 8 (`Nak`).
+/// Version 4 retired kind 3 (`Segment`: both carriers bootstrap from
+/// kind 14 chunks) and `Config`'s `strict` byte, and requires every mail
+/// stream in `seq` order. A peer that speaks an older version fails the
+/// handshake.
+pub const WIRE_VERSION: u32 = 4;
 
 /// Maximum half-edges per [`MailFrame`] (12 KiB of entry payload) — one
 /// propose chunk's worth, so frame `seq` numbers track chunk granularity.
@@ -118,7 +124,7 @@ impl std::error::Error for WireError {}
 /// The bootstrap configuration a worker needs to reconstruct the
 /// supervisor's engine state: shard identity, the `(n, shards)` plan, the
 /// RNG seed, the proposal rule (by registry id), the parallelism flag,
-/// strict-vs-interleaved delivery, and the full membership schedule.
+/// and the full membership schedule.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkerConfig {
     /// This worker's shard index.
@@ -134,10 +140,6 @@ pub struct WorkerConfig {
     pub rule: RuleId,
     /// Whether the worker's propose phase runs on the rayon pool.
     pub parallel: bool,
-    /// How the coordinator's carrier delivers mail: strict canonical
-    /// order (the stream hub) or any interleaving of sources (the
-    /// datagram mesh).
-    pub strict: bool,
     /// The membership plan's `(round, event)` schedule, applied by the
     /// worker at the same pre-increment round points as the supervisor.
     pub events: Vec<(u64, MembershipEvent)>,
@@ -235,20 +237,13 @@ pub struct FragmentFrame {
 /// One protocol frame. See the [module docs](self) for the layout table.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Frame {
-    /// Worker's first frame: which shard connected.
+    /// A stream-transport worker's bootstrap ack: which shard is ready.
     Hello {
         /// The connecting worker's shard index.
         shard: u32,
     },
     /// Bootstrap configuration.
     Config(WorkerConfig),
-    /// One segment of the bootstrap graph snapshot.
-    Segment {
-        /// Segment index (shard order).
-        index: u32,
-        /// The segment image.
-        snapshot: ShardSegSnapshot,
-    },
     /// Round kickoff.
     Start {
         /// The round about to execute (pre-increment counter).
@@ -279,7 +274,7 @@ pub enum Frame {
     },
     /// One piece of an oversized frame (datagram transport).
     Fragment(FragmentFrame),
-    /// One chunk of a streamed bootstrap segment (datagram transport).
+    /// One chunk of a bootstrap segment's snapshot stream.
     SnapshotChunk {
         /// Segment index (shard order).
         segment: u32,
@@ -290,7 +285,7 @@ pub enum Frame {
 
 const KIND_HELLO: u8 = 1;
 const KIND_CONFIG: u8 = 2;
-const KIND_SEGMENT: u8 = 3;
+// Kind 3 (`Segment`) is retired: never renumbered, never reused.
 const KIND_START: u8 = 4;
 const KIND_MAIL: u8 = 5;
 const KIND_PROPOSED: u8 = 6;
@@ -333,8 +328,8 @@ fn put_rows(buf: &mut BytesMut, len_cap: &[(u32, u32)], entries: &[NodeId]) {
 }
 
 /// Checked inverse of [`put_rows`]. The image is the frame's tail: the
-/// entry bytes must run exactly to the end of `cur`, else `mismatch`.
-fn get_rows(cur: &mut &[u8], mismatch: &'static str) -> Result<ArenaSnapshot, WireError> {
+/// entry bytes must run exactly to the end of `cur`.
+fn get_rows(cur: &mut &[u8]) -> Result<ArenaSnapshot, WireError> {
     let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
     if rows > cur.remaining() / 8 {
         return Err(WireError::Bad("row count exceeds frame size"));
@@ -351,7 +346,7 @@ fn get_rows(cur: &mut &[u8], mismatch: &'static str) -> Result<ArenaSnapshot, Wi
         len_cap.push((l, c));
     }
     if cur.remaining() != total * 4 {
-        return Err(WireError::Bad(mismatch));
+        return Err(WireError::Bad("snapshot chunk entry bytes mismatch"));
     }
     let mut entries = Vec::with_capacity(total);
     for chunk in cur.chunk().chunks_exact(4) {
@@ -389,7 +384,6 @@ impl Frame {
                 buf.put_u64_le(c.seed);
                 buf.put_u8(rule_index(c.rule));
                 buf.put_u8(c.parallel as u8);
-                buf.put_u8(c.strict as u8);
                 buf.put_u32_le(c.events.len() as u32);
                 for (round, ev) in &c.events {
                     buf.put_u64_le(*round);
@@ -413,13 +407,6 @@ impl Frame {
                     buf.put_u32_le(p.len() as u32);
                     buf.put_slice(p.as_bytes());
                 }
-            }
-            Frame::Segment { index, snapshot } => {
-                buf.put_u8(KIND_SEGMENT);
-                buf.put_u32_le(*index);
-                buf.put_u64_le(snapshot.base as u64);
-                buf.put_u64_le(snapshot.m_canonical);
-                put_rows(buf, &snapshot.adj.len_cap, &snapshot.adj.entries);
             }
             Frame::Start { round } => {
                 buf.put_u8(KIND_START);
@@ -516,7 +503,6 @@ impl Frame {
                     .get(rule_idx as usize)
                     .ok_or(WireError::Bad("unknown rule id"))?;
                 let parallel = cur.try_get_u8().ok_or(WireError::Truncated)? != 0;
-                let strict = cur.try_get_u8().ok_or(WireError::Truncated)? != 0;
                 let count = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
                 // Each event costs at least 13 body bytes.
                 if count > cur.remaining() / 13 {
@@ -571,24 +557,9 @@ impl Frame {
                     seed,
                     rule,
                     parallel,
-                    strict,
                     events,
                     peers,
                 })
-            }
-            KIND_SEGMENT => {
-                let index = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-                let base = cur.try_get_u64_le().ok_or(WireError::Truncated)? as usize;
-                let m_canonical = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let adj = get_rows(&mut cur, "segment entry bytes mismatch")?;
-                Frame::Segment {
-                    index,
-                    snapshot: ShardSegSnapshot {
-                        base,
-                        m_canonical,
-                        adj,
-                    },
-                }
             }
             KIND_START => Frame::Start {
                 round: cur.try_get_u64_le().ok_or(WireError::Truncated)?,
@@ -692,8 +663,7 @@ impl Frame {
                 let row_start = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let last = get_flag(&mut cur)?;
                 let m_canonical = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let ArenaSnapshot { len_cap, entries } =
-                    get_rows(&mut cur, "snapshot chunk entry bytes mismatch")?;
+                let ArenaSnapshot { len_cap, entries } = get_rows(&mut cur)?;
                 Frame::SnapshotChunk {
                     segment,
                     chunk: SegSnapshotChunk {
@@ -1151,7 +1121,6 @@ mod tests {
                 seed: 0xD15C0,
                 rule: RuleId::Pull,
                 parallel: true,
-                strict: false,
                 events: vec![
                     (2, MembershipEvent::Leave { node: NodeId(7) }),
                     (
@@ -1164,17 +1133,6 @@ mod tests {
                 ],
                 peers: vec!["127.0.0.1:9000".to_string(), "127.0.0.2:9001".to_string()],
             }),
-            Frame::Segment {
-                index: 2,
-                snapshot: ShardSegSnapshot {
-                    base: 2048,
-                    m_canonical: 3,
-                    adj: ArenaSnapshot {
-                        len_cap: vec![(2, 4), (0, 0), (1, 1)],
-                        entries: vec![NodeId(5), NodeId(9), NodeId(1)],
-                    },
-                },
-            },
             Frame::Start { round: 9 },
             Frame::Mail(MailFrame {
                 round: 9,
@@ -1290,6 +1248,22 @@ mod tests {
         old_nak.put_u32_le(1);
         old_nak.put_u32_le(3);
         assert_eq!(Frame::decode(&old_nak), Err(WireError::UnknownKind(8)));
+        // Kind 3 was `Segment` up to wire version 3: segment index, base,
+        // canonical edge count, then the arena image (row count, each
+        // row's (len, cap), the entries). Retired the same way.
+        let mut old_segment = BytesMut::new();
+        old_segment.put_u8(3);
+        old_segment.put_u32_le(0);
+        old_segment.put_u64_le(0);
+        old_segment.put_u64_le(1);
+        old_segment.put_u32_le(2);
+        for (len, cap) in [(1u32, 2u32), (1, 1)] {
+            old_segment.put_u32_le(len);
+            old_segment.put_u32_le(cap);
+        }
+        old_segment.put_u32_le(1);
+        old_segment.put_u32_le(0);
+        assert_eq!(Frame::decode(&old_segment), Err(WireError::UnknownKind(3)));
         assert_eq!(Frame::decode(&[]), Err(WireError::Truncated));
         // A mail frame whose count promises more entries than bytes.
         let mut buf = BytesMut::new();
@@ -1309,6 +1283,21 @@ mod tests {
             Frame::decode(&evil[4..]),
             Err(WireError::Bad("mail entry bytes mismatch"))
         );
+    }
+
+    #[test]
+    fn a_config_from_another_wire_version_fails_the_handshake() {
+        let wire = encode_one(&sample_frames()[1]);
+        // The version is the body's first field, right after the kind.
+        assert_eq!(wire[4], KIND_CONFIG);
+        assert_eq!(wire[5..9], WIRE_VERSION.to_le_bytes());
+        let mut v3 = wire.clone();
+        v3[5..9].copy_from_slice(&3u32.to_le_bytes());
+        assert_eq!(
+            Frame::decode(&v3[4..]),
+            Err(WireError::Bad("wire version mismatch"))
+        );
+        assert!(Frame::decode(&wire[4..]).is_ok());
     }
 
     #[test]
