@@ -59,10 +59,11 @@
 //! window layer delivers each directed link's frames exactly once in
 //! send order, the mailbox assembler keys its in-order streams by
 //! `(source, owner)` so cross-link interleaving cannot matter, and the merge
-//! ([`gossip_graph::ShardSeg::apply_half_edges`]) sorts by `(key, slot)`
-//! and discards slots after dedup — only the relative order *within one
-//! source stream* could ever matter, and that is exactly what the
-//! window preserves. Seeded loss is a pure function of
+//! ([`gossip_graph::ShardSeg::apply_half_edges`]) groups a row's
+//! half-edges in arrival order, keeps one of each and never reads a slot
+//! — only the relative order *within one source stream* could ever
+//! matter, and that is exactly what the window preserves. Seeded loss is
+//! a pure function of
 //! `(seed, link, seq)` applied only to first transmissions, so injected
 //! fault counts reproduce while repairs stay off the deterministic path.
 //!

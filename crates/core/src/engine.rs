@@ -6,7 +6,10 @@
 //!    round-start graph `G_t`, drawing from its own counter-based RNG
 //!    stream. Nodes are grouped into fixed-size chunks
 //!    (`PROPOSAL_CHUNK` = 1024); each chunk appends its proposals to its own
-//!    flat reusable `Vec<TaggedProposal>` buffer. The phase is
+//!    flat reusable `Vec<TaggedProposal>` buffer through one
+//!    [`ProposalRule::propose_range`] call, which the two-hop walk
+//!    overrides to advance 64 nodes' walks a stage at a time (their cache
+//!    misses overlap; the draws, per node, are the same). The phase is
 //!    embarrassingly parallel and runs chunks on the rayon shim's
 //!    persistent worker pool when the graph is large enough to amortize
 //!    job dispatch (see [`Parallelism::default`] for the cost model).
@@ -18,9 +21,10 @@
 //!    backends replay them one at a time in node order (fixing
 //!    adjacency-list insertion order, which makes sequential and parallel
 //!    execution **bit-identical** for all future sampling); the
-//!    arena-backed graph merges the whole round in a single sort + dedup
-//!    pass against its sorted rows, which are canonical and therefore
-//!    bit-identical under any schedule by construction.
+//!    arena-backed graph counting-sorts the round's half-edges by
+//!    destination row and merges them row by row, in row order, into its
+//!    sorted rows, which are canonical and therefore bit-identical under
+//!    any schedule by construction.
 //!
 //! Compared to the previous design (an `n`-slot `Vec<ProposalSet>` indexed
 //! by node), the flat pipeline stores only proposals that exist (most
@@ -31,7 +35,6 @@
 use crate::convergence::ConvergenceCheck;
 use crate::membership::{MembershipPlan, MembershipStats};
 use crate::process::{GossipGraph, ProposalRule, RoundStats, TaggedProposal};
-use crate::rng::stream_rng;
 use rayon::prelude::*;
 
 /// Nodes per propose-phase chunk. Fixed (never derived from the thread
@@ -94,14 +97,7 @@ pub fn propose_chunk_range<G, R>(
         buf.clear();
         let lo = c * PROPOSAL_CHUNK;
         let hi = (lo + PROPOSAL_CHUNK).min(n);
-        for u in lo..hi {
-            let mut rng = stream_rng(seed, round, u as u64);
-            let node = gossip_graph::NodeId::new(u);
-            let set = rule.propose(graph, node, &mut rng);
-            for &(a, b) in set.as_slice() {
-                buf.push((node, a, b));
-            }
-        }
+        rule.propose_range(graph, seed, round, lo..hi, buf);
     };
     let bufs = &mut bufs[range];
     if parallel {
@@ -143,22 +139,20 @@ impl Parallelism {
 
 impl Default for Parallelism {
     fn default() -> Self {
-        // Cost model, re-measured against the flat proposal pipeline
-        // (chunked buffers; `benches/round_throughput.rs`, seq rows at
-        // 8 rounds/iter): a full sequential round costs ~63–65 ns/node at
-        // n = 1024 and ~90–113 ns/node at n = 4096 on the 4n-edge sweep
-        // workload — slightly above the old slot-array pipeline's ~50 ns
-        // estimate because the round cost is dominated by the two RNG
-        // draws plus adjacency loads that grow with density, not by the
-        // buffer write. The rayon shim's persistent pool still prices a
-        // parallel round at one job push plus condvar wakeups
-        // (single-digit µs, zero thread spawns), so break-even stays in
-        // the low thousands of nodes — if anything lower than before,
-        // which keeps 2048 conservative: at 2048 nodes the sequential
-        // propose phase (~150 µs) comfortably dominates pool dispatch.
-        // One chunk (PROPOSAL_CHUNK = 1024 nodes) below the threshold
-        // would parallelize nothing anyway, so the threshold also keeps
-        // Auto from paying dispatch for a single-chunk round.
+        // Cost model, measured with the staged two-hop propose and the
+        // row-ordered arena merge (`benches/round_throughput.rs`, seq rows
+        // at 8 rounds/iter, 4n-edge sweep workload, a 2-core box whose
+        // `AdjSet` rows at n = 1024 read in two modes): a full sequential
+        // round costs 63–88 ns/node (push) and 68–98 (pull) at n = 1024,
+        // 124 and 82 at n = 4096, and on the arena 151 and 145 at
+        // n = 4096. The propose phase alone is 25–60 ns/node of that, so
+        // at 2048 nodes it is ≥ 50 µs of sequential work, while the rayon
+        // shim's persistent pool prices a parallel round at one job push
+        // plus condvar wakeups (single-digit µs, zero thread spawns).
+        // Break-even sits in the low thousands of nodes, which keeps 2048
+        // conservative. One chunk (PROPOSAL_CHUNK = 1024 nodes) below the
+        // threshold would parallelize nothing anyway, so the threshold
+        // also keeps Auto from paying dispatch for a single-chunk round.
         Parallelism::Auto { threshold: 2_048 }
     }
 }

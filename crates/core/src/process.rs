@@ -7,8 +7,10 @@
 //! the two graph types so one engine serves the undirected and directed
 //! processes.
 
+use crate::rng::stream_rng;
 use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph};
 use rand::rngs::SmallRng;
+use std::ops::Range;
 
 /// One proposal flowing through the engine's flat pipeline:
 /// `(proposer, a, b)` — node `proposer` wants edge `(a, b)` to exist.
@@ -98,7 +100,7 @@ pub trait GossipGraph: Clone + Send + Sync {
     /// classic apply loop, so adjacency *insertion order* (the sampling
     /// surface of insertion-ordered backends like [`UndirectedGraph`]) is
     /// byte-for-byte what it always was. Backends with a canonical layout
-    /// ([`ArenaGraph`]) override this with a batch sort + dedup merge.
+    /// ([`ArenaGraph`]) override this with a row-ordered batch merge.
     fn apply_proposals(
         &mut self,
         bufs: &[Vec<TaggedProposal>],
@@ -186,28 +188,17 @@ impl GossipGraph for ArenaGraph {
         self.m()
     }
 
-    /// Whole-round batch apply: flatten the chunk buffers, then merge the
-    /// round's candidates in one sort + dedup pass
-    /// ([`ArenaGraph::apply_batch`]) instead of `O(n)` individual
-    /// binary-search inserts that interleave badly with the sorted rows.
-    /// Attribution (first proposer in node order wins) matches the default
-    /// path exactly.
+    /// Whole-round batch apply: the chunk buffers, read in place, go
+    /// through one row-ordered merge ([`ArenaGraph::apply_batch`]) instead
+    /// of `O(n)` individual binary-search inserts that land on random
+    /// rows. Attribution (first proposer in node order wins) matches the
+    /// default path exactly.
     fn apply_proposals(
         &mut self,
         bufs: &[Vec<TaggedProposal>],
         on_new: &mut dyn FnMut(NodeId, NodeId, NodeId),
     ) -> RoundStats {
-        let mut flat: Vec<(NodeId, NodeId)> = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-        let mut proposers: Vec<NodeId> = Vec::with_capacity(flat.capacity());
-        for buf in bufs {
-            for &(u, a, b) in buf {
-                flat.push((a, b));
-                proposers.push(u);
-            }
-        }
-        let (proposed, added) = self.apply_batch(&flat, |slot, a, b| {
-            on_new(proposers[slot], a, b);
-        });
+        let (proposed, added) = self.apply_batch(bufs.iter().flatten().copied(), on_new);
         RoundStats { proposed, added }
     }
 
@@ -252,6 +243,28 @@ impl GossipGraph for ShardedArenaGraph {
 pub trait ProposalRule<G: GossipGraph>: Send + Sync {
     /// Edges node `u` proposes while observing the round-start graph `g`.
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet;
+
+    /// Appends to `buf`, in node order, what every node of `nodes` proposes
+    /// in `round`, each drawing from its own `(seed, round, node)` stream.
+    /// The default is that loop over [`ProposalRule::propose`]; a rule may
+    /// override it to overlap the memory accesses of neighbouring nodes,
+    /// never to change a draw — the buffer must come out identical.
+    fn propose_range(
+        &self,
+        g: &G,
+        seed: u64,
+        round: u64,
+        nodes: Range<usize>,
+        buf: &mut Vec<TaggedProposal>,
+    ) {
+        for u in nodes {
+            let node = NodeId::new(u);
+            let mut rng = stream_rng(seed, round, u as u64);
+            for &(a, b) in self.propose(g, node, &mut rng).as_slice() {
+                buf.push((node, a, b));
+            }
+        }
+    }
 
     /// Human-readable rule name for logs and result tables.
     fn name(&self) -> &'static str;

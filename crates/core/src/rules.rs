@@ -7,9 +7,12 @@
 //! hand-written rules (same draws, same order, same guards).
 
 use crate::kernel::{kernel_propose, HybridKernel, ProtocolKernel, PullKernel, PushKernel};
-use crate::process::{GossipGraph, ProposalRule, ProposalSet};
+use crate::process::{GossipGraph, ProposalRule, ProposalSet, TaggedProposal};
+use crate::rng::stream_rng;
 use gossip_graph::{DirectedGraph, NodeId, UniformNeighbors};
 use rand::rngs::SmallRng;
+use rand::Rng;
+use std::ops::Range;
 
 /// **Push discovery (triangulation)** — Section 3.
 ///
@@ -50,8 +53,68 @@ impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for Pull {
         kernel_propose(&PullKernel, g, u, rng)
     }
 
+    fn propose_range(
+        &self,
+        g: &G,
+        seed: u64,
+        round: u64,
+        nodes: Range<usize>,
+        buf: &mut Vec<TaggedProposal>,
+    ) {
+        two_hop_range(g, seed, round, nodes, buf);
+    }
+
     fn name(&self) -> &'static str {
         PullKernel.name()
+    }
+}
+
+/// Nodes whose two-hop walks [`two_hop_range`] advances together.
+const WALK_BLOCK: usize = 64;
+
+/// The pull walk `u → v → w` of every node in `nodes`, a block at a time
+/// and a stage at a time, so the cache misses of a block's walks overlap
+/// instead of each walk waiting on its own two in turn: (1) the own row
+/// and the first draw, keeping each node's stream; (2) every peer's row
+/// header; (3) the second draws, which only pick an address; (4) the
+/// picked entries. Each node still makes [`PullKernel`]'s draws, in its
+/// order and under its guards, on its own `(seed, round, node)` stream, so
+/// `buf` comes out as the per-node loop leaves it.
+fn two_hop_range<G: UniformNeighbors>(
+    g: &G,
+    seed: u64,
+    round: u64,
+    nodes: Range<usize>,
+    buf: &mut Vec<TaggedProposal>,
+) {
+    let mut walks: Vec<(NodeId, SmallRng, NodeId)> = Vec::with_capacity(WALK_BLOCK);
+    let mut peer_rows: Vec<&[NodeId]> = Vec::with_capacity(WALK_BLOCK);
+    let mut picks: Vec<(NodeId, &NodeId)> = Vec::with_capacity(WALK_BLOCK);
+    for lo in nodes.clone().step_by(WALK_BLOCK) {
+        walks.clear();
+        for u in lo..(lo + WALK_BLOCK).min(nodes.end) {
+            let me = NodeId::new(u);
+            let row = g.neighbor_row(me);
+            if !row.is_empty() {
+                let mut rng = stream_rng(seed, round, u as u64);
+                let v = row[rng.random_range(0..row.len())];
+                walks.push((me, rng, v));
+            }
+        }
+        peer_rows.clear();
+        peer_rows.extend(walks.iter().map(|&(_, _, v)| g.neighbor_row(v)));
+        picks.clear();
+        for ((me, rng, _), row) in walks.iter_mut().zip(&peer_rows) {
+            if !row.is_empty() {
+                picks.push((*me, &row[rng.random_range(0..row.len())]));
+            }
+        }
+        buf.extend(
+            picks
+                .iter()
+                .filter(|&&(me, w)| *w != me)
+                .map(|&(me, w)| (me, me, *w)),
+        );
     }
 }
 
@@ -70,6 +133,17 @@ impl ProposalRule<DirectedGraph> for DirectedPull {
         // `UniformNeighbors` row is its out-neighbor list, so the walk
         // follows arcs and dies on sinks exactly as before.
         kernel_propose(&PullKernel, g, u, rng)
+    }
+
+    fn propose_range(
+        &self,
+        g: &DirectedGraph,
+        seed: u64,
+        round: u64,
+        nodes: Range<usize>,
+        buf: &mut Vec<TaggedProposal>,
+    ) {
+        two_hop_range(g, seed, round, nodes, buf);
     }
 
     fn name(&self) -> &'static str {

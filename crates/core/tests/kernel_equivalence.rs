@@ -7,10 +7,21 @@
 //! RNG streams — across random seeds, sizes spanning `n = 1` to
 //! `n = 1024`, and the saturation edges `n = 0` / `n = 1` where rules
 //! must propose nothing and consume **zero** randomness.
+//!
+//! The engines call [`ProposalRule::propose_range`], not `propose`; the
+//! second half pins every rule's range form — the staged two-hop walk of
+//! `Pull` and `DirectedPull` among them — to the per-node loop it
+//! replaces, proposal for proposal, on every backend.
 
 use gossip_core::rng::stream_rng;
-use gossip_core::{HybridPushPull, ProposalRule, ProposalSet, Pull, Push};
-use gossip_graph::{generators, NodeId, UndirectedGraph, UniformNeighbors};
+use gossip_core::{
+    with_rule, DirectedPull, GossipGraph, HybridPushPull, ProposalRule, ProposalSet, Pull, Push,
+    RuleId, TaggedProposal,
+};
+use gossip_graph::{
+    generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph,
+    UniformNeighbors,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -176,6 +187,79 @@ fn single_edge_graph_saturates_to_no_op() {
                 .propose(&g, u, &mut rng)
                 .as_slice()
                 .is_empty());
+        }
+    }
+}
+
+/// `propose_range` over `lo..hi` against the loop it stands for: every
+/// node's `propose` on its own `(seed, round, node)` stream, in node order.
+fn assert_range_is_the_node_loop<G: GossipGraph, R: ProposalRule<G>>(g: &G, rule: &R, seed: u64) {
+    let n = g.node_count();
+    // Whole graph, mid-block starts and ends, one node, nothing.
+    let ranges = [
+        0..n,
+        1..n,
+        n / 3..n,
+        37.min(n)..n.saturating_sub(5),
+        0..n.min(1),
+        n..n,
+    ];
+    for (round, range) in (0u64..).zip(ranges) {
+        let range = range.start..range.end.max(range.start);
+        let mut want: Vec<TaggedProposal> = Vec::new();
+        for u in range.clone() {
+            let node = NodeId::new(u);
+            let mut rng = stream_rng(seed, round, u as u64);
+            for &(a, b) in rule.propose(g, node, &mut rng).as_slice() {
+                want.push((node, a, b));
+            }
+        }
+        // The range form appends: what the buffer held must survive.
+        let kept = (NodeId(9), NodeId(9), NodeId(9));
+        let mut got = vec![kept];
+        rule.propose_range(g, seed, round, range.clone(), &mut got);
+        assert_eq!(got[0], kept);
+        assert_eq!(
+            got[1..],
+            want[..],
+            "rule {} diverged on {range:?} of {n} nodes, round {round}",
+            rule.name()
+        );
+    }
+}
+
+#[test]
+fn propose_range_equals_the_per_node_loop_on_every_backend() {
+    for n in [0usize, 1, 2, 63, 64, 65, 1025] {
+        for seed in [3u64, 20260807] {
+            let mut und = if n == 0 {
+                UndirectedGraph::new(0)
+            } else {
+                random_connected(seed, n, n / 2)
+            };
+            // Every seventh node leaves: its row is empty, and nobody's
+            // walk can reach it.
+            for u in (0..n).step_by(7) {
+                und.remove_member(NodeId::new(u));
+            }
+            let arena = ArenaGraph::from_undirected(&und);
+            let sharded = ShardedArenaGraph::from_undirected(&und, 2);
+            for id in RuleId::ALL {
+                with_rule!(id, |rule| {
+                    assert_range_is_the_node_loop(&und, &rule, seed);
+                    assert_range_is_the_node_loop(&arena, &rule, seed);
+                    assert_range_is_the_node_loop(&sharded, &rule, seed);
+                });
+            }
+            // Directed: a third of the nodes are sinks, so first hops land
+            // on empty peer rows.
+            let mut rng = stream_rng(seed, 1, 0);
+            let arcs: Vec<(u32, u32)> = (0..3 * n)
+                .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
+                .filter(|&(a, b)| a != b && a % 3 != 0)
+                .collect();
+            let directed = DirectedGraph::from_arcs(n, arcs);
+            assert_range_is_the_node_loop(&directed, &DirectedPull, seed);
         }
     }
 }

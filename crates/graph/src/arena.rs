@@ -15,7 +15,8 @@
 //! * [`ArenaGraph`] — an undirected graph whose neighbor lists are *sorted*
 //!   `SliceArena` slices: membership is a binary search, uniform sampling is
 //!   one index into a contiguous slice, and a whole round's proposals merge
-//!   in a single sort + dedup pass ([`ArenaGraph::apply_batch`]).
+//!   in one row-ordered pass ([`SliceArena::merge_rows`], which
+//!   [`ArenaGraph::apply_batch`] and the sharded segments both end in).
 //!
 //! Memory is `O(m + n)` — `4` bytes per stored half-edge plus fixed per-node
 //! bookkeeping — restoring the paper's large-`n` regime: the same machine
@@ -43,6 +44,7 @@
 //! suite with churn events straddling forced compactions, and by the
 //! sharded-vs-sequential churn proptests in `gossip-shard`.
 
+use crate::bitset::BitSet;
 use crate::node::{Edge, NodeId};
 use crate::undirected::UndirectedGraph;
 use rand::Rng;
@@ -127,6 +129,19 @@ pub struct ArenaSnapshot {
     pub entries: Vec<NodeId>,
 }
 
+/// Reusable buffers of [`SliceArena::merge_rows`]: 8 bytes per half-edge
+/// and 4 per list, kept by the caller so steady-state rounds allocate
+/// nothing.
+#[derive(Clone, Debug, Default)]
+pub struct MergeScratch {
+    /// After the scatter, `ends[u]` is one past list `u`'s last candidate
+    /// in `cand` (list `u`'s candidates start at `ends[u - 1]`).
+    ends: Vec<u32>,
+    /// `(other, slot)` candidates grouped by destination list, each group
+    /// in arrival order.
+    cand: Vec<(NodeId, u32)>,
+}
+
 /// A slab of per-node growable lists packed into one `Vec<NodeId>`.
 ///
 /// Node `u`'s list is `data[start[u] .. start[u] + len[u]]`, with
@@ -207,7 +222,7 @@ impl SliceArena {
     #[inline]
     pub fn push(&mut self, u: usize, v: NodeId) {
         if self.len[u] == self.cap[u] {
-            self.relocate(u);
+            self.relocate(u, self.len[u] as usize + 1);
         }
         self.data[self.start[u] + self.len[u] as usize] = v;
         self.len[u] += 1;
@@ -221,7 +236,7 @@ impl SliceArena {
             Err(pos) => pos,
         };
         if self.len[u] == self.cap[u] {
-            self.relocate(u);
+            self.relocate(u, self.len[u] as usize + 1);
         }
         let s = self.start[u];
         let l = self.len[u] as usize;
@@ -267,6 +282,116 @@ impl SliceArena {
         true
     }
 
+    /// Merges one round's half-edges into the **sorted** lists, visiting
+    /// the lists in ascending order so every access after the scatter is
+    /// sequential.
+    ///
+    /// `halves` yields `(list, other, slot)` in arrival order and is walked
+    /// twice: the half-edges are counting-sorted by destination list
+    /// (histogram, prefix sums, stable scatter into `scratch`), then each
+    /// list's few candidates are sorted by `other` (stably, so the earliest
+    /// arrival leads a run of duplicates and wins it), looked up once in
+    /// the list, and the absent ones merged in back-to-front — capacity
+    /// reserved once, one `copy_within` per tail segment between two
+    /// insertion points. `on_new(list, other, slot)` fires for every entry
+    /// inserted, in list order.
+    ///
+    /// # Panics
+    /// Panics if `halves` yields more than `u32::MAX` half-edges.
+    pub fn merge_rows<I>(
+        &mut self,
+        scratch: &mut MergeScratch,
+        halves: I,
+        mut on_new: impl FnMut(usize, NodeId, u32),
+    ) where
+        I: Iterator<Item = (usize, NodeId, u32)> + Clone,
+    {
+        let MergeScratch { ends, cand } = scratch;
+        ends.clear();
+        ends.resize(self.lists(), 0);
+        let mut total = 0u64;
+        halves.clone().for_each(|(u, _, _)| {
+            ends[u] += 1;
+            total += 1;
+        });
+        assert!(
+            total <= u64::from(u32::MAX),
+            "a round routes at most u32::MAX half-edges, got {total}"
+        );
+        let mut first = 0;
+        for e in ends.iter_mut() {
+            // `*e` becomes list u's first index; the scatter advances it
+            // to one past its last.
+            let count = *e;
+            *e = first;
+            first += count;
+        }
+        cand.clear();
+        cand.resize(total as usize, (NodeId(0), 0));
+        halves.for_each(|(u, other, slot)| {
+            cand[ends[u] as usize] = (other, slot);
+            ends[u] += 1;
+        });
+        let mut lo = 0;
+        for (u, &hi) in ends.iter().enumerate() {
+            let hi = hi as usize;
+            if lo < hi {
+                self.merge_row(u, &mut cand[lo..hi], &mut on_new);
+            }
+            lo = hi;
+        }
+    }
+
+    /// Merges list `u`'s candidates (arrival order) into the sorted list.
+    fn merge_row(
+        &mut self,
+        u: usize,
+        cand: &mut [(NodeId, u32)],
+        on_new: &mut impl FnMut(usize, NodeId, u32),
+    ) {
+        cand.sort_by_key(|&(other, _)| other);
+        // Look every distinct candidate up, left to right; the absent ones
+        // are compacted to `cand[..fresh]` with the slot (handed to
+        // `on_new`) overwritten by the insertion point.
+        let row = self.slice(u);
+        let (mut fresh, mut from, mut last) = (0, 0, None);
+        for i in 0..cand.len() {
+            let (other, slot) = cand[i];
+            if last == Some(other) {
+                continue;
+            }
+            last = Some(other);
+            match row[from..].binary_search(&other) {
+                Ok(at) => from += at + 1,
+                Err(at) => {
+                    from += at;
+                    on_new(u, other, slot);
+                    cand[fresh] = (other, from as u32);
+                    fresh += 1;
+                }
+            }
+        }
+        if fresh == 0 {
+            return;
+        }
+        let l = self.len[u] as usize;
+        if l + fresh > self.cap[u] as usize {
+            self.relocate(u, l + fresh);
+        }
+        // Back to front: the tail behind the j-th insertion point moves
+        // j + 1 slots right, in one copy per segment.
+        let s = self.start[u];
+        let mut tail_end = l;
+        for (j, &(other, at)) in cand[..fresh].iter().enumerate().rev() {
+            let at = at as usize;
+            self.data.copy_within(s + at..s + tail_end, s + at + j + 1);
+            self.data[s + at + j] = other;
+            tail_end = at;
+        }
+        self.len[u] += fresh as u32;
+        self.live += fresh;
+    }
+
     /// Tombstones list `u`: drops every entry and releases the row's
     /// reserved capacity into dead space, then runs the usual epoch
     /// compaction check. This is the arena half of a membership *leave* —
@@ -285,7 +410,7 @@ impl SliceArena {
         self.cap[u] = 0;
         // `start[u]` still points at the abandoned region; with cap == 0 no
         // write can land there, and the next compaction rewrites it.
-        self.maybe_compact();
+        self.maybe_compact(u, 0);
         dropped
     }
 
@@ -345,15 +470,19 @@ impl SliceArena {
         })
     }
 
-    /// Moves list `u` to the end of the slab with ~1.5× capacity, then
-    /// reclaims the slab if dead space outweighs half the reserved space.
-    /// (1.5× growth + the earlier compaction trigger bound the slab at
-    /// ~2.25× the live entries, vs ~4× for classic doubling — constant
-    /// factors are the whole game at n = 2^20.)
+    /// Moves list `u` to the end of the slab with its capacity grown ~1.5×
+    /// at a time until it holds `need` entries, then reclaims the slab if
+    /// dead space outweighs half the reserved space. (1.5× growth + the
+    /// earlier compaction trigger bound the slab at ~2.25× the live
+    /// entries, vs ~4× for classic doubling — constant factors are the
+    /// whole game at n = 2^20.)
     #[cold]
-    fn relocate(&mut self, u: usize) {
+    fn relocate(&mut self, u: usize, need: usize) {
         let cap = self.cap[u] as usize;
-        let new_cap = (cap + cap / 2).max(cap + 1).max(4);
+        let mut new_cap = cap;
+        while new_cap < need {
+            new_cap = (new_cap + new_cap / 2).max(new_cap + 1).max(4);
+        }
         let s = self.start[u];
         let l = self.len[u] as usize;
         let new_start = self.data.len();
@@ -363,15 +492,15 @@ impl SliceArena {
         self.reserved += new_cap - cap;
         self.start[u] = new_start;
         self.cap[u] = new_cap as u32;
-        self.maybe_compact();
+        self.maybe_compact(u, need);
     }
 
     /// Epoch compaction: once abandoned regions exceed half the reserved
     /// ones, rewrite the slab densely in node order. One linear pass over
     /// the live entries; a compaction only happens after `reserved/2` bytes
     /// of fresh dead space accumulated, so the cost is amortized O(1) per
-    /// stored entry.
-    fn maybe_compact(&mut self) {
+    /// stored entry. List `pending` comes out with room for `need` entries.
+    fn maybe_compact(&mut self, pending: usize, need: usize) {
         if self.data.len() <= self.reserved + self.reserved / 2 + 1024 {
             return;
         }
@@ -386,8 +515,13 @@ impl SliceArena {
             // and **never less than one free slot**: `insert`/`push` check
             // capacity once, relocate, and then write, so a compaction
             // triggered by that relocation must preserve the slot the
-            // pending write is about to use.
-            let cap = (l + l / 8).max(l + 1);
+            // pending write is about to use. A batch merge
+            // ([`SliceArena::merge_rows`]) has several writes pending on
+            // the list it relocated, hence `need`.
+            let mut cap = (l + l / 8).max(l + 1);
+            if u == pending {
+                cap = cap.max(need);
+            }
             packed.resize(self.start[u] + cap, NodeId(0));
             self.cap[u] = cap as u32;
         }
@@ -402,7 +536,7 @@ impl SliceArena {
 /// hot path at large `n`: `O(m + n)` memory, O(log deg) edge membership,
 /// O(1) uniform neighbor sampling, and a batch edge-application entry point
 /// ([`ArenaGraph::apply_batch`]) that merges a whole round of proposals in
-/// one sort + dedup pass. Neighbor lists are kept in ascending id order —
+/// one row-ordered pass. Neighbor lists are kept in ascending id order —
 /// a canonical layout, so the final graph is independent of the order in
 /// which a round's edges are applied.
 ///
@@ -510,50 +644,62 @@ impl ArenaGraph {
         }
     }
 
-    /// Applies one round's proposals in a single **sort + dedup** pass.
+    /// Applies one round's proposals in one row-ordered merge
+    /// ([`SliceArena::merge_rows`]).
     ///
-    /// `proposed` is the flat concatenation of every node's proposals for
-    /// the round, in proposal order. The pass canonicalizes each candidate
-    /// to `(min, max)`, sorts by `(edge, arrival)`, keeps the *first*
-    /// proposer of each distinct edge (the same winner the one-at-a-time
-    /// path picks), filters edges already present, and merges the
-    /// survivors. `on_new(slot, a, b)` fires once per genuinely new edge in
-    /// original proposal order, where `slot` is the index into `proposed` —
-    /// callers needing attribution map it back to the proposer. Returns
+    /// `proposed` yields every node's `(tag, a, b)` proposals for the
+    /// round, in proposal order, and is walked once per step, never
+    /// copied. First, self-loops and edges the round-start graph already
+    /// holds are dropped (one bit per slot) — on a near-complete graph
+    /// that is most of them, and none of those reaches the merge. Then
+    /// both half-edges of each survivor go to the merge; both orientations
+    /// of an edge land in its smaller endpoint's row, where the earliest
+    /// slot wins, so one bit per winning slot is set there. Last, the
+    /// proposals are replayed against those bits: `on_new(tag, a, b)`
+    /// fires once per genuinely new edge, first proposer credited, in
+    /// proposal order — what the one-at-a-time path does. Returns
     /// `(proposed_count, added_count)`.
-    pub fn apply_batch(
+    pub fn apply_batch<T, I>(
         &mut self,
-        proposed: &[(NodeId, NodeId)],
-        mut on_new: impl FnMut(usize, NodeId, NodeId),
-    ) -> (u64, u64) {
-        // (canonical edge key, arrival slot); self-loops never canonicalize.
-        let mut cand: Vec<(u64, u32)> = proposed
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(a, b))| a != b)
-            .map(|(slot, &(a, b))| {
-                let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-                (((lo.0 as u64) << 32) | hi.0 as u64, slot as u32)
-            })
-            .collect();
-        cand.sort_unstable();
-        cand.dedup_by_key(|&mut (edge, _)| edge);
-        // Drop edges the round-start graph already has, then re-establish
-        // proposal order so attribution matches the sequential path.
-        cand.retain(|&(edge, _)| {
-            let (a, b) = (NodeId((edge >> 32) as u32), NodeId(edge as u32));
-            !self.has_edge(a, b)
-        });
-        cand.sort_unstable_by_key(|&(_, slot)| slot);
-        let added = cand.len() as u64;
-        for &(edge, slot) in &cand {
-            let (a, b) = (NodeId((edge >> 32) as u32), NodeId(edge as u32));
-            let new = self.add_edge(a, b);
-            debug_assert!(new, "batch survivor already present");
-            let &(pa, pb) = &proposed[slot as usize];
-            on_new(slot as usize, pa, pb);
+        proposed: I,
+        mut on_new: impl FnMut(T, NodeId, NodeId),
+    ) -> (u64, u64)
+    where
+        I: Iterator<Item = (T, NodeId, NodeId)> + Clone,
+    {
+        let count = proposed.clone().count();
+        assert!(
+            u32::try_from(count).is_ok(),
+            "a round holds at most u32::MAX proposals, got {count}"
+        );
+        let mut fresh = BitSet::new(count);
+        for (slot, (_, a, b)) in proposed.clone().enumerate() {
+            if a != b && !self.has_edge(a, b) {
+                fresh.insert(slot);
+            }
         }
-        (proposed.len() as u64, added)
+        let halves = proposed
+            .clone()
+            .enumerate()
+            .filter(|&(slot, _)| fresh.contains(slot))
+            .flat_map(|(slot, (_, a, b))| {
+                [(a.index(), b, slot as u32), (b.index(), a, slot as u32)]
+            });
+        let mut won = BitSet::new(count);
+        self.adj
+            .merge_rows(&mut MergeScratch::default(), halves, |u, other, slot| {
+                if u < other.index() {
+                    won.insert(slot as usize);
+                }
+            });
+        for (slot, (tag, a, b)) in proposed.enumerate() {
+            if won.contains(slot) {
+                on_new(tag, a, b);
+            }
+        }
+        let added = won.count() as u64;
+        self.m += added;
+        (count as u64, added)
     }
 
     /// Removes member `u` from the edge set: every incident edge is
@@ -763,6 +909,97 @@ mod tests {
     }
 
     #[test]
+    fn compaction_during_batch_relocation_preserves_every_pending_slot() {
+        // The batch form of the regression above: a merge that relocates a
+        // row has several writes pending on it, and a compaction triggered
+        // inside that relocation must leave room for all of them — with
+        // one free slot the rest of the batch lands in the next row. Many
+        // tiny rows taking 2–5 entries at a time keep relocations racing
+        // the compaction trigger.
+        let n = 400;
+        let mut g = ArenaGraph::new(n);
+        let mut rng = SmallRng::seed_from_u64(2222);
+        let mut model: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut compactions = 0;
+        for batch in 0..300 {
+            let mut proposals = Vec::new();
+            for _ in 0..40 {
+                let a = rng.random_range(0..n as u32);
+                for _ in 0..rng.random_range(2..6usize) {
+                    proposals.push(((), NodeId(a), NodeId(rng.random_range(0..n as u32))));
+                }
+            }
+            let slab = g.adj.data.len();
+            let (_, added) = g.apply_batch(proposals.iter().copied(), |_, _, _| {});
+            compactions += usize::from(g.adj.data.len() < slab);
+            let before = model.len();
+            model.extend(
+                proposals
+                    .iter()
+                    .filter(|(_, a, b)| a != b)
+                    .map(|&(_, a, b)| (a.0.min(b.0), a.0.max(b.0))),
+            );
+            assert_eq!(added as usize, model.len() - before, "batch {batch}");
+            g.validate()
+                .unwrap_or_else(|e| panic!("batch {batch}: {e}"));
+        }
+        assert!(compactions > 0, "no batch straddled a compaction");
+        assert_eq!(g.m(), model.len() as u64);
+    }
+
+    #[test]
+    fn merge_rows_inserts_into_a_dense_row_in_place() {
+        // 1–8 inserts at the front, the middle and the back of a 500-entry
+        // row, in one merge each; the rows on either side hold sentinels
+        // that a misplaced tail copy would overwrite.
+        let even = |i: u32| NodeId(1000 + 2 * i);
+        for k in 1..=8u32 {
+            let front: Vec<NodeId> = (0..k).map(NodeId).collect();
+            let middle: Vec<NodeId> = (0..k).map(|i| NodeId(1000 + 2 * (240 + i) + 1)).collect();
+            let back: Vec<NodeId> = (0..k).map(|i| NodeId(5000 + i)).collect();
+            let spread: Vec<NodeId> = (0..k).map(|i| NodeId(1000 + 120 * i + 1)).collect();
+            for fresh in [front, middle, back, spread] {
+                let mut a = SliceArena::new(3);
+                for u in 0..3 {
+                    for i in 0..500 {
+                        a.push(u, even(i));
+                    }
+                }
+                // Arrival order reversed, every candidate twice, and two
+                // the row already holds.
+                let halves: Vec<(usize, NodeId, u32)> = fresh
+                    .iter()
+                    .rev()
+                    .chain(&fresh)
+                    .chain(&[even(0), even(499)])
+                    .zip(0u32..)
+                    .map(|(&v, slot)| (1, v, slot))
+                    .collect();
+                let mut fired = Vec::new();
+                a.merge_rows(
+                    &mut MergeScratch::default(),
+                    halves.iter().copied(),
+                    |u, v, slot| fired.push((u, v, slot)),
+                );
+                let want: BTreeSet<NodeId> =
+                    (0..500).map(even).chain(fresh.iter().copied()).collect();
+                assert!(a.slice(1).iter().eq(want.iter()), "k = {k}, {fresh:?}");
+                // Each once, in row order, credited to its first arrival.
+                let slots: Vec<(usize, NodeId, u32)> = fresh
+                    .iter()
+                    .zip((0..k).rev())
+                    .map(|(&v, slot)| (1, v, slot))
+                    .collect();
+                assert_eq!(fired, slots, "k = {k}");
+                for u in [0, 2] {
+                    assert!(a.slice(u).iter().copied().eq((0..500).map(even)), "row {u}");
+                }
+                assert_eq!(a.total_len(), 1500 + k as usize);
+            }
+        }
+    }
+
+    #[test]
     fn remove_sorted_shifts_and_tracks_counters() {
         let mut a = SliceArena::new(2);
         for v in [2, 4, 7, 9] {
@@ -967,7 +1204,7 @@ mod tests {
             let pad = a.reserved + a.reserved / 2 + 2048;
             let dead = a.data.len() + pad;
             a.data.resize(dead, NodeId(0));
-            a.maybe_compact();
+            a.maybe_compact(0, 0);
             assert!(a.data.len() < dead, "forced compaction did not run");
         }
         for w in 0..n {
@@ -1090,7 +1327,11 @@ mod tests {
             (NodeId(2), NodeId(0)), // new
         ];
         let mut winners = Vec::new();
-        let (proposed, added) = g.apply_batch(&proposals, |slot, a, b| winners.push((slot, a, b)));
+        let tagged = proposals
+            .iter()
+            .enumerate()
+            .map(|(slot, &(a, b))| (slot, a, b));
+        let (proposed, added) = g.apply_batch(tagged, |slot, a, b| winners.push((slot, a, b)));
         assert_eq!((proposed, added), (5, 2));
         assert_eq!(
             winners,
@@ -1122,7 +1363,8 @@ mod tests {
             for &(a, b) in &proposals {
                 seq_added += seq_g.add_edge(a, b) as u64;
             }
-            let (_, added) = batch_g.apply_batch(&proposals, |_, _, _| {});
+            let (_, added) =
+                batch_g.apply_batch(proposals.iter().map(|&(a, b)| ((), a, b)), |_, _, _| {});
             assert_eq!(added, seq_added);
             assert_eq!(batch_g.m(), seq_g.m());
         }

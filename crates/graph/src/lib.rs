@@ -45,7 +45,7 @@ pub mod traversal;
 pub mod undirected;
 
 pub use adjacency::AdjSet;
-pub use arena::{ArenaGraph, ArenaSnapshot, SliceArena, UniformNeighbors};
+pub use arena::{ArenaGraph, ArenaSnapshot, MergeScratch, SliceArena, UniformNeighbors};
 pub use bitset::BitSet;
 pub use closure::Closure;
 pub use directed::DirectedGraph;

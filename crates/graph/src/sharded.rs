@@ -40,7 +40,7 @@
 //! [`ShardedArenaGraph::half_edge_count`] sum per-segment counters that
 //! every mutation maintains incrementally.
 
-use crate::arena::{ArenaGraph, SliceArena, UniformNeighbors};
+use crate::arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 use crate::node::{Edge, NodeId};
 use crate::undirected::UndirectedGraph;
 use std::ops::Range;
@@ -197,46 +197,28 @@ impl ShardSeg {
     /// here), so summing the return values across shards counts each new
     /// edge exactly once.
     ///
-    /// The merge mirrors [`ArenaGraph::apply_batch`] per row: candidates
-    /// are keyed `(local row, other)`, sorted, deduplicated keeping the
-    /// earliest slot, and the survivors inserted into the sorted rows in
-    /// row order (one cache-friendly ascending pass per row, instead of the
-    /// single-arena path's proposal-order walk over random rows). `scratch`
-    /// is caller-provided so steady-state rounds allocate nothing.
-    pub fn apply_half_edges(
-        &mut self,
-        sources: &[&[HalfEdge]],
-        scratch: &mut Vec<(u64, u32)>,
-    ) -> u64 {
-        scratch.clear();
-        for src in sources {
-            for &(slot, row, other) in *src {
+    /// The merge is [`SliceArena::merge_rows`] over the segment's local
+    /// rows, the one [`ArenaGraph::apply_batch`] ends in; the two
+    /// half-edges of a proposal live in different segments, so nothing is
+    /// filtered beforehand and every half-edge is looked up in its row.
+    /// `scratch` is caller-provided so steady-state rounds allocate nothing.
+    pub fn apply_half_edges(&mut self, sources: &[&[HalfEdge]], scratch: &mut MergeScratch) -> u64 {
+        let (base, rows) = (self.base, self.adj.lists());
+        let halves = sources
+            .iter()
+            .flat_map(|src| src.iter())
+            .map(|&(slot, row, other)| {
                 debug_assert!(
-                    row.index() >= self.base && row.index() - self.base < self.adj.lists(),
-                    "half-edge {row:?} routed to the wrong shard (base {})",
-                    self.base
+                    row.index() >= base && row.index() - base < rows,
+                    "half-edge {row:?} routed to the wrong shard (base {base})"
                 );
-                let local = (row.index() - self.base) as u64;
-                scratch.push(((local << 32) | other.0 as u64, slot));
-            }
-        }
-        // Sort by (row, other, slot); keep the earliest arrival of each
-        // distinct half-edge. Insertion in key order means each row is
-        // filled left-to-right in ascending id order.
-        scratch.sort_unstable();
-        scratch.dedup_by_key(|&mut (key, _)| key);
+                (row.index() - base, other, slot)
+            });
         let mut added = 0u64;
-        for &(key, _slot) in scratch.iter() {
-            let local = (key >> 32) as usize;
-            let other = NodeId(key as u32);
-            if self.adj.insert_sorted(local, other) {
-                let row_global = (self.base + local) as u32;
-                if row_global < other.0 {
-                    self.m_canonical += 1;
-                    added += 1;
-                }
-            }
-        }
+        self.adj.merge_rows(scratch, halves, |local, other, _| {
+            added += u64::from(base + local < other.index());
+        });
+        self.m_canonical += added;
         added
     }
 
@@ -966,7 +948,7 @@ mod tests {
                 mail[plan.owner(a)].push((slot as u32, a, b));
                 mail[plan.owner(b)].push((slot as u32, b, a));
             }
-            let mut scratch = Vec::new();
+            let mut scratch = MergeScratch::default();
             let mut added = 0;
             for (s, entries) in mail.iter().enumerate() {
                 added +=
@@ -1038,7 +1020,7 @@ mod tests {
             mail[plan.owner(a)].push((slot, a, b));
             mail[plan.owner(b)].push((slot, b, a));
         }
-        let mut scratch = Vec::new();
+        let mut scratch = MergeScratch::default();
         for (s, seg) in g.segments_mut().into_iter().enumerate() {
             seg.apply_half_edges(&[mail[s].as_slice()], &mut scratch);
         }

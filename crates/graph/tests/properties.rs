@@ -242,7 +242,8 @@ proptest! {
                     seq_added += adjset.add_edge(a, b) as u64;
                 }
             }
-            let (_, batch_added) = arena.apply_batch(&proposals, |_, _, _| {});
+            let (_, batch_added) =
+                arena.apply_batch(proposals.iter().map(|&(a, b)| ((), a, b)), |_, _, _| {});
             prop_assert_eq!(batch_added, seq_added);
         }
         prop_assert_eq!(arena.m(), adjset.m());
@@ -250,6 +251,108 @@ proptest! {
             let mut want: Vec<NodeId> = adjset.neighbors(u).iter().collect();
             want.sort_unstable();
             prop_assert_eq!(arena.neighbors(u), &want[..]);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The arena's batch entry point (what `GossipGraph::apply_proposals`
+    /// calls) is edge-at-a-time `add_edge` in everything observable: rows,
+    /// `m`, `added`, and the exact `on_new` sequence (first proposer of an
+    /// edge, in proposal order) — with duplicates in both orientations,
+    /// self-loops, members leaving between rounds (tombstoned rows), and
+    /// enough growth on few rows to force relocations and compactions.
+    /// The same batches routed as half-edges through
+    /// `ShardSeg::apply_half_edges` leave the same rows and the same
+    /// per-segment canonical counts at any shard count.
+    #[test]
+    fn arena_batch_equals_edge_at_a_time(
+        seed in any::<u64>(),
+        small in 2usize..80,
+        scale in 0usize..3,
+        rounds in 2usize..10,
+    ) {
+        use gossip_graph::{ArenaGraph, HalfEdge, MergeScratch, ShardedArenaGraph};
+
+        // One chunk, two chunks, and the nine it takes to fill eight shards.
+        let n = small + [0, 2_000, 8_200][scale];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x3E26E);
+        let mut batch = ArenaGraph::new(n);
+        let mut oracle = ArenaGraph::new(n);
+        let mut sharded: Vec<ShardedArenaGraph> =
+            [1, 2, 8].iter().map(|&s| ShardedArenaGraph::new(n, s)).collect();
+        let mut scratch = MergeScratch::default();
+        // Half the proposals fall on a few hot rows, so those grow by
+        // several entries per round.
+        let hot = (n / 16).max(2) as u32;
+        for round in 0..rounds {
+            if round % 3 == 2 {
+                let leaver = NodeId(rng.random_range(0..hot));
+                let dropped = oracle.remove_member(leaver);
+                prop_assert_eq!(batch.remove_member(leaver), dropped);
+                for g in sharded.iter_mut() {
+                    prop_assert_eq!(g.remove_member(leaver), dropped);
+                }
+            }
+            let mut proposals: Vec<(NodeId, NodeId)> = (0..2 * n)
+                .map(|i| {
+                    let a = if i % 2 == 0 { rng.random_range(0..hot) } else { rng.random_range(0..n as u32) };
+                    (NodeId(a), NodeId(rng.random_range(0..n as u32)))
+                })
+                .collect();
+            // Every fifth proposal again, reversed, later in the round.
+            let echoes: Vec<(NodeId, NodeId)> =
+                proposals.iter().step_by(5).map(|&(a, b)| (b, a)).collect();
+            proposals.extend(echoes);
+
+            let mut want = Vec::new();
+            for (slot, &(a, b)) in proposals.iter().enumerate() {
+                if oracle.add_edge(a, b) {
+                    want.push((slot, a, b));
+                }
+            }
+            let mut got = Vec::new();
+            let tagged = proposals.iter().enumerate().map(|(slot, &(a, b))| (slot, a, b));
+            let (proposed, added) = batch.apply_batch(tagged, |slot, a, b| got.push((slot, a, b)));
+            prop_assert_eq!(proposed, proposals.len() as u64);
+            prop_assert_eq!(added, want.len() as u64);
+            prop_assert_eq!(&got, &want, "on_new sequence, round {}", round);
+            prop_assert_eq!(batch.m(), oracle.m());
+            batch.validate().unwrap();
+
+            for g in sharded.iter_mut() {
+                let plan = *g.plan();
+                let mut mail: Vec<Vec<HalfEdge>> = vec![Vec::new(); plan.shards()];
+                for (slot, &(a, b)) in proposals.iter().enumerate() {
+                    if a != b {
+                        mail[plan.owner(a)].push((slot as u32, a, b));
+                        mail[plan.owner(b)].push((slot as u32, b, a));
+                    }
+                }
+                let mut shard_added = 0;
+                for (seg, entries) in g.segments_mut().into_iter().zip(&mail) {
+                    shard_added += seg.apply_half_edges(&[entries.as_slice()], &mut scratch);
+                }
+                prop_assert_eq!(shard_added, added, "S = {}", plan.shards());
+            }
+        }
+        for u in oracle.nodes() {
+            prop_assert_eq!(batch.neighbors(u), oracle.neighbors(u), "row {:?}", u);
+        }
+        for g in &sharded {
+            g.validate().unwrap();
+            for u in oracle.nodes() {
+                prop_assert_eq!(g.neighbors(u), oracle.neighbors(u), "S = {} row {:?}", g.shard_count(), u);
+            }
+            for s in 0..g.shard_count() {
+                let canonical: usize = g.plan().span(s)
+                    .map(NodeId::new)
+                    .map(|u| oracle.neighbors(u).iter().filter(|&&v| u < v).count())
+                    .sum();
+                prop_assert_eq!(g.segment(s).m_canonical(), canonical as u64, "S = {} segment {}", g.shard_count(), s);
+            }
         }
     }
 }

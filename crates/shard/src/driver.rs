@@ -29,7 +29,8 @@ use gossip_core::{
     RunOutcome, TaggedProposal,
 };
 use gossip_graph::{
-    HalfEdge, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardSegSnapshot, ShardedArenaGraph,
+    HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardSegSnapshot,
+    ShardedArenaGraph,
 };
 use rayon::prelude::*;
 use std::io;
@@ -62,9 +63,9 @@ pub fn peak_rss_bytes() -> Option<u64> {
 /// of proposals walked.
 ///
 /// Slots are local to the source span. That is safe because the merge
-/// ([`ShardSeg::apply_half_edges`]) sorts by `(key, slot)`, dedups by key
-/// and then *discards the slot* — only the relative order within one
-/// source stream could ever matter, and chunk-order walking preserves it.
+/// ([`ShardSeg::apply_half_edges`]) never reads one: it groups a row's
+/// half-edges in arrival order and keeps one of each, so the slot of the
+/// one it keeps decides nothing.
 pub(crate) fn route_span(
     plan: &ShardPlan,
     chunk_bufs: &[Vec<TaggedProposal>],
@@ -93,12 +94,7 @@ pub(crate) fn route_span(
 /// One owner shard's apply-phase work unit: `(shard index, its segment,
 /// its merge scratch, its added-count slot)` — disjoint borrows the pool
 /// fans out with no aliasing.
-type ShardWork<'a> = (
-    usize,
-    &'a mut ShardSeg,
-    &'a mut Vec<(u64, u32)>,
-    &'a mut u64,
-);
+type ShardWork<'a> = (usize, &'a mut ShardSeg, &'a mut MergeScratch, &'a mut u64);
 
 /// The apply phase: owner `t` merges its mailbox column
 /// `mail[0][t], mail[1][t], …` — fixed source order — into its own
@@ -106,7 +102,7 @@ type ShardWork<'a> = (
 /// Shard-parallel when `parallel`; no locks, no cross-shard writes.
 pub(crate) fn apply_grid(
     graph: &mut ShardedArenaGraph,
-    scratch: &mut [Vec<(u64, u32)>],
+    scratch: &mut [MergeScratch],
     added: &mut [u64],
     parallel: bool,
     mail: &[Vec<Vec<HalfEdge>>],
@@ -152,7 +148,7 @@ pub struct ShardReplica {
     chunk_bufs: Vec<Vec<TaggedProposal>>,
     /// `mail_out[owner]`: this replica's own routed half-edges.
     mail_out: Vec<Vec<HalfEdge>>,
-    scratch: Vec<Vec<(u64, u32)>>,
+    scratch: Vec<MergeScratch>,
     added: Vec<u64>,
 }
 
@@ -176,7 +172,7 @@ impl ShardReplica {
             shard,
             chunk_bufs: vec![Vec::new(); graph.n().div_ceil(PROPOSAL_CHUNK)],
             mail_out: vec![Vec::new(); shards],
-            scratch: vec![Vec::new(); shards],
+            scratch: vec![MergeScratch::default(); shards],
             added: vec![0; shards],
             graph,
         }

@@ -73,7 +73,7 @@ use gossip_core::{
     ConvergenceCheck, EngineBuilder, MembershipPlan, MembershipStats, Parallelism, ProposalRule,
     RoundStats, RunOutcome, TaggedProposal,
 };
-use gossip_graph::{HalfEdge, ShardedArenaGraph, SHARD_ALIGN};
+use gossip_graph::{HalfEdge, MergeScratch, ShardedArenaGraph, SHARD_ALIGN};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -126,7 +126,7 @@ pub struct ShardedEngine<R> {
     /// row lives in `owner`, appended in chunk order. Reused across rounds.
     mail: Vec<Vec<Vec<HalfEdge>>>,
     /// Per-owner merge scratch, reused across rounds.
-    scratch: Vec<Vec<(u64, u32)>>,
+    scratch: Vec<MergeScratch>,
     /// Per-owner added-edge counters for the current round.
     added: Vec<u64>,
     phases: PhaseNanos,
@@ -150,7 +150,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
             parallelism: Parallelism::default(),
             chunk_bufs: vec![Vec::new(); chunks],
             mail: vec![vec![Vec::new(); shards]; shards],
-            scratch: vec![Vec::new(); shards],
+            scratch: vec![MergeScratch::default(); shards],
             added: vec![0; shards],
             phases: PhaseNanos::default(),
             membership: None,

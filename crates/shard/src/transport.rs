@@ -45,9 +45,9 @@
 //!
 //! Workers tag half-edges with slots local to their own source stream.
 //! That is safe because the merge
-//! ([`gossip_graph::ShardSeg::apply_half_edges`]) sorts by `(key, slot)`,
-//! dedups by key, and then *discards the slot* — only the relative order
-//! within one source stream could ever matter, and that is preserved.
+//! ([`gossip_graph::ShardSeg::apply_half_edges`]) groups a row's
+//! half-edges in arrival order, keeps one of each and never reads a slot
+//! — the one it keeps decides nothing.
 //! Hence no global slot prefix-sum synchronization round is needed, and
 //! the result is bit-identical to [`ShardedEngine`](crate::ShardedEngine) and the
 //! sequential engine for any `(S, mode, thread count)` — pinned by the
