@@ -37,10 +37,12 @@
 //!
 //! # Bootstrap: streamed snapshots
 //!
-//! Workers start empty; the coordinator streams every segment of the
-//! starting [`ShardedArenaGraph`] as [`gossip_graph::SegSnapshotChunk`]
-//! frames — the bootstrap stream [`gossip_shard::driver`] writes and
-//! reads for both carriers, chunked here to fit a datagram. The
+//! Workers start empty, knowing only the peer table they were launched
+//! with; the coordinator streams every segment of the starting
+//! [`ShardedArenaGraph`] as [`gossip_graph::SegSnapshotChunk`] frames
+//! read from its live rows — the bootstrap stream [`gossip_shard::driver`]
+//! writes and reads for both carriers, chunked here to fit a datagram,
+//! which a worker appends straight into the segments it rebuilds. The
 //! coordinator queues all chunks and the round-0 `Start` behind them
 //! (per-link FIFO keeps the order) and waits for no acknowledgment: it
 //! runs its own round-0 propose on a helper thread while the main thread
@@ -319,13 +321,10 @@ impl ClusterBuilder {
         // Bootstrap: Config then every segment's chunk stream, to every
         // worker. Queued, not awaited — per-link FIFO guarantees each
         // worker sees Config → chunks → (later) Start in order.
-        let peers: Vec<String> = table.iter().map(|a| a.to_string()).collect();
-        link.stats.snapshot_chunks = replica.send_bootstrap(
-            1..shards,
-            &peers,
-            snapshot_chunk_entries(self.mtu),
-            |d, frame| link.endpoint.send_frame(d, frame),
-        )?;
+        link.stats.snapshot_chunks =
+            replica.send_bootstrap(1..shards, snapshot_chunk_entries(self.mtu), |d, frame| {
+                link.endpoint.send_frame(d, frame)
+            })?;
         Ok(ShardRoundDriver::new(replica, link))
     }
 }

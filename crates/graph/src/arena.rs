@@ -105,30 +105,6 @@ impl UniformNeighbors for UndirectedGraph {
     }
 }
 
-/// A serializable image of a [`SliceArena`]: per-row `(len, cap)` pairs
-/// plus the concatenated live entries in row order.
-///
-/// The image carries each row's **reserved capacity** and tombstone state
-/// (`cap == 0`), not just its contents — [`SliceArena::restore`] must
-/// reproduce the growth/compaction *behavior* of the original arena, not
-/// only its logical rows. A restore that rebuilt rows through the insert
-/// path would re-derive capacities from the relocation growth schedule and
-/// hand fresh tombstones a default reserve, so the first post-restore
-/// relocation or compaction would fire at a different moment than in the
-/// source process. Contents would still be correct (compaction is
-/// content-transparent), but the worker-bootstrap path wants the stronger
-/// guarantee — byte-for-byte identical row bookkeeping — so snapshots are
-/// restored structurally. Pinned by the restore-then-compact equivalence
-/// tests alongside the tombstone reclamation pins below.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ArenaSnapshot {
-    /// `(len, cap)` per row, in row order.
-    pub len_cap: Vec<(u32, u32)>,
-    /// Every row's live entries, concatenated in row order (`sum(len)`
-    /// entries total — reserved-but-unused slots are not serialized).
-    pub entries: Vec<NodeId>,
-}
-
 /// Reusable buffers of [`SliceArena::merge_rows`]: 8 bytes per half-edge
 /// and 4 per list, kept by the caller so steady-state rounds allocate
 /// nothing.
@@ -186,6 +162,12 @@ impl SliceArena {
     #[inline]
     pub fn len(&self, u: usize) -> usize {
         self.len[u] as usize
+    }
+
+    /// Reserved capacity of list `u` (`0` for a tombstone).
+    #[inline]
+    pub(crate) fn cap(&self, u: usize) -> u32 {
+        self.cap[u]
     }
 
     /// Whether list `u` is empty.
@@ -414,60 +396,30 @@ impl SliceArena {
         dropped
     }
 
-    /// Captures the arena's logical state — rows, per-row reserved
-    /// capacity, and tombstones — as a serializable [`ArenaSnapshot`].
-    /// Dead space (abandoned relocation regions) is not captured; it is
-    /// the one thing [`SliceArena::restore`] deliberately discards.
-    pub fn snapshot(&self) -> ArenaSnapshot {
-        let mut entries = Vec::with_capacity(self.live);
-        for u in 0..self.lists() {
-            entries.extend_from_slice(self.slice(u));
-        }
-        ArenaSnapshot {
-            len_cap: self
-                .len
-                .iter()
-                .zip(&self.cap)
-                .map(|(&l, &c)| (l, c))
-                .collect(),
-            entries,
-        }
-    }
-
-    /// Rebuilds an arena from a snapshot, packed densely (each row at its
-    /// recorded capacity, no dead space). Per-row `len`, `cap`, the
-    /// `reserved`/`live` totals, and tombstone rows (`cap == 0`) all come
-    /// back exactly as snapshotted, so relocation and compaction fire on
-    /// the same mutations as they would have in the source arena.
-    pub fn restore(snap: &ArenaSnapshot) -> Result<SliceArena, String> {
-        let total_len: usize = snap.len_cap.iter().map(|&(l, _)| l as usize).sum();
-        if total_len != snap.entries.len() {
-            return Err(format!(
-                "arena snapshot carries {} entries but rows sum to {total_len}",
-                snap.entries.len()
-            ));
-        }
-        let reserved: usize = snap.len_cap.iter().map(|&(_, c)| c as usize).sum();
-        let mut data = Vec::with_capacity(reserved);
-        let mut start = Vec::with_capacity(snap.len_cap.len());
-        let mut read = 0usize;
-        for (u, &(l, c)) in snap.len_cap.iter().enumerate() {
-            if l > c {
-                return Err(format!("row {u}: len {l} exceeds cap {c}"));
-            }
-            start.push(data.len());
-            data.extend_from_slice(&snap.entries[read..read + l as usize]);
-            data.resize(start[u] + c as usize, NodeId(0));
-            read += l as usize;
-        }
-        Ok(SliceArena {
-            data,
-            start,
-            len: snap.len_cap.iter().map(|&(l, _)| l).collect(),
-            cap: snap.len_cap.iter().map(|&(_, c)| c).collect(),
-            reserved,
-            live: total_len,
-        })
+    /// Appends a new list holding `entries` with `cap` reserved slots, at
+    /// the end of the slab — the worker-bootstrap path, which rebuilds a
+    /// shipped segment row by row, densely (no dead space).
+    ///
+    /// The capacity is the source row's, not one the insert path would
+    /// derive: rebuilding through `insert_sorted` would re-run the growth
+    /// schedule and hand a tombstone (`cap == 0`) a fresh reserve, so the
+    /// first relocation or compaction would fire on a different mutation
+    /// than in the source process. Contents would still agree (compaction
+    /// is content-transparent), but bootstrap wants identical row
+    /// bookkeeping, so rows are rebuilt structurally.
+    ///
+    /// # Panics
+    /// Panics if `entries` is longer than `cap`.
+    pub(crate) fn push_list(&mut self, entries: &[NodeId], cap: u32) {
+        assert!(entries.len() <= cap as usize, "list longer than its cap");
+        let start = self.data.len();
+        self.start.push(start);
+        self.data.extend_from_slice(entries);
+        self.data.resize(start + cap as usize, NodeId(0));
+        self.len.push(entries.len() as u32);
+        self.cap.push(cap);
+        self.reserved += cap as usize;
+        self.live += entries.len();
     }
 
     /// Moves list `u` to the end of the slab with its capacity grown ~1.5×
@@ -790,6 +742,7 @@ impl UniformNeighbors for ArenaGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::{SegSnapshotAssembler, ShardSeg};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
@@ -1109,9 +1062,28 @@ mod tests {
         g.validate().unwrap();
     }
 
+    /// `adj` as the rows of a segment based at node 0.
+    fn segment(adj: SliceArena) -> ShardSeg {
+        ShardSeg {
+            base: 0,
+            adj,
+            m_canonical: 0,
+        }
+    }
+
+    /// `a` through the worker-bootstrap path: streamed as one segment's
+    /// chunks of at most `budget` entries, then reassembled.
+    fn through_chunks(a: &SliceArena, budget: usize) -> SliceArena {
+        let mut asm = SegSnapshotAssembler::new();
+        for chunk in segment(a.clone()).chunks(budget) {
+            asm.accept(&chunk).unwrap();
+        }
+        asm.finish().adj
+    }
+
     #[test]
     fn snapshot_restore_preserves_reserved_and_tombstone_state() {
-        // Worker-bootstrap contract: a restored arena is not merely
+        // Worker-bootstrap contract: a rebuilt arena is not merely
         // row-equal — its per-row capacities, tombstones, and the
         // reserved/live totals match the source exactly, so every later
         // relocation/compaction decision replays identically.
@@ -1128,34 +1100,36 @@ mod tests {
         for u in (0..n).step_by(3) {
             a.clear(u);
         }
-        let snap = a.snapshot();
-        let b = SliceArena::restore(&snap).unwrap();
-        assert_eq!(a.len, b.len, "per-row lengths");
-        assert_eq!(a.cap, b.cap, "per-row reserved capacity");
-        assert_eq!(a.reserved, b.reserved, "reserved total");
-        assert_eq!(a.live, b.live, "live total");
-        for u in 0..n {
-            assert_eq!(a.slice(u), b.slice(u), "row {u}");
-        }
-        // Tombstoned rows stay tombstoned (cap 0), not re-reserved.
-        for u in (0..n).step_by(3) {
-            if a.cap[u] == 0 {
-                assert_eq!(b.cap[u], 0, "row {u}: tombstone lost its cap-0 state");
+        for budget in [1, 64, usize::MAX] {
+            let b = through_chunks(&a, budget);
+            assert_eq!(a.len, b.len, "per-row lengths");
+            assert_eq!(a.cap, b.cap, "per-row reserved capacity");
+            assert_eq!(a.reserved, b.reserved, "reserved total");
+            assert_eq!(a.live, b.live, "live total");
+            for u in 0..n {
+                assert_eq!(a.slice(u), b.slice(u), "row {u}");
             }
+            // Tombstoned rows stay tombstoned (cap 0), not re-reserved.
+            for u in (0..n).step_by(3) {
+                if a.cap[u] == 0 {
+                    assert_eq!(b.cap[u], 0, "row {u}: tombstone lost its cap-0 state");
+                }
+            }
+            // The rebuilt slab is dense: dead space is the one thing the
+            // stream does not carry.
+            assert_eq!(b.data.len(), b.reserved);
         }
-        // The restored slab is dense: dead space is the one thing a
-        // snapshot discards.
-        assert_eq!(b.data.len(), b.reserved);
     }
 
     #[test]
     fn restore_then_compact_equals_source_then_compact() {
-        // The restore-then-compact equivalence pin: drive a source arena
-        // and its restored twin through the same mutation tail — inserts
-        // forcing relocations, clears forcing tombstone compactions — and
-        // require identical bookkeeping at every step. Because restore
-        // preserved caps exactly, both arenas relocate the same rows on
-        // the same inserts; the only allowed divergence is *when* the slab
+        // The rebuild-then-compact equivalence pin: drive a source arena
+        // and its twin rebuilt from the chunk stream through the same
+        // mutation tail — inserts forcing relocations, clears forcing
+        // tombstone compactions — and require identical bookkeeping at
+        // every step. Because the rebuild preserved caps exactly, both
+        // arenas relocate the same rows on the same inserts; the only
+        // allowed divergence is *when* the slab
         // hits the compaction trigger (the twin starts dense), and the
         // trigger is content-transparent, so rows and caps re-converge at
         // each compaction.
@@ -1170,7 +1144,7 @@ mod tests {
         for u in (0..n).step_by(4) {
             src.clear(u);
         }
-        let mut twin = SliceArena::restore(&src.snapshot()).unwrap();
+        let mut twin = through_chunks(&src, 100);
         let mut ops = SmallRng::seed_from_u64(23);
         for step in 0..8_000 {
             let u = ops.random_range(0..n);
@@ -1223,14 +1197,16 @@ mod tests {
         let mut a = SliceArena::new(4);
         a.insert_sorted(0, NodeId(3));
         a.insert_sorted(2, NodeId(1));
-        let mut snap = a.snapshot();
-        snap.entries.push(NodeId(9));
-        assert!(SliceArena::restore(&snap).is_err(), "extra entries");
-        let mut snap = a.snapshot();
-        snap.len_cap[0] = (5, 2);
-        assert!(SliceArena::restore(&snap).is_err(), "len above cap");
-        // A well-formed snapshot of an empty arena restores to empty.
-        let empty = SliceArena::restore(&SliceArena::new(0).snapshot()).unwrap();
+        let mut chunk = segment(a).chunks(usize::MAX).next().unwrap();
+        chunk.entries.push(NodeId(9));
+        let err = SegSnapshotAssembler::new().accept(&chunk).unwrap_err();
+        assert!(err.contains("entries"), "extra entries: {err}");
+        chunk.entries.pop();
+        chunk.entries.pop();
+        let err = SegSnapshotAssembler::new().accept(&chunk).unwrap_err();
+        assert!(err.contains("entries"), "missing entries: {err}");
+        // A well-formed stream of an empty arena rebuilds to empty.
+        let empty = through_chunks(&SliceArena::new(0), 1);
         assert_eq!(empty.lists(), 0);
         assert_eq!(empty.total_len(), 0);
     }

@@ -45,13 +45,13 @@ pub mod traversal;
 pub mod undirected;
 
 pub use adjacency::AdjSet;
-pub use arena::{ArenaGraph, ArenaSnapshot, MergeScratch, SliceArena, UniformNeighbors};
+pub use arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 pub use bitset::BitSet;
 pub use closure::Closure;
 pub use directed::DirectedGraph;
 pub use node::{Arc, Edge, NodeId};
 pub use sharded::{
-    HalfEdge, SegSnapshotAssembler, SegSnapshotChunk, ShardPlan, ShardSeg, ShardSegSnapshot,
-    ShardedArenaGraph, SnapshotChunks, SHARD_ALIGN,
+    HalfEdge, SegSnapshotAssembler, SegSnapshotChunk, ShardPlan, ShardSeg, ShardedArenaGraph,
+    SHARD_ALIGN,
 };
 pub use undirected::UndirectedGraph;

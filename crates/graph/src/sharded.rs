@@ -39,6 +39,18 @@
 //! on a snapshot stay `O(S)` too: [`ShardedArenaGraph::m`] and
 //! [`ShardedArenaGraph::half_edge_count`] sum per-segment counters that
 //! every mutation maintains incrementally.
+//!
+//! ## The bootstrap stream
+//!
+//! A cross-process worker starts from a copy of every segment, and that
+//! copy has one image only: [`SegSnapshotChunk`]s, read straight from the
+//! live rows ([`ShardSeg::chunks`]) and appended straight into a new
+//! segment's arena ([`SegSnapshotAssembler`]). Each row travels with its
+//! reserved capacity, tombstones included, so the rebuilt segment
+//! relocates and compacts on the same mutations as its source;
+//! [`ShardedArenaGraph::from_segments`] checks that the rebuilt segments
+//! tile the plan. Whether the rows hold node ids of the graph is the
+//! receiving transport's check — they are outside input there.
 
 use crate::arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 use crate::node::{Edge, NodeId};
@@ -138,10 +150,10 @@ pub type HalfEdge = (u32, NodeId, NodeId);
 /// stored locally (row `u` lives at local index `u - base`).
 #[derive(Clone, Debug)]
 pub struct ShardSeg {
-    base: usize,
-    adj: SliceArena,
+    pub(crate) base: usize,
+    pub(crate) adj: SliceArena,
     /// Canonical edges owned here: edges whose smaller endpoint is local.
-    m_canonical: u64,
+    pub(crate) m_canonical: u64,
 }
 
 impl ShardSeg {
@@ -222,65 +234,54 @@ impl ShardSeg {
         added
     }
 
-    /// Captures this segment as a serializable [`ShardSegSnapshot`] — the
-    /// worker-bootstrap unit of the cross-process transport: a supervisor
-    /// snapshots each segment, ships it over the wire, and the worker
-    /// rebuilds an identical graph with [`ShardSeg::restore`].
-    pub fn snapshot(&self) -> ShardSegSnapshot {
-        ShardSegSnapshot {
-            base: self.base,
-            m_canonical: self.m_canonical,
-            adj: self.adj.snapshot(),
-        }
-    }
-
-    /// Rebuilds a segment from a snapshot. The arena restore preserves
-    /// per-row reserved capacity and tombstone state exactly (see
-    /// [`ArenaSnapshot`](crate::arena::ArenaSnapshot)), so a restored
-    /// segment's future relocation/compaction behavior matches the source.
-    pub fn restore(snap: &ShardSegSnapshot) -> Result<ShardSeg, String> {
-        Ok(ShardSeg {
-            base: snap.base,
-            adj: SliceArena::restore(&snap.adj)?,
-            m_canonical: snap.m_canonical,
+    /// The segment as a stream of row-contiguous chunks, each read straight
+    /// from the live rows and carrying at most `max_entries` adjacency
+    /// entries (a chunk always carries at least one row, so a single row
+    /// larger than the budget still ships — as one oversized chunk). Each
+    /// row travels with its reserved capacity, tombstones (`cap == 0`)
+    /// included; dead space does not travel. Feeding the chunks in order
+    /// to a [`SegSnapshotAssembler`] rebuilds the segment; the
+    /// cross-process transports bootstrap their workers with this, so no
+    /// frame grows with the segment and the datagram one can overlap the
+    /// tail of the transfer with compute.
+    pub fn chunks(&self, max_entries: usize) -> impl Iterator<Item = SegSnapshotChunk> + '_ {
+        assert!(max_entries > 0, "max_entries must be positive");
+        let (rows, mut row, mut done) = (self.len(), 0, false);
+        std::iter::from_fn(move || {
+            if done {
+                return None;
+            }
+            let row_start = row;
+            let mut taken = 0;
+            while row < rows {
+                let len = self.adj.len(row);
+                // First row always fits; later rows stop at the budget.
+                if row > row_start && taken + len > max_entries {
+                    break;
+                }
+                taken += len;
+                row += 1;
+            }
+            done = row == rows;
+            let mut entries = Vec::with_capacity(taken);
+            for u in row_start..row {
+                entries.extend_from_slice(self.adj.slice(u));
+            }
+            Some(SegSnapshotChunk {
+                base: self.base as u64,
+                row_start: row_start as u32,
+                last: done,
+                m_canonical: if done { self.m_canonical } else { 0 },
+                len_cap: (row_start..row)
+                    .map(|u| (self.adj.len(u) as u32, self.adj.cap(u)))
+                    .collect(),
+                entries,
+            })
         })
     }
 }
 
-/// A serializable image of one [`ShardSeg`]: its node-range base, its
-/// cached canonical-edge counter, and its arena image.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardSegSnapshot {
-    /// First global node id of the segment.
-    pub base: usize,
-    /// Canonical edges owned by the segment.
-    pub m_canonical: u64,
-    /// The rows, with reserved-capacity and tombstone state.
-    pub adj: crate::arena::ArenaSnapshot,
-}
-
-impl ShardSegSnapshot {
-    /// Splits this snapshot into a stream of row-contiguous chunks, each
-    /// carrying at most `max_entries` adjacency entries (a chunk always
-    /// carries at least one row, so a single row larger than the budget
-    /// still ships — as one oversized chunk). Streaming the chunks in
-    /// order and feeding them to a [`SegSnapshotAssembler`] reproduces
-    /// `self` exactly; the cross-process transports bootstrap their
-    /// workers with this, so no frame grows with the segment and the
-    /// datagram one can overlap the tail of the transfer with compute.
-    pub fn chunks(&self, max_entries: usize) -> SnapshotChunks<'_> {
-        assert!(max_entries > 0, "max_entries must be positive");
-        SnapshotChunks {
-            snap: self,
-            row: 0,
-            entry_off: 0,
-            max_entries,
-            done: false,
-        }
-    }
-}
-
-/// One row-contiguous piece of a [`ShardSegSnapshot`] stream. Every chunk
+/// One row-contiguous piece of a segment's bootstrap stream. Every chunk
 /// repeats the segment's `base` (so a receiver can sanity-check that all
 /// chunks belong to the same segment); `m_canonical` is carried on the
 /// `last` chunk, where the full count is finally known to be complete.
@@ -301,63 +302,23 @@ pub struct SegSnapshotChunk {
     pub entries: Vec<NodeId>,
 }
 
-/// Iterator over a snapshot's chunk stream — see
-/// [`ShardSegSnapshot::chunks`].
-#[derive(Debug)]
-pub struct SnapshotChunks<'a> {
-    snap: &'a ShardSegSnapshot,
-    row: usize,
-    entry_off: usize,
-    max_entries: usize,
-    done: bool,
-}
-
-impl Iterator for SnapshotChunks<'_> {
-    type Item = SegSnapshotChunk;
-
-    fn next(&mut self) -> Option<SegSnapshotChunk> {
-        if self.done {
-            return None;
-        }
-        let row_start = self.row;
-        let entry_start = self.entry_off;
-        let all = &self.snap.adj.len_cap;
-        let mut taken = 0usize;
-        while self.row < all.len() {
-            let len = all[self.row].0 as usize;
-            // First row always fits; later rows stop at the budget.
-            if self.row > row_start && taken + len > self.max_entries {
-                break;
-            }
-            taken += len;
-            self.entry_off += len;
-            self.row += 1;
-        }
-        let last = self.row >= all.len();
-        self.done = last;
-        Some(SegSnapshotChunk {
-            base: self.snap.base as u64,
-            row_start: row_start as u32,
-            last,
-            m_canonical: if last { self.snap.m_canonical } else { 0 },
-            len_cap: all[row_start..self.row].to_vec(),
-            entries: self.snap.adj.entries[entry_start..self.entry_off].to_vec(),
-        })
-    }
-}
-
-/// Incrementally rebuilds a [`ShardSegSnapshot`] from its chunk stream.
+/// Incrementally rebuilds a [`ShardSeg`] from its chunk stream, appending
+/// each row straight into the new segment's arena at its recorded
+/// capacity — the structural rebuild that keeps relocation and compaction
+/// firing on the same mutations as in the source process (see the
+/// capacity note on the arena's row append).
 ///
 /// Chunks must arrive in row order, exactly once (a stream socket and the
-/// datagram transport's per-peer windows both guarantee it); every structural violation — base
-/// drift, a row gap, a chunk after the final one — is a typed error so a
+/// datagram transport's per-peer windows both guarantee it); every
+/// structural violation — base drift, a row gap, a chunk after the final
+/// one, a row count that disagrees with the entries, a row longer than its
+/// capacity — is a typed error that leaves the assembly unchanged, so a
 /// corrupted stream can never silently assemble into a wrong segment.
 #[derive(Debug, Default)]
 pub struct SegSnapshotAssembler {
     base: Option<u64>,
     m_canonical: u64,
-    len_cap: Vec<(u32, u32)>,
-    entries: Vec<NodeId>,
+    adj: SliceArena,
     complete: bool,
 }
 
@@ -376,32 +337,39 @@ impl SegSnapshotAssembler {
                 chunk.row_start
             ));
         }
-        match self.base {
-            None => self.base = Some(chunk.base),
-            Some(base) if base != chunk.base => {
-                return Err(format!(
-                    "snapshot chunk base drifted: {} then {}",
-                    base, chunk.base
-                ));
-            }
-            Some(_) => {}
-        }
-        if chunk.row_start as usize != self.len_cap.len() {
+        if let Some(base) = self.base.filter(|&b| b != chunk.base) {
             return Err(format!(
-                "snapshot chunk row_start {} but {} rows assembled",
-                chunk.row_start,
-                self.len_cap.len()
+                "snapshot chunk base drifted: {base} then {}",
+                chunk.base
             ));
         }
-        let live: usize = chunk.len_cap.iter().map(|&(l, _)| l as usize).sum();
+        let rows = self.adj.lists();
+        if chunk.row_start as usize != rows {
+            return Err(format!(
+                "snapshot chunk row_start {} but {rows} rows assembled",
+                chunk.row_start
+            ));
+        }
+        let mut live = 0;
+        for (i, &(l, c)) in chunk.len_cap.iter().enumerate() {
+            if l > c {
+                return Err(format!("row {}: len {l} exceeds cap {c}", rows + i));
+            }
+            live += l as usize;
+        }
         if live != chunk.entries.len() {
             return Err(format!(
                 "snapshot chunk promises {live} entries but carries {}",
                 chunk.entries.len()
             ));
         }
-        self.len_cap.extend_from_slice(&chunk.len_cap);
-        self.entries.extend_from_slice(&chunk.entries);
+        self.base = Some(chunk.base);
+        let mut read = 0;
+        for &(l, c) in &chunk.len_cap {
+            self.adj
+                .push_list(&chunk.entries[read..read + l as usize], c);
+            read += l as usize;
+        }
         if chunk.last {
             self.m_canonical = chunk.m_canonical;
             self.complete = true;
@@ -414,17 +382,14 @@ impl SegSnapshotAssembler {
         self.complete
     }
 
-    /// Hands back the reassembled snapshot. Panics if called before
-    /// [`SegSnapshotAssembler::is_complete`].
-    pub fn finish(self) -> ShardSegSnapshot {
+    /// Hands back the rebuilt segment, its slab dense. Panics if called
+    /// before [`SegSnapshotAssembler::is_complete`].
+    pub fn finish(self) -> ShardSeg {
         assert!(self.complete, "finish on incomplete snapshot assembly");
-        ShardSegSnapshot {
+        ShardSeg {
             base: self.base.unwrap_or(0) as usize,
+            adj: self.adj,
             m_canonical: self.m_canonical,
-            adj: crate::arena::ArenaSnapshot {
-                len_cap: self.len_cap,
-                entries: self.entries,
-            },
         }
     }
 }
@@ -658,34 +623,29 @@ impl ShardedArenaGraph {
         self.segs.iter().map(|s| s.half_edge_count() as u64).sum()
     }
 
-    /// Rebuilds a graph from per-segment snapshots (in shard order) — the
-    /// receiving half of transport worker bootstrap. Fails if the segment
-    /// set does not tile the `(n, shards)` plan exactly.
-    pub fn from_segment_snapshots(
-        n: usize,
-        shards: usize,
-        snaps: &[ShardSegSnapshot],
-    ) -> Result<Self, String> {
+    /// Builds a graph from its segments (in shard order), as
+    /// [`SegSnapshotAssembler`]s rebuild them — the receiving half of
+    /// transport worker bootstrap. Fails if the segments do not tile the
+    /// `(n, shards)` plan exactly.
+    ///
+    /// # Panics
+    /// Panics if `shards == 0`.
+    pub fn from_segments(n: usize, shards: usize, segs: Vec<ShardSeg>) -> Result<Self, String> {
         let plan = ShardPlan::new(n, shards);
-        if snaps.len() != shards {
-            return Err(format!(
-                "expected {shards} segment snapshots, got {}",
-                snaps.len()
-            ));
+        if segs.len() != shards {
+            return Err(format!("expected {shards} segments, got {}", segs.len()));
         }
-        let mut segs = Vec::with_capacity(shards);
-        for (s, snap) in snaps.iter().enumerate() {
-            let seg = ShardSeg::restore(snap)?;
-            if plan.span(s) != (seg.base..seg.base + seg.len()) {
+        for (s, seg) in segs.iter().enumerate() {
+            let span = plan.span(s);
+            if seg.base != span.start || seg.len() != span.len() {
                 return Err(format!(
-                    "segment {s} snapshot spans {}..{} but the plan expects {:?}",
-                    seg.base,
-                    seg.base + seg.len(),
-                    plan.span(s)
+                    "segment {s} has {} rows from {} but the plan expects {span:?}",
+                    seg.len(),
+                    seg.base
                 ));
             }
-            segs.push(Arc::new(seg));
         }
+        let segs = segs.into_iter().map(Arc::new).collect();
         Ok(ShardedArenaGraph { plan, segs })
     }
 
@@ -776,11 +736,25 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
+    /// Every segment of `g` streamed in chunks of at most `budget` entries
+    /// and reassembled, in shard order.
+    fn rebuilt_segments(g: &ShardedArenaGraph, budget: usize) -> Vec<ShardSeg> {
+        (0..g.shard_count())
+            .map(|s| {
+                let mut asm = SegSnapshotAssembler::new();
+                for chunk in g.segment(s).chunks(budget) {
+                    asm.accept(&chunk).unwrap();
+                }
+                asm.finish()
+            })
+            .collect()
+    }
+
     #[test]
     fn segment_snapshots_roundtrip_the_graph() {
-        // Transport-bootstrap contract: snapshotting every segment and
-        // restoring through the plan reproduces the graph exactly —
-        // including after churn has tombstoned rows — and the restored
+        // Transport-bootstrap contract: streaming every segment and
+        // rebuilding through the plan reproduces the graph exactly —
+        // including after churn has tombstoned rows — and the rebuilt
         // graph keeps evolving identically to the source.
         let mut rng = SmallRng::seed_from_u64(31);
         let n = 5000;
@@ -793,8 +767,7 @@ mod tests {
         for _ in 0..40 {
             g.remove_member(NodeId(rng.random_range(0..n as u32)));
         }
-        let snaps: Vec<ShardSegSnapshot> = (0..4).map(|s| g.segment(s).snapshot()).collect();
-        let mut r = ShardedArenaGraph::from_segment_snapshots(n, 4, &snaps).unwrap();
+        let mut r = ShardedArenaGraph::from_segments(n, 4, rebuilt_segments(&g, 100)).unwrap();
         assert_eq!(r.m(), g.m());
         for u in g.nodes() {
             assert_eq!(r.neighbors(u), g.neighbors(u), "row {u:?}");
@@ -807,17 +780,25 @@ mod tests {
             assert_eq!(g.add_edge(a, b), r.add_edge(a, b));
         }
         assert_eq!(r.m(), g.m());
-        // Wrong tiling is rejected.
-        assert!(ShardedArenaGraph::from_segment_snapshots(n, 3, &snaps).is_err());
-        assert!(ShardedArenaGraph::from_segment_snapshots(n + 1024, 4, &snaps).is_err());
+        // Wrong tiling is rejected: a different shard count, a different
+        // n, segments out of order, a segment whose base is far out of range.
+        let segs = || rebuilt_segments(&g, 100);
+        assert!(ShardedArenaGraph::from_segments(n, 3, segs()).is_err());
+        assert!(ShardedArenaGraph::from_segments(n + 1024, 4, segs()).is_err());
+        let mut swapped = segs();
+        swapped.swap(0, 1);
+        assert!(ShardedArenaGraph::from_segments(n, 4, swapped).is_err());
+        let mut far = segs();
+        far[3].base = usize::MAX;
+        assert!(ShardedArenaGraph::from_segments(n, 4, far).is_err());
     }
 
     #[test]
     fn snapshot_chunk_stream_roundtrips_and_rejects_corruption() {
-        // Streamed-bootstrap contract: chunking a segment snapshot at any
-        // budget and reassembling reproduces it exactly, and the
-        // assembler rejects every structural violation instead of
-        // assembling a wrong segment.
+        // Streamed-bootstrap contract: chunking a segment at any budget and
+        // reassembling rebuilds a segment that streams back identically,
+        // and the assembler rejects every structural violation — leaving
+        // the assembly as it was — instead of assembling a wrong segment.
         let mut rng = SmallRng::seed_from_u64(97);
         let n = 4096;
         let mut g = ShardedArenaGraph::new(n, 4);
@@ -829,23 +810,26 @@ mod tests {
         for _ in 0..16 {
             g.remove_member(NodeId(rng.random_range(0..n as u32)));
         }
-        let snap = g.segment(2).snapshot();
+        let seg = g.segment(2);
         for budget in [1, 7, 100, 1 << 20] {
-            let chunks: Vec<SegSnapshotChunk> = snap.chunks(budget).collect();
+            let chunks: Vec<SegSnapshotChunk> = seg.chunks(budget).collect();
             assert!(chunks.last().unwrap().last);
             assert!(chunks[..chunks.len() - 1].iter().all(|c| !c.last));
-            if budget >= snap.adj.entries.len() {
-                assert_eq!(chunks.len(), 1, "whole snapshot fits one chunk");
+            if budget >= seg.half_edge_count() {
+                assert_eq!(chunks.len(), 1, "whole segment fits one chunk");
             }
             let mut asm = SegSnapshotAssembler::new();
             for (i, c) in chunks.iter().enumerate() {
                 let done = asm.accept(c).unwrap();
                 assert_eq!(done, i + 1 == chunks.len());
             }
-            assert_eq!(asm.finish(), snap, "budget {budget}");
+            let rebuilt = asm.finish();
+            let again: Vec<SegSnapshotChunk> = rebuilt.chunks(budget).collect();
+            assert_eq!(again, chunks, "budget {budget}");
         }
-        // Rejections: out-of-order, base drift, after-final, bad counts.
-        let chunks: Vec<SegSnapshotChunk> = snap.chunks(64).collect();
+        // Rejections: out-of-order, base drift, bad counts, a row longer
+        // than its capacity, after-final.
+        let chunks: Vec<SegSnapshotChunk> = seg.chunks(64).collect();
         assert!(chunks.len() > 2, "test needs a multi-chunk stream");
         let mut asm = SegSnapshotAssembler::new();
         assert!(asm.accept(&chunks[1]).unwrap_err().contains("row_start"));
@@ -857,6 +841,15 @@ mod tests {
         let mut short = chunks[1].clone();
         short.entries.pop();
         assert!(asm.accept(&short).unwrap_err().contains("entries"));
+        let mut over = chunks[1].clone();
+        let row = over.len_cap.iter_mut().find(|(l, _)| *l > 0).unwrap();
+        row.1 = row.0 - 1;
+        assert!(asm.accept(&over).unwrap_err().contains("exceeds cap"));
+        // None of that touched the assembly: the honest tail completes it.
+        for c in &chunks[1..] {
+            asm.accept(c).unwrap();
+        }
+        assert_eq!(asm.finish().chunks(64).collect::<Vec<_>>(), chunks);
         let mut asm = SegSnapshotAssembler::new();
         for c in &chunks {
             asm.accept(c).unwrap();

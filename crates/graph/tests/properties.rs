@@ -358,6 +358,88 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The worker-bootstrap stream loses nothing: every segment of a
+    /// churned sharded graph, chunked at any budget and reassembled,
+    /// rebuilds a graph whose segments stream back the identical chunks —
+    /// rows, `(len, cap)`, `base`, `m_canonical` — on a dense slab, and
+    /// the same later rounds and churn keep the two graphs equal.
+    #[test]
+    fn segment_chunks_rebuild_a_segment_that_streams_identically(
+        seed in any::<u64>(),
+        small in 2usize..80,
+        scale in 0usize..3,
+        shards_at in 0usize..4,
+        leavers in 0usize..24,
+    ) {
+        use gossip_graph::{HalfEdge, MergeScratch, SegSnapshotAssembler, SegSnapshotChunk, ShardedArenaGraph};
+
+        let n = small + [0, 2_000, 8_200][scale];
+        let shards = [1, 2, 3, 8][shards_at];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xB007);
+        let mut g = ShardedArenaGraph::new(n, shards);
+        for _ in 0..2 * n {
+            g.add_edge(NodeId(rng.random_range(0..n as u32)), NodeId(rng.random_range(0..n as u32)));
+        }
+        for _ in 0..leavers {
+            g.remove_member(NodeId(rng.random_range(0..n as u32)));
+        }
+        let stream = |g: &ShardedArenaGraph, budget: usize| -> Vec<Vec<SegSnapshotChunk>> {
+            (0..shards).map(|s| g.segment(s).chunks(budget).collect()).collect()
+        };
+        for budget in [1, 7, 100, usize::MAX] {
+            let chunks = stream(&g, budget);
+            let segs = chunks.iter().map(|seg| {
+                let mut asm = SegSnapshotAssembler::new();
+                for c in seg {
+                    asm.accept(c).unwrap();
+                }
+                asm.finish()
+            });
+            let mut r = ShardedArenaGraph::from_segments(n, shards, segs.collect()).unwrap();
+            prop_assert_eq!(&stream(&r, budget), &chunks, "budget {}", budget);
+            // Dense: the slab holds exactly the reserved slots, no dead space.
+            let word = std::mem::size_of::<usize>();
+            let dense: usize = chunks.iter().flatten()
+                .flat_map(|c| &c.len_cap)
+                .map(|&(_, cap)| 4 * cap as usize + word + 8)
+                .sum::<usize>() + 8 * shards;
+            prop_assert_eq!(r.memory_bytes(), dense, "budget {}", budget);
+
+            let mut src = g.clone();
+            let mut scratch = MergeScratch::default();
+            let mut rounds = SmallRng::seed_from_u64(seed ^ budget as u64);
+            for round in 0..4 {
+                let leaver = NodeId(rounds.random_range(0..n as u32));
+                prop_assert_eq!(src.remove_member(leaver), r.remove_member(leaver));
+                let plan = *src.plan();
+                let mut mail: Vec<Vec<HalfEdge>> = vec![Vec::new(); shards];
+                for slot in 0..2 * n as u32 {
+                    let a = NodeId(rounds.random_range(0..n as u32));
+                    let b = NodeId(rounds.random_range(0..n as u32));
+                    if a != b {
+                        mail[plan.owner(a)].push((slot, a, b));
+                        mail[plan.owner(b)].push((slot, b, a));
+                    }
+                }
+                for h in [&mut src, &mut r] {
+                    for (seg, entries) in h.segments_mut().into_iter().zip(&mail) {
+                        seg.apply_half_edges(&[entries.as_slice()], &mut scratch);
+                    }
+                }
+                prop_assert_eq!(src.m(), r.m(), "round {}", round);
+                prop_assert_eq!(src.half_edge_count(), r.half_edge_count(), "round {}", round);
+            }
+            for u in src.nodes() {
+                prop_assert_eq!(src.neighbors(u), r.neighbors(u), "budget {} row {:?}", budget, u);
+            }
+            r.validate().unwrap();
+        }
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Copy-on-write discipline of the sharded store: after `clone()`, a

@@ -7,8 +7,11 @@
 //! * `route_span` and `apply_grid`, shared with the in-process
 //!   [`ShardedEngine`](crate::ShardedEngine);
 //! * [`ShardReplica`], the state one cross-process participant keeps,
-//!   the bootstrap stream that copies it to a worker (sender and
-//!   receiver) and the round body it runs;
+//!   the bootstrap stream that copies it to a worker and the round body
+//!   it runs. The stream is `Config` plus every segment's rows in
+//!   `SnapshotChunk`s: the sender reads them from its live segments, the
+//!   receiver appends them straight into the segments it rebuilds and
+//!   checks them, like received mail, before the replica exists;
 //! * [`ShardRoundDriver`], the coordinator every cross-process engine is
 //!   (`try_step`, accessors, the [`RoundEngine`] impl, shutdown), and
 //!   [`run_shard`], the loop every worker runs;
@@ -29,8 +32,7 @@ use gossip_core::{
     RunOutcome, TaggedProposal,
 };
 use gossip_graph::{
-    HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardSegSnapshot,
-    ShardedArenaGraph,
+    HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardedArenaGraph,
 };
 use rayon::prelude::*;
 use std::io;
@@ -180,10 +182,18 @@ impl ShardReplica {
 
     /// The worker-side constructor, the same over every carrier: reads the
     /// coordinator's bootstrap stream from `next_frame` — `Config`, then
-    /// each segment's snapshot as a `SnapshotChunk` stream, segments in
-    /// shard order — and rebuilds the coordinator's state from it. Whatever
-    /// else a carrier may legally deliver meanwhile is `next_frame`'s to
-    /// set aside; any other frame here is a protocol error.
+    /// each segment as a `SnapshotChunk` stream, segments in shard order —
+    /// and rebuilds the coordinator's state from it, each chunk's rows
+    /// appended straight into the segment they rebuild. Whatever else a
+    /// carrier may legally deliver meanwhile is `next_frame`'s to set
+    /// aside; any other frame here is a protocol error.
+    ///
+    /// The rows are outside input, and every later round samples and
+    /// binary-searches them: a row that is not strictly ascending, holds
+    /// its own node, or names a node `≥ n` is an `InvalidData` error
+    /// naming the segment and the row, found before the replica exists.
+    /// (Symmetry is left to the per-round `added` cross-check, which a
+    /// diverged replica fails.)
     pub fn bootstrap(mut next_frame: impl FnMut() -> io::Result<Frame>) -> io::Result<Self> {
         let cfg = match next_frame()? {
             Frame::Config(c) if c.shard < c.shards => c,
@@ -193,7 +203,7 @@ impl ShardReplica {
                 )))
             }
         };
-        let mut snaps: Vec<ShardSegSnapshot> = Vec::new();
+        let mut segs = Vec::new();
         for s in 0..cfg.shards {
             let mut asm = SegSnapshotAssembler::new();
             loop {
@@ -210,11 +220,27 @@ impl ShardReplica {
                     }
                 }
             }
-            snaps.push(asm.finish());
+            segs.push(asm.finish());
         }
-        let graph =
-            ShardedArenaGraph::from_segment_snapshots(cfg.n as usize, cfg.shards as usize, &snaps)
-                .map_err(protocol_err)?;
+        let graph = ShardedArenaGraph::from_segments(cfg.n as usize, cfg.shards as usize, segs)
+            .map_err(protocol_err)?;
+        let n = graph.n();
+        for u in graph.nodes() {
+            let row = graph.neighbors(u);
+            let fault = if row.windows(2).any(|w| w[0] >= w[1]) {
+                "is not strictly ascending"
+            } else if row.binary_search(&u).is_ok() {
+                "holds its own node"
+            } else if row.last().is_some_and(|v| v.index() >= n) {
+                "names a node past the graph"
+            } else {
+                continue;
+            };
+            let (s, u) = (graph.plan().owner(u), u.0);
+            return Err(protocol_err(format!(
+                "segment {s} sent row {u} that {fault} (n = {n})"
+            )));
+        }
         let parallelism = if cfg.parallel {
             Parallelism::Parallel
         } else {
@@ -232,24 +258,20 @@ impl ShardReplica {
 
     /// The coordinator-side counterpart, the same over every carrier:
     /// hands `send` the bootstrap stream of each of `workers` — the
-    /// `Config` that makes it a copy of this replica, then every
-    /// segment's snapshot in chunks of at most `chunk_entries` adjacency
-    /// entries, made as they are sent. Returns the number of chunks.
+    /// `Config` that makes it a copy of this replica, then every segment
+    /// in chunks of at most `chunk_entries` adjacency entries, each read
+    /// from the live rows as it is sent. Returns the number of chunks.
     pub fn send_bootstrap(
         &self,
         workers: Range<usize>,
-        peers: &[String],
         chunk_entries: usize,
         mut send: impl FnMut(usize, &Frame) -> io::Result<()>,
     ) -> io::Result<u64> {
-        let snaps: Vec<ShardSegSnapshot> = (0..self.shards())
-            .map(|s| self.graph.segment(s).snapshot())
-            .collect();
         let mut chunks = 0;
         for d in workers {
-            send(d, &Frame::Config(self.worker_config(d, peers.to_vec())))?;
-            for (segment, snap) in (0u32..).zip(&snaps) {
-                for chunk in snap.chunks(chunk_entries) {
+            send(d, &Frame::Config(self.worker_config(d)))?;
+            for segment in 0..self.shards() as u32 {
+                for chunk in self.graph.segment(segment as usize).chunks(chunk_entries) {
                     send(d, &Frame::SnapshotChunk { segment, chunk })?;
                     chunks += 1;
                 }
@@ -259,8 +281,8 @@ impl ShardReplica {
     }
 
     /// The bootstrap `Config` that makes worker `shard` a copy of this
-    /// replica (the segment snapshots travel separately).
-    fn worker_config(&self, shard: usize, peers: Vec<String>) -> WorkerConfig {
+    /// replica (the segments travel separately).
+    fn worker_config(&self, shard: usize) -> WorkerConfig {
         WorkerConfig {
             shard: shard as u32,
             shards: self.shards() as u32,
@@ -269,7 +291,6 @@ impl ShardReplica {
             rule: self.rule,
             parallel: self.parallel,
             events: self.membership.events().to_vec(),
-            peers,
         }
     }
 
@@ -1260,28 +1281,45 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_bootstrap_stream_rebuilds_the_replica_and_admits_no_other_order() {
-        let coordinator = replica(0);
+    /// Worker 1's bootstrap stream from `coordinator`, in chunks of at
+    /// most 512 entries.
+    fn bootstrap_stream(coordinator: &ShardReplica) -> Vec<Frame> {
         let mut stream = Vec::new();
         let chunks = coordinator
-            .send_bootstrap(1..2, &[], 512, |to, frame| {
+            .send_bootstrap(1..2, 512, |to, frame| {
                 assert_eq!(to, 1);
                 stream.push(frame.clone());
                 Ok(())
             })
             .unwrap();
         assert_eq!(chunks as usize, stream.len() - 1);
+        stream
+    }
+
+    /// [`ShardReplica::bootstrap`] over `frames`, each through the wire.
+    fn bootstrap(frames: &[Frame]) -> io::Result<ShardReplica> {
+        let mut frames = frames.iter().map(|frame| {
+            let mut buf = BytesMut::new();
+            frame.encode(&mut buf);
+            parse_framed(&buf)
+        });
+        ShardReplica::bootstrap(|| {
+            frames
+                .next()
+                .unwrap_or_else(|| Err(protocol_err("stream ended")))
+        })
+    }
+
+    #[test]
+    fn the_bootstrap_stream_rebuilds_the_replica_and_admits_no_other_order() {
+        let coordinator = replica(0);
+        let stream = bootstrap_stream(&coordinator);
         let first_of_segment_1 = stream
             .iter()
             .position(|f| matches!(f, Frame::SnapshotChunk { segment: 1, .. }))
             .expect("two segments");
         assert!(first_of_segment_1 > 2, "segment 0 spans several chunks");
 
-        let bootstrap = |frames: &[Frame]| {
-            let mut frames = frames.iter().cloned();
-            ShardReplica::bootstrap(|| frames.next().ok_or_else(|| protocol_err("stream ended")))
-        };
         let worker = bootstrap(&stream).unwrap();
         assert_eq!((worker.shard(), worker.shards()), (Some(1), 2));
         for u in coordinator.graph().nodes() {
@@ -1311,6 +1349,50 @@ mod tests {
             c.shard = c.shards;
         }
         rejected(&outside, "a Config for a shard outside its grid");
+    }
+
+    #[test]
+    fn bootstrap_rows_out_of_order_holding_their_own_node_or_past_n_are_rejected() {
+        let stream = bootstrap_stream(&replica(0));
+        // A row of segment 1 with at least two entries, as (frame, row).
+        let (at, i) = stream
+            .iter()
+            .enumerate()
+            .find_map(|(at, frame)| match frame {
+                Frame::SnapshotChunk { segment: 1, chunk } => {
+                    let i = chunk.len_cap.iter().position(|&(l, _)| l >= 2)?;
+                    Some((at, i))
+                }
+                _ => None,
+            })
+            .expect("segment 1 holds a row of two");
+        type Craft = fn(NodeId, &mut [NodeId]);
+        let crafts: [(&str, Craft); 3] = [
+            ("is not strictly ascending", |_, row| row.swap(0, 1)),
+            ("holds its own node", |u, row| {
+                // Where `u` would sit, so the row stays ascending.
+                let p = row.partition_point(|&v| v < u).min(row.len() - 1);
+                row[p] = u;
+            }),
+            ("names a node past the graph", |_, row| {
+                *row.last_mut().unwrap() = NodeId(5000);
+            }),
+        ];
+        for (what, craft) in crafts {
+            let mut crafted = stream.clone();
+            let Frame::SnapshotChunk { chunk, .. } = &mut crafted[at] else {
+                unreachable!()
+            };
+            let lo: usize = chunk.len_cap[..i].iter().map(|&(l, _)| l as usize).sum();
+            let hi = lo + chunk.len_cap[i].0 as usize;
+            let u = NodeId(chunk.base as u32 + chunk.row_start + i as u32);
+            craft(u, &mut chunk.entries[lo..hi]);
+            let err = bootstrap(&crafted).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            let msg = err.to_string();
+            let names = format!("segment 1 sent row {} that {what}", u.0);
+            assert!(msg.contains(&names), "{msg}");
+        }
     }
 
     #[test]

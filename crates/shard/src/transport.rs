@@ -21,10 +21,10 @@
 //!
 //! The supervisor sends each worker the bootstrap stream
 //! [`ShardReplica::send_bootstrap`] writes for both carriers — `Config`,
-//! then every segment's snapshot in `SnapshotChunk`s of at most
-//! [`MAX_FRAME_ENTRIES`] entries — and waits for the worker's `Hello`:
-//! the replica is built ([`ShardReplica::bootstrap`]) and rounds may
-//! start.
+//! then every segment's rows, read from the live segments, in
+//! `SnapshotChunk`s of at most [`MAX_FRAME_ENTRIES`] entries — and waits
+//! for the worker's `Hello`: the replica is built and its rows checked
+//! ([`ShardReplica::bootstrap`]), and rounds may start.
 //!
 //! # One round on the wire
 //!
@@ -202,9 +202,7 @@ impl TransportBuilder {
 
         // Bootstrap each worker: Config, then every segment's chunk stream,
         // then wait for its Hello ack.
-        replica.send_bootstrap(0..shards, &[], MAX_FRAME_ENTRIES, |s, frame| {
-            link.send(s, frame)
-        })?;
+        replica.send_bootstrap(0..shards, MAX_FRAME_ENTRIES, |s, frame| link.send(s, frame))?;
         for conn in &mut link.conns {
             conn.flush()?;
         }

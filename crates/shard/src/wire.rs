@@ -10,7 +10,7 @@
 //! | kind | frame        | direction           | body |
 //! |------|--------------|---------------------|------|
 //! | 1    | `Hello`      | worker → supervisor | shard id (the stream transport's bootstrap ack) |
-//! | 2    | `Config`     | coordinator → worker | version, shard grid, seed, rule, membership events, peer table |
+//! | 2    | `Config`     | coordinator → worker | version, shard grid, seed, rule, parallel flag, membership events |
 //! | 3    | *(retired)*  | —                   | was `Segment`, a whole segment snapshot in one O(m) frame; never reused, decodes as [`WireError::UnknownKind`] |
 //! | 4    | `Start`      | supervisor → worker | round number |
 //! | 5    | `Mail`       | both                | one chunk of a `(source, owner)` mailbox |
@@ -22,7 +22,7 @@
 //! | 11   | `Ack`        | datagram peer ↔ peer | cumulative + selective datagram-seq acknowledgment |
 //! | 12   | `NakRange`   | datagram peer ↔ peer | receiver-driven retransmit request for a seq range |
 //! | 13   | `Fragment`   | datagram peer ↔ peer | one MTU-sized piece of an oversized frame |
-//! | 14   | `SnapshotChunk` | coordinator → worker | one [`SegSnapshotChunk`] of a bootstrap segment's stream |
+//! | 14   | `SnapshotChunk` | coordinator → worker | one [`SegSnapshotChunk`] of a bootstrap segment's stream: segment, base, first row, last flag, canonical edge count, each row's `(len, cap)`, the rows' entries |
 //!
 //! Kinds 2 and 14 are the bootstrap stream and kinds 4–6, 9 and 10 the
 //! round, the same on both carriers; kinds 1 and 7 are the stream (UDS)
@@ -67,7 +67,7 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use gossip_core::{MembershipEvent, RuleId};
-use gossip_graph::{ArenaSnapshot, HalfEdge, NodeId, SegSnapshotChunk};
+use gossip_graph::{HalfEdge, NodeId, SegSnapshotChunk};
 use serde::Serialize;
 
 /// Wire protocol version, checked during the `Config` handshake.
@@ -75,9 +75,11 @@ use serde::Serialize;
 /// 11–14 for the datagram transport. Version 3 retired kind 8 (`Nak`).
 /// Version 4 retired kind 3 (`Segment`: both carriers bootstrap from
 /// kind 14 chunks) and `Config`'s `strict` byte, and requires every mail
-/// stream in `seq` order. A peer that speaks an older version fails the
-/// handshake.
-pub const WIRE_VERSION: u32 = 4;
+/// stream in `seq` order. Version 5 retired `Config`'s peer table (no
+/// receiver read it: a mesh worker is launched with its table) and
+/// requires its parallel byte to be `0` or `1`. A peer that speaks an
+/// older version fails the handshake.
+pub const WIRE_VERSION: u32 = 5;
 
 /// Maximum half-edges per [`MailFrame`] (12 KiB of entry payload) — one
 /// propose chunk's worth, so frame `seq` numbers track chunk granularity.
@@ -143,11 +145,6 @@ pub struct WorkerConfig {
     /// The membership plan's `(round, event)` schedule, applied by the
     /// worker at the same pre-increment round points as the supervisor.
     pub events: Vec<(u64, MembershipEvent)>,
-    /// The datagram transport's static peer table — socket address per
-    /// shard, in shard order (empty for the stream transport). Shipped in
-    /// `Config` so every peer can cross-check the table it was launched
-    /// with against the coordinator's.
-    pub peers: Vec<String>,
 }
 
 /// One chunk of a `(source, owner)` mailbox.
@@ -314,54 +311,12 @@ fn put_mail_header(buf: &mut BytesMut, f: &MailFrame) {
     buf.put_u32_le(f.entries.len() as u32);
 }
 
-/// Appends an arena image: the row count, each row's `(len, cap)`, then
-/// every row's entries back to back.
-fn put_rows(buf: &mut BytesMut, len_cap: &[(u32, u32)], entries: &[NodeId]) {
-    buf.put_u32_le(len_cap.len() as u32);
-    for &(l, c) in len_cap {
-        buf.put_u32_le(l);
-        buf.put_u32_le(c);
-    }
-    for id in entries {
-        buf.put_u32_le(id.0);
-    }
-}
-
-/// Checked inverse of [`put_rows`]. The image is the frame's tail: the
-/// entry bytes must run exactly to the end of `cur`.
-fn get_rows(cur: &mut &[u8]) -> Result<ArenaSnapshot, WireError> {
-    let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-    if rows > cur.remaining() / 8 {
-        return Err(WireError::Bad("row count exceeds frame size"));
-    }
-    let mut len_cap = Vec::with_capacity(rows);
-    let mut total = 0usize;
-    for _ in 0..rows {
-        let l = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-        let c = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
-        if l > c {
-            return Err(WireError::Bad("row len exceeds cap"));
-        }
-        total += l as usize;
-        len_cap.push((l, c));
-    }
-    if cur.remaining() != total * 4 {
-        return Err(WireError::Bad("snapshot chunk entry bytes mismatch"));
-    }
-    let mut entries = Vec::with_capacity(total);
-    for chunk in cur.chunk().chunks_exact(4) {
-        entries.push(NodeId(u32::from_le_bytes(chunk.try_into().unwrap())));
-    }
-    cur.advance(total * 4);
-    Ok(ArenaSnapshot { len_cap, entries })
-}
-
-/// A `last` flag: one byte, `0` or `1`.
+/// A flag: one byte, `0` or `1`.
 fn get_flag(cur: &mut &[u8]) -> Result<bool, WireError> {
     match cur.try_get_u8().ok_or(WireError::Truncated)? {
         0 => Ok(false),
         1 => Ok(true),
-        _ => Err(WireError::Bad("last flag not a boolean")),
+        _ => Err(WireError::Bad("flag not a boolean")),
     }
 }
 
@@ -401,11 +356,6 @@ impl Frame {
                             buf.put_u32_le(node.0);
                         }
                     }
-                }
-                buf.put_u32_le(c.peers.len() as u32);
-                for p in &c.peers {
-                    buf.put_u32_le(p.len() as u32);
-                    buf.put_slice(p.as_bytes());
                 }
             }
             Frame::Start { round } => {
@@ -472,7 +422,14 @@ impl Frame {
                 buf.put_u32_le(chunk.row_start);
                 buf.put_u8(chunk.last as u8);
                 buf.put_u64_le(chunk.m_canonical);
-                put_rows(buf, &chunk.len_cap, &chunk.entries);
+                buf.put_u32_le(chunk.len_cap.len() as u32);
+                for &(l, c) in &chunk.len_cap {
+                    buf.put_u32_le(l);
+                    buf.put_u32_le(c);
+                }
+                for id in &chunk.entries {
+                    buf.put_u32_le(id.0);
+                }
             }
         }
         let body = (buf.len() - len_at - 4) as u32;
@@ -502,7 +459,7 @@ impl Frame {
                 let rule = *RuleId::ALL
                     .get(rule_idx as usize)
                     .ok_or(WireError::Bad("unknown rule id"))?;
-                let parallel = cur.try_get_u8().ok_or(WireError::Truncated)? != 0;
+                let parallel = get_flag(&mut cur)?;
                 let count = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
                 // Each event costs at least 13 body bytes.
                 if count > cur.remaining() / 13 {
@@ -533,23 +490,6 @@ impl Frame {
                     };
                     events.push((round, ev));
                 }
-                let peer_count = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-                // Each peer costs at least its 4-byte length prefix.
-                if peer_count > cur.remaining() / 4 {
-                    return Err(WireError::Bad("peer count exceeds frame size"));
-                }
-                let mut peers = Vec::with_capacity(peer_count);
-                for _ in 0..peer_count {
-                    let len = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
-                    if len > cur.remaining() {
-                        return Err(WireError::Truncated);
-                    }
-                    let addr = std::str::from_utf8(&cur.chunk()[..len])
-                        .map_err(|_| WireError::Bad("peer address not utf-8"))?
-                        .to_string();
-                    cur.advance(len);
-                    peers.push(addr);
-                }
                 Frame::Config(WorkerConfig {
                     shard,
                     shards,
@@ -558,7 +498,6 @@ impl Frame {
                     rule,
                     parallel,
                     events,
-                    peers,
                 })
             }
             KIND_START => Frame::Start {
@@ -663,7 +602,31 @@ impl Frame {
                 let row_start = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
                 let last = get_flag(&mut cur)?;
                 let m_canonical = cur.try_get_u64_le().ok_or(WireError::Truncated)?;
-                let ArenaSnapshot { len_cap, entries } = get_rows(&mut cur)?;
+                let rows = cur.try_get_u32_le().ok_or(WireError::Truncated)? as usize;
+                if rows > cur.remaining() / 8 {
+                    return Err(WireError::Bad("row count exceeds frame size"));
+                }
+                let mut len_cap = Vec::with_capacity(rows);
+                let mut total = 0usize;
+                for _ in 0..rows {
+                    let l = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
+                    let c = cur.try_get_u32_le().ok_or(WireError::Truncated)?;
+                    if l > c {
+                        return Err(WireError::Bad("row len exceeds cap"));
+                    }
+                    total += l as usize;
+                    len_cap.push((l, c));
+                }
+                // The entries are the frame's tail, exactly.
+                if cur.remaining() != total * 4 {
+                    return Err(WireError::Bad("snapshot chunk entry bytes mismatch"));
+                }
+                let entries = cur
+                    .chunk()
+                    .chunks_exact(4)
+                    .map(|b| NodeId(u32::from_le_bytes(b.try_into().unwrap())))
+                    .collect();
+                cur.advance(total * 4);
                 Frame::SnapshotChunk {
                     segment,
                     chunk: SegSnapshotChunk {
@@ -1131,7 +1094,6 @@ mod tests {
                         },
                     ),
                 ],
-                peers: vec!["127.0.0.1:9000".to_string(), "127.0.0.2:9001".to_string()],
             }),
             Frame::Start { round: 9 },
             Frame::Mail(MailFrame {
@@ -1291,13 +1253,38 @@ mod tests {
         // The version is the body's first field, right after the kind.
         assert_eq!(wire[4], KIND_CONFIG);
         assert_eq!(wire[5..9], WIRE_VERSION.to_le_bytes());
-        let mut v3 = wire.clone();
-        v3[5..9].copy_from_slice(&3u32.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&v3[4..]),
-            Err(WireError::Bad("wire version mismatch"))
-        );
+        for old in [3u32, 4] {
+            let mut v = wire.clone();
+            v[5..9].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                Frame::decode(&v[4..]),
+                Err(WireError::Bad("wire version mismatch")),
+                "version {old}"
+            );
+        }
         assert!(Frame::decode(&wire[4..]).is_ok());
+    }
+
+    #[test]
+    fn a_config_parallel_byte_other_than_zero_or_one_is_rejected() {
+        let wire = encode_one(&sample_frames()[1]);
+        // kind, version, shard, shards, n, seed, rule — then the flag.
+        let at = 4 + 1 + 4 + 4 + 4 + 8 + 8 + 1;
+        assert_eq!(wire[at], 1, "the sample is parallel");
+        let mut two = wire.clone();
+        two[at] = 2;
+        assert_eq!(
+            Frame::decode(&two[4..]),
+            Err(WireError::Bad("flag not a boolean"))
+        );
+        two[at] = 0;
+        assert!(matches!(
+            Frame::decode(&two[4..]),
+            Ok(Frame::Config(WorkerConfig {
+                parallel: false,
+                ..
+            }))
+        ));
     }
 
     #[test]
