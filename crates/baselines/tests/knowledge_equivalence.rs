@@ -1,48 +1,49 @@
-//! The arena-backed [`Knowledge`] store against an `AdjSet`-backed
-//! reference model: identical contact sets, identical arrival order, and
-//! identical `known_pairs()` under random learn/absorb sequences.
-//! Seeded — failures print `PROPTEST_SEED=<n>` for replay.
+//! The arena-backed [`Knowledge`] store against a `Vec<BTreeSet<u32>>`
+//! reference model plus per-node arrival lists: identical contact sets,
+//! identical arrival order, and identical `known_pairs()` under random
+//! learn/absorb sequences. Seeded — failures print `PROPTEST_SEED=<n>` for
+//! replay.
 
 use gossip_baselines::Knowledge;
-use gossip_graph::{AdjSet, NodeId};
+use gossip_graph::NodeId;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
-/// The previous storage layout, kept as the test oracle: one `AdjSet` row
-/// per node (insertion-ordered list + bitmap membership).
-struct AdjSetModel {
-    rows: Vec<AdjSet>,
+/// The reference store: each node's contacts as an ordered set, and the
+/// same contacts in the order they were learned.
+struct Model {
+    sets: Vec<BTreeSet<u32>>,
+    arrival: Vec<Vec<NodeId>>,
     pairs: u64,
 }
 
-impl AdjSetModel {
+impl Model {
     fn new(n: usize) -> Self {
-        AdjSetModel {
-            rows: (0..n).map(|_| AdjSet::new(n)).collect(),
+        Model {
+            sets: vec![BTreeSet::new(); n],
+            arrival: vec![Vec::new(); n],
             pairs: 0,
         }
     }
 
     fn learn(&mut self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
+        if u == v || !self.sets[u.index()].insert(v.0) {
             return false;
         }
-        if self.rows[u.index()].insert(v) {
-            self.pairs += 1;
-            true
-        } else {
-            false
-        }
+        self.arrival[u.index()].push(v);
+        self.pairs += 1;
+        true
     }
 
-    /// The old absorb: iterate the sender's bitmap ascending, then the
-    /// sender itself — the order the arena port must reproduce.
+    /// Absorb: the sender's contacts in ascending id order, then the
+    /// sender itself — the order the arena store must reproduce.
     fn absorb(&mut self, dst: NodeId, sender: NodeId) -> u64 {
-        let payload: Vec<usize> = self.rows[sender.index()].membership().iter().collect();
+        let payload: Vec<u32> = self.sets[sender.index()].iter().copied().collect();
         let mut gained = 0;
         for v in payload {
-            gained += self.learn(dst, NodeId::new(v)) as u64;
+            gained += self.learn(dst, NodeId(v)) as u64;
         }
         gained += self.learn(dst, sender) as u64;
         gained
@@ -53,7 +54,7 @@ proptest! {
     /// Random interleavings of `learn` and `absorb` leave both stores with
     /// the same pair count, the same membership, and the same
     /// arrival-ordered contact lists (the sampling surface — equality here
-    /// means bit-identical baseline trajectories across the port).
+    /// means the baselines draw from the same lists the model describes).
     #[test]
     fn arena_knowledge_matches_adjset_model(
         seed in any::<u64>(),
@@ -62,7 +63,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut arena = Knowledge::new(n);
-        let mut model = AdjSetModel::new(n);
+        let mut model = Model::new(n);
         for _ in 0..ops {
             let u = NodeId(rng.random_range(0..n as u32));
             let v = NodeId(rng.random_range(0..n as u32));
@@ -80,11 +81,10 @@ proptest! {
         prop_assert_eq!(arena.known_pairs(), model.pairs);
         for u in 0..n {
             let u = NodeId::new(u);
-            let model_row: Vec<NodeId> = model.rows[u.index()].iter().collect();
-            prop_assert_eq!(arena.contacts(u), &model_row[..], "arrival order at {:?}", u);
+            prop_assert_eq!(arena.contacts(u), &model.arrival[u.index()][..], "arrival order at {:?}", u);
             for v in 0..n {
                 let v = NodeId::new(v);
-                prop_assert_eq!(arena.knows(u, v), model.rows[u.index()].contains(v));
+                prop_assert_eq!(arena.knows(u, v), model.sets[u.index()].contains(&v.0));
             }
         }
         arena.validate().unwrap();

@@ -10,6 +10,7 @@ use gossip_graph::{generators, io, DirectedGraph, NodeId, UndirectedGraph};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 fn random_graph(seed: u64, n: usize, extra: usize) -> UndirectedGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -170,13 +171,126 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Arena store vs AdjSet store equivalence (seeded, PROPTEST_SEED replayable)
+// Generator edge-set pins
 // ---------------------------------------------------------------------------
+
+/// FNV-1a over `n` and the sorted edge (or arc) list: a function of the
+/// edge set alone, never of the order rows were built or stored in.
+fn fingerprint(h: &mut u64, n: usize, mut edges: Vec<(u32, u32)>) {
+    edges.sort_unstable();
+    let words = std::iter::once(n as u32).chain(edges.into_iter().flat_map(|(a, b)| [a, b]));
+    for byte in words.flat_map(u32::to_le_bytes) {
+        *h = (*h ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// `(n, edges)` of an undirected graph.
+macro_rules! edges {
+    ($g:expr) => {{
+        let g = $g;
+        (g.n(), g.edges().map(|e| (e.a.0, e.b.0)).collect::<Vec<_>>())
+    }};
+}
+
+/// `(n, arcs)` of a digraph.
+macro_rules! arcs {
+    ($g:expr) => {{
+        let g = $g;
+        (
+            g.n(),
+            g.arcs().map(|a| (a.from.0, a.to.0)).collect::<Vec<_>>(),
+        )
+    }};
+}
+
+type Build = fn(usize, &mut SmallRng) -> (usize, Vec<(u32, u32)>);
+
+/// Every generator at two sizes and two seeds (deterministic families
+/// ignore the rng), with the fingerprint of all four of its edge sets.
+#[rustfmt::skip]
+const GENERATOR_PINS: [(&str, [usize; 2], Build, u64); 28] = [
+    ("path", [10, 97], |n, _| edges!(generators::path(n)), 0xf285_b405_a4ae_6bc5),
+    ("cycle", [10, 97], |n, _| edges!(generators::cycle(n)), 0xa5b3_7d9e_2dc4_2655),
+    ("star", [10, 97], |n, _| edges!(generators::star(n)), 0x05c5_0c2b_9c9b_5845),
+    ("double_star", [10, 97], |n, _| edges!(generators::double_star(n)), 0x725a_cbef_b64e_16b5),
+    ("complete", [10, 40], |n, _| edges!(generators::complete(n)), 0xcc76_81ca_a567_8995),
+    ("binary_tree", [10, 97], |n, _| edges!(generators::binary_tree(n)), 0x20a0_de85_9aa6_dc85),
+    ("grid", [3, 7], |n, _| edges!(generators::grid(n, n + 2)), 0x93f1_4603_745e_b4c5),
+    ("torus", [3, 7], |n, _| edges!(generators::torus(n, n + 2)), 0x4c38_30f7_3c42_57c5),
+    ("hypercube", [3, 6], |d, _| edges!(generators::hypercube(d as u32)), 0x30ea_954c_1966_0325),
+    ("barbell", [3, 20], |k, _| edges!(generators::barbell(k)), 0x14fc_eb0c_99b4_dce5),
+    ("lollipop", [3, 12], |k, _| edges!(generators::lollipop(k, 2 * k)), 0x98f0_6a5e_04c9_0a15),
+    ("complete_bipartite", [2, 9], |a, _| edges!(generators::complete_bipartite(a, a + 5)), 0x50f8_e82f_566b_b145),
+    ("caveman", [2, 6], |c, _| edges!(generators::caveman(c, c + 1)), 0xd9c4_cf42_6627_c3a5),
+    ("random_tree", [10, 200], |n, r| edges!(generators::random_tree(n, r)), 0xf5f1_568d_6668_e7a4),
+    ("gnm_connected", [20, 120], |n, r| edges!(generators::gnm_connected(n, 3 * n as u64, r)), 0xca07_8798_00df_4e7e),
+    ("tree_plus_random_edges", [20, 300], |n, r| edges!(generators::tree_plus_random_edges(n, 3 * n as u64, r)), 0x11c7_00c7_e877_84f4),
+    ("gnp_connected", [20, 80], |n, r| edges!(generators::gnp_connected(n, 8.0 / n as f64, r)), 0xc5c8_ab7d_5156_2769),
+    ("watts_strogatz", [20, 150], |n, r| edges!(generators::watts_strogatz(n, 3, 0.2, r)), 0x0110_6f24_b788_e77a),
+    ("barabasi_albert", [20, 300], |n, r| edges!(generators::barabasi_albert(n, 3, r)), 0xbf92_c3da_93eb_3e74),
+    ("random_regular_ish", [21, 301], |n, r| edges!(generators::random_regular_ish(n, 6, r)), 0x9def_1c56_02e9_fcd7),
+    ("complete_minus_k", [10, 40], |n, r| edges!(generators::complete_minus_k(n, 2 * n as u64, r)), 0x6b8a_01c7_8e06_e12e),
+    ("nonmonotone_pair", [0, 1], |i, _| { let (g, h) = generators::nonmonotone_pair(); edges!(if i == 0 { g } else { h }) }, 0x4a14_1bfc_c477_add5),
+    ("nonmonotone_pair_spanning", [0, 1], |i, _| { let (g, h) = generators::nonmonotone_pair_spanning(); edges!(if i == 0 { g } else { h }) }, 0x8801_d098_e1ad_e635),
+    ("directed_cycle", [10, 97], |n, _| arcs!(generators::directed_cycle(n)), 0x9fc2_163b_02b3_8a75),
+    ("directed_path", [10, 97], |n, _| arcs!(generators::directed_path(n)), 0xf285_b405_a4ae_6bc5),
+    ("directed_gnp_strong", [12, 60], |n, r| arcs!(generators::directed_gnp_strong(n, 9.0 / n as f64, r)), 0x00cf_5d5f_b15c_bc03),
+    ("theorem14_graph", [8, 64], |n, _| arcs!(generators::theorem14_graph(n)), 0xbfa2_de8d_8954_5aa5),
+    ("theorem15_graph", [4, 60], |n, _| arcs!(generators::theorem15_graph(n)), 0x7203_4675_d0b9_6b45),
+];
+
+/// `G_0` is a function of the generator and its rng alone: the edge sets
+/// recorded here were taken while rows were still insertion-ordered, so
+/// whatever layout a row uses now, no start graph moved.
+#[test]
+fn generator_edge_sets_are_pinned() {
+    let mut moved = Vec::new();
+    for (name, sizes, build, want) in GENERATOR_PINS {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for size in sizes {
+            for seed in [7, 8] {
+                let (n, edges) = build(size, &mut SmallRng::seed_from_u64(seed));
+                fingerprint(&mut h, n, edges);
+            }
+        }
+        if h != want {
+            moved.push(format!("{name}: {h:#018x}"));
+        }
+    }
+    assert!(moved.is_empty(), "edge sets moved:\n{}", moved.join("\n"));
+}
+
+// ---------------------------------------------------------------------------
+// Arena store vs a `Vec<BTreeSet<u32>>` model (seeded, PROPTEST_SEED
+// replayable)
+// ---------------------------------------------------------------------------
+
+/// The reference undirected graph: one ordered set per node.
+struct Model(Vec<BTreeSet<u32>>);
+
+impl Model {
+    fn new(n: usize) -> Self {
+        Model(vec![BTreeSet::new(); n])
+    }
+
+    /// Inserts edge `(a, b)`; whether it was new. Self-loops are no-ops.
+    fn add_edge(&mut self, a: u32, b: u32) -> bool {
+        a != b && self.0[a as usize].insert(b) && self.0[b as usize].insert(a)
+    }
+
+    fn m(&self) -> u64 {
+        self.0.iter().map(|row| row.len() as u64).sum::<u64>() / 2
+    }
+
+    fn row(&self, u: NodeId) -> Vec<NodeId> {
+        self.0[u.index()].iter().copied().map(NodeId).collect()
+    }
+}
 
 proptest! {
     /// Random proposal sequences — arbitrary (a, b) pairs including
-    /// self-loops and duplicates — applied edge-at-a-time to both backends
-    /// produce identical insert verdicts and identical edge sets.
+    /// self-loops and duplicates — applied edge-at-a-time to the arena and
+    /// to the model produce identical insert verdicts and identical rows.
     #[test]
     fn arena_and_adjset_agree_under_random_proposals(
         seed in any::<u64>(),
@@ -185,41 +299,29 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut arena = gossip_graph::ArenaGraph::new(n);
-        let mut adjset = UndirectedGraph::new(n);
+        let mut model = Model::new(n);
         for _ in 0..rounds {
             for _ in 0..n {
                 let a = rng.random_range(0..n as u32);
                 let b = rng.random_range(0..n as u32);
-                if a == b {
-                    continue; // UndirectedGraph::add_edge no-ops; skip both
-                }
                 prop_assert_eq!(
                     arena.add_edge(NodeId(a), NodeId(b)),
-                    adjset.add_edge(NodeId(a), NodeId(b)),
+                    model.add_edge(a, b),
                     "verdicts diverge on ({}, {})", a, b
                 );
             }
         }
-        prop_assert_eq!(arena.m(), adjset.m());
-        let ae: Vec<_> = {
-            let mut v: Vec<_> = arena.edges().collect();
-            v.sort_unstable();
-            v
-        };
-        let ue: Vec<_> = {
-            let mut v: Vec<_> = adjset.edges().collect();
-            v.sort_unstable();
-            v
-        };
-        prop_assert_eq!(ae, ue);
+        prop_assert_eq!(arena.m(), model.m());
+        for u in arena.nodes() {
+            prop_assert_eq!(arena.neighbors(u), &model.row(u)[..], "row {:?}", u);
+        }
         arena.validate().unwrap();
-        adjset.validate().unwrap();
     }
 
     /// Whole-round batch application on the arena equals edge-at-a-time
-    /// application on the AdjSet store: same added count per round, same
-    /// final edge set — the flat pipeline's sort + dedup pass changes the
-    /// mechanics, never the result.
+    /// application on the model: same added count per round, same final
+    /// rows — the row-ordered merge changes the mechanics, never the
+    /// result.
     #[test]
     fn arena_batch_rounds_match_adjset_sequential(
         seed in any::<u64>(),
@@ -228,7 +330,7 @@ proptest! {
     ) {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA7C4);
         let mut arena = gossip_graph::ArenaGraph::new(n);
-        let mut adjset = UndirectedGraph::new(n);
+        let mut model = Model::new(n);
         for _ in 0..rounds {
             let proposals: Vec<(NodeId, NodeId)> = (0..2 * n)
                 .map(|_| (
@@ -236,21 +338,15 @@ proptest! {
                     NodeId(rng.random_range(0..n as u32)),
                 ))
                 .collect();
-            let mut seq_added = 0u64;
-            for &(a, b) in &proposals {
-                if a != b {
-                    seq_added += adjset.add_edge(a, b) as u64;
-                }
-            }
+            let seq_added: u64 =
+                proposals.iter().map(|&(a, b)| model.add_edge(a.0, b.0) as u64).sum();
             let (_, batch_added) =
                 arena.apply_batch(proposals.iter().map(|&(a, b)| ((), a, b)), |_, _, _| {});
             prop_assert_eq!(batch_added, seq_added);
         }
-        prop_assert_eq!(arena.m(), adjset.m());
-        for u in adjset.nodes() {
-            let mut want: Vec<NodeId> = adjset.neighbors(u).iter().collect();
-            want.sort_unstable();
-            prop_assert_eq!(arena.neighbors(u), &want[..]);
+        prop_assert_eq!(arena.m(), model.m());
+        for u in arena.nodes() {
+            prop_assert_eq!(arena.neighbors(u), &model.row(u)[..], "row {:?}", u);
         }
     }
 }
