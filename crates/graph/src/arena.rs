@@ -433,7 +433,7 @@ impl SliceArena {
         let cap = self.cap[u] as usize;
         let mut new_cap = cap;
         while new_cap < need {
-            new_cap = (new_cap + new_cap / 2).max(new_cap + 1).max(4);
+            new_cap = grown(new_cap);
         }
         let s = self.start[u];
         let l = self.len[u] as usize;
@@ -470,7 +470,7 @@ impl SliceArena {
             // pending write is about to use. A batch merge
             // ([`SliceArena::merge_rows`]) has several writes pending on
             // the list it relocated, hence `need`.
-            let mut cap = (l + l / 8).max(l + 1);
+            let mut cap = compacted(l);
             if u == pending {
                 cap = cap.max(need);
             }
@@ -480,6 +480,31 @@ impl SliceArena {
         self.reserved = packed.len();
         self.data = packed;
     }
+
+    /// The largest capacity the arena gives a list that never holds more
+    /// than `max_len` entries. Capacities change in two places only. A
+    /// relocation steps [`grown`] from a capacity below its `need ≤
+    /// max_len`, so its last step starts at most at `max_len - 1`. A
+    /// compaction reserves `max(compacted(len), need)`, and both are at
+    /// most `compacted(max_len)`. (Both steps are monotone.)
+    pub(crate) fn cap_bound(max_len: usize) -> usize {
+        grown(max_len.saturating_sub(1)).max(compacted(max_len))
+    }
+}
+
+/// One step of a relocating list's growth schedule: ~1.5×, at least one
+/// slot, at least four. (Saturating, so [`SliceArena::cap_bound`] of any
+/// length a peer claims is defined.)
+fn grown(cap: usize) -> usize {
+    cap.saturating_add(cap / 2)
+        .max(cap.saturating_add(1))
+        .max(4)
+}
+
+/// The capacity a compaction reserves for a list of `len` entries: a small
+/// growth reserve, and never less than one free slot.
+fn compacted(len: usize) -> usize {
+    len.saturating_add(len / 8).max(len.saturating_add(1))
 }
 
 /// An undirected graph with **sorted** arena-backed adjacency.
@@ -1074,7 +1099,7 @@ mod tests {
     /// `a` through the worker-bootstrap path: streamed as one segment's
     /// chunks of at most `budget` entries, then reassembled.
     fn through_chunks(a: &SliceArena, budget: usize) -> SliceArena {
-        let mut asm = SegSnapshotAssembler::new();
+        let mut asm = SegSnapshotAssembler::new(1 << 20);
         for chunk in segment(a.clone()).chunks(budget) {
             asm.accept(&chunk).unwrap();
         }
@@ -1199,11 +1224,15 @@ mod tests {
         a.insert_sorted(2, NodeId(1));
         let mut chunk = segment(a).chunks(usize::MAX).next().unwrap();
         chunk.entries.push(NodeId(9));
-        let err = SegSnapshotAssembler::new().accept(&chunk).unwrap_err();
+        let err = SegSnapshotAssembler::new(1 << 20)
+            .accept(&chunk)
+            .unwrap_err();
         assert!(err.contains("entries"), "extra entries: {err}");
         chunk.entries.pop();
         chunk.entries.pop();
-        let err = SegSnapshotAssembler::new().accept(&chunk).unwrap_err();
+        let err = SegSnapshotAssembler::new(1 << 20)
+            .accept(&chunk)
+            .unwrap_err();
         assert!(err.contains("entries"), "missing entries: {err}");
         // A well-formed stream of an empty arena rebuilds to empty.
         let empty = through_chunks(&SliceArena::new(0), 1);

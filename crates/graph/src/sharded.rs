@@ -312,20 +312,31 @@ pub struct SegSnapshotChunk {
 /// datagram transport's per-peer windows both guarantee it); every
 /// structural violation — base drift, a row gap, a chunk after the final
 /// one, a row count that disagrees with the entries, a row longer than its
-/// capacity — is a typed error that leaves the assembly unchanged, so a
-/// corrupted stream can never silently assemble into a wrong segment.
-#[derive(Debug, Default)]
+/// capacity, a capacity no row of the graph can reach — is a typed error
+/// that leaves the assembly unchanged, so a corrupted stream can never
+/// silently assemble into a wrong segment.
+#[derive(Debug)]
 pub struct SegSnapshotAssembler {
     base: Option<u64>,
     m_canonical: u64,
     adj: SliceArena,
+    max_cap: usize,
     complete: bool,
 }
 
 impl SegSnapshotAssembler {
-    /// An empty assembler awaiting the chunk with `row_start == 0`.
-    pub fn new() -> Self {
-        SegSnapshotAssembler::default()
+    /// An empty assembler for a segment of an `n`-node graph, awaiting the
+    /// chunk with `row_start == 0`. A row of such a graph holds at most
+    /// `n - 1` entries, so a capacity above what the arena gives a row
+    /// that long is refused before any slot is allocated.
+    pub fn new(n: usize) -> Self {
+        SegSnapshotAssembler {
+            base: None,
+            m_canonical: 0,
+            adj: SliceArena::new(0),
+            max_cap: SliceArena::cap_bound(n.saturating_sub(1)),
+            complete: false,
+        }
     }
 
     /// Feeds the next chunk. Returns `Ok(true)` once the stream is
@@ -354,6 +365,13 @@ impl SegSnapshotAssembler {
         for (i, &(l, c)) in chunk.len_cap.iter().enumerate() {
             if l > c {
                 return Err(format!("row {}: len {l} exceeds cap {c}", rows + i));
+            }
+            if c as usize > self.max_cap {
+                return Err(format!(
+                    "row {}: cap {c} exceeds {}, the most a row of this graph reaches",
+                    rows + i,
+                    self.max_cap
+                ));
             }
             live += l as usize;
         }
@@ -741,7 +759,7 @@ mod tests {
     fn rebuilt_segments(g: &ShardedArenaGraph, budget: usize) -> Vec<ShardSeg> {
         (0..g.shard_count())
             .map(|s| {
-                let mut asm = SegSnapshotAssembler::new();
+                let mut asm = SegSnapshotAssembler::new(g.n());
                 for chunk in g.segment(s).chunks(budget) {
                     asm.accept(&chunk).unwrap();
                 }
@@ -818,7 +836,7 @@ mod tests {
             if budget >= seg.half_edge_count() {
                 assert_eq!(chunks.len(), 1, "whole segment fits one chunk");
             }
-            let mut asm = SegSnapshotAssembler::new();
+            let mut asm = SegSnapshotAssembler::new(n);
             for (i, c) in chunks.iter().enumerate() {
                 let done = asm.accept(c).unwrap();
                 assert_eq!(done, i + 1 == chunks.len());
@@ -831,7 +849,7 @@ mod tests {
         // than its capacity, after-final.
         let chunks: Vec<SegSnapshotChunk> = seg.chunks(64).collect();
         assert!(chunks.len() > 2, "test needs a multi-chunk stream");
-        let mut asm = SegSnapshotAssembler::new();
+        let mut asm = SegSnapshotAssembler::new(n);
         assert!(asm.accept(&chunks[1]).unwrap_err().contains("row_start"));
         asm.accept(&chunks[0]).unwrap();
         assert!(asm.accept(&chunks[0]).unwrap_err().contains("row_start"));
@@ -850,7 +868,7 @@ mod tests {
             asm.accept(c).unwrap();
         }
         assert_eq!(asm.finish().chunks(64).collect::<Vec<_>>(), chunks);
-        let mut asm = SegSnapshotAssembler::new();
+        let mut asm = SegSnapshotAssembler::new(n);
         for c in &chunks {
             asm.accept(c).unwrap();
         }

@@ -487,7 +487,7 @@ proptest! {
         for budget in [1, 7, 100, usize::MAX] {
             let chunks = stream(&g, budget);
             let segs = chunks.iter().map(|seg| {
-                let mut asm = SegSnapshotAssembler::new();
+                let mut asm = SegSnapshotAssembler::new(n);
                 for c in seg {
                     asm.accept(c).unwrap();
                 }
@@ -531,6 +531,58 @@ proptest! {
                 prop_assert_eq!(src.neighbors(u), r.neighbors(u), "budget {} row {:?}", budget, u);
             }
             r.validate().unwrap();
+        }
+    }
+
+    /// No honest bootstrap stream is refused: whatever capacity a row
+    /// reaches — one edge at a time, in whole-round merges of up to
+    /// `n - 1` fresh entries, through compactions and after churn
+    /// tombstones it — stays within the bound the assembler enforces for
+    /// its `n`. Half of each round lands on a few hot rows, which fill to
+    /// their full `n - 1` entries, where the bound is tight.
+    #[test]
+    fn honest_row_capacities_stay_within_the_bootstrap_bound(
+        seed in any::<u64>(),
+        small in 2usize..80,
+        scale in 0usize..2,
+        shards in 1usize..3,
+        rounds in 1usize..16,
+    ) {
+        use gossip_graph::{HalfEdge, MergeScratch, SegSnapshotAssembler, ShardedArenaGraph};
+
+        let n = small + [0, 1_500][scale];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xCA9);
+        let mut g = ShardedArenaGraph::new(n, shards);
+        let mut scratch = MergeScratch::default();
+        let hot = (n / 64).max(1) as u32;
+        let node = |rng: &mut SmallRng| NodeId(rng.random_range(0..n as u32));
+        for round in 0..rounds {
+            for _ in 0..n / 4 {
+                g.add_edge(node(&mut rng), node(&mut rng));
+            }
+            if round % 4 == 3 {
+                g.remove_member(NodeId(rng.random_range(0..hot)));
+            }
+            let plan = *g.plan();
+            let mut mail: Vec<Vec<HalfEdge>> = vec![Vec::new(); shards];
+            for slot in 0..4 * n as u32 {
+                let a = if slot % 2 == 0 { NodeId(rng.random_range(0..hot)) } else { node(&mut rng) };
+                let b = node(&mut rng);
+                if a != b {
+                    mail[plan.owner(a)].push((slot, a, b));
+                    mail[plan.owner(b)].push((slot, b, a));
+                }
+            }
+            for (seg, entries) in g.segments_mut().into_iter().zip(&mail) {
+                seg.apply_half_edges(&[entries.as_slice()], &mut scratch);
+            }
+            for s in 0..shards {
+                let mut asm = SegSnapshotAssembler::new(n);
+                for chunk in g.segment(s).chunks(usize::MAX) {
+                    let accepted = asm.accept(&chunk);
+                    prop_assert!(accepted.is_ok(), "round {} segment {}: {:?}", round, s, accepted);
+                }
+            }
         }
     }
 }

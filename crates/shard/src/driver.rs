@@ -192,6 +192,8 @@ impl ShardReplica {
     /// binary-searches them: a row that is not strictly ascending, holds
     /// its own node, or names a node `≥ n` is an `InvalidData` error
     /// naming the segment and the row, found before the replica exists.
+    /// A row whose capacity no row of an `n`-node graph reaches is one
+    /// too, raised by the assembler before the row's slots are allocated.
     /// (Symmetry is left to the per-round `added` cross-check, which a
     /// diverged replica fails.)
     pub fn bootstrap(mut next_frame: impl FnMut() -> io::Result<Frame>) -> io::Result<Self> {
@@ -205,7 +207,7 @@ impl ShardReplica {
         };
         let mut segs = Vec::new();
         for s in 0..cfg.shards {
-            let mut asm = SegSnapshotAssembler::new();
+            let mut asm = SegSnapshotAssembler::new(cfg.n as usize);
             loop {
                 match next_frame()? {
                     Frame::SnapshotChunk { segment, chunk } if segment == s => {
@@ -1393,6 +1395,33 @@ mod tests {
             let names = format!("segment 1 sent row {} that {what}", u.0);
             assert!(msg.contains(&names), "{msg}");
         }
+    }
+
+    #[test]
+    fn a_bootstrap_row_whose_cap_no_row_of_the_graph_reaches_is_rejected() {
+        // A tombstone row passes `len <= cap` and the row check, so its
+        // capacity alone decides what the worker allocates: 2^24 slots
+        // (64 MiB) for a row of a 2048-node graph, far past any honest one.
+        let und = generators::tree_plus_random_edges(2048, 4096, &mut stream_rng(11, 0, 0));
+        let g = ShardedArenaGraph::from_undirected(&und, 2);
+        let policy = Parallelism::Sequential;
+        let mut stream = bootstrap_stream(&ShardReplica::new(
+            g,
+            RuleId::Pull,
+            SEED,
+            policy,
+            None,
+            Some(0),
+        ));
+        let Frame::SnapshotChunk { chunk, .. } = &mut stream[1] else {
+            unreachable!("a Config, then the first chunk")
+        };
+        let len = chunk.len_cap[0].0 as usize;
+        chunk.entries.drain(..len);
+        chunk.len_cap[0] = (0, 1 << 24);
+        let err = bootstrap(&stream).expect_err("a cap of 2^24 at n = 2048");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("cap 16777216 exceeds"), "{err}");
     }
 
     #[test]

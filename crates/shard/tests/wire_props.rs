@@ -300,7 +300,7 @@ proptest! {
         }
         for s in 0..shards {
             let chunks: Vec<_> = g.segment(s).chunks(budget).collect();
-            let mut asm = SegSnapshotAssembler::new();
+            let mut asm = SegSnapshotAssembler::new(n);
             for chunk in &chunks {
                 let frame = Frame::SnapshotChunk { segment: s as u32, chunk: chunk.clone() };
                 let wire = encode_to_vec(&frame);
