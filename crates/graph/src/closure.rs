@@ -38,13 +38,13 @@ impl Closure {
             let mut row = BitSet::new(n);
             stack.clear();
             // Seed with the direct out-neighbors.
-            for v in g.out_neighbors(NodeId::new(u)).iter() {
+            for &v in g.out_neighbors(NodeId::new(u)) {
                 if row.insert(v.index()) {
                     stack.push(v.0);
                 }
             }
             while let Some(x) = stack.pop() {
-                for v in g.out_neighbors(NodeId(x)).iter() {
+                for &v in g.out_neighbors(NodeId(x)) {
                     if v.index() != u && row.insert(v.index()) {
                         stack.push(v.0);
                     }

@@ -135,7 +135,7 @@ pub fn strongly_connected_components(g: &DirectedGraph) -> (Vec<u32>, usize) {
         on_stack[root as usize] = true;
 
         while let Some(&mut (u, ref mut pos)) = call_stack.last_mut() {
-            let succs = g.out_neighbors(NodeId(u)).as_slice();
+            let succs = g.out_neighbors(NodeId(u));
             if *pos < succs.len() {
                 let v = succs[*pos].0;
                 *pos += 1;

@@ -1,28 +1,30 @@
 //! The mutable directed graph for the directed two-hop walk (Section 5).
 
-use crate::adjacency::AdjSet;
-use crate::arena::UniformNeighbors;
+use crate::arena::{SliceArena, UniformNeighbors};
 use crate::node::{Arc, NodeId};
-use rand::Rng;
 
 /// A simple directed graph over nodes `0..n`.
 ///
 /// Only out-adjacency is indexed: the directed pull process samples along
 /// out-edges, and termination is defined against the transitive closure of
-/// the *initial* graph (computed separately in [`crate::closure`]).
+/// the *initial* graph (computed separately in [`crate::closure`]). Each
+/// out-row is a sorted slice of one [`SliceArena`], the layout
+/// [`crate::ArenaGraph`]'s rows use: membership is a binary search and a
+/// uniform draw is one index. It stays its own type because an arc is
+/// one half-edge, not two, so none of the undirected graph's mirror
+/// bookkeeping applies.
 #[derive(Clone, Debug)]
 pub struct DirectedGraph {
-    out: Vec<AdjSet>,
+    out: SliceArena,
     arcs: u64,
 }
 
 /// For directed graphs the "neighbor" row is the **out**-neighbor list —
-/// the surface the directed two-hop walk samples along. `random_neighbor`
-/// therefore draws exactly like [`DirectedGraph::random_out_neighbor`].
+/// the surface the directed two-hop walk samples along.
 impl UniformNeighbors for DirectedGraph {
     #[inline]
     fn neighbor_row(&self, u: NodeId) -> &[NodeId] {
-        self.out_row(u)
+        self.out_neighbors(u)
     }
 }
 
@@ -30,7 +32,7 @@ impl DirectedGraph {
     /// Creates an empty digraph with `n` nodes.
     pub fn new(n: usize) -> Self {
         DirectedGraph {
-            out: (0..n).map(|_| AdjSet::new(n)).collect(),
+            out: SliceArena::new(n),
             arcs: 0,
         }
     }
@@ -47,7 +49,7 @@ impl DirectedGraph {
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
-        self.out.len()
+        self.out.lists()
     }
 
     /// Number of arcs.
@@ -59,71 +61,55 @@ impl DirectedGraph {
     /// Out-degree of `u`.
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        self.out[u.index()].len()
+        self.out.len(u.index())
     }
 
-    /// Out-neighbor set of `u`.
+    /// Out-neighbors of `u`, in ascending id order.
     #[inline]
-    pub fn out_neighbors(&self, u: NodeId) -> &AdjSet {
-        &self.out[u.index()]
+    pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
+        self.out.slice(u.index())
     }
 
-    /// Arc membership test.
+    /// Arc membership test (binary search).
     #[inline]
     pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
-        self.out[u.index()].contains(v)
+        self.out.contains_sorted(u.index(), v)
     }
 
     /// Adds arc `u -> v`; returns `true` if new. `u == v` is a no-op.
     #[inline]
     pub fn add_arc(&mut self, u: NodeId, v: NodeId) -> bool {
-        if u == v {
+        if u == v || !self.out.insert_sorted(u.index(), v) {
             return false;
         }
-        if self.out[u.index()].insert(v) {
-            self.arcs += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Uniformly random out-neighbor of `u`.
-    #[inline]
-    pub fn random_out_neighbor<R: Rng + ?Sized>(&self, u: NodeId, rng: &mut R) -> Option<NodeId> {
-        self.out[u.index()].sample(rng)
+        self.arcs += 1;
+        true
     }
 
     /// Iterates over all nodes.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.out.len() as u32).map(NodeId)
+        (0..self.n() as u32).map(NodeId)
     }
 
-    /// Out-neighbor list in sampling (insertion) order — the directed
-    /// graph's [`UniformNeighbors`] row.
-    #[inline]
-    pub fn out_row(&self, u: NodeId) -> &[NodeId] {
-        self.out[u.index()].as_slice()
-    }
-
-    /// Iterates over all arcs.
+    /// Iterates over all arcs, by tail then head.
     pub fn arcs(&self) -> impl Iterator<Item = Arc> + '_ {
-        self.out.iter().enumerate().flat_map(|(u, set)| {
-            let u = NodeId::new(u);
-            set.iter().map(move |v| Arc::new(u, v))
-        })
+        self.nodes()
+            .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| Arc::new(u, v)))
     }
 
-    /// Structural validation for tests: no self-loops, arc count consistent.
+    /// Structural validation for tests: sorted rows, no self-loops, arc
+    /// count consistent.
     pub fn validate(&self) -> Result<(), String> {
         let mut count = 0u64;
         for u in self.nodes() {
-            for v in self.out[u.index()].iter() {
-                if u == v {
-                    return Err(format!("self-loop at {u:?}"));
-                }
-                count += 1;
+            let row = self.out_neighbors(u);
+            if !row.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("out-row of {u:?} not strictly sorted"));
             }
+            if row.binary_search(&u).is_ok() {
+                return Err(format!("self-loop at {u:?}"));
+            }
+            count += row.len() as u64;
         }
         if count != self.arcs {
             return Err(format!("arc count mismatch: {} vs {count}", self.arcs));
@@ -169,8 +155,8 @@ mod tests {
         assert_eq!(g.out_degree(NodeId(0)), 3);
         assert_eq!(g.out_degree(NodeId(1)), 0);
         let mut rng = SmallRng::seed_from_u64(5);
-        assert!(g.random_out_neighbor(NodeId(1), &mut rng).is_none());
-        let v = g.random_out_neighbor(NodeId(0), &mut rng).unwrap();
+        assert!(g.random_neighbor(NodeId(1), &mut rng).is_none());
+        let v = g.random_neighbor(NodeId(0), &mut rng).unwrap();
         assert!(g.has_arc(NodeId(0), v));
     }
 

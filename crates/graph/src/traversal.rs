@@ -34,7 +34,7 @@ impl Adjacency for DirectedGraph {
     }
     #[inline]
     fn successors(&self, u: NodeId) -> &[NodeId] {
-        self.out_neighbors(u).as_slice()
+        self.out_neighbors(u)
     }
 }
 

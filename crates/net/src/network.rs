@@ -16,16 +16,16 @@
 
 use crate::message::Message;
 use gossip_core::rng::stream_rng;
-use gossip_graph::{AdjSet, DirectedGraph, NodeId, UndirectedGraph};
+use gossip_graph::{DirectedGraph, NodeId, UndirectedGraph};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// One peer's state.
 #[derive(Clone, Debug)]
 pub struct Peer {
-    /// Contacts this peer currently knows (may include dead peers until
-    /// noticed — that's the staleness metric).
-    pub contacts: AdjSet,
+    /// Contacts this peer currently knows, in ascending id order (may
+    /// include dead peers until noticed — that's the staleness metric).
+    pub contacts: Vec<NodeId>,
     /// Whether the peer is alive.
     pub alive: bool,
 }
@@ -80,8 +80,8 @@ pub struct NodeCtx<'a> {
     /// The current round (for protocols with timeouts, e.g. failure
     /// detection).
     pub round: u64,
-    /// The node's contact list (mutable: learning happens here).
-    pub contacts: &'a mut AdjSet,
+    /// The node's contact list, ascending (learning happens here).
+    pub(crate) contacts: &'a mut Vec<NodeId>,
     /// This round's RNG stream for the node.
     pub rng: &'a mut SmallRng,
     outbox: &'a mut Vec<Envelope>,
@@ -97,23 +97,41 @@ impl NodeCtx<'_> {
         });
     }
 
+    /// The node's contacts, in ascending id order.
+    pub fn contacts(&self) -> &[NodeId] {
+        self.contacts
+    }
+
     /// Learns a peer's address. Returns `true` if it was new.
     pub fn learn(&mut self, peer: NodeId) -> bool {
-        if peer == self.me {
-            return false;
-        }
-        self.contacts.insert(peer)
+        peer != self.me && insert_sorted(self.contacts, peer)
     }
 
     /// Forgets a peer (e.g. one detected as dead).
     pub fn forget(&mut self, peer: NodeId) -> bool {
-        self.contacts.remove(peer)
+        let found = self.contacts.binary_search(&peer);
+        if let Ok(at) = found {
+            self.contacts.remove(at);
+        }
+        found.is_ok()
     }
 
     /// A uniformly random contact.
     pub fn random_contact(&mut self) -> Option<NodeId> {
-        self.contacts.sample(self.rng)
+        if self.contacts.is_empty() {
+            return None;
+        }
+        Some(self.contacts[self.rng.random_range(0..self.contacts.len())])
     }
+}
+
+/// Inserts `v` into the ascending `row`; whether it was new.
+fn insert_sorted(row: &mut Vec<NodeId>, v: NodeId) -> bool {
+    let at = row.binary_search(&v);
+    if let Err(at) = at {
+        row.insert(at, v);
+    }
+    at.is_err()
 }
 
 /// A discovery protocol: a state machine driven by rounds and messages.
@@ -143,16 +161,17 @@ impl Network {
     /// it must be at least `g.n()`.
     pub fn from_graph(g: &UndirectedGraph, capacity: usize, cfg: NetConfig) -> Self {
         assert!(capacity >= g.n(), "capacity below initial size");
-        let mut peers: Vec<Peer> = (0..g.n())
-            .map(|_| Peer {
-                contacts: AdjSet::new(capacity),
-                alive: true,
+        let peers = g
+            .nodes()
+            .map(|u| {
+                let mut contacts: Vec<NodeId> = g.neighbors(u).iter().collect();
+                contacts.sort_unstable();
+                Peer {
+                    contacts,
+                    alive: true,
+                }
             })
             .collect();
-        for e in g.edges() {
-            peers[e.a.index()].contacts.insert(e.b);
-            peers[e.b.index()].contacts.insert(e.a);
-        }
         Network {
             peers,
             in_flight: Vec::new(),
@@ -204,12 +223,12 @@ impl Network {
             "network capacity exhausted"
         );
         let id = NodeId::new(self.peers.len());
-        let mut contacts = AdjSet::new(self.capacity);
+        let mut contacts = Vec::new();
         for &b in bootstrap {
             if b != id {
-                contacts.insert(b);
+                insert_sorted(&mut contacts, b);
                 if self.peers[b.index()].alive {
-                    self.peers[b.index()].contacts.insert(id);
+                    insert_sorted(&mut self.peers[b.index()].contacts, id);
                 }
             }
         }
@@ -305,7 +324,10 @@ impl Network {
         let mut known = 0u64;
         for &u in &alive {
             let c = &self.peers[u.index()].contacts;
-            known += alive.iter().filter(|&&v| v != u && c.contains(v)).count() as u64;
+            known += alive
+                .iter()
+                .filter(|&&v| v != u && c.binary_search(&v).is_ok())
+                .count() as u64;
         }
         known as f64 / (n as u64 * (n as u64 - 1)) as f64
     }
@@ -316,7 +338,7 @@ impl Network {
         let mut total = 0u64;
         let mut stale = 0u64;
         for p in self.peers.iter().filter(|p| p.alive) {
-            for v in p.contacts.iter() {
+            for v in &p.contacts {
                 total += 1;
                 stale += (!self.peers[v.index()].alive) as u64;
             }
@@ -336,7 +358,7 @@ impl Network {
             if !p.alive {
                 continue;
             }
-            for v in p.contacts.iter() {
+            for &v in &p.contacts {
                 if self.peers[v.index()].alive {
                     g.add_arc(NodeId::new(u), v);
                 }

@@ -34,7 +34,7 @@ impl Protocol for PushProtocol {
             &mut NodeState::Stateless,
             &LocalView {
                 me: ctx.me,
-                contacts: ctx.contacts.as_slice(),
+                contacts: ctx.contacts,
             },
             &mut RngChooser(ctx.rng),
             &mut out,
@@ -52,7 +52,7 @@ impl Protocol for PushProtocol {
                 &mut NodeState::Stateless,
                 &LocalView {
                     me: ctx.me,
-                    contacts: ctx.contacts.as_slice(),
+                    contacts: ctx.contacts,
                 },
                 &mut RngChooser(ctx.rng),
                 from,
@@ -119,7 +119,7 @@ pub struct NameDropperProtocol;
 impl Protocol for NameDropperProtocol {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>) {
         if let Some(v) = ctx.random_contact() {
-            let peers: Vec<NodeId> = ctx.contacts.iter().collect();
+            let peers = ctx.contacts().to_vec();
             ctx.send(v, Message::FullList { peers });
         }
     }
@@ -460,7 +460,7 @@ mod tests {
             net.step(&mut p);
         }
         // 0 and 2 discovered each other through 1 — both directions.
-        assert!(net.peer(NodeId(0)).contacts.contains(NodeId(2)));
-        assert!(net.peer(NodeId(2)).contacts.contains(NodeId(0)));
+        assert!(net.peer(NodeId(0)).contacts.contains(&NodeId(2)));
+        assert!(net.peer(NodeId(2)).contacts.contains(&NodeId(0)));
     }
 }
