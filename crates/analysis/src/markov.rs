@@ -15,7 +15,7 @@
 //! non-monotonicity example.
 
 use gossip_graph::components::componentwise_complete_edges;
-use gossip_graph::{NodeId, UndirectedGraph};
+use gossip_graph::{ArenaGraph, NodeId};
 // BTreeMap, not HashMap: the hitting-time recursion and the convolution both
 // *iterate* these maps while accumulating f64 sums, and HashMap's per-process
 // RandomState would reorder the additions — shifting results by ulps between
@@ -44,7 +44,7 @@ fn edge_index(n: usize, a: usize, b: usize) -> usize {
 }
 
 /// Encodes a graph as an edge bitmask.
-fn graph_mask(g: &UndirectedGraph) -> u32 {
+fn graph_mask(g: &ArenaGraph) -> u32 {
     let n = g.n();
     let mut mask = 0u32;
     for e in g.edges() {
@@ -158,7 +158,7 @@ fn round_transition(n: usize, mask: u32, kind: ProcessKind) -> BTreeMap<u32, f64
 ///
 /// # Panics
 /// Panics if `g.n() > MAX_EXACT_N` or `g.n() < 2`.
-pub fn exact_expected_rounds(g: &UndirectedGraph, kind: ProcessKind) -> f64 {
+pub fn exact_expected_rounds(g: &ArenaGraph, kind: ProcessKind) -> f64 {
     let n = g.n();
     assert!(
         (2..=MAX_EXACT_N).contains(&n),
@@ -273,8 +273,8 @@ pub fn find_nonmonotone_pairs(n: usize, kind: ProcessKind, tolerance: f64) -> Ve
     out
 }
 
-fn mask_to_graph(n: usize, mask: u32) -> UndirectedGraph {
-    UndirectedGraph::from_edges(n, mask_edges(n, mask))
+fn mask_to_graph(n: usize, mask: u32) -> ArenaGraph {
+    ArenaGraph::from_edges(n, mask_edges(n, mask))
 }
 
 fn mask_edges(n: usize, mask: u32) -> Vec<(u32, u32)> {
@@ -354,10 +354,10 @@ mod tests {
     #[test]
     fn disconnected_target_is_componentwise() {
         // Two disjoint edges on 4 nodes: already componentwise complete.
-        let g = UndirectedGraph::from_edges(4, [(0, 1), (2, 3)]);
+        let g = ArenaGraph::from_edges(4, [(0, 1), (2, 3)]);
         assert_eq!(exact_expected_rounds(&g, ProcessKind::Push), 0.0);
         // A path plus an isolated node: converges to K3 + isolated.
-        let g2 = UndirectedGraph::from_edges(4, [(0, 1), (1, 2)]);
+        let g2 = ArenaGraph::from_edges(4, [(0, 1), (1, 2)]);
         let e = exact_expected_rounds(&g2, ProcessKind::Push);
         assert!(
             (e - 2.0).abs() < 1e-9,
@@ -456,7 +456,7 @@ mod tests {
             ),
         ];
         for (edges, n, kind, expect) in cases {
-            let g = UndirectedGraph::from_edges(n, edges.iter().copied());
+            let g = ArenaGraph::from_edges(n, edges.iter().copied());
             let e = exact_expected_rounds(&g, kind);
             assert!(
                 (e - expect).abs() < 5e-4,

@@ -14,14 +14,12 @@
 //!   letting [`Knowledge::absorb`] merge a whole payload in ascending-id
 //!   order.
 //!
-//! Memory is `O(pairs + n)` — 8 bytes per known pair — where the previous
-//! `AdjSet`-row layout paid an `n`-bit bitmap *per node* (`n²/8` bytes
-//! before anything is learned), the term that capped baseline experiments
-//! in the tens of thousands of nodes. Trajectories are unchanged from that
-//! layout: sampling draws from the same arrival order, and absorbing
-//! iterates payloads in the same ascending id order the bitmap scan used.
+//! Memory is `O(pairs + n)` — 8 bytes per known pair — with no `n`-bit
+//! bitmap *per node* (`n²/8` bytes before anything is learned, the term
+//! that would cap baseline experiments in the tens of thousands of
+//! nodes).
 
-use gossip_graph::{DirectedGraph, NodeId, SliceArena, UndirectedGraph};
+use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, SliceArena};
 use rand::Rng;
 
 /// Directed "who-knows-whom" state for `n` nodes.
@@ -53,8 +51,10 @@ impl Knowledge {
         }
     }
 
-    /// Initializes from an undirected graph: knowledge is symmetric.
-    pub fn from_undirected(g: &UndirectedGraph) -> Self {
+    /// Initializes from an undirected graph: knowledge is symmetric, and
+    /// learned edge by edge in canonical order (so each node's arrival
+    /// order starts as its ascending row).
+    pub fn from_undirected(g: &ArenaGraph) -> Self {
         let mut k = Knowledge::new(g.n());
         for e in g.edges() {
             k.learn(e.a, e.b);

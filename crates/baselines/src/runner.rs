@@ -19,7 +19,7 @@ use gossip_core::{
     Effects, FloodingKernel, LocalView, NameDropperKernel, NodeState, PointerJumpKernel,
     ProtocolKernel, RngChooser, Share, ThrottledKernel,
 };
-use gossip_graph::{NodeId, UndirectedGraph};
+use gossip_graph::{ArenaGraph, NodeId};
 
 /// A discovery baseline: kernel `K` run over a [`Knowledge`] state.
 #[derive(Clone, Debug)]
@@ -28,7 +28,7 @@ pub struct KernelBaseline<K> {
     knowledge: Knowledge,
     /// The fixed graph whose rows are the nodes' views; `None` means each
     /// node sees its own (growing) contact list.
-    topology: Option<UndirectedGraph>,
+    topology: Option<ArenaGraph>,
     /// Per-node kernel state. For the throttled kernel: node `u`'s entry
     /// `v` counts how many of `u`'s contacts (in arrival order) have been
     /// shipped to `v` — O(n²) u32s, the cost of coordination the paper
@@ -106,7 +106,7 @@ impl ThrottledNameDropper {
 
 impl Flooding {
     /// Floods over `g0`, starting from its adjacency as initial knowledge.
-    pub fn new(g0: &UndirectedGraph) -> Self {
+    pub fn new(g0: &ArenaGraph) -> Self {
         let mut flooding = Self::from_kernel(FloodingKernel, Knowledge::from_undirected(g0), 0);
         flooding.topology = Some(g0.clone());
         flooding
@@ -122,7 +122,7 @@ impl<K: ProtocolKernel> DiscoveryAlgorithm for KernelBaseline<K> {
         for (u, state) in self.states.iter_mut().enumerate() {
             let me = NodeId::new(u);
             let contacts = match &self.topology {
-                Some(g0) => g0.neighbors(me).as_slice(),
+                Some(g0) => g0.neighbors(me),
                 None => self.knowledge.contacts(me),
             };
             let mut rng = stream_rng(self.seed, self.round, u as u64);

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 fn algos(
     k: &Knowledge,
-    g: &gossip_graph::UndirectedGraph,
+    g: &gossip_graph::ArenaGraph,
     seed: u64,
 ) -> Vec<Box<dyn DiscoveryAlgorithm>> {
     vec![

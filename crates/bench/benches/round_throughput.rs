@@ -1,10 +1,9 @@
 //! Per-round cost of the processes — the number that decides how large an
 //! `n` the experiment battery can sweep. One round is Θ(n) proposals plus
-//! Θ(n) O(1) insertions, so rounds/sec should scale as 1/n sequentially;
-//! the `*_pool` rows run the propose phase on the rayon shim's persistent
-//! worker pool (zero thread spawns per round after warm-up — asserted at
-//! the end) and should beat sequential from a few thousand nodes on
-//! multi-core hosts, with n = 65_536 the headline acceptance point.
+//! one row-ordered merge, so rounds/sec should scale as 1/n sequentially.
+//! Sequential against pool-parallel rows live in `parallel.rs`
+//! (`round_parallelism`); the pool must still have spawned no thread per
+//! round by the end of this bench (asserted).
 
 use criterion::{
     criterion_group, criterion_main, BatchSize, Bencher, BenchmarkId, Criterion, Throughput,
@@ -12,19 +11,14 @@ use criterion::{
 use gossip_core::{
     run_engine_listened, Engine, GossipGraph, NullListener, Parallelism, ProposalRule, Pull, Push,
 };
-use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph};
+use gossip_graph::{generators, ShardedArenaGraph};
 use gossip_shard::ShardedEngine;
 use std::time::Duration;
 
-/// Eight engine rounds per iteration from a fresh engine clone.
-fn eight_rounds<G: GossipGraph, R: ProposalRule<G> + Clone>(
-    b: &mut Bencher,
-    g: &G,
-    rule: R,
-    par: Parallelism,
-) {
+/// Eight sequential engine rounds per iteration from a fresh engine clone.
+fn eight_rounds<G: GossipGraph, R: ProposalRule<G> + Clone>(b: &mut Bencher, g: &G, rule: R) {
     b.iter_batched(
-        || Engine::new(g.clone(), rule.clone(), 7).with_parallelism(par),
+        || Engine::new(g.clone(), rule.clone(), 7).with_parallelism(Parallelism::Sequential),
         |mut engine| {
             for _ in 0..8 {
                 std::hint::black_box(engine.step());
@@ -35,35 +29,8 @@ fn eight_rounds<G: GossipGraph, R: ProposalRule<G> + Clone>(
 }
 
 fn bench_rounds(c: &mut Criterion) {
-    let mut group = c.benchmark_group("round");
-    group
-        .warm_up_time(Duration::from_millis(500))
-        .measurement_time(Duration::from_secs(2))
-        .sample_size(20);
-    for n in [1024usize, 4096, 16384, 65536] {
-        let mut rng = gossip_core::rng::stream_rng(1, 0, n as u64);
-        let g = generators::tree_plus_random_edges(n, 4 * n as u64, &mut rng);
-        group.throughput(Throughput::Elements(n as u64));
-        for (par_label, par) in [
-            ("seq", Parallelism::Sequential),
-            ("pool", Parallelism::Parallel),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("push_{par_label}"), n),
-                &g,
-                |b, g| eight_rounds(b, g, Push, par),
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("pull_{par_label}"), n),
-                &g,
-                |b, g| eight_rounds(b, g, Pull, par),
-            );
-        }
-    }
-    group.finish();
-
-    // The arena backend through the same engine: one end-to-end row per
-    // process at the headline size, watched by the CI perf ratchet.
+    // One end-to-end sequential row per process and size; the n = 4096
+    // rows are watched by the CI perf ratchet.
     let mut group = c.benchmark_group("round_arena");
     group
         .warm_up_time(Duration::from_millis(500))
@@ -71,17 +38,13 @@ fn bench_rounds(c: &mut Criterion) {
         .sample_size(20);
     for n in [4096usize, 65536] {
         let mut rng = gossip_core::rng::stream_rng(1, 0, n as u64);
-        let g = ArenaGraph::from_undirected(&generators::tree_plus_random_edges(
-            n,
-            4 * n as u64,
-            &mut rng,
-        ));
+        let g = generators::tree_plus_random_edges(n, 4 * n as u64, &mut rng);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("push_seq", n), &g, |b, g| {
-            eight_rounds(b, g, Push, Parallelism::Sequential)
+            eight_rounds(b, g, Push)
         });
         group.bench_with_input(BenchmarkId::new("pull_seq", n), &g, |b, g| {
-            eight_rounds(b, g, Pull, Parallelism::Sequential)
+            eight_rounds(b, g, Pull)
         });
     }
     group.finish();
@@ -96,7 +59,7 @@ fn bench_rounds(c: &mut Criterion) {
         .sample_size(20);
     for n in [4096usize, 65536] {
         let mut rng = gossip_core::rng::stream_rng(1, 0, n as u64);
-        let g = ShardedArenaGraph::from_undirected(
+        let g = ShardedArenaGraph::from_arena(
             &generators::tree_plus_random_edges(n, 4 * n as u64, &mut rng),
             8,
         );
@@ -138,14 +101,10 @@ fn bench_rounds(c: &mut Criterion) {
     {
         let n = 4096usize;
         let mut rng = gossip_core::rng::stream_rng(1, 0, n as u64);
-        let g = ArenaGraph::from_undirected(&generators::tree_plus_random_edges(
-            n,
-            4 * n as u64,
-            &mut rng,
-        ));
+        let g = generators::tree_plus_random_edges(n, 4 * n as u64, &mut rng);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("pull_direct", n), &g, |b, g| {
-            eight_rounds(b, g, Pull, Parallelism::Sequential)
+            eight_rounds(b, g, Pull)
         });
         group.bench_with_input(BenchmarkId::new("pull_seam_null", n), &g, |b, g| {
             b.iter_batched(

@@ -12,11 +12,11 @@ use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, ks_statistic, ks_threshold_95, Ecdf, Summary, Table};
 use gossip_core::rng::trial_seed;
 use gossip_core::{with_rule, ComponentwiseComplete, EngineBuilder, ProposalRule, RuleId};
-use gossip_graph::{generators, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph};
 use rayon::prelude::*;
 
-fn sync_rounds<R: ProposalRule<UndirectedGraph> + Clone>(
-    g: &UndirectedGraph,
+fn sync_rounds<R: ProposalRule<ArenaGraph> + Clone>(
+    g: &ArenaGraph,
     rule: R,
     trials: usize,
     base_seed: u64,
@@ -34,8 +34,8 @@ fn sync_rounds<R: ProposalRule<UndirectedGraph> + Clone>(
         .collect()
 }
 
-fn async_times<R: ProposalRule<UndirectedGraph> + Clone>(
-    g: &UndirectedGraph,
+fn async_times<R: ProposalRule<ArenaGraph> + Clone>(
+    g: &ArenaGraph,
     rule: R,
     trials: usize,
     base_seed: u64,

@@ -7,9 +7,9 @@ use gossip_analysis::{fmt_f64, ols, Table};
 use gossip_core::{
     convergence_rounds, ComponentwiseComplete, ProposalRule, Pull, Push, TrialConfig,
 };
-use gossip_graph::{generators, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph};
 
-fn sweep<R: ProposalRule<UndirectedGraph> + Clone>(
+fn sweep<R: ProposalRule<ArenaGraph> + Clone>(
     rule: R,
     n: usize,
     ks: &[u64],

@@ -31,7 +31,7 @@ pub fn run(args: &Args) -> Report {
         "diameter",
         "avg clustering",
     ]);
-    let snapshot = |t: &mut Table, round: u64, g: &gossip_graph::UndirectedGraph| {
+    let snapshot = |t: &mut Table, round: u64, g: &gossip_graph::ArenaGraph| {
         let s = metrics::summarize(g);
         t.push_row([
             round.to_string(),

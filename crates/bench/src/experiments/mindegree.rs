@@ -16,7 +16,7 @@ use gossip_core::diagnostics::tie_stats;
 use gossip_core::{
     convergence_rounds, Engine, MinDegreeAtLeast, ProposalRule, Pull, Push, TrialConfig,
 };
-use gossip_graph::{generators, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph};
 
 /// Which density regime to sweep.
 #[derive(Clone, Copy)]
@@ -27,7 +27,7 @@ enum Regime {
     Sparse,
 }
 
-fn degree_growth_sweep<R: ProposalRule<UndirectedGraph> + Clone>(
+fn degree_growth_sweep<R: ProposalRule<ArenaGraph> + Clone>(
     rule: R,
     label: &str,
     regime: Regime,
@@ -69,7 +69,7 @@ fn degree_growth_sweep<R: ProposalRule<UndirectedGraph> + Clone>(
         let rounds = convergence_rounds(
             &g,
             rule.clone(),
-            |_g: &UndirectedGraph| MinDegreeAtLeast::new(target),
+            |_g: &ArenaGraph| MinDegreeAtLeast::new(target),
             &cfg,
         );
         let (algorithm, family) = label.split_once(' ').expect("label is `process regime`");

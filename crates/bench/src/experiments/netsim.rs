@@ -14,7 +14,7 @@ fn wire_row(
     n: usize,
     proto: &mut dyn Protocol,
     name: &str,
-    g: &gossip_graph::UndirectedGraph,
+    g: &gossip_graph::ArenaGraph,
     seed: u64,
 ) {
     let mut net = Network::from_graph(

@@ -7,9 +7,9 @@ use gossip_analysis::{
     exact_expected_rounds, find_nonmonotone_pairs, fmt_f64, ProcessKind, Summary, Table,
 };
 use gossip_core::{convergence_rounds, ComponentwiseComplete, Pull, Push, TrialConfig};
-use gossip_graph::{generators, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph};
 
-fn mc(g: &UndirectedGraph, kind: ProcessKind, trials: usize, seed: u64) -> Vec<u64> {
+fn mc(g: &ArenaGraph, kind: ProcessKind, trials: usize, seed: u64) -> Vec<u64> {
     let cfg = TrialConfig {
         trials,
         base_seed: seed,

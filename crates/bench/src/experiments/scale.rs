@@ -1,25 +1,23 @@
 //! E15 — engine scaling: the arena-backed store at million-node sizes.
 //!
-//! The paper's upper bounds are asymptotic, but the `AdjSet` layout's
-//! per-node bitmaps (`n²/8` bytes) capped experiments near `n = 2^17`.
-//! This experiment drives the [`gossip_graph::ArenaGraph`] backend through
-//! the flat proposal pipeline across `n ∈ {2^14 … 2^20}` and records, per
-//! process:
+//! The paper's upper bounds are asymptotic, but a layout with an `n`-bit
+//! membership bitmap per node (`n²/8` bytes) caps experiments near
+//! `n = 2^17`. This experiment drives the [`gossip_graph::ArenaGraph`]
+//! backend through the flat proposal pipeline across `n ∈ {2^14 … 2^20}`
+//! and records, per process:
 //!
 //! * **rounds / edges added** over a fixed horizon (deterministic,
 //!   pooled into `RESULTS.md`),
 //! * **edge-doubling time** — rounds until `m ≥ 2·m₀` — via the streaming
 //!   trial runner (one engine alive at a time, `O(edges)` peak memory),
 //! * **memory** — deterministic length-based bytes of the arena store,
-//!   against the `AdjSet` baseline at the comparison size (the headline
-//!   `≥4×` reduction gate), and
+//!   against what the bitmap layout would hold for the same edges at the
+//!   comparison size (`bitmap_bytes`; the headline `≥4×` reduction
+//!   gate), and
 //! * **throughput** — ns per node per round and process peak RSS. Timing
 //!   and RSS go to this experiment's tables only, never into
 //!   [`Measurement`](crate::harness::Measurement) rows, so `RESULTS.md`
 //!   stays byte-reproducible.
-//!
-//! The `AdjSet` comparison runs **last**: peak RSS is process-wide and
-//! monotone, so the bitmap build must not pollute the arena rows.
 
 use crate::experiments::shard::{fmt_mib, peak_rss_bytes};
 use crate::harness::{Args, Report};
@@ -27,7 +25,7 @@ use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{
     stream_trials, ConvergenceCheck, Engine, Never, Parallelism, Pull, Push, TrialConfig,
 };
-use gossip_graph::{ArenaGraph, NodeId, UndirectedGraph};
+use gossip_graph::{ArenaGraph, NodeId};
 use std::time::Instant;
 
 /// Converged once the edge count reaches `target` — the scale experiment's
@@ -45,10 +43,9 @@ impl ConvergenceCheck<ArenaGraph> for EdgesAtLeast {
     }
 }
 
-/// Connected sparse start graph built directly in the arena layout:
-/// a random parent tree plus `extra` uniform random edges. Mirrors
-/// `generators::tree_plus_random_edges`'s workload shape without ever
-/// materializing the `O(n²/8)`-byte `AdjSet` form.
+/// Connected sparse start graph: a random parent tree plus `extra`
+/// uniform random edges — `generators::tree_plus_random_edges`'s workload
+/// shape, drawn from the experiment's own seeded stream.
 pub(crate) fn sparse_arena(n: usize, extra: u64, seed: u64) -> ArenaGraph {
     use rand::Rng;
     let mut rng = gossip_core::rng::stream_rng(seed, 0xA1, n as u64);
@@ -63,6 +60,18 @@ pub(crate) fn sparse_arena(n: usize, extra: u64, seed: u64) -> ArenaGraph {
         g.add_edge(NodeId(a), NodeId(b));
     }
     g
+}
+
+/// `size_of` of the insertion-ordered row type the bitmap layout kept per
+/// node (a `Vec<NodeId>` plus a bitset: a `Vec<u64>` and its capacity) on
+/// 64-bit targets — fixed, since that type is no longer built.
+const BITMAP_ROW_HEADER: usize = 56;
+
+/// Bytes the bitmap layout held for an `n`-node graph with `m` edges, by
+/// its own length-based count: 4 bytes per half-edge, an `n`-bit bitmap
+/// per node, and one row header per node — `8m + n·8·⌈n/64⌉ + n·h`.
+fn bitmap_bytes(n: usize, m: u64) -> u64 {
+    8 * m + (n * 8 * n.div_ceil(64) + n * BITMAP_ROW_HEADER) as u64
 }
 
 /// E15: arena-backend scaling sweep.
@@ -83,10 +92,10 @@ pub fn run(args: &Args) -> Report {
     } else {
         3
     };
-    // The AdjSet layout's bitmaps are n²/8 bytes, so the baseline build is
-    // the experiment's dominant allocation; 2^17 (≈ 2 GiB of bitmaps) is
-    // the paper-facing comparison point and stays feasible in CI.
+    // The paper-facing comparison point: 2^17, where bitmap rows would
+    // hold ≈ 2 GiB. Both sweeps include it.
     let cmp_n: usize = 1 << 17;
+    let mut cmp = None;
 
     let mut throughput = Table::new([
         "process",
@@ -106,21 +115,25 @@ pub fn run(args: &Args) -> Report {
             // Fixed-horizon throughput run (the n = 2^20 pull row is the
             // "clean Two-Hop Walk run at a million nodes" acceptance gate).
             let t = Instant::now();
-            let (added, mem_bytes) = if is_pull {
+            let (m, mem_bytes) = if is_pull {
                 let mut e = Engine::new(g0.clone(), Pull, args.seed ^ 0x7400);
                 let out = e.run_until(&mut Never, horizon);
-                (out.final_edges - m0, e.graph().memory_bytes())
+                (out.final_edges, e.graph().memory_bytes())
             } else {
                 let mut e = Engine::new(g0.clone(), Push, args.seed ^ 0x7400);
                 let out = e.run_until(&mut Never, horizon);
-                (out.final_edges - m0, e.graph().memory_bytes())
+                (out.final_edges, e.graph().memory_bytes())
             };
+            let added = m - m0;
             let elapsed = t.elapsed().as_nanos() as f64;
             let ns_node_round = elapsed / (n as f64 * horizon as f64);
             report.measure_scalar("rounds", name, "tree+2n", n as u64, horizon as f64);
             report.measure_scalar("edges_added", name, "tree+2n", n as u64, added as f64);
             if is_pull {
                 report.measure_scalar("mem_bytes", "arena", "tree+2n", n as u64, mem_bytes as f64);
+                if n == cmp_n {
+                    cmp = Some((m, mem_bytes));
+                }
             }
             throughput.push_row([
                 name.to_string(),
@@ -163,26 +176,17 @@ pub fn run(args: &Args) -> Report {
         }
     }
 
-    // AdjSet baseline, last (see module docs): identical edge set, same
-    // horizon, then compare deterministic storage bytes.
-    let arena0 = sparse_arena(cmp_n, 2 * cmp_n as u64, args.seed);
-    let mut arena_e = Engine::new(arena0.clone(), Pull, args.seed ^ 0x7400);
-    arena_e.run_until(&mut Never, horizon);
-    let arena_bytes = arena_e.graph().memory_bytes();
-    drop(arena_e);
-    let adj0 = UndirectedGraph::from_edges(cmp_n, arena0.edges().map(|e| (e.a.0, e.b.0)));
-    drop(arena0);
-    let mut adj_e = Engine::new(adj0, Pull, args.seed ^ 0x7400);
-    adj_e.run_until(&mut Never, horizon);
-    let adj_bytes = adj_e.graph().memory_bytes();
-    drop(adj_e);
-    let ratio = adj_bytes as f64 / arena_bytes as f64;
+    // The bitmap layout at the comparison size, evaluated at the same
+    // pull run's final edge count.
+    let (m, arena_bytes) = cmp.expect("the sweep includes the comparison size");
+    let bitmap = bitmap_bytes(cmp_n, m);
+    let ratio = bitmap as f64 / arena_bytes as f64;
     report.measure_scalar(
         "mem_bytes",
         "adjset",
         "tree+2n",
         cmp_n as u64,
-        adj_bytes as f64,
+        bitmap as f64,
     );
     report.measure_scalar(
         "mem_ratio",
@@ -191,17 +195,18 @@ pub fn run(args: &Args) -> Report {
         cmp_n as u64,
         ratio,
     );
-    let mut memory = Table::new(["n", "arena MiB", "AdjSet MiB", "reduction"]);
+    let mut memory = Table::new(["n", "arena MiB", "bitmap rows MiB", "reduction"]);
     memory.push_row([
         cmp_n.to_string(),
         fmt_mib(arena_bytes as u64),
-        fmt_mib(adj_bytes as u64),
+        fmt_mib(bitmap),
         format!("{:.0}x", ratio),
     ]);
 
     report.note(format!(
-        "arena backend: O(m + n) storage vs the AdjSet layout's n^2/8-byte bitmaps; \
-         at n = 2^17 the same {horizon}-round pull run needs {}x less graph memory.",
+        "arena backend: O(m + n) storage vs an n^2/8-byte bitmap layout; at n = 2^17 \
+         the same {horizon}-round pull run's edges would need {}x more graph memory \
+         in bitmap rows (8m + n*8*ceil(n/64) + {BITMAP_ROW_HEADER}n bytes).",
         fmt_f64(ratio)
     ));
     report.note(
@@ -210,7 +215,10 @@ pub fn run(args: &Args) -> Report {
     );
     report.table("fixed-horizon throughput (arena backend)", throughput);
     report.table("edge-doubling time (streamed trials)", doubling);
-    report.table("memory: arena vs AdjSet at the comparison size", memory);
+    report.table(
+        "memory: arena vs bitmap rows at the comparison size",
+        memory,
+    );
     report
 }
 
@@ -246,8 +254,8 @@ mod tests {
         assert!(out.final_edges > m0);
         // Even with growth reserve, dead space, and fixed per-node
         // bookkeeping (which dominates at this deliberately small n), the
-        // arena stays well under the n²/8-byte bitmap floor of the AdjSet
-        // layout; the measured ratio at 2^17 lands in RESULTS.md.
+        // arena stays well under the n²/8-byte bitmap floor; the ratio at
+        // 2^17 lands in RESULTS.md.
         assert!(e.graph().memory_bytes() < n * n / 8 / 2);
     }
 

@@ -7,10 +7,10 @@ use gossip_analysis::{fmt_f64, loglog_exponent, rank_models, GrowthModel, Summar
 use gossip_core::{
     convergence_rounds, ComponentwiseComplete, ProposalRule, Pull, Push, TrialConfig,
 };
-use gossip_graph::{generators, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph};
 
 /// The topology sweep shared by E1/E3.
-fn family(name: &str, n: usize, seed: u64) -> UndirectedGraph {
+fn family(name: &str, n: usize, seed: u64) -> ArenaGraph {
     let mut rng = gossip_core::rng::stream_rng(seed, 0xFA, n as u64);
     match name {
         "path" => generators::path(n),
@@ -32,7 +32,7 @@ const FAMILIES: [&str; 6] = [
     "hypercube",
 ];
 
-fn run_process<R: ProposalRule<UndirectedGraph> + Clone>(id: &str, rule: R, args: &Args) -> Report {
+fn run_process<R: ProposalRule<ArenaGraph> + Clone>(id: &str, rule: R, args: &Args) -> Report {
     let mut report = Report::new(id);
     let algorithm = if id.starts_with("E1") { "push" } else { "pull" };
     let sizes = if args.quick {

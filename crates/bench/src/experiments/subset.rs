@@ -6,9 +6,9 @@ use crate::harness::{mean, Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{convergence_rounds, OnlySubset, Push, SubsetComplete, TrialConfig};
 use gossip_graph::traversal::bfs_distances;
-use gossip_graph::{generators, NodeId, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph, NodeId};
 
-fn club(host: &UndirectedGraph, k: usize, anchor: usize) -> Vec<NodeId> {
+fn club(host: &ArenaGraph, k: usize, anchor: usize) -> Vec<NodeId> {
     // A BFS ball induces a connected subgraph.
     let dist = bfs_distances(host, NodeId::new(anchor % host.n()));
     let mut members: Vec<NodeId> = (0..host.n())
@@ -64,7 +64,7 @@ pub fn run(args: &Args) -> Report {
             let rounds = convergence_rounds(
                 &host,
                 rule,
-                move |_g: &UndirectedGraph| SubsetComplete::new(host_n, &members_for_check),
+                move |_g: &ArenaGraph| SubsetComplete::new(host_n, &members_for_check),
                 &cfg,
             );
             report.measure_rounds("push-subset", format!("host-{host_n}"), k as u64, &rounds);

@@ -449,7 +449,8 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                 "E15".to_string(),
                 format!(
                     "two-hop walk completes a fixed-horizon run at n = {biggest}; at n = {} the \
-                     arena stores the same run in {}× less memory than the AdjSet layout",
+                     arena stores the same run's edges in {}× less memory than bitmap rows \
+                     would (analytic: 8m + n·8·⌈n/64⌉ + 56n bytes)",
                     r.n,
                     fmt_f64(r.mean)
                 ),

@@ -77,7 +77,7 @@
 //! use gossip_graph::{generators, ShardedArenaGraph};
 //!
 //! let und = generators::star(256);
-//! let g = ShardedArenaGraph::from_undirected(&und, 2);
+//! let g = ShardedArenaGraph::from_arena(&und, 2);
 //! let mut check = ComponentwiseComplete::for_graph(&und);
 //! let mut cluster = ClusterBuilder::new(g, RuleId::Push, 7).spawn().unwrap();
 //! let out = cluster.run_until(&mut check, 1_000_000);
@@ -641,7 +641,7 @@ mod tests {
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
-        ShardedArenaGraph::from_undirected(&und, shards)
+        ShardedArenaGraph::from_arena(&und, shards)
     }
 
     fn assert_graphs_equal(a: &ShardedArenaGraph, b: &ShardedArenaGraph, what: &str) {
@@ -738,7 +738,7 @@ mod tests {
     #[test]
     fn cluster_drives_the_convergence_seam() {
         let und = generators::star(256);
-        let g = ShardedArenaGraph::from_undirected(&und, 2);
+        let g = ShardedArenaGraph::from_arena(&und, 2);
         let mut check = ComponentwiseComplete::for_graph(&und);
         let mut cluster = ClusterBuilder::new(g, RuleId::Push, 4)
             .spawn()

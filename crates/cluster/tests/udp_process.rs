@@ -15,7 +15,7 @@ use std::net::SocketAddr;
 
 fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
     let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
-    ShardedArenaGraph::from_undirected(&und, shards)
+    ShardedArenaGraph::from_arena(&und, shards)
 }
 
 fn assert_graphs_equal(a: &ShardedArenaGraph, b: &ShardedArenaGraph, what: &str) {
@@ -115,7 +115,7 @@ fn two_host_loopback_grid_is_bit_identical() {
 /// usable after `shutdown`.
 fn converged_cluster_answers_queries() {
     let und = generators::star(512);
-    let g = ShardedArenaGraph::from_undirected(&und, 2);
+    let g = ShardedArenaGraph::from_arena(&und, 2);
     let mut check = gossip_core::ComponentwiseComplete::for_graph(&und);
     let mut cluster = ClusterBuilder::new(g, RuleId::Push, 47)
         .with_mode(TransportMode::Process)

@@ -5,8 +5,9 @@
 //! of an induced subgroup (§1's social-network scenario). Checks may keep
 //! internal state (`&mut self`) so expensive targets can cache.
 
+use crate::diagnostics;
 use crate::process::GossipGraph;
-use gossip_graph::{closure::Closure, BitSet, DirectedGraph, NodeId, UndirectedGraph};
+use gossip_graph::{closure::Closure, ArenaGraph, BitSet, DirectedGraph, NodeId};
 
 /// A convergence predicate evaluated after every round.
 pub trait ConvergenceCheck<G: GossipGraph>: Send {
@@ -28,7 +29,7 @@ pub struct ComponentwiseComplete {
 
 impl ComponentwiseComplete {
     /// Computes the fixed-point edge count for the initial graph `g0`.
-    pub fn for_graph(g0: &UndirectedGraph) -> Self {
+    pub fn for_graph(g0: &ArenaGraph) -> Self {
         ComponentwiseComplete {
             target_m: gossip_graph::components::componentwise_complete_edges(g0),
         }
@@ -40,9 +41,8 @@ impl ComponentwiseComplete {
     }
 }
 
-// The target is a pure edge count, so one implementation serves every
-// undirected backend with an `m()` (the fixed point is still computed
-// from the AdjSet start graph via [`ComponentwiseComplete::for_graph`]).
+// The target is a pure edge count, so one implementation serves both
+// undirected backends.
 macro_rules! impl_componentwise_complete {
     ($($g:ty),+ $(,)?) => {$(
         impl ConvergenceCheck<$g> for ComponentwiseComplete {
@@ -59,11 +59,7 @@ macro_rules! impl_componentwise_complete {
     )+};
 }
 
-impl_componentwise_complete!(
-    UndirectedGraph,
-    gossip_graph::ArenaGraph,
-    gossip_graph::ShardedArenaGraph,
-);
+impl_componentwise_complete!(ArenaGraph, gossip_graph::ShardedArenaGraph);
 
 /// Directed target: the arc set of the transitive closure of `G_0`
 /// (the paper's termination condition in Section 5).
@@ -98,9 +94,10 @@ impl ConvergenceCheck<DirectedGraph> for ClosureReached {
     }
 }
 
-/// Subgroup target: all pairs within `members` adjacent. Counting uses
-/// word-parallel bitset intersections, and is skipped entirely while the
-/// global edge count is too small to possibly contain the clique.
+/// Subgroup target: all pairs within `members` adjacent. Counting tests
+/// each member's row against a membership bitset, and is skipped entirely
+/// while the global edge count is too small to possibly contain the
+/// clique.
 #[derive(Clone, Debug)]
 pub struct SubsetComplete {
     members: Vec<NodeId>,
@@ -126,18 +123,15 @@ impl SubsetComplete {
     }
 }
 
-impl ConvergenceCheck<UndirectedGraph> for SubsetComplete {
-    fn is_converged(&mut self, g: &UndirectedGraph) -> bool {
+impl ConvergenceCheck<ArenaGraph> for SubsetComplete {
+    fn is_converged(&mut self, g: &ArenaGraph) -> bool {
         // Quick reject: the graph as a whole must hold at least C(k,2) edges.
         if 2 * g.m() < self.target_ordered {
             return false;
         }
         let mut ordered = 0u64;
         for &u in &self.members {
-            ordered += g
-                .neighbors(u)
-                .membership()
-                .intersection_count(&self.member_bits) as u64;
+            ordered += diagnostics::degree_into(g, u, &self.member_bits) as u64;
         }
         debug_assert!(ordered <= self.target_ordered);
         ordered == self.target_ordered
@@ -162,8 +156,8 @@ impl MinDegreeAtLeast {
     }
 }
 
-impl ConvergenceCheck<UndirectedGraph> for MinDegreeAtLeast {
-    fn is_converged(&mut self, g: &UndirectedGraph) -> bool {
+impl ConvergenceCheck<ArenaGraph> for MinDegreeAtLeast {
+    fn is_converged(&mut self, g: &ArenaGraph) -> bool {
         // Saturating: `n - 1` underflowed for the 0-node graph, which should
         // (vacuously) satisfy any degree target, like the complete graph.
         g.min_degree() >= self.target.min(g.n().saturating_sub(1))
@@ -203,13 +197,13 @@ mod tests {
         let k4 = generators::complete(4);
         assert!(c.is_converged(&k4));
         // Multiple graph-type impls exist now; pick one to name `describe`.
-        assert!(ConvergenceCheck::<UndirectedGraph>::describe(&c).contains('6'));
+        assert!(ConvergenceCheck::<ArenaGraph>::describe(&c).contains('6'));
     }
 
     #[test]
     fn componentwise_complete_disconnected() {
         // Two components of sizes 2 and 3: fixed point has 1 + 3 edges.
-        let g = UndirectedGraph::from_edges(5, [(0, 1), (2, 3), (3, 4)]);
+        let g = ArenaGraph::from_edges(5, [(0, 1), (2, 3), (3, 4)]);
         let mut c = ComponentwiseComplete::for_graph(&g);
         assert_eq!(c.target_edges(), 4);
         let mut done = g.clone();
@@ -277,7 +271,7 @@ mod tests {
         // Regression: MinDegreeAtLeast computed `n - 1`, underflowing on the
         // 0-node graph. All targets are vacuously met on n ∈ {0, 1}.
         for n in [0usize, 1] {
-            let g = UndirectedGraph::new(n);
+            let g = ArenaGraph::new(n);
             assert!(MinDegreeAtLeast::new(5).is_converged(&g), "n={n}");
             assert!(
                 ComponentwiseComplete::for_graph(&g).is_converged(&g),
@@ -291,7 +285,7 @@ mod tests {
     #[test]
     fn never_is_never() {
         let g = generators::complete(3);
-        assert!(!<Never as ConvergenceCheck<UndirectedGraph>>::is_converged(
+        assert!(!<Never as ConvergenceCheck<ArenaGraph>>::is_converged(
             &mut Never, &g
         ));
     }

@@ -9,7 +9,7 @@
 //! populations evolve.
 
 use gossip_graph::traversal::rings_up_to;
-use gossip_graph::{BitSet, NodeId, UndirectedGraph};
+use gossip_graph::{ArenaGraph, BitSet, NodeId};
 
 /// Tie structure around a focal node `u` at one point in time.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -26,14 +26,17 @@ pub struct TieStats {
 
 /// Number of edges from `v` into the set encoded by `bits` — the paper's
 /// `d_t(v, S)`.
-pub fn degree_into(g: &UndirectedGraph, v: NodeId, bits: &BitSet) -> usize {
-    g.neighbors(v).membership().intersection_count(bits)
+pub fn degree_into(g: &ArenaGraph, v: NodeId, bits: &BitSet) -> usize {
+    g.neighbors(v)
+        .iter()
+        .filter(|w| bits.contains(w.index()))
+        .count()
 }
 
 /// Classifies the neighbors of `u` as strongly/weakly tied to `N²(u)` with
 /// threshold `delta0 / 2` (edges counted against the *current* graph, the
 /// same convention as the proofs).
-pub fn tie_stats(g: &UndirectedGraph, u: NodeId, delta0: usize) -> TieStats {
+pub fn tie_stats(g: &ArenaGraph, u: NodeId, delta0: usize) -> TieStats {
     let rings = rings_up_to(g, u, 2);
     let mut n2_bits = BitSet::new(g.n());
     for &v in &rings[2] {
@@ -61,7 +64,7 @@ pub fn tie_stats(g: &UndirectedGraph, u: NodeId, delta0: usize) -> TieStats {
 /// Fraction of nodes whose two-hop neighborhood is "not too large"
 /// (`|N²(u)| < delta0 / 2`) — the case split of Lemma 10 for the pull
 /// process.
-pub fn small_two_hop_fraction(g: &UndirectedGraph, delta0: usize) -> f64 {
+pub fn small_two_hop_fraction(g: &ArenaGraph, delta0: usize) -> f64 {
     if g.n() == 0 {
         return 0.0;
     }

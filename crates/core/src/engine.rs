@@ -17,14 +17,12 @@
 //!    concatenate in chunk order, so the proposal stream is always exactly
 //!    the node-order stream regardless of scheduling.
 //! 2. **Apply** — the buffers are handed to
-//!    [`GossipGraph::apply_proposals`] as one batch. Insertion-ordered
-//!    backends replay them one at a time in node order (fixing
-//!    adjacency-list insertion order, which makes sequential and parallel
-//!    execution **bit-identical** for all future sampling); the
-//!    arena-backed graph counting-sorts the round's half-edges by
-//!    destination row and merges them row by row, in row order, into its
-//!    sorted rows, which are canonical and therefore bit-identical under
-//!    any schedule by construction.
+//!    [`GossipGraph::apply_proposals`] as one batch. The arena-backed
+//!    graph counting-sorts the round's half-edges by destination row and
+//!    merges them row by row, in row order, into its sorted rows; the
+//!    directed graph replays them one at a time in node order. Rows are
+//!    sorted on every backend, hence canonical, so sequential and parallel
+//!    execution are **bit-identical** under any schedule by construction.
 //!
 //! Compared to the previous design (an `n`-slot `Vec<ProposalSet>` indexed
 //! by node), the flat pipeline stores only proposals that exist (most
@@ -142,7 +140,7 @@ impl Default for Parallelism {
         // Cost model, measured with the staged two-hop propose and the
         // row-ordered arena merge (`benches/round_throughput.rs`, seq rows
         // at 8 rounds/iter, 4n-edge sweep workload, a 2-core box whose
-        // `AdjSet` rows at n = 1024 read in two modes): a full sequential
+        // bitmap-row backend at n = 1024 read in two modes): a full sequential
         // round costs 63–88 ns/node (push) and 68–98 (pull) at n = 1024,
         // 124 and 82 at n = 4096, and on the arena 151 and 145 at
         // n = 4096. The propose phase alone is 25–60 ns/node of that, so
@@ -324,7 +322,7 @@ mod tests {
     use super::*;
     use crate::convergence::{ComponentwiseComplete, Never};
     use crate::rules::{Pull, Push};
-    use gossip_graph::{generators, UndirectedGraph};
+    use gossip_graph::{generators, ArenaGraph};
 
     #[test]
     fn push_completes_a_path() {
@@ -400,11 +398,11 @@ mod tests {
             }
             // Not just counts — identical edge sets AND identical adjacency
             // list order (guaranteed by ordered application).
-            let a: &UndirectedGraph = seq.graph();
-            let b: &UndirectedGraph = par.graph();
+            let a: &ArenaGraph = seq.graph();
+            let b: &ArenaGraph = par.graph();
             assert!(a.same_edges(b));
             for u in a.nodes() {
-                assert_eq!(a.neighbors(u).as_slice(), b.neighbors(u).as_slice());
+                assert_eq!(a.neighbors(u), b.neighbors(u));
             }
         }
     }

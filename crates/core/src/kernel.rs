@@ -139,8 +139,8 @@ impl<G: UniformNeighbors + ?Sized> NodeView for GraphView<'_, G> {
 pub struct LocalView<'a> {
     /// The acting node.
     pub me: NodeId,
-    /// Its contact row (arrival order for `Knowledge`, insertion order for
-    /// `AdjSet`-backed simulator nodes).
+    /// Its contact row (arrival order for `Knowledge`, ascending id order
+    /// for `gossip-net` peers).
     pub contacts: &'a [NodeId],
 }
 

@@ -480,7 +480,7 @@ mod tests {
             (RoundPhase::Flush, 3),
             (RoundPhase::Drain, 4),
         ] {
-            RoundListener::<gossip_graph::UndirectedGraph>::on_phase(
+            RoundListener::<gossip_graph::ArenaGraph>::on_phase(
                 &mut acc,
                 &PhaseEvent {
                     round: 1,

@@ -341,7 +341,7 @@ pub mod fixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_graph::{generators, ArenaGraph};
+    use gossip_graph::generators;
 
     fn burst_cfg() -> ChurnBursts {
         ChurnBursts {
@@ -395,7 +395,7 @@ mod tests {
                 },
             ),
         ]);
-        let mut g = ArenaGraph::from_undirected(&generators::complete(4));
+        let mut g = generators::complete(4);
         let m0 = g.m();
 
         let d0 = plan.apply_due(0, &mut g);
@@ -433,7 +433,7 @@ mod tests {
             (1, MembershipEvent::Leave { node: NodeId(0) }),
             (2, MembershipEvent::Leave { node: NodeId(1) }),
         ]);
-        let mut g = ArenaGraph::from_undirected(&generators::complete(4));
+        let mut g = generators::complete(4);
         let d = plan.apply_due(5, &mut g);
         assert_eq!(d.leaves, 2);
         g.validate().unwrap();
@@ -482,11 +482,7 @@ mod tests {
     fn bursts_replay_on_a_graph_preserves_validity() {
         let cfg = burst_cfg();
         let mut plan = MembershipPlan::bursts(&cfg);
-        let mut g = ArenaGraph::from_undirected(&generators::tree_plus_random_edges(
-            64,
-            128,
-            &mut stream_rng(9, 0, 0),
-        ));
+        let mut g = generators::tree_plus_random_edges(64, 128, &mut stream_rng(9, 0, 0));
         let horizon = plan.last_round().unwrap();
         for r in 0..=horizon {
             plan.apply_due(r, &mut g);

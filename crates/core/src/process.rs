@@ -8,7 +8,7 @@
 //! processes.
 
 use crate::rng::stream_rng;
-use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph};
+use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
 use rand::rngs::SmallRng;
 use std::ops::Range;
 
@@ -96,11 +96,11 @@ pub trait GossipGraph: Clone + Send + Sync {
     /// in node order. `on_new(proposer, a, b)` fires once per edge that
     /// actually changed the graph, in proposal order.
     ///
-    /// The default applies proposals one at a time in order — exactly the
-    /// classic apply loop, so adjacency *insertion order* (the sampling
-    /// surface of insertion-ordered backends like [`UndirectedGraph`]) is
-    /// byte-for-byte what it always was. Backends with a canonical layout
-    /// ([`ArenaGraph`]) override this with a row-ordered batch merge.
+    /// The default applies proposals one at a time in order — the classic
+    /// apply loop, which [`DirectedGraph`] and (under the plain engine)
+    /// [`ShardedArenaGraph`] run. [`ArenaGraph`] overrides it with a
+    /// row-ordered batch merge; rows are canonical, so both give the same
+    /// graph and the same `on_new` sequence.
     fn apply_proposals(
         &mut self,
         bufs: &[Vec<TaggedProposal>],
@@ -125,7 +125,7 @@ pub trait GossipGraph: Clone + Send + Sync {
     /// [`GossipGraph::admit_member`]. Returns the number of edges removed.
     ///
     /// The default panics: dynamic membership is opt-in per backend (the
-    /// undirected and arena-backed graphs support it; the directed variant
+    /// arena-backed graphs, sharded or not, support it; the directed variant
     /// does not participate in churn workloads).
     fn remove_member(&mut self, u: NodeId) -> u64 {
         let _ = u;
@@ -138,24 +138,6 @@ pub trait GossipGraph: Clone + Send + Sync {
     /// through [`GossipGraph::apply_edge`], which every backend supports.
     fn admit_member(&mut self, u: NodeId, contacts: &[NodeId]) -> u64 {
         contacts.iter().map(|&v| self.apply_edge(u, v) as u64).sum()
-    }
-}
-
-impl GossipGraph for UndirectedGraph {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    #[inline]
-    fn apply_edge(&mut self, a: NodeId, b: NodeId) -> bool {
-        self.add_edge(a, b)
-    }
-    #[inline]
-    fn edge_count(&self) -> u64 {
-        self.m()
-    }
-    fn remove_member(&mut self, u: NodeId) -> u64 {
-        self.remove_member(u)
     }
 }
 
@@ -305,7 +287,7 @@ mod tests {
 
     #[test]
     fn gossip_graph_undirected_apply() {
-        let mut g = UndirectedGraph::new(3);
+        let mut g = ArenaGraph::new(3);
         assert!(g.apply_edge(NodeId(0), NodeId(1)));
         assert!(!g.apply_edge(NodeId(1), NodeId(0)));
         assert!(!g.apply_edge(NodeId(2), NodeId(2)));

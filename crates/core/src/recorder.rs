@@ -24,7 +24,7 @@
 
 use crate::listener::{RoundControl, RoundEvent, RoundListener};
 use crate::process::RoundStats;
-use gossip_graph::UndirectedGraph;
+use gossip_graph::ArenaGraph;
 
 /// One sampled row of an undirected run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -67,7 +67,7 @@ impl SeriesRecorder {
     }
 
     /// Observes round `round` (1-based) with the post-round graph.
-    pub fn observe(&mut self, round: u64, g: &UndirectedGraph, stats: &RoundStats) {
+    pub fn observe(&mut self, round: u64, g: &ArenaGraph, stats: &RoundStats) {
         if round == 1 || round.is_multiple_of(self.stride) {
             self.rows.push(SeriesRow {
                 round,
@@ -80,8 +80,8 @@ impl SeriesRecorder {
     }
 }
 
-impl RoundListener<UndirectedGraph> for SeriesRecorder {
-    fn on_round(&mut self, ev: &RoundEvent<'_, UndirectedGraph>) -> RoundControl {
+impl RoundListener<ArenaGraph> for SeriesRecorder {
+    fn on_round(&mut self, ev: &RoundEvent<'_, ArenaGraph>) -> RoundControl {
         self.observe(ev.round, ev.graph, &ev.stats);
         RoundControl::Continue
     }
@@ -127,7 +127,7 @@ impl MinDegreeMilestones {
     }
 
     /// Observes round `round` (1-based) with the post-round graph.
-    pub fn observe(&mut self, round: u64, g: &UndirectedGraph, _stats: &RoundStats) {
+    pub fn observe(&mut self, round: u64, g: &ArenaGraph, _stats: &RoundStats) {
         if self.capped {
             return; // ceiling milestone already recorded; nothing can change
         }
@@ -149,8 +149,8 @@ impl MinDegreeMilestones {
     }
 }
 
-impl RoundListener<UndirectedGraph> for MinDegreeMilestones {
-    fn on_round(&mut self, ev: &RoundEvent<'_, UndirectedGraph>) -> RoundControl {
+impl RoundListener<ArenaGraph> for MinDegreeMilestones {
+    fn on_round(&mut self, ev: &RoundEvent<'_, ArenaGraph>) -> RoundControl {
         self.observe(ev.round, ev.graph, &ev.stats);
         RoundControl::Continue
     }
@@ -220,9 +220,9 @@ mod tests {
         // Regression: the degree cap computed `n - 1`, underflowing on the
         // 0-node graph.
         use crate::process::RoundStats;
-        use gossip_graph::UndirectedGraph;
+        use gossip_graph::ArenaGraph;
         for n in [0usize, 1] {
-            let g = UndirectedGraph::new(n);
+            let g = ArenaGraph::new(n);
             let mut ms = MinDegreeMilestones::new(1, 2.0);
             // Degree starts at the (zero) ceiling: exactly one milestone no
             // matter how many rounds keep observing.

@@ -198,7 +198,7 @@ impl ProtocolKernel for AnyKernel {
 mod tests {
     use super::*;
     use crate::process::ProposalRule;
-    use gossip_graph::UndirectedGraph;
+    use gossip_graph::ArenaGraph;
 
     #[test]
     fn parse_roundtrips_every_rule() {
@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn with_rule_binds_the_matching_rule() {
         for id in RuleId::ALL {
-            let name = with_rule!(id, |rule| ProposalRule::<UndirectedGraph>::name(&rule));
+            let name = with_rule!(id, |rule| ProposalRule::<ArenaGraph>::name(&rule));
             assert_eq!(name, id.name());
         }
     }

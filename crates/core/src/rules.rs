@@ -22,9 +22,8 @@ use std::ops::Range;
 /// is possible and then nothing happens. `u` needs no two-hop knowledge: it
 /// introduces two of its own neighbors to each other.
 ///
-/// Generic over [`UniformNeighbors`], so the same rule drives the
-/// `AdjSet`-backed [`gossip_graph::UndirectedGraph`] and the arena-backed
-/// [`gossip_graph::ArenaGraph`].
+/// Generic over [`UniformNeighbors`], so the same rule drives
+/// [`gossip_graph::ArenaGraph`] and [`gossip_graph::ShardedArenaGraph`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Push;
 
@@ -172,7 +171,7 @@ impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for HybridPushPull {
 mod tests {
     use super::*;
     use crate::rng::stream_rng;
-    use gossip_graph::{generators, UndirectedGraph};
+    use gossip_graph::{generators, ArenaGraph};
 
     #[test]
     fn push_proposes_edges_between_own_neighbors() {
@@ -217,7 +216,7 @@ mod tests {
 
     #[test]
     fn pull_on_isolated_node_is_noop() {
-        let g = UndirectedGraph::new(3);
+        let g = ArenaGraph::new(3);
         let mut rng = stream_rng(4, 0, 0);
         assert!(Pull.propose(&g, NodeId(0), &mut rng).is_empty());
         assert!(Push.propose(&g, NodeId(0), &mut rng).is_empty());
@@ -261,15 +260,12 @@ mod tests {
 
     #[test]
     fn rule_names() {
-        assert_eq!(ProposalRule::<UndirectedGraph>::name(&Push), "push");
-        assert_eq!(ProposalRule::<UndirectedGraph>::name(&Pull), "pull");
+        assert_eq!(ProposalRule::<ArenaGraph>::name(&Push), "push");
+        assert_eq!(ProposalRule::<ArenaGraph>::name(&Pull), "pull");
         assert_eq!(
             ProposalRule::<DirectedGraph>::name(&DirectedPull),
             "directed-pull"
         );
-        assert_eq!(
-            ProposalRule::<UndirectedGraph>::name(&HybridPushPull),
-            "hybrid"
-        );
+        assert_eq!(ProposalRule::<ArenaGraph>::name(&HybridPushPull), "hybrid");
     }
 }

@@ -36,8 +36,7 @@ struct Snap {
 }
 
 fn start_graph(pair: (u64, u64)) -> ArenaGraph {
-    let und = generators::tree_plus_random_edges(N, N as u64, &mut stream_rng(pair.0, 0, 0));
-    ArenaGraph::from_undirected(&und)
+    generators::tree_plus_random_edges(N, N as u64, &mut stream_rng(pair.0, 0, 0))
 }
 
 fn plan(pair: (u64, u64)) -> MembershipPlan {

@@ -3,7 +3,7 @@
 //! The engine's contract is that scheduling never affects results: the
 //! sequential path, the pool-parallel path, and any `Parallelism::Auto`
 //! mixture must produce bit-identical graphs (same edge sets *and* same
-//! adjacency insertion order), and reusing the process-global worker pool
+//! rows), and reusing the process-global worker pool
 //! across consecutive runs or experiments must leak no state between them.
 //!
 //! The sharded engine (`gossip-shard`, a dev-dependency here) extends the
@@ -18,7 +18,7 @@ use gossip_core::{
     ChurnBursts, ComponentwiseComplete, Engine, MembershipPlan, Never, Parallelism, Pull, Push,
     RunOutcome,
 };
-use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph};
 use gossip_shard::ShardedEngine;
 
 /// The `Auto` threshold the engine ships with.
@@ -31,12 +31,12 @@ fn default_threshold() -> usize {
 
 /// Asserts two graphs are bit-identical for all future sampling: same edge
 /// set and same per-node adjacency order.
-fn assert_bit_identical(a: &UndirectedGraph, b: &UndirectedGraph, ctx: &str) {
+fn assert_bit_identical(a: &ArenaGraph, b: &ArenaGraph, ctx: &str) {
     assert!(a.same_edges(b), "{ctx}: edge sets differ");
     for u in a.nodes() {
         assert_eq!(
-            a.neighbors(u).as_slice(),
-            b.neighbors(u).as_slice(),
+            a.neighbors(u),
+            b.neighbors(u),
             "{ctx}: adjacency order differs at {u:?}"
         );
     }
@@ -92,7 +92,7 @@ fn pool_reuse_across_experiments_leaks_no_state() {
     let mk =
         |seed: u64| generators::tree_plus_random_edges(n, n as u64, &mut stream_rng(seed, 0, 0));
 
-    let run = |g: &UndirectedGraph, seed: u64| -> (u64, UndirectedGraph) {
+    let run = |g: &ArenaGraph, seed: u64| -> (u64, ArenaGraph) {
         let mut e = Engine::new(g.clone(), Push, seed).with_parallelism(Parallelism::Parallel);
         let out = e.run_until(&mut Never, 25);
         (out.final_edges, e.into_graph())
@@ -129,7 +129,7 @@ fn assert_arena_bit_identical(a: &ArenaGraph, b: &ArenaGraph, ctx: &str) {
 fn arena_backend_seq_and_pool_bit_identical_across_auto_threshold() {
     // The tentpole backend: the flat pipeline's batch apply must leave the
     // arena graph bit-identical across scheduling policies, straddling the
-    // Auto threshold just like the AdjSet suite above.
+    // Auto threshold just like the suite above.
     fn run<R>(g: &ArenaGraph, rule: R, par: Parallelism) -> ArenaGraph
     where
         R: gossip_core::ProposalRule<ArenaGraph>,
@@ -142,8 +142,7 @@ fn arena_backend_seq_and_pool_bit_identical_across_auto_threshold() {
     }
     let threshold = default_threshold();
     for n in [threshold - 1, threshold, threshold + 1] {
-        let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(42, 0, 0));
-        let g = ArenaGraph::from_undirected(&und);
+        let g = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(42, 0, 0));
         for policy in [Parallelism::Parallel, Parallelism::default()] {
             assert_arena_bit_identical(
                 &run(&g, Push, Parallelism::Sequential),
@@ -165,8 +164,7 @@ fn arena_backend_step_stats_match_across_policies() {
     // final graph: the batch dedup path counts exactly what the
     // one-at-a-time path counts.
     let n = default_threshold() + 33;
-    let und = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(8, 0, 0));
-    let g = ArenaGraph::from_undirected(&und);
+    let g = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(8, 0, 0));
     let mut seq = Engine::new(g.clone(), Push, 5).with_parallelism(Parallelism::Sequential);
     let mut par = Engine::new(g, Push, 5).with_parallelism(Parallelism::Parallel);
     for round in 0..8 {
@@ -177,8 +175,7 @@ fn arena_backend_step_stats_match_across_policies() {
 #[test]
 fn arena_backend_pool_reuse_across_runs_leaks_no_state() {
     let n = default_threshold() + 100;
-    let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(7, 0, 0));
-    let g = ArenaGraph::from_undirected(&und);
+    let g = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(7, 0, 0));
 
     let mut resumed = Engine::new(g.clone(), Pull, 5).with_parallelism(Parallelism::Parallel);
     resumed.run_until(&mut Never, 3);
@@ -255,8 +252,7 @@ fn sharded_engine_bit_identical_to_sequential_across_shard_counts() {
     }
     let threshold = default_threshold();
     for n in [threshold - 1, threshold + 177] {
-        let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(21, 0, 0));
-        let arena = ArenaGraph::from_undirected(&und);
+        let arena = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(21, 0, 0));
         check_rule(&arena, Push, Push, "push", n);
         check_rule(&arena, Pull, Pull, "pull", n);
     }
@@ -269,7 +265,7 @@ fn sharded_engine_matches_plain_engine_on_sharded_backend() {
     // three implementations must tell the same story.
     let n = default_threshold() + 41;
     let und = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(13, 0, 0));
-    let g = ShardedArenaGraph::from_undirected(&und, 8);
+    let g = ShardedArenaGraph::from_arena(&und, 8);
     let mut oracle = Engine::new(g.clone(), Push, 7).with_parallelism(Parallelism::Sequential);
     let mut sharded = ShardedEngine::new(g, Push, 7);
     for round in 0..6 {
@@ -288,7 +284,7 @@ fn sharded_engine_matches_plain_engine_on_sharded_backend() {
 fn sharded_engine_pool_reuse_across_runs_leaks_no_state() {
     let n = default_threshold() + 100;
     let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(7, 0, 0));
-    let g = ShardedArenaGraph::from_undirected(&und, 8);
+    let g = ShardedArenaGraph::from_arena(&und, 8);
 
     let mut resumed = ShardedEngine::new(g.clone(), Pull, 5);
     resumed.run_until(&mut Never, 3);
@@ -333,8 +329,7 @@ fn churned_sharded_engine_bit_identical_to_sequential() {
     // membership stats all equal — even while leaves tombstone rows and
     // compaction rewrites the slab mid-run.
     let n = 1500;
-    let und = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(77, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
+    let arena = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(77, 0, 0));
     let plan = compaction_straddling_plan(n, 0xC4A2);
 
     let mut seq = Engine::new(arena.clone(), Push, 99)
@@ -378,7 +373,7 @@ fn churned_plain_engine_on_sharded_backend_agrees() {
     // hosts the seam.
     let n = 900;
     let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(31, 0, 0));
-    let g = ShardedArenaGraph::from_undirected(&und, 4);
+    let g = ShardedArenaGraph::from_arena(&und, 4);
     let plan = compaction_straddling_plan(n, 0x51DE);
 
     let mut oracle = Engine::new(g.clone(), Push, 7)
@@ -404,8 +399,7 @@ fn churned_pull_rule_agrees_across_engines() {
     // Pull consults peer rows (two-sided reads), so a departed node's
     // emptied row must be observed identically by both engines' kernels.
     let n = 700;
-    let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(5, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
+    let arena = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(5, 0, 0));
     let plan = compaction_straddling_plan(n, 0xA11CE);
 
     let mut seq = Engine::new(arena.clone(), Pull, 3)
@@ -453,8 +447,7 @@ fn transport_engine_bit_identical_to_sequential_across_shard_counts() {
     use gossip_shard::transport::TransportBuilder;
 
     let n = default_threshold() + 177;
-    let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(21, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
+    let arena = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(21, 0, 0));
     for rule in [RuleId::Push, RuleId::Pull] {
         let (stats_ref, final_ref) = gossip_core::with_rule!(rule, |r| {
             let mut e = Engine::new(arena.clone(), r, 99).with_parallelism(Parallelism::Sequential);
@@ -496,8 +489,7 @@ fn churned_transport_engine_bit_identical_to_sequential() {
     use gossip_shard::transport::TransportBuilder;
 
     let n = 1500;
-    let und = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(77, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
+    let arena = generators::tree_plus_random_edges(n, 3 * n as u64, &mut stream_rng(77, 0, 0));
     let plan = compaction_straddling_plan(n, 0xC4A2);
 
     let mut seq = Engine::new(arena.clone(), Push, 99)
@@ -542,8 +534,7 @@ fn cluster_datagram_transport_is_bit_identical_across_loss_rates() {
         1 << 12
     };
     let rounds = 5u64;
-    let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(12, 0, 0));
-    let arena = ArenaGraph::from_undirected(&und);
+    let arena = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(12, 0, 0));
     let mut seq =
         Engine::new(arena.clone(), Pull, 20260807).with_parallelism(Parallelism::Sequential);
     let stats_ref: Vec<_> = (0..rounds).map(|_| seq.step()).collect();

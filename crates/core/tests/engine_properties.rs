@@ -6,11 +6,11 @@ use gossip_core::{
     ComponentwiseComplete, ConvergenceCheck, DiscoveryTrace, Engine, Faulty, HybridPushPull,
     Parallelism, Partial, ProposalRule, Pull, Push,
 };
-use gossip_graph::{generators, NodeId, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph, NodeId};
 use proptest::prelude::*;
 use rand::Rng;
 
-fn random_connected(seed: u64, n: usize, extra: usize) -> UndirectedGraph {
+fn random_connected(seed: u64, n: usize, extra: usize) -> ArenaGraph {
     let mut rng = stream_rng(seed, 0, 0);
     let mut g = generators::random_tree(n, &mut rng);
     for _ in 0..extra {
@@ -30,8 +30,8 @@ proptest! {
     #[test]
     fn all_rules_seq_par_equivalent(seed in any::<u64>(), n in 4usize..32) {
         let g = random_connected(seed, n, n / 2);
-        fn check<R: ProposalRule<UndirectedGraph> + Clone>(
-            g: &UndirectedGraph,
+        fn check<R: ProposalRule<ArenaGraph> + Clone>(
+            g: &ArenaGraph,
             rule: R,
             seed: u64,
         ) -> Result<(), TestCaseError> {

@@ -19,8 +19,7 @@ use gossip_core::{
     RuleId, TaggedProposal,
 };
 use gossip_graph::{
-    generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph,
-    UniformNeighbors,
+    generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UniformNeighbors,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -28,7 +27,7 @@ use rand::Rng;
 
 /// The pre-kernel push: draw `v, w` i.i.d. from the own row, propose
 /// `(v, w)` unless they coincide.
-fn legacy_push(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
+fn legacy_push(g: &ArenaGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
     let row = g.neighbor_row(u);
     if row.is_empty() {
         return ProposalSet::empty();
@@ -44,7 +43,7 @@ fn legacy_push(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSe
 
 /// The pre-kernel pull: two-hop walk `u -> v -> w`, propose `(u, w)`
 /// unless the walk returns home.
-fn legacy_pull(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
+fn legacy_pull(g: &ArenaGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
     let row = g.neighbor_row(u);
     if row.is_empty() {
         return ProposalSet::empty();
@@ -64,7 +63,7 @@ fn legacy_pull(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSe
 
 /// The pre-kernel hybrid: push draws first, then the pull walk, on the
 /// same RNG.
-fn legacy_hybrid(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
+fn legacy_hybrid(g: &ArenaGraph, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
     let row = g.neighbor_row(u);
     if row.is_empty() {
         return ProposalSet::empty();
@@ -86,7 +85,7 @@ fn legacy_hybrid(g: &UndirectedGraph, u: NodeId, rng: &mut SmallRng) -> Proposal
     out
 }
 
-fn random_connected(seed: u64, n: usize, extra: usize) -> UndirectedGraph {
+fn random_connected(seed: u64, n: usize, extra: usize) -> ArenaGraph {
     let mut rng = stream_rng(seed, 0, 0);
     let mut g = generators::random_tree(n, &mut rng);
     for _ in 0..extra {
@@ -102,14 +101,14 @@ fn random_connected(seed: u64, n: usize, extra: usize) -> UndirectedGraph {
 /// Every node, several rounds: the kernelized rule and the legacy path
 /// must emit identical proposals from identically-seeded streams.
 fn assert_equivalent<R, L>(
-    g: &UndirectedGraph,
+    g: &ArenaGraph,
     rule: R,
     legacy: L,
     seed: u64,
 ) -> Result<(), TestCaseError>
 where
-    R: ProposalRule<UndirectedGraph>,
-    L: Fn(&UndirectedGraph, NodeId, &mut SmallRng) -> ProposalSet,
+    R: ProposalRule<ArenaGraph>,
+    L: Fn(&ArenaGraph, NodeId, &mut SmallRng) -> ProposalSet,
 {
     for round in 0..4u64 {
         for u in 0..g.n() {
@@ -150,7 +149,7 @@ proptest! {
 fn isolated_nodes_propose_nothing_and_draw_nothing() {
     // Saturation edges: the empty graph and graphs of isolated nodes.
     for n in [0usize, 1, 3] {
-        let g = UndirectedGraph::new(n);
+        let g = ArenaGraph::new(n);
         for u in 0..n {
             let u = NodeId::new(u);
             let mut rng = stream_rng(7, 0, u.0 as u64);
@@ -175,7 +174,7 @@ fn isolated_nodes_propose_nothing_and_draw_nothing() {
 fn single_edge_graph_saturates_to_no_op() {
     // n = 2: both rows are {the other node}; push must always collide
     // (v == w) and pull must always walk home — silent forever.
-    let g = UndirectedGraph::from_edges(2, [(0, 1)]);
+    let g = ArenaGraph::from_edges(2, [(0, 1)]);
     for seed in 0..32u64 {
         for u in [NodeId(0), NodeId(1)] {
             let mut rng = stream_rng(seed, 0, u.0 as u64);
@@ -232,21 +231,19 @@ fn assert_range_is_the_node_loop<G: GossipGraph, R: ProposalRule<G>>(g: &G, rule
 fn propose_range_equals_the_per_node_loop_on_every_backend() {
     for n in [0usize, 1, 2, 63, 64, 65, 1025] {
         for seed in [3u64, 20260807] {
-            let mut und = if n == 0 {
-                UndirectedGraph::new(0)
+            let mut arena = if n == 0 {
+                ArenaGraph::new(0)
             } else {
                 random_connected(seed, n, n / 2)
             };
             // Every seventh node leaves: its row is empty, and nobody's
             // walk can reach it.
             for u in (0..n).step_by(7) {
-                und.remove_member(NodeId::new(u));
+                arena.remove_member(NodeId::new(u));
             }
-            let arena = ArenaGraph::from_undirected(&und);
-            let sharded = ShardedArenaGraph::from_undirected(&und, 2);
+            let sharded = ShardedArenaGraph::from_arena(&arena, 2);
             for id in RuleId::ALL {
                 with_rule!(id, |rule| {
-                    assert_range_is_the_node_loop(&und, &rule, seed);
                     assert_range_is_the_node_loop(&arena, &rule, seed);
                     assert_range_is_the_node_loop(&sharded, &rule, seed);
                 });

@@ -1,10 +1,9 @@
 //! Arena-backed adjacency storage for million-node runs.
 //!
-//! The [`AdjSet`](crate::AdjSet) layout pairs every node with an `n`-bit
-//! membership bitmap, so an `n`-node graph costs `n²/8` bytes before a
+//! An `n`-bit membership bitmap per node would cost `n²/8` bytes before a
 //! single edge exists — two gigabytes at `n = 2^17` and out of reach at
-//! `n = 2^20`. The structures here replace that with **one contiguous edge
-//! arena** shared by all nodes:
+//! `n = 2^20`. The structures here keep every node's list in **one
+//! contiguous edge arena** shared by all nodes instead:
 //!
 //! * [`SliceArena`] — a slab of per-node growable slices living in a single
 //!   `Vec<NodeId>`. A node's list occupies `data[start[u] .. start[u]+len[u]]`
@@ -19,9 +18,9 @@
 //!   [`ArenaGraph::apply_batch`] and the sharded segments both end in).
 //!
 //! Memory is `O(m + n)` — `4` bytes per stored half-edge plus fixed per-node
-//! bookkeeping — restoring the paper's large-`n` regime: the same machine
-//! that tops out near `n = 2^17` on the bitmap layout runs `n = 2^20`
-//! comfortably on the arena (see `gossip-bench`'s `run_all --only E15`).
+//! bookkeeping — restoring the paper's large-`n` regime: a machine that
+//! would top out near `n = 2^17` on bitmap rows runs `n = 2^20` comfortably
+//! on the arena (see `gossip-bench`'s `run_all --only E15`).
 //!
 //! # Why determinism survives compaction order under churn
 //!
@@ -46,26 +45,24 @@
 
 use crate::bitset::BitSet;
 use crate::node::{Edge, NodeId};
-use crate::undirected::UndirectedGraph;
 use rand::Rng;
 
 /// Uniform random access to a graph's neighbor lists — the only interface
 /// the paper's undirected proposal rules need (node enumeration belongs to
 /// the engine's `GossipGraph`, so it is deliberately not duplicated here).
-/// Implemented by the mutable [`UndirectedGraph`], by [`ArenaGraph`], and
+/// Implemented by [`ArenaGraph`], by [`crate::ShardedArenaGraph`], and
 /// (over out-edges) by [`crate::DirectedGraph`], so one generic rule runs
 /// on any backend.
 ///
 /// The trait is *row-based*: a backend exposes each node's neighbor list as
-/// a slice in its native sampling order, and the sampling methods are
+/// a slice, and the sampling methods are
 /// provided on top of it (guard empty, then one `random_range` draw per
 /// neighbor). This keeps every backend's draw sequence identical by
 /// construction, which is what lets the protocol kernels in `gossip-core`
 /// replay the exact same RNG stream through an index-choosing seam.
 pub trait UniformNeighbors {
-    /// The neighbor list of `u` in the backend's sampling order (insertion
-    /// order for `AdjSet`-backed graphs, sorted row order for the arenas;
-    /// out-neighbors for directed graphs).
+    /// The neighbor list of `u`, in ascending id order (out-neighbors for
+    /// directed graphs).
     fn neighbor_row(&self, u: NodeId) -> &[NodeId];
 
     /// Uniformly random neighbor of `u`, or `None` if `u` is isolated.
@@ -95,13 +92,6 @@ pub trait UniformNeighbors {
             let j = rng.random_range(0..row.len());
             Some((row[i], row[j]))
         }
-    }
-}
-
-impl UniformNeighbors for UndirectedGraph {
-    #[inline]
-    fn neighbor_row(&self, u: NodeId) -> &[NodeId] {
-        self.neighbors(u).as_slice()
     }
 }
 
@@ -507,10 +497,10 @@ fn compacted(len: usize) -> usize {
     len.saturating_add(len / 8).max(len.saturating_add(1))
 }
 
-/// An undirected graph with **sorted** arena-backed adjacency.
+/// An undirected graph with **sorted** arena-backed adjacency: the graph
+/// every undirected process in the workspace runs on.
 ///
-/// Drop-in counterpart of [`UndirectedGraph`] for the discovery engine's
-/// hot path at large `n`: `O(m + n)` memory, O(log deg) edge membership,
+/// `O(m + n)` memory, O(log deg) edge membership,
 /// O(1) uniform neighbor sampling, and a batch edge-application entry point
 /// ([`ArenaGraph::apply_batch`]) that merges a whole round of proposals in
 /// one row-ordered pass. Neighbor lists are kept in ascending id order —
@@ -542,24 +532,13 @@ impl ArenaGraph {
     }
 
     /// Builds a graph from an edge list (duplicates ignored, self-loop
-    /// requests are no-ops — matching [`UndirectedGraph::from_edges`] minus
-    /// its self-loop panic, since the engine's degenerate draws route
-    /// through the same path).
+    /// requests are no-ops, like the engine's degenerate draws).
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
         let mut g = ArenaGraph::new(n);
         for (a, b) in edges {
             g.add_edge(NodeId(a), NodeId(b));
         }
         g
-    }
-
-    /// Snapshots an [`UndirectedGraph`] into the arena layout.
-    pub fn from_undirected(g: &UndirectedGraph) -> Self {
-        let mut out = ArenaGraph::new(g.n());
-        for e in g.edges() {
-            out.add_edge(e.a, e.b);
-        }
-        out
     }
 
     /// Number of nodes.
@@ -593,6 +572,30 @@ impl ArenaGraph {
         self.adj.len(u.index())
     }
 
+    /// The degree sequence, indexed by node.
+    pub fn degrees(&self) -> Vec<usize> {
+        self.nodes().map(|u| self.degree(u)).collect()
+    }
+
+    /// Minimum degree over all nodes (`0` for the graph on 0 nodes).
+    pub fn min_degree(&self) -> usize {
+        self.nodes().map(|u| self.degree(u)).min().unwrap_or(0)
+    }
+
+    /// Maximum degree over all nodes.
+    pub fn max_degree(&self) -> usize {
+        self.nodes().map(|u| self.degree(u)).max().unwrap_or(0)
+    }
+
+    /// Mean degree (`2m / n`; `0` for the graph on 0 nodes).
+    pub fn mean_degree(&self) -> f64 {
+        if self.n() == 0 {
+            0.0
+        } else {
+            2.0 * self.m as f64 / self.n() as f64
+        }
+    }
+
     /// Neighbors of `u`, in ascending id order.
     #[inline]
     pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
@@ -619,6 +622,17 @@ impl ArenaGraph {
         } else {
             false
         }
+    }
+
+    /// Removes edge `(u, v)`; returns `true` if it existed. O(deg).
+    pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
+        if !self.adj.remove_sorted(u.index(), v) {
+            return false;
+        }
+        let removed = self.adj.remove_sorted(v.index(), u);
+        debug_assert!(removed, "asymmetric adjacency");
+        self.m -= 1;
+        true
     }
 
     /// Applies one round's proposals in one row-ordered merge
@@ -720,6 +734,39 @@ impl ArenaGraph {
                 .filter(move |&v| u < v)
                 .map(move |v| Edge::new(u, v))
         })
+    }
+
+    /// Extracts the subgraph induced by `nodes`, relabelling nodes to
+    /// `0..nodes.len()` in the order given. Returns the subgraph and the
+    /// mapping from new ids back to original ids.
+    ///
+    /// # Panics
+    /// Panics if `nodes` contains duplicates.
+    pub fn induced_subgraph(&self, nodes: &[NodeId]) -> (ArenaGraph, Vec<NodeId>) {
+        let mut new_id = vec![u32::MAX; self.n()];
+        for (i, &u) in nodes.iter().enumerate() {
+            assert_eq!(new_id[u.index()], u32::MAX, "duplicate node {u:?}");
+            new_id[u.index()] = i as u32;
+        }
+        let mut sub = ArenaGraph::new(nodes.len());
+        for (i, &u) in nodes.iter().enumerate() {
+            for &v in self.neighbors(u) {
+                let nv = new_id[v.index()];
+                if nv != u32::MAX && nv > i as u32 {
+                    sub.add_edge(NodeId(i as u32), NodeId(nv));
+                }
+            }
+        }
+        (sub, nodes.to_vec())
+    }
+
+    /// Whether `other` has the same node count and edge set (rows are
+    /// canonical, so that is row-for-row equality).
+    pub fn same_edges(&self, other: &ArenaGraph) -> bool {
+        self.n() == other.n()
+            && self
+                .nodes()
+                .all(|u| self.neighbors(u) == other.neighbors(u))
     }
 
     /// Bytes held by the adjacency storage (deterministic, length-based —
@@ -1295,26 +1342,23 @@ mod tests {
 
     #[test]
     fn arena_graph_matches_undirected_on_same_edges() {
+        // Against the reference undirected graph: one ordered set per node.
         let mut rng = SmallRng::seed_from_u64(7);
         let n = 50;
-        let edges: Vec<(u32, u32)> = (0..400)
-            .map(|_| (rng.random_range(0..n as u32), rng.random_range(0..n as u32)))
-            .filter(|(a, b)| a != b)
-            .collect();
-        let mut und = UndirectedGraph::new(n);
+        let mut model: Vec<BTreeSet<NodeId>> = vec![BTreeSet::new(); n];
         let mut arena = ArenaGraph::new(n);
-        for &(a, b) in &edges {
+        for _ in 0..400 {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            let new = a != b && model[a].insert(NodeId::new(b)) && model[b].insert(NodeId::new(a));
             assert_eq!(
-                und.add_edge(NodeId(a), NodeId(b)),
-                arena.add_edge(NodeId(a), NodeId(b)),
+                arena.add_edge(NodeId::new(a), NodeId::new(b)),
+                new,
                 "insert verdicts diverge on ({a},{b})"
             );
         }
-        assert_eq!(und.m(), arena.m());
-        for u in und.nodes() {
-            let mut want: Vec<NodeId> = und.neighbors(u).iter().collect();
-            want.sort_unstable();
-            assert_eq!(arena.neighbors(u), &want[..], "row {u:?}");
+        assert_eq!(2 * arena.m(), model.iter().map(|r| r.len() as u64).sum());
+        for u in arena.nodes() {
+            assert!(arena.neighbors(u).iter().eq(&model[u.index()]), "row {u:?}");
         }
         arena.validate().unwrap();
     }
@@ -1429,13 +1473,12 @@ mod tests {
 
     #[test]
     fn from_undirected_roundtrip() {
-        let und =
+        // A generator's graph rebuilt from its own edge list is itself.
+        let g =
             crate::generators::tree_plus_random_edges(100, 250, &mut SmallRng::seed_from_u64(5));
-        let arena = ArenaGraph::from_undirected(&und);
-        assert_eq!(arena.m(), und.m());
-        let a: BTreeSet<Edge> = arena.edges().collect();
-        let b: BTreeSet<Edge> = und.edges().collect();
-        assert_eq!(a, b);
-        arena.validate().unwrap();
+        let back = ArenaGraph::from_edges(g.n(), g.edges().map(|e| (e.a.0, e.b.0)));
+        assert_eq!(back.m(), g.m());
+        assert!(g.nodes().all(|u| back.neighbors(u) == g.neighbors(u)));
+        back.validate().unwrap();
     }
 }

@@ -1,9 +1,9 @@
 //! Connectivity: union-find, connected components, Tarjan SCC, and the
 //! connectivity predicates the processes' preconditions are stated in.
 
+use crate::arena::ArenaGraph;
 use crate::directed::DirectedGraph;
 use crate::node::NodeId;
-use crate::undirected::UndirectedGraph;
 
 /// Disjoint-set forest with union by size and path halving.
 #[derive(Clone, Debug)]
@@ -71,7 +71,7 @@ impl UnionFind {
 
 /// Connected components of an undirected graph; returns per-node component
 /// labels in `0..k` and the component sizes.
-pub fn connected_components(g: &UndirectedGraph) -> (Vec<u32>, Vec<usize>) {
+pub fn connected_components(g: &ArenaGraph) -> (Vec<u32>, Vec<usize>) {
     let mut uf = UnionFind::new(g.n());
     for e in g.edges() {
         uf.union(e.a.index(), e.b.index());
@@ -91,14 +91,14 @@ pub fn connected_components(g: &UndirectedGraph) -> (Vec<u32>, Vec<usize>) {
 }
 
 /// Whether the undirected graph is connected (vacuously true for n <= 1).
-pub fn is_connected(g: &UndirectedGraph) -> bool {
+pub fn is_connected(g: &ArenaGraph) -> bool {
     g.n() <= 1 || connected_components(g).1.len() == 1
 }
 
 /// The number of edges in the "componentwise complete" graph: the fixed point
 /// the processes converge to when the start graph is disconnected
 /// (`sum over components C of |C| * (|C|-1) / 2`).
-pub fn componentwise_complete_edges(g: &UndirectedGraph) -> u64 {
+pub fn componentwise_complete_edges(g: &ArenaGraph) -> u64 {
     connected_components(g)
         .1
         .iter()
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn components_of_two_triangles() {
-        let g = UndirectedGraph::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
+        let g = ArenaGraph::from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let (label, sizes) = connected_components(&g);
         assert_eq!(sizes.len(), 2);
         assert_eq!(sizes, vec![3, 3]);
@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn connected_path() {
-        let g = UndirectedGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
+        let g = ArenaGraph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         assert!(is_connected(&g));
         assert_eq!(componentwise_complete_edges(&g), 6);
     }

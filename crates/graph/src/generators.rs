@@ -9,10 +9,10 @@
 //! Random generators take a caller-supplied RNG so experiments stay
 //! reproducible under the engine's seeding discipline.
 
+use crate::arena::ArenaGraph;
 use crate::components::{is_connected, is_strongly_connected};
 use crate::directed::DirectedGraph;
 use crate::node::NodeId;
-use crate::undirected::UndirectedGraph;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -21,37 +21,37 @@ use rand::Rng;
 // ---------------------------------------------------------------------------
 
 /// Path `0 - 1 - ... - n-1`.
-pub fn path(n: usize) -> UndirectedGraph {
+pub fn path(n: usize) -> ArenaGraph {
     assert!(n >= 1, "path needs >= 1 node");
-    UndirectedGraph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1)))
+    ArenaGraph::from_edges(n, (0..n as u32 - 1).map(|i| (i, i + 1)))
 }
 
 /// Cycle on `n >= 3` nodes.
-pub fn cycle(n: usize) -> UndirectedGraph {
+pub fn cycle(n: usize) -> ArenaGraph {
     assert!(n >= 3, "cycle needs >= 3 nodes");
-    UndirectedGraph::from_edges(n, (0..n as u32).map(|i| (i, (i + 1) % n as u32)))
+    ArenaGraph::from_edges(n, (0..n as u32).map(|i| (i, (i + 1) % n as u32)))
 }
 
 /// Star with center `0` and `n - 1` leaves.
-pub fn star(n: usize) -> UndirectedGraph {
+pub fn star(n: usize) -> ArenaGraph {
     assert!(n >= 2, "star needs >= 2 nodes");
-    UndirectedGraph::from_edges(n, (1..n as u32).map(|i| (0, i)))
+    ArenaGraph::from_edges(n, (1..n as u32).map(|i| (0, i)))
 }
 
 /// Double star: two adjacent centers `0`, `1`, leaves split between them.
 /// A classic slow case for local processes (leaves see only their center).
-pub fn double_star(n: usize) -> UndirectedGraph {
+pub fn double_star(n: usize) -> ArenaGraph {
     assert!(n >= 2, "double star needs >= 2 nodes");
     let mut edges = vec![(0u32, 1u32)];
     for i in 2..n as u32 {
         edges.push((i % 2, i));
     }
-    UndirectedGraph::from_edges(n, edges)
+    ArenaGraph::from_edges(n, edges)
 }
 
 /// Complete graph `K_n`.
-pub fn complete(n: usize) -> UndirectedGraph {
-    let mut g = UndirectedGraph::new(n);
+pub fn complete(n: usize) -> ArenaGraph {
+    let mut g = ArenaGraph::new(n);
     for a in 0..n as u32 {
         for b in (a + 1)..n as u32 {
             g.add_edge(NodeId(a), NodeId(b));
@@ -61,15 +61,15 @@ pub fn complete(n: usize) -> UndirectedGraph {
 }
 
 /// Complete balanced binary tree on `n` nodes (heap indexing).
-pub fn binary_tree(n: usize) -> UndirectedGraph {
+pub fn binary_tree(n: usize) -> ArenaGraph {
     assert!(n >= 1);
-    UndirectedGraph::from_edges(n, (1..n as u32).map(|i| ((i - 1) / 2, i)))
+    ArenaGraph::from_edges(n, (1..n as u32).map(|i| ((i - 1) / 2, i)))
 }
 
 /// `rows x cols` grid; node `(r, c)` is `r * cols + c`.
-pub fn grid(rows: usize, cols: usize) -> UndirectedGraph {
+pub fn grid(rows: usize, cols: usize) -> ArenaGraph {
     assert!(rows >= 1 && cols >= 1);
-    let mut g = UndirectedGraph::new(rows * cols);
+    let mut g = ArenaGraph::new(rows * cols);
     let id = |r: usize, c: usize| NodeId::new(r * cols + c);
     for r in 0..rows {
         for c in 0..cols {
@@ -86,9 +86,9 @@ pub fn grid(rows: usize, cols: usize) -> UndirectedGraph {
 
 /// `rows x cols` torus (grid with wraparound); needs both dims >= 3 to stay
 /// simple (no parallel edges collapse anyway, but 2-wide wraps self-dedup).
-pub fn torus(rows: usize, cols: usize) -> UndirectedGraph {
+pub fn torus(rows: usize, cols: usize) -> ArenaGraph {
     assert!(rows >= 3 && cols >= 3, "torus needs dims >= 3");
-    let mut g = UndirectedGraph::new(rows * cols);
+    let mut g = ArenaGraph::new(rows * cols);
     let id = |r: usize, c: usize| NodeId::new(r * cols + c);
     for r in 0..rows {
         for c in 0..cols {
@@ -100,9 +100,9 @@ pub fn torus(rows: usize, cols: usize) -> UndirectedGraph {
 }
 
 /// `d`-dimensional hypercube on `2^d` nodes.
-pub fn hypercube(d: u32) -> UndirectedGraph {
+pub fn hypercube(d: u32) -> ArenaGraph {
     let n = 1usize << d;
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     for u in 0..n {
         for bit in 0..d {
             let v = u ^ (1 << bit);
@@ -116,10 +116,10 @@ pub fn hypercube(d: u32) -> UndirectedGraph {
 
 /// Barbell: two cliques of size `k` joined by a single bridge edge
 /// (`n = 2k`). The bridge is the discovery bottleneck.
-pub fn barbell(k: usize) -> UndirectedGraph {
+pub fn barbell(k: usize) -> ArenaGraph {
     assert!(k >= 2, "barbell needs cliques of size >= 2");
     let n = 2 * k;
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     for a in 0..k as u32 {
         for b in (a + 1)..k as u32 {
             g.add_edge(NodeId(a), NodeId(b));
@@ -131,10 +131,10 @@ pub fn barbell(k: usize) -> UndirectedGraph {
 }
 
 /// Lollipop: clique of size `k` with a path of `tail` extra nodes attached.
-pub fn lollipop(k: usize, tail: usize) -> UndirectedGraph {
+pub fn lollipop(k: usize, tail: usize) -> ArenaGraph {
     assert!(k >= 2);
     let n = k + tail;
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     for a in 0..k as u32 {
         for b in (a + 1)..k as u32 {
             g.add_edge(NodeId(a), NodeId(b));
@@ -150,9 +150,9 @@ pub fn lollipop(k: usize, tail: usize) -> UndirectedGraph {
 /// Complete bipartite graph `K_{a,b}`: parts `{0..a}` and `{a..a+b}`.
 /// Diameter 2 but strongly non-clustered — the opposite corner of the
 /// topology space from the caveman graphs.
-pub fn complete_bipartite(a: usize, b: usize) -> UndirectedGraph {
+pub fn complete_bipartite(a: usize, b: usize) -> ArenaGraph {
     assert!(a >= 1 && b >= 1);
-    let mut g = UndirectedGraph::new(a + b);
+    let mut g = ArenaGraph::new(a + b);
     for u in 0..a {
         for v in a..(a + b) {
             g.add_edge(NodeId::new(u), NodeId::new(v));
@@ -165,13 +165,13 @@ pub fn complete_bipartite(a: usize, b: usize) -> UndirectedGraph {
 /// ring with one edge of each clique rewired to the next clique — maximal
 /// clustering with long range only through bottlenecks (Watts' original
 /// small-world starting point).
-pub fn caveman(cliques: usize, k: usize) -> UndirectedGraph {
+pub fn caveman(cliques: usize, k: usize) -> ArenaGraph {
     assert!(
         cliques >= 2 && k >= 2,
         "caveman needs >= 2 cliques of size >= 2"
     );
     let n = cliques * k;
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     for c in 0..cliques {
         let base = c * k;
         for i in 0..k {
@@ -191,20 +191,20 @@ pub fn caveman(cliques: usize, k: usize) -> UndirectedGraph {
 // ---------------------------------------------------------------------------
 
 /// Uniform random labeled tree via Prüfer-sequence decoding.
-pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> UndirectedGraph {
+pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> ArenaGraph {
     assert!(n >= 1);
     if n == 1 {
-        return UndirectedGraph::new(1);
+        return ArenaGraph::new(1);
     }
     if n == 2 {
-        return UndirectedGraph::from_edges(2, [(0, 1)]);
+        return ArenaGraph::from_edges(2, [(0, 1)]);
     }
     let seq: Vec<u32> = (0..n - 2).map(|_| rng.random_range(0..n as u32)).collect();
     let mut degree = vec![1u32; n];
     for &s in &seq {
         degree[s as usize] += 1;
     }
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     // Min-heap over current leaves; n is small enough that a sorted scan
     // via BinaryHeap is the clear choice.
     use std::cmp::Reverse;
@@ -232,13 +232,13 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> UndirectedGraph {
 ///
 /// # Panics
 /// Panics if a connected sample is not found (m too small).
-pub fn gnm_connected<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) -> UndirectedGraph {
+pub fn gnm_connected<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) -> ArenaGraph {
     let max_m = (n as u64) * (n as u64 - 1) / 2;
     assert!(m >= n as u64 - 1, "m too small to connect {n} nodes");
     assert!(m <= max_m, "m exceeds complete graph");
     let tries = 1000;
     for _ in 0..tries {
-        let mut g = UndirectedGraph::new(n);
+        let mut g = ArenaGraph::new(n);
         while g.m() < m {
             let a = rng.random_range(0..n as u32);
             let b = rng.random_range(0..n as u32);
@@ -260,7 +260,7 @@ pub fn gnm_connected<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) -> Undirect
 /// would reject (nearly) every draw. The distribution is *not* exactly
 /// G(n, m) | connected (trees are slightly over-represented), which is
 /// irrelevant for the convergence experiments but stated for honesty.
-pub fn tree_plus_random_edges<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) -> UndirectedGraph {
+pub fn tree_plus_random_edges<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) -> ArenaGraph {
     assert!(
         m >= n as u64 - 1,
         "m too small for a spanning tree on {n} nodes"
@@ -279,11 +279,11 @@ pub fn tree_plus_random_edges<R: Rng + ?Sized>(n: usize, m: u64, rng: &mut R) ->
 }
 
 /// Erdős–Rényi `G(n, p)` conditioned on connectivity (resampled).
-pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> UndirectedGraph {
+pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> ArenaGraph {
     assert!((0.0..=1.0).contains(&p));
     let tries = 1000;
     for _ in 0..tries {
-        let mut g = UndirectedGraph::new(n);
+        let mut g = ArenaGraph::new(n);
         for a in 0..n as u32 {
             for b in (a + 1)..n as u32 {
                 if rng.random_bool(p) {
@@ -301,17 +301,12 @@ pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Undirect
 /// Connected Watts–Strogatz small world: ring lattice with `k` neighbors on
 /// each side, each edge rewired with probability `beta` (resampled until
 /// connected).
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    rng: &mut R,
-) -> UndirectedGraph {
+pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> ArenaGraph {
     assert!(n > 2 * k, "watts_strogatz needs n > 2k");
     assert!(k >= 1);
     let tries = 1000;
     for _ in 0..tries {
-        let mut g = UndirectedGraph::new(n);
+        let mut g = ArenaGraph::new(n);
         for u in 0..n as u32 {
             for j in 1..=k as u32 {
                 let v = (u + j) % n as u32;
@@ -338,10 +333,10 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 /// Barabási–Albert preferential attachment: start from a clique on
 /// `m0 = m + 1` nodes, each new node attaches to `m` distinct targets drawn
 /// proportionally to degree. Always connected.
-pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> UndirectedGraph {
+pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> ArenaGraph {
     assert!(m >= 1);
     assert!(n > m, "barabasi_albert needs n > m");
-    let mut g = UndirectedGraph::new(n);
+    let mut g = ArenaGraph::new(n);
     // Degree-proportional sampling via the repeated-endpoints trick.
     let mut endpoints: Vec<u32> = Vec::new();
     for a in 0..=m as u32 {
@@ -371,7 +366,7 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Undi
 /// Connected random `d`-regular-ish graph: a Hamiltonian cycle plus `d/2 - 1`
 /// random perfect matchings over shuffled node orders (duplicate edges are
 /// dropped, so degrees are *near* `d`). Connected by construction.
-pub fn random_regular_ish<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> UndirectedGraph {
+pub fn random_regular_ish<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> ArenaGraph {
     assert!(d >= 2 && d.is_multiple_of(2), "d must be even and >= 2");
     assert!(n >= 3);
     let mut g = cycle(n);
@@ -387,7 +382,7 @@ pub fn random_regular_ish<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> U
 
 /// Complete graph minus `k` uniformly random distinct edges, conditioned on
 /// staying connected — the Theorem 9/13 lower-bound workload.
-pub fn complete_minus_k<R: Rng + ?Sized>(n: usize, k: u64, rng: &mut R) -> UndirectedGraph {
+pub fn complete_minus_k<R: Rng + ?Sized>(n: usize, k: u64, rng: &mut R) -> ArenaGraph {
     let total = (n as u64) * (n as u64 - 1) / 2;
     assert!(k < total, "cannot remove {k} of {total} edges");
     let tries = 1000;
@@ -424,7 +419,7 @@ pub fn complete_minus_k<R: Rng + ?Sized>(n: usize, k: u64, rng: &mut R) -> Undir
 /// `E[T_push(H)] ≈ 6.281`: growing the star by one leaf adds three fresh
 /// leaf-pairs that, at first, only the center can introduce. The same pair
 /// works for pull (≈ 5.40 vs ≈ 3.05).
-pub fn nonmonotone_pair() -> (UndirectedGraph, UndirectedGraph) {
+pub fn nonmonotone_pair() -> (ArenaGraph, ArenaGraph) {
     let g = star(5);
     let h = star(4);
     (g, h)
@@ -437,10 +432,10 @@ pub fn nonmonotone_pair() -> (UndirectedGraph, UndirectedGraph) {
 /// its spanning subgraph the 4-cycle (4 edges, ≈ 2.079 rounds). In the
 /// diamond, the two degree-3 nodes waste proposals re-introducing existing
 /// edges; in the cycle every node's unique proposal is a missing diagonal.
-pub fn nonmonotone_pair_spanning() -> (UndirectedGraph, UndirectedGraph) {
+pub fn nonmonotone_pair_spanning() -> (ArenaGraph, ArenaGraph) {
     // Diamond: K4 minus edge (2,3); cycle: 0-2-1-3-0.
-    let g = UndirectedGraph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]);
-    let h = UndirectedGraph::from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]);
+    let g = ArenaGraph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]);
+    let h = ArenaGraph::from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)]);
     (g, h)
 }
 

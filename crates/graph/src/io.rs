@@ -4,8 +4,8 @@
 //! Format: first line `n`, then one `u v` pair per line (whitespace
 //! separated). Lines starting with `#` and blank lines are ignored.
 
+use crate::arena::ArenaGraph;
 use crate::directed::DirectedGraph;
-use crate::undirected::UndirectedGraph;
 use std::fmt::Write as _;
 
 /// Errors arising when parsing an edge list.
@@ -93,9 +93,9 @@ fn parse_lines(text: &str) -> Result<(usize, Vec<(u32, u32)>), ParseError> {
 }
 
 /// Parses an undirected graph from edge-list text.
-pub fn parse_undirected(text: &str) -> Result<UndirectedGraph, ParseError> {
+pub fn parse_undirected(text: &str) -> Result<ArenaGraph, ParseError> {
     let (n, edges) = parse_lines(text)?;
-    Ok(UndirectedGraph::from_edges(n, edges))
+    Ok(ArenaGraph::from_edges(n, edges))
 }
 
 /// Parses a digraph from edge-list text (each line is an arc `from to`).
@@ -105,13 +105,11 @@ pub fn parse_directed(text: &str) -> Result<DirectedGraph, ParseError> {
 }
 
 /// Renders an undirected graph as edge-list text (canonical edge order).
-pub fn write_undirected(g: &UndirectedGraph) -> String {
+pub fn write_undirected(g: &ArenaGraph) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{}", g.n());
-    let mut edges: Vec<(u32, u32)> = g.edges().map(|e| (e.a.0, e.b.0)).collect();
-    edges.sort_unstable();
-    for (a, b) in edges {
-        let _ = writeln!(out, "{a} {b}");
+    for e in g.edges() {
+        let _ = writeln!(out, "{} {}", e.a, e.b);
     }
     out
 }
@@ -129,7 +127,7 @@ pub fn write_directed(g: &DirectedGraph) -> String {
 }
 
 /// Renders a graph in DOT format for visualization.
-pub fn to_dot(g: &UndirectedGraph, name: &str) -> String {
+pub fn to_dot(g: &ArenaGraph, name: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "graph {name} {{");
     for u in g.nodes() {
@@ -145,19 +143,8 @@ pub fn to_dot(g: &UndirectedGraph, name: &str) -> String {
 }
 
 /// Convenience: canonical sorted edge tuples, useful in tests.
-pub fn edge_tuples(g: &UndirectedGraph) -> Vec<(u32, u32)> {
-    let mut v: Vec<(u32, u32)> = g.edges().map(|e| (e.a.0, e.b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-impl UndirectedGraph {
-    /// Whether `other` has the same node count and edge set.
-    pub fn same_edges(&self, other: &UndirectedGraph) -> bool {
-        self.n() == other.n()
-            && self.m() == other.m()
-            && self.edges().all(|e| other.has_edge(e.a, e.b))
-    }
+pub fn edge_tuples(g: &ArenaGraph) -> Vec<(u32, u32)> {
+    g.edges().map(|e| (e.a.0, e.b.0)).collect()
 }
 
 #[cfg(test)]

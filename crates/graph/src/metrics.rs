@@ -1,8 +1,8 @@
 //! Whole-graph summary metrics used by the experiment harness to
 //! characterize intermediate graphs `G_t` as the processes run.
 
+use crate::arena::ArenaGraph;
 use crate::node::NodeId;
-use crate::undirected::UndirectedGraph;
 
 /// A point-in-time structural summary of a graph.
 #[derive(Clone, Debug, PartialEq)]
@@ -22,7 +22,7 @@ pub struct GraphSummary {
 }
 
 /// Computes the summary for an undirected graph.
-pub fn summarize(g: &UndirectedGraph) -> GraphSummary {
+pub fn summarize(g: &ArenaGraph) -> GraphSummary {
     let n = g.n();
     let possible = if n >= 2 {
         (n as u64) * (n as u64 - 1) / 2
@@ -44,7 +44,7 @@ pub fn summarize(g: &UndirectedGraph) -> GraphSummary {
 }
 
 /// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &UndirectedGraph) -> Vec<usize> {
+pub fn degree_histogram(g: &ArenaGraph) -> Vec<usize> {
     let mut hist = vec![0usize; g.max_degree() + 1];
     for u in g.nodes() {
         hist[g.degree(u)] += 1;
@@ -54,8 +54,8 @@ pub fn degree_histogram(g: &UndirectedGraph) -> Vec<usize> {
 
 /// Local clustering coefficient of `u`: the fraction of neighbor pairs that
 /// are themselves adjacent. `0.0` for degree < 2.
-pub fn local_clustering(g: &UndirectedGraph, u: NodeId) -> f64 {
-    let nbrs = g.neighbors(u).as_slice();
+pub fn local_clustering(g: &ArenaGraph, u: NodeId) -> f64 {
+    let nbrs = g.neighbors(u);
     let d = nbrs.len();
     if d < 2 {
         return 0.0;
@@ -73,7 +73,7 @@ pub fn local_clustering(g: &UndirectedGraph, u: NodeId) -> f64 {
 
 /// Mean local clustering coefficient over all nodes (Watts–Strogatz style).
 /// O(sum of deg²) — fine at experiment scale.
-pub fn average_clustering(g: &UndirectedGraph) -> f64 {
+pub fn average_clustering(g: &ArenaGraph) -> f64 {
     if g.n() == 0 {
         return 0.0;
     }
@@ -83,7 +83,7 @@ pub fn average_clustering(g: &UndirectedGraph) -> f64 {
 
 /// Count of nodes whose degree is strictly below `threshold` — the paper's
 /// proofs track how many nodes still have small degree.
-pub fn nodes_below_degree(g: &UndirectedGraph, threshold: usize) -> usize {
+pub fn nodes_below_degree(g: &ArenaGraph, threshold: usize) -> usize {
     g.nodes().filter(|&u| g.degree(u) < threshold).count()
 }
 
@@ -106,9 +106,9 @@ mod tests {
 
     #[test]
     fn summary_edge_cases() {
-        let s = summarize(&UndirectedGraph::new(0));
+        let s = summarize(&ArenaGraph::new(0));
         assert_eq!(s.density, 0.0);
-        let s1 = summarize(&UndirectedGraph::new(1));
+        let s1 = summarize(&ArenaGraph::new(1));
         assert_eq!(s1.density, 0.0);
     }
 

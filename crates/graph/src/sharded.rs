@@ -54,7 +54,6 @@
 
 use crate::arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 use crate::node::{Edge, NodeId};
-use crate::undirected::UndirectedGraph;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -466,15 +465,6 @@ impl ShardedArenaGraph {
             g.add_edge(NodeId(a), NodeId(b));
         }
         g
-    }
-
-    /// Snapshots an [`UndirectedGraph`] into the sharded layout.
-    pub fn from_undirected(g: &UndirectedGraph, shards: usize) -> Self {
-        let mut out = ShardedArenaGraph::new(g.n(), shards);
-        for e in g.edges() {
-            out.add_edge(e.a, e.b);
-        }
-        out
     }
 
     /// Snapshots an [`ArenaGraph`] into the sharded layout.
@@ -1148,19 +1138,14 @@ mod tests {
 
     #[test]
     fn from_conversions_roundtrip() {
-        let und =
+        let arena =
             crate::generators::tree_plus_random_edges(3000, 6000, &mut SmallRng::seed_from_u64(5));
-        let arena = ArenaGraph::from_undirected(&und);
-        let a = ShardedArenaGraph::from_undirected(&und, 4);
-        let b = ShardedArenaGraph::from_arena(&arena, 4);
-        assert_eq!(a.m(), und.m());
-        assert_eq!(b.m(), und.m());
-        let ea: BTreeSet<Edge> = a.edges().collect();
-        let eb: BTreeSet<Edge> = b.edges().collect();
-        let want: BTreeSet<Edge> = und.edges().collect();
-        assert_eq!(ea, want);
-        assert_eq!(eb, want);
-        a.validate().unwrap();
+        let sharded = ShardedArenaGraph::from_arena(&arena, 4);
+        assert_eq!(sharded.m(), arena.m());
+        let got: BTreeSet<Edge> = sharded.edges().collect();
+        let want: BTreeSet<Edge> = arena.edges().collect();
+        assert_eq!(got, want);
+        sharded.validate().unwrap();
     }
 
     #[test]
@@ -1178,10 +1163,9 @@ mod tests {
     fn sampling_consumes_rng_like_arena() {
         // The propose phase must draw identically on either backend: same
         // rows, same rng stream -> same samples.
-        let und =
+        let arena =
             crate::generators::tree_plus_random_edges(2500, 5000, &mut SmallRng::seed_from_u64(3));
-        let arena = ArenaGraph::from_undirected(&und);
-        let sharded = ShardedArenaGraph::from_undirected(&und, 3);
+        let sharded = ShardedArenaGraph::from_arena(&arena, 3);
         for u in arena.nodes().take(200) {
             let mut r1 = SmallRng::seed_from_u64(u.0 as u64);
             let mut r2 = SmallRng::seed_from_u64(u.0 as u64);

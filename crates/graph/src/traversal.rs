@@ -3,9 +3,9 @@
 //! Generic over an [`Adjacency`] view so the same code serves undirected
 //! graphs and digraphs (following out-edges).
 
+use crate::arena::ArenaGraph;
 use crate::directed::DirectedGraph;
 use crate::node::NodeId;
-use crate::undirected::UndirectedGraph;
 use std::collections::VecDeque;
 
 /// Read-only adjacency view: the minimal interface traversal needs.
@@ -16,14 +16,14 @@ pub trait Adjacency {
     fn successors(&self, u: NodeId) -> &[NodeId];
 }
 
-impl Adjacency for UndirectedGraph {
+impl Adjacency for ArenaGraph {
     #[inline]
     fn node_count(&self) -> usize {
         self.n()
     }
     #[inline]
     fn successors(&self, u: NodeId) -> &[NodeId] {
-        self.neighbors(u).as_slice()
+        self.neighbors(u)
     }
 }
 
@@ -120,10 +120,9 @@ pub fn all_reachable_from<G: Adjacency>(g: &G, source: NodeId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::undirected::UndirectedGraph;
 
-    fn path5() -> UndirectedGraph {
-        UndirectedGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    fn path5() -> ArenaGraph {
+        ArenaGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     }
 
     #[test]
@@ -135,7 +134,7 @@ mod tests {
 
     #[test]
     fn bfs_unreachable() {
-        let g = UndirectedGraph::from_edges(4, [(0, 1)]);
+        let g = ArenaGraph::from_edges(4, [(0, 1)]);
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
@@ -156,9 +155,9 @@ mod tests {
     #[test]
     fn diameter_of_path_and_star() {
         assert_eq!(diameter(&path5()), Some(4));
-        let star = UndirectedGraph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
+        let star = ArenaGraph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
         assert_eq!(diameter(&star), Some(2));
-        let disconnected = UndirectedGraph::new(3);
+        let disconnected = ArenaGraph::new(3);
         assert_eq!(diameter(&disconnected), None);
     }
 

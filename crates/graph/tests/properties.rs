@@ -6,13 +6,13 @@ use gossip_graph::components::{
     connected_components, is_connected, strongly_connected_components, UnionFind,
 };
 use gossip_graph::traversal::{bfs_distances, rings_up_to, UNREACHABLE};
-use gossip_graph::{generators, io, DirectedGraph, NodeId, UndirectedGraph};
+use gossip_graph::{generators, io, ArenaGraph, DirectedGraph, NodeId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
-fn random_graph(seed: u64, n: usize, extra: usize) -> UndirectedGraph {
+fn random_graph(seed: u64, n: usize, extra: usize) -> ArenaGraph {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut g = generators::random_tree(n, &mut rng);
     for _ in 0..extra {
@@ -109,7 +109,7 @@ proptest! {
     #[test]
     fn unionfind_matches_bfs(seed in any::<u64>(), n in 2usize..30, edges in 0usize..40) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut g = UndirectedGraph::new(n);
+        let mut g = ArenaGraph::new(n);
         let mut uf = UnionFind::new(n);
         for _ in 0..edges {
             let a = rng.random_range(0..n as u32);

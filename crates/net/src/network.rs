@@ -16,7 +16,7 @@
 
 use crate::message::Message;
 use gossip_core::rng::stream_rng;
-use gossip_graph::{DirectedGraph, NodeId, UndirectedGraph};
+use gossip_graph::{ArenaGraph, DirectedGraph, NodeId};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -159,17 +159,13 @@ impl Network {
     /// Builds a network whose initial knowledge mirrors an undirected graph.
     /// `capacity` bounds the node ids that can ever exist (for churn joins);
     /// it must be at least `g.n()`.
-    pub fn from_graph(g: &UndirectedGraph, capacity: usize, cfg: NetConfig) -> Self {
+    pub fn from_graph(g: &ArenaGraph, capacity: usize, cfg: NetConfig) -> Self {
         assert!(capacity >= g.n(), "capacity below initial size");
         let peers = g
             .nodes()
-            .map(|u| {
-                let mut contacts: Vec<NodeId> = g.neighbors(u).iter().collect();
-                contacts.sort_unstable();
-                Peer {
-                    contacts,
-                    alive: true,
-                }
+            .map(|u| Peer {
+                contacts: g.neighbors(u).to_vec(),
+                alive: true,
             })
             .collect();
         Network {

@@ -9,7 +9,7 @@
 //! which engine variant is running underneath.
 
 use gossip_core::GossipGraph;
-use gossip_graph::{ArenaGraph, NodeId, ShardedArenaGraph, UndirectedGraph};
+use gossip_graph::{ArenaGraph, NodeId, ShardedArenaGraph};
 
 /// Read-only adjacency queries over a gossip graph — the per-node surface
 /// a resident service answers from its snapshots.
@@ -17,8 +17,7 @@ pub trait GraphQuery: GossipGraph {
     /// Degree of `u`.
     fn degree(&self, u: NodeId) -> usize;
 
-    /// Neighbors of `u`. For canonical-layout backends the slice is
-    /// ascending; for insertion-ordered backends it is insertion order.
+    /// Neighbors of `u`, in ascending id order.
     fn neighbors(&self, u: NodeId) -> &[NodeId];
 
     /// Whether the edge `{u, v}` is present.
@@ -31,25 +30,6 @@ pub trait GraphQuery: GossipGraph {
     /// Whether discovery has converged (the graph is complete).
     fn is_complete(&self) -> bool {
         self.edge_count() >= self.complete_edge_target()
-    }
-}
-
-impl GraphQuery for UndirectedGraph {
-    #[inline]
-    fn degree(&self, u: NodeId) -> usize {
-        UndirectedGraph::degree(self, u)
-    }
-    #[inline]
-    fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        UndirectedGraph::neighbors(self, u).as_slice()
-    }
-    #[inline]
-    fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        UndirectedGraph::has_edge(self, u, v)
-    }
-    #[inline]
-    fn complete_edge_target(&self) -> u64 {
-        self.complete_m()
     }
 }
 
@@ -98,31 +78,26 @@ mod tests {
 
     #[test]
     fn query_surface_agrees_across_backends() {
-        let g = generators::tree_plus_random_edges(
+        let arena = generators::tree_plus_random_edges(
             200,
             400,
             &mut gossip_core::rng::stream_rng(9, 0, 0),
         );
-        let arena = ArenaGraph::from_undirected(&g);
-        let sharded = ShardedArenaGraph::from_undirected(&g, 4);
-        for u in (0..g.n()).map(NodeId::new) {
-            assert_eq!(GraphQuery::degree(&g, u), GraphQuery::degree(&arena, u));
-            assert_eq!(GraphQuery::degree(&g, u), GraphQuery::degree(&sharded, u));
-            // Canonical backends agree element-wise; the insertion-ordered
-            // backend agrees as a set.
+        let sharded = ShardedArenaGraph::from_arena(&arena, 4);
+        for u in arena.nodes() {
+            assert_eq!(
+                GraphQuery::degree(&arena, u),
+                GraphQuery::degree(&sharded, u)
+            );
             assert_eq!(
                 GraphQuery::neighbors(&arena, u),
                 GraphQuery::neighbors(&sharded, u)
             );
-            let mut ins: Vec<NodeId> = GraphQuery::neighbors(&g, u).to_vec();
-            ins.sort_unstable();
-            assert_eq!(ins.as_slice(), GraphQuery::neighbors(&arena, u));
-            for &v in GraphQuery::neighbors(&g, u) {
-                assert!(GraphQuery::has_edge(&arena, u, v));
+            for &v in GraphQuery::neighbors(&arena, u) {
                 assert!(GraphQuery::has_edge(&sharded, u, v));
             }
         }
-        assert_eq!(g.complete_m(), arena.complete_edge_target());
-        assert_eq!(g.complete_m(), sharded.complete_edge_target());
+        assert_eq!(arena.complete_m(), sharded.complete_edge_target());
+        assert_eq!(arena.complete_edge_target(), sharded.complete_edge_target());
     }
 }

@@ -25,11 +25,9 @@ const N: usize = 3000; // deliberately not chunk-aligned
 const SEED: u64 = 77;
 
 fn start_graphs(shards: usize) -> (ArenaGraph, ShardedArenaGraph) {
-    let und = generators::tree_plus_random_edges(N, 2 * N as u64, &mut stream_rng(4, 0, 0));
-    (
-        ArenaGraph::from_undirected(&und),
-        ShardedArenaGraph::from_undirected(&und, shards),
-    )
+    let arena = generators::tree_plus_random_edges(N, 2 * N as u64, &mut stream_rng(4, 0, 0));
+    let sharded = ShardedArenaGraph::from_arena(&arena, shards);
+    (arena, sharded)
 }
 
 /// Asserts `snap` is exactly the reference sequential engine's graph at

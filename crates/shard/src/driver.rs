@@ -1125,7 +1125,7 @@ mod tests {
 
     fn graph() -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(3000, 6000, &mut stream_rng(11, 0, 0));
-        ShardedArenaGraph::from_undirected(&und, 2)
+        ShardedArenaGraph::from_arena(&und, 2)
     }
 
     fn replica(shard: usize) -> ShardReplica {
@@ -1403,7 +1403,7 @@ mod tests {
         // capacity alone decides what the worker allocates: 2^24 slots
         // (64 MiB) for a row of a 2048-node graph, far past any honest one.
         let und = generators::tree_plus_random_edges(2048, 4096, &mut stream_rng(11, 0, 0));
-        let g = ShardedArenaGraph::from_undirected(&und, 2);
+        let g = ShardedArenaGraph::from_arena(&und, 2);
         let policy = Parallelism::Sequential;
         let mut stream = bootstrap_stream(&ShardReplica::new(
             g,

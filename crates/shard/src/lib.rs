@@ -55,7 +55,7 @@
 //! use gossip_graph::{generators, ShardedArenaGraph};
 //! use gossip_shard::ShardedEngine;
 //!
-//! let g0 = ShardedArenaGraph::from_undirected(&generators::star(64), 4);
+//! let g0 = ShardedArenaGraph::from_arena(&generators::star(64), 4);
 //! let mut check = ComponentwiseComplete::for_graph(&generators::star(64));
 //! let mut engine = ShardedEngine::new(g0, Pull, 42);
 //! let out = engine.run_until(&mut check, 1_000_000);
@@ -380,7 +380,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
 /// let und = generators::star(64);
 /// let mut check = ComponentwiseComplete::for_graph(&und);
 /// let mut engine =
-///     EngineBuilder::new(ShardedArenaGraph::from_undirected(&und, 8), Pull, 7).build_sharded();
+///     EngineBuilder::new(ShardedArenaGraph::from_arena(&und, 8), Pull, 7).build_sharded();
 /// assert!(engine.run_until(&mut check, 1_000_000).converged);
 /// ```
 pub trait BuildSharded<R> {
@@ -404,17 +404,17 @@ mod tests {
     use super::*;
     use gossip_core::rng::stream_rng;
     use gossip_core::{ComponentwiseComplete, Engine, Never, Pull, Push};
-    use gossip_graph::{generators, ArenaGraph};
+    use gossip_graph::generators;
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
-        ShardedArenaGraph::from_undirected(&und, shards)
+        ShardedArenaGraph::from_arena(&und, shards)
     }
 
     #[test]
     fn completes_a_star() {
         let und = generators::star(40);
-        let g = ShardedArenaGraph::from_undirected(&und, 4);
+        let g = ShardedArenaGraph::from_arena(&und, 4);
         let mut check = ComponentwiseComplete::for_graph(&und);
         let mut e = ShardedEngine::new(g, Push, 0xBEEF);
         let out = e.run_until(&mut check, 1_000_000);
@@ -431,9 +431,9 @@ mod tests {
         // counts, rules, and a node count that is not chunk-aligned.
         let n = 3000;
         for shards in [1, 2, 3, 8] {
-            let und = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(4, 0, 0));
-            let arena = ArenaGraph::from_undirected(&und);
-            let g = ShardedArenaGraph::from_undirected(&und, shards);
+            let arena =
+                generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(4, 0, 0));
+            let g = ShardedArenaGraph::from_arena(&arena, shards);
             let mut seq = Engine::new(arena, Pull, 77).with_parallelism(Parallelism::Sequential);
             let mut shd = ShardedEngine::new(g, Pull, 77);
             for round in 0..8 {

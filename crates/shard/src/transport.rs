@@ -470,7 +470,7 @@ mod tests {
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
-        ShardedArenaGraph::from_undirected(&und, shards)
+        ShardedArenaGraph::from_arena(&und, shards)
     }
 
     fn assert_graphs_equal(a: &ShardedArenaGraph, b: &ShardedArenaGraph, what: &str) {
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn transport_drives_the_convergence_seam() {
         let und = generators::star(256);
-        let g = ShardedArenaGraph::from_undirected(&und, 2);
+        let g = ShardedArenaGraph::from_arena(&und, 2);
         let mut check = ComponentwiseComplete::for_graph(&und);
         let mut wire = TransportBuilder::new(g, RuleId::Push, 4)
             .spawn()

@@ -7,7 +7,7 @@
 
 use gossip_core::rng::stream_rng;
 use gossip_core::{ChurnBursts, Engine, MembershipPlan, Parallelism, Pull, Push, RuleId};
-use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph, UndirectedGraph};
+use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph};
 use gossip_shard::transport::TransportBuilder;
 use gossip_shard::ShardedEngine;
 use proptest::prelude::*;
@@ -15,7 +15,7 @@ use proptest::prelude::*;
 /// Sparse starting graph with `target_m` edges, capped at the complete
 /// graph — sampled and shrunken `n` can drop below 5, where a tree plus
 /// one extra edge per node no longer fits.
-fn sparse(n: usize, target_m: u64, seed: u64, stream: u64) -> UndirectedGraph {
+fn sparse(n: usize, target_m: u64, seed: u64, stream: u64) -> ArenaGraph {
     let cap = n as u64 * (n as u64 - 1) / 2;
     generators::tree_plus_random_edges(n, target_m.min(cap), &mut stream_rng(seed, stream, 0))
 }
@@ -29,9 +29,8 @@ proptest! {
         shards in 1usize..9,
         rounds in 1usize..5,
     ) {
-        let und = sparse(n, n as u64, seed, 0);
-        let arena = ArenaGraph::from_undirected(&und);
-        let sharded = ShardedArenaGraph::from_undirected(&und, shards);
+        let arena = sparse(n, n as u64, seed, 0);
+        let sharded = ShardedArenaGraph::from_arena(&arena, shards);
 
         let mut seq = Engine::new(arena, Push, seed).with_parallelism(Parallelism::Sequential);
         let mut shd = ShardedEngine::new(sharded, Push, seed);
@@ -52,7 +51,7 @@ proptest! {
         shards in 1usize..9,
     ) {
         let und = sparse(n, 2 * n as u64, seed, 1);
-        let g = ShardedArenaGraph::from_undirected(&und, shards);
+        let g = ShardedArenaGraph::from_arena(&und, shards);
         let mut e = ShardedEngine::new(g, Pull, seed);
         for _ in 0..3 {
             e.step();
@@ -73,8 +72,7 @@ proptest! {
         // Randomized membership plans on top of the headline contract: the
         // sharded engine under ANY (n, S, plan) must replay the sequential
         // arena engine bit-for-bit, leaves/rejoins included.
-        let und = sparse(n, 2 * n as u64, seed, 0);
-        let arena = ArenaGraph::from_undirected(&und);
+        let arena = sparse(n, 2 * n as u64, seed, 0);
         let plan = MembershipPlan::bursts(&ChurnBursts {
             n,
             nodes_per_burst,
@@ -86,11 +84,11 @@ proptest! {
             seed,
         });
 
-        let mut seq = Engine::new(arena, Push, seed)
+        let mut seq = Engine::new(arena.clone(), Push, seed)
             .with_parallelism(Parallelism::Sequential)
             .with_membership(plan.clone());
         let mut shd = ShardedEngine::new(
-            ShardedArenaGraph::from_undirected(&und, shards),
+            ShardedArenaGraph::from_arena(&arena, shards),
             Push,
             seed,
         )
@@ -116,11 +114,10 @@ proptest! {
         // The serialized seam under ANY (n, S): thread-hosted workers
         // exchanging length-prefixed frames over socketpairs must replay
         // the sequential oracle bit-for-bit, by canonical delivery.
-        let und = sparse(n, n as u64, seed, 0);
-        let arena = ArenaGraph::from_undirected(&und);
-        let mut seq = Engine::new(arena, Push, seed).with_parallelism(Parallelism::Sequential);
+        let arena = sparse(n, n as u64, seed, 0);
+        let mut seq = Engine::new(arena.clone(), Push, seed).with_parallelism(Parallelism::Sequential);
         let mut wire = TransportBuilder::new(
-            ShardedArenaGraph::from_undirected(&und, shards),
+            ShardedArenaGraph::from_arena(&arena, shards),
             RuleId::Push,
             seed,
         )

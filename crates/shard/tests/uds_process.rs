@@ -16,7 +16,7 @@ use gossip_shard::ShardedEngine;
 
 fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
     let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
-    ShardedArenaGraph::from_undirected(&und, shards)
+    ShardedArenaGraph::from_arena(&und, shards)
 }
 
 fn assert_graphs_equal(a: &ShardedArenaGraph, b: &ShardedArenaGraph, what: &str) {

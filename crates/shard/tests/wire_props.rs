@@ -292,7 +292,7 @@ proptest! {
         let cap = n as u64 * (n as u64 - 1) / 2;
         let und =
             generators::tree_plus_random_edges(n, (n as u64).min(cap), &mut stream_rng(seed, 0, 0));
-        let mut g = ShardedArenaGraph::from_undirected(&und, shards);
+        let mut g = ShardedArenaGraph::from_arena(&und, shards);
         let mut rng = stream_rng(seed, 1, 0);
         for _ in 0..removals {
             let u = NodeId(rng.random_range(0..n as u32));

@@ -11,7 +11,7 @@
 
 use discovery_gossip::prelude::*;
 
-fn monte_carlo_mean(g: &UndirectedGraph, trials: usize) -> (f64, f64) {
+fn monte_carlo_mean(g: &ArenaGraph, trials: usize) -> (f64, f64) {
     let cfg = TrialConfig {
         trials,
         base_seed: 123,

@@ -8,7 +8,7 @@
 use discovery_gossip::prelude::*;
 use gossip_core::{run_engine_listened, Chain, ProposalRule, SeriesRecorder, StopWhen};
 
-fn run<R: ProposalRule<UndirectedGraph>>(g0: &UndirectedGraph, rule: R, seed: u64) {
+fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
     let n = g0.n() as f64;
     let mut check = ComponentwiseComplete::for_graph(g0);
     let mut recorder = SeriesRecorder::every((g0.n() as u64 * 2).max(1));

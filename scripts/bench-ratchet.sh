@@ -56,7 +56,7 @@ BASELINE="${2:-ratchet}"
 # pass short (a multi-minute pass drifts 15-25% on shared runners between
 # save and compare; a sub-minute pass repeats within a few percent). The
 # closure bench is quick and runs whole; round_throughput is ratcheted on
-# its 4096-node rows (AdjSet seq/pool + arena) — the 16k/64k rows' working
+# its 4096-node rows (arena, sharded, listener seam) — the 64k rows' working
 # sets straddle cache capacity and flip layout modes 20% between process
 # instances, which no same-runner comparison survives. frame_codec (the
 # transport's mailbox encode/decode hot path) is quick and runs whole.
@@ -71,8 +71,8 @@ one_bench() {
 
 # Glob matching the baseline record files a bench's ids sanitize to
 # (<group>_<name>_<param>.json). Group names usually share the bench
-# target's name as a prefix; round_throughput's groups are round/
-# round_arena/round_sharded/round_listened.
+# target's name as a prefix; round_throughput's groups are round_arena/
+# round_sharded/round_listened.
 baseline_glob() {
     case "${1%%:*}" in
         round_throughput) echo "round_*" ;;

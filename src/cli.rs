@@ -12,9 +12,7 @@ use gossip_core::{
     DirectedPull, DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine,
     RuleId, TrialConfig,
 };
-use gossip_graph::{
-    generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph, UndirectedGraph,
-};
+use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
 use gossip_serve::{GossipService, GraphQuery, MetricsCounters, ServeConfig};
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
@@ -346,7 +344,7 @@ pub fn make_graph(
     n: usize,
     seed: u64,
     param: Option<u64>,
-) -> Result<UndirectedGraph, String> {
+) -> Result<ArenaGraph, String> {
     let mut rng = gossip_core::rng::stream_rng(seed, 0xC11, 0);
     Ok(match family {
         "path" => generators::path(n),
@@ -401,8 +399,8 @@ fn churn_plan(n: usize, bursts: usize, seed: u64) -> MembershipPlan {
     })
 }
 
-fn parse_edges(spec: &str, n: usize) -> Result<UndirectedGraph, String> {
-    let mut g = UndirectedGraph::new(n);
+fn parse_edges(spec: &str, n: usize) -> Result<ArenaGraph, String> {
+    let mut g = ArenaGraph::new(n);
     for part in spec.split(',').filter(|p| !p.trim().is_empty()) {
         let (a, b) = part
             .trim()
@@ -597,7 +595,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // Datagram cluster: coordinator in this process, one
                 // re-execed worker process per remaining peer-table slot
                 // (`maybe_run_cluster_shard` diverts the copies).
-                let g = ShardedArenaGraph::from_undirected(&g, *shards);
+                let g = ShardedArenaGraph::from_arena(&g, *shards);
                 let mut b = ClusterBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
                 if let Some(plan) = plan.clone() {
                     b = b.with_membership(plan);
@@ -626,7 +624,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 // mailboxes over UDS. Worker copies of this binary never
                 // reach the CLI — `maybe_run_worker` diverts them at the
                 // top of `main`.
-                let g = ShardedArenaGraph::from_undirected(&g, *shards);
+                let g = ShardedArenaGraph::from_arena(&g, *shards);
                 let mut b = TransportBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
                 if let Some(plan) = plan.clone() {
                     b = b.with_membership(plan);
@@ -634,7 +632,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 let engine = b.spawn().map_err(|e| format!("transport spawn: {e}"))?;
                 serve_report(engine, cfg)
             } else if *shards > 1 {
-                let g = ShardedArenaGraph::from_undirected(&g, *shards);
+                let g = ShardedArenaGraph::from_arena(&g, *shards);
                 with_rule!(id, |rule| {
                     let mut b = EngineBuilder::new(g, rule, *seed);
                     if let Some(plan) = plan.clone() {
@@ -643,7 +641,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     serve_report(b.build_sharded(), cfg)
                 })
             } else {
-                let g = ArenaGraph::from_undirected(&g);
                 with_rule!(id, |rule| {
                     let mut b = EngineBuilder::new(g, rule, *seed);
                     if let Some(plan) = plan.clone() {

@@ -66,9 +66,7 @@ pub mod prelude {
         Parallelism, Partial, Pull, Push, RoundEngine, RoundListener, RuleId, SubsetComplete,
         TrialConfig,
     };
-    pub use gossip_graph::{
-        generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UndirectedGraph,
-    };
+    pub use gossip_graph::{generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
     pub use gossip_net::{
         ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PullProtocol as NetPull,
         PushProtocol as NetPush,

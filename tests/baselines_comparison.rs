@@ -6,7 +6,7 @@ use discovery_gossip::prelude::*;
 use gossip_baselines::id_bits;
 
 /// Rounds for the push process (graph model) on `g`.
-fn push_rounds(g: &UndirectedGraph, seed: u64) -> u64 {
+fn push_rounds(g: &ArenaGraph, seed: u64) -> u64 {
     let mut check = ComponentwiseComplete::for_graph(g);
     let mut engine = Engine::new(g.clone(), Push, seed);
     let out = engine.run_until(&mut check, 100_000_000);

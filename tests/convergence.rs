@@ -5,7 +5,7 @@
 use discovery_gossip::prelude::*;
 use gossip_core::ProposalRule;
 
-fn families(n: usize, seed: u64) -> Vec<(&'static str, UndirectedGraph)> {
+fn families(n: usize, seed: u64) -> Vec<(&'static str, ArenaGraph)> {
     let mut rng = gossip_core::rng::stream_rng(seed, 0, 0);
     vec![
         ("path", generators::path(n)),
@@ -20,7 +20,7 @@ fn families(n: usize, seed: u64) -> Vec<(&'static str, UndirectedGraph)> {
     ]
 }
 
-fn assert_within_bound<R: ProposalRule<UndirectedGraph> + Clone>(rule: R, n: usize) {
+fn assert_within_bound<R: ProposalRule<ArenaGraph> + Clone>(rule: R, n: usize) {
     for (name, g) in families(n, 0xFA0) {
         let n_actual = g.n() as f64;
         let bound = 40.0 * n_actual * n_actual.ln() * n_actual.ln();
@@ -72,7 +72,7 @@ fn hybrid_no_slower_than_push_on_star() {
 fn disconnected_graph_reaches_componentwise_fixed_point() {
     // Two components: a path of 6 and a cycle of 5; the fixed point is
     // K6 ∪ K5 (15 + 10 edges), never a single complete graph.
-    let mut g = UndirectedGraph::new(11);
+    let mut g = ArenaGraph::new(11);
     for i in 0..5u32 {
         g.add_edge(NodeId(i), NodeId(i + 1));
     }
@@ -117,7 +117,7 @@ fn subgroup_discovery_is_host_size_independent() {
         let rounds = convergence_rounds(
             &host,
             rule,
-            |_g: &UndirectedGraph| SubsetComplete::new(host.n(), &members),
+            |_g: &ArenaGraph| SubsetComplete::new(host.n(), &members),
             &cfg,
         );
         results.push(rounds.iter().sum::<u64>() as f64 / rounds.len() as f64);

@@ -20,8 +20,8 @@ fn engine_parallel_equals_sequential_full_run() {
     assert!(g_seq.same_edges(&g_par));
     for u in g_seq.nodes() {
         assert_eq!(
-            g_seq.neighbors(u).as_slice(),
-            g_par.neighbors(u).as_slice(),
+            g_seq.neighbors(u),
+            g_par.neighbors(u),
             "adjacency order differs at {u:?}"
         );
     }

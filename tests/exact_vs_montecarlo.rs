@@ -5,7 +5,7 @@
 
 use discovery_gossip::prelude::*;
 
-fn mc_mean_ci(g: &UndirectedGraph, kind: ProcessKind, trials: usize) -> (f64, f64) {
+fn mc_mean_ci(g: &ArenaGraph, kind: ProcessKind, trials: usize) -> (f64, f64) {
     let cfg = TrialConfig {
         trials,
         base_seed: 0xE57,
@@ -20,7 +20,7 @@ fn mc_mean_ci(g: &UndirectedGraph, kind: ProcessKind, trials: usize) -> (f64, f6
     (s.mean, s.ci95)
 }
 
-fn check_agreement(g: &UndirectedGraph, kind: ProcessKind, trials: usize) {
+fn check_agreement(g: &ArenaGraph, kind: ProcessKind, trials: usize) {
     let exact = exact_expected_rounds(g, kind);
     let (mean, ci) = mc_mean_ci(g, kind, trials);
     // 1.5x the 95% band: loose enough to be flake-free, tight enough to

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 /// Strategy: a connected undirected graph built from a random tree plus
 /// random extra edges.
-fn connected_graph(max_n: usize) -> impl Strategy<Value = UndirectedGraph> {
+fn connected_graph(max_n: usize) -> impl Strategy<Value = ArenaGraph> {
     (3..=max_n, any::<u64>(), 0usize..30).prop_map(|(n, seed, extra)| {
         let mut rng = gossip_core::rng::stream_rng(seed, 0, 0);
         let mut g = generators::random_tree(n, &mut rng);
@@ -57,7 +57,7 @@ proptest! {
     #[test]
     fn pull_respects_components(seed in any::<u64>(), n in 4usize..20, edges in 2usize..24) {
         let mut rng = gossip_core::rng::stream_rng(seed, 1, 0);
-        let mut g0 = UndirectedGraph::new(n);
+        let mut g0 = ArenaGraph::new(n);
         for _ in 0..edges {
             let a = rand::Rng::random_range(&mut rng, 0..n as u32);
             let b = rand::Rng::random_range(&mut rng, 0..n as u32);

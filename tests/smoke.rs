@@ -40,7 +40,7 @@ fn quickstart_arena_backend_runs_the_same_engine() {
 #[test]
 fn quickstart_sharded_engine_runs_the_same_process() {
     let und = generators::star(64);
-    let g0 = ShardedArenaGraph::from_undirected(&und, 8);
+    let g0 = ShardedArenaGraph::from_arena(&und, 8);
     let mut check = ComponentwiseComplete::for_graph(&und);
     let mut engine = ShardedEngine::new(g0, Pull, 7);
     assert!(engine.run_until(&mut check, 1_000_000).converged);
@@ -63,7 +63,7 @@ fn quickstart_churn_applies_membership_bursts() {
         bootstrap_contacts: 3,
         seed: 7,
     });
-    let g0 = ShardedArenaGraph::from_undirected(&und, 8);
+    let g0 = ShardedArenaGraph::from_arena(&und, 8);
     let mut engine = ShardedEngine::new(g0, Pull, 7).with_membership(plan);
     engine.run_until(&mut Never, 12);
     assert_eq!(engine.membership_stats().leaves, 32);
@@ -76,11 +76,10 @@ fn quickstart_churn_applies_membership_bursts() {
 #[test]
 fn quickstart_transport_runs_shard_workers_over_framed_sockets() {
     let und = generators::star(512);
-    let mut engine =
-        TransportBuilder::new(ShardedArenaGraph::from_undirected(&und, 4), RuleId::Pull, 7)
-            .with_mode(TransportMode::Thread)
-            .spawn()
-            .unwrap();
+    let mut engine = TransportBuilder::new(ShardedArenaGraph::from_arena(&und, 4), RuleId::Pull, 7)
+        .with_mode(TransportMode::Thread)
+        .spawn()
+        .unwrap();
     engine.run_until(&mut Never, 6);
     let stats = engine.stats().clone();
     assert!(stats.wire.frames_sent > 0 && stats.wire.bytes_received > 0);
@@ -97,15 +96,14 @@ fn quickstart_transport_runs_shard_workers_over_framed_sockets() {
 #[test]
 fn quickstart_cluster_runs_shard_peers_over_udp() {
     let und = generators::star(512);
-    let mut engine =
-        ClusterBuilder::new(ShardedArenaGraph::from_undirected(&und, 4), RuleId::Pull, 7)
-            .with_loss(DatagramLoss {
-                seed: 9,
-                drop_per_mille: 100,
-                dup_per_mille: 50,
-            })
-            .spawn()
-            .unwrap();
+    let mut engine = ClusterBuilder::new(ShardedArenaGraph::from_arena(&und, 4), RuleId::Pull, 7)
+        .with_loss(DatagramLoss {
+            seed: 9,
+            drop_per_mille: 100,
+            dup_per_mille: 50,
+        })
+        .spawn()
+        .unwrap();
     engine.run_until(&mut Never, 6);
     let stats = engine.stats();
     assert!(stats.endpoint.injected_drops > 0 && stats.endpoint.retransmitted > 0);
@@ -120,7 +118,7 @@ fn quickstart_cluster_runs_shard_peers_over_udp() {
 fn quickstart_serve_queries_a_live_engine() {
     let und = generators::star(64);
     let engine =
-        EngineBuilder::new(ShardedArenaGraph::from_undirected(&und, 8), Pull, 7).build_sharded();
+        EngineBuilder::new(ShardedArenaGraph::from_arena(&und, 8), Pull, 7).build_sharded();
     let svc = GossipService::spawn(
         engine,
         ServeConfig {
