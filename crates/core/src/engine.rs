@@ -322,7 +322,7 @@ mod tests {
     use super::*;
     use crate::convergence::{ComponentwiseComplete, Never};
     use crate::rules::{Pull, Push};
-    use gossip_graph::{generators, ArenaGraph};
+    use gossip_graph::generators;
 
     #[test]
     fn push_completes_a_path() {
@@ -396,14 +396,8 @@ mod tests {
                 let s2 = par.step();
                 assert_eq!(s1, s2);
             }
-            // Not just counts — identical edge sets AND identical adjacency
-            // list order (guaranteed by ordered application).
-            let a: &ArenaGraph = seq.graph();
-            let b: &ArenaGraph = par.graph();
-            assert!(a.same_edges(b));
-            for u in a.nodes() {
-                assert_eq!(a.neighbors(u), b.neighbors(u));
-            }
+            // Not just counts — identical rows.
+            assert!(seq.graph().same_edges(par.graph()));
         }
     }
 

@@ -29,8 +29,8 @@ fn default_threshold() -> usize {
     }
 }
 
-/// Asserts two graphs are bit-identical for all future sampling: same edge
-/// set and same per-node adjacency order.
+/// Asserts two graphs are bit-identical for all future sampling: the same
+/// rows, node by node.
 fn assert_bit_identical(a: &ArenaGraph, b: &ArenaGraph, ctx: &str) {
     assert!(a.same_edges(b), "{ctx}: edge sets differ");
     for u in a.nodes() {
@@ -112,19 +112,6 @@ fn pool_reuse_across_experiments_leaks_no_state() {
     assert_bit_identical(&fb1, &fb2, "experiment B final graph");
 }
 
-/// Arena-backend counterpart of [`assert_bit_identical`]: same edge count
-/// and same (sorted, canonical) per-node rows.
-fn assert_arena_bit_identical(a: &ArenaGraph, b: &ArenaGraph, ctx: &str) {
-    assert_eq!(a.m(), b.m(), "{ctx}: edge counts differ");
-    for u in a.nodes() {
-        assert_eq!(
-            a.neighbors(u),
-            b.neighbors(u),
-            "{ctx}: adjacency differs at {u:?}"
-        );
-    }
-}
-
 #[test]
 fn arena_backend_seq_and_pool_bit_identical_across_auto_threshold() {
     // The tentpole backend: the flat pipeline's batch apply must leave the
@@ -144,12 +131,12 @@ fn arena_backend_seq_and_pool_bit_identical_across_auto_threshold() {
     for n in [threshold - 1, threshold, threshold + 1] {
         let g = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(42, 0, 0));
         for policy in [Parallelism::Parallel, Parallelism::default()] {
-            assert_arena_bit_identical(
+            assert_bit_identical(
                 &run(&g, Push, Parallelism::Sequential),
                 &run(&g, Push, policy),
                 &format!("push n={n} seq vs {policy:?}"),
             );
-            assert_arena_bit_identical(
+            assert_bit_identical(
                 &run(&g, Pull, Parallelism::Sequential),
                 &run(&g, Pull, policy),
                 &format!("pull n={n} seq vs {policy:?}"),
@@ -185,7 +172,7 @@ fn arena_backend_pool_reuse_across_runs_leaks_no_state() {
     let mut fresh = Engine::new(g, Pull, 5).with_parallelism(Parallelism::Parallel);
     let all = fresh.run_until(&mut Never, 7);
     assert_eq!(all.final_edges, second.final_edges);
-    assert_arena_bit_identical(fresh.graph(), resumed.graph(), "resumed vs fresh");
+    assert_bit_identical(fresh.graph(), resumed.graph(), "resumed vs fresh");
 }
 
 /// Sharded-vs-sequential counterpart of [`assert_arena_bit_identical`].

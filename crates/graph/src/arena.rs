@@ -532,12 +532,16 @@ impl ArenaGraph {
     }
 
     /// Builds a graph from an edge list (duplicates ignored, self-loop
-    /// requests are no-ops, like the engine's degenerate draws).
+    /// requests are no-ops, like the engine's degenerate draws), in one
+    /// row-ordered merge ([`ArenaGraph::apply_batch`]): each row is
+    /// reserved once, not regrown edge by edge.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Self {
+        let edges: Vec<_> = edges
+            .into_iter()
+            .map(|(a, b)| ((), NodeId(a), NodeId(b)))
+            .collect();
         let mut g = ArenaGraph::new(n);
-        for (a, b) in edges {
-            g.add_edge(NodeId(a), NodeId(b));
-        }
+        g.apply_batch(edges.iter().copied(), |_, _, _| {});
         g
     }
 

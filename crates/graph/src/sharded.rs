@@ -49,8 +49,10 @@
 //! reserved capacity, tombstones included, so the rebuilt segment
 //! relocates and compacts on the same mutations as its source;
 //! [`ShardedArenaGraph::from_segments`] checks that the rebuilt segments
-//! tile the plan. Whether the rows hold node ids of the graph is the
-//! receiving transport's check — they are outside input there.
+//! tile the plan. The assembler refuses a capacity no row of the graph
+//! can reach before allocating it; whether the rows hold node ids of the
+//! graph is the receiving transport's check — they are outside input
+//! there.
 
 use crate::arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 use crate::node::{Edge, NodeId};
