@@ -29,8 +29,10 @@
 //! Datagrams are unreliable, so a [`window`] layer supplies per-peer
 //! send windows with ack/nak control frames, timeout + exponential
 //! backoff retransmit, duplicate suppression, in-order delivery, and
-//! datagram-sized fragmentation for frames over the MTU budget. Its
-//! pump is event-driven — whatever the socket has ready is read without
+//! datagram-sized fragmentation for frames over the MTU budget. The
+//! protocol is a pure [`LinkMachine`] — no socket, no clock — and
+//! [`Endpoint`] the socket shell around it. The shell's pump is
+//! event-driven — whatever the socket has ready is read without
 //! blocking and acked at once, a hole is nak'd as the arrival exposing
 //! it is read — so a window turn costs a loopback round trip, not a
 //! socket-timeout quantum; only an idle endpoint waits on the timeout.
@@ -104,7 +106,7 @@ use std::time::{Duration, Instant};
 
 pub mod window;
 
-pub use window::{DatagramLoss, Endpoint, EndpointStats, DEFAULT_MTU};
+pub use window::{DatagramLoss, Endpoint, EndpointStats, LinkMachine, Tx, DEFAULT_MTU};
 
 /// Environment variable carrying a re-execed cluster worker's shard
 /// index. Set only by [`TransportMode::Process`] spawns.

@@ -1,7 +1,24 @@
-//! Per-peer reliability windows over one UDP socket: sequencing, ack /
+//! Per-peer reliability windows over one datagram socket: sequencing, ack /
 //! nak, timeout + exponential-backoff retransmit, duplicate suppression,
 //! and in-order delivery — the layer that turns a lossy datagram socket
 //! into the FIFO frame channel the round protocol assumes.
+//!
+//! # Machine and shell
+//!
+//! The protocol is [`LinkMachine`]: the per-link windows, the loss shim,
+//! the fragmenter, the delivery queue and the counters — and no socket,
+//! no address and no clock. Time comes in as the `now` argument of
+//! [`LinkMachine::send_frame`], [`LinkMachine::on_datagram`] and
+//! [`LinkMachine::on_tick`]; datagrams go out through a [`Tx`],
+//! `tx(peer, bytes) -> bool`, whose answer says whether the carrier took
+//! the datagram; frames come out of [`LinkMachine::deliver`]. A dead peer
+//! and a protocol violation are `io::Error`s.
+//!
+//! [`Endpoint`] is the shell: it owns the `UdpSocket`, the peer table and
+//! the read buffer, reads the clock once per read batch, and hands the
+//! machine what the socket read. The protocol is therefore tested by
+//! feeding a machine scripted bytes at hand-set times, with no socket and
+//! no wall time.
 //!
 //! # Datagram format
 //!
@@ -24,7 +41,7 @@
 //!   retransmitted within the last [`NAK_INTERVAL`] (naks queue up while
 //!   this side computes). Only timer expiries count toward
 //!   [`MAX_ATTEMPTS`] — a peer that naks is alive. A first transmission
-//!   the kernel refuses stays in the outbox.
+//!   the carrier refuses stays in the outbox.
 //! * **Receive side**: per-link cumulative counter plus an out-of-order
 //!   buffer. A datagram at or below the cumulative mark (or already
 //!   buffered) is a duplicate — dropped, but re-acked, since a duplicate
@@ -36,10 +53,10 @@
 //!   the buffer stays non-empty every open hole is re-nak'd, each as its
 //!   own exact range, once per [`NAK_INTERVAL`].
 //! * **The ack clock**: [`Endpoint::pump`] reads whatever the socket has
-//!   ready without blocking and answers at once — one ack per link that
-//!   received data, then the first transmissions the acks just read made
-//!   room for. It blocks (bounded by the socket read timeout) only when
-//!   its first read found nothing.
+//!   ready without blocking, then ticks the machine once, which answers
+//!   at once — one ack per link that received data, then the first
+//!   transmissions the acks just read made room for. It blocks (bounded
+//!   by the socket read timeout) only when its first read found nothing.
 //!
 //! # Seeded loss, and why termination survives it
 //!
@@ -161,6 +178,12 @@ pub struct EndpointStats {
     pub bytes_received: u64,
 }
 
+/// The machine's carrier: `tx(peer, datagram)` hands one datagram to the
+/// network for shard `peer` and says whether the carrier took it.
+pub trait Tx: FnMut(usize, &[u8]) -> bool {}
+
+impl<F: FnMut(usize, &[u8]) -> bool> Tx for F {}
+
 /// `[u32 sender shard][u64 seq][frame bytes]`, seq 0 for a control frame.
 fn datagram(shard: usize, seq: u64, frame_bytes: &[u8]) -> Vec<u8> {
     let mut dgram = Vec::with_capacity(12 + frame_bytes.len());
@@ -183,8 +206,8 @@ struct Pending {
 
 /// Per-directed-link state (both directions of one peer).
 struct Link {
-    /// Datagrams queued but not yet admitted to the window.
-    outbox: VecDeque<Vec<u8>>,
+    /// `(seq, datagram)`s queued but not yet admitted to the window.
+    outbox: VecDeque<(u64, Vec<u8>)>,
     /// Seq of the next data datagram to be queued.
     next_seq: u64,
     /// In-flight (unacked) datagrams, keyed by seq.
@@ -195,7 +218,7 @@ struct Link {
     recv_buffered: BTreeMap<u64, Vec<u8>>,
     /// Reassembles fragment runs (in-order delivery makes them contiguous).
     defrag: Defragmenter,
-    /// An ack is owed at the end of this pump.
+    /// An ack is owed at the next tick.
     ack_due: bool,
     /// When the open holes were last named: the sighting of the first
     /// one, then each re-nak.
@@ -221,76 +244,42 @@ impl Link {
     }
 }
 
-/// One shard's end of the datagram mesh: a single socket, one
-/// reliability link (sliding window + ack/nak state) per peer in the
-/// static table, and an in-order delivery queue of decoded frames.
-pub struct Endpoint {
-    socket: UdpSocket,
+/// One shard's end of the datagram mesh as a pure state machine: one
+/// reliability link (sliding window + ack/nak state) per shard of the
+/// mesh, the loss shim, the fragmenter and an in-order delivery queue of
+/// decoded frames. See the [module docs](self) for the protocol.
+pub struct LinkMachine {
     shard: usize,
-    peers: Vec<SocketAddr>,
     links: Vec<Link>,
     loss: Option<DatagramLoss>,
     mtu: usize,
     next_msg_id: u64,
     delivery: VecDeque<(usize, Frame)>,
     stats: EndpointStats,
-    buf: Vec<u8>,
     enc: bytes::BytesMut,
 }
 
-impl std::fmt::Debug for Endpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Endpoint")
-            .field("shard", &self.shard)
-            .field("peers", &self.peers)
-            .field("pending", &self.pending_datagrams())
-            .finish()
-    }
-}
-
-impl Endpoint {
-    /// Wraps a bound socket as shard `shard` of the mesh described by
-    /// `peers` (indexed by shard; `peers[shard]` is this socket's own
-    /// address and is never dialed).
-    pub fn new(
-        socket: UdpSocket,
-        shard: usize,
-        peers: Vec<SocketAddr>,
-        loss: Option<DatagramLoss>,
-        mtu: usize,
-    ) -> io::Result<Endpoint> {
-        assert!(shard < peers.len(), "shard index outside the peer table");
+impl LinkMachine {
+    /// Shard `shard` of a `shards`-shard mesh (its own link is never
+    /// used), fragmenting frames over `mtu` bytes.
+    pub fn new(shard: usize, shards: usize, loss: Option<DatagramLoss>, mtu: usize) -> Self {
+        assert!(shard < shards, "shard index outside the peer table");
         assert!(mtu > 0, "mtu must be positive");
-        // Reads are non-blocking; the read timeout bounds only `pump`'s
-        // idle wait, which doubles as the tick of the retransmit and
-        // re-nak timers. The kernel rounds it up to its own tick: on a
-        // 250 Hz kernel a "1 ms" timeout measures 6-10 ms.
-        socket.set_read_timeout(Some(Duration::from_millis(1)))?;
-        socket.set_nonblocking(true)?;
-        let links = (0..peers.len()).map(|_| Link::new()).collect();
-        Ok(Endpoint {
-            socket,
+        LinkMachine {
             shard,
-            peers,
-            links,
+            links: (0..shards).map(|_| Link::new()).collect(),
             loss,
             mtu,
             next_msg_id: 1,
             delivery: VecDeque::new(),
             stats: EndpointStats::default(),
-            buf: vec![0u8; 65_535],
             enc: bytes::BytesMut::new(),
-        })
+        }
     }
 
-    /// This endpoint's shard index.
+    /// This machine's shard index.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// The static peer table (shard-indexed).
-    pub fn peers(&self) -> &[SocketAddr] {
-        &self.peers
     }
 
     /// Counters so far.
@@ -298,19 +287,21 @@ impl Endpoint {
         &self.stats
     }
 
-    /// Datagrams queued or in flight across all links — the "how much of
-    /// what I sent is still unconfirmed" gauge the streamed-bootstrap
-    /// overlap metric reads.
+    /// Datagrams queued or in flight across all links.
     pub fn pending_datagrams(&self) -> u64 {
         self.links.iter().map(Link::pending).sum()
     }
 
+    /// The next frame delivered in order, as `(peer shard, frame)`.
+    pub fn deliver(&mut self) -> Option<(usize, Frame)> {
+        self.delivery.pop_front()
+    }
+
     /// Queues `frame` for reliable in-order delivery to peer `to`,
-    /// fragmenting it if its encoding exceeds the MTU budget. Returns
-    /// after queueing (and an opportunistic transmit pass) — delivery
-    /// happens as [`Endpoint::pump`] runs.
-    pub fn send_frame(&mut self, to: usize, frame: &Frame) -> io::Result<()> {
-        assert!(to < self.peers.len() && to != self.shard, "bad destination");
+    /// fragmenting it if its encoding exceeds the MTU budget, and
+    /// transmits what the window has room for.
+    pub fn send_frame(&mut self, to: usize, frame: &Frame, now: Instant, tx: &mut impl Tx) {
+        assert!(to < self.links.len() && to != self.shard, "bad destination");
         self.enc.clear();
         frame.encode(&mut self.enc);
         if self.enc.len() <= self.mtu {
@@ -327,8 +318,7 @@ impl Endpoint {
                 self.queue_data(to, bytes, true);
             }
         }
-        self.service_sends(to, Instant::now());
-        Ok(())
+        self.service_sends(to, now, tx);
     }
 
     fn queue_data(&mut self, to: usize, frame_bytes: Vec<u8>, fragment: bool) {
@@ -336,7 +326,7 @@ impl Endpoint {
         let seq = link.next_seq;
         link.next_seq += 1;
         link.outbox
-            .push_back(datagram(self.shard, seq, &frame_bytes));
+            .push_back((seq, datagram(self.shard, seq, &frame_bytes)));
         self.stats.data_datagrams += 1;
         if fragment {
             self.stats.fragments_sent += 1;
@@ -346,22 +336,15 @@ impl Endpoint {
     /// Directed-link id for the loss shim: this shard's outbound lane to
     /// `to`, distinct from the reverse lane.
     fn link_id(&self, to: usize) -> u64 {
-        (self.shard * self.peers.len() + to) as u64
+        (self.shard * self.links.len() + to) as u64
     }
 
-    /// Whether the kernel took the datagram. The socket is non-blocking,
-    /// so a full send buffer refuses with `WouldBlock` (`ENOBUFS` on some
-    /// stacks). For a retransmit or a control datagram any refusal is a
-    /// drop — the timers repair it, and a persistently dead link fails
-    /// via MAX_ATTEMPTS; a first transmission is held back instead (see
-    /// `service_sends`).
-    fn transmit(
-        socket: &UdpSocket,
-        stats: &mut EndpointStats,
-        addr: SocketAddr,
-        bytes: &[u8],
-    ) -> bool {
-        let sent = socket.send_to(bytes, addr).is_ok();
+    /// Hands one datagram to the carrier, counting it if taken. For a
+    /// retransmit or a control datagram a refusal is a drop — the timers
+    /// repair it, and a persistently dead link fails via MAX_ATTEMPTS; a
+    /// first transmission is held back instead (see `service_sends`).
+    fn transmit(stats: &mut EndpointStats, tx: &mut impl Tx, to: usize, bytes: &[u8]) -> bool {
+        let sent = tx(to, bytes);
         if sent {
             stats.datagrams_sent += 1;
             stats.bytes_sent += bytes.len() as u64;
@@ -370,17 +353,16 @@ impl Endpoint {
     }
 
     /// Admits outbox datagrams to the window (first transmissions, where
-    /// the loss shim applies) while there is room. One the kernel refuses
-    /// is not in flight: it stays at the head of the outbox, seq and loss
-    /// verdict unchanged, for the next pump.
-    fn service_sends(&mut self, to: usize, now: Instant) {
+    /// the loss shim applies) while there is room. One the carrier
+    /// refuses is not in flight: it goes back to the head of the outbox,
+    /// seq and loss verdict unchanged, for the next tick.
+    fn service_sends(&mut self, to: usize, now: Instant, tx: &mut impl Tx) {
         let link_id = self.link_id(to);
         let link = &mut self.links[to];
         while link.inflight.len() < SEND_WINDOW {
-            let Some(dgram) = link.outbox.front() else {
+            let Some((seq, bytes)) = link.outbox.pop_front() else {
                 break;
             };
-            let seq = u64::from_le_bytes(dgram[4..12].try_into().unwrap());
             let (drop, dup) = match self.loss {
                 Some(l) => l.verdict(link_id, seq),
                 None => (false, false),
@@ -388,15 +370,15 @@ impl Endpoint {
             if drop {
                 self.stats.injected_drops += 1;
             } else {
-                if !Self::transmit(&self.socket, &mut self.stats, self.peers[to], dgram) {
+                if !Self::transmit(&mut self.stats, tx, to, &bytes) {
+                    link.outbox.push_front((seq, bytes));
                     break;
                 }
                 if dup {
                     self.stats.injected_dups += 1;
-                    Self::transmit(&self.socket, &mut self.stats, self.peers[to], dgram);
+                    Self::transmit(&mut self.stats, tx, to, &bytes);
                 }
             }
-            let bytes = link.outbox.pop_front().expect("the front just read");
             link.inflight.insert(
                 seq,
                 Pending {
@@ -412,12 +394,8 @@ impl Endpoint {
 
     /// Expired-timer retransmissions (always transmitted — the shim never
     /// touches a retransmit, which is what guarantees termination).
-    fn service_retransmits(&mut self, now: Instant) -> io::Result<()> {
-        for to in 0..self.peers.len() {
-            if to == self.shard {
-                continue;
-            }
-            let link = &mut self.links[to];
+    fn service_retransmits(&mut self, now: Instant, tx: &mut impl Tx) -> io::Result<()> {
+        for (to, link) in self.links.iter_mut().enumerate() {
             for (seq, p) in link.inflight.iter_mut() {
                 if p.deadline > now {
                     continue;
@@ -436,25 +414,54 @@ impl Endpoint {
                 p.deadline = now + p.rto;
                 p.resent = Some(now);
                 self.stats.retransmitted += 1;
-                Self::transmit(&self.socket, &mut self.stats, self.peers[to], &p.bytes);
+                Self::transmit(&mut self.stats, tx, to, &p.bytes);
             }
         }
         Ok(())
     }
 
-    fn send_control(&mut self, to: usize, frame: &Frame) {
+    fn send_control(&mut self, to: usize, frame: &Frame, tx: &mut impl Tx) {
         self.enc.clear();
         frame.encode(&mut self.enc);
         let dgram = datagram(self.shard, 0, &self.enc);
-        Self::transmit(&self.socket, &mut self.stats, self.peers[to], &dgram);
+        Self::transmit(&mut self.stats, tx, to, &dgram);
     }
 
-    fn send_nak(&mut self, to: usize, lo: u64, hi: u64) {
-        self.send_control(to, &Frame::NakRange { from: lo, to: hi });
+    fn send_nak(&mut self, to: usize, lo: u64, hi: u64, tx: &mut impl Tx) {
+        self.send_control(to, &Frame::NakRange { from: lo, to: hi }, tx);
         self.stats.naks_sent += 1;
     }
 
-    fn handle_control(&mut self, from: usize, frame: Frame) -> io::Result<()> {
+    /// Handles one datagram read off the carrier at `now`. A runt (under
+    /// the 12-byte header) is not ours and is dropped silently; a sender
+    /// outside the mesh, this shard's own id, a data frame on the
+    /// unsequenced lane and undecodable frame bytes are `InvalidData`.
+    pub fn on_datagram(&mut self, bytes: &[u8], now: Instant, tx: &mut impl Tx) -> io::Result<()> {
+        let Some((from, rest)) = bytes.split_first_chunk() else {
+            return Ok(());
+        };
+        let Some((seq, frame_bytes)) = rest.split_first_chunk() else {
+            return Ok(());
+        };
+        self.stats.datagrams_received += 1;
+        self.stats.bytes_received += bytes.len() as u64;
+        let from = u32::from_le_bytes(*from) as usize;
+        if from >= self.links.len() || from == self.shard {
+            return Err(protocol_err(format!("datagram from unknown shard {from}")));
+        }
+        match u64::from_le_bytes(*seq) {
+            0 => self.handle_control(from, parse_framed(frame_bytes)?, now, tx),
+            seq => self.handle_data(from, seq, frame_bytes, now, tx),
+        }
+    }
+
+    fn handle_control(
+        &mut self,
+        from: usize,
+        frame: Frame,
+        now: Instant,
+        tx: &mut impl Tx,
+    ) -> io::Result<()> {
         match frame {
             Frame::Ack(AckFrame {
                 cumulative,
@@ -469,7 +476,6 @@ impl Endpoint {
             }
             Frame::NakRange { from: lo, to: hi } => {
                 self.stats.naks_received += 1;
-                let now = Instant::now();
                 let link = &mut self.links[from];
                 for (_, p) in link.inflight.range_mut(lo..=hi) {
                     // Naks queue up while this side computes; the first
@@ -481,7 +487,7 @@ impl Endpoint {
                     p.rto = INITIAL_RTO;
                     p.deadline = now + INITIAL_RTO;
                     self.stats.retransmitted += 1;
-                    Self::transmit(&self.socket, &mut self.stats, self.peers[from], &p.bytes);
+                    Self::transmit(&mut self.stats, tx, from, &p.bytes);
                 }
             }
             other => {
@@ -493,7 +499,14 @@ impl Endpoint {
         Ok(())
     }
 
-    fn handle_data(&mut self, from: usize, seq: u64, frame_bytes: &[u8]) -> io::Result<()> {
+    fn handle_data(
+        &mut self,
+        from: usize,
+        seq: u64,
+        frame_bytes: &[u8],
+        now: Instant,
+        tx: &mut impl Tx,
+    ) -> io::Result<()> {
         let link = &mut self.links[from];
         link.ack_due = true;
         if seq <= link.recv_cumulative || link.recv_buffered.contains_key(&seq) {
@@ -507,9 +520,9 @@ impl Endpoint {
         if seq - 1 > max_seen {
             // This arrival exposes the hole below it: name it now.
             if link.recv_buffered.is_empty() {
-                link.last_nak = Some(Instant::now());
+                link.last_nak = Some(now);
             }
-            self.send_nak(from, max_seen + 1, seq - 1);
+            self.send_nak(from, max_seen + 1, seq - 1, tx);
         }
         let link = &mut self.links[from];
         link.recv_buffered.insert(seq, frame_bytes.to_vec());
@@ -528,62 +541,17 @@ impl Endpoint {
         Ok(())
     }
 
-    /// One service pass, event-driven: every datagram the socket has
-    /// ready (a bounded batch, read without blocking), then the response
-    /// at once — expired-timer retransmits, one ack per link that
+    /// The response to what was read since the last tick, and the timers,
+    /// at `now`: expired-timer retransmits (after the reads, so an ack
+    /// already read beats the deadline it clears), one ack per link that
     /// received data, re-naks for holes still open, and the first
-    /// transmissions the acks just read made room for. Only when the
-    /// first read finds the socket empty does it block, for at most the
-    /// read timeout, and it handles whatever wakes it before returning.
-    pub fn pump(&mut self) -> io::Result<()> {
-        for read in 0..128 {
-            let mut got = self.socket.recv_from(&mut self.buf);
-            if read == 0 && matches!(&got, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
-                self.socket.set_nonblocking(false)?;
-                got = self.socket.recv_from(&mut self.buf);
-                self.socket.set_nonblocking(true)?;
-            }
-            let (len, addr) = match got {
-                Ok(x) => x,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-            };
-            if len < 12 {
-                continue; // runt datagram: not ours, drop
-            }
-            self.stats.datagrams_received += 1;
-            self.stats.bytes_received += len as u64;
-            let from = u32::from_le_bytes(self.buf[0..4].try_into().unwrap()) as usize;
-            let seq = u64::from_le_bytes(self.buf[4..12].try_into().unwrap());
-            if from >= self.peers.len() || from == self.shard {
-                return Err(protocol_err(format!(
-                    "datagram from unknown shard {from} ({addr})"
-                )));
-            }
-            if seq == 0 {
-                let frame = parse_framed(&self.buf[12..len])?;
-                self.handle_control(from, frame)?;
-            } else {
-                let bytes = std::mem::take(&mut self.buf);
-                let r = self.handle_data(from, seq, &bytes[12..len]);
-                self.buf = bytes;
-                r?;
-            }
-        }
-
-        // Timers after the reads: an ack already in the socket must beat
-        // the deadline it clears.
-        let now = Instant::now();
-        self.service_retransmits(now)?;
-        for peer in 0..self.peers.len() {
-            if peer == self.shard {
-                continue;
-            }
+    /// transmissions the acks made room for. A link whose datagram
+    /// expired [`MAX_ATTEMPTS`] times is a `TimedOut` error naming the
+    /// peer.
+    pub fn on_tick(&mut self, now: Instant, tx: &mut impl Tx) -> io::Result<()> {
+        self.service_retransmits(now, tx)?;
+        // This shard's own link never sends or receives, so it idles here.
+        for peer in 0..self.links.len() {
             let link = &mut self.links[peer];
             if link.ack_due {
                 link.ack_due = false;
@@ -594,13 +562,11 @@ impl Endpoint {
                     .take(SELECTIVE_ACK_CAP)
                     .copied()
                     .collect();
-                self.send_control(
-                    peer,
-                    &Frame::Ack(AckFrame {
-                        cumulative,
-                        selective,
-                    }),
-                );
+                let ack = Frame::Ack(AckFrame {
+                    cumulative,
+                    selective,
+                });
+                self.send_control(peer, &ack, tx);
                 self.stats.acks_sent += 1;
             }
             let link = &mut self.links[peer];
@@ -621,21 +587,144 @@ impl Endpoint {
                     })
                     .collect();
                 for (lo, hi) in holes {
-                    self.send_nak(peer, lo, hi);
+                    self.send_nak(peer, lo, hi, tx);
                 }
             }
-            self.service_sends(peer, now);
+            self.service_sends(peer, now, tx);
         }
         Ok(())
+    }
+}
+
+/// One shard's end of the datagram mesh over a UDP socket: the shell that
+/// feeds a [`LinkMachine`] what the socket reads and writes what the
+/// machine sends to the static peer table.
+pub struct Endpoint {
+    socket: UdpSocket,
+    peers: Vec<SocketAddr>,
+    machine: LinkMachine,
+    buf: Vec<u8>,
+}
+
+impl std::fmt::Debug for Endpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Endpoint")
+            .field("shard", &self.shard())
+            .field("peers", &self.peers)
+            .field("pending", &self.pending_datagrams())
+            .finish()
+    }
+}
+
+/// The machine's carrier over `socket`. It is non-blocking, so a full
+/// send buffer refuses with `WouldBlock` (`ENOBUFS` on some stacks).
+fn carrier<'a>(
+    socket: &'a UdpSocket,
+    peers: &'a [SocketAddr],
+) -> impl FnMut(usize, &[u8]) -> bool + 'a {
+    |to, bytes| socket.send_to(bytes, peers[to]).is_ok()
+}
+
+impl Endpoint {
+    /// Wraps a bound socket as shard `shard` of the mesh described by
+    /// `peers` (indexed by shard; `peers[shard]` is this socket's own
+    /// address and is never dialed).
+    pub fn new(
+        socket: UdpSocket,
+        shard: usize,
+        peers: Vec<SocketAddr>,
+        loss: Option<DatagramLoss>,
+        mtu: usize,
+    ) -> io::Result<Endpoint> {
+        let machine = LinkMachine::new(shard, peers.len(), loss, mtu);
+        // Reads are non-blocking; the read timeout bounds only `pump`'s
+        // idle wait, which doubles as the tick of the retransmit and
+        // re-nak timers. The kernel rounds it up to its own tick: on a
+        // 250 Hz kernel a "1 ms" timeout measures 6-10 ms.
+        socket.set_read_timeout(Some(Duration::from_millis(1)))?;
+        socket.set_nonblocking(true)?;
+        Ok(Endpoint {
+            socket,
+            peers,
+            machine,
+            buf: vec![0u8; 65_535],
+        })
+    }
+
+    /// This endpoint's shard index.
+    pub fn shard(&self) -> usize {
+        self.machine.shard()
+    }
+
+    /// The static peer table (shard-indexed).
+    pub fn peers(&self) -> &[SocketAddr] {
+        &self.peers
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> &EndpointStats {
+        self.machine.stats()
+    }
+
+    /// Datagrams queued or in flight across all links — the "how much of
+    /// what I sent is still unconfirmed" gauge the streamed-bootstrap
+    /// overlap metric reads.
+    pub fn pending_datagrams(&self) -> u64 {
+        self.machine.pending_datagrams()
+    }
+
+    /// Queues `frame` for reliable in-order delivery to peer `to`,
+    /// fragmenting it if its encoding exceeds the MTU budget. Returns
+    /// after queueing (and an opportunistic transmit pass) — delivery
+    /// happens as [`Endpoint::pump`] runs.
+    pub fn send_frame(&mut self, to: usize, frame: &Frame) -> io::Result<()> {
+        let mut tx = carrier(&self.socket, &self.peers);
+        self.machine.send_frame(to, frame, Instant::now(), &mut tx);
+        Ok(())
+    }
+
+    /// One service pass, event-driven: every datagram the socket has
+    /// ready (a bounded batch, read without blocking), then one machine
+    /// tick that answers at once. Only when the first read finds the
+    /// socket empty does it block, for at most the read timeout, and it
+    /// handles whatever wakes it before returning. The clock is read once,
+    /// when the first read returns.
+    pub fn pump(&mut self) -> io::Result<()> {
+        let mut tx = carrier(&self.socket, &self.peers);
+        let mut now = None;
+        for read in 0..128 {
+            let mut got = self.socket.recv_from(&mut self.buf);
+            if read == 0 && matches!(&got, Err(e) if e.kind() == io::ErrorKind::WouldBlock) {
+                self.socket.set_nonblocking(false)?;
+                got = self.socket.recv_from(&mut self.buf);
+                self.socket.set_nonblocking(true)?;
+            }
+            let now = *now.get_or_insert_with(Instant::now);
+            let (len, addr) = match got {
+                Ok(x) => x,
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    break
+                }
+                Err(e) => return Err(e),
+            };
+            self.machine
+                .on_datagram(&self.buf[..len], now, &mut tx)
+                .map_err(|e| io::Error::new(e.kind(), format!("{e} ({addr})")))?;
+        }
+        self.machine
+            .on_tick(now.unwrap_or_else(Instant::now), &mut tx)
     }
 
     /// Pops the next delivered frame without blocking beyond one pump.
     pub fn try_recv(&mut self) -> io::Result<Option<(usize, Frame)>> {
-        if let Some(x) = self.delivery.pop_front() {
+        if let Some(x) = self.machine.deliver() {
             return Ok(Some(x));
         }
         self.pump()?;
-        Ok(self.delivery.pop_front())
+        Ok(self.machine.deliver())
     }
 
     /// Next delivered `(peer shard, frame)`, pumping the socket until one
@@ -649,7 +738,7 @@ impl Endpoint {
             if Instant::now() >= deadline {
                 return Err(io::Error::new(
                     io::ErrorKind::TimedOut,
-                    format!("shard {}: no frame within {timeout:?}", self.shard),
+                    format!("shard {}: no frame within {timeout:?}", self.shard()),
                 ));
             }
         }
@@ -666,7 +755,7 @@ impl Endpoint {
                     io::ErrorKind::TimedOut,
                     format!(
                         "shard {}: {} datagrams still unacked after {timeout:?}",
-                        self.shard,
+                        self.shard(),
                         self.pending_datagrams()
                     ),
                 ));
@@ -789,14 +878,9 @@ mod tests {
         assert_eq!(a1.data_datagrams, a2.data_datagrams);
     }
 
-    /// Shard 0 of a two-shard table whose shard 1 is a raw socket the
-    /// test scripts by hand.
-    fn scripted_peer() -> (Endpoint, UdpSocket) {
-        let a = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
-        raw.connect(a.local_addr().unwrap()).unwrap();
-        let peers = vec![a.local_addr().unwrap(), raw.local_addr().unwrap()];
-        (Endpoint::new(a, 0, peers, None, DEFAULT_MTU).unwrap(), raw)
+    /// Shard 0 of a two-shard mesh whose shard 1 the test scripts by hand.
+    fn machine() -> LinkMachine {
+        LinkMachine::new(0, 2, None, DEFAULT_MTU)
     }
 
     /// What shard `shard` would put on the wire for `frame` at `seq`.
@@ -806,89 +890,96 @@ mod tests {
         datagram(shard, seq, &enc)
     }
 
-    /// The control frames the endpoint has sent the raw peer since the
-    /// last call (loopback delivers inside `send_to`, so none is still on
-    /// its way).
-    fn controls(raw: &UdpSocket) -> Vec<Frame> {
-        let mut buf = [0u8; 2048];
-        let mut got = Vec::new();
-        raw.set_nonblocking(true).unwrap();
-        while let Ok(len) = raw.recv(&mut buf) {
-            assert_eq!(buf[..12], [0u8; 12], "from shard 0, unsequenced");
-            got.push(parse_framed(&buf[12..len]).unwrap());
+    /// The datagrams a machine handed its carrier, every one taken.
+    #[derive(Default)]
+    struct Wire(Vec<Vec<u8>>);
+
+    impl Wire {
+        fn tx(&mut self) -> impl FnMut(usize, &[u8]) -> bool + '_ {
+            |to, bytes| {
+                assert_eq!(to, 1, "shard 1 is the only peer");
+                self.0.push(bytes.to_vec());
+                true
+            }
         }
-        got
+
+        /// The datagrams sent since the last call.
+        fn take(&mut self) -> Vec<Vec<u8>> {
+            std::mem::take(&mut self.0)
+        }
+
+        /// The control frames sent since the last call.
+        fn controls(&mut self) -> Vec<Frame> {
+            self.take()
+                .iter()
+                .map(|d| {
+                    assert_eq!(d[..12], [0u8; 12], "from shard 0, unsequenced");
+                    parse_framed(&d[12..]).unwrap()
+                })
+                .collect()
+        }
     }
 
-    fn naks(sent: &[Frame]) -> Vec<(u64, u64)> {
-        sent.iter()
-            .filter_map(|f| match f {
-                Frame::NakRange { from, to } => Some((*from, *to)),
-                _ => None,
-            })
-            .collect()
+    fn nak(from: u64, to: u64) -> Frame {
+        Frame::NakRange { from, to }
     }
 
     #[test]
     fn a_gap_is_nakd_on_sight_and_renakd_only_after_the_interval() {
-        let (mut a, raw) = scripted_peer();
-        for seq in [1u64, 4, 5, 9] {
-            raw.send(&scripted(1, seq, &Frame::Start { round: seq }))
-                .unwrap();
+        let (mut m, mut wire, t0) = (machine(), Wire::default(), Instant::now());
+        let arrive = |m: &mut LinkMachine, wire: &mut Wire, seq, now| {
+            let dgram = scripted(1, seq, &Frame::Start { round: seq });
+            m.on_datagram(&dgram, now, &mut wire.tx()).unwrap();
+        };
+        for seq in [1, 4, 5, 9] {
+            arrive(&mut m, &mut wire, seq, t0);
         }
-        let t = Instant::now();
-        a.pump().unwrap();
-        let took = t.elapsed();
-        // One nak per hole, each naming exactly the missing seqs, in the
-        // pump that read the arrivals exposing them — no timer involved.
-        let sent = controls(&raw);
-        assert!(
-            naks(&sent) == [(2, 3), (6, 8)] || took >= NAK_INTERVAL,
-            "fresh holes: {sent:?}"
-        );
-        assert!(sent.contains(&Frame::Ack(AckFrame {
+        // One nak per hole, each naming exactly the missing seqs, as the
+        // arrivals exposing them are read — no timer involved.
+        assert_eq!(wire.controls(), [nak(2, 3), nak(6, 8)]);
+        m.on_tick(t0, &mut wire.tx()).unwrap();
+        let ack = AckFrame {
             cumulative: 1,
             selective: vec![4, 5, 9],
-        })));
-        assert_eq!(a.try_recv().unwrap(), Some((1, Frame::Start { round: 1 })));
+        };
+        assert_eq!(wire.controls(), [Frame::Ack(ack)]);
+        assert_eq!(m.deliver(), Some((1, Frame::Start { round: 1 })));
+        assert_eq!(m.deliver(), None);
 
-        // The holes stay open: they are named again, but never sooner
-        // than NAK_INTERVAL after the sighting.
-        let named = a.links[1].last_nak.expect("a hole is open");
-        let first = a.stats().naks_sent;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while a.stats().naks_sent == first {
-            assert!(Instant::now() < deadline, "hole never re-nak'd");
-            a.pump().unwrap();
-        }
-        assert!(Instant::now() >= named + NAK_INTERVAL, "re-nak'd early");
-        assert_eq!(naks(&controls(&raw)), [(2, 3), (6, 8)]);
+        // The holes stay open: they are named again exactly NAK_INTERVAL
+        // after the sighting, and not a nanosecond sooner.
+        m.on_tick(t0 + NAK_INTERVAL - Duration::from_nanos(1), &mut wire.tx())
+            .unwrap();
+        assert_eq!(wire.controls(), []);
+        let t1 = t0 + NAK_INTERVAL;
+        m.on_tick(t1, &mut wire.tx()).unwrap();
+        assert_eq!(wire.controls(), [nak(2, 3), nak(6, 8)]);
 
         // Closing one hole delivers up to the next, and only the open
         // one is named from then on.
-        for seq in [2u64, 3] {
-            raw.send(&scripted(1, seq, &Frame::Start { round: seq }))
-                .unwrap();
+        for seq in [2, 3] {
+            arrive(&mut m, &mut wire, seq, t1);
         }
-        let got: Vec<_> = std::iter::from_fn(|| a.try_recv().unwrap()).collect();
+        let got: Vec<_> = std::iter::from_fn(|| m.deliver()).collect();
         let rounds: Vec<_> = (2..=5).map(|round| (1, Frame::Start { round })).collect();
         assert_eq!(got, rounds);
-        let second = a.stats().naks_sent;
-        while a.stats().naks_sent == second {
-            assert!(Instant::now() < deadline, "open hole never re-nak'd");
-            a.pump().unwrap();
-        }
-        let last = naks(&controls(&raw));
-        assert!(!last.is_empty() && last.iter().all(|&hole| hole == (6, 8)));
+        m.on_tick(t1 + NAK_INTERVAL - Duration::from_nanos(1), &mut wire.tx())
+            .unwrap();
+        let ack = AckFrame {
+            cumulative: 5,
+            selective: vec![9],
+        };
+        assert_eq!(wire.controls(), [Frame::Ack(ack)]);
+        m.on_tick(t1 + NAK_INTERVAL, &mut wire.tx()).unwrap();
+        assert_eq!(wire.controls(), [nak(6, 8)]);
     }
 
     #[test]
     fn foreign_datagrams_are_ignored_or_typed_errors() {
-        let (mut a, raw) = scripted_peer();
+        let (mut m, mut wire, now) = (machine(), Wire::default(), Instant::now());
         // A runt is not ours: dropped without a trace.
-        raw.send(&[0xAB; 11]).unwrap();
-        a.pump().unwrap();
-        assert_eq!(a.stats().datagrams_received, 0);
+        m.on_datagram(&[0xAB; 11], now, &mut wire.tx()).unwrap();
+        assert_eq!(m.stats().datagrams_received, 0);
         // A sender outside the peer table, our own shard id, and a data
         // frame riding the unsequenced lane are protocol violations.
         for bad in [
@@ -896,45 +987,117 @@ mod tests {
             scripted(0, 1, &Frame::Start { round: 0 }),
             scripted(1, 0, &Frame::Start { round: 0 }),
         ] {
-            raw.send(&bad).unwrap();
-            let err = a.pump().unwrap_err();
+            let err = m.on_datagram(&bad, now, &mut wire.tx()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         }
-        // None of it wedged the endpoint.
-        raw.send(&scripted(1, 1, &Frame::Start { round: 3 }))
-            .unwrap();
-        assert_eq!(a.try_recv().unwrap(), Some((1, Frame::Start { round: 3 })));
+        assert_eq!(wire.take(), Vec::<Vec<u8>>::new());
+        // None of it wedged the machine.
+        let start = scripted(1, 1, &Frame::Start { round: 3 });
+        m.on_datagram(&start, now, &mut wire.tx()).unwrap();
+        assert_eq!(m.deliver(), Some((1, Frame::Start { round: 3 })));
+    }
+
+    /// The RTOs a datagram nobody acks waits out, one per timer-driven
+    /// transmission: 20, 40, … 640 ms, then 1 s each.
+    fn backoff() -> impl Iterator<Item = Duration> {
+        [20, 40, 80, 160, 320, 640]
+            .into_iter()
+            .chain(std::iter::repeat(1000))
+            .map(Duration::from_millis)
+            .take(MAX_ATTEMPTS as usize)
     }
 
     #[test]
     fn queued_naks_resend_once_and_never_kill_the_link() {
-        let (mut a, raw) = scripted_peer();
-        a.send_frame(1, &Frame::Start { round: 0 }).unwrap();
+        let (mut m, mut wire, t0) = (machine(), Wire::default(), Instant::now());
+        m.send_frame(1, &Frame::Start { round: 0 }, t0, &mut wire.tx());
+        let first = wire.take();
         // What a sender finds after a long compute phase: the receiver's
-        // re-naks for one hole, queued up. More than MAX_ATTEMPTS of them.
-        let nak = scripted(1, 0, &Frame::NakRange { from: 1, to: 1 });
+        // re-naks for one hole, queued up and read at one `now`. More than
+        // MAX_ATTEMPTS of them.
+        let mut now = t0 + Duration::from_millis(5);
+        let nak = scripted(1, 0, &nak(1, 1));
         for _ in 0..100 {
-            raw.send(&nak).unwrap();
+            m.on_datagram(&nak, now, &mut wire.tx()).unwrap();
         }
-        while a.stats().naks_received < 100 {
-            a.pump().unwrap();
+        m.on_tick(now, &mut wire.tx()).unwrap();
+        assert_eq!(wire.take(), first, "one resend for one hole");
+        // The naks proved the peer alive: the timer still has every one of
+        // its retransmits left, from a fresh INITIAL_RTO.
+        for rto in backoff().take(MAX_ATTEMPTS as usize - 1) {
+            now += rto;
+            m.on_tick(now, &mut wire.tx()).unwrap();
+            assert_eq!(wire.take(), first);
         }
-        let resent = a.stats().retransmitted;
-        assert!((1..=2).contains(&resent), "{resent} resends for one hole");
-        // The naks proved the peer alive, so the timer's next expiries
-        // are ordinary retransmits, not "peer unresponsive".
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while a.stats().retransmitted < resent + 2 {
-            assert!(Instant::now() < deadline, "timer never fired");
-            a.pump().unwrap();
-        }
-        assert_eq!(a.pending_datagrams(), 1);
+        assert_eq!(m.stats().retransmitted, u64::from(MAX_ATTEMPTS));
         let ack = Frame::Ack(AckFrame {
             cumulative: 1,
             selective: Vec::new(),
         });
-        raw.send(&scripted(1, 0, &ack)).unwrap();
-        a.drain(Duration::from_secs(10)).unwrap();
+        m.on_datagram(&scripted(1, 0, &ack), now, &mut wire.tx())
+            .unwrap();
+        assert_eq!(m.pending_datagrams(), 0);
+    }
+
+    #[test]
+    fn a_silent_peer_is_a_timed_out_error_after_max_attempts() {
+        let (mut m, mut wire, t0) = (machine(), Wire::default(), Instant::now());
+        m.send_frame(1, &Frame::Start { round: 0 }, t0, &mut wire.tx());
+        let first = wire.take();
+        let mut deadline = t0;
+        for (attempt, rto) in (1..=MAX_ATTEMPTS).zip(backoff()) {
+            deadline += rto;
+            m.on_tick(deadline - Duration::from_nanos(1), &mut wire.tx())
+                .unwrap();
+            assert_eq!(wire.take(), Vec::<Vec<u8>>::new(), "early at {rto:?}");
+            if attempt == MAX_ATTEMPTS {
+                break;
+            }
+            m.on_tick(deadline, &mut wire.tx()).unwrap();
+            assert_eq!(wire.take(), first, "no retransmit at {rto:?}");
+        }
+        // The MAX_ATTEMPTS-th transmission's deadline: the link is dead.
+        assert_eq!(deadline - t0, Duration::from_millis(55_260));
+        let err = m.on_tick(deadline, &mut wire.tx()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+        assert!(err.to_string().contains("peer 1 unresponsive"), "{err}");
+        assert_eq!(wire.take(), Vec::<Vec<u8>>::new());
+    }
+
+    #[test]
+    fn a_refused_first_send_stays_queued() {
+        // Every first transmission is duplicated, so its verdict shows.
+        let loss = DatagramLoss {
+            seed: 1,
+            drop_per_mille: 0,
+            dup_per_mille: 1000,
+        };
+        let (mut m, t0) = (
+            LinkMachine::new(0, 2, Some(loss), DEFAULT_MTU),
+            Instant::now(),
+        );
+        let mut offered = 0;
+        let mut refuse = |_: usize, _: &[u8]| {
+            offered += 1;
+            false
+        };
+        m.send_frame(1, &Frame::Start { round: 0 }, t0, &mut refuse);
+        assert_eq!(offered, 1);
+        assert!(m.links[1].inflight.is_empty(), "refused, yet in flight");
+        assert_eq!(m.pending_datagrams(), 1);
+        assert_eq!(m.stats().injected_dups, 0);
+        // The next tick sends it as a first transmission — once, with the
+        // verdict's duplicate — and nothing is a retransmit.
+        let mut wire = Wire::default();
+        m.on_tick(t0, &mut wire.tx()).unwrap();
+        let dgram = scripted(0, 1, &Frame::Start { round: 0 });
+        assert_eq!(wire.take(), [dgram.clone(), dgram]);
+        m.on_tick(t0, &mut wire.tx()).unwrap();
+        assert_eq!(wire.take(), Vec::<Vec<u8>>::new());
+        let stats = m.stats();
+        assert_eq!((stats.injected_dups, stats.datagrams_sent), (1, 2));
+        assert_eq!((stats.data_datagrams, stats.retransmitted), (1, 0));
+        assert_eq!(m.pending_datagrams(), 1);
     }
 
     #[test]
