@@ -587,18 +587,7 @@ pub fn maybe_run_cluster_shard() {
         ));
     }
     let loss = std::env::var(CLUSTER_LOSS_ENV).ok().map(|spec| {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let parse = |i: usize| -> u64 {
-            parts
-                .get(i)
-                .and_then(|p| p.parse().ok())
-                .unwrap_or_else(|| exit(format!("bad {CLUSTER_LOSS_ENV}={spec}")))
-        };
-        DatagramLoss {
-            seed: parse(0),
-            drop_per_mille: parse(1) as u16,
-            dup_per_mille: parse(2) as u16,
-        }
+        parse_loss(&spec).unwrap_or_else(|| exit(format!("bad {CLUSTER_LOSS_ENV}={spec}")))
     });
     let mtu = parse_mtu(std::env::var(CLUSTER_MTU_ENV).ok().as_deref())
         .unwrap_or_else(|m| exit(format!("bad {CLUSTER_MTU_ENV}={m}")));
@@ -620,6 +609,20 @@ pub fn maybe_run_cluster_shard() {
         exit(format!("cannot bind {addr}"));
     };
     run_shard_process(MeshLink::worker(socket, peers, shard, loss, mtu));
+}
+
+/// The worker's loss shim from [`CLUSTER_LOSS_ENV`]'s value: exactly
+/// `seed:drop_per_mille:dup_per_mille`, each field in its own type's
+/// range, or nothing — a rate that wrapped would inject other faults than
+/// the coordinator's.
+fn parse_loss(spec: &str) -> Option<DatagramLoss> {
+    let mut fields = spec.split(':');
+    let loss = DatagramLoss {
+        seed: fields.next()?.parse().ok()?,
+        drop_per_mille: fields.next()?.parse().ok()?,
+        dup_per_mille: fields.next()?.parse().ok()?,
+    };
+    fields.next().is_none().then_some(loss)
 }
 
 /// The worker's datagram budget from [`CLUSTER_MTU_ENV`]'s value: absent

@@ -150,6 +150,27 @@ fn worker_rejects_a_bad_mtu() {
     println!("  ok: worker_rejects_a_bad_mtu");
 }
 
+/// A loss spec is exactly `seed:drop:dup`, each field in its own type's
+/// range: a rate past `u16` (which would wrap to another rate), a missing
+/// field and an extra one all make the worker exit 2.
+fn worker_rejects_a_bad_loss_spec() {
+    for bad in ["7:65586:0", "7:50", "7:50:30:1"] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .env(gossip_cluster::CLUSTER_SHARD_ENV, "1")
+            .env(gossip_cluster::CLUSTER_PEERS_ENV, "127.0.0.1:1,127.0.0.1:1")
+            .env(gossip_cluster::CLUSTER_LOSS_ENV, bad)
+            .output()
+            .expect("re-exec as a worker");
+        assert_eq!(out.status.code(), Some(2), "loss {bad:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad GOSSIP_CLUSTER_LOSS={bad}")),
+            "loss {bad:?}: {stderr}"
+        );
+    }
+    println!("  ok: worker_rejects_a_bad_loss_spec");
+}
+
 fn main() {
     // Worker re-execs enter here and never return.
     gossip_cluster::maybe_run_cluster_shard();
@@ -160,5 +181,6 @@ fn main() {
     two_host_loopback_grid_is_bit_identical();
     converged_cluster_answers_queries();
     worker_rejects_a_bad_mtu();
+    worker_rejects_a_bad_loss_spec();
     println!("udp_process: all tests passed");
 }
