@@ -77,16 +77,6 @@ pub fn align_series(trials: &[Vec<(u64, f64)>], grid_points: usize) -> Vec<Aggre
     out
 }
 
-/// Convenience: converts `gossip-core` recorder rows to `(round, value)`
-/// series using an extractor.
-pub fn series_from_rows<T>(
-    rows: &[T],
-    round_of: impl Fn(&T) -> u64,
-    value_of: impl Fn(&T) -> f64,
-) -> Vec<(u64, f64)> {
-    rows.iter().map(|r| (round_of(r), value_of(r))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,17 +123,6 @@ mod tests {
         assert!((agg[0].mean - 4.5).abs() < 1e-12);
         assert!((agg[1].mean - 5.5).abs() < 1e-12);
         assert!(agg[0].ci95 > 0.0);
-    }
-
-    #[test]
-    fn series_from_rows_extractor() {
-        struct R {
-            round: u64,
-            m: u64,
-        }
-        let rows = vec![R { round: 1, m: 10 }, R { round: 5, m: 20 }];
-        let s = series_from_rows(&rows, |r| r.round, |r| r.m as f64);
-        assert_eq!(s, vec![(1, 10.0), (5, 20.0)]);
     }
 
     #[test]

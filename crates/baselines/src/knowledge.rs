@@ -19,7 +19,7 @@
 //! that would cap baseline experiments in the tens of thousands of
 //! nodes).
 
-use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, SliceArena};
+use gossip_graph::{ArenaGraph, NodeId, SliceArena};
 use rand::Rng;
 
 /// Directed "who-knows-whom" state for `n` nodes.
@@ -59,15 +59,6 @@ impl Knowledge {
         for e in g.edges() {
             k.learn(e.a, e.b);
             k.learn(e.b, e.a);
-        }
-        k
-    }
-
-    /// Initializes from a digraph: `u -> v` means `u` knows `v`.
-    pub fn from_directed(g: &DirectedGraph) -> Self {
-        let mut k = Knowledge::new(g.n());
-        for a in g.arcs() {
-            k.learn(a.from, a.to);
         }
         k
     }
@@ -257,15 +248,6 @@ mod tests {
         assert!(k.knows(NodeId(1), NodeId(0)));
         assert_eq!(k.known_pairs(), 6);
         k.validate().unwrap();
-    }
-
-    #[test]
-    fn from_directed_is_asymmetric() {
-        let g = generators::directed_path(3);
-        let k = Knowledge::from_directed(&g);
-        assert!(k.knows(NodeId(0), NodeId(1)));
-        assert!(!k.knows(NodeId(1), NodeId(0)));
-        assert_eq!(k.known_pairs(), 2);
     }
 
     #[test]

@@ -59,14 +59,6 @@ impl DiscoveryTrace {
         self.events.is_empty()
     }
 
-    /// The event that created edge `(a, b)`, if recorded.
-    pub fn who_introduced(&self, a: NodeId, b: NodeId) -> Option<EdgeEvent> {
-        self.events
-            .iter()
-            .find(|e| (e.a == a && e.b == b) || (e.a == b && e.b == a))
-            .copied()
-    }
-
     /// Number of introductions brokered by each node (indexed by node id).
     pub fn introductions_per_node(&self, n: usize) -> Vec<u64> {
         let mut counts = vec![0u64; n];
@@ -243,8 +235,6 @@ mod tests {
         let csv = trace.to_csv();
         assert!(csv.starts_with("round,introducer,a,b\n"));
         assert_eq!(csv.lines().count(), trace.len() + 1);
-        let e = trace.events()[0];
-        assert_eq!(trace.who_introduced(e.b, e.a), Some(e));
         let per_node = trace.introductions_per_node(6);
         assert_eq!(per_node.iter().sum::<u64>(), trace.len() as u64);
     }

@@ -110,32 +110,6 @@ impl BitSet {
         gained
     }
 
-    /// In-place intersection.
-    pub fn intersect_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
-    /// In-place set difference (`self \ other`).
-    pub fn difference_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a &= !b;
-        }
-    }
-
-    /// Size of the intersection without materializing it.
-    pub fn intersection_count(&self, other: &BitSet) -> usize {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Whether `self` is a subset of `other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         assert_eq!(self.capacity, other.capacity, "capacity mismatch");
@@ -267,13 +241,6 @@ mod tests {
         b.insert(9);
         assert!(a.is_subset(&b));
         assert!(!b.is_subset(&a));
-        assert_eq!(a.intersection_count(&b), 1);
-        let mut c = b.clone();
-        c.intersect_with(&a);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![5]);
-        let mut d = b.clone();
-        d.difference_with(&a);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![9]);
     }
 
     #[test]

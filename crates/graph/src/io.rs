@@ -5,7 +5,6 @@
 //! separated). Lines starting with `#` and blank lines are ignored.
 
 use crate::arena::ArenaGraph;
-use crate::directed::DirectedGraph;
 use std::fmt::Write as _;
 
 /// Errors arising when parsing an edge list.
@@ -98,12 +97,6 @@ pub fn parse_undirected(text: &str) -> Result<ArenaGraph, ParseError> {
     Ok(ArenaGraph::from_edges(n, edges))
 }
 
-/// Parses a digraph from edge-list text (each line is an arc `from to`).
-pub fn parse_directed(text: &str) -> Result<DirectedGraph, ParseError> {
-    let (n, edges) = parse_lines(text)?;
-    Ok(DirectedGraph::from_arcs(n, edges))
-}
-
 /// Renders an undirected graph as edge-list text (canonical edge order).
 pub fn write_undirected(g: &ArenaGraph) -> String {
     let mut out = String::new();
@@ -111,34 +104,6 @@ pub fn write_undirected(g: &ArenaGraph) -> String {
     for e in g.edges() {
         let _ = writeln!(out, "{} {}", e.a, e.b);
     }
-    out
-}
-
-/// Renders a digraph as edge-list text.
-pub fn write_directed(g: &DirectedGraph) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{}", g.n());
-    let mut arcs: Vec<(u32, u32)> = g.arcs().map(|a| (a.from.0, a.to.0)).collect();
-    arcs.sort_unstable();
-    for (a, b) in arcs {
-        let _ = writeln!(out, "{a} {b}");
-    }
-    out
-}
-
-/// Renders a graph in DOT format for visualization.
-pub fn to_dot(g: &ArenaGraph, name: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "graph {name} {{");
-    for u in g.nodes() {
-        if g.degree(u) == 0 {
-            let _ = writeln!(out, "  {u};");
-        }
-    }
-    for e in g.edges() {
-        let _ = writeln!(out, "  {} -- {};", e.a, e.b);
-    }
-    let _ = writeln!(out, "}}");
     out
 }
 
@@ -158,17 +123,6 @@ mod tests {
         let text = write_undirected(&g);
         let g2 = parse_undirected(&text).unwrap();
         assert!(g.same_edges(&g2));
-    }
-
-    #[test]
-    fn roundtrip_directed() {
-        let g = generators::theorem14_graph(8);
-        let text = write_directed(&g);
-        let g2 = parse_directed(&text).unwrap();
-        assert_eq!(g.arc_count(), g2.arc_count());
-        for a in g.arcs() {
-            assert!(g2.has_arc(a.from, a.to));
-        }
     }
 
     #[test]
@@ -201,15 +155,6 @@ mod tests {
         assert!(matches!(err, ParseError::NodeOutOfRange { node: 7, .. }));
         // Errors display something readable.
         assert!(err.to_string().contains("out of range"));
-    }
-
-    #[test]
-    fn dot_output_contains_edges() {
-        let g = generators::path(3);
-        let dot = to_dot(&g, "p3");
-        assert!(dot.contains("graph p3 {"));
-        assert!(dot.contains("0 -- 1;"));
-        assert!(dot.contains("1 -- 2;"));
     }
 
     #[test]

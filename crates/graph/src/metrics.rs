@@ -43,15 +43,6 @@ pub fn summarize(g: &ArenaGraph) -> GraphSummary {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &ArenaGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for u in g.nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
 /// Local clustering coefficient of `u`: the fraction of neighbor pairs that
 /// are themselves adjacent. `0.0` for degree < 2.
 pub fn local_clustering(g: &ArenaGraph, u: NodeId) -> f64 {
@@ -110,13 +101,6 @@ mod tests {
         assert_eq!(s.density, 0.0);
         let s1 = summarize(&ArenaGraph::new(1));
         assert_eq!(s1.density, 0.0);
-    }
-
-    #[test]
-    fn histogram_star() {
-        let g = generators::star(5);
-        let h = degree_histogram(&g);
-        assert_eq!(h, vec![0, 4, 0, 0, 1]);
     }
 
     #[test]

@@ -824,11 +824,6 @@ impl Defragmenter {
             Ok(None)
         }
     }
-
-    /// Whether a message is mid-reassembly.
-    pub fn in_progress(&self) -> bool {
-        self.current.is_some()
-    }
 }
 
 /// Reassembles the mail of one round at one destination.
@@ -984,15 +979,6 @@ impl MailboxAssembler {
         (from..self.expected.len())
             .find(|&i| self.expected[i])
             .unwrap_or(self.expected.len())
-    }
-
-    /// The next frame strict mode will accept, as `(source, owner, seq)`
-    /// — `None` once every expected stream is complete.
-    pub fn next_expected(&self) -> Option<(u32, u32, u32)> {
-        let seq = (*self.next_seq.get(self.cursor)?)?;
-        let source = (self.cursor / self.shards) as u32;
-        let owner = (self.cursor % self.shards) as u32;
-        Some((source, owner, seq))
     }
 
     /// Feeds one mail frame: appended to its mailbox if it is the next
@@ -1353,7 +1339,6 @@ mod tests {
                 seq: 0
             })
         );
-        assert_eq!(asm.next_expected(), Some((1, 0, 1)));
         // Wrong round and unexpected stream are typed errors too.
         let mut wrong = frames[1].clone();
         wrong.round = 2;
@@ -1499,7 +1484,6 @@ mod tests {
             let out = out.unwrap();
             assert_eq!(out, bytes, "mtu {mtu}");
             assert_eq!(Frame::decode(&out[4..]).unwrap(), frame);
-            assert!(!d.in_progress());
         }
         // Stream corruption: skipped index, foreign msg_id, start not at
         // zero, and a duplicated final fragment are all typed errors.
