@@ -3,16 +3,18 @@
 //! minutes; the full run is sized for a coffee break.
 //!
 //! `--only ID[,ID…]` runs just the named experiments (the ids `battery()`
-//! lists, in its order) — e.g. `--only E19,E20 --quick`. Run E15, E16,
-//! E18 or E19 alone for clean peak-RSS readings: inside a longer battery
-//! the process RSS floor is set by earlier experiments.
+//! lists, in its order) — e.g. `--only E19,E20 --quick`. Only E18 wants
+//! running alone: its 1 GiB peak-RSS ceiling at n = 2^22 is asserted only
+//! when it owns the process high-water mark, which earlier experiments in
+//! a longer battery raise.
 //!
 //! `--report` switches to paper-results mode: the battery runs once per
 //! seed (`--report-seeds`, default 3), the per-configuration measurements
 //! are pooled across seeds, and the aggregated Markdown report — paper
 //! claim vs. measured, mean ± CI per algorithm per n, log²-n fit quality —
-//! is written to `<out>/RESULTS.md`. Nothing wall-clock-dependent enters
-//! the report, so the same command line reproduces it byte-for-byte.
+//! is written to `<out>/RESULTS.md`. No experiment records wall-clock
+//! time or memory (the benchmark ledger, `benchmark/run.sh`, measures
+//! those), so the same command line reproduces every output byte-for-byte.
 
 use gossip_bench::experiments as exp;
 use gossip_bench::{parse_args, report, Args, Measurement, Report};

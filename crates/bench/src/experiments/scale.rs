@@ -12,21 +12,17 @@
 //!   trial runner (one engine alive at a time, `O(edges)` peak memory),
 //! * **memory** — deterministic length-based bytes of the arena store,
 //!   against what the bitmap layout would hold for the same edges at the
-//!   comparison size (`bitmap_bytes`; the headline `≥4×` reduction
-//!   gate), and
-//! * **throughput** — ns per node per round and process peak RSS. Timing
-//!   and RSS go to this experiment's tables only, never into
-//!   [`Measurement`](crate::harness::Measurement) rows, so `RESULTS.md`
-//!   stays byte-reproducible.
+//!   comparison size (`bitmap_bytes`; the headline `≥4×` reduction gate).
+//!
+//! Wall-clock throughput at these sizes is the benchmark ledger's
+//! (`seq-sparse`), not this experiment's.
 
-use crate::experiments::shard::{fmt_mib, peak_rss_bytes};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{
     stream_trials, ConvergenceCheck, Engine, Never, Parallelism, Pull, Push, TrialConfig,
 };
 use gossip_graph::{ArenaGraph, NodeId};
-use std::time::Instant;
 
 /// Converged once the edge count reaches `target` — the scale experiment's
 /// milestone check (full completion at these sizes would need terabytes).
@@ -97,24 +93,15 @@ pub fn run(args: &Args) -> Report {
     let cmp_n: usize = 1 << 17;
     let mut cmp = None;
 
-    let mut throughput = Table::new([
-        "process",
-        "n",
-        "rounds",
-        "edges added",
-        "ns/node/round",
-        "arena MiB",
-        "peak RSS MiB",
-    ]);
+    let mut growth = Table::new(["process", "n", "rounds", "edges added", "arena bytes"]);
     let mut doubling = Table::new(["process", "n", "trials", "mean rounds to 2x edges"]);
 
     for &n in &sizes {
         let g0 = sparse_arena(n, 2 * n as u64, args.seed);
         let m0 = g0.m();
         for (name, is_pull) in [("pull", true), ("push", false)] {
-            // Fixed-horizon throughput run (the n = 2^20 pull row is the
+            // Fixed-horizon run (the n = 2^20 pull row is the
             // "clean Two-Hop Walk run at a million nodes" acceptance gate).
-            let t = Instant::now();
             let (m, mem_bytes) = if is_pull {
                 let mut e = Engine::new(g0.clone(), Pull, args.seed ^ 0x7400);
                 let out = e.run_until(&mut Never, horizon);
@@ -125,8 +112,6 @@ pub fn run(args: &Args) -> Report {
                 (out.final_edges, e.graph().memory_bytes())
             };
             let added = m - m0;
-            let elapsed = t.elapsed().as_nanos() as f64;
-            let ns_node_round = elapsed / (n as f64 * horizon as f64);
             report.measure_scalar("rounds", name, "tree+2n", n as u64, horizon as f64);
             report.measure_scalar("edges_added", name, "tree+2n", n as u64, added as f64);
             if is_pull {
@@ -135,14 +120,12 @@ pub fn run(args: &Args) -> Report {
                     cmp = Some((m, mem_bytes));
                 }
             }
-            throughput.push_row([
+            growth.push_row([
                 name.to_string(),
                 n.to_string(),
                 horizon.to_string(),
                 added.to_string(),
-                fmt_f64(ns_node_round),
-                fmt_mib(mem_bytes as u64),
-                peak_rss_bytes().map_or("-".into(), fmt_mib),
+                mem_bytes.to_string(),
             ]);
 
             // Edge-doubling time through the streaming trial runner.
@@ -195,11 +178,11 @@ pub fn run(args: &Args) -> Report {
         cmp_n as u64,
         ratio,
     );
-    let mut memory = Table::new(["n", "arena MiB", "bitmap rows MiB", "reduction"]);
+    let mut memory = Table::new(["n", "arena bytes", "bitmap rows bytes", "reduction"]);
     memory.push_row([
         cmp_n.to_string(),
-        fmt_mib(arena_bytes as u64),
-        fmt_mib(bitmap),
+        arena_bytes.to_string(),
+        bitmap.to_string(),
         format!("{:.0}x", ratio),
     ]);
 
@@ -209,11 +192,7 @@ pub fn run(args: &Args) -> Report {
          in bitmap rows (8m + n*8*ceil(n/64) + {BITMAP_ROW_HEADER}n bytes).",
         fmt_f64(ratio)
     ));
-    report.note(
-        "timing and peak-RSS columns are wall-clock observations and never enter \
-         the Measurement rows (RESULTS.md stays byte-reproducible).",
-    );
-    report.table("fixed-horizon throughput (arena backend)", throughput);
+    report.table("fixed-horizon growth (arena backend)", growth);
     report.table("edge-doubling time (streamed trials)", doubling);
     report.table(
         "memory: arena vs bitmap rows at the comparison size",

@@ -12,31 +12,27 @@
 //! * **trajectory invariance** — per-round stats, final edge count, and
 //!   the row checksum must equal the in-process `ShardedEngine` run of
 //!   the same `(n, seed)` (which PR 5 pinned to the sequential engine),
-//! * **wire volume** — frames and bytes actually written per round (a
+//! * **wire volume** — frames and bytes actually written (a
 //!   deterministic function of the trajectory: frames travel in
-//!   canonical order),
-//! * **memory** — per-shard worker peak RSS (`VmHWM`, read by each worker
-//!   from its own `/proc`) and the supervisor's process-wide peak,
-//! * **wall-clock** — rounds/sec across the serialized seam. Wall-clock
-//!   and RSS rows go to the report's machine-dependent appendix, never
-//!   into the reproducible sections.
+//!   canonical order).
+//!
+//! Rounds/sec and per-shard RSS over the same seam are the benchmark
+//! ledger's `uds-exchange` workload.
 //!
 //! The full run's `n = 10^7` row is the acceptance point: a ten-million
 //! node round spread across 4 shard processes, completing a fixed horizon
-//! with per-shard RSS and wire bytes on record. The oracle run and the
-//! transport run execute **sequentially** (the oracle graph is dropped
-//! before workers spawn), so peak memory is the transport's own
-//! `S + 1` replicas, not oracle + transport.
+//! with wire bytes on record. The oracle run and the transport run
+//! execute **sequentially** (the oracle graph is dropped before workers
+//! spawn), so peak memory is the transport's own `S + 1` replicas, not
+//! oracle + transport.
 //!
 //! A stream socket loses nothing, so there is no loss leg here: seeded
 //! carrier loss and its repair are E20's grid (0/5/20 % on the datagram
 //! window).
 
-use crate::experiments::shard::{
-    fixed_horizon, fmt_mib, oracle, peak_rss_bytes, sparse_sharded, FixedHorizon,
-};
+use crate::experiments::shard::{fixed_horizon, oracle, sparse_sharded, FixedHorizon};
 use crate::harness::{Args, Report};
-use gossip_analysis::{fmt_f64, Table};
+use gossip_analysis::Table;
 use gossip_core::RuleId;
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::TransportStats;
@@ -73,17 +69,7 @@ pub fn run(args: &Args) -> Report {
     } else {
         vec![(1 << 20, vec![2, 4], 5), (10_000_000, vec![4], 4)]
     };
-    let mut table = Table::new([
-        "n",
-        "S",
-        "rounds",
-        "edges added",
-        "wire MiB",
-        "frames",
-        "rounds/sec",
-        "worker RSS MiB (max)",
-        "supervisor RSS MiB",
-    ]);
+    let mut table = Table::new(["n", "S", "rounds", "edges added", "wire bytes", "frames"]);
 
     // The config label the claims table selects E19's rows by.
     let label = "uds";
@@ -94,7 +80,7 @@ pub fn run(args: &Args) -> Report {
 
             // The headline contract, measured per run: the serialized
             // seam replays the in-process engine bit-for-bit.
-            let invariant = r.matches(&oracle);
+            let invariant = r == oracle;
             assert!(
                 invariant,
                 "{label} transport diverged from in-process engine at n={n}, S={shards}"
@@ -110,8 +96,7 @@ pub fn run(args: &Args) -> Report {
                 invariant as u64 as f64,
             );
             report.measure_scalar("edges_added", label, fam.clone(), n as u64, added as f64);
-            // Wire volume is a pure function of the trajectory, so it
-            // belongs with the reproducible rows.
+            // Wire volume is a pure function of the trajectory.
             report.measure_scalar(
                 "wire_bytes_sent",
                 label,
@@ -120,35 +105,13 @@ pub fn run(args: &Args) -> Report {
                 wire.wire.bytes_sent as f64,
             );
 
-            // Machine-dependent rows: throughput and memory.
-            let worker_rss = wire.worker_peak_rss_bytes.iter().copied().max();
-            report.measure_wallclock_scalar(
-                "rounds_per_sec",
-                label,
-                fam.clone(),
-                n as u64,
-                1e9 / r.wall_ns_per_round,
-            );
-            if let Some(rss) = worker_rss {
-                report.measure_wallclock_scalar(
-                    "worker_peak_rss_bytes",
-                    label,
-                    fam.clone(),
-                    n as u64,
-                    rss as f64,
-                );
-            }
-
             table.push_row([
                 n.to_string(),
                 shards.to_string(),
                 horizon.to_string(),
                 added.to_string(),
-                fmt_mib(wire.wire.bytes_sent),
+                wire.wire.bytes_sent.to_string(),
                 wire.wire.frames_sent.to_string(),
-                fmt_f64(1e9 / r.wall_ns_per_round),
-                worker_rss.map_or("-".into(), fmt_mib),
-                peak_rss_bytes().map_or("-".into(), fmt_mib),
             ]);
         }
     }
@@ -165,12 +128,9 @@ pub fn run(args: &Args) -> Report {
         }
     ));
     report.note(
-        "wire bytes are a pure function of the trajectory and sit with the \
-         reproducible rows; rounds/sec, worker peak RSS (per-shard VmHWM, \
-         reported by each worker over the wire), \
-         and supervisor RSS are machine-dependent and stay in the wall-clock \
-         appendix. Worker RSS is the per-shard memory story: each worker \
-         holds a full replica, so the figure tracks graph size, not 1/S of it.",
+        "wire bytes and frames are a pure function of the trajectory; rounds/sec \
+         and per-shard RSS over the same seam are the benchmark ledger's \
+         uds-exchange workload.",
     );
     report.table("framed UDS transport vs in-process engine (pull)", table);
     report
@@ -185,11 +145,8 @@ mod tests {
     // framed socketpair path.
     #[test]
     fn transport_run_matches_oracle_in_thread_mode() {
-        let (stats, m, sum) = oracle(1500, 3, 3, 9);
         let (r, wire) = transport_run(1500, 3, 3, 9, TransportMode::Thread);
-        assert_eq!(r.stats, stats);
-        assert_eq!(r.final_m, m);
-        assert_eq!(r.checksum, sum);
+        assert_eq!(r, oracle(1500, 3, 3, 9));
         assert!(wire.wire.bytes_sent > 0);
     }
 }

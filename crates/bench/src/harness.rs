@@ -131,10 +131,6 @@ pub struct Measurement {
     /// bootstrapped from per-trial samples, not merged normal-theory
     /// moments.
     pub samples: Vec<f64>,
-    /// Whether the row is a machine-dependent wall-clock observation.
-    /// Wall-clock rows are quarantined to the report's appendix and are
-    /// excluded from the byte-for-byte reproducibility contract.
-    pub wallclock: bool,
 }
 
 /// A named experiment result: rendered tables plus raw rows for JSON.
@@ -213,7 +209,6 @@ impl Report {
             min: s.min,
             max: s.max,
             samples: values.to_vec(),
-            wallclock: false,
         });
     }
 
@@ -239,25 +234,6 @@ impl Report {
         value: f64,
     ) {
         self.measure(metric, algorithm, family, n, &[value]);
-    }
-
-    /// Records a single **wall-clock** observation (seconds, speedup
-    /// ratios, …). Wall-clock rows flow into the report's machine-dependent
-    /// appendix instead of the reproducible tables — keeping them out of
-    /// the byte-for-byte contract that every other row honors.
-    pub fn measure_wallclock_scalar(
-        &mut self,
-        metric: impl Into<String>,
-        algorithm: impl Into<String>,
-        family: impl Into<String>,
-        n: u64,
-        value: f64,
-    ) {
-        self.measure(metric, algorithm, family, n, &[value]);
-        self.measurements
-            .last_mut()
-            .expect("measure just pushed")
-            .wallclock = true;
     }
 
     /// Prints the report to stdout as markdown.

@@ -11,14 +11,12 @@
 //! 2. **mean rounds ± 95% CI per algorithm per n** for the headline
 //!    O(n log² n) sweeps,
 //! 3. **log²-n fit quality** per family from [`gossip_analysis::fit`],
-//! 4. the full pooled measurement dump (the canonical numbers),
-//! 5. an **appendix of wall-clock observations** (machine-dependent,
-//!    excluded from the reproducibility contract).
+//! 4. the full pooled measurement dump (the canonical numbers).
 //!
-//! Everything that reaches the page above the appendix flows from seeded
-//! simulations through fixed-precision formatting, so the same command
-//! line reproduces those sections byte-for-byte; wall-clock time only
-//! ever enters the appendix.
+//! Everything that reaches the page flows from seeded simulations through
+//! fixed-precision formatting, so the same command line reproduces the
+//! whole document byte-for-byte. Wall-clock time and process memory are
+//! the benchmark ledger's (`benchmark/run.sh`), never the battery's.
 
 use crate::harness::{Args, Measurement};
 use gossip_analysis::{
@@ -77,7 +75,6 @@ pub fn pool(all: &[Measurement]) -> Vec<Measurement> {
             Some(&i) => {
                 let p = &mut pooled[i];
                 p.samples.extend_from_slice(&m.samples);
-                p.wallclock |= m.wallclock;
             }
         }
     }
@@ -150,9 +147,9 @@ pub fn render_results(pooled: &[Measurement], args: &Args) -> String {
          Pandurangan, Peleg, Rajaraman, Sun — SPAA 2012). Every number below \
          is a simulation round count or message size pooled across {} seeds \
          (CIs bootstrapped from the raw per-trial samples); wall-clock time \
-         never enters these tables — machine-dependent observations are \
-         quarantined in the final appendix — so everything above the \
-         appendix regenerates **byte-for-byte** with:\n",
+         and process memory never enter this file — the benchmark ledger \
+         (`benchmark/run.sh`) measures them — so all of it regenerates \
+         **byte-for-byte** with:\n",
         args.report_seeds
     );
     let _ = writeln!(
@@ -190,7 +187,6 @@ pub fn render_results(pooled: &[Measurement], args: &Args) -> String {
     scaling_section(&mut out, pooled);
     fit_section(&mut out, pooled);
     dump_section(&mut out, pooled);
-    wallclock_section(&mut out, pooled);
     out
 }
 
@@ -460,11 +456,9 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
     }
 
     // Scaling extension 2: the sharded round engine (PR 5). The verdict
-    // gates only on deterministic facts — the 2^22 run completing and the
-    // measured trajectory invariance across shard counts; the wall-clock
-    // apply-phase speedups live in this file's machine-dependent appendix
-    // (`apply_speedup_vs_arena` / `apply_speedup_vs_s1` rows) and in
-    // results/E16-shard-scaling.md.
+    // gates on the 2^22 run completing and the measured trajectory
+    // invariance across shard counts; phase timing is the ledger's
+    // `shard-sparse` workload.
     {
         let invariant = sel(
             ms,
@@ -496,7 +490,7 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                     "two-hop walk completes fixed-horizon runs at n = {biggest} on the sharded \
                      engine; per-round stats + row checksums identical across {shard_counts} \
                      shard configurations at every size, with {:.0}% of edges crossing shard \
-                     boundaries at S = 8 (apply-phase speedups: wall-clock appendix)",
+                     boundaries at S = 8 (phase timing: ledger workload shard-sparse)",
                     worst_cross * 100.0
                 ),
                 verdict(biggest >= 1 << 22 && all_invariant),
@@ -505,10 +499,9 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
     }
 
     // Serving extension (PR 6): a live engine behind epoch snapshots. The
-    // verdict gates only on deterministic facts — a served trajectory
-    // bit-identical to batch under concurrent query load, and the O(S)
-    // copy-on-write sharing fact; the QPS / round-latency / clone-vs-deep-
-    // copy timings live in the wall-clock appendix and results/E17-*.md.
+    // verdict gates on a served trajectory bit-identical to batch under
+    // concurrent query load, and the O(S) copy-on-write sharing fact;
+    // query and publish latency are the ledger's `serve-query` workload.
     {
         let matches = sel(ms, "E17-serve-load", "served_matches_batch", Some("pull"));
         let biggest = matches.iter().map(|m| m.n).max().unwrap_or(0);
@@ -530,7 +523,7 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                     "served runs up to n = {biggest} stay bit-identical to batch (per-round \
                      edge counts + final row checksum) while reader threads sustain a query \
                      mix; every published snapshot starts fully segment-shared with the live \
-                     graph — CoW, not deep copy (QPS × round latency: wall-clock appendix)",
+                     graph — CoW, not deep copy (query latency: ledger workload serve-query)",
                 ),
                 verdict(biggest >= 1 << 20 && all_match && all_share),
             ]);
@@ -538,10 +531,9 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
     }
 
     // Dynamics extension (PR 8): membership churn through the lifecycle
-    // seam. The verdict gates only on deterministic facts — churned
-    // trajectories bit-identical across engine variants, and burst cohorts
-    // re-discovered after rejoining at the full-window sizes; per-round
-    // membership cost lives in the wall-clock appendix and results/E18-*.md.
+    // seam. The verdict gates on churned trajectories bit-identical across
+    // engine variants, and burst cohorts re-discovered after rejoining at
+    // the full-window sizes. No ledger workload churns yet.
     {
         let invariant = sel(ms, "E18-churn", "sharded_matches_sequential", Some("pull"));
         let biggest = invariant.iter().map(|m| m.n).max().unwrap_or(0);
@@ -570,7 +562,7 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                      full-window runs re-discover a departed cohort within {worst:.0} \
                      rounds of its rejoin; sharded S ∈ {{1, 8}} stay bit-identical at \
                      every size and served runs equal batch through n = {served_biggest} \
-                     under the same plan (membership cost: wall-clock appendix)"
+                     under the same plan"
                 ),
                 verdict(biggest >= 1 << 22 && all_invariant && all_served),
             ]);
@@ -579,10 +571,10 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
 
     // Distribution extension (PR 9): the sharded round over a serialized
     // seam — one OS process per shard, framed mailboxes over UDS. The
-    // verdict gates only on deterministic facts — trajectory invariance
-    // vs the in-process engine and the 10^7 acceptance row completing;
-    // rounds/sec and per-shard RSS live in the wall-clock appendix and
-    // results/E19-*.md. Carrier loss is E20's claim, not this one's.
+    // verdict gates on trajectory invariance vs the in-process engine and
+    // the 10^7 acceptance row completing; rounds/sec and per-shard RSS are
+    // the ledger's `uds-exchange` workload. Carrier loss is E20's claim,
+    // not this one's.
     {
         let uds = sel(
             ms,
@@ -603,8 +595,8 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                     "per-round stats, final edge count, and row checksums identical to the \
                      in-process sharded engine up to n = {biggest} at every shard count; \
                      frames travel in canonical order and every assembler asserts it (wire \
-                     volume: reproducible rows; rounds/sec and per-shard RSS: wall-clock \
-                     appendix)"
+                     volume: reproducible rows; rounds/sec and per-shard RSS: ledger \
+                     workload uds-exchange)"
                 ),
                 verdict(biggest >= 10_000_000 && all_invariant),
             ]);
@@ -614,10 +606,9 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
     // Distribution extension (PR 10): the datagram shard cluster — one OS
     // process per shard with its own UDP socket, static peer table across
     // loopback hosts, no supervisor on the data path. The verdict gates
-    // only on deterministic facts — trajectory invariance vs the
-    // in-process engine at every loss rate and the million-node acceptance
-    // row completing; repair traffic, RSS, and bootstrap-overlap savings
-    // live in the wall-clock appendix and results/E20-*.md.
+    // on trajectory invariance vs the in-process engine at every loss rate
+    // and the million-node acceptance row completing; repair traffic, RSS
+    // and round time are the ledger's `udp-clean` / `udp-lossy` workloads.
     {
         let udp = sel(
             ms,
@@ -658,8 +649,8 @@ fn claims_section(out: &mut String, ms: &[Measurement]) {
                      in-process sharded engine up to n = {biggest} on a 2-host × 2-process \
                      static peer table at 0%/5%/20% drop injection; ack/timeout/backoff \
                      windows repair every fault before its round barrier (datagram volume: \
-                     reproducible rows; retransmits, RSS, and streamed-bootstrap overlap \
-                     savings: wall-clock appendix)"
+                     reproducible rows; retransmits, RSS and round time: ledger workloads \
+                     udp-clean and udp-lossy)"
                 ),
                 verdict(biggest >= 1 << 20 && all_invariant && faulted),
             ]);
@@ -753,8 +744,7 @@ fn fit_section(out: &mut String, ms: &[Measurement]) {
 }
 
 /// Section 4: the full pooled dump — the canonical numbers.
-fn dump_section(out: &mut String, all: &[Measurement]) {
-    let ms: Vec<&Measurement> = all.iter().filter(|m| !m.wallclock).collect();
+fn dump_section(out: &mut String, ms: &[Measurement]) {
     let _ = writeln!(out, "## All pooled measurements\n");
     let _ = writeln!(
         out,
@@ -786,49 +776,6 @@ fn dump_section(out: &mut String, all: &[Measurement]) {
             fmt_f64(m.mean),
             fmt_f64(m.stddev),
             fmt_f64(m.ci95),
-            fmt_f64(m.min),
-            fmt_f64(m.max),
-        ]);
-    }
-    out.push_str(&t.to_markdown());
-}
-
-/// Appendix: machine-dependent wall-clock observations (phase timings,
-/// speedup ratios). Rendered last and excluded from the byte-for-byte
-/// reproducibility contract — rerunning on different hardware changes only
-/// this section.
-fn wallclock_section(out: &mut String, all: &[Measurement]) {
-    let ms: Vec<&Measurement> = all.iter().filter(|m| m.wallclock).collect();
-    if ms.is_empty() {
-        return;
-    }
-    let _ = writeln!(out, "\n## Appendix: wall-clock observations\n");
-    let _ = writeln!(
-        out,
-        "Machine-dependent timings measured on the machine that generated \
-         this file (pooled across the same seeds as everything else). These \
-         rows are **outside the byte-for-byte contract** — they are the one \
-         section that legitimately differs between hosts. Per-experiment \
-         tables under `results/` carry the full per-phase breakdowns.\n"
-    );
-    let mut t = Table::new([
-        "experiment",
-        "metric",
-        "algorithm",
-        "family",
-        "n",
-        "mean",
-        "min",
-        "max",
-    ]);
-    for m in ms {
-        t.push_row([
-            m.experiment.clone(),
-            m.metric.clone(),
-            m.algorithm.clone(),
-            m.family.clone(),
-            m.n.to_string(),
-            fmt_f64(m.mean),
             fmt_f64(m.min),
             fmt_f64(m.max),
         ]);
@@ -873,35 +820,6 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_rows_are_quarantined_to_the_appendix() {
-        let mut r = crate::harness::Report::new("E16-shard-scaling");
-        r.measure_scalar("rounds", "pull", "tree+2n", 1024, 6.0);
-        r.measure_wallclock_scalar("apply_speedup", "pull-s8", "tree+2n", 1024, 2.4);
-        let pooled = pool(&r.measurements);
-        let md = render_results(&pooled, &Args::default());
-        let dump = md
-            .split("## All pooled measurements")
-            .nth(1)
-            .unwrap()
-            .split("## Appendix")
-            .next()
-            .unwrap();
-        assert!(
-            !dump.contains("apply_speedup"),
-            "wall-clock row leaked into the dump"
-        );
-        assert!(dump.contains("rounds"));
-        let appendix = md
-            .split("## Appendix: wall-clock observations")
-            .nth(1)
-            .unwrap();
-        assert!(appendix.contains("apply_speedup"));
-        // No wall-clock rows -> no appendix at all.
-        let md2 = render_results(&pool(&r.measurements[..1]), &Args::default());
-        assert!(!md2.contains("## Appendix"));
-    }
-
-    #[test]
     fn pool_keeps_distinct_configs_apart() {
         let rows = vec![
             m_raw("push", "star", 64, &[9.0, 11.0]),
@@ -929,5 +847,6 @@ mod tests {
         assert!(a.contains("# RESULTS"));
         assert!(a.contains("--seed 857536"));
         assert!(a.contains("## All pooled measurements"));
+        assert!(!a.contains("Appendix"));
     }
 }
