@@ -126,7 +126,6 @@ fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
         .map(|h| h.join().expect("reader thread panicked"))
         .sum();
     let g = engine.graph();
-    let snap = g.clone();
     let trajectory = trajectory.lock().expect("trajectory lock");
     ServeRun {
         edges_per_round: trajectory.iter().map(|p| p.edges).collect(),
@@ -134,8 +133,15 @@ fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
         final_m: g.m(),
         queries,
         epochs: out.epochs,
-        shares_all_segments: (0..g.shard_count()).all(|s| g.shares_segment(&snap, s)),
+        shares_all_segments: fresh_clone_shares_all_segments(g),
     }
+}
+
+/// Whether a fresh clone of `g` — what the publisher hands readers each
+/// epoch — shares every copy-on-write segment with it.
+fn fresh_clone_shares_all_segments(g: &ShardedArenaGraph) -> bool {
+    let snap = g.clone();
+    (0..g.shard_count()).all(|s| g.shares_segment(&snap, s))
 }
 
 /// E17.
@@ -254,5 +260,15 @@ mod tests {
         assert!(served.queries > 0);
         assert_eq!(served.epochs, 3 + 2); // initial + 3 rounds + final
         assert!(served.shares_all_segments);
+    }
+
+    #[test]
+    fn snapshot_cost_reports_sharing() {
+        let g = sparse_sharded(4096, 8192, 3, SHARDS);
+        assert!(fresh_clone_shares_all_segments(&g));
+        // A deep copy shares nothing, so the check can fail.
+        let mut deep = g.clone();
+        deep.segments_mut();
+        assert!((0..SHARDS).all(|s| !g.shares_segment(&deep, s)));
     }
 }
