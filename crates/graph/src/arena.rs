@@ -8,9 +8,10 @@
 //! * [`SliceArena`] — a slab of per-node growable slices living in a single
 //!   `Vec<NodeId>`. A node's list occupies `data[start[u] .. start[u]+len[u]]`
 //!   with reserved capacity `cap[u]`. A full list **relocates** to the end of
-//!   the slab with doubled capacity (amortized O(1) per entry), and when
-//!   abandoned regions outweigh reserved ones the slab is **compacted in one
-//!   epoch pass** — no per-node reallocation ever happens.
+//!   the slab with its capacity grown ~1.5× (amortized O(1) per entry),
+//!   and when abandoned regions outweigh reserved ones the slab is
+//!   **compacted in place** in one epoch pass — no per-node reallocation
+//!   ever happens, and a compaction never holds a second slab.
 //! * [`ArenaGraph`] — an undirected graph whose neighbor lists are *sorted*
 //!   `SliceArena` slices: membership is a binary search, uniform sampling is
 //!   one index into a contiguous slice, and a whole round's proposals merge
@@ -46,6 +47,7 @@
 use crate::bitset::BitSet;
 use crate::node::{Edge, NodeId};
 use rand::Rng;
+use std::ops::Range;
 
 /// Uniform random access to a graph's neighbor lists — the only interface
 /// the paper's undirected proposal rules need (node enumeration belongs to
@@ -112,10 +114,17 @@ pub struct MergeScratch {
 ///
 /// Node `u`'s list is `data[start[u] .. start[u] + len[u]]`, with
 /// `cap[u] - len[u]` reserved slots behind it. Overflowing lists relocate to
-/// the slab's end (capacity doubled); the abandoned region becomes dead
-/// space that an epoch compaction reclaims once it exceeds the reserved
-/// total. All mutation is append/shift within the one buffer, so memory
-/// stays `O(entries + n)` with no per-node allocations.
+/// the slab's end (capacity grown ~1.5×); the abandoned region becomes dead
+/// space that an epoch compaction reclaims once it exceeds half the
+/// reserved total, by rewriting the slab densely in node order **inside
+/// its own allocation**. All mutation is append/shift within the one
+/// buffer, so memory stays `O(entries + n)` with no per-node allocations.
+///
+/// Between compactions the slab is two regions: below `home_end`, the
+/// node-ordered layout the last compaction (or the bootstrap
+/// `push_list`s) wrote — rows still there are *home* rows,
+/// in node order; at and past it, the *tail* rows relocated since, in
+/// relocation order.
 #[derive(Clone, Debug, Default)]
 pub struct SliceArena {
     data: Vec<NodeId>,
@@ -127,6 +136,9 @@ pub struct SliceArena {
     /// Sum of `len` — maintained incrementally so [`SliceArena::total_len`]
     /// is O(1); snapshot stat reads must never pay an O(n) scan.
     live: usize,
+    /// End of the node-ordered region: a row starting below it is a home
+    /// row, one starting at or past it a tail row.
+    home_end: usize,
 }
 
 impl SliceArena {
@@ -139,6 +151,7 @@ impl SliceArena {
             cap: vec![0; n],
             reserved: 0,
             live: 0,
+            home_end: 0,
         }
     }
 
@@ -410,6 +423,11 @@ impl SliceArena {
         self.cap.push(cap);
         self.reserved += cap as usize;
         self.live += entries.len();
+        // Bootstrap pushes rows in node order, densely: while nothing has
+        // relocated past them they extend the node-ordered region.
+        if self.home_end == start {
+            self.home_end = self.data.len();
+        }
     }
 
     /// Moves list `u` to the end of the slab with its capacity grown ~1.5×
@@ -417,7 +435,9 @@ impl SliceArena {
     /// dead space outweighs half the reserved space. (1.5× growth + the
     /// earlier compaction trigger bound the slab at ~2.25× the live
     /// entries, vs ~4× for classic doubling — constant factors are the
-    /// whole game at n = 2^20.)
+    /// whole game at n = 2^20. A compaction adds only the entries of the
+    /// tail rows it spills on top of that: it peaks at `max(L, T) +
+    /// overlap` entries, where a copy into a fresh slab held `L + T`.)
     #[cold]
     fn relocate(&mut self, u: usize, need: usize) {
         let cap = self.cap[u] as usize;
@@ -438,20 +458,53 @@ impl SliceArena {
     }
 
     /// Epoch compaction: once abandoned regions exceed half the reserved
-    /// ones, rewrite the slab densely in node order. One linear pass over
-    /// the live entries; a compaction only happens after `reserved/2` bytes
-    /// of fresh dead space accumulated, so the cost is amortized O(1) per
-    /// stored entry. List `pending` comes out with room for `need` entries.
+    /// ones, rewrite the slab densely in node order, in place
+    /// ([`SliceArena::compact`]). A compaction only happens after
+    /// `reserved/2` entries of fresh dead space accumulated, so the cost is
+    /// amortized O(1) per stored entry. List `pending` comes out with room
+    /// for `need` entries.
     fn maybe_compact(&mut self, pending: usize, need: usize) {
         if self.data.len() <= self.reserved + self.reserved / 2 + 1024 {
             return;
         }
-        let mut packed: Vec<NodeId> = Vec::with_capacity(self.reserved);
-        for u in 0..self.start.len() {
-            let s = self.start[u];
-            let l = self.len[u] as usize;
-            self.start[u] = packed.len();
-            packed.extend_from_slice(&self.data[s..s + l]);
+        #[cfg(test)]
+        let before = self.clone();
+        let _peak = self.compact(pending, need);
+        #[cfg(test)]
+        tests::check_pass(&before, pending, need, _peak, self);
+    }
+
+    /// Rewrites the slab densely in node order inside its own allocation,
+    /// and returns the greatest number of entries the pass held, slab and
+    /// spill. Row `u` gets `compacted(len[u])` slots (`pending` at least
+    /// `need`), packed from 0 in node order with zeroed reserves; `T`,
+    /// their total, is the new slab length — the layout a copy into a
+    /// fresh slab writes.
+    ///
+    /// Home rows keep their relative order, so they slide like one
+    /// `memmove`: a home row moving left (or staying) *leads a group* and
+    /// is placed at once, front to back; the rows after it up to the next
+    /// leader — home rows moving right, tail rows, empty rows — are placed
+    /// back to front when that leader is reached, each with its reserve
+    /// zeroed. So when a group is placed, the slots written so far are
+    /// those below its leader's entries, all below `home_end`, where no
+    /// tail row starts, and those of the group's later rows. A tail row
+    /// whose entries overlap the slots of the rows after it (and start
+    /// below `T`: nothing is written past it) is first appended past the
+    /// slab end, into a spill buffer — separate, so that the slab is never
+    /// reallocated, and copied whole, to make room. Two passes over the
+    /// rows: the new caps and `T`, then placement.
+    ///
+    /// The peak is `max(L, T) + overlap`, `L` the old slab length and
+    /// `overlap` the spilled entries, against `L + T` for a copy. The
+    /// allocation is shrunk back to the old reserved total, the capacity a
+    /// fresh slab would have had: a published snapshot holding the segment
+    /// keeps no dead pages, and the next growth does not have to
+    /// reallocate.
+    fn compact(&mut self, pending: usize, need: usize) -> usize {
+        let (home, old_reserved) = (self.home_end, self.reserved);
+        let mut total = 0;
+        for (u, (cap, &len)) in self.cap.iter_mut().zip(&self.len).enumerate() {
             // Keep a small growth reserve so a compaction is not immediately
             // followed by a relocation storm of every still-growing node —
             // and **never less than one free slot**: `insert`/`push` check
@@ -460,15 +513,59 @@ impl SliceArena {
             // pending write is about to use. A batch merge
             // ([`SliceArena::merge_rows`]) has several writes pending on
             // the list it relocated, hence `need`.
-            let mut cap = compacted(l);
+            let mut c = compacted(len as usize);
             if u == pending {
-                cap = cap.max(need);
+                c = c.max(need);
             }
-            packed.resize(self.start[u] + cap, NodeId(0));
-            self.cap[u] = cap as u32;
+            *cap = c as u32;
+            total += c;
         }
-        self.reserved = packed.len();
-        self.data = packed;
+        if self.data.len() < total {
+            self.data.resize(total, NodeId(0));
+        }
+        let (spill_at, mut spill) = (self.data.len(), Vec::new());
+        let (mut group, mut at) = (0, 0);
+        for u in 0..self.start.len() {
+            let (s, l, c) = (self.start[u], self.len[u] as usize, self.cap[u] as usize);
+            if s < home {
+                if l > 0 && at <= s {
+                    self.place(group..u, at, &spill, spill_at);
+                    if at < s {
+                        self.data.copy_within(s..s + l, at);
+                        self.start[u] = at;
+                    }
+                    group = u;
+                }
+            } else if l > 0 && s + l > at + c && s < total {
+                self.start[u] = spill_at + spill.len();
+                spill.extend_from_slice(&self.data[s..s + l]);
+            }
+            at += c;
+        }
+        self.place(group..self.start.len(), at, &spill, spill_at);
+        let peak = spill_at + spill.len();
+        self.data.truncate(total);
+        self.data.shrink_to(old_reserved);
+        self.reserved = total;
+        self.home_end = total;
+        peak
+    }
+
+    /// Places `rows` back to front so the last one ends at `end`, zeroing
+    /// each reserve ([`SliceArena::compact`]'s placement). A row starting
+    /// at or past `spill_at`, the slab end, is read from `spill`.
+    fn place(&mut self, rows: Range<usize>, mut end: usize, spill: &[NodeId], spill_at: usize) {
+        for u in rows.rev() {
+            let (s, l, c) = (self.start[u], self.len[u] as usize, self.cap[u] as usize);
+            end -= c;
+            if s >= spill_at {
+                self.data[end..end + l].copy_from_slice(&spill[s - spill_at..][..l]);
+            } else if s != end {
+                self.data.copy_within(s..s + l, end);
+            }
+            self.start[u] = end;
+            self.data[end + l..end + c].fill(NodeId(0));
+        }
     }
 
     /// The largest capacity the arena gives a list that never holds more
@@ -520,6 +617,25 @@ fn compacted(len: usize) -> usize {
 pub struct ArenaGraph {
     adj: SliceArena,
     m: u64,
+    scratch: BatchScratch,
+}
+
+/// [`ArenaGraph::apply_batch`]'s round buffers, kept by the graph so
+/// steady-state rounds allocate nothing. They hold nothing between calls,
+/// so a clone starts with empty ones and `clone` pays nothing for them.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    merge: MergeScratch,
+    /// Proposals that are neither self-loops nor round-start edges.
+    fresh: BitSet,
+    /// Proposals that added their edge first.
+    won: BitSet,
+}
+
+impl Clone for BatchScratch {
+    fn clone(&self) -> Self {
+        BatchScratch::default()
+    }
 }
 
 impl ArenaGraph {
@@ -528,6 +644,7 @@ impl ArenaGraph {
         ArenaGraph {
             adj: SliceArena::new(n),
             m: 0,
+            scratch: BatchScratch::default(),
         }
     }
 
@@ -542,6 +659,8 @@ impl ArenaGraph {
             .collect();
         let mut g = ArenaGraph::new(n);
         g.apply_batch(edges.iter().copied(), |_, _, _| {});
+        // Buffers sized for the whole edge list, not for a round.
+        g.scratch = BatchScratch::default();
         g
     }
 
@@ -667,9 +786,11 @@ impl ArenaGraph {
             u32::try_from(count).is_ok(),
             "a round holds at most u32::MAX proposals, got {count}"
         );
-        let mut fresh = BitSet::new(count);
+        let BatchScratch { merge, fresh, won } = &mut self.scratch;
+        fresh.clear();
+        fresh.grow(count);
         for (slot, (_, a, b)) in proposed.clone().enumerate() {
-            if a != b && !self.has_edge(a, b) {
+            if a != b && !self.adj.contains_sorted(a.index(), b) {
                 fresh.insert(slot);
             }
         }
@@ -680,13 +801,13 @@ impl ArenaGraph {
             .flat_map(|(slot, (_, a, b))| {
                 [(a.index(), b, slot as u32), (b.index(), a, slot as u32)]
             });
-        let mut won = BitSet::new(count);
-        self.adj
-            .merge_rows(&mut MergeScratch::default(), halves, |u, other, slot| {
-                if u < other.index() {
-                    won.insert(slot as usize);
-                }
-            });
+        won.clear();
+        won.grow(count);
+        self.adj.merge_rows(merge, halves, |u, other, slot| {
+            if u < other.index() {
+                won.insert(slot as usize);
+            }
+        });
         for (slot, (tag, a, b)) in proposed.enumerate() {
             if won.contains(slot) {
                 on_new(tag, a, b);
@@ -821,7 +942,168 @@ mod tests {
     use crate::sharded::{SegSnapshotAssembler, ShardSeg};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
     use std::collections::BTreeSet;
+
+    thread_local! {
+        /// Compaction passes this thread has checked against the oracle.
+        static PASSES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// The compaction the in-place pass replaced, kept as its oracle: copy
+    /// every row, in node order, into a fresh slab.
+    fn copy_compact(a: &mut SliceArena, pending: usize, need: usize) {
+        let mut packed: Vec<NodeId> = Vec::with_capacity(a.reserved);
+        for u in 0..a.start.len() {
+            let s = a.start[u];
+            let l = a.len[u] as usize;
+            a.start[u] = packed.len();
+            packed.extend_from_slice(&a.data[s..s + l]);
+            let mut cap = compacted(l);
+            if u == pending {
+                cap = cap.max(need);
+            }
+            packed.resize(a.start[u] + cap, NodeId(0));
+            a.cap[u] = cap as u32;
+        }
+        a.reserved = packed.len();
+        a.data = packed;
+    }
+
+    /// Every compaction a test build runs is checked here: `after`, the
+    /// in-place pass over `before`, must equal the copy over it, and the
+    /// slab may never have been longer than `max(L, T) + overlap` — the
+    /// old length or the packed total, plus the tail rows starting below
+    /// the packed total.
+    pub(super) fn check_pass(
+        before: &SliceArena,
+        pending: usize,
+        need: usize,
+        peak: usize,
+        after: &SliceArena,
+    ) {
+        let mut want = before.clone();
+        copy_compact(&mut want, pending, need);
+        assert_eq!(after.start, want.start, "start");
+        assert_eq!(after.len, want.len, "len");
+        assert_eq!(after.cap, want.cap, "cap");
+        assert_eq!(after.reserved, want.reserved, "reserved");
+        assert_eq!(after.live, want.live, "live");
+        assert!(after.data == want.data, "data differs from the copy's");
+        assert_eq!(after.data.len(), after.reserved);
+        assert_eq!(after.home_end, after.reserved);
+        let total = want.reserved;
+        let overlap: usize = (0..before.lists())
+            .filter(|&u| (before.home_end..total).contains(&before.start[u]))
+            .map(|u| before.len(u))
+            .sum();
+        let bound = before.data.len().max(total) + overlap;
+        assert!(peak <= bound, "slab reached {peak}, bound {bound}");
+        assert_eq!(
+            after.data.capacity(),
+            before.reserved.max(total),
+            "the allocation a fresh slab would have had"
+        );
+        PASSES.with(|p| p.set(p.get() + 1));
+    }
+
+    fn passes() -> usize {
+        PASSES.with(Cell::get)
+    }
+
+    /// Appends a random sorted row of up to a dozen entries in `0..400`,
+    /// with 0–2 spare slots, through the bootstrap path.
+    fn push_random_row(a: &mut SliceArena, model: &mut Vec<BTreeSet<u32>>, rng: &mut SmallRng) {
+        let row: BTreeSet<u32> = (0..rng.random_range(0..12))
+            .map(|_| rng.random_range(0..400))
+            .collect();
+        let entries: Vec<NodeId> = row.iter().map(|&v| NodeId(v)).collect();
+        a.push_list(
+            &entries,
+            (entries.len() + rng.random_range(0..3usize)) as u32,
+        );
+        model.push(row);
+    }
+
+    #[test]
+    fn in_place_compaction_matches_the_copy_oracle() {
+        // Random mutation sequences over every path that reaches a
+        // compaction — relocations with one pending write (`insert_sorted`)
+        // and several (`merge_rows`), tombstones (`clear`), and forced
+        // passes over padded dead space — on arenas started empty and
+        // built through `push_list`, which also appends rows mid-run, after
+        // relocations (a tail row) or right after a compaction (a home
+        // row). `check_pass` compares every pass with the copy; this test
+        // makes sure each trigger fired and the rows match a model.
+        let (mut relocating, mut clearing, mut forced) = (0, 0, 0);
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (mut a, mut model) = if seed % 2 == 0 {
+                (SliceArena::new(40), vec![BTreeSet::new(); 40])
+            } else {
+                (SliceArena::new(0), Vec::new())
+            };
+            while a.lists() < 40 {
+                push_random_row(&mut a, &mut model, &mut rng);
+            }
+            let mut scratch = MergeScratch::default();
+            for step in 0..5_000 {
+                let n = a.lists();
+                let u = rng.random_range(0..n);
+                let v = rng.random_range(0..5_000u32);
+                let seen = passes();
+                match rng.random_range(0..200) {
+                    0..=119 => {
+                        assert_eq!(a.insert_sorted(u, NodeId(v)), model[u].insert(v));
+                        relocating += passes() - seen;
+                    }
+                    120..=159 => {
+                        // Candidates for up to four neighbouring rows, so a
+                        // relocation has several writes pending.
+                        let rows = u..n.min(u + 4);
+                        let halves: Vec<(usize, NodeId, u32)> = (0..rng.random_range(1..24u32))
+                            .map(|slot| {
+                                let w = rng.random_range(rows.clone());
+                                (w, NodeId(rng.random_range(0..5_000)), slot)
+                            })
+                            .collect();
+                        a.merge_rows(&mut scratch, halves.iter().copied(), |_, _, _| {});
+                        for &(w, x, _) in &halves {
+                            model[w].insert(x.0);
+                        }
+                        relocating += passes() - seen;
+                    }
+                    160..=179 => assert_eq!(a.remove_sorted(u, NodeId(v)), model[u].remove(&v)),
+                    180..=189 => {
+                        assert_eq!(a.clear(u), model[u].len(), "step {step}");
+                        model[u].clear();
+                        clearing += passes() - seen;
+                    }
+                    190..=198 => push_random_row(&mut a, &mut model, &mut rng),
+                    _ => {
+                        let dead = a.reserved + a.reserved / 2 + 1025;
+                        if a.data.len() < dead {
+                            a.data.resize(dead, NodeId(0));
+                        }
+                        let need = a.len(u) + rng.random_range(0..4usize);
+                        a.maybe_compact(u, need);
+                        assert!(a.cap(u) as usize >= need, "step {step}: pending room");
+                        forced += passes() - seen;
+                    }
+                }
+            }
+            for (u, row) in model.iter().enumerate() {
+                let got = a.slice(u).iter().map(|x| x.0);
+                assert!(got.eq(row.iter().copied()), "seed {seed}: row {u}");
+            }
+            let live = model.iter().map(BTreeSet::len).sum::<usize>();
+            assert_eq!(a.total_len(), live, "seed {seed}");
+        }
+        assert!(
+            relocating > 0 && clearing > 0 && forced > 0,
+            "passes: {relocating} on relocation, {clearing} on clear, {forced} forced"
+        );
+    }
 
     #[test]
     fn slice_arena_push_and_slices() {
