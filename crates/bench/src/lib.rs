@@ -17,8 +17,8 @@
 //!   [`report`]) and regenerates the repository's `RESULTS.md`
 //!   byte-for-byte.
 //!
-//! See `crates/bench/README.md` for the experiment/benchmark workflow
-//! (flags, criterion baselines, report mode).
+//! See `crates/bench/README.md` for the experiment workflow (flags,
+//! report mode).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -138,8 +138,8 @@ impl Parallelism {
 impl Default for Parallelism {
     fn default() -> Self {
         // Cost model, measured with the staged two-hop propose and the
-        // row-ordered arena merge (`benches/round_throughput.rs`, seq rows
-        // at 8 rounds/iter, 4n-edge sweep workload, a 2-core box whose
+        // row-ordered arena merge (sequential rounds, 8 per iteration,
+        // 4n-edge sweep workload, a 2-core box whose
         // bitmap-row backend at n = 1024 read in two modes): a full sequential
         // round costs 63–88 ns/node (push) and 68–98 (pull) at n = 1024,
         // 124 and 82 at n = 4096, and on the arena 151 and 145 at

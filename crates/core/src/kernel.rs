@@ -257,10 +257,9 @@ impl NodeState {
 ///
 /// Methods are generic (not object-safe) on purpose: the batch engines'
 /// hot path monomorphizes the kernel + view + chooser into the same code
-/// the hand-written rules compiled to — the CI perf ratchet holds the
-/// propose phase at its pre-kernel ns/node/round. Uniform runtime
-/// dispatch goes through the [`crate::registry::AnyKernel`] enum instead
-/// of `dyn`.
+/// the hand-written rules compiled to, at the same ns/node/round.
+/// Uniform runtime dispatch goes through the
+/// [`crate::registry::AnyKernel`] enum instead of `dyn`.
 pub trait ProtocolKernel {
     /// The protocol's registry name.
     fn name(&self) -> &'static str;

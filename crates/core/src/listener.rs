@@ -26,8 +26,7 @@
 //! The no-listener path costs nothing: `run_until` wraps the check in a
 //! zero-size adapter and the default
 //! [`RoundEngine::step_listened`](crate::seam::RoundEngine::step_listened)
-//! forwards straight to `step_quantum` — guarded by the `round_listened`
-//! rows in `gossip-bench`'s `round_throughput` ratchet.
+//! forwards straight to `step_quantum`.
 
 use crate::convergence::ConvergenceCheck;
 use crate::process::{GossipGraph, RoundStats};

@@ -138,3 +138,24 @@ proptest! {
         wire.shutdown().map_err(|e| TestCaseError::fail(e.to_string()))?;
     }
 }
+
+/// Hundreds of pool-parallel rounds, on the single-arena engine and on the
+/// sharded one, start no thread beyond the pool's own workers (at most
+/// `current_num_threads() - 1`): a round is a job on the persistent pool,
+/// never a spawn.
+#[test]
+fn parallel_rounds_spawn_no_thread_per_round() {
+    let n = 4096;
+    assert!(Parallelism::default().engages(n));
+    let arena = sparse(n, 4 * n as u64, 1, 0);
+    let mut seq = Engine::new(arena.clone(), Pull, 7);
+    let mut shd = ShardedEngine::new(ShardedArenaGraph::from_arena(&arena, 8), Pull, 7);
+    for _ in 0..200 {
+        seq.step();
+        shd.step();
+    }
+    assert!(
+        rayon::global_pool_threads_started() < rayon::current_num_threads(),
+        "the pool spawned threads per round"
+    );
+}
