@@ -7,8 +7,7 @@
 //!   proposal-distribution convolution. This is what verifies the paper's
 //!   Figure 1(c) non-monotonicity example *exactly* rather than
 //!   statistically, and powers the exhaustive 4-node counterexample search.
-//! * [`stats`] — Welford accumulators, confidence intervals, percentiles,
-//!   Tukey-fence outlier classification.
+//! * [`stats`] — Welford accumulators, confidence intervals, percentiles.
 //! * [`bootstrap`] — seeded percentile-bootstrap confidence intervals
 //!   (deterministic, so reports rebuild byte-for-byte).
 //! * [`fit`] — asymptotic model fitting against the paper's candidate growth
@@ -42,8 +41,6 @@ pub use bootstrap::{bootstrap_ci_of, bootstrap_mean_ci, ConfidenceInterval};
 pub use distribution::{ks_statistic, ks_threshold_95, Ecdf};
 pub use fit::{fit_model, loglog_exponent, ols, rank_models, GrowthModel, ModelFit, OlsFit};
 pub use markov::{exact_expected_rounds, find_nonmonotone_pairs, NonMonotonePair, ProcessKind};
-pub use stats::{
-    classify_outliers, fnv1a, trimmed_mean, Fnv1a, OnlineStats, OutlierCounts, Summary,
-};
+pub use stats::{fnv1a, Fnv1a, OnlineStats, Summary};
 pub use table::{fmt_f64, Table};
 pub use timeseries::{align_series, AggregatePoint};

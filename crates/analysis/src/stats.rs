@@ -157,92 +157,6 @@ impl Summary {
     }
 }
 
-/// Tukey-fence outlier counts for one sample, in criterion's taxonomy:
-/// *mild* outliers sit more than `1.5 × IQR` outside the quartiles, *severe*
-/// ones more than `3 × IQR`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OutlierCounts {
-    /// Below `Q1 - 3 · IQR`.
-    pub low_severe: usize,
-    /// In `[Q1 - 3 · IQR, Q1 - 1.5 · IQR)`.
-    pub low_mild: usize,
-    /// In `(Q3 + 1.5 · IQR, Q3 + 3 · IQR]`.
-    pub high_mild: usize,
-    /// Above `Q3 + 3 · IQR`.
-    pub high_severe: usize,
-}
-
-impl OutlierCounts {
-    /// Total outliers of any class.
-    pub fn total(&self) -> usize {
-        self.low_severe + self.low_mild + self.high_mild + self.high_severe
-    }
-}
-
-/// Classifies each observation against the sample's own Tukey fences.
-///
-/// Quartiles are linearly interpolated ([`percentile_sorted`]). With fewer
-/// than 4 observations the quartile estimate is meaningless, so every value
-/// is counted as an inlier (all counts zero) — including the empty sample.
-pub fn classify_outliers(values: &[f64]) -> OutlierCounts {
-    if values.len() < 4 {
-        return OutlierCounts::default();
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let q1 = percentile_sorted(&sorted, 25.0);
-    let q3 = percentile_sorted(&sorted, 75.0);
-    let iqr = q3 - q1;
-    let (mild_lo, mild_hi) = (q1 - 1.5 * iqr, q3 + 1.5 * iqr);
-    let (severe_lo, severe_hi) = (q1 - 3.0 * iqr, q3 + 3.0 * iqr);
-    let mut counts = OutlierCounts::default();
-    for &v in &sorted {
-        if v < severe_lo {
-            counts.low_severe += 1;
-        } else if v < mild_lo {
-            counts.low_mild += 1;
-        } else if v > severe_hi {
-            counts.high_severe += 1;
-        } else if v > mild_hi {
-            counts.high_mild += 1;
-        }
-    }
-    counts
-}
-
-/// Mean of the observations inside the sample's own mild Tukey fences
-/// (`[Q1 - 1.5·IQR, Q3 + 1.5·IQR]`) — a stall-robust location estimate.
-///
-/// Benchmark samples on shared hardware are contaminated one-sidedly:
-/// a preempted iteration runs 5–10× slow, never fast. The plain mean
-/// moves with every stall; the trimmed mean ignores them, so
-/// baseline comparisons (the CI perf ratchet) gate on this estimator.
-/// With fewer than 4 observations the fences are meaningless and the
-/// plain mean is returned; a sample whose IQR is 0 keeps only the modal
-/// values, which is exactly the robust answer there.
-pub fn trimmed_mean(values: &[f64]) -> f64 {
-    let full = Summary::of(values).mean;
-    if values.len() < 4 {
-        return full;
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let q1 = percentile_sorted(&sorted, 25.0);
-    let q3 = percentile_sorted(&sorted, 75.0);
-    let iqr = q3 - q1;
-    let (lo, hi) = (q1 - 1.5 * iqr, q3 + 1.5 * iqr);
-    let kept: Vec<f64> = sorted
-        .iter()
-        .copied()
-        .filter(|&v| v >= lo && v <= hi)
-        .collect();
-    if kept.is_empty() {
-        full
-    } else {
-        Summary::of(&kept).mean
-    }
-}
-
 /// Streaming FNV-1a 64-bit hasher: the workspace's one implementation of
 /// the deterministic non-cryptographic hash used for derived seeds
 /// (report bootstrap seeds) and structural checksums (sharded-graph row
@@ -304,30 +218,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    mod trimmed {
-        use crate::stats::trimmed_mean;
-
-        #[test]
-        fn ignores_one_sided_stalls() {
-            // 19 clean samples near 100 plus one 10x stall: the plain mean
-            // is dragged to ~145, the trimmed mean stays at the mode.
-            let mut v = vec![100.0; 19];
-            v.push(1000.0);
-            assert!((trimmed_mean(&v) - 100.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn equals_mean_on_clean_samples() {
-            let v = [98.0, 99.0, 100.0, 101.0, 102.0];
-            assert!((trimmed_mean(&v) - 100.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn small_samples_fall_back_to_mean() {
-            assert!((trimmed_mean(&[10.0, 20.0, 90.0]) - 40.0).abs() < 1e-9);
-        }
-    }
-
     use super::*;
 
     #[test]
@@ -403,54 +293,6 @@ mod tests {
     #[should_panic(expected = "empty sample")]
     fn summary_rejects_empty() {
         let _ = Summary::of(&[]);
-    }
-
-    #[test]
-    fn outliers_too_few_samples_all_inliers() {
-        assert_eq!(classify_outliers(&[]), OutlierCounts::default());
-        assert_eq!(classify_outliers(&[1e9]), OutlierCounts::default());
-        assert_eq!(classify_outliers(&[0.0, 1e9]), OutlierCounts::default());
-        assert_eq!(
-            classify_outliers(&[0.0, 0.0, 1e9]),
-            OutlierCounts::default()
-        );
-    }
-
-    #[test]
-    fn outliers_classified_by_fence() {
-        // Sorted sample: [-20, -5, 1..=10, 15, 30] (n = 14). Interpolated
-        // quartiles: Q1 = 2.25, Q3 = 8.75, IQR = 6.5 -> mild fences at
-        // [-7.5, 18.5], severe at [-17.25, 28.25]. So -20 and 30 are severe,
-        // while -5 and 15 sit inside the mild fences.
-        let mut xs: Vec<f64> = (1..=10).map(f64::from).collect();
-        xs.extend([15.0, 30.0, -5.0, -20.0]);
-        let c = classify_outliers(&xs);
-        assert_eq!(
-            c,
-            OutlierCounts {
-                low_severe: 1,
-                low_mild: 0,
-                high_mild: 0,
-                high_severe: 1
-            }
-        );
-        assert_eq!(c.total(), 2);
-    }
-
-    #[test]
-    fn outliers_severe_beyond_triple_iqr() {
-        // Tight core with one extreme point: 10 copies of 0..=9 plus 1000.
-        let mut xs: Vec<f64> = (0..10).map(f64::from).collect();
-        xs.push(1000.0);
-        let c = classify_outliers(&xs);
-        assert_eq!(c.high_severe, 1);
-        assert_eq!(c.total(), 1);
-    }
-
-    #[test]
-    fn outliers_constant_sample_is_clean() {
-        let c = classify_outliers(&[5.0; 16]);
-        assert_eq!(c, OutlierCounts::default());
     }
 
     #[test]
