@@ -2,8 +2,9 @@
 # The deleted-lines ledger's metric (CHANGES.md, since PR 12), as a
 # script instead of a hand count: per crate and in total, the non-blank
 # lines that do not start with `//` (so comments and docs are out) above
-# the first `#[cfg(test)]` of every `crates/*/src/**/*.rs` file — the code
-# that ships, not its unit tests.
+# the first `#[cfg(test)]` at column 0 of every `crates/*/src/**/*.rs` file
+# — the code that ships, not its unit tests. An indented `#[cfg(test)]`
+# gates one item inside the shipped code and does not end the count.
 #
 # Usage:
 #   scripts/code-lines.sh            # a markdown table on stdout
@@ -16,7 +17,7 @@ cd "$(dirname "$0")/.."
 count() {
     # shellcheck disable=SC2046
     awk 'FNR == 1 { live = 1 }
-         /#\[cfg\(test\)\]/ { live = 0 }
+         /^#\[cfg\(test\)\]/ { live = 0 }
          live && NF && $1 !~ /^\/\// { n++ }
          END { print n + 0 }' $(find "$@" -name '*.rs' | sort)
 }
