@@ -5,7 +5,11 @@
 #
 # Usage:
 #   scripts/ledger-summary.sh [LEDGER]     # default benchmark/out/ledger.json
-#   scripts/ledger-summary.sh A B          # the same rows for two ledgers: A | B | Δ %
+#   scripts/ledger-summary.sh A B          # two ledgers: A | B | Δ %, per workload and row
+#
+# The two-ledger form adds the `shard.wire_*` rows (frame encode and decode
+# per entry, bytes per entry) to the table's, so a change to the wire codec
+# shows in the diff.
 #
 # The CI `benchmark` job tees the smoke ledger's table into its step
 # summary, and the `ledger gate` job the two-ledger table of the base's and
@@ -36,7 +40,8 @@ if [[ $# -eq 2 ]]; then
         "| workload | metric | A | B | Δ % |",
         "|---|---|---:|---:|---:|",
         ( ($ma | keys_unsorted) + ($mb | keys_unsorted) | unique[] as $w
-          | $rows[] as $r
+          | ($rows + ["shard.wire_encode_ns_per_entry", "shard.wire_decode_ns_per_entry",
+                      "shard.wire_bytes_per_entry"])[] as $r
           | $ma[$w][$r] as $x | $mb[$w][$r] as $y
           | "| \($w) | \($r) | \($x | r3) | \($y | r3) | \(
               if $x and $y and $x != 0 then (($y - $x) / $x * 1000 | round) / 10 | tostring else "—" end) |" )'
