@@ -77,7 +77,10 @@ git worktree add --quiet --detach "$base" "$base_rev"
 
 # Build both ledgers before anything is timed.
 for tree in "$base" "$change"; do
-    run bash -c 'cd "$1" && exec benchmark/run.sh --manifest' _ "$tree" >/dev/null
+    if ! run bash -c 'cd "$1" && exec benchmark/run.sh --manifest' _ "$tree" >/dev/null; then
+        echo "$0: the ledger in $tree does not build" >&2
+        exit 1
+    fi
 done
 
 # One run of one tree; appends {side, workload, seed, result} to runs.jsonl.
