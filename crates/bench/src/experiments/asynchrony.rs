@@ -11,7 +11,7 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, ks_statistic, ks_threshold_95, Ecdf, Summary, Table};
 use gossip_core::rng::trial_seed;
-use gossip_core::{with_rule, ComponentwiseComplete, EngineBuilder, ProposalRule, RuleId};
+use gossip_core::{ComponentwiseComplete, EngineBuilder, ProposalRule, RuleId};
 use gossip_graph::{generators, ArenaGraph};
 use rayon::prelude::*;
 
@@ -88,10 +88,8 @@ pub fn run(args: &Args) -> Report {
         for (fam, g) in &families {
             for id in [RuleId::Push, RuleId::Pull] {
                 let proc_name = id.name();
-                let (sync, asynch) = with_rule!(id, |rule| (
-                    sync_rounds(g, rule, trials, args.seed ^ n as u64),
-                    async_times(g, rule, trials, args.seed ^ n as u64 ^ 0xA5),
-                ));
+                let sync = sync_rounds(g, id, trials, args.seed ^ n as u64);
+                let asynch = async_times(g, id, trials, args.seed ^ n as u64 ^ 0xA5);
                 report.measure("rounds", format!("{proc_name}-sync"), *fam, n as u64, &sync);
                 report.measure(
                     "time",

@@ -314,7 +314,7 @@ impl ClusterBuilder {
             self.seed,
             self.parallelism,
             self.membership,
-            Some(0),
+            0..1,
         );
         let mut link = MeshLink::worker(coord_socket, table.clone(), 0, self.loss, self.mtu)?;
         link.workers = workers;

@@ -53,11 +53,9 @@ proptest! {
         rounds in 1u64..5,
     ) {
         let g = sharded(n, (n as u64 - 1) + extra_frac * n as u64, graph_seed, shards);
-        let (seq_stats, seq_g) = gossip_core::with_rule!(rule, |r| {
-            let mut seq = ShardedEngine::new(g.clone(), r, engine_seed);
-            let stats: Vec<_> = (0..rounds).map(|_| seq.step()).collect();
-            (stats, seq.graph().clone())
-        });
+        let mut seq = ShardedEngine::new(g.clone(), rule, engine_seed);
+        let seq_stats: Vec<_> = (0..rounds).map(|_| seq.step()).collect();
+        let seq_g = seq.into_graph();
         let mut cluster = ClusterBuilder::new(g, rule, engine_seed)
             .spawn()
             .expect("spawn cluster");

@@ -6,11 +6,9 @@
 //! registry is the single definition:
 //!
 //! * [`RuleId`] — the engine-runnable undirected rules. Parse a name with
-//!   [`RuleId::parse`] (the error lists every registered name), then
-//!   dispatch to a concrete zero-sized rule with [`crate::with_rule!`] —
-//!   the macro form exists because each rule is a distinct type and the
-//!   call sites are generic over `R: ProposalRule<G>`, which a closure
-//!   cannot express.
+//!   [`RuleId::parse`] (the error lists every registered name), then run
+//!   the id itself: it is a [`ProposalRule`] that forwards each call to
+//!   its concrete zero-sized rule.
 //! * [`AnyKernel`] — every protocol state machine behind one enum, for
 //!   callers that need uniform runtime dispatch without `dyn` (the model
 //!   checker, diagnostics). It implements [`ProtocolKernel`] by matching.
@@ -19,7 +17,11 @@ use crate::kernel::{
     Chooser, Effects, FloodingKernel, HybridKernel, KernelMsg, NameDropperKernel, NodeState,
     NodeView, PointerJumpKernel, ProtocolKernel, PullKernel, PushKernel, ThrottledKernel,
 };
-use gossip_graph::NodeId;
+use crate::process::{GossipGraph, ProposalRule, ProposalSet, TaggedProposal};
+use crate::rules::{HybridPushPull, Pull, Push};
+use gossip_graph::{NodeId, UniformNeighbors};
+use rand::rngs::SmallRng;
+use std::ops::Range;
 
 /// The engine-runnable undirected proposal rules, by registry name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -38,7 +40,7 @@ impl RuleId {
 
     /// The registry name (what [`RuleId::parse`] accepts and what the
     /// rule's `ProposalRule::name` reports).
-    pub fn name(self) -> &'static str {
+    pub fn name(&self) -> &'static str {
         match self {
             RuleId::Push => "push",
             RuleId::Pull => "pull",
@@ -71,30 +73,42 @@ impl std::fmt::Display for RuleId {
     }
 }
 
-/// Dispatches a [`RuleId`](crate::RuleId) to its concrete zero-sized rule:
-/// `with_rule!(id, |rule| expr)` runs `expr` with `rule` bound to
-/// [`Push`](crate::Push), [`Pull`](crate::Pull), or
-/// [`HybridPushPull`](crate::HybridPushPull). A macro rather than a
-/// closure-taking function because `expr` is typically generic over
-/// `R: ProposalRule<G>` — each arm monomorphizes separately.
-#[macro_export]
-macro_rules! with_rule {
-    ($id:expr, |$rule:ident| $body:expr) => {
-        match $id {
-            $crate::RuleId::Push => {
-                let $rule = $crate::Push;
-                $body
-            }
-            $crate::RuleId::Pull => {
-                let $rule = $crate::Pull;
-                $body
-            }
-            $crate::RuleId::Hybrid => {
-                let $rule = $crate::HybridPushPull;
-                $body
-            }
+/// A [`RuleId`] proposes exactly what its concrete rule proposes, so an
+/// engine can run a rule chosen at run time — or received over the wire.
+/// Each call is one match: the engines call
+/// [`ProposalRule::propose_range`] once per propose chunk, and the rule's
+/// own per-node loop runs unchanged behind it.
+impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for RuleId {
+    fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
+        match self {
+            RuleId::Push => Push.propose(g, u, rng),
+            RuleId::Pull => Pull.propose(g, u, rng),
+            RuleId::Hybrid => HybridPushPull.propose(g, u, rng),
         }
-    };
+    }
+
+    fn propose_range(
+        &self,
+        g: &G,
+        seed: u64,
+        round: u64,
+        nodes: Range<usize>,
+        buf: &mut Vec<TaggedProposal>,
+    ) {
+        match self {
+            RuleId::Push => Push.propose_range(g, seed, round, nodes, buf),
+            RuleId::Pull => Pull.propose_range(g, seed, round, nodes, buf),
+            RuleId::Hybrid => HybridPushPull.propose_range(g, seed, round, nodes, buf),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            RuleId::Push => ProposalRule::<G>::name(&Push),
+            RuleId::Pull => ProposalRule::<G>::name(&Pull),
+            RuleId::Hybrid => ProposalRule::<G>::name(&HybridPushPull),
+        }
+    }
 }
 
 /// Every protocol kernel behind one enum — uniform runtime dispatch
@@ -197,8 +211,8 @@ impl ProtocolKernel for AnyKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::process::ProposalRule;
-    use gossip_graph::ArenaGraph;
+    use crate::rng::stream_rng;
+    use gossip_graph::{generators, ShardedArenaGraph};
 
     #[test]
     fn parse_roundtrips_every_rule() {
@@ -216,11 +230,51 @@ mod tests {
         }
     }
 
+    const SEED: u64 = 20260807;
+
+    /// What `rule` proposes in round 3 over `g`: through `propose`, node
+    /// by node, and through `propose_range` over every node.
+    fn proposals<G, R>(rule: &R, g: &G) -> [Vec<TaggedProposal>; 2]
+    where
+        G: GossipGraph + UniformNeighbors,
+        R: ProposalRule<G>,
+    {
+        let n = g.node_count();
+        let mut by_node = Vec::new();
+        for u in (0..n).map(NodeId::new) {
+            let mut rng = stream_rng(SEED, 3, u.index() as u64);
+            let set = rule.propose(g, u, &mut rng);
+            by_node.extend(set.as_slice().iter().map(|&(a, b)| (u, a, b)));
+        }
+        let mut by_range = Vec::new();
+        rule.propose_range(g, SEED, 3, 0..n, &mut by_range);
+        [by_node, by_range]
+    }
+
+    fn assert_id_is_its_rule<G: GossipGraph + UniformNeighbors>(id: RuleId, g: &G, what: &str) {
+        let oracle = match id {
+            RuleId::Push => proposals(&Push, g),
+            RuleId::Pull => proposals(&Pull, g),
+            RuleId::Hybrid => proposals(&HybridPushPull, g),
+        };
+        assert!(!oracle[1].is_empty(), "{id} on {what}: nothing proposed");
+        assert_eq!(proposals(&id, g), oracle, "{id} on {what}");
+        assert_eq!(ProposalRule::<G>::name(&id), id.name());
+    }
+
     #[test]
-    fn with_rule_binds_the_matching_rule() {
+    fn rule_id_proposes_what_its_concrete_rule_proposes() {
+        let n = 1500;
+        let mut arena =
+            generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(5, 0, 0));
+        // Tombstoned rows: empty, and unreachable by any walk.
+        for u in (0..n).step_by(11) {
+            arena.remove_member(NodeId::new(u));
+        }
+        let sharded = ShardedArenaGraph::from_arena(&arena, 3);
         for id in RuleId::ALL {
-            let name = with_rule!(id, |rule| ProposalRule::<ArenaGraph>::name(&rule));
-            assert_eq!(name, id.name());
+            assert_id_is_its_rule(id, &arena, "the arena");
+            assert_id_is_its_rule(id, &sharded, "the sharded arena");
         }
     }
 

@@ -436,11 +436,9 @@ fn transport_engine_bit_identical_to_sequential_across_shard_counts() {
     let n = default_threshold() + 177;
     let arena = generators::tree_plus_random_edges(n, 2 * n as u64, &mut stream_rng(21, 0, 0));
     for rule in [RuleId::Push, RuleId::Pull] {
-        let (stats_ref, final_ref) = gossip_core::with_rule!(rule, |r| {
-            let mut e = Engine::new(arena.clone(), r, 99).with_parallelism(Parallelism::Sequential);
-            let stats: Vec<_> = (0..6).map(|_| e.step()).collect();
-            (stats, e.into_graph())
-        });
+        let mut e = Engine::new(arena.clone(), rule, 99).with_parallelism(Parallelism::Sequential);
+        let stats_ref: Vec<_> = (0..6).map(|_| e.step()).collect();
+        let final_ref = e.into_graph();
         for shards in transport_shard_grid() {
             for policy in [Parallelism::Sequential, Parallelism::Parallel] {
                 let g = ShardedArenaGraph::from_arena(&arena, shards);

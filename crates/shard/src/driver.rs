@@ -4,12 +4,13 @@
 //! `G_t`, route half-edges to their owner shards, merge each owner's
 //! column — and this module holds the one copy of each step:
 //!
-//! * `route_span` and `apply_grid`, shared with the in-process
-//!   [`ShardedEngine`](crate::ShardedEngine);
-//! * [`ShardReplica`], the state one cross-process participant keeps,
-//!   the bootstrap stream that copies it to a worker and the round body
-//!   it runs. The stream is `Config` plus every segment's rows in
-//!   `SnapshotChunk`s: the sender reads them from its live segments, the
+//! * [`ShardReplica`], the round's state and the only code that
+//!   proposes, routes and applies it, shared by every sharded engine: the
+//!   in-process [`ShardedEngine`](crate::ShardedEngine) is a replica that
+//!   owns every span, a cross-process participant one that owns one span
+//!   or none. It also writes and reads the bootstrap stream that copies
+//!   it to a worker: `Config` plus every segment's rows in
+//!   `SnapshotChunk`s; the sender reads them from its live segments, the
 //!   receiver appends them straight into the segments it rebuilds and
 //!   checks them, like received mail, before the replica exists;
 //! * [`ShardRoundDriver`], the coordinator every cross-process engine is
@@ -28,8 +29,8 @@ use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
 use gossip_core::seam::{run_engine_until, RoundEngine};
 use gossip_core::{
-    with_rule, ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, RoundStats, RuleId,
-    RunOutcome, TaggedProposal,
+    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, ProposalRule, RoundStats,
+    RuleId, RunOutcome, TaggedProposal,
 };
 use gossip_graph::{
     HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardedArenaGraph,
@@ -58,22 +59,43 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Records one round's phase times, in the order given, into `phases`,
+/// and forwards each as a [`PhaseEvent`] to `listener` — the one emitter
+/// of every sharded engine.
+pub(crate) fn record_phases(
+    phases: &mut PhaseNanos,
+    mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
+    round: u64,
+    times: &[(RoundPhase, u64)],
+) {
+    for &(phase, nanos) in times {
+        let ev = PhaseEvent {
+            round,
+            phase,
+            nanos,
+        };
+        phases.absorb(&ev);
+        if let Some(l) = listener.as_deref_mut() {
+            l.on_phase(&ev);
+        }
+    }
+}
+
 /// Routes the proposals of the chunks in `span` into per-owner mailboxes
 /// (cleared first): each proposal `(u, a, b)` becomes the half-edge
 /// `(a, b)` in `boxes[owner(a)]` and `(b, a)` in `boxes[owner(b)]`, tagged
-/// with its slot in the span's own node-order stream. Returns the number
-/// of proposals walked.
+/// with its `u32` slot in the span's own node-order stream.
 ///
 /// Slots are local to the source span. That is safe because the merge
 /// ([`ShardSeg::apply_half_edges`]) never reads one: it groups a row's
 /// half-edges in arrival order and keeps one of each, so the slot of the
 /// one it keeps decides nothing.
-pub(crate) fn route_span(
+fn route_span(
     plan: &ShardPlan,
     chunk_bufs: &[Vec<TaggedProposal>],
     span: Range<usize>,
     boxes: &mut [Vec<HalfEdge>],
-) -> u64 {
+) {
     for b in boxes.iter_mut() {
         b.clear();
     }
@@ -90,7 +112,6 @@ pub(crate) fn route_span(
         }
         base += buf.len() as u32;
     }
-    u64::from(base)
 }
 
 /// One owner shard's apply-phase work unit: `(shard index, its segment,
@@ -98,88 +119,234 @@ pub(crate) fn route_span(
 /// fans out with no aliasing.
 type ShardWork<'a> = (usize, &'a mut ShardSeg, &'a mut MergeScratch, &'a mut u64);
 
-/// The apply phase: owner `t` merges its mailbox column
-/// `mail[0][t], mail[1][t], …` — fixed source order — into its own
-/// segment, leaving its count of new canonical edges in `added[t]`.
-/// Shard-parallel when `parallel`; no locks, no cross-shard writes.
-pub(crate) fn apply_grid(
-    graph: &mut ShardedArenaGraph,
-    scratch: &mut [MergeScratch],
-    added: &mut [u64],
-    parallel: bool,
-    mail: &[Vec<Vec<HalfEdge>>],
-) {
-    // segments_mut is the CoW commit point: any segment still shared
-    // with an epoch snapshot is deep-copied here, before the fan-out.
-    let mut work: Vec<ShardWork<'_>> = graph
-        .segments_mut()
-        .into_iter()
-        .zip(scratch.iter_mut())
-        .zip(added.iter_mut())
-        .enumerate()
-        .map(|(t, ((seg, scratch), added))| (t, seg, scratch, added))
-        .collect();
-    let apply = |(t, seg, scratch, added): &mut ShardWork<'_>| {
-        let sources: Vec<&[HalfEdge]> = mail.iter().map(|row| row[*t].as_slice()).collect();
-        **added = seg.apply_half_edges(&sources, scratch);
-    };
-    if parallel {
-        work.par_iter_mut().for_each(apply);
-    } else {
-        work.iter_mut().for_each(apply);
-    }
-}
-
-/// One participant's state for the cross-process round: a **full
-/// replica** of `G_t` (a Pull proposal is a two-hop walk through
-/// arbitrary rows, so shard-local state is not enough to propose), the
-/// rule and seed every replica replays, the membership schedule shipped
-/// at bootstrap, and the reusable round buffers. What is sharded is the
-/// *work*: a replica proposes and routes only its own shard's chunk
-/// span, then applies the whole round's mail grid.
+/// One participant's state for the sharded round, and the only code that
+/// proposes, routes and applies one: a **full replica** of `G_t` (a Pull
+/// proposal is a two-hop walk through arbitrary rows, so shard-local
+/// state is not enough to propose), the rule and seed every replica
+/// replays, the membership schedule, the whole `mail[source][owner]` grid
+/// and the reusable round buffers. What is split is the *work*: a replica
+/// proposes and routes only the contiguous range of source spans it owns,
+/// then applies the whole round's grid. It owns
+///
+/// * every span in the in-process [`ShardedEngine`](crate::ShardedEngine);
+/// * one span at a cross-process worker and at the datagram coordinator;
+/// * none at the stream transport's supervisor, which only relays.
+///
+/// Only a [`RuleId`] crosses the wire, so the bootstrap stream is
+/// `ShardReplica<RuleId>`'s alone.
 #[derive(Debug)]
-pub struct ShardReplica {
+pub struct ShardReplica<R = RuleId> {
     graph: ShardedArenaGraph,
-    rule: RuleId,
+    rule: R,
     seed: u64,
-    parallel: bool,
-    membership: MembershipPlan,
-    /// The shard whose span this replica proposes; `None` for a
-    /// coordinator that owns no span (the stream transport's supervisor).
-    shard: Option<usize>,
+    /// Set by [`ShardedEngine`](crate::ShardedEngine)'s builder methods
+    /// as well as here.
+    pub(crate) parallel: bool,
+    pub(crate) membership: MembershipPlan,
+    /// The source spans this replica proposes and routes.
+    spans: Range<usize>,
     chunk_bufs: Vec<Vec<TaggedProposal>>,
-    /// `mail_out[owner]`: this replica's own routed half-edges.
-    mail_out: Vec<Vec<HalfEdge>>,
+    /// `mail[source][owner]`: the owned sources' routed half-edges,
+    /// reused across rounds (the other sources' rows stay empty: their
+    /// mail is received).
+    mail: Vec<Vec<Vec<HalfEdge>>>,
     scratch: Vec<MergeScratch>,
     added: Vec<u64>,
 }
 
-impl ShardReplica {
+impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
     /// A replica over `graph` (its shard count fixes the grid) proposing
-    /// `shard`'s span.
+    /// the source spans in `spans`.
     pub fn new(
         graph: ShardedArenaGraph,
-        rule: RuleId,
+        rule: R,
         seed: u64,
         parallelism: Parallelism,
         membership: Option<MembershipPlan>,
-        shard: Option<usize>,
+        spans: Range<usize>,
     ) -> Self {
         let shards = graph.shard_count();
+        assert!(
+            spans.end <= shards,
+            "spans {spans:?} outside a grid of {shards}"
+        );
         ShardReplica {
             rule,
             seed,
             parallel: parallelism.engages(graph.n()),
             membership: membership.unwrap_or_else(|| MembershipPlan::new(Vec::new())),
-            shard,
+            spans,
             chunk_bufs: vec![Vec::new(); graph.n().div_ceil(PROPOSAL_CHUNK)],
-            mail_out: vec![Vec::new(); shards],
+            mail: vec![vec![Vec::new(); shards]; shards],
             scratch: vec![MergeScratch::default(); shards],
             added: vec![0; shards],
             graph,
         }
     }
 
+    /// The replica's current graph `G_t`.
+    #[inline]
+    pub fn graph(&self) -> &ShardedArenaGraph {
+        &self.graph
+    }
+
+    /// Consumes the replica, returning its graph.
+    pub(crate) fn into_graph(self) -> ShardedArenaGraph {
+        self.graph
+    }
+
+    /// The rule every replica replays.
+    pub fn rule(&self) -> &R {
+        &self.rule
+    }
+
+    /// Number of shards in the grid.
+    #[inline]
+    pub fn shards(&self) -> usize {
+        self.mail.len()
+    }
+
+    /// The span this replica proposes, if it owns exactly one — what a
+    /// cross-process participant that publishes mail owns.
+    pub fn shard(&self) -> Option<usize> {
+        (self.spans.len() == 1).then_some(self.spans.start)
+    }
+
+    /// The routed grid, `mail[source][owner]`, as of the last
+    /// [`ShardReplica::propose_and_route`]: the owned sources' rows.
+    pub fn mail(&self) -> &[Vec<Vec<HalfEdge>>] {
+        &self.mail
+    }
+
+    /// Per-segment new-canonical-edge counts of the last
+    /// [`ShardReplica::apply_grid`].
+    pub fn added(&self) -> &[u64] {
+        &self.added
+    }
+
+    /// Applies the membership events due at `round` — the same
+    /// pre-increment round key as every other engine.
+    pub fn apply_membership(&mut self, round: u64) -> MembershipStats {
+        self.membership.apply_due(round, &mut self.graph)
+    }
+
+    /// Proposes the owned spans' chunks against `G_t` — the sequential
+    /// engine's chunk phase, restricted to them — and routes each owned
+    /// source into its row of the grid, in parallel over spans when the
+    /// policy engages. Returns the `Proposed` barrier that describes it
+    /// (its `serialize_ns` still zero: nothing is encoded yet). The
+    /// restricted propose fills exactly the buffers the full phase would
+    /// (RNG streams are keyed by `(seed, round, node)` alone).
+    ///
+    /// # Panics
+    /// Panics if the owned proposal stream overflows the `u32` slots
+    /// half-edges carry.
+    pub fn propose_and_route(&mut self, round: u64) -> ProposedBarrier {
+        let plan = *self.graph.plan();
+        // Spans are contiguous chunk ranges and `chunk_span(shards)` starts
+        // at the last chunk's end, so this is the owned spans' chunks.
+        let chunks = plan.chunk_span(self.spans.start).start..plan.chunk_span(self.spans.end).start;
+        let t = Instant::now();
+        propose_chunk_range(
+            &self.graph,
+            &self.rule,
+            self.seed,
+            round,
+            &mut self.chunk_bufs,
+            chunks.clone(),
+            self.parallel,
+        );
+        let propose_ns = t.elapsed().as_nanos() as u64;
+
+        let t = Instant::now();
+        let proposed: u64 = self.chunk_bufs[chunks].iter().map(|b| b.len() as u64).sum();
+        assert!(
+            proposed < u32::MAX as u64,
+            "round proposal stream overflows u32 slots"
+        );
+        let (first, chunk_bufs) = (self.spans.start, &self.chunk_bufs);
+        let route = |(i, boxes): (usize, &mut Vec<Vec<HalfEdge>>)| {
+            route_span(&plan, chunk_bufs, plan.chunk_span(first + i), boxes);
+        };
+        let owned = &mut self.mail[self.spans.clone()];
+        if self.parallel {
+            owned.par_iter_mut().enumerate().for_each(route);
+        } else {
+            owned.iter_mut().enumerate().for_each(route);
+        }
+        ProposedBarrier {
+            round,
+            source: first as u32,
+            proposed,
+            propose_ns,
+            route_ns: t.elapsed().as_nanos() as u64,
+            serialize_ns: 0,
+        }
+    }
+
+    /// Merges the round's grid into the replica: owner `t` merges its
+    /// column `mail[0][t], mail[1][t], …` — fixed source order — into its
+    /// own segment, shard-parallel when the policy engages, no locks and
+    /// no cross-shard writes. The owned sources' rows are the replica's
+    /// own; `received[s]` holds the row of every other source `s` (as a
+    /// [`MailboxAssembler`] hands it back — a replica that owns every span
+    /// receives nothing, and passes `&[]`).
+    ///
+    /// Received mail is outside input, and the merge indexes rows with
+    /// it: a half-edge whose row its owner does not hold, or whose other
+    /// endpoint is no node, is an `InvalidData` error naming the source
+    /// shard, found before anything is merged.
+    pub fn apply_grid(&mut self, received: &[Vec<Vec<HalfEdge>>]) -> io::Result<()> {
+        let (plan, spans, mail) = (*self.graph.plan(), &self.spans, &self.mail);
+        let row = |s: usize| {
+            if spans.contains(&s) {
+                &mail[s]
+            } else {
+                &received[s]
+            }
+        };
+        for source in (0..received.len()).filter(|s| !spans.contains(s)) {
+            for (owner, mailbox) in received[source].iter().enumerate() {
+                let span = plan.span(owner);
+                let stray = |&&(_, row, other): &&HalfEdge| {
+                    !span.contains(&row.index()) || other.index() >= plan.n()
+                };
+                if let Some((_, row, other)) = mailbox.iter().find(stray) {
+                    return Err(protocol_err(format!(
+                        "shard {source} sent half-edge ({row:?}, {other:?}) to owner {owner} \
+                         of rows {span:?} (n = {})",
+                        plan.n()
+                    )));
+                }
+            }
+        }
+
+        // segments_mut is the CoW commit point: any segment still shared
+        // with an epoch snapshot is deep-copied here, before the fan-out.
+        let mut work: Vec<ShardWork<'_>> = self
+            .graph
+            .segments_mut()
+            .into_iter()
+            .zip(self.scratch.iter_mut())
+            .zip(self.added.iter_mut())
+            .enumerate()
+            .map(|(t, ((seg, scratch), added))| (t, seg, scratch, added))
+            .collect();
+        let apply = |(t, seg, scratch, added): &mut ShardWork<'_>| {
+            let sources: Vec<&[HalfEdge]> =
+                (0..mail.len()).map(|s| row(s)[*t].as_slice()).collect();
+            **added = seg.apply_half_edges(&sources, scratch);
+        };
+        if self.parallel {
+            work.par_iter_mut().for_each(apply);
+        } else {
+            work.iter_mut().for_each(apply);
+        }
+        Ok(())
+    }
+}
+
+impl ShardReplica<RuleId> {
     /// The worker-side constructor, the same over every carrier: reads the
     /// coordinator's bootstrap stream from `next_frame` — `Config`, then
     /// each segment as a `SnapshotChunk` stream, segments in shard order —
@@ -254,7 +421,7 @@ impl ShardReplica {
             cfg.seed,
             parallelism,
             Some(MembershipPlan::new(cfg.events)),
-            Some(cfg.shard as usize),
+            cfg.shard as usize..cfg.shard as usize + 1,
         ))
     }
 
@@ -294,126 +461,6 @@ impl ShardReplica {
             parallel: self.parallel,
             events: self.membership.events().to_vec(),
         }
-    }
-
-    /// The replica's current graph `G_t`.
-    #[inline]
-    pub fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
-    }
-
-    /// The rule's registry id.
-    pub fn rule(&self) -> RuleId {
-        self.rule
-    }
-
-    /// Number of shards in the grid.
-    #[inline]
-    pub fn shards(&self) -> usize {
-        self.mail_out.len()
-    }
-
-    /// The shard whose span this replica proposes, if any.
-    pub fn shard(&self) -> Option<usize> {
-        self.shard
-    }
-
-    /// This replica's routed half-edges, `mail_out[owner]`, as of the
-    /// last [`ShardReplica::propose_and_route`].
-    pub fn mail_out(&self) -> &[Vec<HalfEdge>] {
-        &self.mail_out
-    }
-
-    /// Per-segment new-canonical-edge counts of the last
-    /// [`ShardReplica::apply_grid`].
-    pub fn added(&self) -> &[u64] {
-        &self.added
-    }
-
-    /// Applies the membership events due at `round` — the same
-    /// pre-increment round key as every other engine.
-    pub fn apply_membership(&mut self, round: u64) -> MembershipStats {
-        self.membership.apply_due(round, &mut self.graph)
-    }
-
-    /// Proposes this replica's own chunk span against `G_t` and routes
-    /// the result into `mail_out`, returning the `Proposed` barrier that
-    /// describes it (its `serialize_ns` still zero: nothing is encoded
-    /// yet). The restricted propose fills exactly the buffers the full
-    /// phase would (RNG streams are keyed by `(seed, round, node)` alone).
-    pub fn propose_and_route(&mut self, round: u64) -> ProposedBarrier {
-        let shard = self
-            .shard
-            .expect("a replica without a span proposes nothing");
-        let plan = *self.graph.plan();
-        let t = Instant::now();
-        with_rule!(self.rule, |rule| propose_chunk_range(
-            &self.graph,
-            &rule,
-            self.seed,
-            round,
-            &mut self.chunk_bufs,
-            plan.chunk_span(shard),
-            self.parallel,
-        ));
-        let propose_ns = t.elapsed().as_nanos() as u64;
-        let t = Instant::now();
-        let proposed = route_span(
-            &plan,
-            &self.chunk_bufs,
-            plan.chunk_span(shard),
-            &mut self.mail_out,
-        );
-        ProposedBarrier {
-            round,
-            source: shard as u32,
-            proposed,
-            propose_ns,
-            route_ns: t.elapsed().as_nanos() as u64,
-            serialize_ns: 0,
-        }
-    }
-
-    /// Merges the round's full mail grid into the replica. `grid[s][t]`
-    /// holds every *other* source's mail (as a
-    /// [`MailboxAssembler`] hands it back);
-    /// the replica's own row is swapped in from `mail_out` for the merge.
-    ///
-    /// Received mail is outside input, and the merge indexes rows with
-    /// it: a half-edge whose row its owner does not hold, or whose other
-    /// endpoint is no node, is an `InvalidData` error naming the source
-    /// shard, found before anything is merged.
-    pub fn apply_grid(&mut self, grid: &mut [Vec<Vec<HalfEdge>>]) -> io::Result<()> {
-        let plan = *self.graph.plan();
-        for (source, row) in grid.iter().enumerate() {
-            for (owner, mailbox) in row.iter().enumerate() {
-                let span = plan.span(owner);
-                let stray = |&&(_, row, other): &&HalfEdge| {
-                    !span.contains(&row.index()) || other.index() >= plan.n()
-                };
-                if let Some((_, row, other)) = mailbox.iter().find(stray) {
-                    return Err(protocol_err(format!(
-                        "shard {source} sent half-edge ({row:?}, {other:?}) to owner {owner} \
-                         of rows {span:?} (n = {})",
-                        plan.n()
-                    )));
-                }
-            }
-        }
-        if let Some(s) = self.shard {
-            std::mem::swap(&mut grid[s], &mut self.mail_out);
-        }
-        apply_grid(
-            &mut self.graph,
-            &mut self.scratch,
-            &mut self.added,
-            self.parallel,
-            grid,
-        );
-        if let Some(s) = self.shard {
-            std::mem::swap(&mut grid[s], &mut self.mail_out);
-        }
-        Ok(())
     }
 }
 
@@ -759,7 +806,7 @@ fn replica_round<L: ShardLink>(
     if let Some(shard) = replica.shard() {
         proposed = link.propose_and_route(replica, r)?;
         let t = Instant::now();
-        link.publish(r, shard, replica.mail_out())?;
+        link.publish(r, shard, &replica.mail()[shard])?;
         proposed.serialize_ns = t.elapsed().as_nanos() as u64;
         link.report(&Frame::Proposed(proposed))?;
     }
@@ -776,7 +823,7 @@ fn replica_round<L: ShardLink>(
 
     let t = Instant::now();
     replica
-        .apply_grid(&mut inbox.asm.into_mail())
+        .apply_grid(&inbox.asm.into_mail())
         .map_err(|e| protocol_err(format!("round {r}: {e}")))?;
     let apply_ns = t.elapsed().as_nanos() as u64;
 
@@ -875,7 +922,7 @@ impl<L: ShardLink> ShardRoundDriver<L> {
 
     /// The rule's registry id.
     pub fn rule(&self) -> RuleId {
-        self.replica.rule()
+        *self.replica.rule()
     }
 
     /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
@@ -906,7 +953,7 @@ impl<L: ShardLink> ShardRoundDriver<L> {
     /// violations, cross-check failures all surface as `io::Error`).
     pub fn try_step(
         &mut self,
-        mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
+        listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
     ) -> io::Result<RoundStats> {
         let r = self.round;
 
@@ -935,29 +982,19 @@ impl<L: ShardLink> ShardRoundDriver<L> {
             }
         }
 
-        // Emit phase events in enum order (the accumulator sums, but
-        // listeners see a canonical sequence).
-        let round = self.round;
-        let mut emit = |phase: RoundPhase, nanos: u64| {
-            let ev = PhaseEvent {
-                round,
-                phase,
-                nanos,
-            };
-            self.phases.absorb(&ev);
-            if let Some(l) = listener.as_deref_mut() {
-                l.on_phase(&ev);
-            }
-        };
-        if mem_delta != MembershipStats::default() {
-            emit(RoundPhase::Membership, mem_nanos);
-        }
-        emit(RoundPhase::Propose, report.proposed.propose_ns);
-        emit(RoundPhase::Route, report.proposed.route_ns);
-        emit(RoundPhase::Serialize, report.proposed.serialize_ns);
-        emit(RoundPhase::Flush, start_ns + report.flush_ns);
-        emit(RoundPhase::Drain, report.drain_ns);
-        emit(RoundPhase::Apply, report.apply_ns);
+        // Phase events in enum order (the accumulator sums, but listeners
+        // see a canonical sequence).
+        let times = [
+            (RoundPhase::Membership, mem_nanos),
+            (RoundPhase::Propose, report.proposed.propose_ns),
+            (RoundPhase::Route, report.proposed.route_ns),
+            (RoundPhase::Serialize, report.proposed.serialize_ns),
+            (RoundPhase::Flush, start_ns + report.flush_ns),
+            (RoundPhase::Drain, report.drain_ns),
+            (RoundPhase::Apply, report.apply_ns),
+        ];
+        let skip = usize::from(mem_delta == MembershipStats::default());
+        record_phases(&mut self.phases, listener, self.round, &times[skip..]);
 
         Ok(RoundStats {
             proposed: report.proposed.proposed,
@@ -1130,7 +1167,7 @@ mod tests {
 
     fn replica(shard: usize) -> ShardReplica {
         let policy = Parallelism::Sequential;
-        ShardReplica::new(graph(), RuleId::Pull, SEED, policy, None, Some(shard))
+        ShardReplica::new(graph(), RuleId::Pull, SEED, policy, None, shard..shard + 1)
     }
 
     /// Round 0 of the two-shard cluster, as honest replicas play it:
@@ -1145,12 +1182,12 @@ mod tests {
         let (mut zero, mut one) = (replica(0), replica(1));
         zero.propose_and_route(0);
         let p = one.propose_and_route(0);
-        let mut grid = vec![zero.mail_out().to_vec(), vec![Vec::new(); 2]];
-        one.apply_grid(&mut grid).unwrap();
+        let grid = vec![zero.mail()[0].clone(), vec![Vec::new(); 2]];
+        one.apply_grid(&grid).unwrap();
         Round0 {
             mail: [
-                mail_frames(0, 0, zero.mail_out()),
-                mail_frames(0, 1, one.mail_out()),
+                mail_frames(0, 0, &zero.mail()[0]),
+                mail_frames(0, 1, &one.mail()[1]),
             ],
             proposed: p,
             done: DoneBarrier {
@@ -1411,7 +1448,7 @@ mod tests {
             SEED,
             policy,
             None,
-            Some(0),
+            0..1,
         ));
         let Frame::SnapshotChunk { chunk, .. } = &mut stream[1] else {
             unreachable!("a Config, then the first chunk")

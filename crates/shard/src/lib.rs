@@ -8,13 +8,17 @@
 //! ceiling at `n ≥ 2^17` after the arena work) to a pipeline with no
 //! sequential phase at all, sized for `10^7`-node graphs.
 //!
-//! One round is three steps:
+//! One round is three steps, and [`ShardReplica`] is the only code that
+//! runs them: the in-process [`ShardedEngine`] is a replica that owns
+//! every span, plus its round counter and phase timers, and the
+//! cross-process engines ([`transport`], `gossip-cluster`) run the same
+//! replica with one span or none per participant.
 //!
-//! 1. **Propose, shard-parallel.** The exact shared propose phase of the
-//!    sequential engine ([`gossip_core::engine::propose_round`]): fixed
-//!    1024-node chunks, per-chunk flat `(proposer, a, b)` buffers, each
-//!    node drawing from its own `(seed, round, node)` RNG stream against
-//!    the immutable `G_t`.
+//! 1. **Propose, shard-parallel.** The sequential engine's chunk phase
+//!    ([`gossip_core::engine::propose_chunk_range`]) over the owned spans:
+//!    fixed 1024-node chunks, per-chunk flat `(proposer, a, b)` buffers,
+//!    each node drawing from its own `(seed, round, node)` RNG stream
+//!    against the immutable `G_t`.
 //! 2. **Route.** Each proposal `(u, a, b)` becomes two half-edges —
 //!    `(a, b)` owned by `owner(a)` and `(b, a)` owned by `owner(b)` — and
 //!    is appended to the mailbox `mail[source][owner]`, tagged with its
@@ -66,15 +70,14 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use gossip_core::engine::{propose_round, PROPOSAL_CHUNK};
-use gossip_core::listener::{PhaseEvent, RoundListener, RoundPhase};
+use gossip_core::engine::PROPOSAL_CHUNK;
+use gossip_core::listener::{RoundListener, RoundPhase};
 use gossip_core::seam::{run_engine_until, RoundEngine};
 use gossip_core::{
     ConvergenceCheck, EngineBuilder, MembershipPlan, MembershipStats, Parallelism, ProposalRule,
-    RoundStats, RunOutcome, TaggedProposal,
+    RoundStats, RunOutcome,
 };
-use gossip_graph::{HalfEdge, MergeScratch, ShardedArenaGraph, SHARD_ALIGN};
-use rayon::prelude::*;
+use gossip_graph::{ShardedArenaGraph, SHARD_ALIGN};
 use std::time::Instant;
 
 pub use gossip_core::listener::PhaseNanos;
@@ -84,7 +87,7 @@ pub mod framed;
 pub mod transport;
 pub mod wire;
 
-use driver::{apply_grid, route_span};
+use driver::record_phases;
 pub use driver::{
     peak_rss_bytes, protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink,
     ShardReplica, ShardRoundDriver, Workers,
@@ -107,60 +110,36 @@ const _: () = assert!(
 );
 
 /// Drives a [`ProposalRule`] over a [`ShardedArenaGraph`] in synchronous
-/// rounds with shard-parallel propose, route, and apply phases.
+/// rounds with shard-parallel propose, route, and apply phases: a
+/// [`ShardReplica`] that owns every span, plus the round counter and the
+/// phase timers.
 ///
 /// Bit-identical to [`gossip_core::Engine`] on the same `(graph, rule,
 /// seed)` for any shard count and any thread count; see the
 /// [module docs](self) for the argument.
 #[derive(Debug)]
 pub struct ShardedEngine<R> {
-    graph: ShardedArenaGraph,
-    rule: R,
-    seed: u64,
+    replica: ShardReplica<R>,
     round: u64,
-    parallelism: Parallelism,
-    /// Flat per-chunk proposal buffers, reused across rounds (identical
-    /// decomposition to the sequential engine's).
-    chunk_bufs: Vec<Vec<TaggedProposal>>,
-    /// `mail[source][owner]`: half-edges proposed by `source`'s nodes whose
-    /// row lives in `owner`, appended in chunk order. Reused across rounds.
-    mail: Vec<Vec<Vec<HalfEdge>>>,
-    /// Per-owner merge scratch, reused across rounds.
-    scratch: Vec<MergeScratch>,
-    /// Per-owner added-edge counters for the current round.
-    added: Vec<u64>,
     phases: PhaseNanos,
-    /// Optional join/leave schedule, applied at the top of every step
-    /// (before the propose phase) with the pre-increment round counter —
-    /// the same seam, at the same point, as the sequential engine's.
-    membership: Option<MembershipPlan>,
 }
 
 impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
     /// Creates an engine over `graph` with the given rule and experiment
     /// seed. The shard count is the graph's ([`ShardedArenaGraph::shard_count`]).
     pub fn new(graph: ShardedArenaGraph, rule: R, seed: u64) -> Self {
-        let chunks = graph.n().div_ceil(PROPOSAL_CHUNK);
-        let shards = graph.shard_count();
+        let spans = 0..graph.shard_count();
         ShardedEngine {
-            graph,
-            rule,
-            seed,
+            replica: ShardReplica::new(graph, rule, seed, Parallelism::default(), None, spans),
             round: 0,
-            parallelism: Parallelism::default(),
-            chunk_bufs: vec![Vec::new(); chunks],
-            mail: vec![vec![Vec::new(); shards]; shards],
-            scratch: vec![MergeScratch::default(); shards],
-            added: vec![0; shards],
             phases: PhaseNanos::default(),
-            membership: None,
         }
     }
 
     /// Sets the parallelism policy (builder style). The policy gates all
     /// three phases at once; results are identical either way.
     pub fn with_parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
+        self.replica.parallel = p.engages(self.replica.graph().n());
         self
     }
 
@@ -169,28 +148,25 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
     /// same pre-increment round counter the sequential engine uses — so
     /// sharded and sequential runs under one plan stay bit-identical.
     pub fn with_membership(mut self, plan: MembershipPlan) -> Self {
-        self.membership = Some(plan);
+        self.replica.membership = plan;
         self
     }
 
     /// Cumulative stats of membership events applied so far (zero if no
     /// plan is installed).
     pub fn membership_stats(&self) -> MembershipStats {
-        self.membership
-            .as_ref()
-            .map(MembershipPlan::stats)
-            .unwrap_or_default()
+        self.replica.membership.stats()
     }
 
     /// The current graph `G_t`.
     #[inline]
     pub fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
 
     /// Consumes the engine, returning the final graph.
     pub fn into_graph(self) -> ShardedArenaGraph {
-        self.graph
+        self.replica.into_graph()
     }
 
     /// Rounds executed so far (`t`).
@@ -201,13 +177,13 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
 
     /// The rule's name.
     pub fn rule_name(&self) -> &'static str {
-        self.rule.name()
+        self.replica.rule().name()
     }
 
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {
-        self.graph.shard_count()
+        self.replica.shards()
     }
 
     /// Cumulative wall time per phase since construction (or the last
@@ -226,112 +202,40 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         self.step_inner(None)
     }
 
-    /// One round, with per-phase [`PhaseEvent`]s delivered to `listener` as
-    /// each phase completes (the cumulative [`ShardedEngine::phases`]
-    /// timers absorb the same events). [`RoundEngine::step_listened`]
-    /// routes here.
+    /// One round, with its [`PhaseEvent`](gossip_core::listener::PhaseEvent)s
+    /// delivered to `listener` once the round is applied (the cumulative
+    /// [`ShardedEngine::phases`] timers absorb the same events).
+    /// [`RoundEngine::step_listened`] routes here.
     fn step_inner(
         &mut self,
-        mut listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
+        listener: Option<&mut dyn RoundListener<ShardedArenaGraph>>,
     ) -> RoundStats {
-        let parallel = self.parallelism.engages(self.graph.n());
-        let plan = *self.graph.plan();
-
-        // Phase 0 (membership): apply due join/leave events before anything
-        // observes the graph this round — the same point, keyed by the same
-        // pre-increment counter, as the sequential engine. `remove_member`
-        // routes every row write through its owner segment, so the
-        // per-segment invariants (sorted rows, exact m_canonical) hold for
-        // the apply fan-out below.
+        // Membership first, before anything observes the graph this round
+        // — the same point, keyed by the same pre-increment counter, as
+        // the sequential engine.
         let t = Instant::now();
-        let mem_delta = match self.membership.as_mut() {
-            Some(p) => p.apply_due(self.round, &mut self.graph),
-            None => MembershipStats::default(),
-        };
+        let mem_delta = self.replica.apply_membership(self.round);
         let mem_nanos = t.elapsed().as_nanos() as u64;
 
-        // Phase 1: propose — the sequential engine's shared chunk phase.
+        let proposed = self.replica.propose_and_route(self.round);
         let t = Instant::now();
-        propose_round(
-            &self.graph,
-            &self.rule,
-            self.seed,
-            self.round,
-            &mut self.chunk_bufs,
-            parallel,
-        );
+        self.replica
+            .apply_grid(&[])
+            .expect("a replica that owns every span receives no mail");
+        let apply_nanos = t.elapsed().as_nanos() as u64;
         self.round += 1;
-        let mut emit = |phases: &mut PhaseNanos, phase: RoundPhase, nanos: u64, round: u64| {
-            let ev = PhaseEvent {
-                round,
-                phase,
-                nanos,
-            };
-            phases.absorb(&ev);
-            if let Some(l) = listener.as_deref_mut() {
-                l.on_phase(&ev);
-            }
-        };
-        if mem_delta != MembershipStats::default() {
-            emit(
-                &mut self.phases,
-                RoundPhase::Membership,
-                mem_nanos,
-                self.round,
-            );
-        }
-        emit(
-            &mut self.phases,
-            RoundPhase::Propose,
-            t.elapsed().as_nanos() as u64,
-            self.round,
-        );
 
-        // Phase 2: route — source shard s walks its own chunks in index
-        // order, appending both half-edges of each proposal to the owner
-        // mailboxes. Mailboxes end up internally ordered by (chunk, slot).
-        let t = Instant::now();
-        let proposed: u64 = self.chunk_bufs.iter().map(|b| b.len() as u64).sum();
-        assert!(
-            proposed < u32::MAX as u64,
-            "round proposal stream overflows u32 slots"
-        );
-        let chunk_bufs = &self.chunk_bufs;
-        let route = |(s, boxes): (usize, &mut Vec<Vec<HalfEdge>>)| {
-            route_span(&plan, chunk_bufs, plan.chunk_span(s), boxes);
-        };
-        if parallel {
-            self.mail.par_iter_mut().enumerate().for_each(route);
-        } else {
-            self.mail.iter_mut().enumerate().for_each(route);
-        }
-        emit(
-            &mut self.phases,
-            RoundPhase::Route,
-            t.elapsed().as_nanos() as u64,
-            self.round,
-        );
-
-        // Phase 3: apply — owner t merges its mailbox column in fixed
-        // (source shard, chunk index) order into its own segment.
-        let t = Instant::now();
-        apply_grid(
-            &mut self.graph,
-            &mut self.scratch,
-            &mut self.added,
-            parallel,
-            &self.mail,
-        );
-        emit(
-            &mut self.phases,
-            RoundPhase::Apply,
-            t.elapsed().as_nanos() as u64,
-            self.round,
-        );
-
+        let times = [
+            (RoundPhase::Membership, mem_nanos),
+            (RoundPhase::Propose, proposed.propose_ns),
+            (RoundPhase::Route, proposed.route_ns),
+            (RoundPhase::Apply, apply_nanos),
+        ];
+        let skip = usize::from(mem_delta == MembershipStats::default());
+        record_phases(&mut self.phases, listener, self.round, &times[skip..]);
         RoundStats {
-            proposed,
-            added: self.added.iter().sum(),
+            proposed: proposed.proposed,
+            added: self.replica.added().iter().sum(),
         }
     }
 
@@ -350,7 +254,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
     type Graph = ShardedArenaGraph;
     #[inline]
     fn graph(&self) -> &ShardedArenaGraph {
-        &self.graph
+        self.replica.graph()
     }
     #[inline]
     fn quanta(&self) -> u64 {

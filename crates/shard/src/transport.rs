@@ -194,7 +194,7 @@ impl TransportBuilder {
             self.seed,
             self.parallelism,
             self.membership,
-            None,
+            0..0,
         );
         let mut link = HubLink::over(conns);
         link.workers = workers;

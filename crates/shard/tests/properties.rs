@@ -7,9 +7,9 @@
 
 use gossip_core::rng::stream_rng;
 use gossip_core::{ChurnBursts, Engine, MembershipPlan, Parallelism, Pull, Push, RuleId};
-use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph};
+use gossip_graph::{generators, ArenaGraph, NodeId, ShardedArenaGraph};
 use gossip_shard::transport::TransportBuilder;
-use gossip_shard::ShardedEngine;
+use gossip_shard::{ShardReplica, ShardedEngine};
 use proptest::prelude::*;
 
 /// Sparse starting graph with `target_m` edges, capped at the complete
@@ -136,6 +136,42 @@ proptest! {
         }
         wire.graph().validate().map_err(proptest::test_runner::TestCaseError::fail)?;
         wire.shutdown().map_err(|e| TestCaseError::fail(e.to_string()))?;
+    }
+
+    /// One round body for every sharded engine: a replica that owns every
+    /// span — the in-process engine — routes the `mail[source][owner]`
+    /// grid entry for entry as `S` replicas that own one span each — the
+    /// cross-process workers — under any rule, policy and round, with
+    /// tombstoned rows in the graph.
+    #[test]
+    fn a_replica_owning_every_span_routes_the_grid_of_one_span_replicas(
+        seed in any::<u64>(),
+        n in 2usize..5000,
+        shards in 1usize..9,
+        rule in 0usize..3,
+        round in 0u64..4,
+        tombstones in 0usize..3,
+        parallel in any::<bool>(),
+    ) {
+        let mut g = ShardedArenaGraph::from_arena(&sparse(n, 2 * n as u64, seed, 2), shards);
+        for i in 0..tombstones {
+            g.remove_member(NodeId::new((seed as usize).wrapping_add(i * 7919) % n));
+        }
+        let rule = RuleId::ALL[rule];
+        let policy = if parallel { Parallelism::Parallel } else { Parallelism::Sequential };
+        let mut whole = ShardReplica::new(g.clone(), rule, seed, policy, None, 0..shards);
+        let barrier = whole.propose_and_route(round);
+
+        let mut grid = Vec::new();
+        let mut proposed = 0;
+        for s in 0..shards {
+            let one_thread = Parallelism::Sequential;
+            let mut one = ShardReplica::new(g.clone(), rule, seed, one_thread, None, s..s + 1);
+            proposed += one.propose_and_route(round).proposed;
+            grid.push(one.mail()[s].clone());
+        }
+        prop_assert_eq!(whole.mail(), grid.as_slice());
+        prop_assert_eq!(barrier.proposed, proposed);
     }
 }
 

@@ -8,9 +8,9 @@
 use gossip_analysis::{exact_expected_rounds, ProcessKind, Summary};
 use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::{
-    convergence_rounds, with_rule, ChurnBursts, ClosureReached, ComponentwiseComplete,
-    DirectedPull, DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine,
-    RuleId, TrialConfig,
+    convergence_rounds, ChurnBursts, ClosureReached, ComponentwiseComplete, DirectedPull,
+    DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine, RuleId,
+    TrialConfig,
 };
 use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
 use gossip_serve::{GossipService, GraphQuery, MetricsCounters, ServeConfig};
@@ -494,14 +494,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             // instead of spinning forever. Static runs keep the unbounded
             // budget they always had.
             let budget = if *churn > 0 { 100_000 } else { u64::MAX };
-            let (outcome, mem) = with_rule!(id, |rule| {
-                let mut engine = Engine::new(g, rule, *seed);
-                if *churn > 0 {
-                    engine = engine.with_membership(churn_plan(n_nodes, *churn, *seed));
-                }
-                let outcome = engine.run_traced(&mut check, budget, &mut t);
-                (outcome, engine.membership_stats())
-            });
+            let mut engine = Engine::new(g, id, *seed);
+            if *churn > 0 {
+                engine = engine.with_membership(churn_plan(n_nodes, *churn, *seed));
+            }
+            let outcome = engine.run_traced(&mut check, budget, &mut t);
+            let mem = engine.membership_stats();
             let _ = writeln!(
                 out,
                 "process = {process}, rounds = {}, final edges = {}, rounds / n log² n = {:.4}",
@@ -538,12 +536,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 parallel: true,
             };
             let id = RuleId::parse(process)?;
-            let rounds = with_rule!(id, |rule| convergence_rounds(
-                &g,
-                rule,
-                ComponentwiseComplete::for_graph,
-                &cfg
-            ));
+            let rounds = convergence_rounds(&g, id, ComponentwiseComplete::for_graph, &cfg);
             let s = Summary::of_rounds(&rounds);
             let _ = writeln!(
                 out,
@@ -633,21 +626,17 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 serve_report(engine, cfg)
             } else if *shards > 1 {
                 let g = ShardedArenaGraph::from_arena(&g, *shards);
-                with_rule!(id, |rule| {
-                    let mut b = EngineBuilder::new(g, rule, *seed);
-                    if let Some(plan) = plan.clone() {
-                        b = b.membership(plan);
-                    }
-                    serve_report(b.build_sharded(), cfg)
-                })
+                let mut b = EngineBuilder::new(g, id, *seed);
+                if let Some(plan) = plan.clone() {
+                    b = b.membership(plan);
+                }
+                serve_report(b.build_sharded(), cfg)
             } else {
-                with_rule!(id, |rule| {
-                    let mut b = EngineBuilder::new(g, rule, *seed);
-                    if let Some(plan) = plan.clone() {
-                        b = b.membership(plan);
-                    }
-                    serve_report(b.build(), cfg)
-                })
+                let mut b = EngineBuilder::new(g, id, *seed);
+                if let Some(plan) = plan.clone() {
+                    b = b.membership(plan);
+                }
+                serve_report(b.build(), cfg)
             };
             let churn_note = if *churn > 0 {
                 format!(", churn={churn}")
