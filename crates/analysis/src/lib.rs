@@ -35,12 +35,10 @@ pub mod fit;
 pub mod markov;
 pub mod stats;
 pub mod table;
-pub mod timeseries;
 
 pub use bootstrap::{bootstrap_ci_of, bootstrap_mean_ci, ConfidenceInterval};
 pub use distribution::{ks_statistic, ks_threshold_95, Ecdf};
 pub use fit::{fit_model, loglog_exponent, ols, rank_models, GrowthModel, ModelFit, OlsFit};
 pub use markov::{exact_expected_rounds, find_nonmonotone_pairs, NonMonotonePair, ProcessKind};
-pub use stats::{fnv1a, Fnv1a, OnlineStats, Summary};
+pub use stats::{Fnv1a, OnlineStats, Summary};
 pub use table::{fmt_f64, Table};
-pub use timeseries::{align_series, AggregatePoint};

@@ -80,25 +80,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Batch summary of a sample: mean, spread, and order statistics.
@@ -197,11 +178,6 @@ impl Fnv1a {
     }
 }
 
-/// One-shot FNV-1a of a byte slice.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    Fnv1a::new().write(bytes).finish()
-}
-
 /// Linear-interpolated percentile of an ascending-sorted slice, `p` in 0..=100.
 pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty());
@@ -233,40 +209,6 @@ mod tests {
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-10);
-        assert!((a.variance() - all.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.push(1.0);
-        let b = OnlineStats::new();
-        a.merge(&b);
-        assert_eq!(a.count(), 1);
-        let mut c = OnlineStats::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.mean(), 1.0);
     }
 
     #[test]

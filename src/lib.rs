@@ -51,8 +51,8 @@ pub use gossip_shard as shard;
 /// Most-used items in one import.
 pub mod prelude {
     pub use gossip_analysis::{
-        align_series, exact_expected_rounds, find_nonmonotone_pairs, fit_model, loglog_exponent,
-        rank_models, GrowthModel, ProcessKind, Summary, Table,
+        exact_expected_rounds, find_nonmonotone_pairs, fit_model, loglog_exponent, rank_models,
+        GrowthModel, ProcessKind, Summary, Table,
     };
     pub use gossip_baselines::{
         DiscoveryAlgorithm, Flooding, Knowledge, NameDropper, PointerJump, ThrottledNameDropper,
