@@ -61,23 +61,6 @@ pub fn tie_stats(g: &ArenaGraph, u: NodeId, delta0: usize) -> TieStats {
     }
 }
 
-/// Fraction of nodes whose two-hop neighborhood is "not too large"
-/// (`|N²(u)| < delta0 / 2`) — the case split of Lemma 10 for the pull
-/// process.
-pub fn small_two_hop_fraction(g: &ArenaGraph, delta0: usize) -> f64 {
-    if g.n() == 0 {
-        return 0.0;
-    }
-    let mut count = 0usize;
-    for u in g.nodes() {
-        let rings = rings_up_to(g, u, 2);
-        if 2 * rings[2].len() < delta0 {
-            count += 1;
-        }
-    }
-    count as f64 / g.n() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,16 +107,5 @@ mod tests {
         bits.insert(2);
         assert_eq!(degree_into(&g, NodeId(0), &bits), 2);
         assert_eq!(degree_into(&g, NodeId(1), &bits), 1); // own id not adjacent to itself
-    }
-
-    #[test]
-    fn small_two_hop_fraction_extremes() {
-        // Complete graph: every N2 empty -> all "small".
-        let k = generators::complete(6);
-        assert_eq!(small_two_hop_fraction(&k, 4), 1.0);
-        // Star with delta0 = 1: leaves have |N2| = 4 >= 0.5 -> only the
-        // center counts.
-        let s = generators::star(6);
-        assert!((small_two_hop_fraction(&s, 1) - 1.0 / 6.0).abs() < 1e-12);
     }
 }

@@ -72,7 +72,7 @@ pub use listener::{
 };
 pub use membership::{ChurnBursts, MembershipEvent, MembershipPlan, MembershipStats};
 pub use process::{GossipGraph, ProposalRule, ProposalSet, RoundStats, TaggedProposal};
-pub use recorder::{MinDegreeMilestones, SeriesRecorder, SeriesRow};
+pub use recorder::{SeriesRecorder, SeriesRow};
 pub use registry::{AnyKernel, RuleId};
 pub use rules::{DirectedPull, HybridPushPull, Pull, Push};
 pub use seam::{run_engine_listened, run_engine_until, RoundEngine};

@@ -87,75 +87,6 @@ impl RoundListener<ArenaGraph> for SeriesRecorder {
     }
 }
 
-/// Records the first round at which the minimum degree reached each power of
-/// `growth_factor` times the starting minimum degree — the direct empirical
-/// analogue of the paper's "δ grows by a constant factor every O(n log n)
-/// rounds" progress measure.
-#[derive(Clone, Debug)]
-pub struct MinDegreeMilestones {
-    delta0: usize,
-    factor: f64,
-    next_target: f64,
-    /// Degree hit the `n - 1` ceiling: no further milestones can occur.
-    capped: bool,
-    /// `(round, min_degree)` at each milestone crossing.
-    milestones: Vec<(u64, usize)>,
-}
-
-impl MinDegreeMilestones {
-    /// Tracks milestones `delta0 * factor^i` for the run.
-    pub fn new(delta0: usize, factor: f64) -> Self {
-        assert!(factor > 1.0, "growth factor must exceed 1");
-        assert!(delta0 >= 1, "delta0 must be >= 1");
-        MinDegreeMilestones {
-            delta0,
-            factor,
-            next_target: delta0 as f64 * factor,
-            capped: false,
-            milestones: Vec::new(),
-        }
-    }
-
-    /// `(round, min_degree)` pairs at which successive factor targets were hit.
-    pub fn milestones(&self) -> &[(u64, usize)] {
-        &self.milestones
-    }
-
-    /// The starting minimum degree.
-    pub fn delta0(&self) -> usize {
-        self.delta0
-    }
-
-    /// Observes round `round` (1-based) with the post-round graph.
-    pub fn observe(&mut self, round: u64, g: &ArenaGraph, _stats: &RoundStats) {
-        if self.capped {
-            return; // ceiling milestone already recorded; nothing can change
-        }
-        let delta = g.min_degree();
-        // Saturating: the 0-node graph would underflow (cap 0 == already at
-        // the ceiling, so the first observation caps the recorder).
-        let cap = g.n().saturating_sub(1);
-        while delta as f64 >= self.next_target || delta >= cap {
-            self.milestones.push((round, delta));
-            self.next_target *= self.factor;
-            if delta >= cap {
-                // Degree can't grow further. Latch, so fixed-horizon runs
-                // that keep observing past completion don't re-emit the
-                // ceiling milestone every round.
-                self.capped = true;
-                return;
-            }
-        }
-    }
-}
-
-impl RoundListener<ArenaGraph> for MinDegreeMilestones {
-    fn on_round(&mut self, ev: &RoundEvent<'_, ArenaGraph>) -> RoundControl {
-        self.observe(ev.round, ev.graph, &ev.stats);
-        RoundControl::Continue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,69 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn milestones_capture_growth() {
-        let g = generators::cycle(32); // delta0 = 2
-        let mut check = ComponentwiseComplete::for_graph(&g);
-        let mut ms = MinDegreeMilestones::new(2, 1.5);
-        let mut engine = Engine::new(g, Push, 9);
-        let out = run_engine_listened(
-            &mut engine,
-            &mut Chain(&mut ms, StopWhen(&mut check)),
-            1_000_000,
-        );
-        assert!(out.converged);
-        let milestones = ms.milestones();
-        assert!(
-            milestones.len() >= 3,
-            "expected several milestones, got {milestones:?}"
-        );
-        // Rounds are nondecreasing, degrees increase toward n-1.
-        for w in milestones.windows(2) {
-            assert!(w[1].0 >= w[0].0);
-        }
-        assert_eq!(milestones.last().unwrap().1, 31);
-    }
-
-    #[test]
-    fn milestones_survive_degenerate_graphs() {
-        // Regression: the degree cap computed `n - 1`, underflowing on the
-        // 0-node graph.
-        use crate::process::RoundStats;
-        use gossip_graph::ArenaGraph;
-        for n in [0usize, 1] {
-            let g = ArenaGraph::new(n);
-            let mut ms = MinDegreeMilestones::new(1, 2.0);
-            // Degree starts at the (zero) ceiling: exactly one milestone no
-            // matter how many rounds keep observing.
-            for round in 1..=50 {
-                ms.observe(round, &g, &RoundStats::default());
-            }
-            assert_eq!(ms.milestones(), &[(1, 0)], "n={n}");
-        }
-    }
-
-    #[test]
-    fn cap_milestone_emitted_once_on_fixed_horizon_runs() {
-        // A run observed past completion (Never-style horizon) must not
-        // re-emit the ceiling milestone every round.
-        use crate::process::RoundStats;
-        let g = generators::complete(8); // min_degree 7 == cap
-        let mut ms = MinDegreeMilestones::new(7, 2.0);
-        for round in 1..=20 {
-            ms.observe(round, &g, &RoundStats::default());
-        }
-        assert_eq!(ms.milestones(), &[(1, 7)]);
-    }
-
-    #[test]
     #[should_panic(expected = "stride")]
     fn recorder_rejects_zero_stride() {
         let _ = SeriesRecorder::every(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "growth factor")]
-    fn milestones_reject_bad_factor() {
-        let _ = MinDegreeMilestones::new(2, 1.0);
     }
 }
