@@ -160,45 +160,6 @@ impl Knowledge {
         gained
     }
 
-    /// Removes member `u` from the knowledge state (a churn *leave*):
-    /// `u`'s own rows are tombstoned through the arena reclamation path
-    /// ([`SliceArena::clear`], so the epoch compaction reclaims their
-    /// storage) and every node that knew `u` forgets it. Returns the
-    /// number of ordered known pairs dropped. The id stays addressable —
-    /// [`Knowledge::admit_member`] re-bootstraps it.
-    ///
-    /// Forgetting is order-preserving in the arrival lists (linear
-    /// remove): surviving entries keep their relative order, so a
-    /// throttled sender's cursor still indexes a valid boundary — it
-    /// merely never re-sends the entry that vanished, which is exactly
-    /// the departed node.
-    pub fn drop_member(&mut self, u: NodeId) -> u64 {
-        self.sorted.clear(u.index());
-        let mut dropped = self.arrival.clear(u.index()) as u64;
-        for v in 0..self.n() {
-            if self.sorted.remove_sorted(v, u) {
-                let removed = self.arrival.remove(v, u);
-                debug_assert!(removed, "arrival/sorted out of sync at node {v}");
-                dropped += 1;
-            }
-        }
-        self.pairs -= dropped;
-        dropped
-    }
-
-    /// (Re-)admits member `u` with symmetric bootstrap knowledge: `u`
-    /// learns every contact and every contact learns `u` — matching the
-    /// engines' bootstrap-edge semantics, where a new edge makes both
-    /// endpoints visible to each other. Returns the ordered pairs gained.
-    pub fn admit_member(&mut self, u: NodeId, contacts: &[NodeId]) -> u64 {
-        let mut gained = 0;
-        for &c in contacts {
-            gained += self.learn(u, c) as u64;
-            gained += self.learn(c, u) as u64;
-        }
-        gained
-    }
-
     /// Bytes held by the contact storage (length-based, deterministic) —
     /// `O(pairs + n)`, with no quadratic bitmap term.
     pub fn memory_bytes(&self) -> usize {
@@ -314,48 +275,6 @@ mod tests {
         // 0 must not "learn" 0; only the sender 1 is news.
         assert_eq!(gained, 1);
         assert!(!k.knows(NodeId(0), NodeId(0)));
-        k.validate().unwrap();
-    }
-
-    #[test]
-    fn drop_member_forgets_in_both_directions() {
-        // Asymmetric setup: 0 knows 2, 2 knows nothing of 0; 1 knows 2 and
-        // 2 knows 1. Dropping 2 must erase its row AND every mention.
-        let mut k = Knowledge::new(4);
-        k.learn(NodeId(0), NodeId(2));
-        k.learn(NodeId(1), NodeId(2));
-        k.learn(NodeId(2), NodeId(1));
-        k.learn(NodeId(2), NodeId(3));
-        k.learn(NodeId(0), NodeId(1));
-        assert_eq!(k.drop_member(NodeId(2)), 4);
-        assert_eq!(k.known_pairs(), 1);
-        assert!(!k.knows(NodeId(0), NodeId(2)));
-        assert!(!k.knows(NodeId(1), NodeId(2)));
-        assert!(k.count(NodeId(2)) == 0);
-        assert!(k.knows(NodeId(0), NodeId(1)), "unrelated pair survives");
-        k.validate().unwrap();
-        // Arrival order of survivors is preserved (stable prefix).
-        assert_eq!(k.contacts(NodeId(0)), &[NodeId(1)]);
-        // Re-admission bootstraps symmetrically.
-        assert_eq!(k.admit_member(NodeId(2), &[NodeId(0), NodeId(3)]), 4);
-        assert!(k.knows(NodeId(2), NodeId(0)) && k.knows(NodeId(0), NodeId(2)));
-        assert!(k.knows(NodeId(2), NodeId(3)) && k.knows(NodeId(3), NodeId(2)));
-        k.validate().unwrap();
-    }
-
-    #[test]
-    fn drop_member_degenerate_sizes() {
-        let mut k1 = Knowledge::new(1);
-        assert_eq!(k1.drop_member(NodeId(0)), 0);
-        assert_eq!(
-            k1.admit_member(NodeId(0), &[NodeId(0)]),
-            0,
-            "self-contact no-op"
-        );
-        k1.validate().unwrap();
-        let mut k = Knowledge::from_undirected(&generators::complete(3));
-        assert_eq!(k.drop_member(NodeId(1)), 4);
-        assert_eq!(k.drop_member(NodeId(1)), 0, "double drop is a no-op");
         k.validate().unwrap();
     }
 
