@@ -238,20 +238,6 @@ impl SliceArena {
         self.slice(u).binary_search(&v).is_ok()
     }
 
-    /// Removes `v` from list `u` by linear scan (order preserved — callers
-    /// rely on stable prefixes). Returns `false` if absent. O(len).
-    pub fn remove(&mut self, u: usize, v: NodeId) -> bool {
-        let s = self.start[u];
-        let l = self.len[u] as usize;
-        let Some(pos) = self.data[s..s + l].iter().position(|&x| x == v) else {
-            return false;
-        };
-        self.data.copy_within(s + pos + 1..s + l, s + pos);
-        self.len[u] -= 1;
-        self.live -= 1;
-        true
-    }
-
     /// Removes `v` from the **sorted** list `u` (binary search + shift).
     /// Returns `false` if absent. O(log len + len) — the shift dominates,
     /// but the search keeps the common miss case logarithmic.
@@ -1130,21 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_arena_remove_preserves_order() {
-        let mut a = SliceArena::new(1);
-        for v in [3, 1, 4, 1, 5] {
-            a.push(0, NodeId(v));
-        }
-        assert!(a.remove(0, NodeId(4)));
-        assert!(!a.remove(0, NodeId(9)));
-        assert_eq!(
-            a.slice(0),
-            &[NodeId(3), NodeId(1), NodeId(1), NodeId(5)],
-            "first match removed, order stable"
-        );
-    }
-
-    #[test]
     fn total_len_is_cached() {
         // The counter must track every mutation path — push, sorted insert
         // (including rejected duplicates), remove (including misses),
@@ -1162,7 +1133,7 @@ mod tests {
                     a.insert_sorted(u, v);
                 }
                 _ => {
-                    a.remove(u, v);
+                    a.remove_sorted(u, v);
                 }
             }
             if step % 4096 == 0 {

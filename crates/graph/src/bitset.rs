@@ -2,9 +2,8 @@
 //!
 //! This is the membership structure behind adjacency sets and the row type of
 //! transitive-closure computations. Compared to `HashSet<u32>` it is ~8x
-//! denser, branch-free to query, and unions whole rows at memory bandwidth —
-//! which is what makes closure computation and Name-Dropper simulation cheap
-//! even when graphs approach completeness.
+//! denser and branch-free to query, which keeps closure rows cheap even when
+//! graphs approach completeness.
 
 /// A fixed-capacity set of small integers backed by packed `u64` words.
 ///
@@ -93,30 +92,6 @@ impl BitSet {
     /// Removes all elements.
     pub fn clear(&mut self) {
         self.words.fill(0);
-    }
-
-    /// In-place union; returns the number of *new* elements gained.
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) -> usize {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        let mut gained = 0;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            let before = *a;
-            *a |= b;
-            gained += (*a ^ before).count_ones() as usize;
-        }
-        gained
-    }
-
-    /// Whether `self` is a subset of `other`.
-    pub fn is_subset(&self, other: &BitSet) -> bool {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(&a, &b)| a & !b == 0)
     }
 
     /// Iterates over elements in increasing order.
@@ -219,31 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn union_counts_gained() {
-        let mut a = BitSet::new(128);
-        let mut b = BitSet::new(128);
-        a.insert(1);
-        a.insert(2);
-        b.insert(2);
-        b.insert(3);
-        b.insert(100);
-        let gained = a.union_with(&b);
-        assert_eq!(gained, 2);
-        assert_eq!(a.count(), 4);
-    }
-
-    #[test]
-    fn subset_and_intersection() {
-        let mut a = BitSet::new(64);
-        let mut b = BitSet::new(64);
-        a.insert(5);
-        b.insert(5);
-        b.insert(9);
-        assert!(a.is_subset(&b));
-        assert!(!b.is_subset(&a));
-    }
-
-    #[test]
     fn grow_preserves() {
         let mut s = BitSet::new(10);
         s.insert(7);
@@ -288,20 +238,6 @@ mod tests {
             }
             prop_assert_eq!(s.count(), model.len());
             prop_assert_eq!(s.iter().collect::<Vec<_>>(), model.into_iter().collect::<Vec<_>>());
-        }
-
-        /// Union gained-count equals |b \ a| and result is the set union.
-        #[test]
-        fn union_model(av in proptest::collection::btree_set(0usize..200, 0..80),
-                       bv in proptest::collection::btree_set(0usize..200, 0..80)) {
-            let mut a = BitSet::new(200);
-            let mut b = BitSet::new(200);
-            for &v in &av { a.insert(v); }
-            for &v in &bv { b.insert(v); }
-            let gained = a.union_with(&b);
-            prop_assert_eq!(gained, bv.difference(&av).count());
-            let expect: Vec<usize> = av.union(&bv).copied().collect();
-            prop_assert_eq!(a.iter().collect::<Vec<_>>(), expect);
         }
     }
 }

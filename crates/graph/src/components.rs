@@ -61,12 +61,6 @@ impl UnionFind {
     pub fn component_count(&self) -> usize {
         self.components
     }
-
-    /// Size of the set containing `x`.
-    pub fn component_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 /// Connected components of an undirected graph; returns per-node component
@@ -204,9 +198,9 @@ mod tests {
         assert!(uf.connected(0, 1));
         assert!(!uf.connected(0, 2));
         assert_eq!(uf.component_count(), 3);
-        assert_eq!(uf.component_size(0), 2);
-        uf.union(0, 2);
-        assert_eq!(uf.component_size(3), 4);
+        assert!(uf.union(0, 2));
+        assert!(uf.connected(1, 3));
+        assert_eq!(uf.component_count(), 2);
     }
 
     #[test]

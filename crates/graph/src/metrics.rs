@@ -72,12 +72,6 @@ pub fn average_clustering(g: &ArenaGraph) -> f64 {
     total / g.n() as f64
 }
 
-/// Count of nodes whose degree is strictly below `threshold` — the paper's
-/// proofs track how many nodes still have small degree.
-pub fn nodes_below_degree(g: &ArenaGraph, threshold: usize) -> usize {
-    g.nodes().filter(|&u| g.degree(u) < threshold).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,13 +106,5 @@ mod tests {
         // Complete graph: all 1.
         let k5 = generators::complete(5);
         assert!((average_clustering(&k5) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn nodes_below() {
-        let g = generators::star(6);
-        assert_eq!(nodes_below_degree(&g, 2), 5);
-        assert_eq!(nodes_below_degree(&g, 1), 0);
-        assert_eq!(nodes_below_degree(&g, 100), 6);
     }
 }

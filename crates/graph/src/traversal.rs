@@ -112,11 +112,6 @@ pub fn diameter<G: Adjacency>(g: &G) -> Option<u32> {
     Some(best)
 }
 
-/// Whether every node is reachable from `source`.
-pub fn all_reachable_from<G: Adjacency>(g: &G, source: NodeId) -> bool {
-    bfs_distances(g, source).iter().all(|&d| d != UNREACHABLE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,7 +133,6 @@ mod tests {
         let d = bfs_distances(&g, NodeId(0));
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
-        assert!(!all_reachable_from(&g, NodeId(0)));
     }
 
     #[test]
@@ -168,7 +162,5 @@ mod tests {
         assert_eq!(bfs_distances(&g, NodeId(0)), vec![0, 1, 2]);
         let back = bfs_distances(&g, NodeId(2));
         assert_eq!(back[0], UNREACHABLE);
-        assert!(all_reachable_from(&g, NodeId(0)));
-        assert!(!all_reachable_from(&g, NodeId(2)));
     }
 }
