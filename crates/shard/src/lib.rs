@@ -186,15 +186,9 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         self.replica.shards()
     }
 
-    /// Cumulative wall time per phase since construction (or the last
-    /// [`ShardedEngine::reset_phases`]).
+    /// Cumulative wall time per phase since construction.
     pub fn phases(&self) -> PhaseNanos {
         self.phases
-    }
-
-    /// Zeroes the phase timers (e.g. after warm-up rounds).
-    pub fn reset_phases(&mut self) {
-        self.phases = PhaseNanos::default();
     }
 
     /// Executes one synchronous round; returns what happened.
@@ -382,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn phase_timers_accumulate_and_reset() {
+    fn phase_timers_accumulate() {
         let g = sharded(1200, 2400, 2, 2);
         let mut e = ShardedEngine::new(g, Push, 3);
         for _ in 0..3 {
@@ -391,8 +385,6 @@ mod tests {
         let p = e.phases();
         assert!(p.total() > 0);
         assert!(p.propose > 0 && p.apply > 0);
-        e.reset_phases();
-        assert_eq!(e.phases(), PhaseNanos::default());
     }
 
     #[test]
