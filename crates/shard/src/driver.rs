@@ -219,7 +219,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
     }
 
     /// Per-segment new-canonical-edge counts of the last
-    /// [`ShardReplica::apply_grid`].
+    /// [`ShardReplica::apply_mail`].
     pub fn added(&self) -> &[u64] {
         &self.added
     }
@@ -296,7 +296,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
     /// it: a half-edge whose row its owner does not hold, or whose other
     /// endpoint is no node, is an `InvalidData` error naming the source
     /// shard, found before anything is merged.
-    pub fn apply_grid(&mut self, received: &[Vec<Vec<HalfEdge>>]) -> io::Result<()> {
+    pub fn apply_mail(&mut self, received: &[Vec<Vec<HalfEdge>>]) -> io::Result<()> {
         let (plan, spans, mail) = (*self.graph.plan(), &self.spans, &self.mail);
         let row = |s: usize| {
             if spans.contains(&s) {
@@ -823,7 +823,7 @@ fn replica_round<L: ShardLink>(
 
     let t = Instant::now();
     replica
-        .apply_grid(&inbox.asm.into_mail())
+        .apply_mail(&inbox.asm.into_mail())
         .map_err(|e| protocol_err(format!("round {r}: {e}")))?;
     let apply_ns = t.elapsed().as_nanos() as u64;
 
@@ -1183,7 +1183,7 @@ mod tests {
         zero.propose_and_route(0);
         let p = one.propose_and_route(0);
         let grid = vec![zero.mail()[0].clone(), vec![Vec::new(); 2]];
-        one.apply_grid(&grid).unwrap();
+        one.apply_mail(&grid).unwrap();
         Round0 {
             mail: [
                 mail_frames(0, 0, &zero.mail()[0]),

@@ -15,8 +15,8 @@
 //! replica with one span or none per participant.
 //!
 //! 1. **Propose, shard-parallel.** The sequential engine's chunk phase
-//!    ([`gossip_core::engine::propose_chunk_range`]) over the owned spans:
-//!    fixed 1024-node chunks, per-chunk flat `(proposer, a, b)` buffers,
+//!    ([`gossip_core::engine`]), restricted to the owned spans: fixed
+//!    1024-node chunks, per-chunk flat `(proposer, a, b)` buffers,
 //!    each node drawing from its own `(seed, round, node)` RNG stream
 //!    against the immutable `G_t`.
 //! 2. **Route.** Each proposal `(u, a, b)` becomes two half-edges —
@@ -214,7 +214,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         let proposed = self.replica.propose_and_route(self.round);
         let t = Instant::now();
         self.replica
-            .apply_grid(&[])
+            .apply_mail(&[])
             .expect("a replica that owns every span receives no mail");
         let apply_nanos = t.elapsed().as_nanos() as u64;
         self.round += 1;
