@@ -11,22 +11,16 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, ks_statistic, ks_threshold_95, Ecdf, Summary, Table};
 use gossip_core::rng::trial_seed;
-use gossip_core::{ComponentwiseComplete, EngineBuilder, ProposalRule, RuleId};
+use gossip_core::{ComponentwiseComplete, EngineBuilder, RuleId};
 use gossip_graph::{generators, ArenaGraph};
 use rayon::prelude::*;
 
-fn sync_rounds<R: ProposalRule<ArenaGraph> + Clone>(
-    g: &ArenaGraph,
-    rule: R,
-    trials: usize,
-    base_seed: u64,
-) -> Vec<f64> {
+fn sync_rounds(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> Vec<f64> {
     (0..trials)
         .into_par_iter()
         .map(|t| {
             let mut check = ComponentwiseComplete::for_graph(g);
-            let mut e =
-                EngineBuilder::new(g.clone(), rule.clone(), trial_seed(base_seed, t)).build();
+            let mut e = EngineBuilder::new(g.clone(), rule, trial_seed(base_seed, t)).build();
             let out = e.run_until(&mut check, u64::MAX);
             assert!(out.converged);
             out.rounds as f64
@@ -34,18 +28,12 @@ fn sync_rounds<R: ProposalRule<ArenaGraph> + Clone>(
         .collect()
 }
 
-fn async_times<R: ProposalRule<ArenaGraph> + Clone>(
-    g: &ArenaGraph,
-    rule: R,
-    trials: usize,
-    base_seed: u64,
-) -> Vec<f64> {
+fn async_times(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> Vec<f64> {
     (0..trials)
         .into_par_iter()
         .map(|t| {
             let mut check = ComponentwiseComplete::for_graph(g);
-            let mut e =
-                EngineBuilder::new(g.clone(), rule.clone(), trial_seed(base_seed, t)).build_async();
+            let mut e = EngineBuilder::new(g.clone(), rule, trial_seed(base_seed, t)).build_async();
             let out = e.run_until(&mut check, f64::INFINITY);
             assert!(out.converged);
             out.time
