@@ -7,9 +7,10 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{ComponentwiseComplete, ConvergenceCheck, DiscoveryTrace, Engine, Push};
+use gossip_graph::generators;
 use gossip_graph::metrics::average_clustering;
 use gossip_graph::traversal::diameter;
-use gossip_graph::{generators, metrics};
+use gossip_serve::CoverageStats;
 
 /// E13.
 pub fn run(args: &Args) -> Report {
@@ -32,11 +33,11 @@ pub fn run(args: &Args) -> Report {
         "avg clustering",
     ]);
     let snapshot = |t: &mut Table, round: u64, g: &gossip_graph::ArenaGraph| {
-        let s = metrics::summarize(g);
+        let s = CoverageStats::of(g);
         t.push_row([
             round.to_string(),
-            s.m.to_string(),
-            fmt_f64(s.density),
+            s.edges.to_string(),
+            fmt_f64(s.coverage),
             s.min_degree.to_string(),
             s.max_degree.to_string(),
             diameter(g).map_or("-".into(), |d| d.to_string()),

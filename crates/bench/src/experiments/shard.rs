@@ -24,7 +24,6 @@ use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{Engine, GossipGraph, ProposalRule, Pull, Push, RoundEngine, RoundStats};
 use gossip_graph::{NodeId, ShardedArenaGraph};
-use gossip_serve::GraphQuery;
 use gossip_shard::ShardedEngine;
 
 /// Connected sparse start graph built directly in the sharded layout: a
@@ -52,10 +51,10 @@ pub(crate) fn sparse_sharded(n: usize, extra: u64, seed: u64, shards: usize) -> 
 /// equal `m` are (with overwhelming probability) identical, which is how
 /// trajectory invariance across `S` is measured without holding two
 /// million-node graphs at once.
-pub(crate) fn row_checksum<G: GraphQuery>(g: &G) -> u64 {
+pub(crate) fn row_checksum<G: GossipGraph>(g: &G) -> u64 {
     let mut h = gossip_analysis::Fnv1a::new();
     for u in (0..g.node_count()).map(NodeId::new) {
-        for &v in g.neighbors(u) {
+        for &v in g.neighbor_row(u) {
             h.write_u64((u.0 as u64) << 32 | v.0 as u64);
         }
         h.write(&[0xFF]); // row boundary
@@ -83,10 +82,7 @@ pub(crate) struct FixedHorizon {
 
 /// Steps any engine — in-process or cross-process, over either carrier —
 /// `horizon` rounds and reduces the run to a [`FixedHorizon`].
-pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon
-where
-    E::Graph: GraphQuery,
-{
+pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon {
     FixedHorizon {
         stats: (0..horizon).map(|_| e.step_quantum()).collect(),
         final_m: e.graph().edge_count(),

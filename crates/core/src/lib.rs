@@ -67,8 +67,8 @@ pub use kernel::{
     PullKernel, PushKernel, RngChooser, Share, ThrottledKernel,
 };
 pub use listener::{
-    Chain, ListenerSet, NullListener, PhaseAccumulator, PhaseEvent, PhaseNanos, RoundControl,
-    RoundEvent, RoundListener, RoundPhase, StopWhen,
+    Chain, ListenerSet, PhaseAccumulator, PhaseEvent, PhaseNanos, RoundControl, RoundEvent,
+    RoundListener, RoundPhase, StopWhen,
 };
 pub use membership::{ChurnBursts, MembershipEvent, MembershipPlan, MembershipStats};
 pub use process::{GossipGraph, ProposalRule, ProposalSet, RoundStats, TaggedProposal};

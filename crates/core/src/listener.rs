@@ -147,12 +147,6 @@ impl<G: GossipGraph, L: RoundListener<G> + ?Sized> RoundListener<G> for &mut L {
     }
 }
 
-/// A listener that ignores everything (the explicit "no listeners" value).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullListener;
-
-impl<G: GossipGraph> RoundListener<G> for NullListener {}
-
 /// Adapter: a [`ConvergenceCheck`] as a stop-deciding listener. This is how
 /// the pre-listener API (`run_until(check, budget)`) is expressed on the
 /// unified surface — the check keeps compiling untouched.
@@ -355,7 +349,7 @@ impl<G: GossipGraph> RoundListener<G> for PhaseAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::convergence::{ComponentwiseComplete, Never};
+    use crate::convergence::ComponentwiseComplete;
     use crate::engine::Engine;
     use crate::recorder::SeriesRecorder;
     use crate::rules::Push;
@@ -452,19 +446,6 @@ mod tests {
         assert_eq!(out.rounds, 3);
         assert!(out.converged);
         assert_eq!(seen.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn null_listener_runs_to_budget() {
-        let g = generators::cycle(24);
-        let mut engine = Engine::new(g, Push, 1);
-        let out = run_engine_listened(&mut engine, &mut NullListener, 7);
-        assert!(!out.converged);
-        assert_eq!(out.rounds, 7);
-        // Equivalent to the legacy Never check through the old API.
-        let mut engine2 = Engine::new(generators::cycle(24), Push, 1);
-        let out2 = engine2.run_until(&mut Never, 7);
-        assert_eq!(out, out2);
     }
 
     #[test]

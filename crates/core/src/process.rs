@@ -8,7 +8,7 @@
 //! processes.
 
 use crate::rng::stream_rng;
-use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
+use gossip_graph::{ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph, UniformNeighbors};
 use rand::rngs::SmallRng;
 use std::ops::Range;
 
@@ -81,15 +81,21 @@ impl ProposalSet {
     }
 }
 
-/// A graph the engine can run on: node enumeration + edge application.
-pub trait GossipGraph: Clone + Send + Sync {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
+/// A graph the engine can run on: the rows it reads
+/// ([`UniformNeighbors`]) plus edge application.
+pub trait GossipGraph: UniformNeighbors + Clone + Send + Sync {
     /// Applies a proposed edge; returns `true` if the graph changed.
     /// Degenerate proposals (`a == b`) must be no-ops.
     fn apply_edge(&mut self, a: NodeId, b: NodeId) -> bool;
     /// Current edge/arc count.
     fn edge_count(&self) -> u64;
+
+    /// Edge count of the complete graph on this node set, `n(n−1)/2` — the
+    /// discovery process's convergence target.
+    fn complete_edge_count(&self) -> u64 {
+        let n = self.node_count() as u64;
+        n * n.saturating_sub(1) / 2
+    }
 
     /// Applies one whole round of proposals from the engine's flat
     /// pipeline: `bufs` are the per-chunk proposal buffers, concatenated
@@ -143,10 +149,6 @@ pub trait GossipGraph: Clone + Send + Sync {
 
 impl GossipGraph for DirectedGraph {
     #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    #[inline]
     fn apply_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         self.add_arc(a, b)
     }
@@ -154,13 +156,14 @@ impl GossipGraph for DirectedGraph {
     fn edge_count(&self) -> u64 {
         self.arc_count()
     }
+    /// Every ordered pair is an arc of the complete digraph: `n(n−1)`.
+    fn complete_edge_count(&self) -> u64 {
+        let n = self.n() as u64;
+        n * n.saturating_sub(1)
+    }
 }
 
 impl GossipGraph for ArenaGraph {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
     #[inline]
     fn apply_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         self.add_edge(a, b)
@@ -198,10 +201,6 @@ impl GossipGraph for ArenaGraph {
 /// mailbox-routed apply in `gossip-shard` (which is the point: the
 /// sequential run is the oracle the sharded engine is pinned against).
 impl GossipGraph for ShardedArenaGraph {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
     #[inline]
     fn apply_edge(&mut self, a: NodeId, b: NodeId) -> bool {
         self.add_edge(a, b)

@@ -19,7 +19,7 @@ use crate::kernel::{
 };
 use crate::process::{GossipGraph, ProposalRule, ProposalSet, TaggedProposal};
 use crate::rules::{HybridPushPull, Pull, Push};
-use gossip_graph::{NodeId, UniformNeighbors};
+use gossip_graph::NodeId;
 use rand::rngs::SmallRng;
 use std::ops::Range;
 
@@ -78,7 +78,7 @@ impl std::fmt::Display for RuleId {
 /// Each call is one match: the engines call
 /// [`ProposalRule::propose_range`] once per propose chunk, and the rule's
 /// own per-node loop runs unchanged behind it.
-impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for RuleId {
+impl<G: GossipGraph> ProposalRule<G> for RuleId {
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         match self {
             RuleId::Push => Push.propose(g, u, rng),
@@ -236,7 +236,7 @@ mod tests {
     /// by node, and through `propose_range` over every node.
     fn proposals<G, R>(rule: &R, g: &G) -> [Vec<TaggedProposal>; 2]
     where
-        G: GossipGraph + UniformNeighbors,
+        G: GossipGraph,
         R: ProposalRule<G>,
     {
         let n = g.node_count();
@@ -251,7 +251,7 @@ mod tests {
         [by_node, by_range]
     }
 
-    fn assert_id_is_its_rule<G: GossipGraph + UniformNeighbors>(id: RuleId, g: &G, what: &str) {
+    fn assert_id_is_its_rule<G: GossipGraph>(id: RuleId, g: &G, what: &str) {
         let oracle = match id {
             RuleId::Push => proposals(&Push, g),
             RuleId::Pull => proposals(&Pull, g),

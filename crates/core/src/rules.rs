@@ -27,7 +27,7 @@ use std::ops::Range;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Push;
 
-impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for Push {
+impl<G: GossipGraph> ProposalRule<G> for Push {
     #[inline]
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         kernel_propose(&PushKernel, g, u, rng)
@@ -46,7 +46,7 @@ impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for Push {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Pull;
 
-impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for Pull {
+impl<G: GossipGraph> ProposalRule<G> for Pull {
     #[inline]
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         kernel_propose(&PullKernel, g, u, rng)
@@ -156,7 +156,7 @@ impl ProposalRule<DirectedGraph> for DirectedPull {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HybridPushPull;
 
-impl<G: GossipGraph + UniformNeighbors> ProposalRule<G> for HybridPushPull {
+impl<G: GossipGraph> ProposalRule<G> for HybridPushPull {
     #[inline]
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         kernel_propose(&HybridKernel, g, u, rng)

@@ -46,55 +46,25 @@
 
 use crate::bitset::BitSet;
 use crate::node::{Edge, NodeId};
-use rand::Rng;
 use std::ops::Range;
 
-/// Uniform random access to a graph's neighbor lists — the only interface
-/// the paper's undirected proposal rules need (node enumeration belongs to
-/// the engine's `GossipGraph`, so it is deliberately not duplicated here).
-/// Implemented by [`ArenaGraph`], by [`crate::ShardedArenaGraph`], and
-/// (over out-edges) by [`crate::DirectedGraph`], so one generic rule runs
-/// on any backend.
+/// The one read surface of every graph backend: how many nodes there are,
+/// and each node's neighbor row. The paper's processes read nothing else —
+/// a node reads its own row and, for pull, the row of one neighbor — so
+/// the proposal rules, traversal and the served snapshots all read through
+/// it. Implemented by [`ArenaGraph`], by [`crate::ShardedArenaGraph`], and
+/// (over out-edges) by [`crate::DirectedGraph`].
 ///
-/// The trait is *row-based*: a backend exposes each node's neighbor list as
-/// a slice, and the sampling methods are
-/// provided on top of it (guard empty, then one `random_range` draw per
-/// neighbor). This keeps every backend's draw sequence identical by
-/// construction, which is what lets the protocol kernels in `gossip-core`
-/// replay the exact same RNG stream through an index-choosing seam.
+/// Every backend hands out the same sorted row for the same graph, so a
+/// rule that draws an index into the row consumes the same RNG stream on
+/// any of them.
 pub trait UniformNeighbors {
+    /// Number of nodes; ids run `0..node_count()`.
+    fn node_count(&self) -> usize;
+
     /// The neighbor list of `u`, in ascending id order (out-neighbors for
     /// directed graphs).
     fn neighbor_row(&self, u: NodeId) -> &[NodeId];
-
-    /// Uniformly random neighbor of `u`, or `None` if `u` is isolated.
-    #[inline]
-    fn random_neighbor<R: Rng + ?Sized>(&self, u: NodeId, rng: &mut R) -> Option<NodeId> {
-        let row = self.neighbor_row(u);
-        if row.is_empty() {
-            None
-        } else {
-            Some(row[rng.random_range(0..row.len())])
-        }
-    }
-
-    /// Two i.i.d. uniform neighbors of `u` (with replacement — the paper's
-    /// push process draws an ordered pair; `v == w` is allowed).
-    #[inline]
-    fn random_neighbor_pair<R: Rng + ?Sized>(
-        &self,
-        u: NodeId,
-        rng: &mut R,
-    ) -> Option<(NodeId, NodeId)> {
-        let row = self.neighbor_row(u);
-        if row.is_empty() {
-            None
-        } else {
-            let i = rng.random_range(0..row.len());
-            let j = rng.random_range(0..row.len());
-            Some((row[i], row[j]))
-        }
-    }
 }
 
 /// Reusable buffers of [`SliceArena::merge_rows`]: 8 bytes per half-edge
@@ -917,6 +887,10 @@ impl ArenaGraph {
 
 impl UniformNeighbors for ArenaGraph {
     #[inline]
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+    #[inline]
     fn neighbor_row(&self, u: NodeId) -> &[NodeId] {
         self.neighbors(u)
     }
@@ -927,7 +901,7 @@ mod tests {
     use super::*;
     use crate::sharded::{SegSnapshotAssembler, ShardSeg};
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use std::cell::Cell;
     use std::collections::BTreeSet;
 
@@ -1682,17 +1656,18 @@ mod tests {
     #[test]
     fn sampling_is_uniform_over_sorted_row() {
         let g = ArenaGraph::from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4)]);
+        let row = g.neighbor_row(NodeId(0));
+        assert_eq!(row, [NodeId(1), NodeId(2), NodeId(3), NodeId(4)]);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut counts = [0usize; 6];
         for _ in 0..40_000 {
-            counts[g.random_neighbor(NodeId(0), &mut rng).unwrap().index()] += 1;
+            counts[row[rng.random_range(0..row.len())].index()] += 1;
         }
         assert_eq!(counts[0] + counts[5], 0);
         for &c in &counts[1..5] {
             assert!((9_000..=11_000).contains(&c), "counts {counts:?}");
         }
-        assert!(g.random_neighbor(NodeId(5), &mut rng).is_none());
-        assert!(g.random_neighbor_pair(NodeId(5), &mut rng).is_none());
+        assert!(g.neighbor_row(NodeId(5)).is_empty());
     }
 
     #[test]

@@ -23,6 +23,10 @@ pub struct DirectedGraph {
 /// the surface the directed two-hop walk samples along.
 impl UniformNeighbors for DirectedGraph {
     #[inline]
+    fn node_count(&self) -> usize {
+        self.n()
+    }
+    #[inline]
     fn neighbor_row(&self, u: NodeId) -> &[NodeId] {
         self.out_neighbors(u)
     }
@@ -149,15 +153,13 @@ mod tests {
 
     #[test]
     fn out_degree_and_sampling() {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
         let g = DirectedGraph::from_arcs(4, [(0, 1), (0, 2), (0, 3)]);
         assert_eq!(g.out_degree(NodeId(0)), 3);
         assert_eq!(g.out_degree(NodeId(1)), 0);
-        let mut rng = SmallRng::seed_from_u64(5);
-        assert!(g.random_neighbor(NodeId(1), &mut rng).is_none());
-        let v = g.random_neighbor(NodeId(0), &mut rng).unwrap();
-        assert!(g.has_arc(NodeId(0), v));
+        assert_eq!(g.node_count(), 4);
+        // The row a walk samples along is the out-row.
+        assert!(g.neighbor_row(NodeId(1)).is_empty());
+        assert_eq!(g.neighbor_row(NodeId(0)), g.out_neighbors(NodeId(0)));
     }
 
     #[test]

@@ -1,55 +1,24 @@
 //! BFS-based traversal: distances, neighborhood rings `N^i(u)`, diameter.
 //!
-//! Generic over an [`Adjacency`] view so the same code serves undirected
+//! Generic over [`UniformNeighbors`], so the same code serves undirected
 //! graphs and digraphs (following out-edges).
 
-use crate::arena::ArenaGraph;
-use crate::directed::DirectedGraph;
+use crate::arena::UniformNeighbors;
 use crate::node::NodeId;
 use std::collections::VecDeque;
-
-/// Read-only adjacency view: the minimal interface traversal needs.
-pub trait Adjacency {
-    /// Number of nodes.
-    fn node_count(&self) -> usize;
-    /// Successors of `u` (neighbors, or out-neighbors for digraphs).
-    fn successors(&self, u: NodeId) -> &[NodeId];
-}
-
-impl Adjacency for ArenaGraph {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    #[inline]
-    fn successors(&self, u: NodeId) -> &[NodeId] {
-        self.neighbors(u)
-    }
-}
-
-impl Adjacency for DirectedGraph {
-    #[inline]
-    fn node_count(&self) -> usize {
-        self.n()
-    }
-    #[inline]
-    fn successors(&self, u: NodeId) -> &[NodeId] {
-        self.out_neighbors(u)
-    }
-}
 
 /// Sentinel distance for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
 
 /// Single-source BFS distances. Unreachable nodes get [`UNREACHABLE`].
-pub fn bfs_distances<G: Adjacency>(g: &G, source: NodeId) -> Vec<u32> {
+pub fn bfs_distances<G: UniformNeighbors>(g: &G, source: NodeId) -> Vec<u32> {
     let mut dist = vec![UNREACHABLE; g.node_count()];
     let mut queue = VecDeque::new();
     dist[source.index()] = 0;
     queue.push_back(source);
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()];
-        for &v in g.successors(u) {
+        for &v in g.neighbor_row(u) {
             if dist[v.index()] == UNREACHABLE {
                 dist[v.index()] = du + 1;
                 queue.push_back(v);
@@ -61,7 +30,7 @@ pub fn bfs_distances<G: Adjacency>(g: &G, source: NodeId) -> Vec<u32> {
 
 /// The neighborhood ring `N^i(u)`: nodes at distance exactly `i` from `u`
 /// (the paper's `N^i_t(u)` notation, Table 1).
-pub fn ring<G: Adjacency>(g: &G, u: NodeId, i: u32) -> Vec<NodeId> {
+pub fn ring<G: UniformNeighbors>(g: &G, u: NodeId, i: u32) -> Vec<NodeId> {
     let dist = bfs_distances(g, u);
     let mut out: Vec<NodeId> = dist
         .iter()
@@ -74,7 +43,7 @@ pub fn ring<G: Adjacency>(g: &G, u: NodeId, i: u32) -> Vec<NodeId> {
 }
 
 /// All rings up to `max_i`, computed in one BFS: `rings[i]` is `N^i(u)`.
-pub fn rings_up_to<G: Adjacency>(g: &G, u: NodeId, max_i: u32) -> Vec<Vec<NodeId>> {
+pub fn rings_up_to<G: UniformNeighbors>(g: &G, u: NodeId, max_i: u32) -> Vec<Vec<NodeId>> {
     let dist = bfs_distances(g, u);
     let mut out = vec![Vec::new(); (max_i + 1) as usize];
     for (v, &d) in dist.iter().enumerate() {
@@ -85,10 +54,9 @@ pub fn rings_up_to<G: Adjacency>(g: &G, u: NodeId, max_i: u32) -> Vec<Vec<NodeId
     out
 }
 
-/// Eccentricity of `u`: the largest finite BFS distance, or `None` if the
-/// graph has no nodes besides unreachable ones... returns `None` when some
-/// node is unreachable from `u`.
-pub fn eccentricity<G: Adjacency>(g: &G, u: NodeId) -> Option<u32> {
+/// Eccentricity of `u`: the largest BFS distance from `u`, or `None` when
+/// some node is unreachable from `u`.
+pub fn eccentricity<G: UniformNeighbors>(g: &G, u: NodeId) -> Option<u32> {
     let dist = bfs_distances(g, u);
     if dist.contains(&UNREACHABLE) {
         None
@@ -99,7 +67,7 @@ pub fn eccentricity<G: Adjacency>(g: &G, u: NodeId) -> Option<u32> {
 
 /// Exact diameter by all-pairs BFS (O(n·m)); `None` if disconnected.
 /// Intended for the modest `n` used in experiments, not million-node graphs.
-pub fn diameter<G: Adjacency>(g: &G) -> Option<u32> {
+pub fn diameter<G: UniformNeighbors>(g: &G) -> Option<u32> {
     let n = g.node_count();
     if n == 0 {
         return Some(0);
@@ -115,6 +83,7 @@ pub fn diameter<G: Adjacency>(g: &G) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ArenaGraph;
 
     fn path5() -> ArenaGraph {
         ArenaGraph::from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

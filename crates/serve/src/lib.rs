@@ -42,13 +42,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod plugins;
-pub mod query;
 pub mod service;
 pub mod snapshot;
 
 pub use plugins::{
     MetricsCounters, ReplayLog, ServiceMetrics, TrajectoryPoint, TrajectoryRecorder,
 };
-pub use query::GraphQuery;
 pub use service::{GossipService, ServeConfig, ServeOutcome, ServiceHandle};
 pub use snapshot::{CoverageStats, Snapshot};

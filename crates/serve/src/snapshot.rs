@@ -11,7 +11,6 @@
 //! query still references it, regardless of how many epochs the engine has
 //! advanced since.
 
-use crate::query::GraphQuery;
 use gossip_core::GossipGraph;
 use gossip_graph::NodeId;
 
@@ -28,8 +27,8 @@ pub struct Snapshot<G> {
     pub graph: G,
 }
 
-/// Aggregate statistics computed from one snapshot — the "how far along is
-/// discovery" read, O(n) per call.
+/// Aggregate statistics of one graph — the "how far along is discovery"
+/// read, O(n) per call.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CoverageStats {
     /// Node count.
@@ -42,54 +41,29 @@ pub struct CoverageStats {
     pub max_degree: usize,
     /// Mean degree (`2m / n`).
     pub mean_degree: f64,
-    /// Fraction of the complete graph discovered, in `[0, 1]`.
+    /// Fraction of the complete graph discovered, in `[0, 1]`; `1.0` when
+    /// the complete graph has no edges (`n <= 1`).
     pub coverage: f64,
     /// Whether the discovery process has converged.
     pub complete: bool,
 }
 
-impl<G: GossipGraph> Snapshot<G> {
-    /// Nodes in the snapshot.
-    pub fn node_count(&self) -> usize {
-        self.graph.node_count()
-    }
-
-    /// Edges in the snapshot.
-    pub fn edge_count(&self) -> u64 {
-        self.graph.edge_count()
-    }
-}
-
-impl<G: GraphQuery> Snapshot<G> {
-    /// Who-knows-whom: the neighbor list of `u` at this epoch.
-    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
-        self.graph.neighbors(u)
-    }
-
-    /// Whether `u` had discovered `v` by this epoch.
-    pub fn knows(&self, u: NodeId, v: NodeId) -> bool {
-        self.graph.has_edge(u, v)
-    }
-
-    /// Degree of `u` at this epoch.
-    pub fn degree(&self, u: NodeId) -> usize {
-        self.graph.degree(u)
-    }
-
-    /// Degree / coverage / convergence aggregates. Walks every node once.
-    pub fn stats(&self) -> CoverageStats {
-        let n = self.graph.node_count();
-        let m = self.graph.edge_count();
+impl CoverageStats {
+    /// Degree / coverage / convergence aggregates of `g`. Walks every node
+    /// once.
+    pub fn of<G: GossipGraph>(g: &G) -> CoverageStats {
+        let n = g.node_count();
+        let m = g.edge_count();
         let (mut lo, mut hi) = (usize::MAX, 0usize);
         for u in 0..n {
-            let d = self.graph.degree(NodeId::new(u));
+            let d = g.neighbor_row(NodeId::new(u)).len();
             lo = lo.min(d);
             hi = hi.max(d);
         }
         if n == 0 {
             lo = 0;
         }
-        let target = self.graph.complete_edge_target();
+        let target = g.complete_edge_count();
         CoverageStats {
             nodes: n,
             edges: m,
@@ -105,15 +79,49 @@ impl<G: GraphQuery> Snapshot<G> {
             } else {
                 m as f64 / target as f64
             },
-            complete: self.graph.is_complete(),
+            complete: m >= target,
         }
+    }
+}
+
+impl<G: GossipGraph> Snapshot<G> {
+    /// Nodes in the snapshot.
+    pub fn node_count(&self) -> usize {
+        self.graph.node_count()
+    }
+
+    /// Edges in the snapshot.
+    pub fn edge_count(&self) -> u64 {
+        self.graph.edge_count()
+    }
+
+    /// Who-knows-whom: the neighbor list of `u` at this epoch, in
+    /// ascending id order.
+    pub fn neighbors(&self, u: NodeId) -> &[NodeId] {
+        self.graph.neighbor_row(u)
+    }
+
+    /// Whether `u` had discovered `v` by this epoch (a binary search in
+    /// `u`'s row).
+    pub fn knows(&self, u: NodeId, v: NodeId) -> bool {
+        self.neighbors(u).binary_search(&v).is_ok()
+    }
+
+    /// Degree of `u` at this epoch.
+    pub fn degree(&self, u: NodeId) -> usize {
+        self.neighbors(u).len()
+    }
+
+    /// Degree / coverage / convergence aggregates ([`CoverageStats::of`]).
+    pub fn stats(&self) -> CoverageStats {
+        CoverageStats::of(&self.graph)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_graph::generators;
+    use gossip_graph::{generators, ArenaGraph, DirectedGraph, ShardedArenaGraph};
 
     #[test]
     fn stats_on_a_star() {
@@ -132,5 +140,59 @@ mod tests {
         assert!((s.coverage - 7.0 / 28.0).abs() < 1e-12);
         assert!(snap.knows(NodeId(0), NodeId(5)) && !snap.knows(NodeId(1), NodeId(2)));
         assert_eq!(snap.degree(NodeId(0)), 7);
+    }
+
+    fn snapshot<G>(graph: G) -> Snapshot<G> {
+        Snapshot {
+            epoch: 0,
+            round: 0,
+            graph,
+        }
+    }
+
+    #[test]
+    fn snapshots_agree_across_backends() {
+        let g = generators::tree_plus_random_edges(
+            200,
+            400,
+            &mut gossip_core::rng::stream_rng(9, 0, 0),
+        );
+        let arena = snapshot(g.clone());
+        let sharded = snapshot(ShardedArenaGraph::from_arena(&g, 3));
+        assert_eq!(arena.stats(), sharded.stats());
+        for u in g.nodes() {
+            assert_eq!(arena.neighbors(u), sharded.neighbors(u));
+            assert_eq!(arena.degree(u), sharded.degree(u));
+            for v in g.nodes() {
+                assert_eq!(arena.knows(u, v), sharded.knows(u, v));
+                assert_eq!(arena.knows(u, v), g.has_edge(u, v));
+            }
+        }
+    }
+
+    #[test]
+    fn coverage_edge_cases() {
+        // No pair to discover: coverage is vacuously full and complete.
+        for n in [0, 1] {
+            let s = CoverageStats::of(&ArenaGraph::new(n));
+            assert_eq!((s.nodes, s.edges, s.min_degree, s.max_degree), (n, 0, 0, 0));
+            assert_eq!(s.mean_degree, 0.0);
+            assert_eq!(s.coverage, 1.0);
+            assert!(s.complete);
+        }
+    }
+
+    #[test]
+    fn coverage_of_a_digraph_counts_ordered_pairs() {
+        // The complete digraph on 3 nodes has 3 * 2 = 6 arcs.
+        let path = DirectedGraph::from_arcs(3, [(0, 1), (1, 2)]);
+        let s = CoverageStats::of(&path);
+        assert_eq!((s.edges, s.min_degree, s.max_degree), (2, 0, 1));
+        assert!((s.coverage - 2.0 / 6.0).abs() < 1e-12);
+        assert!(!s.complete);
+        let all = DirectedGraph::from_arcs(3, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
+        let s = CoverageStats::of(&all);
+        assert_eq!(s.coverage, 1.0);
+        assert!(s.complete);
     }
 }

@@ -13,7 +13,7 @@ use gossip_core::{
     TrialConfig,
 };
 use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
-use gossip_serve::{GossipService, GraphQuery, MetricsCounters, ServeConfig};
+use gossip_serve::{GossipService, MetricsCounters, ServeConfig};
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
 use std::fmt::Write as _;
@@ -175,7 +175,7 @@ USAGE:
              [--seed S] [--trace] [--param P] [--churn B]   run to completion
   gossip trials --protocol P --family F --n N [--trials T] [--seed S]
                                                             Monte Carlo stats
-  gossip exact --protocol push|pull --n N --edges \"0-1,1-2\" exact E[rounds] (n<=5)
+  gossip exact --protocol push|pull --n N --edges \"0-1,1-2\" exact E[rounds] (2<=n<=5)
   gossip directed --family cycle|thm14|thm15|gnp --n N [--seed S]
                                                             directed two-hop walk
   gossip serve --protocol P --family F --n N [--rounds R] [--shards K]
@@ -428,7 +428,7 @@ fn parse_edges(spec: &str, n: usize) -> Result<ArenaGraph, String> {
 fn serve_report<E>(engine: E, cfg: ServeConfig) -> String
 where
     E: RoundEngine + Send + 'static,
-    E::Graph: GraphQuery + 'static,
+    E::Graph: 'static,
 {
     let (metrics_listener, metrics) = MetricsCounters::new();
     let svc = GossipService::spawn_with(engine, cfg, ListenerSet::new().with(metrics_listener));
@@ -547,18 +547,18 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         }
 
         Command::Exact { process, edges, n } => {
+            // Checked before the graph is built: the solver panics outside
+            // this range, and a huge `n` would allocate first.
+            let max = gossip_analysis::markov::MAX_EXACT_N;
+            if !(2..=max).contains(n) {
+                return Err(format!("exact analysis supports 2 <= n <= {max}, got {n}"));
+            }
             let g = parse_edges(edges, *n)?;
             let kind = match RuleId::parse(process)? {
                 RuleId::Push => ProcessKind::Push,
                 RuleId::Pull => ProcessKind::Pull,
                 other => return Err(format!("exact supports push|pull, got {other}")),
             };
-            if *n > gossip_analysis::markov::MAX_EXACT_N {
-                return Err(format!(
-                    "exact analysis supports n <= {}",
-                    gossip_analysis::markov::MAX_EXACT_N
-                ));
-            }
             let e = exact_expected_rounds(&g, kind);
             let _ = writeln!(out, "exact E[rounds to fixed point] = {e:.6}");
         }
@@ -783,14 +783,16 @@ mod tests {
             out.contains("2.000000"),
             "path-3 push is exactly 2 rounds: {out}"
         );
-        // n too large is a clean error, not a panic.
-        let err = execute(&Command::Exact {
-            process: "push".into(),
-            edges: "0-1".into(),
-            n: 9,
-        })
-        .unwrap_err();
-        assert!(err.contains("n <="));
+        // n outside the solver's range is a clean error, not a panic.
+        for n in [0, 1, 6, 9] {
+            let err = execute(&Command::Exact {
+                process: "push".into(),
+                edges: String::new(),
+                n,
+            })
+            .unwrap_err();
+            assert!(err.contains("2 <= n <= 5"), "n = {n}: {err}");
+        }
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub mod prelude {
         PushProtocol as NetPush,
     };
     pub use gossip_serve::{
-        GossipService, GraphQuery, MetricsCounters, ReplayLog, ServeConfig, Snapshot,
-        TrajectoryRecorder,
+        GossipService, MetricsCounters, ReplayLog, ServeConfig, Snapshot, TrajectoryRecorder,
     };
     pub use gossip_shard::{
         BuildSharded, ShardedEngine, TransportBuilder, TransportEngine, TransportMode,
