@@ -10,14 +10,15 @@
 //! * an **arrival-ordered** list, the O(1) sampling surface and the stable
 //!   prefix the throttled sender's cursors index into (entries only
 //!   append, so a cursor never sees its history shift), and
-//! * a **sorted** companion, giving O(log deg) membership for dedup and
-//!   letting [`Knowledge::absorb`] merge a whole payload in ascending-id
-//!   order.
+//! * a **sorted** companion, giving O(log deg) membership for dedup (O(1)
+//!   once a list holds more than `n/32` contacts, through the arena's
+//!   dense-row sidecar) and letting [`Knowledge::absorb`] merge a whole
+//!   payload in ascending-id order.
 //!
-//! Memory is `O(pairs + n)` — 8 bytes per known pair — with no `n`-bit
-//! bitmap *per node* (`n²/8` bytes before anything is learned, the term
-//! that would cap baseline experiments in the tens of thousands of
-//! nodes).
+//! Memory is `O(pairs + n)` — 8 bytes per known pair, plus a dense list's
+//! sidecar, which is no bigger than the list — with no `n`-bit bitmap for
+//! *every* node (`n²/8` bytes before anything is learned, the term that
+//! would cap baseline experiments in the tens of thousands of nodes).
 
 use gossip_graph::{ArenaGraph, NodeId, SliceArena};
 use rand::Rng;
@@ -45,8 +46,8 @@ impl Knowledge {
     /// Empty knowledge (nobody knows anybody) over `n` nodes.
     pub fn new(n: usize) -> Self {
         Knowledge {
-            arrival: SliceArena::new(n),
-            sorted: SliceArena::new(n),
+            arrival: SliceArena::new(n, n),
+            sorted: SliceArena::new(n, n),
             pairs: 0,
         }
     }
@@ -85,7 +86,7 @@ impl Knowledge {
         }
     }
 
-    /// Whether `u` knows `v` (binary search in the sorted companion).
+    /// Whether `u` knows `v` (a lookup in the sorted companion).
     #[inline]
     pub fn knows(&self, u: NodeId, v: NodeId) -> bool {
         self.sorted.contains_sorted(u.index(), v)

@@ -13,13 +13,31 @@
 //!   **compacted in place** in one epoch pass — no per-node reallocation
 //!   ever happens, and a compaction never holds a second slab.
 //! * [`ArenaGraph`] — an undirected graph whose neighbor lists are *sorted*
-//!   `SliceArena` slices: membership is a binary search, uniform sampling is
-//!   one index into a contiguous slice, and a whole round's proposals merge
-//!   in one row-ordered pass ([`SliceArena::merge_rows`], which
+//!   `SliceArena` slices: uniform sampling is one index into a contiguous
+//!   slice, membership is a binary search on a short row and one bit on a
+//!   dense one (below), and a whole round's proposals merge in one
+//!   row-ordered pass ([`SliceArena::merge_rows`], which
 //!   [`ArenaGraph::apply_batch`] and the sharded segments both end in).
 //!
+//! # Dense rows
+//!
+//! The bitmap is the right layout for a row once the row is dense, and
+//! only then. A sorted list longer than `universe / 32` — `universe` the
+//! bound on the ids it holds, `n` for a graph — gets a `universe`-bit
+//! membership *sidecar*, which is then no bigger than the row's own
+//! `4·len` bytes (Roaring bitmaps switch a container at the same density).
+//! On such a row every membership test — [`SliceArena::contains_sorted`],
+//! the duplicate tests of the sorted inserts and merges, and so
+//! [`ArenaGraph::apply_batch`]'s round-start filter — reads one bit
+//! instead of binary-searching up to `n - 1` ids, which is what the tail
+//! of a run to the complete graph does almost every time. The sorted slice
+//! stays the row: sampling, iteration and every trajectory are unchanged.
+//! Sidecars live outside the slab, so relocation and compaction never move
+//! them, and an arena with no dense row holds none.
+//!
 //! Memory is `O(m + n)` — `4` bytes per stored half-edge plus fixed per-node
-//! bookkeeping — restoring the paper's large-`n` regime: a machine that
+//! bookkeeping, and a dense row's sidecar is no bigger than the row —
+//! restoring the paper's large-`n` regime: a machine that
 //! would top out near `n = 2^17` on bitmap rows runs `n = 2^20` comfortably
 //! on the arena (see `gossip-bench`'s `run_all --only E15`).
 //!
@@ -109,19 +127,120 @@ pub struct SliceArena {
     /// End of the node-ordered region: a row starting below it is a home
     /// row, one starting at or past it a tail row.
     home_end: usize,
+    /// Membership bitmaps of the dense sorted lists.
+    side: Sidecars,
+}
+
+/// [`Sidecars::slot`]'s mark for a list without a bitmap.
+const SPARSE: u32 = u32::MAX;
+
+/// The membership bitmaps of a [`SliceArena`]'s dense sorted lists (see
+/// the [module docs](self)), kept outside the slab.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Sidecars {
+    /// Every id the arena's lists hold is below this.
+    universe: usize,
+    /// `u64` words per bitmap, `universe` bits.
+    words: usize,
+    /// List `u`'s bitmap is `bits[slot[u] * words..][..words]`, or there is
+    /// none ([`SPARSE`]). Empty until the first list goes dense, one entry
+    /// per list from then on.
+    slot: Vec<u32>,
+    /// The bitmaps, `words` each.
+    bits: Vec<u64>,
+    /// Bitmaps released by lists that are no longer dense, zeroed.
+    free: Vec<u32>,
+}
+
+impl Sidecars {
+    /// Where list `u`'s bitmap is in `bits`, if it has one.
+    #[inline]
+    fn at(&self, u: usize) -> Option<Range<usize>> {
+        let k = *self.slot.get(u)? as usize;
+        (k != SPARSE as usize).then(|| k * self.words..(k + 1) * self.words)
+    }
+
+    /// List `u`'s bitmap, if it has one.
+    #[inline]
+    fn of(&self, u: usize) -> Option<&[u64]> {
+        self.at(u).map(|r| &self.bits[r])
+    }
+
+    #[inline]
+    fn of_mut(&mut self, u: usize) -> Option<&mut [u64]> {
+        self.at(u).map(|r| &mut self.bits[r])
+    }
+
+    /// Whether a sorted list of `len` entries is past the density rule.
+    #[inline]
+    fn dense(&self, len: usize) -> bool {
+        len > self.universe / 32
+    }
+
+    /// Gives list `u` (one of `lists`) a bitmap holding `row`.
+    ///
+    /// # Panics
+    /// Panics if `row` holds an id outside the universe.
+    #[cold]
+    fn attach(&mut self, u: usize, lists: usize, row: &[NodeId]) {
+        let universe = self.universe;
+        if let Some(v) = row.iter().find(|v| v.index() >= universe) {
+            panic!("id {v:?} in a list of an arena whose ids are below {universe}");
+        }
+        if self.slot.len() < lists {
+            self.slot.resize(lists, SPARSE);
+        }
+        let k = self.free.pop().unwrap_or_else(|| {
+            self.bits.resize(self.bits.len() + self.words, 0);
+            (self.bits.len() / self.words - 1) as u32
+        });
+        self.slot[u] = k;
+        let bits = &mut self.bits[k as usize * self.words..][..self.words];
+        row.iter().for_each(|&v| set(bits, v));
+    }
+
+    /// Zeroes list `u`'s bitmap, if it has one, and frees it.
+    fn release(&mut self, u: usize) {
+        if let Some(r) = self.at(u) {
+            self.bits[r].fill(0);
+            self.free.push(std::mem::replace(&mut self.slot[u], SPARSE));
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        (self.slot.len() + self.free.len()) * std::mem::size_of::<u32>()
+            + self.bits.len() * std::mem::size_of::<u64>()
+    }
+}
+
+#[inline]
+fn has(bits: &[u64], v: NodeId) -> bool {
+    bits.get(v.index() / 64)
+        .is_some_and(|w| w >> (v.0 % 64) & 1 != 0)
+}
+
+#[inline]
+fn set(bits: &mut [u64], v: NodeId) {
+    bits[v.index() / 64] |= 1 << (v.0 % 64);
 }
 
 impl SliceArena {
-    /// An arena of `n` empty lists.
-    pub fn new(n: usize) -> Self {
+    /// An arena of `lists` empty lists holding ids below `universe` (the
+    /// bound the [density rule](crate::arena#dense-rows) is taken against).
+    pub fn new(lists: usize, universe: usize) -> Self {
         SliceArena {
             data: Vec::new(),
-            start: vec![0; n],
-            len: vec![0; n],
-            cap: vec![0; n],
+            start: vec![0; lists],
+            len: vec![0; lists],
+            cap: vec![0; lists],
             reserved: 0,
             live: 0,
             home_end: 0,
+            side: Sidecars {
+                universe,
+                words: universe.div_ceil(64),
+                ..Sidecars::default()
+            },
         }
     }
 
@@ -165,15 +284,19 @@ impl SliceArena {
 
     /// Bytes held in the backing buffers (lengths, not allocator capacity,
     /// so the number is deterministic for a deterministic operation
-    /// sequence; dead space awaiting compaction is included).
+    /// sequence; dead space awaiting compaction and the sidecars are
+    /// included).
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<NodeId>()
             + self.start.len() * std::mem::size_of::<usize>()
             + self.len.len() * std::mem::size_of::<u32>()
             + self.cap.len() * std::mem::size_of::<u32>()
+            + self.side.bytes()
     }
 
-    /// Appends `v` to list `u` without any ordering or duplicate check.
+    /// Appends `v` to list `u` without any ordering or duplicate check —
+    /// and without touching a sidecar, so a list written through `push` is
+    /// not read through the sorted operations.
     #[inline]
     pub fn push(&mut self, u: usize, v: NodeId) {
         if self.len[u] == self.cap[u] {
@@ -186,9 +309,14 @@ impl SliceArena {
 
     /// Inserts `v` into the sorted list `u`; returns `false` if present.
     pub fn insert_sorted(&mut self, u: usize, v: NodeId) -> bool {
-        let pos = match self.slice(u).binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => pos,
+        let row = self.slice(u);
+        let pos = match self.side.of(u) {
+            Some(bits) if has(bits, v) => return false,
+            Some(_) => row.partition_point(|&x| x < v),
+            None => match row.binary_search(&v) {
+                Ok(_) => return false,
+                Err(pos) => pos,
+            },
         };
         if self.len[u] == self.cap[u] {
             self.relocate(u, self.len[u] as usize + 1);
@@ -199,19 +327,29 @@ impl SliceArena {
         self.data[s + pos] = v;
         self.len[u] += 1;
         self.live += 1;
+        self.mark(u, [v]);
         true
     }
 
-    /// Whether sorted list `u` contains `v` (binary search).
+    /// Whether sorted list `u` contains `v`: one bit on a dense list, a
+    /// binary search on a short one.
     #[inline]
     pub fn contains_sorted(&self, u: usize, v: NodeId) -> bool {
-        self.slice(u).binary_search(&v).is_ok()
+        match self.side.of(u) {
+            Some(bits) => has(bits, v),
+            None => self.slice(u).binary_search(&v).is_ok(),
+        }
     }
 
     /// Removes `v` from the **sorted** list `u` (binary search + shift).
     /// Returns `false` if absent. O(log len + len) — the shift dominates,
-    /// but the search keeps the common miss case logarithmic.
+    /// but the search (a bit, on a dense list) keeps the common miss case
+    /// cheap. A list that falls to half the density rule gives its sidecar
+    /// back.
     pub fn remove_sorted(&mut self, u: usize, v: NodeId) -> bool {
+        if self.side.of(u).is_some_and(|bits| !has(bits, v)) {
+            return false;
+        }
         let Ok(pos) = self.slice(u).binary_search(&v) else {
             return false;
         };
@@ -220,7 +358,46 @@ impl SliceArena {
         self.data.copy_within(s + pos + 1..s + l, s + pos);
         self.len[u] -= 1;
         self.live -= 1;
+        if let Some(bits) = self.side.of_mut(u) {
+            bits[v.index() / 64] &= !(1 << (v.0 % 64));
+            if !self.side.dense(2 * (l - 1)) {
+                self.side.release(u);
+            }
+        }
         true
+    }
+
+    /// Records `added`, entries just inserted into sorted list `u`, in the
+    /// list's sidecar — or gives the list one, once it is past the density
+    /// rule.
+    #[inline]
+    fn mark(&mut self, u: usize, added: impl IntoIterator<Item = NodeId>) {
+        let l = self.len[u] as usize;
+        if let Some(bits) = self.side.of_mut(u) {
+            added.into_iter().for_each(|v| set(bits, v));
+        } else if self.side.dense(l) {
+            let row = &self.data[self.start[u]..][..l];
+            self.side.attach(u, self.start.len(), row);
+        }
+    }
+
+    /// Whether sorted list `u`'s sidecar agrees with it: a list past the
+    /// density rule has one, and a sidecar has exactly the list's ids set.
+    pub(crate) fn check_sidecar(&self, u: usize) -> Result<(), String> {
+        let row = self.slice(u);
+        let agrees = match self.side.of(u) {
+            None => !self.side.dense(row.len()),
+            Some(bits) => {
+                bits.iter().map(|w| w.count_ones() as usize).sum::<usize>() == row.len()
+                    && row.iter().all(|&v| has(bits, v))
+            }
+        };
+        agrees.then_some(()).ok_or_else(|| {
+            format!(
+                "list {u} of {} entries disagrees with its sidecar",
+                row.len()
+            )
+        })
     }
 
     /// Merges one round's half-edges into the **sorted** lists, visiting
@@ -293,8 +470,10 @@ impl SliceArena {
         cand.sort_by_key(|&(other, _)| other);
         // Look every distinct candidate up, left to right; the absent ones
         // are compacted to `cand[..fresh]` with the slot (handed to
-        // `on_new`) overwritten by the insertion point.
-        let row = self.slice(u);
+        // `on_new`) overwritten by the insertion point. On a dense list the
+        // sidecar answers the lookup, and only an absent candidate pays the
+        // search for its insertion point.
+        let (row, bits) = (self.slice(u), self.side.of(u));
         let (mut fresh, mut from, mut last) = (0, 0, None);
         for i in 0..cand.len() {
             let (other, slot) = cand[i];
@@ -302,15 +481,20 @@ impl SliceArena {
                 continue;
             }
             last = Some(other);
-            match row[from..].binary_search(&other) {
-                Ok(at) => from += at + 1,
-                Err(at) => {
-                    from += at;
-                    on_new(u, other, slot);
-                    cand[fresh] = (other, from as u32);
-                    fresh += 1;
-                }
-            }
+            from += match bits {
+                Some(bits) if has(bits, other) => continue,
+                Some(_) => row[from..].partition_point(|&x| x < other),
+                None => match row[from..].binary_search(&other) {
+                    Ok(at) => {
+                        from += at + 1;
+                        continue;
+                    }
+                    Err(at) => at,
+                },
+            };
+            on_new(u, other, slot);
+            cand[fresh] = (other, from as u32);
+            fresh += 1;
         }
         if fresh == 0 {
             return;
@@ -331,6 +515,7 @@ impl SliceArena {
         }
         self.len[u] += fresh as u32;
         self.live += fresh;
+        self.mark(u, cand[..fresh].iter().map(|&(other, _)| other));
     }
 
     /// Tombstones list `u`: drops every entry and releases the row's
@@ -342,13 +527,15 @@ impl SliceArena {
     /// reuses the row through the normal growth path (after a compaction
     /// the row keeps one reserved slot, so the first re-learned contact
     /// lands in reused space before any slab growth). Returns the number
-    /// of entries dropped.
+    /// of entries dropped. The row's sidecar, if any, is zeroed and freed
+    /// for the next list that goes dense.
     pub fn clear(&mut self, u: usize) -> usize {
         let dropped = self.len[u] as usize;
         self.live -= dropped;
         self.reserved -= self.cap[u] as usize;
         self.len[u] = 0;
         self.cap[u] = 0;
+        self.side.release(u);
         // `start[u]` still points at the abandoned region; with cap == 0 no
         // write can land there, and the next compaction rewrites it.
         self.maybe_compact(u, 0);
@@ -365,11 +552,13 @@ impl SliceArena {
     /// first relocation or compaction would fire on a different mutation
     /// than in the source process. Contents would still agree (compaction
     /// is content-transparent), but bootstrap wants identical row
-    /// bookkeeping, so rows are rebuilt structurally.
+    /// bookkeeping, so rows are rebuilt structurally. `entries` is a sorted
+    /// list: one past the density rule gets its sidecar here.
     ///
     /// # Panics
-    /// Panics if `entries` is longer than `cap`.
-    pub(crate) fn push_list(&mut self, entries: &[NodeId], cap: u32) {
+    /// Panics if `entries` is longer than `cap`, or if it is dense and
+    /// holds an id outside the universe.
+    pub fn push_list(&mut self, entries: &[NodeId], cap: u32) {
         assert!(entries.len() <= cap as usize, "list longer than its cap");
         let start = self.data.len();
         self.start.push(start);
@@ -384,6 +573,10 @@ impl SliceArena {
         if self.home_end == start {
             self.home_end = self.data.len();
         }
+        if !self.side.slot.is_empty() {
+            self.side.slot.push(SPARSE);
+        }
+        self.mark(self.lists() - 1, []);
     }
 
     /// Moves list `u` to the end of the slab with its capacity grown ~1.5×
@@ -553,7 +746,8 @@ fn compacted(len: usize) -> usize {
 /// An undirected graph with **sorted** arena-backed adjacency: the graph
 /// every undirected process in the workspace runs on.
 ///
-/// `O(m + n)` memory, O(log deg) edge membership,
+/// `O(m + n)` memory, edge membership in O(1) on a row longer than `n/32`
+/// and O(log deg) below it ([dense rows](crate::arena#dense-rows)),
 /// O(1) uniform neighbor sampling, and a batch edge-application entry point
 /// ([`ArenaGraph::apply_batch`]) that merges a whole round of proposals in
 /// one row-ordered pass. Neighbor lists are kept in ascending id order —
@@ -598,7 +792,7 @@ impl ArenaGraph {
     /// Creates an empty graph with `n` isolated nodes.
     pub fn new(n: usize) -> Self {
         ArenaGraph {
-            adj: SliceArena::new(n),
+            adj: SliceArena::new(n, n),
             m: 0,
             scratch: BatchScratch::default(),
         }
@@ -681,7 +875,7 @@ impl ArenaGraph {
         self.adj.slice(u.index())
     }
 
-    /// Edge membership test (binary search).
+    /// Edge membership test (one bit on a dense row, else a binary search).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         self.adj.contains_sorted(u.index(), v)
@@ -856,8 +1050,9 @@ impl ArenaGraph {
         self.adj.memory_bytes() + std::mem::size_of::<u64>()
     }
 
-    /// Debug-grade structural validation: sorted rows, symmetry, no
-    /// self-loops, edge count consistency.
+    /// Debug-grade structural validation: sorted rows, each dense row's
+    /// sidecar set exactly at its ids, symmetry, no self-loops, edge count
+    /// consistency.
     pub fn validate(&self) -> Result<(), String> {
         let mut half_edges = 0u64;
         for u in self.nodes() {
@@ -865,6 +1060,7 @@ impl ArenaGraph {
             if !row.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("row of {u:?} not strictly sorted"));
             }
+            self.adj.check_sidecar(u.index())?;
             for &v in row {
                 if u == v {
                     return Err(format!("self-loop at {u:?}"));
@@ -950,6 +1146,7 @@ mod tests {
         assert_eq!(after.reserved, want.reserved, "reserved");
         assert_eq!(after.live, want.live, "live");
         assert!(after.data == want.data, "data differs from the copy's");
+        assert!(after.side == before.side, "a compaction touched a sidecar");
         assert_eq!(after.data.len(), after.reserved);
         assert_eq!(after.home_end, after.reserved);
         let total = want.reserved;
@@ -972,7 +1169,8 @@ mod tests {
     }
 
     /// Appends a random sorted row of up to a dozen entries in `0..400`,
-    /// with 0–2 spare slots, through the bootstrap path.
+    /// with 0–2 spare slots, through the bootstrap path. (At the oracle
+    /// test's universe of 1,000, a row of more than 31 goes dense.)
     fn push_random_row(a: &mut SliceArena, model: &mut Vec<BTreeSet<u32>>, rng: &mut SmallRng) {
         let row: BTreeSet<u32> = (0..rng.random_range(0..12))
             .map(|_| rng.random_range(0..400))
@@ -993,15 +1191,18 @@ mod tests {
         // passes over padded dead space — on arenas started empty and
         // built through `push_list`, which also appends rows mid-run, after
         // relocations (a tail row) or right after a compaction (a home
-        // row). `check_pass` compares every pass with the copy; this test
-        // makes sure each trigger fired and the rows match a model.
-        let (mut relocating, mut clearing, mut forced) = (0, 0, 0);
+        // row). Ids are below 1,000, the arenas' universe, so rows past 31
+        // entries carry sidecars through the passes. `check_pass` compares
+        // every pass with the copy (sidecars untouched); this test makes
+        // sure each trigger fired, that sidecars existed, and that the rows
+        // and their sidecars match a model.
+        let (mut relocating, mut clearing, mut forced, mut dense) = (0, 0, 0, 0);
         for seed in 0..12u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
             let (mut a, mut model) = if seed % 2 == 0 {
-                (SliceArena::new(40), vec![BTreeSet::new(); 40])
+                (SliceArena::new(40, 1_000), vec![BTreeSet::new(); 40])
             } else {
-                (SliceArena::new(0), Vec::new())
+                (SliceArena::new(0, 1_000), Vec::new())
             };
             while a.lists() < 40 {
                 push_random_row(&mut a, &mut model, &mut rng);
@@ -1010,7 +1211,7 @@ mod tests {
             for step in 0..5_000 {
                 let n = a.lists();
                 let u = rng.random_range(0..n);
-                let v = rng.random_range(0..5_000u32);
+                let v = rng.random_range(0..1_000u32);
                 let seen = passes();
                 match rng.random_range(0..200) {
                     0..=119 => {
@@ -1024,7 +1225,7 @@ mod tests {
                         let halves: Vec<(usize, NodeId, u32)> = (0..rng.random_range(1..24u32))
                             .map(|slot| {
                                 let w = rng.random_range(rows.clone());
-                                (w, NodeId(rng.random_range(0..5_000)), slot)
+                                (w, NodeId(rng.random_range(0..1_000)), slot)
                             })
                             .collect();
                         a.merge_rows(&mut scratch, halves.iter().copied(), |_, _, _| {});
@@ -1055,19 +1256,22 @@ mod tests {
             for (u, row) in model.iter().enumerate() {
                 let got = a.slice(u).iter().map(|x| x.0);
                 assert!(got.eq(row.iter().copied()), "seed {seed}: row {u}");
+                a.check_sidecar(u).unwrap();
+                dense += usize::from(a.side.of(u).is_some());
             }
             let live = model.iter().map(BTreeSet::len).sum::<usize>();
             assert_eq!(a.total_len(), live, "seed {seed}");
         }
         assert!(
-            relocating > 0 && clearing > 0 && forced > 0,
-            "passes: {relocating} on relocation, {clearing} on clear, {forced} forced"
+            relocating > 0 && clearing > 0 && forced > 0 && dense > 0,
+            "passes: {relocating} on relocation, {clearing} on clear, {forced} forced; \
+             {dense} dense rows"
         );
     }
 
     #[test]
     fn slice_arena_push_and_slices() {
-        let mut a = SliceArena::new(3);
+        let mut a = SliceArena::new(3, 8);
         a.push(0, NodeId(5));
         a.push(2, NodeId(1));
         a.push(0, NodeId(3));
@@ -1079,7 +1283,9 @@ mod tests {
 
     #[test]
     fn slice_arena_sorted_insert_dedups() {
-        let mut a = SliceArena::new(2);
+        // Ids below 8: every non-empty row is past the density rule, so
+        // each lookup here reads the sidecar.
+        let mut a = SliceArena::new(2, 8);
         assert!(a.insert_sorted(0, NodeId(7)));
         assert!(a.insert_sorted(0, NodeId(2)));
         assert!(a.insert_sorted(0, NodeId(4)));
@@ -1095,7 +1301,7 @@ mod tests {
         // (including rejected duplicates), remove (including misses),
         // relocation, and compaction — so stat reads never pay a recount.
         let n = 48;
-        let mut a = SliceArena::new(n);
+        let mut a = SliceArena::new(n, 500);
         let mut rng = SmallRng::seed_from_u64(17);
         let recount = |a: &SliceArena| (0..n).map(|u| a.len(u)).sum::<usize>();
         for step in 0..30_000 {
@@ -1122,7 +1328,7 @@ mod tests {
         // Interleaved growth across many lists forces relocations and at
         // least one compaction; contents must survive both.
         let n = 64;
-        let mut a = SliceArena::new(n);
+        let mut a = SliceArena::new(n, 1000);
         let mut model: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
         let mut rng = SmallRng::seed_from_u64(42);
         for _ in 0..20_000 {
@@ -1215,7 +1421,7 @@ mod tests {
             let back: Vec<NodeId> = (0..k).map(|i| NodeId(5000 + i)).collect();
             let spread: Vec<NodeId> = (0..k).map(|i| NodeId(1000 + 120 * i + 1)).collect();
             for fresh in [front, middle, back, spread] {
-                let mut a = SliceArena::new(3);
+                let mut a = SliceArena::new(3, 6_000);
                 for u in 0..3 {
                     for i in 0..500 {
                         a.push(u, even(i));
@@ -1257,7 +1463,7 @@ mod tests {
 
     #[test]
     fn remove_sorted_shifts_and_tracks_counters() {
-        let mut a = SliceArena::new(2);
+        let mut a = SliceArena::new(2, 10);
         for v in [2, 4, 7, 9] {
             a.insert_sorted(0, NodeId(v));
         }
@@ -1274,7 +1480,7 @@ mod tests {
         // `clear` turns the row's reserve into dead space, and the same
         // epoch compaction that reclaims relocation leftovers reclaims it.
         let n = 64;
-        let mut a = SliceArena::new(n);
+        let mut a = SliceArena::new(n, 1000);
         let mut rng = SmallRng::seed_from_u64(5);
         for cycle in 0..200 {
             for u in 0..n {
@@ -1306,7 +1512,7 @@ mod tests {
         // slot — so the first re-learned contact of a re-joining member
         // lands in reused space, not fresh slab growth.
         let n = 32;
-        let mut a = SliceArena::new(n);
+        let mut a = SliceArena::new(n, 10_000);
         let mut rng = SmallRng::seed_from_u64(11);
         // Build up enough volume that clears trigger a compaction.
         for u in 0..n {
@@ -1365,10 +1571,11 @@ mod tests {
         g.validate().unwrap();
     }
 
-    /// `adj` as the rows of a segment based at node 0.
+    /// `adj` as the rows of a segment whose node ids start at its
+    /// universe, past every id its rows hold, so no row holds its own node.
     fn segment(adj: SliceArena) -> ShardSeg {
         ShardSeg {
-            base: 0,
+            base: adj.side.universe,
             adj,
             m_canonical: 0,
         }
@@ -1377,7 +1584,7 @@ mod tests {
     /// `a` through the worker-bootstrap path: streamed as one segment's
     /// chunks of at most `budget` entries, then reassembled.
     fn through_chunks(a: &SliceArena, budget: usize) -> SliceArena {
-        let mut asm = SegSnapshotAssembler::new(1 << 20);
+        let mut asm = SegSnapshotAssembler::new(a.side.universe);
         for chunk in segment(a.clone()).chunks(budget) {
             asm.accept(&chunk).unwrap();
         }
@@ -1391,7 +1598,7 @@ mod tests {
         // reserved/live totals match the source exactly, so every later
         // relocation/compaction decision replays identically.
         let n = 64;
-        let mut a = SliceArena::new(n);
+        let mut a = SliceArena::new(n, 10_000);
         let mut rng = SmallRng::seed_from_u64(21);
         for u in 0..n {
             for _ in 0..rng.random_range(0..40usize) {
@@ -1437,7 +1644,7 @@ mod tests {
         // trigger is content-transparent, so rows and caps re-converge at
         // each compaction.
         let n = 48;
-        let mut src = SliceArena::new(n);
+        let mut src = SliceArena::new(n, 5_000);
         let mut rng = SmallRng::seed_from_u64(22);
         for u in 0..n {
             for _ in 0..rng.random_range(1..30usize) {
@@ -1497,7 +1704,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_inconsistent_snapshots() {
-        let mut a = SliceArena::new(4);
+        let mut a = SliceArena::new(4, 4);
         a.insert_sorted(0, NodeId(3));
         a.insert_sorted(2, NodeId(1));
         let mut chunk = segment(a).chunks(usize::MAX).next().unwrap();
@@ -1513,7 +1720,7 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("entries"), "missing entries: {err}");
         // A well-formed stream of an empty arena rebuilds to empty.
-        let empty = through_chunks(&SliceArena::new(0), 1);
+        let empty = through_chunks(&SliceArena::new(0, 0), 1);
         assert_eq!(empty.lists(), 0);
         assert_eq!(empty.total_len(), 0);
     }
@@ -1521,7 +1728,7 @@ mod tests {
     #[test]
     fn degenerate_membership_sizes() {
         // n ∈ {0, 1} saturation: empty-membership rounds must be no-ops.
-        let a0 = SliceArena::new(0);
+        let a0 = SliceArena::new(0, 0);
         assert_eq!(a0.total_len(), 0);
         let mut g1 = ArenaGraph::new(1);
         assert_eq!(g1.remove_member(NodeId(0)), 0);
@@ -1530,7 +1737,7 @@ mod tests {
         assert_eq!(g1.admit_member(NodeId(0), &[NodeId(0)]), 0);
         g1.validate().unwrap();
         // Clearing an already-empty row is a counted no-op.
-        let mut a1 = SliceArena::new(1);
+        let mut a1 = SliceArena::new(1, 1);
         assert_eq!(a1.clear(0), 0);
         assert_eq!(a1.clear(0), 0);
     }

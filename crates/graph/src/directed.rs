@@ -9,8 +9,9 @@ use crate::node::{Arc, NodeId};
 /// out-edges, and termination is defined against the transitive closure of
 /// the *initial* graph (computed separately in [`crate::closure`]). Each
 /// out-row is a sorted slice of one [`SliceArena`], the layout
-/// [`crate::ArenaGraph`]'s rows use: membership is a binary search and a
-/// uniform draw is one index. It stays its own type because an arc is
+/// [`crate::ArenaGraph`]'s rows use: membership is a binary search (one
+/// bit on a [dense row](crate::arena#dense-rows)) and a uniform draw is one
+/// index. It stays its own type because an arc is
 /// one half-edge, not two, so none of the undirected graph's mirror
 /// bookkeeping applies.
 #[derive(Clone, Debug)]
@@ -36,7 +37,7 @@ impl DirectedGraph {
     /// Creates an empty digraph with `n` nodes.
     pub fn new(n: usize) -> Self {
         DirectedGraph {
-            out: SliceArena::new(n),
+            out: SliceArena::new(n, n),
             arcs: 0,
         }
     }
@@ -74,7 +75,7 @@ impl DirectedGraph {
         self.out.slice(u.index())
     }
 
-    /// Arc membership test (binary search).
+    /// Arc membership test (one bit on a dense row, else a binary search).
     #[inline]
     pub fn has_arc(&self, u: NodeId, v: NodeId) -> bool {
         self.out.contains_sorted(u.index(), v)
@@ -101,8 +102,8 @@ impl DirectedGraph {
             .flat_map(move |u| self.out_neighbors(u).iter().map(move |&v| Arc::new(u, v)))
     }
 
-    /// Structural validation for tests: sorted rows, no self-loops, arc
-    /// count consistent.
+    /// Structural validation for tests: sorted rows, each dense row's
+    /// sidecar set exactly at its ids, no self-loops, arc count consistent.
     pub fn validate(&self) -> Result<(), String> {
         let mut count = 0u64;
         for u in self.nodes() {
@@ -110,6 +111,7 @@ impl DirectedGraph {
             if !row.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("out-row of {u:?} not strictly sorted"));
             }
+            self.out.check_sidecar(u.index())?;
             if row.binary_search(&u).is_ok() {
                 return Err(format!("self-loop at {u:?}"));
             }

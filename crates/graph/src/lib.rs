@@ -9,8 +9,9 @@
 //! * **reading a node's neighbor row** — the one read every backend answers
 //!   ([`UniformNeighbors`]), so a uniform draw is one index into the row;
 //! * **edge insertion with deduplication** — a binary search in the row,
-//!   and a whole round of proposals merges in one row-ordered pass
-//!   ([`ArenaGraph::apply_batch`]).
+//!   or one bit once the row holds more than `n/32` ids
+//!   ([dense rows](arena#dense-rows)), and a whole round of proposals
+//!   merges in one row-ordered pass ([`ArenaGraph::apply_batch`]).
 //!
 //! On top of the graph types ([`ArenaGraph`], its owner-partitioned twin
 //! [`ShardedArenaGraph`], and [`DirectedGraph`]) the crate provides the

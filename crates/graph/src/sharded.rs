@@ -8,8 +8,10 @@
 //! * **Reads are global.** A round's propose phase observes the immutable
 //!   round-start graph `G_t`, so any node may query any row through the
 //!   shared reference — [`ShardedArenaGraph::neighbors`] routes to the
-//!   owning segment, and cross-shard membership tests stay `O(log deg)`
-//!   binary searches on the owner's sorted row.
+//!   owning segment, and a cross-shard membership test is a lookup in the
+//!   owner's sorted row (a binary search, or one bit on a
+//!   [dense row](crate::arena#dense-rows): segment rows hold global ids, so
+//!   a segment's universe is the graph's `n`).
 //! * **Writes are owner-local.** An undirected edge `(lo, hi)` materializes
 //!   as two half-edges, one in row `lo` (owned by `owner(lo)`) and one in
 //!   row `hi` (owned by `owner(hi)`). Each shard applies the half-edges
@@ -49,10 +51,11 @@
 //! reserved capacity, tombstones included, so the rebuilt segment
 //! relocates and compacts on the same mutations as its source;
 //! [`ShardedArenaGraph::from_segments`] checks that the rebuilt segments
-//! tile the plan. The assembler refuses a capacity no row of the graph
-//! can reach before allocating it; whether the rows hold node ids of the
-//! graph is the receiving transport's check — they are outside input
-//! there.
+//! tile the plan. The rows are outside input on the receiving side, so the
+//! assembler checks each one before it allocates anything for it: a
+//! capacity no row of the graph can reach, or a row that is not strictly
+//! ascending, holds its own node or names a node past the graph, is
+//! refused.
 
 use crate::arena::{ArenaGraph, MergeScratch, SliceArena, UniformNeighbors};
 use crate::node::{Edge, NodeId};
@@ -158,10 +161,11 @@ pub struct ShardSeg {
 }
 
 impl ShardSeg {
-    fn new(span: Range<usize>) -> Self {
+    /// An empty segment owning `span` of an `n`-node graph.
+    fn new(span: Range<usize>, n: usize) -> Self {
         ShardSeg {
             base: span.start,
-            adj: SliceArena::new(span.len()),
+            adj: SliceArena::new(span.len(), n),
             m_canonical: 0,
         }
     }
@@ -311,16 +315,18 @@ pub struct SegSnapshotChunk {
 ///
 /// Chunks must arrive in row order, exactly once (a stream socket and the
 /// datagram transport's per-peer windows both guarantee it); every
-/// structural violation — base drift, a row gap, a chunk after the final
-/// one, a row count that disagrees with the entries, a row longer than its
-/// capacity, a capacity no row of the graph can reach — is a typed error
-/// that leaves the assembly unchanged, so a corrupted stream can never
+/// violation — base drift, a row gap, a chunk after the final one, a row
+/// count that disagrees with the entries, a row longer than its capacity,
+/// a capacity no row of the graph can reach, a row that is not strictly
+/// ascending, holds its own node or names a node `≥ n` — is an error that
+/// leaves the assembly unchanged, so a corrupted stream can never
 /// silently assemble into a wrong segment.
 #[derive(Debug)]
 pub struct SegSnapshotAssembler {
     base: Option<u64>,
     m_canonical: u64,
     adj: SliceArena,
+    n: usize,
     max_cap: usize,
     complete: bool,
 }
@@ -334,7 +340,8 @@ impl SegSnapshotAssembler {
         SegSnapshotAssembler {
             base: None,
             m_canonical: 0,
-            adj: SliceArena::new(0),
+            adj: SliceArena::new(0, n),
+            n,
             max_cap: SliceArena::cap_bound(n.saturating_sub(1)),
             complete: false,
         }
@@ -381,6 +388,22 @@ impl SegSnapshotAssembler {
                 "snapshot chunk promises {live} entries but carries {}",
                 chunk.entries.len()
             ));
+        }
+        let (n, mut read) = (self.n, 0);
+        for (i, &(l, _)) in chunk.len_cap.iter().enumerate() {
+            let row = &chunk.entries[read..read + l as usize];
+            read += l as usize;
+            let u = chunk.base.saturating_add((rows + i) as u64);
+            let fault = if row.windows(2).any(|w| w[0] >= w[1]) {
+                "is not strictly ascending"
+            } else if row.iter().any(|v| u64::from(v.0) == u) {
+                "holds its own node"
+            } else if row.last().is_some_and(|v| v.index() >= n) {
+                "names a node past the graph"
+            } else {
+                continue;
+            };
+            return Err(format!("row {u} that {fault} (n = {n})"));
         }
         self.base = Some(chunk.base);
         let mut read = 0;
@@ -450,7 +473,7 @@ impl ShardedArenaGraph {
     pub fn new(n: usize, shards: usize) -> Self {
         let plan = ShardPlan::new(n, shards);
         let segs = (0..shards)
-            .map(|s| Arc::new(ShardSeg::new(plan.span(s))))
+            .map(|s| Arc::new(ShardSeg::new(plan.span(s), n)))
             .collect();
         ShardedArenaGraph { plan, segs }
     }
@@ -527,10 +550,12 @@ impl ShardedArenaGraph {
         self.segs[self.plan.owner(u)].row(u)
     }
 
-    /// Edge membership test: binary search on the owner's sorted row.
+    /// Edge membership test on the owner's sorted row (one bit on a dense
+    /// row, else a binary search).
     #[inline]
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.neighbors(u).binary_search(&v).is_ok()
+        let seg = &self.segs[self.plan.owner(u)];
+        seg.adj.contains_sorted(u.index() - seg.base, v)
     }
 
     /// Adds edge `(u, v)`; returns `true` if new. Self-loops are no-ops.
@@ -684,8 +709,9 @@ impl ShardedArenaGraph {
             .sum()
     }
 
-    /// Debug-grade structural validation: sorted rows, cross-shard
-    /// symmetry, no self-loops, per-shard canonical counts consistent.
+    /// Debug-grade structural validation: sorted rows, each dense row's
+    /// sidecar set exactly at its ids, cross-shard symmetry, no
+    /// self-loops, per-shard canonical counts consistent.
     pub fn validate(&self) -> Result<(), String> {
         let mut half_edges = 0u64;
         let mut canonical = 0u64;
@@ -694,6 +720,10 @@ impl ShardedArenaGraph {
             if !row.windows(2).all(|w| w[0] < w[1]) {
                 return Err(format!("row of {u:?} not strictly sorted"));
             }
+            let seg = &self.segs[self.plan.owner(u)];
+            seg.adj
+                .check_sidecar(u.index() - seg.base)
+                .map_err(|e| format!("row of {u:?}, in segment {}: {e}", self.plan.owner(u)))?;
             for &v in row {
                 if u == v {
                     return Err(format!("self-loop at {u:?}"));
@@ -874,6 +904,65 @@ mod tests {
                 .contains("final"),
             "duplicate final chunk must be rejected"
         );
+    }
+
+    #[test]
+    fn assembler_refuses_a_crafted_row_before_allocating_it() {
+        // At n = 200 a row of more than 6 entries is dense, so a hostile
+        // id past the graph would index past its sidecar if the row were
+        // built; each crafted row is refused first, with the assembly as
+        // it was: same rows, same bytes, and the honest chunk still fits.
+        let n = 200;
+        let g = ShardedArenaGraph::from_arena(
+            &crate::generators::tree_plus_random_edges(
+                n,
+                8 * n as u64,
+                &mut SmallRng::seed_from_u64(9),
+            ),
+            1,
+        );
+        let chunks: Vec<SegSnapshotChunk> = g.segment(0).chunks(64).collect();
+        let (at, i) = chunks
+            .iter()
+            .enumerate()
+            .skip(1)
+            .find_map(|(at, c)| Some((at, c.len_cap.iter().position(|&(l, _)| l > 6)?)))
+            .expect("a dense row past the first chunk");
+        type Craft = fn(NodeId, &mut [NodeId]);
+        let crafts: [(&str, Craft); 3] = [
+            ("is not strictly ascending", |_, row| row.swap(0, 1)),
+            ("holds its own node", |u, row| {
+                let p = row.partition_point(|&v| v < u).min(row.len() - 1);
+                row[p] = u;
+            }),
+            ("names a node past the graph", |_, row| {
+                *row.last_mut().unwrap() = NodeId(10_000);
+            }),
+        ];
+        for (what, craft) in crafts {
+            let mut asm = SegSnapshotAssembler::new(n);
+            for c in &chunks[..at] {
+                asm.accept(c).unwrap();
+            }
+            let (rows, bytes) = (asm.adj.lists(), asm.adj.memory_bytes());
+            let mut crafted = chunks[at].clone();
+            let lo: usize = crafted.len_cap[..i].iter().map(|&(l, _)| l as usize).sum();
+            let hi = lo + crafted.len_cap[i].0 as usize;
+            let u = NodeId(crafted.row_start + i as u32);
+            craft(u, &mut crafted.entries[lo..hi]);
+            let err = asm.accept(&crafted).unwrap_err();
+            assert!(err.contains(&format!("row {} that {what}", u.0)), "{err}");
+            assert_eq!(
+                (asm.adj.lists(), asm.adj.memory_bytes()),
+                (rows, bytes),
+                "{what}"
+            );
+            for c in &chunks[at..] {
+                asm.accept(c).unwrap();
+            }
+            let rebuilt = asm.finish();
+            assert_eq!(rebuilt.chunks(64).collect::<Vec<_>>(), chunks, "{what}");
+        }
     }
 
     #[test]

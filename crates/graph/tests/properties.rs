@@ -495,12 +495,21 @@ proptest! {
             });
             let mut r = ShardedArenaGraph::from_segments(n, shards, segs.collect()).unwrap();
             prop_assert_eq!(&stream(&r, budget), &chunks, "budget {}", budget);
-            // Dense: the slab holds exactly the reserved slots, no dead space.
+            // Dense: the slab holds exactly the reserved slots, no dead space,
+            // and a segment with a row past n/32 entries holds one 4-byte
+            // sidecar index per row and an n-bit sidecar per such row.
             let word = std::mem::size_of::<usize>();
+            let sidecars = |seg: &Vec<SegSnapshotChunk>| {
+                let lens = || seg.iter().flat_map(|c| &c.len_cap).map(|&(len, _)| len as usize);
+                match lens().filter(|&len| len > n / 32).count() {
+                    0 => 0,
+                    rows => 4 * lens().count() + 8 * n.div_ceil(64) * rows,
+                }
+            };
             let dense: usize = chunks.iter().flatten()
                 .flat_map(|c| &c.len_cap)
                 .map(|&(_, cap)| 4 * cap as usize + word + 8)
-                .sum::<usize>() + 8 * shards;
+                .sum::<usize>() + 8 * shards + chunks.iter().map(sidecars).sum::<usize>();
             prop_assert_eq!(r.memory_bytes(), dense, "budget {}", budget);
 
             let mut src = g.clone();
@@ -584,6 +593,83 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Dense rows: in an arena of ids below 64 a sorted list past two
+    /// entries carries a membership sidecar, so almost every list here is
+    /// dense. Random sorted inserts, whole-round merges, removals,
+    /// tombstones and bootstrap rows — with enough churn that the slab
+    /// compacts — leave every list equal to its model, and every probed
+    /// `contains_sorted` (ids past the universe included) agrees with it.
+    #[test]
+    fn dense_rows_answer_membership_like_the_model(
+        seed in any::<u64>(),
+        lists in 8usize..48,
+    ) {
+        use gossip_graph::{MergeScratch, SliceArena};
+
+        const UNIVERSE: u32 = 64;
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xDE45E);
+        let mut a = SliceArena::new(lists, UNIVERSE as usize);
+        let mut model = vec![BTreeSet::<u32>::new(); lists];
+        let mut scratch = MergeScratch::default();
+        let mut compactions = 0;
+        for step in 0..4_000 {
+            let n = a.lists();
+            let u = rng.random_range(0..n);
+            let v = rng.random_range(0..UNIVERSE);
+            let bytes = a.memory_bytes();
+            match rng.random_range(0..100) {
+                0..=49 => {
+                    prop_assert_eq!(a.insert_sorted(u, NodeId(v)), model[u].insert(v), "step {}", step);
+                }
+                50..=69 => {
+                    let halves: Vec<(usize, NodeId, u32)> = (0..rng.random_range(1..16u32))
+                        .map(|slot| (rng.random_range(u..n.min(u + 3)), NodeId(rng.random_range(0..UNIVERSE)), slot))
+                        .collect();
+                    let mut got = Vec::new();
+                    a.merge_rows(&mut scratch, halves.iter().copied(), |w, x, _| got.push((w, x.0)));
+                    let mut want: Vec<(usize, u32)> = halves
+                        .iter()
+                        .filter(|&&(w, x, _)| model[w].insert(x.0))
+                        .map(|&(w, x, _)| (w, x.0))
+                        .collect();
+                    want.sort_unstable();
+                    prop_assert_eq!(got, want, "step {}", step);
+                }
+                70..=89 => {
+                    prop_assert_eq!(a.remove_sorted(u, NodeId(v)), model[u].remove(&v), "step {}", step);
+                }
+                90..=96 => {
+                    prop_assert_eq!(a.clear(u), model[u].len(), "step {}", step);
+                    model[u].clear();
+                }
+                _ => {
+                    let row: BTreeSet<u32> =
+                        (0..rng.random_range(0..UNIVERSE)).map(|_| rng.random_range(0..UNIVERSE)).collect();
+                    let entries: Vec<NodeId> = row.iter().map(|&x| NodeId(x)).collect();
+                    a.push_list(&entries, (entries.len() + rng.random_range(0..3usize)) as u32);
+                    model.push(row);
+                }
+            }
+            // Nothing but a compaction shrinks the arena.
+            compactions += usize::from(a.memory_bytes() < bytes);
+            for _ in 0..4 {
+                let (w, x) = (rng.random_range(0..a.lists()), rng.random_range(0..UNIVERSE + 8));
+                prop_assert_eq!(a.contains_sorted(w, NodeId(x)), model[w].contains(&x), "step {}: {} in list {}", step, x, w);
+            }
+        }
+        for (w, row) in model.iter().enumerate() {
+            prop_assert!(a.slice(w).iter().map(|x| x.0).eq(row.iter().copied()), "list {}", w);
+            for x in 0..UNIVERSE + 8 {
+                prop_assert_eq!(a.contains_sorted(w, NodeId(x)), row.contains(&x), "{} in list {}", x, w);
+            }
+        }
+        prop_assert!(compactions > 0, "no compaction in 4,000 steps");
     }
 }
 

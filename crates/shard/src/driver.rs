@@ -356,13 +356,12 @@ impl ShardReplica<RuleId> {
     /// aside; any other frame here is a protocol error.
     ///
     /// The rows are outside input, and every later round samples and
-    /// binary-searches them: a row that is not strictly ascending, holds
-    /// its own node, or names a node `≥ n` is an `InvalidData` error
-    /// naming the segment and the row, found before the replica exists.
-    /// A row whose capacity no row of an `n`-node graph reaches is one
-    /// too, raised by the assembler before the row's slots are allocated.
-    /// (Symmetry is left to the per-round `added` cross-check, which a
-    /// diverged replica fails.)
+    /// looks them up: a row that is not strictly ascending, holds its own
+    /// node, names a node `≥ n`, or has a capacity no row of an `n`-node
+    /// graph reaches is an `InvalidData` error naming the segment and the
+    /// row, raised by the assembler before anything is allocated for the
+    /// row. (Symmetry is left to the per-round `added` cross-check, which
+    /// a diverged replica fails.)
     pub fn bootstrap(mut next_frame: impl FnMut() -> io::Result<Frame>) -> io::Result<Self> {
         let cfg = match next_frame()? {
             Frame::Config(c) if c.shard < c.shards => c,
@@ -378,7 +377,10 @@ impl ShardReplica<RuleId> {
             loop {
                 match next_frame()? {
                     Frame::SnapshotChunk { segment, chunk } if segment == s => {
-                        if asm.accept(&chunk).map_err(protocol_err)? {
+                        let done = asm
+                            .accept(&chunk)
+                            .map_err(|e| protocol_err(format!("segment {s} sent {e}")))?;
+                        if done {
                             break;
                         }
                     }
@@ -393,23 +395,6 @@ impl ShardReplica<RuleId> {
         }
         let graph = ShardedArenaGraph::from_segments(cfg.n as usize, cfg.shards as usize, segs)
             .map_err(protocol_err)?;
-        let n = graph.n();
-        for u in graph.nodes() {
-            let row = graph.neighbors(u);
-            let fault = if row.windows(2).any(|w| w[0] >= w[1]) {
-                "is not strictly ascending"
-            } else if row.binary_search(&u).is_ok() {
-                "holds its own node"
-            } else if row.last().is_some_and(|v| v.index() >= n) {
-                "names a node past the graph"
-            } else {
-                continue;
-            };
-            let (s, u) = (graph.plan().owner(u), u.0);
-            return Err(protocol_err(format!(
-                "segment {s} sent row {u} that {fault} (n = {n})"
-            )));
-        }
         let parallelism = if cfg.parallel {
             Parallelism::Parallel
         } else {
