@@ -11,7 +11,7 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, ks_statistic, ks_threshold_95, Ecdf, Summary, Table};
 use gossip_core::rng::trial_seed;
-use gossip_core::{ComponentwiseComplete, EngineBuilder, RuleId};
+use gossip_core::{run_engine_until, ComponentwiseComplete, EngineBuilder, RuleId};
 use gossip_graph::{generators, ArenaGraph};
 use rayon::prelude::*;
 
@@ -34,9 +34,9 @@ fn async_times(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> V
         .map(|t| {
             let mut check = ComponentwiseComplete::for_graph(g);
             let mut e = EngineBuilder::new(g.clone(), rule, trial_seed(base_seed, t)).build_async();
-            let out = e.run_until(&mut check, f64::INFINITY);
+            let out = run_engine_until(&mut e, &mut check, u64::MAX);
             assert!(out.converged);
-            out.time
+            e.time()
         })
         .collect()
 }

@@ -62,7 +62,6 @@ pub fn run(args: &Args) -> Report {
             trials,
             base_seed: args.seed ^ n as u64,
             max_rounds: 100_000_000,
-            parallel: true,
         };
 
         let mut rows: Vec<Row> = Vec::new();

@@ -34,7 +34,6 @@ fn sweep<R: ProposalRule<ArenaGraph> + Clone>(
             trials,
             base_seed: args.seed ^ k,
             max_rounds: 100_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(&g, rule.clone(), ComponentwiseComplete::for_graph, &cfg);
         // The swept size here is k (missing edges), not n.

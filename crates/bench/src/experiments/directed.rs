@@ -17,7 +17,6 @@ fn sample_rounds(g: &DirectedGraph, trials: usize, seed: u64) -> Vec<u64> {
         trials,
         base_seed: seed,
         max_rounds: 2_000_000_000,
-        parallel: true,
     };
     convergence_rounds(g, DirectedPull, ClosureReached::for_graph, &cfg)
 }

@@ -64,7 +64,6 @@ fn degree_growth_sweep<R: ProposalRule<ArenaGraph> + Clone>(
             trials,
             base_seed: args.seed ^ n as u64,
             max_rounds: 100_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(
             &g,

@@ -14,7 +14,6 @@ fn mc(g: &ArenaGraph, kind: ProcessKind, trials: usize, seed: u64) -> Vec<u64> {
         trials,
         base_seed: seed,
         max_rounds: 100_000_000,
-        parallel: true,
     };
     match kind {
         ProcessKind::Push => convergence_rounds(g, Push, ComponentwiseComplete::for_graph, &cfg),

@@ -27,7 +27,6 @@ pub fn run(args: &Args) -> Report {
         trials,
         base_seed: args.seed,
         max_rounds: 1_000_000_000,
-        parallel: true,
     };
 
     let n64 = n as u64;

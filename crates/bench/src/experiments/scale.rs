@@ -134,7 +134,6 @@ pub fn run(args: &Args) -> Report {
                     trials,
                     base_seed: args.seed ^ (n as u64) << 4,
                     max_rounds: 10_000,
-                    parallel: false,
                 };
                 let mut rounds = Vec::new();
                 stream_trials(

@@ -74,7 +74,6 @@ fn run_process<R: ProposalRule<ArenaGraph> + Clone>(id: &str, rule: R, args: &Ar
                 trials,
                 base_seed: args.seed ^ (n as u64) << 8,
                 max_rounds: 100_000_000,
-                parallel: true,
             };
             let rounds =
                 convergence_rounds(&g, rule.clone(), ComponentwiseComplete::for_graph, &cfg);

@@ -58,7 +58,6 @@ pub fn run(args: &Args) -> Report {
                 trials,
                 base_seed: args.seed ^ ((host_n as u64) << 20) ^ k as u64,
                 max_rounds: 100_000_000,
-                parallel: true,
             };
             let members_for_check = members.clone();
             let rounds = convergence_rounds(

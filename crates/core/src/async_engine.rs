@@ -20,7 +20,6 @@
 //! single RNG stream, so runs are deterministic in the seed (the process is
 //! inherently sequential — there is no parallel phase to keep consistent).
 
-use crate::convergence::ConvergenceCheck;
 use crate::process::{GossipGraph, ProposalRule, RoundStats};
 use crate::rng::stream_rng;
 use gossip_graph::NodeId;
@@ -50,30 +49,21 @@ impl Ord for Time {
     }
 }
 
-/// Outcome of an asynchronous run.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AsyncOutcome {
-    /// Continuous time at convergence (expected activations per node).
-    pub time: f64,
-    /// Total activations executed.
-    pub activations: u64,
-    /// Whether the target was reached within the budget.
-    pub converged: bool,
-    /// Final edge/arc count.
-    pub final_edges: u64,
-}
-
 /// Continuous-time engine: Poisson-clock activations of a [`ProposalRule`].
 ///
+/// It runs on the shared loop, [`crate::seam::run_engine_until`], whose
+/// budget counts activations; the continuous time reached is
+/// [`AsyncEngine::time`].
+///
 /// ```
-/// use gossip_core::{AsyncEngine, ComponentwiseComplete, Push};
+/// use gossip_core::{run_engine_until, AsyncEngine, ComponentwiseComplete, Push};
 /// use gossip_graph::generators;
 /// let g = generators::star(12);
 /// let mut check = ComponentwiseComplete::for_graph(&g);
 /// let mut engine = AsyncEngine::new(g, Push, 7);
-/// let out = engine.run_until(&mut check, f64::INFINITY);
+/// let out = run_engine_until(&mut engine, &mut check, u64::MAX);
 /// assert!(out.converged);
-/// assert!(out.time > 0.0);
+/// assert!(engine.time() > 0.0);
 /// ```
 pub struct AsyncEngine<G, R> {
     graph: G,
@@ -137,40 +127,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> AsyncEngine<G, R> {
         self.queue.push(Reverse((Time(next), u)));
         (node, stats)
     }
-
-    /// Runs until `check` fires or continuous time exceeds `max_time`.
-    pub fn run_until<C: ConvergenceCheck<G>>(
-        &mut self,
-        check: &mut C,
-        max_time: f64,
-    ) -> AsyncOutcome {
-        if check.is_converged(&self.graph) {
-            return AsyncOutcome {
-                time: self.now,
-                activations: self.activations,
-                converged: true,
-                final_edges: self.graph.edge_count(),
-            };
-        }
-        while self.now <= max_time {
-            let (_, stats) = self.step();
-            // Only re-evaluate when the graph changed: checks may be O(n).
-            if stats.added > 0 && check.is_converged(&self.graph) {
-                return AsyncOutcome {
-                    time: self.now,
-                    activations: self.activations,
-                    converged: true,
-                    final_edges: self.graph.edge_count(),
-                };
-            }
-        }
-        AsyncOutcome {
-            time: self.now,
-            activations: self.activations,
-            converged: false,
-            final_edges: self.graph.edge_count(),
-        }
-    }
 }
 
 impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for AsyncEngine<G, R> {
@@ -201,6 +157,7 @@ mod tests {
     use super::*;
     use crate::convergence::ComponentwiseComplete;
     use crate::rules::{Pull, Push};
+    use crate::seam::run_engine_until;
     use gossip_graph::generators;
 
     #[test]
@@ -208,11 +165,11 @@ mod tests {
         let g = generators::star(16);
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut engine = AsyncEngine::new(g, Push, 7);
-        let out = engine.run_until(&mut check, 1e9);
+        let out = run_engine_until(&mut engine, &mut check, u64::MAX);
         assert!(out.converged);
         assert!(engine.graph().is_complete());
-        assert!(out.time > 0.0);
-        assert!(out.activations > 0);
+        assert!(engine.time() > 0.0);
+        assert!(engine.activations() > 0);
     }
 
     #[test]
@@ -220,7 +177,7 @@ mod tests {
         let g = generators::path(14);
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut engine = AsyncEngine::new(g, Pull, 3);
-        let out = engine.run_until(&mut check, 1e9);
+        let out = run_engine_until(&mut engine, &mut check, u64::MAX);
         assert!(out.converged);
     }
 
@@ -245,8 +202,8 @@ mod tests {
         let run = |seed| {
             let mut check = ComponentwiseComplete::for_graph(&g);
             let mut e = AsyncEngine::new(g.clone(), Push, seed);
-            let out = e.run_until(&mut check, 1e9);
-            (out.activations, out.time.to_bits(), out.final_edges)
+            let out = run_engine_until(&mut e, &mut check, u64::MAX);
+            (e.activations(), e.time().to_bits(), out.final_edges)
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11), run(12));
@@ -265,7 +222,8 @@ mod tests {
         let async_time = {
             let mut check = ComponentwiseComplete::for_graph(&g);
             let mut e = AsyncEngine::new(g.clone(), Push, 9);
-            e.run_until(&mut check, 1e9).time
+            run_engine_until(&mut e, &mut check, u64::MAX);
+            e.time()
         };
         let ratio = async_time / sync;
         assert!(
@@ -281,7 +239,7 @@ mod tests {
         let g = generators::directed_cycle(8);
         let mut check = ClosureReached::for_graph(&g);
         let mut e = AsyncEngine::new(g, DirectedPull, 4);
-        let out = e.run_until(&mut check, 1e9);
+        let out = run_engine_until(&mut e, &mut check, u64::MAX);
         assert!(out.converged);
         assert_eq!(out.final_edges, 56);
     }

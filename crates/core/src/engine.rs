@@ -47,6 +47,23 @@ use rayon::prelude::*;
 /// boundaries to it — `gossip_graph::SHARD_ALIGN` must stay equal to this.
 pub const PROPOSAL_CHUNK: usize = 1024;
 
+/// The node count at which [`Parallelism::Auto`] engages the rayon pool.
+///
+/// Cost model, measured with the staged two-hop propose and the
+/// row-ordered arena merge (sequential rounds, 8 per iteration, 4n-edge
+/// sweep workload, a 2-core box whose bitmap-row backend at n = 1024 read
+/// in two modes): a full sequential round costs 63–88 ns/node (push) and
+/// 68–98 (pull) at n = 1024, 124 and 82 at n = 4096, and on the arena 151
+/// and 145 at n = 4096. The propose phase alone is 25–60 ns/node of that,
+/// so at 2048 nodes it is ≥ 50 µs of sequential work, while the rayon
+/// shim's persistent pool prices a parallel round at one job push plus
+/// condvar wakeups (single-digit µs, zero thread spawns). Break-even sits
+/// in the low thousands of nodes, which keeps 2048 conservative. One chunk
+/// ([`PROPOSAL_CHUNK`] = 1024 nodes) below the threshold would parallelize
+/// nothing anyway, so the threshold also keeps `Auto` from paying dispatch
+/// for a single-chunk round.
+pub const AUTO_PARALLEL_THRESHOLD: usize = 2_048;
+
 /// The propose phase, shared by every round-based engine: each node
 /// evaluates `rule` against the immutable round-start `graph`, drawing from
 /// its `(seed, round, node)` counter-based RNG stream; chunk `c`'s
@@ -110,15 +127,14 @@ pub fn propose_chunk_range<G, R>(
 }
 
 /// When to parallelize the propose phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Always sequential.
     Sequential,
-    /// Rayon-parallel propose phase when `n >= threshold`.
-    Auto {
-        /// Minimum node count at which rayon is engaged.
-        threshold: usize,
-    },
+    /// Rayon-parallel propose phase once `n` reaches
+    /// [`AUTO_PARALLEL_THRESHOLD`]; the default.
+    #[default]
+    Auto,
     /// Always parallel.
     Parallel,
 }
@@ -130,28 +146,8 @@ impl Parallelism {
         match self {
             Parallelism::Sequential => false,
             Parallelism::Parallel => true,
-            Parallelism::Auto { threshold } => n >= threshold,
+            Parallelism::Auto => n >= AUTO_PARALLEL_THRESHOLD,
         }
-    }
-}
-
-impl Default for Parallelism {
-    fn default() -> Self {
-        // Cost model, measured with the staged two-hop propose and the
-        // row-ordered arena merge (sequential rounds, 8 per iteration,
-        // 4n-edge sweep workload, a 2-core box whose
-        // bitmap-row backend at n = 1024 read in two modes): a full sequential
-        // round costs 63–88 ns/node (push) and 68–98 (pull) at n = 1024,
-        // 124 and 82 at n = 4096, and on the arena 151 and 145 at
-        // n = 4096. The propose phase alone is 25–60 ns/node of that, so
-        // at 2048 nodes it is ≥ 50 µs of sequential work, while the rayon
-        // shim's persistent pool prices a parallel round at one job push
-        // plus condvar wakeups (single-digit µs, zero thread spawns).
-        // Break-even sits in the low thousands of nodes, which keeps 2048
-        // conservative. One chunk (PROPOSAL_CHUNK = 1024 nodes) below the
-        // threshold would parallelize nothing anyway, so the threshold
-        // also keeps Auto from paying dispatch for a single-chunk round.
-        Parallelism::Auto { threshold: 2_048 }
     }
 }
 

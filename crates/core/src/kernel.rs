@@ -14,7 +14,6 @@
 //!
 //! ```text
 //! on_round(state, view, chooser) -> effects
-//! on_message(state, view, chooser, msg) -> effects
 //! ```
 //!
 //! * No hidden RNG: every random decision is an index drawn through the
@@ -28,9 +27,9 @@
 //!   [`NodeView`] — its own contact row, and (in worlds that have it) a
 //!   peer's contact row for two-hop walks.
 //! * No hidden mutation: the kernel writes its decisions into
-//!   [`Effects`] — edges to propose, payload descriptors to send,
-//!   contacts learned from a message — and the surrounding runtime (batch
-//!   engine, baseline runner, network simulator) interprets them.
+//!   [`Effects`] — edges to propose and payload descriptors to send —
+//!   and the surrounding runtime (batch engine, baseline runner, network
+//!   simulator) interprets them.
 //!
 //! # Worlds
 //!
@@ -44,8 +43,10 @@
 //!   gives each [`Share`] its delivery and bit cost; Name Dropper, pointer
 //!   jumping, the throttled variant and flooding are that one runner with
 //!   four kernels.
-//! * **message world** — `gossip-net`'s `PushProtocol` maps [`Effects`]
-//!   onto its outbox and hands each delivery to `on_message`.
+//! * **message world** — `gossip-net`'s `PushProtocol` drives
+//!   `on_round` only: it runs the kernel through [`LocalView`] and turns
+//!   each connect into a pair of introductions on its outbox; learning an
+//!   introduced peer is the protocol's own message handler.
 //! * **model checker** — `gossip-model` swaps the chooser for an
 //!   enumerating one and applies every outcome of a graph- or
 //!   knowledge-world kernel to a packed joint state, at `n ≤ 5`.
@@ -76,16 +77,6 @@ impl Chooser for RngChooser<'_> {
     #[inline]
     fn choose(&mut self, n: usize) -> usize {
         self.0.random_range(0..n)
-    }
-}
-
-/// Chooser for deterministic kernels (flooding): any draw is a bug.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoDraws;
-
-impl Chooser for NoDraws {
-    fn choose(&mut self, n: usize) -> usize {
-        panic!("deterministic kernel attempted a random choice (domain {n})")
     }
 }
 
@@ -180,27 +171,15 @@ pub enum Share {
     },
 }
 
-/// A message another node's kernel can react to (`gossip-net`'s world).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelMsg {
-    /// "Meet `peer`" — the push protocol's introduction.
-    Introduce {
-        /// The contact being introduced.
-        peer: NodeId,
-    },
-}
-
 /// Everything a kernel step decided, for the runtime to interpret.
 #[derive(Clone, Debug, Default)]
 pub struct Effects {
     /// Edges to propose: "introduce `a` and `b` to each other". In the
     /// batch engines this is the round's [`ProposalSet`]; in `gossip-net`
-    /// each connect becomes a pair of [`KernelMsg::Introduce`] messages.
+    /// each connect becomes a pair of introduction messages.
     pub connects: ProposalSet,
     /// Messages to send: `(destination, payload descriptor)`.
     pub shares: Vec<(NodeId, Share)>,
-    /// Contacts learned (message reactions only).
-    pub learns: Vec<NodeId>,
 }
 
 impl Effects {
@@ -209,7 +188,6 @@ impl Effects {
     pub fn clear(&mut self) {
         self.connects = ProposalSet::empty();
         self.shares.clear();
-        self.learns.clear();
     }
 
     /// Records an edge proposal.
@@ -222,12 +200,6 @@ impl Effects {
     #[inline]
     pub fn share(&mut self, to: NodeId, what: Share) {
         self.shares.push((to, what));
-    }
-
-    /// Records a learned contact.
-    #[inline]
-    pub fn learn(&mut self, v: NodeId) {
-        self.learns.push(v);
     }
 }
 
@@ -257,9 +229,9 @@ impl NodeState {
 ///
 /// Methods are generic (not object-safe) on purpose: the batch engines'
 /// hot path monomorphizes the kernel + view + chooser into the same code
-/// the hand-written rules compiled to, at the same ns/node/round.
-/// Uniform runtime dispatch goes through the
-/// [`crate::registry::AnyKernel`] enum instead of `dyn`.
+/// the hand-written rules compiled to, at the same ns/node/round. Each
+/// runtime names its kernel type statically; the protocol *name* registry
+/// is [`crate::registry::RuleId`].
 pub trait ProtocolKernel {
     /// The protocol's registry name.
     fn name(&self) -> &'static str;
@@ -274,21 +246,6 @@ pub trait ProtocolKernel {
         choose: &mut C,
         out: &mut Effects,
     );
-
-    /// Reaction to an incoming message (message-passing worlds). The
-    /// default ignores everything — only protocols that gossip through
-    /// explicit messages override it.
-    fn on_message<V: NodeView + ?Sized, C: Chooser + ?Sized>(
-        &self,
-        state: &mut NodeState,
-        view: &V,
-        choose: &mut C,
-        from: NodeId,
-        msg: &KernelMsg,
-        out: &mut Effects,
-    ) {
-        let _ = (state, view, choose, from, msg, out);
-    }
 
     /// Declared per-message payload budget: the maximum number of node
     /// ids one message may carry, or `None` if unbounded (Name Dropper's
@@ -338,20 +295,6 @@ impl ProtocolKernel for PushKernel {
         if v != w {
             out.connect(v, w);
         }
-    }
-
-    #[inline]
-    fn on_message<V: NodeView + ?Sized, C: Chooser + ?Sized>(
-        &self,
-        _state: &mut NodeState,
-        _view: &V,
-        _choose: &mut C,
-        _from: NodeId,
-        msg: &KernelMsg,
-        out: &mut Effects,
-    ) {
-        let KernelMsg::Introduce { peer } = *msg;
-        out.learn(peer);
     }
 }
 
@@ -651,24 +594,6 @@ mod tests {
             &mut out,
         );
         assert!(out.connects.is_empty());
-    }
-
-    #[test]
-    fn push_kernel_learns_from_introduce() {
-        let view = LocalView {
-            me: NodeId(0),
-            contacts: &[],
-        };
-        let mut out = Effects::default();
-        PushKernel.on_message(
-            &mut NodeState::Stateless,
-            &view,
-            &mut Scripted(vec![], 0),
-            NodeId(7),
-            &KernelMsg::Introduce { peer: NodeId(4) },
-            &mut out,
-        );
-        assert_eq!(out.learns, ids(&[4]));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod trace;
 pub mod trials;
 pub mod variants;
 
-pub use async_engine::{AsyncEngine, AsyncOutcome};
+pub use async_engine::AsyncEngine;
 pub use builder::EngineBuilder;
 pub use convergence::{
     ClosureReached, ComponentwiseComplete, ConvergenceCheck, MinDegreeAtLeast, Never,
@@ -62,9 +62,9 @@ pub use convergence::{
 };
 pub use engine::{Engine, Parallelism, RunOutcome};
 pub use kernel::{
-    kernel_propose, Chooser, Effects, FloodingKernel, GraphView, HybridKernel, KernelMsg,
-    LocalView, NameDropperKernel, NoDraws, NodeState, NodeView, PointerJumpKernel, ProtocolKernel,
-    PullKernel, PushKernel, RngChooser, Share, ThrottledKernel,
+    kernel_propose, Chooser, Effects, FloodingKernel, GraphView, HybridKernel, LocalView,
+    NameDropperKernel, NodeState, NodeView, PointerJumpKernel, ProtocolKernel, PullKernel,
+    PushKernel, RngChooser, Share, ThrottledKernel,
 };
 pub use listener::{
     Chain, ListenerSet, PhaseAccumulator, PhaseEvent, PhaseNanos, RoundControl, RoundEvent,
@@ -73,7 +73,7 @@ pub use listener::{
 pub use membership::{ChurnBursts, MembershipEvent, MembershipPlan, MembershipStats};
 pub use process::{GossipGraph, ProposalRule, ProposalSet, RoundStats, TaggedProposal};
 pub use recorder::{SeriesRecorder, SeriesRow};
-pub use registry::{AnyKernel, RuleId};
+pub use registry::RuleId;
 pub use rules::{DirectedPull, HybridPushPull, Pull, Push};
 pub use seam::{run_engine_listened, run_engine_until, RoundEngine};
 pub use trace::{DiscoveryTrace, EdgeEvent};

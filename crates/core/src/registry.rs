@@ -1,22 +1,16 @@
-//! The protocol registry: one name → protocol mapping for every layer.
+//! The protocol registry: one name → rule mapping for every layer.
 //!
 //! Before this module, the `name → rule` match was copy-pasted across
 //! `src/cli.rs` (four sites) and the `gossip-bench` experiment modules,
-//! each with its own error message and its own chance to drift. The
-//! registry is the single definition:
-//!
-//! * [`RuleId`] — the engine-runnable undirected rules. Parse a name with
-//!   [`RuleId::parse`] (the error lists every registered name), then run
-//!   the id itself: it is a [`ProposalRule`] that forwards each call to
-//!   its concrete zero-sized rule.
-//! * [`AnyKernel`] — every protocol state machine behind one enum, for
-//!   callers that need uniform runtime dispatch without `dyn` (the model
-//!   checker, diagnostics). It implements [`ProtocolKernel`] by matching.
+//! each with its own error message and its own chance to drift.
+//! [`RuleId`] is the single definition: the engine-runnable undirected
+//! rules by name. Parse a name with [`RuleId::parse`] (the error lists
+//! every registered name), then run the id itself: it is a
+//! [`ProposalRule`] that forwards each call to its concrete zero-sized
+//! rule. A protocol whose runtime is fixed at compile time (the
+//! baselines' kernels, the model checker's) names its kernel type
+//! directly and needs no registry entry.
 
-use crate::kernel::{
-    Chooser, Effects, FloodingKernel, HybridKernel, KernelMsg, NameDropperKernel, NodeState,
-    NodeView, PointerJumpKernel, ProtocolKernel, PullKernel, PushKernel, ThrottledKernel,
-};
 use crate::process::{GossipGraph, ProposalRule, ProposalSet, TaggedProposal};
 use crate::rules::{HybridPushPull, Pull, Push};
 use gossip_graph::NodeId;
@@ -111,103 +105,6 @@ impl<G: GossipGraph> ProposalRule<G> for RuleId {
     }
 }
 
-/// Every protocol kernel behind one enum — uniform runtime dispatch
-/// without trait objects (the kernel trait's generic methods are not
-/// object-safe by design; the hot paths stay monomorphized).
-#[derive(Clone, Copy, Debug)]
-pub enum AnyKernel {
-    /// Triangulation.
-    Push(PushKernel),
-    /// Two-hop walk.
-    Pull(PullKernel),
-    /// Push + pull per round.
-    Hybrid(HybridKernel),
-    /// Whole-list gossip to one random contact.
-    NameDropper(NameDropperKernel),
-    /// Whole-list pull from one random contact.
-    PointerJump(PointerJumpKernel),
-    /// Whole-list broadcast over the fixed initial topology.
-    Flooding(FloodingKernel),
-    /// Budgeted Name Dropper with per-destination cursors.
-    Throttled(ThrottledKernel),
-}
-
-impl AnyKernel {
-    /// Every kernel under its registry name (`throttled-nd` gets the
-    /// default budget of 4 ids per message).
-    pub fn all() -> Vec<AnyKernel> {
-        vec![
-            AnyKernel::Push(PushKernel),
-            AnyKernel::Pull(PullKernel),
-            AnyKernel::Hybrid(HybridKernel),
-            AnyKernel::NameDropper(NameDropperKernel),
-            AnyKernel::PointerJump(PointerJumpKernel),
-            AnyKernel::Flooding(FloodingKernel),
-            AnyKernel::Throttled(ThrottledKernel { budget: 4 }),
-        ]
-    }
-
-    /// Resolves a kernel name; the error lists every registered name.
-    pub fn parse(s: &str) -> Result<AnyKernel, String> {
-        Self::all()
-            .into_iter()
-            .find(|k| k.name() == s)
-            .ok_or_else(|| {
-                let names: Vec<&str> = Self::all().iter().map(|k| k.name()).collect();
-                format!(
-                    "unknown protocol kernel {s:?}; registered kernels: {}",
-                    names.join(", ")
-                )
-            })
-    }
-}
-
-macro_rules! any_kernel_delegate {
-    ($self:ident, $k:ident, $call:expr) => {
-        match $self {
-            AnyKernel::Push($k) => $call,
-            AnyKernel::Pull($k) => $call,
-            AnyKernel::Hybrid($k) => $call,
-            AnyKernel::NameDropper($k) => $call,
-            AnyKernel::PointerJump($k) => $call,
-            AnyKernel::Flooding($k) => $call,
-            AnyKernel::Throttled($k) => $call,
-        }
-    };
-}
-
-impl ProtocolKernel for AnyKernel {
-    fn name(&self) -> &'static str {
-        any_kernel_delegate!(self, k, k.name())
-    }
-
-    fn on_round<V: NodeView + ?Sized, C: Chooser + ?Sized>(
-        &self,
-        state: &mut NodeState,
-        view: &V,
-        choose: &mut C,
-        out: &mut Effects,
-    ) {
-        any_kernel_delegate!(self, k, k.on_round(state, view, choose, out))
-    }
-
-    fn on_message<V: NodeView + ?Sized, C: Chooser + ?Sized>(
-        &self,
-        state: &mut NodeState,
-        view: &V,
-        choose: &mut C,
-        from: NodeId,
-        msg: &KernelMsg,
-        out: &mut Effects,
-    ) {
-        any_kernel_delegate!(self, k, k.on_message(state, view, choose, from, msg, out))
-    }
-
-    fn max_message_ids(&self) -> Option<u64> {
-        any_kernel_delegate!(self, k, k.max_message_ids())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,14 +173,5 @@ mod tests {
             assert_id_is_its_rule(id, &arena, "the arena");
             assert_id_is_its_rule(id, &sharded, "the sharded arena");
         }
-    }
-
-    #[test]
-    fn kernel_registry_parses_every_name() {
-        for k in AnyKernel::all() {
-            assert_eq!(AnyKernel::parse(k.name()).unwrap().name(), k.name());
-        }
-        let err = AnyKernel::parse("nope").unwrap_err();
-        assert!(err.contains("name-dropper"), "{err}");
     }
 }

@@ -23,8 +23,6 @@ pub struct TrialConfig {
     pub base_seed: u64,
     /// Per-trial round budget.
     pub max_rounds: u64,
-    /// Run trials across rayon worker threads.
-    pub parallel: bool,
 }
 
 impl Default for TrialConfig {
@@ -33,12 +31,12 @@ impl Default for TrialConfig {
             trials: 16,
             base_seed: 0x6055_1734,
             max_rounds: 100_000_000,
-            parallel: true,
         }
     }
 }
 
-/// Runs `cfg.trials` independent trials of `rule` on clones of `g0`.
+/// Runs `cfg.trials` independent trials of `rule` on clones of `g0`,
+/// spread across the rayon pool (each engine itself runs sequentially).
 ///
 /// `make_check` builds a fresh convergence check per trial (checks may hold
 /// state). Results are returned in trial order regardless of scheduling.
@@ -61,12 +59,7 @@ where
             .build();
         engine.run_until(&mut check, cfg.max_rounds)
     };
-
-    if cfg.parallel {
-        (0..cfg.trials).into_par_iter().map(run_one).collect()
-    } else {
-        (0..cfg.trials).map(run_one).collect()
-    }
+    (0..cfg.trials).into_par_iter().map(run_one).collect()
 }
 
 /// Runs trials **one at a time**, streaming each [`RunOutcome`] to
@@ -145,7 +138,6 @@ mod tests {
             trials: 8,
             base_seed: 77,
             max_rounds: 1_000_000,
-            parallel: false,
         };
         let a = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
         let b = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
@@ -155,14 +147,20 @@ mod tests {
     #[test]
     fn parallel_and_sequential_batches_agree() {
         let g = generators::cycle(10);
-        let mut cfg = TrialConfig {
+        let cfg = TrialConfig {
             trials: 6,
             base_seed: 5,
             max_rounds: 1_000_000,
-            parallel: false,
         };
-        let seq = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &cfg);
-        cfg.parallel = true;
+        let mut seq = Vec::new();
+        stream_trials(
+            &g,
+            Pull,
+            ComponentwiseComplete::for_graph,
+            &cfg,
+            Parallelism::Sequential,
+            |_, o| seq.push(o.rounds),
+        );
         let par = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &cfg);
         assert_eq!(seq, par);
     }
@@ -174,7 +172,6 @@ mod tests {
             trials: 10,
             base_seed: 1,
             max_rounds: 1_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
         // Convergence time is random: 10 trials on a 16-star should not all
@@ -189,7 +186,6 @@ mod tests {
             trials: 3,
             base_seed: 2,
             max_rounds: 1, // way too small
-            parallel: false,
         };
         let out = run_trials(&g, Push, ComponentwiseComplete::for_graph, &cfg);
         assert!(out.iter().all(|o| !o.converged));

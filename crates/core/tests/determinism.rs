@@ -13,6 +13,7 @@
 //! `RAYON_NUM_THREADS ∈ {1, 2, 8}`, covering the `(S, threads)` grid the
 //! design promises.
 
+use gossip_core::engine::AUTO_PARALLEL_THRESHOLD;
 use gossip_core::rng::stream_rng;
 use gossip_core::{
     ChurnBursts, ComponentwiseComplete, Engine, MembershipPlan, Never, Parallelism, Pull, Push,
@@ -23,10 +24,7 @@ use gossip_shard::ShardedEngine;
 
 /// The `Auto` threshold the engine ships with.
 fn default_threshold() -> usize {
-    match Parallelism::default() {
-        Parallelism::Auto { threshold } => threshold,
-        _ => panic!("default parallelism is not Auto"),
-    }
+    AUTO_PARALLEL_THRESHOLD
 }
 
 /// Asserts two graphs are bit-identical for all future sampling: the same
@@ -578,16 +576,22 @@ fn cluster_datagram_transport_is_bit_identical_across_loss_rates() {
 fn trial_batches_agree_under_pool_parallelism() {
     // Trial-level fan-out (the imbalanced workload the chunk-claiming pool
     // exists for) must return identical per-trial results either way.
-    use gossip_core::{convergence_rounds, TrialConfig};
+    use gossip_core::{convergence_rounds, stream_trials, TrialConfig};
     let g = generators::star(96);
-    let mut cfg = TrialConfig {
+    let cfg = TrialConfig {
         trials: 12,
         base_seed: 31,
         max_rounds: 10_000_000,
-        parallel: false,
     };
-    let seq = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
-    cfg.parallel = true;
+    let mut seq = Vec::new();
+    stream_trials(
+        &g,
+        Push,
+        ComponentwiseComplete::for_graph,
+        &cfg,
+        Parallelism::Sequential,
+        |_, o| seq.push(o.rounds),
+    );
     let par = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
     assert_eq!(seq, par);
 }

@@ -9,9 +9,7 @@
 
 use crate::message::Message;
 use crate::network::{NodeCtx, Protocol};
-use gossip_core::{
-    Effects, KernelMsg, LocalView, NodeState, ProtocolKernel, PushKernel, RngChooser,
-};
+use gossip_core::{Effects, LocalView, NodeState, ProtocolKernel, PushKernel, RngChooser};
 use gossip_graph::NodeId;
 
 /// Push discovery on the wire: each round a node draws two contacts `v, w`
@@ -21,9 +19,9 @@ use gossip_graph::NodeId;
 /// The decision logic is [`PushKernel`] — the same state machine the batch
 /// engines run — driven here through a [`LocalView`] over the node's
 /// contact set. This adapter only maps kernel [`Effects`] onto the wire:
-/// each `connect(v, w)` becomes the introduction pair, each learned
-/// contact an [`NodeCtx::learn`] call. Draw-for-draw identical to the
-/// pre-kernel implementation.
+/// each `connect(v, w)` becomes the introduction pair. A delivered
+/// `Introduce{peer}` is one [`NodeCtx::learn`] call and draws nothing.
+/// Draw-for-draw identical to the pre-kernel implementation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PushProtocol;
 
@@ -45,23 +43,9 @@ impl Protocol for PushProtocol {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, msg: Message) {
+    fn on_message(&mut self, ctx: &mut NodeCtx<'_>, _from: NodeId, msg: Message) {
         if let Message::Introduce { peer } = msg {
-            let mut out = Effects::default();
-            PushKernel.on_message(
-                &mut NodeState::Stateless,
-                &LocalView {
-                    me: ctx.me,
-                    contacts: ctx.contacts,
-                },
-                &mut RngChooser(ctx.rng),
-                from,
-                &KernelMsg::Introduce { peer },
-                &mut out,
-            );
-            for v in out.learns {
-                ctx.learn(v);
-            }
+            ctx.learn(peer);
         }
     }
 

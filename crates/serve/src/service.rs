@@ -103,13 +103,6 @@ impl<G> ServiceHandle<G> {
     pub fn rounds(&self) -> u64 {
         self.shared.rounds.load(Ordering::Acquire)
     }
-
-    /// Asks the worker to stop at the next round boundary without joining
-    /// it. [`GossipService::stop`] is the usual entry point; this exists
-    /// for readers that don't own the service.
-    pub fn request_stop(&self) {
-        self.shared.stop.store(true, Ordering::Release);
-    }
 }
 
 /// The snapshot publisher the service rides on the listener seam.
@@ -220,8 +213,8 @@ where
         }
     }
 
-    /// Whether the worker has finished (budget exhausted, listener stop,
-    /// or a prior [`ServiceHandle::request_stop`]).
+    /// Whether the worker has finished (budget exhausted or a listener
+    /// stop).
     pub fn is_finished(&self) -> bool {
         self.worker.is_finished()
     }

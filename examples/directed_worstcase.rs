@@ -17,7 +17,6 @@ fn mean_rounds(g: &DirectedGraph, trials: usize, seed: u64) -> f64 {
         trials,
         base_seed: seed,
         max_rounds: 1_000_000_000,
-        parallel: true,
     };
     let rounds = convergence_rounds(g, DirectedPull, ClosureReached::for_graph, &cfg);
     rounds.iter().sum::<u64>() as f64 / rounds.len() as f64
@@ -82,7 +81,6 @@ fn main() {
             trials: 8,
             base_seed: seed,
             max_rounds: 100_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &cfg);
         let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;

@@ -16,7 +16,6 @@ fn monte_carlo_mean(g: &ArenaGraph, trials: usize) -> (f64, f64) {
         trials,
         base_seed: 123,
         max_rounds: 10_000_000,
-        parallel: true,
     };
     let rounds = convergence_rounds(g, Push, ComponentwiseComplete::for_graph, &cfg);
     let s = Summary::of_rounds(&rounds);

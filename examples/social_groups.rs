@@ -53,7 +53,6 @@ fn main() {
             trials: 8,
             base_seed: seed,
             max_rounds: 100_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(&club, Push, ComponentwiseComplete::for_graph, &cfg);
         let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;

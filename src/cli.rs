@@ -346,6 +346,14 @@ pub fn make_graph(
     param: Option<u64>,
 ) -> Result<ArenaGraph, String> {
     let mut rng = gossip_core::rng::stream_rng(seed, 0xC11, 0);
+    let min_n = match family {
+        "path" | "binary-tree" | "random-tree" | "sparse" => 1,
+        "star" | "double-star" => 2,
+        "cycle" => 3,
+        "barbell" | "lollipop" => 4,
+        _ => 0,
+    };
+    require(n >= min_n, family, format_args!("--n >= {min_n}, got {n}"))?;
     Ok(match family {
         "path" => generators::path(n),
         "cycle" => generators::cycle(n),
@@ -356,11 +364,48 @@ pub fn make_graph(
         "random-tree" => generators::random_tree(n, &mut rng),
         "sparse" => {
             let m = param.unwrap_or(2 * n as u64);
+            let max_m = (n as u64).saturating_mul(n as u64 - 1) / 2;
+            require(
+                (n as u64 - 1..=max_m).contains(&m),
+                family,
+                format_args!(
+                    "n - 1 <= m <= n(n - 1)/2 edges (default m = 2n), got n = {n}, m = {m}"
+                ),
+            )?;
             generators::tree_plus_random_edges(n, m, &mut rng)
         }
-        "ws" => generators::watts_strogatz(n, param.unwrap_or(3) as usize, 0.1, &mut rng),
-        "ba" => generators::barabasi_albert(n, param.unwrap_or(2) as usize, &mut rng),
-        "hypercube" => generators::hypercube(param.unwrap_or_else(|| n.ilog2() as u64) as u32),
+        "ws" => {
+            let k = param.unwrap_or(3);
+            require(
+                k >= 1 && (n as u64) > k.saturating_mul(2),
+                family,
+                format_args!("1 <= k and n > 2k (default k = 3), got n = {n}, k = {k}"),
+            )?;
+            generators::watts_strogatz(n, k as usize, 0.1, &mut rng)
+        }
+        "ba" => {
+            let m = param.unwrap_or(2);
+            require(
+                m >= 1 && (n as u64) > m,
+                family,
+                format_args!("1 <= m < n (default m = 2), got n = {n}, m = {m}"),
+            )?;
+            generators::barabasi_albert(n, m as usize, &mut rng)
+        }
+        "hypercube" => {
+            require(
+                param.is_some() || n >= 1,
+                family,
+                format_args!("--n >= 1 or a dimension --param d, got n = {n}"),
+            )?;
+            let d = param.unwrap_or_else(|| u64::from(n.ilog2()));
+            require(
+                d < 32,
+                family,
+                format_args!("dimension d < 32, got d = {d}"),
+            )?;
+            generators::hypercube(d as u32)
+        }
         "barbell" => generators::barbell(n / 2),
         "lollipop" => generators::lollipop(n / 2, n - n / 2),
         "grid" => {
@@ -373,6 +418,13 @@ pub fn make_graph(
 
 fn make_directed(family: &str, n: usize, seed: u64) -> Result<DirectedGraph, String> {
     let mut rng = gossip_core::rng::stream_rng(seed, 0xD1C, 0);
+    let min_n = match family {
+        "cycle" => 2,
+        "thm15" => 3,
+        "thm14" => 5,
+        _ => 0,
+    };
+    require(n >= min_n, family, format_args!("--n >= {min_n}, got {n}"))?;
     Ok(match family {
         "cycle" => generators::directed_cycle(n),
         "thm14" => generators::theorem14_graph(n.next_multiple_of(4)),
@@ -380,6 +432,18 @@ fn make_directed(family: &str, n: usize, seed: u64) -> Result<DirectedGraph, Str
         "gnp" => generators::directed_gnp_strong(n, (8.0 / n as f64).min(0.9), &mut rng),
         other => return Err(format!("unknown directed family {other}")),
     })
+}
+
+/// The generators `assert!` their size preconditions; the CLI checks each
+/// one first, so a size out of range is a usage error naming the family
+/// and its bound instead of a panic. Hypercube dimensions stop below 32
+/// because node ids are `u32`.
+fn require(ok: bool, family: &str, bound: std::fmt::Arguments<'_>) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("family {family} needs {bound}"))
+    }
 }
 
 /// The CLI's standard burst schedule for `--churn B`: `B` bursts of
@@ -533,7 +597,6 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 trials: *trials,
                 base_seed: *seed,
                 max_rounds: u64::MAX,
-                parallel: true,
             };
             let id = RuleId::parse(process)?;
             let rounds = convergence_rounds(&g, id, ComponentwiseComplete::for_graph, &cfg);
@@ -1029,5 +1092,59 @@ mod tests {
         let g = make_graph("hypercube", 16, 7, Some(4)).unwrap();
         assert_eq!(g.n(), 16);
         assert!(make_graph("klein-bottle", 16, 7, None).is_err());
+    }
+
+    #[test]
+    fn family_sizes_out_of_range_are_errors_not_panics() {
+        for line in [
+            "run --protocol push --family star --n 0",
+            "run --protocol push --family path --n 0",
+            "run --protocol push --family sparse --n 2",
+            "run --protocol push --family ws --n 8 --param 0",
+            "run --protocol push --family barbell --n 1",
+            "run --protocol push --family hypercube --n 0",
+            "run --protocol push --family hypercube --n 8 --param 40",
+            "generate --family lollipop --n 1",
+            "directed --family cycle --n 0",
+            "directed --family thm14 --n 0",
+        ] {
+            let family = line.split_once("--family ").unwrap().1;
+            let family = family.split_whitespace().next().unwrap();
+            let err = execute(&Command::parse(&argv(line)).unwrap()).unwrap_err();
+            assert!(
+                err.contains(&format!("family {family} needs")),
+                "{line}: {err}"
+            );
+        }
+        // Each family's smallest accepted size (under its default
+        // parameter) builds.
+        for (family, n) in [
+            ("path", 1),
+            ("cycle", 3),
+            ("star", 2),
+            ("double-star", 2),
+            ("complete", 0),
+            ("binary-tree", 1),
+            ("random-tree", 1),
+            ("sparse", 5),
+            ("ws", 7),
+            ("ba", 3),
+            ("hypercube", 1),
+            ("barbell", 4),
+            ("lollipop", 4),
+            ("grid", 0),
+        ] {
+            assert!(
+                make_graph(family, n, 7, None).is_ok(),
+                "{family} at n = {n}"
+            );
+        }
+        assert!(make_graph("sparse", 1, 7, Some(0)).is_ok());
+        assert!(make_graph("ws", 3, 7, Some(1)).is_ok());
+        assert!(make_graph("ba", 2, 7, Some(1)).is_ok());
+        assert!(make_graph("hypercube", 0, 7, Some(0)).is_ok());
+        for (family, n) in [("cycle", 2), ("thm15", 3), ("thm14", 5), ("gnp", 0)] {
+            assert!(make_directed(family, n, 7).is_ok(), "{family} at n = {n}");
+        }
     }
 }

@@ -28,7 +28,6 @@ fn assert_within_bound<R: ProposalRule<ArenaGraph> + Clone>(rule: R, n: usize) {
             trials: 4,
             base_seed: 99,
             max_rounds: bound as u64,
-            parallel: true,
         };
         let rounds = convergence_rounds(&g, rule.clone(), ComponentwiseComplete::for_graph, &cfg);
         let worst = *rounds.iter().max().unwrap();
@@ -56,7 +55,6 @@ fn hybrid_no_slower_than_push_on_star() {
         trials: 6,
         base_seed: 5,
         max_rounds: 10_000_000,
-        parallel: true,
     };
     let push = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
     let hybrid = convergence_rounds(&g, HybridPushPull, ComponentwiseComplete::for_graph, &cfg);
@@ -112,7 +110,6 @@ fn subgroup_discovery_is_host_size_independent() {
             trials: 6,
             base_seed: 31,
             max_rounds: 10_000_000,
-            parallel: true,
         };
         let rounds = convergence_rounds(
             &host,
@@ -153,7 +150,6 @@ fn faulty_converges_slower_but_converges() {
         trials: 6,
         base_seed: 77,
         max_rounds: 10_000_000,
-        parallel: true,
     };
     let clean = convergence_rounds(&g, Push, ComponentwiseComplete::for_graph, &cfg);
     let faulty = convergence_rounds(
@@ -179,7 +175,6 @@ fn partial_participation_converges() {
         trials: 4,
         base_seed: 13,
         max_rounds: 10_000_000,
-        parallel: true,
     };
     let rounds = convergence_rounds(
         &g,

@@ -30,15 +30,22 @@ fn engine_parallel_equals_sequential_full_run() {
 #[test]
 fn trial_batches_independent_of_parallelism_and_repeatable() {
     let g = generators::star(20);
-    let mk = |parallel| TrialConfig {
+    let cfg = TrialConfig {
         trials: 10,
         base_seed: 5,
         max_rounds: 1_000_000,
-        parallel,
     };
-    let a = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &mk(true));
-    let b = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &mk(false));
-    let c = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &mk(true));
+    let a = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &cfg);
+    let mut b = Vec::new();
+    stream_trials(
+        &g,
+        Pull,
+        ComponentwiseComplete::for_graph,
+        &cfg,
+        Parallelism::Sequential,
+        |_, o| b.push(o.rounds),
+    );
+    let c = convergence_rounds(&g, Pull, ComponentwiseComplete::for_graph, &cfg);
     assert_eq!(a, b);
     assert_eq!(a, c);
 }

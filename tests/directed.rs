@@ -69,7 +69,6 @@ fn directed_is_asymptotically_slower_than_undirected() {
         trials: 4,
         base_seed: 3,
         max_rounds: 100_000_000,
-        parallel: true,
     };
     let directed = convergence_rounds(
         &generators::directed_cycle(n),
@@ -111,7 +110,6 @@ fn theorem15_scaling_is_superlinear_in_n() {
         trials: 4,
         base_seed: 8,
         max_rounds: 1_000_000_000,
-        parallel: true,
     };
     let small = convergence_rounds(
         &generators::theorem15_graph(8),

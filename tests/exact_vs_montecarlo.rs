@@ -10,7 +10,6 @@ fn mc_mean_ci(g: &ArenaGraph, kind: ProcessKind, trials: usize) -> (f64, f64) {
         trials,
         base_seed: 0xE57,
         max_rounds: 1_000_000,
-        parallel: true,
     };
     let rounds = match kind {
         ProcessKind::Push => convergence_rounds(g, Push, ComponentwiseComplete::for_graph, &cfg),
