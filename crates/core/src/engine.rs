@@ -54,11 +54,14 @@ pub const PROPOSAL_CHUNK: usize = 1024;
 /// sweep workload, a 2-core box whose bitmap-row backend at n = 1024 read
 /// in two modes): a full sequential round costs 63–88 ns/node (push) and
 /// 68–98 (pull) at n = 1024, 124 and 82 at n = 4096, and on the arena 151
-/// and 145 at n = 4096. The propose phase alone is 25–60 ns/node of that,
-/// so at 2048 nodes it is ≥ 50 µs of sequential work, while the rayon
-/// shim's persistent pool prices a parallel round at one job push plus
-/// condvar wakeups (single-digit µs, zero thread spawns). Break-even sits
-/// in the low thousands of nodes, which keeps 2048 conservative. One chunk
+/// and 145 at n = 4096. The propose phase alone, re-measured on the arena
+/// once the per-node RNG stream was made cheap (word-wise seeding, nearly
+/// divisionless draws), is 24–31 ns/node (push) and 35–40 (pull) at
+/// n = 1024 and 4096, down from 46–63. So at 2048 nodes it is still about
+/// 50 µs or more of sequential work, while the rayon shim's persistent
+/// pool prices a parallel round at one job push plus condvar wakeups
+/// (single-digit µs, zero thread spawns). Break-even still sits in the low
+/// thousands of nodes, above one chunk, which keeps 2048. One chunk
 /// ([`PROPOSAL_CHUNK`] = 1024 nodes) below the threshold would parallelize
 /// nothing anyway, so the threshold also keeps `Auto` from paying dispatch
 /// for a single-chunk round.

@@ -419,7 +419,7 @@ pub fn make_graph(
 fn make_directed(family: &str, n: usize, seed: u64) -> Result<DirectedGraph, String> {
     let mut rng = gossip_core::rng::stream_rng(seed, 0xD1C, 0);
     let min_n = match family {
-        "cycle" => 2,
+        "cycle" | "gnp" => 2,
         "thm15" => 3,
         "thm14" => 5,
         _ => 0,
@@ -1107,6 +1107,8 @@ mod tests {
             "generate --family lollipop --n 1",
             "directed --family cycle --n 0",
             "directed --family thm14 --n 0",
+            "directed --family gnp --n 0",
+            "directed --family gnp --n 1",
         ] {
             let family = line.split_once("--family ").unwrap().1;
             let family = family.split_whitespace().next().unwrap();
@@ -1143,7 +1145,7 @@ mod tests {
         assert!(make_graph("ws", 3, 7, Some(1)).is_ok());
         assert!(make_graph("ba", 2, 7, Some(1)).is_ok());
         assert!(make_graph("hypercube", 0, 7, Some(0)).is_ok());
-        for (family, n) in [("cycle", 2), ("thm15", 3), ("thm14", 5), ("gnp", 0)] {
+        for (family, n) in [("cycle", 2), ("thm15", 3), ("thm14", 5), ("gnp", 2)] {
             assert!(make_directed(family, n, 7).is_ok(), "{family} at n = {n}");
         }
     }
