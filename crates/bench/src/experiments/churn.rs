@@ -30,15 +30,16 @@
 //! oracle), so a departed cohort's degree is exactly 0 while away and the
 //! deficit metrics are pure functions of the plan and the seed.
 
-use crate::experiments::shard::{row_checksum, sparse_sharded};
+use crate::experiments::scale::sparse_arena;
+use crate::experiments::shard::{recorded, row_checksum, sparse_sharded, FixedHorizon};
 use crate::harness::{Args, Report};
 use gossip_analysis::Table;
 use gossip_core::{
-    ChurnBursts, Engine, EngineBuilder, ListenerSet, MembershipEvent, MembershipPlan,
-    MembershipStats, Pull,
+    ChurnBursts, Engine, EngineBuilder, GossipGraph, ListenerSet, MembershipEvent, MembershipPlan,
+    MembershipStats, Pull, RoundRecorder,
 };
 use gossip_graph::NodeId;
-use gossip_serve::{GossipService, ServeConfig, TrajectoryRecorder};
+use gossip_serve::{GossipService, ServeConfig};
 use gossip_shard::{peak_rss_bytes, BuildSharded, ShardedEngine};
 
 const SHARDS: usize = 8;
@@ -88,110 +89,60 @@ fn cohorts(plan: &MembershipPlan) -> Vec<(u64, Vec<NodeId>)> {
     out
 }
 
-/// One run's integer trajectory: edge count and per-cohort degree sums
-/// after every round. Everything downstream (metrics, cross-engine
-/// asserts) is computed from this.
-#[derive(Debug, PartialEq, Eq)]
-struct Trajectory {
-    /// `m[i]` = edge count after round `i + 1`.
-    m: Vec<u64>,
-    /// `cohort_deg[b][i]` = Σ degree over burst `b`'s cohort after round
-    /// `i + 1`. Exactly 0 while the cohort is away.
-    cohort_deg: Vec<Vec<u64>>,
+/// A recorder whose probe is the standard plan's per-cohort degree sums
+/// (`probe[b]` = Σ degree over burst `b`'s cohort, exactly 0 while the
+/// cohort is away). Everything downstream — the deficit metrics and the
+/// cross-engine asserts — reads the rows it records.
+fn cohort_recorder<G: GossipGraph>(n: usize, seed: u64) -> RoundRecorder<G> {
+    let plan = MembershipPlan::bursts(&churn_cfg(n, seed));
+    let sets: Vec<Vec<NodeId>> = cohorts(&plan).into_iter().map(|(_, c)| c).collect();
+    RoundRecorder::probing(move |g: &G| {
+        let degree = |&u: &NodeId| g.neighbor_row(u).len() as u64;
+        sets.iter().map(|c| c.iter().map(degree).sum()).collect()
+    })
 }
 
-/// Drives `horizon` rounds of a step closure that returns
-/// `(m, per-cohort degree sums)` after each round.
-fn record(horizon: u64, mut step: impl FnMut() -> (u64, Vec<u64>)) -> Trajectory {
-    let mut t = Trajectory {
-        m: Vec::with_capacity(horizon as usize),
-        cohort_deg: Vec::new(),
-    };
-    for _ in 0..horizon {
-        let (m, degs) = step();
-        if t.cohort_deg.is_empty() {
-            t.cohort_deg = vec![Vec::with_capacity(horizon as usize); degs.len()];
-        }
-        t.m.push(m);
-        for (b, d) in degs.into_iter().enumerate() {
-            t.cohort_deg[b].push(d);
-        }
-    }
-    t
-}
-
+/// One churned run: its rows and checksum, the membership events it
+/// applied, and the final graph's memory.
 struct ChurnRun {
-    traj: Trajectory,
+    run: FixedHorizon,
     stats: MembershipStats,
-    checksum: u64,
-    final_m: u64,
     mem_bytes: usize,
 }
 
 /// One churned sharded run at `(n, shards)` under the standard plan.
 fn sharded_run(n: usize, shards: usize, seed: u64, horizon: u64) -> ChurnRun {
     let g = sparse_sharded(n, 2 * n as u64, seed, shards);
-    let cfg = churn_cfg(n, seed);
-    let plan = MembershipPlan::bursts(&cfg);
-    let sets: Vec<Vec<NodeId>> = cohorts(&plan).into_iter().map(|(_, c)| c).collect();
+    let plan = MembershipPlan::bursts(&churn_cfg(n, seed));
     let mut e = ShardedEngine::new(g, Pull, seed ^ 0x5A4D).with_membership(plan);
-    let traj = record(horizon, || {
-        e.step();
-        let g = e.graph();
-        let degs = sets
-            .iter()
-            .map(|c| c.iter().map(|&u| g.degree(u) as u64).sum())
-            .collect();
-        (g.m(), degs)
-    });
-    let stats = e.membership_stats();
-    let g = e.into_graph();
     ChurnRun {
-        traj,
-        stats,
-        checksum: row_checksum(&g),
-        final_m: g.m(),
-        mem_bytes: g.memory_bytes(),
+        run: recorded(&mut e, horizon, cohort_recorder(n, seed)),
+        stats: e.membership_stats(),
+        mem_bytes: e.graph().memory_bytes(),
     }
 }
 
 /// The sequential oracle: the plain arena [`Engine`] under the same graph,
-/// rule, seed, and plan. Its trajectory must equal the sharded runs' —
-/// the membership seam keeps the engines bit-identical under churn.
+/// rule, seed, and plan. Its rows must equal the sharded runs' — the
+/// membership seam keeps the engines bit-identical under churn.
 fn sequential_run(n: usize, seed: u64, horizon: u64) -> ChurnRun {
-    let g = crate::experiments::scale::sparse_arena(n, 2 * n as u64, seed);
-    let cfg = churn_cfg(n, seed);
-    let plan = MembershipPlan::bursts(&cfg);
-    let sets: Vec<Vec<NodeId>> = cohorts(&plan).into_iter().map(|(_, c)| c).collect();
+    let g = sparse_arena(n, 2 * n as u64, seed);
+    let plan = MembershipPlan::bursts(&churn_cfg(n, seed));
     let mut e = Engine::new(g, Pull, seed ^ 0x5A4D).with_membership(plan);
-    let traj = record(horizon, || {
-        e.step();
-        let g = e.graph();
-        let degs = sets
-            .iter()
-            .map(|c| c.iter().map(|&u| g.degree(u) as u64).sum())
-            .collect();
-        (g.m(), degs)
-    });
-    let stats = e.membership_stats();
-    let g = e.graph();
     ChurnRun {
-        checksum: row_checksum(g),
-        final_m: g.m(),
-        mem_bytes: g.memory_bytes(),
-        traj,
-        stats,
+        run: recorded(&mut e, horizon, cohort_recorder(n, seed)),
+        stats: e.membership_stats(),
+        mem_bytes: e.graph().memory_bytes(),
     }
 }
 
 /// The served run: the same churned engine resident behind
-/// [`GossipService`], publishing an epoch snapshot every round. Returns
-/// per-round edge counts (from the trajectory plugin), the final checksum,
-/// and the final edge count — compared against the batch run.
-fn served_run(n: usize, seed: u64, horizon: u64) -> (Vec<u64>, u64, u64) {
+/// [`GossipService`], publishing an epoch snapshot every round and
+/// recording through the same probe — compared against the batch run.
+fn served_run(n: usize, seed: u64, horizon: u64) -> FixedHorizon {
     let g = sparse_sharded(n, 2 * n as u64, seed, SHARDS);
     let plan = MembershipPlan::bursts(&churn_cfg(n, seed));
-    let (trajectory_listener, trajectory) = TrajectoryRecorder::new(1);
+    let rec = cohort_recorder(n, seed);
     let engine = EngineBuilder::new(g, Pull, seed ^ 0x5A4D)
         .membership(plan)
         .build_sharded();
@@ -201,20 +152,18 @@ fn served_run(n: usize, seed: u64, horizon: u64) -> (Vec<u64>, u64, u64) {
             snapshot_every: 1,
             budget: horizon,
         },
-        ListenerSet::new().with(trajectory_listener),
+        ListenerSet::new().with(rec.clone()),
     );
     let (engine, _outcome) = svc.join();
-    let trajectory = trajectory.lock().expect("trajectory lock");
-    (
-        trajectory.iter().map(|p| p.edges).collect(),
-        row_checksum(engine.graph()),
-        engine.graph().m(),
-    )
+    FixedHorizon {
+        rows: rec.rows(),
+        checksum: row_checksum(engine.graph()),
+    }
 }
 
 /// Per-burst deficit metrics, in plan-round coordinates. An event at plan
-/// round `R` fires at the top of step `R + 1`, so it is visible in
-/// trajectory index `R`; the pre-leave baseline is index `L - 1`.
+/// round `R` fires at the top of step `R + 1`, so it is visible in row
+/// index `R`; the pre-leave baseline is index `L - 1`.
 struct BurstMetrics {
     leave_round: u64,
     rejoin_round: u64,
@@ -223,17 +172,19 @@ struct BurstMetrics {
     /// Rounds from the rejoin's visibility until the cohort regained
     /// `deg_pre` (0 = same round), capped at the horizon if unrecovered.
     rediscovery_rounds: u64,
-    /// Σ max(0, deg_pre − cohort_deg) over rounds from leave to recovery.
+    /// Σ max(0, deg_pre − cohort degree sum) over rounds from leave to
+    /// recovery.
     staleness_edge_rounds: u64,
     recovered: bool,
 }
 
-fn burst_metrics(cfg: &ChurnBursts, traj: &Trajectory) -> Vec<BurstMetrics> {
+fn burst_metrics(cfg: &ChurnBursts, run: &FixedHorizon) -> Vec<BurstMetrics> {
     let plan = MembershipPlan::bursts(cfg);
     cohorts(&plan)
         .iter()
-        .zip(&traj.cohort_deg)
-        .map(|((leave_round, _), deg)| {
+        .enumerate()
+        .map(|(b, (leave_round, _))| {
+            let deg: Vec<u64> = run.rows.iter().map(|r| r.probe[b]).collect();
             let l = *leave_round as usize;
             let rejoin_round = leave_round + cfg.rejoin_after;
             assert!(l >= 1, "first_round must be >= 1 for a pre-leave baseline");
@@ -314,17 +265,13 @@ pub fn run(args: &Args) -> Report {
 
         // Sharded-vs-sequential determinism under churn, measured at full
         // scale (the test suites pin it at property scale).
-        let sharded_agree = s8.traj == base.traj
-            && s8.checksum == base.checksum
-            && s8.stats == base.stats
-            && s8.final_m == base.final_m;
+        let sharded_agree = s8.run == base.run && s8.stats == base.stats;
         assert!(sharded_agree, "S={SHARDS} diverged from S=1 at n={n}");
         // The plain sequential engine is the third witness; its run doubles
         // the largest size's cost, so it stops at 2^20 (full) / 2^14 (quick).
         let seq_agree = if n <= 1 << 20 {
             let seq = sequential_run(n, args.seed, horizon);
-            let ok =
-                seq.traj == base.traj && seq.checksum == base.checksum && seq.stats == base.stats;
+            let ok = seq.run == base.run && seq.stats == base.stats;
             assert!(ok, "sequential arena engine diverged at n={n}");
             Some(ok)
         } else {
@@ -346,10 +293,7 @@ pub fn run(args: &Args) -> Report {
         // oracle, the served witness stops at 2^20 and leaves the
         // acceptance size within its RSS ceiling.
         let served = if n <= 1 << 20 {
-            let (served_m, served_checksum, served_final) = served_run(n, args.seed, horizon);
-            let ok = served_m == base.traj.m
-                && served_checksum == base.checksum
-                && served_final == base.final_m;
+            let ok = served_run(n, args.seed, horizon) == base.run;
             assert!(ok, "served churn run diverged from batch at n={n}");
             report.measure_scalar(
                 "served_matches_batch",
@@ -358,13 +302,13 @@ pub fn run(args: &Args) -> Report {
                 n as u64,
                 ok as u64 as f64,
             );
-            Some((served_final, ok))
+            Some(ok)
         } else {
             None
         };
 
         // The headline metrics, from the (identical) trajectories.
-        for (b, m) in burst_metrics(&cfg, &base.traj).iter().enumerate() {
+        for (b, m) in burst_metrics(&cfg, &base.run).iter().enumerate() {
             report.measure_scalar(
                 "rediscovery_rounds",
                 "pull",
@@ -421,7 +365,7 @@ pub fn run(args: &Args) -> Report {
                 n.to_string(),
                 label.into(),
                 horizon.to_string(),
-                run.final_m.to_string(),
+                run.run.final_m().to_string(),
                 run.stats.leaves.to_string(),
                 run.stats.joins.to_string(),
                 run.stats.edges_removed.to_string(),
@@ -429,12 +373,12 @@ pub fn run(args: &Args) -> Report {
                 if matches { "yes" } else { "NO" }.into(),
             ]);
         }
-        if let Some((served_final, served_agree)) = served {
+        if let Some(served_agree) = served {
             invariance.push_row([
                 n.to_string(),
                 "served S=8".into(),
                 horizon.to_string(),
-                served_final.to_string(),
+                base.run.final_m().to_string(),
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -447,7 +391,7 @@ pub fn run(args: &Args) -> Report {
                 n.to_string(),
                 "sequential arena".into(),
                 horizon.to_string(),
-                base.final_m.to_string(),
+                base.run.final_m().to_string(),
                 base.stats.leaves.to_string(),
                 base.stats.joins.to_string(),
                 base.stats.edges_removed.to_string(),
@@ -515,8 +459,7 @@ mod tests {
         let n = 2048;
         let a = sharded_run(n, 1, 7, HORIZON);
         let b = sharded_run(n, 8, 7, HORIZON);
-        assert_eq!(a.traj, b.traj);
-        assert_eq!(a.checksum, b.checksum);
+        assert_eq!(a.run, b.run);
         assert_eq!(a.stats, b.stats);
         assert!(a.stats.leaves > 0 && a.stats.joins > 0, "{:?}", a.stats);
     }
@@ -526,8 +469,7 @@ mod tests {
         let n = 1024;
         let seq = sequential_run(n, 11, HORIZON);
         let sharded = sharded_run(n, 4, 11, HORIZON);
-        assert_eq!(seq.traj, sharded.traj);
-        assert_eq!(seq.checksum, sharded.checksum);
+        assert_eq!(seq.run, sharded.run);
         assert_eq!(seq.stats, sharded.stats);
     }
 
@@ -535,10 +477,7 @@ mod tests {
     fn served_matches_batch_under_churn_at_test_scale() {
         let n = 4096;
         let batch = sharded_run(n, SHARDS, 3, HORIZON);
-        let (served_m, served_checksum, served_final) = served_run(n, 3, HORIZON);
-        assert_eq!(served_m, batch.traj.m);
-        assert_eq!(served_checksum, batch.checksum);
-        assert_eq!(served_final, batch.final_m);
+        assert_eq!(served_run(n, 3, HORIZON), batch.run);
     }
 
     #[test]
@@ -547,15 +486,15 @@ mod tests {
         let seed = 5;
         let cfg = churn_cfg(n, seed);
         let run = sharded_run(n, 1, seed, HORIZON);
-        let metrics = burst_metrics(&cfg, &run.traj);
+        let metrics = burst_metrics(&cfg, &run.run);
         assert_eq!(metrics.len(), cfg.bursts);
         for (b, m) in metrics.iter().enumerate() {
             // The cohort had real knowledge before departing ...
             assert!(m.deg_pre > 0, "burst {b}: empty pre-leave cohort");
             // ... is fully scrubbed while away (event at round R is
-            // visible at trajectory index R; rejoin lands one round later)
+            // visible at row index R; rejoin lands one round later)
             assert_eq!(
-                run.traj.cohort_deg[b][m.leave_round as usize], 0,
+                run.run.rows[m.leave_round as usize].probe[b], 0,
                 "burst {b}: cohort degree not scrubbed on leave"
             );
             // ... and the deficit window is non-trivial: at least the

@@ -160,7 +160,7 @@ pub fn run(args: &Args) -> Report {
             );
         }
 
-        let added: u64 = run.stats.iter().map(|st| st.added).sum();
+        let added: u64 = run.added();
         report.measure_scalar(
             "trajectory_invariant_vs_inproc",
             label,

@@ -20,7 +20,7 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_core::{
-    stream_trials, ConvergenceCheck, Engine, Never, Parallelism, Pull, Push, TrialConfig,
+    stream_trials, ConvergenceCheck, Engine, Never, Parallelism, Pull, RuleId, TrialConfig,
 };
 use gossip_graph::{ArenaGraph, NodeId};
 
@@ -39,22 +39,34 @@ impl ConvergenceCheck<ArenaGraph> for EdgesAtLeast {
     }
 }
 
-/// Connected sparse start graph: a random parent tree plus `extra`
+/// Feeds a connected sparse start graph's edges to `add_edge` (which
+/// reports whether the edge was new): a random parent tree plus `extra`
 /// uniform random edges — `generators::tree_plus_random_edges`'s workload
-/// shape, drawn from the experiment's own seeded stream.
-pub(crate) fn sparse_arena(n: usize, extra: u64, seed: u64) -> ArenaGraph {
+/// shape, drawn from the experiment's own seeded stream. Every layout
+/// filled from it at the same `(n, extra, seed)` holds the same edge set.
+pub(crate) fn fill_sparse(
+    n: usize,
+    extra: u64,
+    seed: u64,
+    mut add_edge: impl FnMut(NodeId, NodeId) -> bool,
+) {
     use rand::Rng;
     let mut rng = gossip_core::rng::stream_rng(seed, 0xA1, n as u64);
-    let mut g = ArenaGraph::new(n);
+    let mut m = 0u64;
     for i in 1..n as u32 {
-        g.add_edge(NodeId(i), NodeId(rng.random_range(0..i)));
+        m += add_edge(NodeId(i), NodeId(rng.random_range(0..i))) as u64;
     }
-    let target = n as u64 - 1 + extra;
-    while g.m() < target {
+    while m < n as u64 - 1 + extra {
         let a = rng.random_range(0..n as u32);
         let b = rng.random_range(0..n as u32);
-        g.add_edge(NodeId(a), NodeId(b));
+        m += add_edge(NodeId(a), NodeId(b)) as u64;
     }
+}
+
+/// [`fill_sparse`]'s graph in the single-arena layout.
+pub(crate) fn sparse_arena(n: usize, extra: u64, seed: u64) -> ArenaGraph {
+    let mut g = ArenaGraph::new(n);
+    fill_sparse(n, extra, seed, |a, b| g.add_edge(a, b));
     g
 }
 
@@ -99,17 +111,14 @@ pub fn run(args: &Args) -> Report {
     for &n in &sizes {
         let g0 = sparse_arena(n, 2 * n as u64, args.seed);
         let m0 = g0.m();
-        for (name, is_pull) in [("pull", true), ("push", false)] {
+        for rule in [RuleId::Pull, RuleId::Push] {
+            let (name, is_pull) = (rule.name(), rule == RuleId::Pull);
             // Fixed-horizon run (the n = 2^20 pull row is the
             // "clean Two-Hop Walk run at a million nodes" acceptance gate).
-            let (m, mem_bytes) = if is_pull {
-                let mut e = Engine::new(g0.clone(), Pull, args.seed ^ 0x7400);
-                let out = e.run_until(&mut Never, horizon);
-                (out.final_edges, e.graph().memory_bytes())
-            } else {
-                let mut e = Engine::new(g0.clone(), Push, args.seed ^ 0x7400);
-                let out = e.run_until(&mut Never, horizon);
-                (out.final_edges, e.graph().memory_bytes())
+            let (m, mem_bytes) = {
+                let mut e = Engine::new(g0.clone(), rule, args.seed ^ 0x7400);
+                let m = e.run_until(&mut Never, horizon).final_edges;
+                (m, e.graph().memory_bytes())
             };
             let added = m - m0;
             report.measure_scalar("rounds", name, "tree+2n", n as u64, horizon as f64);

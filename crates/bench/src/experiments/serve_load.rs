@@ -11,9 +11,9 @@
 //! Two claims, both asserted and recorded:
 //!
 //! 1. **Serving is observation, not perturbation**: the served run's
-//!    per-round edge counts and final row checksum equal a batch run of
-//!    the same `(graph, rule, seed)`, with readers hammering the snapshot
-//!    surface the whole time.
+//!    per-round rows (stats and edge count) and final row checksum equal a
+//!    batch run of the same `(graph, rule, seed)`, with readers hammering
+//!    the snapshot surface the whole time.
 //! 2. **Snapshot acquisition is O(S), not O(m)**: a fresh clone of the
 //!    served engine's final graph shares all `S` copy-on-write segments
 //!    with it — the O(S) mechanism.
@@ -21,35 +21,18 @@
 //! Query and publish latency under load are the benchmark ledger's
 //! `serve-query` workload.
 
-use crate::experiments::shard::{fixed_horizon, row_checksum, sparse_sharded};
+use crate::experiments::shard::{fixed_horizon, row_checksum, sparse_sharded, FixedHorizon};
 use crate::harness::{Args, Report};
 use gossip_analysis::Table;
-use gossip_core::{EngineBuilder, ListenerSet, Pull};
+use gossip_core::{EngineBuilder, ListenerSet, Pull, RoundRecorder};
 use gossip_graph::{NodeId, ShardedArenaGraph};
-use gossip_serve::{GossipService, ServeConfig, TrajectoryRecorder};
+use gossip_serve::{GossipService, ServeConfig};
 use gossip_shard::{BuildSharded, ShardedEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SHARDS: usize = 8;
 const READERS: usize = 2;
-
-/// Batch reference: same engine, no service, no readers. Returns the
-/// per-round edge counts (pull only ever adds, so each is the start count
-/// plus the rounds' `added` so far), the final row checksum and `m`.
-fn batch_reference(g: ShardedArenaGraph, seed: u64, horizon: u64) -> (Vec<u64>, u64, u64) {
-    let mut m = g.m();
-    let run = fixed_horizon(&mut ShardedEngine::new(g, Pull, seed), horizon);
-    let edges_per_round = run
-        .stats
-        .iter()
-        .map(|s| {
-            m += s.added;
-            m
-        })
-        .collect();
-    (edges_per_round, run.checksum, run.final_m)
-}
 
 /// One reader thread's share of the query mix: grab the current snapshot,
 /// do a handful of point reads plus a periodic aggregate pass, repeat
@@ -89,9 +72,7 @@ fn query_load(
 }
 
 struct ServeRun {
-    edges_per_round: Vec<u64>,
-    checksum: u64,
-    final_m: u64,
+    run: FixedHorizon,
     queries: u64,
     epochs: u64,
     /// Whether a fresh clone of the final graph shares every segment.
@@ -101,7 +82,7 @@ struct ServeRun {
 /// The measured configuration: serve `horizon` rounds with `READERS`
 /// query threads live the whole time.
 fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
-    let (trajectory_listener, trajectory) = TrajectoryRecorder::new(1);
+    let rec = RoundRecorder::new();
     let engine = EngineBuilder::new(g, Pull, seed).build_sharded();
     let svc = GossipService::spawn_with(
         engine,
@@ -109,7 +90,7 @@ fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
             snapshot_every: 1,
             budget: horizon,
         },
-        ListenerSet::new().with(trajectory_listener),
+        ListenerSet::new().with(rec.clone()),
     );
     let done = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)
@@ -126,11 +107,11 @@ fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
         .map(|h| h.join().expect("reader thread panicked"))
         .sum();
     let g = engine.graph();
-    let trajectory = trajectory.lock().expect("trajectory lock");
     ServeRun {
-        edges_per_round: trajectory.iter().map(|p| p.edges).collect(),
-        checksum: row_checksum(g),
-        final_m: g.m(),
+        run: FixedHorizon {
+            rows: rec.rows(),
+            checksum: row_checksum(g),
+        },
         queries,
         epochs: out.epochs,
         shares_all_segments: fresh_clone_shares_all_segments(g),
@@ -166,19 +147,20 @@ pub fn run(args: &Args) -> Report {
         let horizon = horizon_of(n);
         let g = sparse_sharded(n, 2 * n as u64, args.seed, SHARDS);
 
-        let (batch_edges, batch_checksum, batch_m) =
-            batch_reference(g.clone(), args.seed ^ 0x5EF7, horizon);
+        let batch = fixed_horizon(
+            &mut ShardedEngine::new(g.clone(), Pull, args.seed ^ 0x5EF7),
+            horizon,
+        );
         let served = serve_under_load(g, args.seed ^ 0x5EF7, horizon);
 
         // Claim 1: serving is observation, not perturbation.
-        let matches = served.edges_per_round == batch_edges
-            && served.checksum == batch_checksum
-            && served.final_m == batch_m;
+        let matches = served.run == batch;
         assert!(
             matches,
             "served trajectory diverged from batch at n={n}: \
-             served m={} batch m={batch_m}",
-            served.final_m
+             served m={} batch m={}",
+            served.run.final_m(),
+            batch.final_m()
         );
         assert!(served.queries > 0, "readers answered no query at n={n}");
         report.measure_scalar(
@@ -188,7 +170,7 @@ pub fn run(args: &Args) -> Report {
             n as u64,
             matches as u64 as f64,
         );
-        let added = served.final_m - (n as u64 - 1 + 2 * n as u64);
+        let added = served.run.added();
         report.measure_scalar(
             "edges_added",
             "pull",
@@ -240,23 +222,27 @@ mod tests {
 
     #[test]
     fn batch_reference_is_deterministic() {
+        // E17's batch side: `fixed_horizon` on its own sharded engine.
         let g = sparse_sharded(2048, 4096, 7, SHARDS);
-        let a = batch_reference(g.clone(), 7, 4);
-        let b = batch_reference(g, 7, 4);
-        assert_eq!(a, b);
-        assert_eq!(a.0.len(), 4);
-        assert!(a.0.windows(2).all(|w| w[0] <= w[1]));
+        let batch = || fixed_horizon(&mut ShardedEngine::new(g.clone(), Pull, 7), 4);
+        let a = batch();
+        assert_eq!(batch(), a);
+        assert_eq!(a.rows.len(), 4);
+        assert!(a.rows.windows(2).all(|w| w[0].m <= w[1].m));
     }
 
     #[test]
     fn serve_under_load_matches_batch_at_test_scale() {
         let n = 4096;
         let g = sparse_sharded(n, 2 * n as u64, 11, SHARDS);
-        let (batch_edges, batch_checksum, batch_m) = batch_reference(g.clone(), 11, 3);
+        let reference = fixed_horizon(&mut ShardedEngine::new(g.clone(), Pull, 11), 3);
+        assert_eq!(reference.rows.len(), 3);
+        // The served run replays the batch run row for row.
         let served = serve_under_load(g, 11, 3);
-        assert_eq!(served.edges_per_round, batch_edges);
-        assert_eq!(served.checksum, batch_checksum);
-        assert_eq!(served.final_m, batch_m);
+        for (s, b) in served.run.rows.iter().zip(&reference.rows) {
+            assert_eq!(s, b, "round {}", b.round);
+        }
+        assert_eq!(served.run, reference);
         assert!(served.queries > 0);
         assert_eq!(served.epochs, 3 + 2); // initial + 3 rounds + final
         assert!(served.shares_all_segments);

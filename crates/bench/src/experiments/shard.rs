@@ -19,30 +19,21 @@
 //! Every row is a function of the seed. Per-phase timing of the same
 //! round is the benchmark ledger's `shard-sparse` workload.
 
-use crate::experiments::scale::sparse_arena;
+use crate::experiments::scale::{fill_sparse, sparse_arena};
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
-use gossip_core::{Engine, GossipGraph, ProposalRule, Pull, Push, RoundEngine, RoundStats};
+use gossip_core::{
+    run_engine_listened, Engine, GossipGraph, ProposalRule, Pull, Push, RoundEngine, RoundRecorder,
+    RoundRow,
+};
 use gossip_graph::{NodeId, ShardedArenaGraph};
 use gossip_shard::ShardedEngine;
 
-/// Connected sparse start graph built directly in the sharded layout: a
-/// random parent tree plus `extra` uniform random edges — the same stream
-/// and workload shape as E15's `sparse_arena`, so edge sets match
-/// across experiments at the same `(n, seed)`.
+/// E15's sparse start graph ([`fill_sparse`]) in the sharded layout, so
+/// edge sets match across experiments at the same `(n, seed)`.
 pub(crate) fn sparse_sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
-    use rand::Rng;
-    let mut rng = gossip_core::rng::stream_rng(seed, 0xA1, n as u64);
     let mut g = ShardedArenaGraph::new(n, shards);
-    for i in 1..n as u32 {
-        g.add_edge(NodeId(i), NodeId(rng.random_range(0..i)));
-    }
-    let target = n as u64 - 1 + extra;
-    while g.m() < target {
-        let a = rng.random_range(0..n as u32);
-        let b = rng.random_range(0..n as u32);
-        g.add_edge(NodeId(a), NodeId(b));
-    }
+    fill_sparse(n, extra, seed, |a, b| g.add_edge(a, b));
     g
 }
 
@@ -71,23 +62,44 @@ pub(crate) fn oracle(n: usize, shards: usize, horizon: u64, seed: u64) -> FixedH
     fixed_horizon(&mut ShardedEngine::new(g, Pull, seed ^ 0x5A4D), horizon)
 }
 
-/// A fixed-horizon run reduced to what invariance compares: per-round
-/// stats, final `m`, row checksum.
+/// A fixed-horizon run reduced to what invariance compares: one
+/// [`RoundRow`] per round (stats, `m`, and the probe, if any) and the
+/// final row checksum.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct FixedHorizon {
-    pub stats: Vec<RoundStats>,
-    pub final_m: u64,
+    pub rows: Vec<RoundRow>,
     pub checksum: u64,
 }
 
-/// Steps any engine — in-process or cross-process, over either carrier —
-/// `horizon` rounds and reduces the run to a [`FixedHorizon`].
-pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon {
+impl FixedHorizon {
+    /// Edges added over the run.
+    pub fn added(&self) -> u64 {
+        self.rows.iter().map(|r| r.stats.added).sum()
+    }
+
+    /// Edge count after the last round.
+    pub fn final_m(&self) -> u64 {
+        self.rows.last().map_or(0, |r| r.m)
+    }
+}
+
+/// Runs any engine — in-process or cross-process, over either carrier —
+/// `horizon` rounds under `rec` and reduces the run to a [`FixedHorizon`].
+pub(crate) fn recorded<E: RoundEngine>(
+    e: &mut E,
+    horizon: u64,
+    mut rec: RoundRecorder<E::Graph>,
+) -> FixedHorizon {
+    run_engine_listened(e, &mut rec, horizon);
     FixedHorizon {
-        stats: (0..horizon).map(|_| e.step_quantum()).collect(),
-        final_m: e.graph().edge_count(),
+        rows: rec.rows(),
         checksum: row_checksum(e.graph()),
     }
+}
+
+/// [`recorded`] with no probe.
+pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon {
+    recorded(e, horizon, RoundRecorder::new())
 }
 
 /// Fraction of edges whose endpoints live in different shards — the
@@ -159,7 +171,6 @@ pub fn run(args: &Args) -> Report {
         "edges added",
         "cross-shard edges",
     ]);
-    let added_of = |r: &FixedHorizon| -> u64 { r.stats.iter().map(|st| st.added).sum() };
 
     for &n in &sizes {
         let rounds = rounds_of(n);
@@ -180,7 +191,7 @@ pub fn run(args: &Args) -> Report {
             n.to_string(),
             "-".into(),
             rounds.to_string(),
-            added_of(&seq).to_string(),
+            seq.added().to_string(),
             "-".into(),
         ]);
 
@@ -192,7 +203,7 @@ pub fn run(args: &Args) -> Report {
                 "sharded trajectory at n={n}, S={s} diverged from the sequential \
                  engine (per-round stats, final m, row checksum)"
             );
-            let added = added_of(&r.run);
+            let added = r.run.added();
 
             report.measure_scalar(
                 "trajectory_invariant",
@@ -238,7 +249,7 @@ pub fn run(args: &Args) -> Report {
         // the pull grid is the acceptance workload).
         if !args.quick && n == 1 << 17 {
             let r = one_run(n, 8, rounds, args.seed, Push);
-            let added = added_of(&r.run);
+            let added = r.run.added();
             report.measure_scalar("edges_added", "push", "shards-8", n as u64, added as f64);
             table.push_row([
                 "push".into(),

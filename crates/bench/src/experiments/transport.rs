@@ -86,7 +86,7 @@ pub fn run(args: &Args) -> Report {
                 "{label} transport diverged from in-process engine at n={n}, S={shards}"
             );
 
-            let added: u64 = r.stats.iter().map(|st| st.added).sum();
+            let added: u64 = r.added();
             let fam = format!("shards-{shards}");
             report.measure_scalar(
                 "trajectory_invariant_vs_inproc",

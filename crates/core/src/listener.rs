@@ -16,8 +16,8 @@
 //!   tables and live-service metrics, never reproducible measurement rows.
 //!
 //! [`ConvergenceCheck`] survives as the *predicate vocabulary* and rides
-//! the seam through the [`StopWhen`] adapter; the recorders in
-//! [`crate::recorder`] are themselves listeners. Nothing outside this
+//! the seam through the [`StopWhen`] adapter; the round recorder in
+//! [`crate::recorder`] is itself a listener. Nothing outside this
 //! module observes a run any other way — the engines route through
 //! [`crate::seam::run_engine_listened`] exclusively. Multiple listeners
 //! compose with [`Chain`] (two, statically) or [`ListenerSet`] (N, boxed —
@@ -351,7 +351,7 @@ mod tests {
     use super::*;
     use crate::convergence::ComponentwiseComplete;
     use crate::engine::Engine;
-    use crate::recorder::SeriesRecorder;
+    use crate::recorder::RoundRecorder;
     use crate::rules::Push;
     use crate::seam::run_engine_listened;
     use gossip_graph::generators;
@@ -372,7 +372,7 @@ mod tests {
     fn recorders_are_listeners() {
         let g = generators::path(16);
         let mut check = ComponentwiseComplete::for_graph(&g);
-        let mut rec = SeriesRecorder::every(3);
+        let mut rec = RoundRecorder::new();
         let mut engine = Engine::new(g, Push, 42);
         let out = run_engine_listened(
             &mut engine,
@@ -380,7 +380,7 @@ mod tests {
             100_000,
         );
         assert!(out.converged);
-        assert!(!rec.rows().is_empty());
+        assert_eq!(rec.rows().len() as u64, out.rounds);
         assert_eq!(rec.rows()[0].round, 1);
     }
 

@@ -17,8 +17,9 @@
 //!   snapshot is O(shards) thanks to copy-on-write segments — publishing a
 //!   view of a million-node graph does not copy the graph.
 //! - [`RoundListener`](gossip_core::RoundListener) plugins —
-//!   [`MetricsCounters`], [`TrajectoryRecorder`], [`ReplayLog`], or
-//!   anything caller-written — ride the worker loop via
+//!   [`MetricsCounters`], core's
+//!   [`RoundRecorder`](gossip_core::RoundRecorder), or anything
+//!   caller-written — ride the worker loop via
 //!   [`GossipService::spawn_with`].
 //!
 //! ## Quickstart
@@ -45,8 +46,6 @@ pub mod plugins;
 pub mod service;
 pub mod snapshot;
 
-pub use plugins::{
-    MetricsCounters, ReplayLog, ServiceMetrics, TrajectoryPoint, TrajectoryRecorder,
-};
+pub use plugins::{MetricsCounters, ServiceMetrics};
 pub use service::{GossipService, ServeConfig, ServeOutcome, ServiceHandle};
 pub use snapshot::{CoverageStats, Snapshot};

@@ -1,19 +1,19 @@
 //! Stock listeners for the serve loop.
 //!
-//! Each plugin is an ordinary [`RoundListener`] plus a thread-safe handle
-//! to its output: the listener rides the worker thread inside the
-//! service's [`ListenerSet`](gossip_core::ListenerSet), the handle stays
-//! with the caller. Three are provided — live counters
-//! ([`MetricsCounters`]), a growth-curve recorder
-//! ([`TrajectoryRecorder`]), and a JSON-lines replay log ([`ReplayLog`]) —
-//! and anything else that implements [`RoundListener`] plugs in the same
-//! way via [`GossipService::spawn_with`](crate::GossipService::spawn_with).
+//! A plugin is an ordinary [`RoundListener`] plus a thread-safe handle to
+//! its output: the listener rides the worker thread inside the service's
+//! [`ListenerSet`](gossip_core::ListenerSet), the handle stays with the
+//! caller. This module provides live counters ([`MetricsCounters`]); the
+//! per-round recorder is core's
+//! [`RoundRecorder`](gossip_core::RoundRecorder), the same one batch runs
+//! record through. Anything else that implements [`RoundListener`] plugs
+//! in the same way via
+//! [`GossipService::spawn_with`](crate::GossipService::spawn_with).
 
 use gossip_core::listener::{RoundControl, RoundEvent, RoundListener};
 use gossip_core::GossipGraph;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Live counters updated once per round; read them from any thread while
 /// the engine runs.
@@ -56,92 +56,11 @@ impl<G: GossipGraph> RoundListener<G> for MetricsCounters {
     }
 }
 
-/// One point on the discovery growth curve.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TrajectoryPoint {
-    /// Round the sample was taken after.
-    pub round: u64,
-    /// Edge count at that round.
-    pub edges: u64,
-    /// Edges added in that round.
-    pub added: u64,
-}
-
-/// Records `(round, edges, added)` every `every` rounds — the serve-side
-/// equivalent of the batch `SeriesRecorder`, but backend-agnostic and
-/// readable mid-run through its handle.
-pub struct TrajectoryRecorder {
-    out: Arc<Mutex<Vec<TrajectoryPoint>>>,
-    every: u64,
-}
-
-impl TrajectoryRecorder {
-    /// Creates the listener and the shared series it appends to.
-    /// `every` is clamped to ≥ 1.
-    pub fn new(every: u64) -> (Self, Arc<Mutex<Vec<TrajectoryPoint>>>) {
-        let out = Arc::new(Mutex::new(Vec::new()));
-        (
-            TrajectoryRecorder {
-                out: out.clone(),
-                every: every.max(1),
-            },
-            out,
-        )
-    }
-}
-
-impl<G: GossipGraph> RoundListener<G> for TrajectoryRecorder {
-    fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
-        if ev.round.is_multiple_of(self.every) {
-            self.out
-                .lock()
-                .expect("trajectory lock poisoned")
-                .push(TrajectoryPoint {
-                    round: ev.round,
-                    edges: ev.graph.edge_count(),
-                    added: ev.stats.added,
-                });
-        }
-        RoundControl::Continue
-    }
-}
-
-/// Appends one JSON object per round to a shared string buffer —
-/// `{"round":..,"proposed":..,"added":..,"edges":..}` — enough to audit or
-/// replay a served run round by round.
-pub struct ReplayLog {
-    out: Arc<Mutex<String>>,
-}
-
-impl ReplayLog {
-    /// Creates the listener and the shared JSON-lines buffer.
-    pub fn new() -> (Self, Arc<Mutex<String>>) {
-        let out = Arc::new(Mutex::new(String::new()));
-        (ReplayLog { out: out.clone() }, out)
-    }
-}
-
-impl<G: GossipGraph> RoundListener<G> for ReplayLog {
-    fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
-        let mut log = self.out.lock().expect("replay lock poisoned");
-        writeln!(
-            log,
-            "{{\"round\":{},\"proposed\":{},\"added\":{},\"edges\":{}}}",
-            ev.round,
-            ev.stats.proposed,
-            ev.stats.added,
-            ev.graph.edge_count()
-        )
-        .expect("write to in-memory replay log");
-        RoundControl::Continue
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::{GossipService, ServeConfig};
-    use gossip_core::{EngineBuilder, ListenerSet, Push};
+    use gossip_core::{EngineBuilder, ListenerSet, Push, RoundRecorder};
     use gossip_graph::generators;
 
     #[test]
@@ -149,9 +68,8 @@ mod tests {
         let g = generators::star(32);
         let engine = EngineBuilder::new(g, Push, 17).build();
         let (metrics_l, metrics) = MetricsCounters::new();
-        let (traj_l, traj) = TrajectoryRecorder::new(5);
-        let (log_l, log) = ReplayLog::new();
-        let listeners = ListenerSet::new().with(metrics_l).with(traj_l).with(log_l);
+        let rec = RoundRecorder::new();
+        let listeners = ListenerSet::new().with(metrics_l).with(rec.clone());
         let svc = GossipService::spawn_with(
             engine,
             ServeConfig {
@@ -167,11 +85,14 @@ mod tests {
             metrics.edges.load(Ordering::Acquire),
             engine.graph().edge_count()
         );
-        let traj = traj.lock().unwrap();
-        assert_eq!(traj.len(), 4); // rounds 5, 10, 15, 20
-        assert!(traj.windows(2).all(|w| w[0].edges <= w[1].edges));
-        let log = log.lock().unwrap();
-        assert_eq!(log.lines().count(), 20);
-        assert!(log.lines().next().unwrap().starts_with("{\"round\":1,"));
+        let rows = rec.rows();
+        assert_eq!(rows.len(), 20);
+        assert!(rows
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.round == i as u64 + 1));
+        assert_eq!(rows.last().unwrap().m, engine.graph().edge_count());
+        let added: u64 = rows.iter().map(|r| r.stats.added).sum();
+        assert_eq!(metrics.added.load(Ordering::Acquire), added);
     }
 }

@@ -24,8 +24,9 @@ use crate::snapshot::Snapshot;
 use gossip_core::listener::{ListenerSet, RoundControl, RoundEvent, RoundListener};
 use gossip_core::seam::{run_engine_listened, RoundEngine};
 use gossip_core::{Chain, GossipGraph, RunOutcome};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::{self, JoinHandle};
 
 /// Service configuration.
@@ -86,11 +87,9 @@ impl<G> ServiceHandle<G> {
     /// The most recently published snapshot. One `Arc` clone under a read
     /// lock; the returned snapshot stays valid indefinitely.
     pub fn snapshot(&self) -> Arc<Snapshot<G>> {
-        self.shared
-            .snap
-            .read()
-            .expect("snapshot lock poisoned")
-            .clone()
+        // Poison cannot tear it: the only write is one whole-`Arc` swap.
+        let snap = self.shared.snap.read();
+        snap.unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// Epoch of the most recently published snapshot (lock-free).
@@ -119,7 +118,9 @@ impl<G: GossipGraph> Publisher<G> {
             round,
             graph: graph.clone(),
         });
-        *self.shared.snap.write().expect("snapshot lock poisoned") = snap;
+        // As in `ServiceHandle::snapshot`: poison cannot tear the slot.
+        let slot = self.shared.snap.write();
+        *slot.unwrap_or_else(PoisonError::into_inner) = snap;
         self.shared.epoch.store(self.next_epoch, Ordering::Release);
         self.next_epoch += 1;
     }
@@ -147,11 +148,22 @@ impl<G: GossipGraph> RoundListener<G> for Publisher<G> {
     }
 }
 
+/// The serve loop, boxed so that whichever side runs it can take it.
+type Run<E> = Box<dyn FnOnce() -> (E, RunOutcome) + Send>;
+
+fn take<T>(slot: &Mutex<Option<T>>) -> Option<T> {
+    // Poison cannot tear it: the only write is one `Option::take`.
+    slot.lock().unwrap_or_else(PoisonError::into_inner).take()
+}
+
 /// A live gossip engine behind a query surface. See the [module
 /// docs](self) for the architecture.
 pub struct GossipService<E: RoundEngine> {
     shared: Arc<Shared<E::Graph>>,
-    worker: JoinHandle<(E, RunOutcome)>,
+    /// The serve loop until the worker thread takes it — or until `join`
+    /// does, if the OS refused the thread.
+    run: Arc<Mutex<Option<Run<E>>>>,
+    worker: Option<JoinHandle<Option<(E, RunOutcome)>>>,
 }
 
 impl<E> GossipService<E>
@@ -165,10 +177,24 @@ where
     }
 
     /// Spawns the worker with caller-supplied listeners (metrics counters,
-    /// trajectory recorders, replay logs, convergence stoppers — anything
+    /// round recorders, convergence stoppers — anything
     /// implementing [`RoundListener`]) riding the same loop. A listener
-    /// voting stop ends the serve run exactly as it would a batch run.
+    /// voting stop ends the serve run exactly as it would a batch run. If
+    /// the OS cannot start the worker thread, the rounds run inside
+    /// [`GossipService::join`] (or `stop`) instead, and readers see epoch
+    /// 0 until then.
     pub fn spawn_with(engine: E, cfg: ServeConfig, listeners: ListenerSet<E::Graph>) -> Self {
+        let mut svc = Self::unstarted(engine, cfg, listeners);
+        let run = svc.run.clone();
+        svc.worker = thread::Builder::new()
+            .name("gossip-serve".into())
+            .spawn(move || take(&run).map(|run| run()))
+            .ok();
+        svc
+    }
+
+    /// The service with no worker thread: its rounds wait for `join`.
+    fn unstarted(engine: E, cfg: ServeConfig, listeners: ListenerSet<E::Graph>) -> Self {
         // Publish the initial graph as epoch 0 before the thread exists,
         // so a handle can never observe an empty service.
         let initial = Arc::new(Snapshot {
@@ -190,20 +216,21 @@ where
         let budget = cfg.budget;
         let mut engine = engine;
         let mut listeners = listeners;
-        let worker = thread::Builder::new()
-            .name("gossip-serve".into())
-            .spawn(move || {
-                let out = run_engine_listened(
-                    &mut engine,
-                    &mut Chain(&mut publisher, &mut listeners),
-                    budget,
-                );
-                // Final state is always visible, whatever the cadence.
-                publisher.publish(engine.quanta(), engine.graph());
-                (engine, out)
-            })
-            .expect("failed to spawn gossip-serve worker thread");
-        GossipService { shared, worker }
+        let run: Run<E> = Box::new(move || {
+            let out = run_engine_listened(
+                &mut engine,
+                &mut Chain(&mut publisher, &mut listeners),
+                budget,
+            );
+            // Final state is always visible, whatever the cadence.
+            publisher.publish(engine.quanta(), engine.graph());
+            (engine, out)
+        });
+        GossipService {
+            shared,
+            run: Arc::new(Mutex::new(Some(run))),
+            worker: None,
+        }
     }
 
     /// A read handle; clone freely across threads.
@@ -216,7 +243,7 @@ where
     /// Whether the worker has finished (budget exhausted or a listener
     /// stop).
     pub fn is_finished(&self) -> bool {
-        self.worker.is_finished()
+        self.worker.as_ref().is_some_and(JoinHandle::is_finished)
     }
 
     /// Requests a stop at the next round boundary and joins, returning the
@@ -230,7 +257,13 @@ where
     /// Joins without requesting a stop — use when the budget or a
     /// convergence listener bounds the run.
     pub fn join(self) -> (E, ServeOutcome) {
-        let (engine, out) = self.worker.join().expect("gossip-serve worker panicked");
+        let ran = match self.worker {
+            // Re-raises the engine's or a listener's panic, not a new one.
+            Some(worker) => worker.join().unwrap_or_else(|p| resume_unwind(p)),
+            None => take(&self.run).map(|run| run()),
+        };
+        // The loop is taken once: by the thread if it started, else here.
+        let (engine, out) = ran.expect("the serve loop runs exactly once");
         let outcome = ServeOutcome {
             rounds: out.rounds,
             listener_stopped: out.converged,
@@ -286,6 +319,33 @@ mod tests {
         assert!(out.listener_stopped);
         assert_eq!(h.epoch(), out.epochs - 1);
         assert_eq!(h.snapshot().round, engine.quanta());
+    }
+
+    #[test]
+    fn without_a_thread_join_runs_the_same_rounds() {
+        let cfg = ServeConfig {
+            snapshot_every: 4,
+            budget: 30,
+        };
+        let served = GossipService::spawn(
+            EngineBuilder::new(generators::star(64), Push, 5).build(),
+            cfg,
+        );
+        let deferred = GossipService::unstarted(
+            EngineBuilder::new(generators::star(64), Push, 5).build(),
+            cfg,
+            ListenerSet::new(),
+        );
+        let h = deferred.handle();
+        assert!(!deferred.is_finished());
+        assert_eq!(h.snapshot().round, 0);
+        let (a, out_a) = served.join();
+        let (b, out_b) = deferred.join();
+        assert_eq!(out_a, out_b);
+        assert_eq!(h.snapshot().round, 30);
+        for u in a.graph().nodes() {
+            assert_eq!(a.graph().neighbors(u), b.graph().neighbors(u));
+        }
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //!    hammering the snapshot surface observe only exact round-`k` states,
 //!    never a torn or mid-round view.
 //! 3. A served engine's full trajectory is bit-identical to the same
-//!    configuration run in batch — serving is observation, not
-//!    perturbation.
+//!    configuration run in batch, round by round as well as in its final
+//!    graph — serving is observation, not perturbation.
 
 use gossip_core::rng::stream_rng;
-use gossip_core::{Engine, EngineBuilder, Parallelism, Pull};
-use gossip_graph::{generators, ArenaGraph, NodeId, ShardedArenaGraph};
+use gossip_core::{
+    run_engine_listened, Engine, EngineBuilder, ListenerSet, Parallelism, Pull, RoundRecorder,
+};
+use gossip_graph::{generators, ArenaGraph, NodeId, ShardedArenaGraph, UniformNeighbors};
 use gossip_serve::{GossipService, ServeConfig, Snapshot};
 use gossip_shard::{BuildSharded, ShardedEngine};
 use std::collections::BTreeMap;
@@ -150,29 +152,45 @@ fn concurrent_readers_only_ever_see_exact_round_states() {
     }
 }
 
-/// Pin 3: serving does not perturb the trajectory — a served run's final
-/// graph is bit-identical to the same engine run in batch.
+/// Pin 3: serving does not perturb the trajectory — a served run's rows
+/// (stats, edge count, a probe of two degrees) equal the same engine's
+/// batch rows round by round, and its final graph is bit-identical.
 #[test]
 fn served_trajectory_is_bit_identical_to_batch() {
     const BUDGET: u64 = 8;
     let (_, sharded) = start_graphs(4);
+    let recorder = || {
+        RoundRecorder::probing(|g: &ShardedArenaGraph| {
+            [0, N - 1]
+                .map(|u| g.neighbor_row(NodeId::new(u)).len() as u64)
+                .to_vec()
+        })
+    };
 
     let mut batch = ShardedEngine::new(sharded.clone(), Pull, SEED);
-    for _ in 0..BUDGET {
-        batch.step();
-    }
+    let batch_rows = recorder();
+    run_engine_listened(&mut batch, &mut batch_rows.clone(), BUDGET);
 
+    let served_rows = recorder();
     let engine = EngineBuilder::new(sharded, Pull, SEED).build_sharded();
-    let svc = GossipService::spawn(
+    let svc = GossipService::spawn_with(
         engine,
         ServeConfig {
             snapshot_every: 3, // deliberately not a divisor of the budget
             budget: BUDGET,
         },
+        ListenerSet::new().with(served_rows.clone()),
     );
     let handle = svc.handle();
     let (served, out) = svc.join();
     assert_eq!(out.rounds, BUDGET);
+
+    let (batch_rows, served_rows) = (batch_rows.rows(), served_rows.rows());
+    assert_eq!(batch_rows.len() as u64, BUDGET);
+    for (b, s) in batch_rows.iter().zip(&served_rows) {
+        assert_eq!(b, s, "round {}", b.round);
+    }
+    assert_eq!(batch_rows, served_rows);
 
     assert_eq!(served.graph().m(), batch.graph().m());
     for u in batch.graph().nodes() {

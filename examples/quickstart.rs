@@ -6,12 +6,12 @@
 //! ```
 
 use discovery_gossip::prelude::*;
-use gossip_core::{run_engine_listened, Chain, ProposalRule, SeriesRecorder, StopWhen};
+use gossip_core::{run_engine_listened, Chain, ProposalRule, StopWhen};
 
 fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
     let n = g0.n() as f64;
     let mut check = ComponentwiseComplete::for_graph(g0);
-    let mut recorder = SeriesRecorder::every((g0.n() as u64 * 2).max(1));
+    let mut recorder = RoundRecorder::probing(|g: &ArenaGraph| vec![g.min_degree() as u64]);
     let mut engine = Engine::new(g0.clone(), rule, seed);
     let out = run_engine_listened(
         &mut engine,
@@ -25,13 +25,20 @@ fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
         "{:>10} {:>10} {:>8} {:>8}",
         "round", "edges", "min-deg", "added"
     );
-    for row in recorder.rows().iter().take(12) {
+    // Round 1, then every 2n rounds.
+    let stride = (g0.n() as u64 * 2).max(1);
+    let rows: Vec<_> = recorder
+        .rows()
+        .into_iter()
+        .filter(|row| row.round == 1 || row.round.is_multiple_of(stride))
+        .collect();
+    for row in rows.iter().take(12) {
         println!(
             "{:>10} {:>10} {:>8} {:>8}",
-            row.round, row.m, row.min_degree, row.added
+            row.round, row.m, row.probe[0], row.stats.added
         );
     }
-    if recorder.rows().len() > 12 {
+    if rows.len() > 12 {
         println!("{:>10}", "...");
     }
     println!(

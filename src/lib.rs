@@ -63,17 +63,15 @@ pub mod prelude {
         ChurnBursts, ClosureReached, ComponentwiseComplete, ConvergenceCheck, DirectedPull,
         DiscoveryTrace, Engine, EngineBuilder, Faulty, HybridPushPull, ListenerSet,
         MembershipEvent, MembershipPlan, MembershipStats, MinDegreeAtLeast, Never, OnlySubset,
-        Parallelism, Partial, Pull, Push, RoundEngine, RoundListener, RuleId, SubsetComplete,
-        TrialConfig,
+        Parallelism, Partial, Pull, Push, RoundEngine, RoundListener, RoundRecorder, RuleId,
+        SubsetComplete, TrialConfig,
     };
     pub use gossip_graph::{generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
     pub use gossip_net::{
         ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PullProtocol as NetPull,
         PushProtocol as NetPush,
     };
-    pub use gossip_serve::{
-        GossipService, MetricsCounters, ReplayLog, ServeConfig, Snapshot, TrajectoryRecorder,
-    };
+    pub use gossip_serve::{GossipService, MetricsCounters, ServeConfig, Snapshot};
     pub use gossip_shard::{
         BuildSharded, ShardedEngine, TransportBuilder, TransportEngine, TransportMode,
     };
