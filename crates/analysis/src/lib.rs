@@ -1,15 +1,14 @@
 //! # gossip-analysis
 //!
-//! Analysis toolkit for the *Discovery through Gossip* reproduction:
+//! Statistics toolkit for the *Discovery through Gossip* reproduction. It
+//! knows nothing of graphs or protocols: the exact Markov-chain analysis
+//! lives in `gossip-model`'s `markov` module, beside the kernels it reads.
 //!
-//! * [`markov`] — **exact** expected convergence times for the push/pull
-//!   processes on small graphs via absorbing-chain analysis with per-node
-//!   proposal-distribution convolution. This is what verifies the paper's
-//!   Figure 1(c) non-monotonicity example *exactly* rather than
-//!   statistically, and powers the exhaustive 4-node counterexample search.
 //! * [`stats`] — Welford accumulators, confidence intervals, percentiles.
 //! * [`bootstrap`] — seeded percentile-bootstrap confidence intervals
 //!   (deterministic, so reports rebuild byte-for-byte).
+//! * [`distribution`] — empirical CDFs and the two-sample
+//!   Kolmogorov–Smirnov statistic.
 //! * [`fit`] — asymptotic model fitting against the paper's candidate growth
 //!   laws (`n`, `n log n`, `n log² n`, `n²`, `n² log n`) plus log-log
 //!   regression for model-free exponents.
@@ -17,13 +16,12 @@
 //!   binaries.
 //!
 //! ```
-//! use gossip_analysis::markov::{exact_expected_rounds, ProcessKind};
-//! use gossip_graph::generators;
+//! use gossip_analysis::Summary;
 //!
-//! let (g, h) = generators::nonmonotone_pair();
-//! let slow = exact_expected_rounds(&g, ProcessKind::Push);
-//! let fast = exact_expected_rounds(&h, ProcessKind::Push);
-//! assert!(slow > fast, "Figure 1(c): the supergraph is slower");
+//! // Rounds to convergence from five Monte Carlo trials.
+//! let s = Summary::of_rounds(&[9, 11, 10, 12, 8]);
+//! assert_eq!((s.count, s.mean, s.median), (5, 10.0, 10.0));
+//! assert!(s.ci95 > 0.0, "five distinct samples have a nonzero interval");
 //! ```
 
 #![deny(missing_docs)]
@@ -32,13 +30,11 @@
 pub mod bootstrap;
 pub mod distribution;
 pub mod fit;
-pub mod markov;
 pub mod stats;
 pub mod table;
 
 pub use bootstrap::{bootstrap_ci_of, bootstrap_mean_ci, ConfidenceInterval};
 pub use distribution::{ks_statistic, ks_threshold_95, Ecdf};
 pub use fit::{fit_model, loglog_exponent, ols, rank_models, GrowthModel, ModelFit, OlsFit};
-pub use markov::{exact_expected_rounds, find_nonmonotone_pairs, NonMonotonePair, ProcessKind};
 pub use stats::{Fnv1a, OnlineStats, Summary};
 pub use table::{fmt_f64, Table};

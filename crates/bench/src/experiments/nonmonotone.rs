@@ -3,22 +3,18 @@
 //! cross-check, and the exhaustive 4-node counterexample search.
 
 use crate::harness::{Args, Report};
-use gossip_analysis::{
-    exact_expected_rounds, find_nonmonotone_pairs, fmt_f64, ProcessKind, Summary, Table,
-};
-use gossip_core::{convergence_rounds, ComponentwiseComplete, Pull, Push, TrialConfig};
+use gossip_analysis::{fmt_f64, Summary, Table};
+use gossip_core::{convergence_rounds, ComponentwiseComplete, RuleId, TrialConfig};
 use gossip_graph::{generators, ArenaGraph};
+use gossip_model::{exact_expected_rounds, find_nonmonotone_pairs};
 
-fn mc(g: &ArenaGraph, kind: ProcessKind, trials: usize, seed: u64) -> Vec<u64> {
+fn mc(g: &ArenaGraph, rule: RuleId, trials: usize, seed: u64) -> Vec<u64> {
     let cfg = TrialConfig {
         trials,
         base_seed: seed,
         max_rounds: 100_000_000,
     };
-    match kind {
-        ProcessKind::Push => convergence_rounds(g, Push, ComponentwiseComplete::for_graph, &cfg),
-        ProcessKind::Pull => convergence_rounds(g, Pull, ComponentwiseComplete::for_graph, &cfg),
-    }
+    convergence_rounds(g, rule, ComponentwiseComplete::for_graph, &cfg)
 }
 
 /// E7.
@@ -43,17 +39,17 @@ pub fn run(args: &Args) -> Report {
         "MC ±95%",
     ]);
     for (name, family, gr) in [("G = K_1,4", "K_1,4", &g), ("H = K_1,3 ⊂ G", "K_1,3", &h)] {
-        for kind in [ProcessKind::Push, ProcessKind::Pull] {
-            let algorithm = format!("{kind:?}").to_lowercase();
-            let exact = exact_expected_rounds(gr, kind);
-            let rounds = mc(gr, kind, trials, args.seed);
-            report.measure_scalar("exact_rounds", &algorithm, family, gr.n() as u64, exact);
-            report.measure_rounds(&algorithm, family, gr.n() as u64, &rounds);
+        for rule in [RuleId::Push, RuleId::Pull] {
+            let algorithm = rule.name();
+            let exact = exact_expected_rounds(gr, rule);
+            let rounds = mc(gr, rule, trials, args.seed);
+            report.measure_scalar("exact_rounds", algorithm, family, gr.n() as u64, exact);
+            report.measure_rounds(algorithm, family, gr.n() as u64, &rounds);
             let s = Summary::of_rounds(&rounds);
             t.push_row([
                 name.to_string(),
                 gr.m().to_string(),
-                format!("{kind:?}"),
+                format!("{rule:?}"),
                 format!("{exact:.4}"),
                 fmt_f64(s.mean),
                 fmt_f64(s.ci95),
@@ -64,7 +60,7 @@ pub fn run(args: &Args) -> Report {
 
     // Part 2: the same-vertex-set witnesses on 4 nodes, exhaustively.
     let mut st = Table::new(["G edges", "E[T(G)]", "H edges (H ⊂ G)", "E[T(H)]", "gap"]);
-    let pairs = find_nonmonotone_pairs(4, ProcessKind::Push, 0.05);
+    let pairs = find_nonmonotone_pairs(4, RuleId::Push, 0.05);
     report.measure_scalar(
         "counterexample_pairs",
         "push",
@@ -84,8 +80,8 @@ pub fn run(args: &Args) -> Report {
     report.note(format!(
         "paper (Fig 1c): a 4-edge graph converging slower than its 3-edge subgraph; \
          exact values: E[T_push(K_1,4)] = {:.4} > E[T_push(K_1,3)] = {:.4}.",
-        exact_expected_rounds(&g, ProcessKind::Push),
-        exact_expected_rounds(&h, ProcessKind::Push),
+        exact_expected_rounds(&g, RuleId::Push),
+        exact_expected_rounds(&h, RuleId::Push),
     ));
     report.note(format!(
         "exhaustive search over all connected 4-node graphs found {} same-vertex-set \

@@ -4,7 +4,7 @@
 //! Theorems 8 and 12; [`complete_minus_k`] drives the Theorem 9/13 lower
 //! bounds; [`theorem14_graph`] and [`theorem15_graph`] are the paper's
 //! explicit directed lower-bound constructions; [`nonmonotone_pair`] is the
-//! Figure 1(c) example (verified exactly by `gossip-analysis::markov`).
+//! Figure 1(c) example (verified exactly by `gossip-model::markov`).
 //!
 //! Random generators take a caller-supplied RNG so experiments stay
 //! reproducible under the engine's seeding discipline.
@@ -415,7 +415,7 @@ pub fn complete_minus_k<R: Rng + ?Sized>(n: usize, k: u64, rng: &mut R) -> Arena
 ///
 /// `G = K_{1,4}` (star on 5 nodes, 4 edges) and `H = K_{1,3}` (the subgraph
 /// obtained by deleting one leaf; 3 edges). The exact absorbing-chain solver
-/// (`gossip-analysis::markov`) gives `E[T_push(G)] ≈ 11.158` versus
+/// (`gossip-model::markov`) gives `E[T_push(G)] ≈ 11.158` versus
 /// `E[T_push(H)] ≈ 6.281`: growing the star by one leaf adds three fresh
 /// leaf-pairs that, at first, only the center can introduce. The same pair
 /// works for pull (≈ 5.40 vs ≈ 3.05).
@@ -427,7 +427,7 @@ pub fn nonmonotone_pair() -> (ArenaGraph, ArenaGraph) {
 
 /// A stronger, same-vertex-set non-monotonicity witness for the push
 /// process, found by the exhaustive 4-node search
-/// (`gossip-analysis::markov::find_nonmonotone_pairs`): the *diamond*
+/// (`gossip-model::markov::find_nonmonotone_pairs`): the *diamond*
 /// `K_4 - e` (5 edges) converges slower in expectation (≈ 2.531 rounds) than
 /// its spanning subgraph the 4-cycle (4 edges, ≈ 2.079 rounds). In the
 /// diamond, the two degree-3 nodes waste proposals re-introducing existing

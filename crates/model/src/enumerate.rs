@@ -5,9 +5,12 @@
 //! random decision through [`Chooser::choose`], so substituting a chooser
 //! that *replays a prefix and records the first unconstrained domain*
 //! turns one pure function into an enumerable choice tree. Depth-first
-//! search over prefixes visits each leaf exactly once; the leaves are the
-//! node's **menu** — the set of distinct effect bundles it can emit, each
-//! tagged with a witness choice vector for counterexample traces.
+//! search over prefixes visits each leaf exactly once. Deduplicated, the
+//! leaves are the node's **menu** — the set of distinct effect bundles it
+//! can emit, each tagged with a witness choice vector for counterexample
+//! traces ([`node_menu`], what the checker scans). Weighed by the inverse
+//! product of the domains drawn on the way, they are the node's exact
+//! one-round distribution (what [`crate::markov`] convolves).
 
 use crate::instance::MAX_N;
 use gossip_core::{Chooser, Effects, NodeState, NodeView, ProtocolKernel, Share};
@@ -97,7 +100,7 @@ pub struct Outcome {
 /// Canonical `(connects, shares)` pair extracted from raw effects.
 type CanonicalEffects = (Vec<(u32, u32)>, Vec<(u32, Share)>);
 
-fn canonicalize(effects: &Effects) -> CanonicalEffects {
+pub(crate) fn canonicalize(effects: &Effects) -> CanonicalEffects {
     let mut connects: Vec<(u32, u32)> = effects
         .connects
         .as_slice()
@@ -118,13 +121,21 @@ fn canonicalize(effects: &Effects) -> CanonicalEffects {
     (connects, shares)
 }
 
-fn explore<K: ProtocolKernel + ?Sized>(
+/// Depth-first walk over the choice tree from `prefix`: runs the kernel,
+/// and either hands the finished run to `leaf` or branches on the first
+/// unconstrained domain. `product` is the product of the domains drawn
+/// along `prefix`.
+fn explore<K, F>(
     kernel: &K,
     view: &ModelView<'_>,
     state: &NodeState,
     prefix: &mut Vec<usize>,
-    out: &mut Vec<Outcome>,
-) {
+    product: u64,
+    leaf: &mut F,
+) where
+    K: ProtocolKernel + ?Sized,
+    F: FnMut(&[usize], &Effects, NodeState, u64),
+{
     assert!(
         prefix.len() < 16,
         "kernel drew more than 16 choices in one round"
@@ -139,32 +150,36 @@ fn explore<K: ProtocolKernel + ?Sized>(
     // the copy at a leaf is the outcome's post-state.
     let mut st = state.clone();
     kernel.on_round(&mut st, view, &mut chooser, &mut effects);
-    let overflow = chooser.overflow;
-    match overflow {
-        None => {
-            let (connects, shares) = canonicalize(&effects);
-            // Deduplicate by effects + post-state; keep the first witness
-            // choice vector.
-            if !out
-                .iter()
-                .any(|o| o.connects == connects && o.shares == shares && o.state_after == st)
-            {
-                out.push(Outcome {
-                    choices: prefix.clone(),
-                    connects,
-                    shares,
-                    state_after: st,
-                });
-            }
-        }
+    match chooser.overflow {
+        None => leaf(prefix, &effects, st, product),
         Some(domain) => {
             for c in 0..domain {
                 prefix.push(c);
-                explore(kernel, view, state, prefix, out);
+                explore(kernel, view, state, prefix, product * domain as u64, leaf);
                 prefix.pop();
             }
         }
     }
+}
+
+/// Visits every leaf of node `u`'s choice tree once, in ascending choice
+/// order: `leaf` gets the choice vector, the raw effects, the node's
+/// post-state and the product of the domains drawn on the way — every
+/// draw is uniform, so the leaf's probability is `1 / product`.
+pub(crate) fn walk_leaves<K: ProtocolKernel + ?Sized>(
+    kernel: &K,
+    world: World,
+    rows: &[Vec<NodeId>],
+    u: usize,
+    state: &NodeState,
+    leaf: &mut impl FnMut(&[usize], &Effects, NodeState, u64),
+) {
+    let view = ModelView {
+        me: NodeId::new(u),
+        rows,
+        world,
+    };
+    explore(kernel, &view, state, &mut Vec::new(), 1, leaf);
 }
 
 /// Every distinct outcome node `u` can produce this round from protocol
@@ -179,13 +194,30 @@ pub fn node_menu<K: ProtocolKernel + ?Sized>(
     u: usize,
     state: &NodeState,
 ) -> Vec<Outcome> {
-    let view = ModelView {
-        me: NodeId::new(u),
-        rows,
+    let mut out: Vec<Outcome> = Vec::new();
+    walk_leaves(
+        kernel,
         world,
-    };
-    let mut out = Vec::new();
-    explore(kernel, &view, state, &mut Vec::new(), &mut out);
+        rows,
+        u,
+        state,
+        &mut |choices, effects, st, _| {
+            let (connects, shares) = canonicalize(effects);
+            // Deduplicate by effects + post-state; keep the first witness
+            // choice vector.
+            if !out
+                .iter()
+                .any(|o| o.connects == connects && o.shares == shares && o.state_after == st)
+            {
+                out.push(Outcome {
+                    choices: choices.to_vec(),
+                    connects,
+                    shares,
+                    state_after: st,
+                });
+            }
+        },
+    );
     out
 }
 

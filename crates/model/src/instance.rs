@@ -9,8 +9,8 @@
 //! equal their own canonical form. The class counts (1, 1, 2, 6, 21 for
 //! `n = 1..=5`) match the known census of connected graphs.
 
-/// The largest instance size the checker supports (state rows are packed
-/// into one byte per node).
+/// The largest instance size the checker and the exact solver support
+/// (state rows are packed into one byte per node, edge masks into a `u16`).
 pub const MAX_N: usize = 5;
 
 /// One starting topology: `n` nodes and an edge bitmask over the
@@ -85,7 +85,7 @@ fn permutations(n: usize) -> Vec<Vec<usize>> {
     out
 }
 
-fn is_connected(n: usize, mask: u16) -> bool {
+pub(crate) fn is_connected(n: usize, mask: u16) -> bool {
     if n == 1 {
         return true;
     }

@@ -38,6 +38,7 @@ pub mod broken;
 pub mod checker;
 pub mod enumerate;
 pub mod instance;
+pub mod markov;
 
 pub use broken::{PhantomPush, StalePeerPush, StallingPush};
 pub use checker::{
@@ -46,3 +47,4 @@ pub use checker::{
 };
 pub use enumerate::{node_menu, Outcome, World};
 pub use instance::{all_instances, connected_instances, pair_index, Instance, MAX_N};
+pub use markov::{exact_expected_rounds, find_nonmonotone_pairs, NonMonotonePair};

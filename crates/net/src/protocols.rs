@@ -183,12 +183,7 @@ impl Protocol for HeartbeatPushProtocol {
         }
 
         // The push step proper.
-        if let (Some(v), Some(w)) = (ctx.random_contact(), ctx.random_contact()) {
-            if v != w {
-                ctx.send(v, Message::Introduce { peer: w });
-                ctx.send(w, Message::Introduce { peer: v });
-            }
-        }
+        PushProtocol.on_round(ctx);
 
         // Periodic probe.
         if ctx.round.is_multiple_of(self.ping_every) {

@@ -26,12 +26,12 @@ fn main() {
     let (g, h) = generators::nonmonotone_pair();
     println!("Figure 1(c): G = K_1,4 (4 edges), H = K_1,3 (3 edges), H ⊂ G\n");
 
-    for kind in [ProcessKind::Push, ProcessKind::Pull] {
-        let eg = exact_expected_rounds(&g, kind);
-        let eh = exact_expected_rounds(&h, kind);
+    for rule in [RuleId::Push, RuleId::Pull] {
+        let eg = exact_expected_rounds(&g, rule);
+        let eh = exact_expected_rounds(&h, rule);
         println!(
             "{:?}: exact E[T(G)] = {:.4}, exact E[T(H)] = {:.4}  =>  G is {:.2}x slower",
-            kind,
+            rule,
             eg,
             eh,
             eg / eh
@@ -45,7 +45,7 @@ fn main() {
     println!("  H: measured {mh:.3} ± {ch:.3}   (exact  6.281)");
 
     println!("\nExhaustive search, all connected 4-node graphs, same vertex set (push):");
-    let pairs = find_nonmonotone_pairs_cli();
+    let pairs = find_nonmonotone_pairs(4, RuleId::Push, 0.05);
     for p in pairs.iter().take(6) {
         println!(
             "  E[T] {:.3} for G = {:?}  >  {:.3} for its subgraph H = {:?}",
@@ -57,8 +57,4 @@ fn main() {
          the diamond (K4 - e) vs the 4-cycle is the canonical one.",
         pairs.len()
     );
-}
-
-fn find_nonmonotone_pairs_cli() -> Vec<gossip_analysis::NonMonotonePair> {
-    gossip_analysis::find_nonmonotone_pairs(4, ProcessKind::Push, 0.05)
 }

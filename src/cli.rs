@@ -5,7 +5,7 @@
 //! `src/bin/gossip.rs` is a three-line shim. See `Command::parse` for the
 //! grammar.
 
-use gossip_analysis::{exact_expected_rounds, ProcessKind, Summary};
+use gossip_analysis::Summary;
 use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::{
     convergence_rounds, ChurnBursts, ClosureReached, ComponentwiseComplete, DirectedPull,
@@ -13,6 +13,7 @@ use gossip_core::{
     TrialConfig,
 };
 use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
+use gossip_model::exact_expected_rounds;
 use gossip_serve::{GossipService, MetricsCounters, ServeConfig};
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
@@ -175,7 +176,7 @@ USAGE:
              [--seed S] [--trace] [--param P] [--churn B]   run to completion
   gossip trials --protocol P --family F --n N [--trials T] [--seed S]
                                                             Monte Carlo stats
-  gossip exact --protocol push|pull --n N --edges \"0-1,1-2\" exact E[rounds] (2<=n<=5)
+  gossip exact --protocol P --n N --edges \"0-1,1-2\"         exact E[rounds] (2<=n<=5)
   gossip directed --family cycle|thm14|thm15|gnp --n N [--seed S]
                                                             directed two-hop walk
   gossip serve --protocol P --family F --n N [--rounds R] [--shards K]
@@ -612,17 +613,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
         Command::Exact { process, edges, n } => {
             // Checked before the graph is built: the solver panics outside
             // this range, and a huge `n` would allocate first.
-            let max = gossip_analysis::markov::MAX_EXACT_N;
+            let max = gossip_model::MAX_N;
             if !(2..=max).contains(n) {
                 return Err(format!("exact analysis supports 2 <= n <= {max}, got {n}"));
             }
             let g = parse_edges(edges, *n)?;
-            let kind = match RuleId::parse(process)? {
-                RuleId::Push => ProcessKind::Push,
-                RuleId::Pull => ProcessKind::Pull,
-                other => return Err(format!("exact supports push|pull, got {other}")),
-            };
-            let e = exact_expected_rounds(&g, kind);
+            let e = exact_expected_rounds(&g, RuleId::parse(process)?);
             let _ = writeln!(out, "exact E[rounds to fixed point] = {e:.6}");
         }
 
@@ -846,6 +842,14 @@ mod tests {
             out.contains("2.000000"),
             "path-3 push is exactly 2 rounds: {out}"
         );
+        // Hybrid is one more kernel: P(no edge per round) = 1/8, E = 8/7.
+        let out = execute(&Command::Exact {
+            process: "hybrid".into(),
+            edges: "0-1,1-2".into(),
+            n: 3,
+        })
+        .unwrap();
+        assert!(out.contains("1.142857"), "path-3 hybrid is 8/7: {out}");
         // n outside the solver's range is a clean error, not a panic.
         for n in [0, 1, 6, 9] {
             let err = execute(&Command::Exact {

@@ -6,7 +6,7 @@
 //! self-rewiring networks, with everything needed to re-derive the paper's
 //! results on a laptop.
 //!
-//! This crate is the facade: it re-exports the eight member library crates
+//! This crate is the facade: it re-exports the nine member library crates
 //! and a [`prelude`]. See the individual crates for the real APIs:
 //!
 //! | Crate | Contents |
@@ -18,7 +18,8 @@
 //! | [`serve`] (`gossip-serve`) | resident service: a live engine behind cheap epoch snapshots, a concurrent query surface, and pluggable listeners |
 //! | [`baselines`] (`gossip-baselines`) | Name Dropper, Random Pointer Jump, throttled ND, flooding — with message-bit accounting |
 //! | [`net`] (`gossip-net`) | byte-accurate message-passing simulator: loss, churn, coverage/staleness metrics |
-//! | [`analysis`] (`gossip-analysis`) | exact Markov-chain solver (Figure 1(c)), statistics, asymptotic model fitting |
+//! | [`model`] (`gossip-model`) | bounded exhaustive model checker for the protocol kernels (every instance, choice and schedule at n ≤ 5), and the exact Markov-chain solver (Figure 1(c)) that reads the same kernels' choice trees |
+//! | [`analysis`] (`gossip-analysis`) | statistics, bootstrap intervals, asymptotic model fitting, result tables |
 //!
 //! ## Ten-line tour
 //!
@@ -44,6 +45,7 @@ pub use gossip_baselines as baselines;
 pub use gossip_cluster as cluster;
 pub use gossip_core as core;
 pub use gossip_graph as graph;
+pub use gossip_model as model;
 pub use gossip_net as net;
 pub use gossip_serve as serve;
 pub use gossip_shard as shard;
@@ -51,8 +53,7 @@ pub use gossip_shard as shard;
 /// Most-used items in one import.
 pub mod prelude {
     pub use gossip_analysis::{
-        exact_expected_rounds, find_nonmonotone_pairs, fit_model, loglog_exponent, rank_models,
-        GrowthModel, ProcessKind, Summary, Table,
+        fit_model, loglog_exponent, rank_models, GrowthModel, Summary, Table,
     };
     pub use gossip_baselines::{
         DiscoveryAlgorithm, Flooding, Knowledge, NameDropper, PointerJump, ThrottledNameDropper,
@@ -67,6 +68,7 @@ pub mod prelude {
         SubsetComplete, TrialConfig,
     };
     pub use gossip_graph::{generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
+    pub use gossip_model::{exact_expected_rounds, find_nonmonotone_pairs};
     pub use gossip_net::{
         ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PullProtocol as NetPull,
         PushProtocol as NetPush,
