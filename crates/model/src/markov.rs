@@ -33,10 +33,11 @@ use gossip_graph::{ArenaGraph, NodeId};
 // pooled report's stddev of "identical" exact values must be exactly 0).
 use std::collections::BTreeMap;
 
-/// Node `u`'s one-round distribution over the pair mask it proposes. Leaves
-/// with the same mask merge in first-appearance order and the empty
-/// proposal comes last, so the f64 sums are the same additions in the same
-/// order at every call.
+/// Node `u`'s one-round distribution over the pair mask it proposes, one
+/// entry per distinct mask. Entries keep first-appearance order with the
+/// empty proposal moved last: the order of the f64 additions behind the
+/// digest pinned in `tests/exact_vs_montecarlo.rs`, so any other order
+/// moves exact values by ulps.
 fn node_dist<K: ProtocolKernel>(
     kernel: &K,
     n: usize,
@@ -217,6 +218,7 @@ pub fn find_nonmonotone_pairs(n: usize, rule: RuleId, tolerance: f64) -> Vec<Non
 mod tests {
     use super::*;
     use gossip_graph::generators;
+    use std::collections::BTreeSet;
 
     #[test]
     fn complete_graph_needs_zero_rounds() {
@@ -304,25 +306,17 @@ mod tests {
         let pairs = find_nonmonotone_pairs(4, RuleId::Push, 0.25);
         assert!(!pairs.is_empty(), "no non-monotone pair found on 4 nodes");
         let (g, h) = generators::nonmonotone_pair_spanning();
-        let edge_set = |g: &ArenaGraph| -> std::collections::BTreeSet<(usize, usize)> {
+        let edge_set = |g: &ArenaGraph| -> BTreeSet<(usize, usize)> {
             g.edges().map(|e| (e.a.index(), e.b.index())).collect()
         };
         let found = pairs.iter().any(|p| {
-            p.g_edges
-                .iter()
-                .copied()
-                .collect::<std::collections::BTreeSet<_>>()
-                == edge_set(&g)
-                && p.h_edges
-                    .iter()
-                    .copied()
-                    .collect::<std::collections::BTreeSet<_>>()
-                    == edge_set(&h)
+            BTreeSet::from_iter(p.g_edges.clone()) == edge_set(&g)
+                && BTreeSet::from_iter(p.h_edges.clone()) == edge_set(&h)
         });
         assert!(found, "diamond/C4 pair not found by exhaustive search");
         // Every reported pair must be a genuine subgraph pair.
         for p in &pairs {
-            let gm: std::collections::BTreeSet<_> = p.g_edges.iter().collect();
+            let gm: BTreeSet<_> = p.g_edges.iter().collect();
             assert!(p.h_edges.iter().all(|e| gm.contains(e)));
             assert!(p.gap() > 0.25);
         }
