@@ -16,8 +16,7 @@
 //! - [`Snapshot`] is one published epoch. For the sharded backend a
 //!   snapshot is O(shards) thanks to copy-on-write segments — publishing a
 //!   view of a million-node graph does not copy the graph.
-//! - [`RoundListener`](gossip_core::RoundListener) plugins —
-//!   [`MetricsCounters`], core's
+//! - [`RoundListener`](gossip_core::RoundListener)s — core's
 //!   [`RoundRecorder`](gossip_core::RoundRecorder), or anything
 //!   caller-written — ride the worker loop via
 //!   [`GossipService::spawn_with`].
@@ -42,10 +41,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod plugins;
 pub mod service;
 pub mod snapshot;
 
-pub use plugins::{MetricsCounters, ServiceMetrics};
 pub use service::{GossipService, ServeConfig, ServeOutcome, ServiceHandle};
 pub use snapshot::{CoverageStats, Snapshot};

@@ -176,8 +176,8 @@ where
         Self::spawn_with(engine, cfg, ListenerSet::new())
     }
 
-    /// Spawns the worker with caller-supplied listeners (metrics counters,
-    /// round recorders, convergence stoppers — anything
+    /// Spawns the worker with caller-supplied listeners (round recorders,
+    /// convergence stoppers — anything
     /// implementing [`RoundListener`]) riding the same loop. A listener
     /// voting stop ends the serve run exactly as it would a batch run. If
     /// the OS cannot start the worker thread, the rounds run inside
@@ -276,7 +276,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gossip_core::{EngineBuilder, Push};
+    use gossip_core::{EngineBuilder, Push, RoundRecorder};
     use gossip_graph::generators;
 
     #[test]
@@ -362,5 +362,29 @@ mod tests {
         let (_, out) = svc.join();
         assert_eq!(out.rounds, 0);
         assert_eq!(out.epochs, 2);
+    }
+
+    #[test]
+    fn recorder_rides_the_serve_loop() {
+        let g = generators::star(32);
+        let engine = EngineBuilder::new(g, Push, 17).build();
+        let rec = RoundRecorder::new();
+        let svc = GossipService::spawn_with(
+            engine,
+            ServeConfig {
+                snapshot_every: 10,
+                budget: 20,
+            },
+            ListenerSet::new().with(rec.clone()),
+        );
+        let (engine, out) = svc.join();
+        assert_eq!(out.rounds, 20);
+        let rows = rec.rows();
+        assert_eq!(rows.len(), 20);
+        assert!(rows
+            .iter()
+            .enumerate()
+            .all(|(i, r)| r.round == i as u64 + 1));
+        assert_eq!(rows.last().unwrap().m, engine.graph().edge_count());
     }
 }

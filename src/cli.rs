@@ -9,118 +9,108 @@ use gossip_analysis::Summary;
 use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::{
     convergence_rounds, ChurnBursts, ClosureReached, ComponentwiseComplete, DirectedPull,
-    DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine, RuleId,
-    TrialConfig,
+    DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine, RoundRecorder,
+    RuleId, TrialConfig,
 };
 use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
 use gossip_model::exact_expected_rounds;
-use gossip_serve::{GossipService, MetricsCounters, ServeConfig};
+use gossip_serve::{GossipService, ServeConfig};
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
 use std::fmt::Write as _;
 
-/// A parsed invocation.
+/// A parsed invocation: which subcommand runs, and every flag.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Command {
-    /// `gossip generate --family F [--n N] [--seed S] [--param P]`
-    Generate {
-        /// Family name (see [`make_graph`]).
-        family: String,
-        /// Size parameter.
-        n: usize,
-        /// RNG seed for random families.
-        seed: u64,
-        /// Family-specific extra parameter (e.g. BA attachment count).
-        param: Option<u64>,
-    },
-    /// `gossip run --process P (--family F --n N | --graph FILE) [--seed S] [--trace]`
-    Run {
-        /// `push`, `pull`, or `hybrid`.
-        process: String,
-        /// Inline family, if no file given.
-        family: Option<String>,
-        /// Family size.
-        n: usize,
-        /// Edge-list file to load instead of a family.
-        graph_file: Option<String>,
-        /// Seed.
-        seed: u64,
-        /// Emit the full introduction trace as CSV after the summary.
-        trace: bool,
-        /// Family parameter.
-        param: Option<u64>,
-        /// Churn bursts to schedule (0 = static membership).
-        churn: usize,
-    },
-    /// `gossip trials --process P --family F --n N [--trials T] [--seed S]`
-    Trials {
-        /// `push`, `pull`, or `hybrid`.
-        process: String,
-        /// Family name.
-        family: String,
-        /// Family size.
-        n: usize,
-        /// Number of Monte Carlo trials.
-        trials: usize,
-        /// Seed.
-        seed: u64,
-        /// Family parameter.
-        param: Option<u64>,
-    },
-    /// `gossip exact --process P --edges "0-1,1-2" --n N`
-    Exact {
-        /// `push` or `pull`.
-        process: String,
-        /// Comma-separated `a-b` edges.
-        edges: String,
-        /// Node count.
-        n: usize,
-    },
-    /// `gossip directed --family F --n N [--seed S]`
-    Directed {
-        /// `cycle`, `thm14`, `thm15`, or `gnp`.
-        family: String,
-        /// Size.
-        n: usize,
-        /// Seed.
-        seed: u64,
-    },
-    /// `gossip serve --process P --family F --n N [--rounds R] [--shards K]
-    /// [--snapshot-every E] [--seed S]`
-    Serve {
-        /// `push`, `pull`, or `hybrid`.
-        process: String,
-        /// Family name.
-        family: String,
-        /// Family size.
-        n: usize,
-        /// Round budget for the resident engine.
-        rounds: u64,
-        /// Shard count; 1 selects the sequential arena engine, >1 the
-        /// multi-shard engine.
-        shards: usize,
-        /// Snapshot publication cadence, in rounds.
-        snapshot_every: u64,
-        /// Seed.
-        seed: u64,
-        /// Family parameter.
-        param: Option<u64>,
-        /// Churn bursts to schedule (0 = static membership).
-        churn: usize,
-        /// Shard transport: `inproc` (shared memory), `uds` (one OS
-        /// process per shard over Unix domain sockets), `udp` (datagram
-        /// cluster with a static peer table), or `lossy` (the datagram
-        /// cluster on loopback with seeded drop/duplicate injection).
-        transport: Transport,
-        /// `--transport udp` only: address the coordinator binds
-        /// (default `127.0.0.1:0`).
-        bind: Option<String>,
-        /// `--transport udp` only: comma-separated worker addresses
-        /// (shards 1..K; default auto-assigned loopback ports).
-        peers: Option<String>,
-    },
-    /// `gossip help`
+pub struct Command {
+    /// The subcommand.
+    pub sub: Subcommand,
+    /// Every flag, given or defaulted; each subcommand reads the ones
+    /// [`USAGE`] lists for it.
+    pub flags: Flags,
+}
+
+/// The subcommands, as [`USAGE`] lists them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subcommand {
+    /// `generate`: emit a family's edge list.
+    Generate,
+    /// `run`: run a process to completion, optionally traced.
+    Run,
+    /// `trials`: Monte Carlo statistics over seeded runs.
+    Trials,
+    /// `exact`: the exact expected rounds of a small graph.
+    Exact,
+    /// `directed`: the directed two-hop walk to transitive closure.
+    Directed,
+    /// `serve`: a resident engine behind epoch snapshots.
+    Serve,
+    /// `help`: print [`USAGE`].
     Help,
+}
+
+/// The flags, each at the value given or at its default
+/// ([`Flags::default`]).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Flags {
+    /// `--family`: family name (see [`make_graph`]).
+    pub family: Option<String>,
+    /// `--protocol`, alias `--process`: a registry name (`push`, `pull`,
+    /// `hybrid`).
+    pub protocol: Option<String>,
+    /// `--graph`: an edge-list file `run` loads instead of a family.
+    pub graph: Option<String>,
+    /// `--edges`: comma-separated `a-b` edges for `exact`.
+    pub edges: Option<String>,
+    /// `--n`: size parameter.
+    pub n: Option<usize>,
+    /// `--seed`.
+    pub seed: u64,
+    /// `--trials`: number of Monte Carlo trials.
+    pub trials: usize,
+    /// `--trace`: emit `run`'s introduction trace as CSV after the summary.
+    pub trace: bool,
+    /// `--param`: family-specific extra parameter (e.g. BA attachment count).
+    pub param: Option<u64>,
+    /// `--rounds`: `serve`'s round budget.
+    pub rounds: u64,
+    /// `--shards`: 1 serves the sequential arena engine, more the
+    /// multi-shard engine.
+    pub shards: usize,
+    /// `--snapshot-every`: `serve`'s snapshot cadence, in rounds.
+    pub snapshot_every: u64,
+    /// `--churn`: churn bursts to schedule (0 = static membership).
+    pub churn: usize,
+    /// `--transport`: how `serve` hosts its shards.
+    pub transport: Transport,
+    /// `--bind`: `serve --transport udp` only, the address the coordinator
+    /// binds (default `127.0.0.1:0`).
+    pub bind: Option<String>,
+    /// `--peers`: `serve --transport udp` only, comma-separated worker
+    /// addresses (shards 1..K; default auto-assigned loopback ports).
+    pub peers: Option<String>,
+}
+
+impl Default for Flags {
+    fn default() -> Self {
+        Flags {
+            family: None,
+            protocol: None,
+            graph: None,
+            edges: None,
+            n: None,
+            seed: 42,
+            trials: 16,
+            trace: false,
+            param: None,
+            rounds: 128,
+            shards: 1,
+            snapshot_every: 1,
+            churn: 0,
+            transport: Transport::Inproc,
+            bind: None,
+            peers: None,
+        }
+    }
 }
 
 /// How `serve` hosts its shards. All four replay the same trajectory;
@@ -212,131 +202,72 @@ impl Command {
     /// Parses an argument vector (without the program name).
     pub fn parse(args: &[String]) -> Result<Command, String> {
         let mut it = args.iter();
-        let sub = it.next().map(String::as_str).unwrap_or("help");
-        let mut family: Option<String> = None;
-        let mut process: Option<String> = None;
-        let mut graph_file: Option<String> = None;
-        let mut edges: Option<String> = None;
-        let mut n: Option<usize> = None;
-        let mut seed = 42u64;
-        let mut trials = 16usize;
-        let mut trace = false;
-        let mut param: Option<u64> = None;
-        let mut rounds = 128u64;
-        let mut shards = 1usize;
-        let mut snapshot_every = 1u64;
-        let mut churn = 0usize;
-        let mut transport = Transport::Inproc;
-        let mut bind: Option<String> = None;
-        let mut peers: Option<String> = None;
-
+        let name = it.next().map(String::as_str).unwrap_or("help");
+        let mut f = Flags::default();
         while let Some(flag) = it.next() {
-            let mut take = || -> Result<&String, String> {
-                it.next().ok_or_else(|| format!("{flag} needs a value"))
-            };
+            let mut take = || it.next().ok_or_else(|| format!("{flag} needs a value"));
             match flag.as_str() {
-                "--family" => family = Some(take()?.clone()),
+                "--family" => f.family = Some(take()?.clone()),
                 // --protocol is the registry-facing name; --process is the
                 // historical alias. Both resolve through RuleId::parse.
-                "--process" | "--protocol" => process = Some(take()?.clone()),
-                "--graph" => graph_file = Some(take()?.clone()),
-                "--edges" => edges = Some(take()?.clone()),
-                "--n" => n = Some(take()?.parse().map_err(|_| "--n needs an integer")?),
-                "--seed" => seed = take()?.parse().map_err(|_| "--seed needs an integer")?,
-                "--trials" => trials = take()?.parse().map_err(|_| "--trials needs an integer")?,
-                "--param" => param = Some(take()?.parse().map_err(|_| "--param needs an integer")?),
-                "--rounds" => {
-                    rounds = take()?.parse().map_err(|_| "--rounds needs an integer")?;
-                }
-                "--shards" => {
-                    shards = take()?.parse().map_err(|_| "--shards needs an integer")?;
-                }
-                "--snapshot-every" => {
-                    snapshot_every = take()?
-                        .parse()
-                        .map_err(|_| "--snapshot-every needs an integer")?;
-                }
-                "--churn" => {
-                    churn = take()?.parse().map_err(|_| "--churn needs an integer")?;
-                }
-                "--transport" => transport = Transport::parse(take()?)?,
-                "--bind" => bind = Some(take()?.clone()),
-                "--peers" => peers = Some(take()?.clone()),
-                "--trace" => trace = true,
+                "--process" | "--protocol" => f.protocol = Some(take()?.clone()),
+                "--graph" => f.graph = Some(take()?.clone()),
+                "--edges" => f.edges = Some(take()?.clone()),
+                "--n" => f.n = Some(int(flag, take()?)?),
+                "--seed" => f.seed = int(flag, take()?)?,
+                "--trials" => f.trials = int(flag, take()?)?,
+                "--param" => f.param = Some(int(flag, take()?)?),
+                "--rounds" => f.rounds = int(flag, take()?)?,
+                "--shards" => f.shards = int(flag, take()?)?,
+                "--snapshot-every" => f.snapshot_every = int(flag, take()?)?,
+                "--churn" => f.churn = int(flag, take()?)?,
+                "--transport" => f.transport = Transport::parse(take()?)?,
+                "--bind" => f.bind = Some(take()?.clone()),
+                "--peers" => f.peers = Some(take()?.clone()),
+                "--trace" => f.trace = true,
                 other => return Err(format!("unknown flag {other}")),
             }
         }
 
-        if transport != Transport::Inproc && sub != "serve" {
+        if f.transport != Transport::Inproc && name != "serve" {
             return Err("--transport only applies to serve".into());
         }
-        if (bind.is_some() || peers.is_some()) && transport != Transport::Udp {
+        if (f.bind.is_some() || f.peers.is_some()) && f.transport != Transport::Udp {
             return Err("--bind/--peers only apply to serve --transport udp".into());
         }
-
-        match sub {
-            "generate" => Ok(Command::Generate {
-                family: family.ok_or("generate needs --family")?,
-                n: n.ok_or("generate needs --n")?,
-                seed,
-                param,
-            }),
-            "run" => {
-                if family.is_none() && graph_file.is_none() {
-                    return Err("run needs --family or --graph".into());
-                }
-                Ok(Command::Run {
-                    process: process.ok_or("run needs --protocol")?,
-                    family,
-                    n: n.unwrap_or(0),
-                    graph_file,
-                    seed,
-                    trace,
-                    param,
-                    churn,
-                })
-            }
-            "trials" => Ok(Command::Trials {
-                process: process.ok_or("trials needs --protocol")?,
-                family: family.ok_or("trials needs --family")?,
-                n: n.ok_or("trials needs --n")?,
-                trials,
-                seed,
-                param,
-            }),
-            "exact" => Ok(Command::Exact {
-                process: process.ok_or("exact needs --protocol")?,
-                edges: edges.ok_or("exact needs --edges")?,
-                n: n.ok_or("exact needs --n")?,
-            }),
-            "directed" => Ok(Command::Directed {
-                family: family.ok_or("directed needs --family")?,
-                n: n.ok_or("directed needs --n")?,
-                seed,
-            }),
-            "serve" => {
-                if transport != Transport::Inproc && shards < 2 {
-                    return Err("--transport uds|lossy|udp needs --shards K > 1".into());
-                }
-                Ok(Command::Serve {
-                    process: process.ok_or("serve needs --protocol")?,
-                    family: family.ok_or("serve needs --family")?,
-                    n: n.ok_or("serve needs --n")?,
-                    rounds,
-                    shards,
-                    snapshot_every,
-                    seed,
-                    param,
-                    churn,
-                    transport,
-                    bind,
-                    peers,
-                })
-            }
-            "help" | "--help" | "-h" => Ok(Command::Help),
-            other => Err(format!("unknown subcommand {other}")),
+        let protocol = ("--protocol", f.protocol.is_some());
+        let family = ("--family", f.family.is_some());
+        let edges = ("--edges", f.edges.is_some());
+        let n = ("--n", f.n.is_some());
+        let (sub, required) = match name {
+            "generate" => (Subcommand::Generate, vec![family, n]),
+            "run" => (Subcommand::Run, vec![protocol]),
+            "trials" => (Subcommand::Trials, vec![protocol, family, n]),
+            "exact" => (Subcommand::Exact, vec![protocol, edges, n]),
+            "directed" => (Subcommand::Directed, vec![family, n]),
+            "serve" => (Subcommand::Serve, vec![protocol, family, n]),
+            "help" | "--help" | "-h" => (Subcommand::Help, vec![]),
+            other => return Err(format!("unknown subcommand {other}")),
+        };
+        if sub == Subcommand::Run && f.family.is_none() && f.graph.is_none() {
+            return Err("run needs --family or --graph".into());
         }
+        // Only `serve` gets this far with a transport other than inproc.
+        if f.transport != Transport::Inproc && f.shards < 2 {
+            return Err("--transport uds|lossy|udp needs --shards K > 1".into());
+        }
+        if let Some((flag, _)) = required.into_iter().find(|&(_, given)| !given) {
+            return Err(format!("{name} needs {flag}"));
+        }
+        Ok(Command { sub, flags: f })
     }
+}
+
+/// An integer flag's value; the error names the flag.
+fn int<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} needs an integer"))
 }
 
 /// Builds an undirected graph from a family name.
@@ -488,19 +419,18 @@ fn parse_edges(spec: &str, n: usize) -> Result<ArenaGraph, String> {
 }
 
 /// Runs an engine behind a [`GossipService`] for the configured budget and
-/// summarizes what the final snapshot serves. One metrics plugin rides the
-/// loop to demonstrate the listener surface end to end.
+/// summarizes what the final snapshot serves. A [`RoundRecorder`] rides
+/// the loop, and `added` totals the rounds it recorded.
 fn serve_report<E>(engine: E, cfg: ServeConfig) -> String
 where
     E: RoundEngine + Send + 'static,
     E::Graph: 'static,
 {
-    let (metrics_listener, metrics) = MetricsCounters::new();
-    let svc = GossipService::spawn_with(engine, cfg, ListenerSet::new().with(metrics_listener));
+    let rec = RoundRecorder::new();
+    let svc = GossipService::spawn_with(engine, cfg, ListenerSet::new().with(rec.clone()));
     let handle = svc.handle();
     let (_, outcome) = svc.join();
-    let snap = handle.snapshot();
-    let stats = snap.stats();
+    let stats = handle.snapshot().stats();
     format!(
         "rounds = {}, epochs = {}, edges = {}, coverage = {:.4}, \
          degree min/mean/max = {}/{:.1}/{}, added = {}",
@@ -511,42 +441,37 @@ where
         stats.min_degree,
         stats.mean_degree,
         stats.max_degree,
-        metrics.added.load(std::sync::atomic::Ordering::Acquire),
+        rec.rows().iter().map(|r| r.stats.added).sum::<u64>(),
     )
 }
 
 /// Executes a command, returning its stdout payload.
 pub fn execute(cmd: &Command) -> Result<String, String> {
+    let f = &cmd.flags;
+    // `parse` rejects a subcommand missing one of its required flags; a
+    // hand-built `Command` missing one reads it as empty.
+    let (family, process, n) = (
+        f.family.as_deref().unwrap_or_default(),
+        f.protocol.as_deref().unwrap_or_default(),
+        f.n.unwrap_or_default(),
+    );
+    let (seed, churn, shards) = (f.seed, f.churn, f.shards);
     let mut out = String::new();
-    match cmd {
-        Command::Help => out.push_str(USAGE),
+    match cmd.sub {
+        Subcommand::Help => out.push_str(USAGE),
 
-        Command::Generate {
-            family,
-            n,
-            seed,
-            param,
-        } => {
-            let g = make_graph(family, *n, *seed, *param)?;
+        Subcommand::Generate => {
+            let g = make_graph(family, n, seed, f.param)?;
             out.push_str(&gio::write_undirected(&g));
         }
 
-        Command::Run {
-            process,
-            family,
-            n,
-            graph_file,
-            seed,
-            trace,
-            param,
-            churn,
-        } => {
-            let g = match graph_file {
+        Subcommand::Run => {
+            let g = match &f.graph {
                 Some(path) => {
                     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
                     gio::parse_undirected(&text).map_err(|e| e.to_string())?
                 }
-                None => make_graph(family.as_ref().unwrap(), *n, *seed, *param)?,
+                None => make_graph(family, n, seed, f.param)?,
             };
             let mut check = ComponentwiseComplete::for_graph(&g);
             let nf = g.n() as f64;
@@ -558,10 +483,10 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             // making the componentwise target unreachable — cap the run
             // instead of spinning forever. Static runs keep the unbounded
             // budget they always had.
-            let budget = if *churn > 0 { 100_000 } else { u64::MAX };
-            let mut engine = Engine::new(g, id, *seed);
-            if *churn > 0 {
-                engine = engine.with_membership(churn_plan(n_nodes, *churn, *seed));
+            let budget = if churn > 0 { 100_000 } else { u64::MAX };
+            let mut engine = Engine::new(g, id, seed);
+            if churn > 0 {
+                engine = engine.with_membership(churn_plan(n_nodes, churn, seed));
             }
             let outcome = engine.run_traced(&mut check, budget, &mut t);
             let mem = engine.membership_stats();
@@ -572,7 +497,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 outcome.final_edges,
                 outcome.rounds as f64 / (nf * nf.ln() * nf.ln()).max(1.0),
             );
-            if *churn > 0 {
+            if churn > 0 {
                 let _ = writeln!(
                     out,
                     "churn: bursts = {churn}, leaves = {}, joins = {}, edges removed = {}, \
@@ -580,23 +505,16 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     mem.leaves, mem.joins, mem.edges_removed, mem.edges_added,
                 );
             }
-            if *trace {
+            if f.trace {
                 out.push_str(&t.to_csv());
             }
         }
 
-        Command::Trials {
-            process,
-            family,
-            n,
-            trials,
-            seed,
-            param,
-        } => {
-            let g = make_graph(family, *n, *seed, *param)?;
+        Subcommand::Trials => {
+            let g = make_graph(family, n, seed, f.param)?;
             let cfg = TrialConfig {
-                trials: *trials,
-                base_seed: *seed,
+                trials: f.trials,
+                base_seed: seed,
                 max_rounds: u64::MAX,
             };
             let id = RuleId::parse(process)?;
@@ -610,59 +528,46 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             );
         }
 
-        Command::Exact { process, edges, n } => {
+        Subcommand::Exact => {
             // Checked before the graph is built: the solver panics outside
             // this range, and a huge `n` would allocate first.
             let max = gossip_model::MAX_N;
-            if !(2..=max).contains(n) {
+            if !(2..=max).contains(&n) {
                 return Err(format!("exact analysis supports 2 <= n <= {max}, got {n}"));
             }
-            let g = parse_edges(edges, *n)?;
+            let g = parse_edges(f.edges.as_deref().unwrap_or_default(), n)?;
             let e = exact_expected_rounds(&g, RuleId::parse(process)?);
             let _ = writeln!(out, "exact E[rounds to fixed point] = {e:.6}");
         }
 
-        Command::Serve {
-            process,
-            family,
-            n,
-            rounds,
-            shards,
-            snapshot_every,
-            seed,
-            param,
-            churn,
-            transport,
-            bind,
-            peers,
-        } => {
-            let g = make_graph(family, *n, *seed, *param)?;
+        Subcommand::Serve => {
+            let g = make_graph(family, n, seed, f.param)?;
             let cfg = ServeConfig {
-                snapshot_every: *snapshot_every,
-                budget: *rounds,
+                snapshot_every: f.snapshot_every,
+                budget: f.rounds,
             };
             let id = RuleId::parse(process)?;
-            let plan = (*churn > 0).then(|| churn_plan(g.n(), *churn, *seed));
-            let line = if matches!(transport, Transport::Udp | Transport::Lossy) {
+            let plan = (churn > 0).then(|| churn_plan(g.n(), churn, seed));
+            let line = if matches!(f.transport, Transport::Udp | Transport::Lossy) {
                 // Datagram cluster: coordinator in this process, one
                 // re-execed worker process per remaining peer-table slot
                 // (`maybe_run_cluster_shard` diverts the copies).
-                let g = ShardedArenaGraph::from_arena(&g, *shards);
-                let mut b = ClusterBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
-                if let Some(plan) = plan.clone() {
+                let g = ShardedArenaGraph::from_arena(&g, shards);
+                let mut b = ClusterBuilder::new(g, id, seed).with_mode(TransportMode::Process);
+                if let Some(plan) = plan {
                     b = b.with_membership(plan);
                 }
-                if *transport == Transport::Lossy {
+                if f.transport == Transport::Lossy {
                     b = b.with_loss(DatagramLoss {
                         seed: seed ^ 0x1055,
                         drop_per_mille: 50,
                         dup_per_mille: 30,
                     });
                 }
-                if let Some(addr) = bind {
+                if let Some(addr) = &f.bind {
                     b = b.with_bind(addr.parse().map_err(|e| format!("--bind {addr}: {e}"))?);
                 }
-                if let Some(list) = peers {
+                if let Some(list) = &f.peers {
                     let table = list
                         .split(',')
                         .map(|a| a.parse().map_err(|e| format!("--peers {a}: {e}")))
@@ -671,42 +576,42 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 }
                 let engine = b.spawn().map_err(|e| format!("cluster spawn: {e}"))?;
                 serve_report(engine, cfg)
-            } else if *transport == Transport::Uds {
+            } else if f.transport == Transport::Uds {
                 // Serialized seam: one OS process per shard, framed
                 // mailboxes over UDS. Worker copies of this binary never
                 // reach the CLI — `maybe_run_worker` diverts them at the
                 // top of `main`.
-                let g = ShardedArenaGraph::from_arena(&g, *shards);
-                let mut b = TransportBuilder::new(g, id, *seed).with_mode(TransportMode::Process);
-                if let Some(plan) = plan.clone() {
+                let g = ShardedArenaGraph::from_arena(&g, shards);
+                let mut b = TransportBuilder::new(g, id, seed).with_mode(TransportMode::Process);
+                if let Some(plan) = plan {
                     b = b.with_membership(plan);
                 }
                 let engine = b.spawn().map_err(|e| format!("transport spawn: {e}"))?;
                 serve_report(engine, cfg)
-            } else if *shards > 1 {
-                let g = ShardedArenaGraph::from_arena(&g, *shards);
-                let mut b = EngineBuilder::new(g, id, *seed);
-                if let Some(plan) = plan.clone() {
+            } else if shards > 1 {
+                let g = ShardedArenaGraph::from_arena(&g, shards);
+                let mut b = EngineBuilder::new(g, id, seed);
+                if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
                 serve_report(b.build_sharded(), cfg)
             } else {
-                let mut b = EngineBuilder::new(g, id, *seed);
-                if let Some(plan) = plan.clone() {
+                let mut b = EngineBuilder::new(g, id, seed);
+                if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
                 serve_report(b.build(), cfg)
             };
-            let churn_note = if *churn > 0 {
+            let churn_note = if churn > 0 {
                 format!(", churn={churn}")
             } else {
                 String::new()
             };
-            let transport_note = match transport {
-                Transport::Inproc => String::new(),
-                Transport::Uds => ", transport=uds".into(),
-                Transport::Lossy => ", transport=lossy".into(),
-                Transport::Udp => ", transport=udp".into(),
+            let transport_note = match f.transport {
+                Transport::Inproc => "",
+                Transport::Uds => ", transport=uds",
+                Transport::Lossy => ", transport=lossy",
+                Transport::Udp => ", transport=udp",
             };
             let _ = writeln!(
                 out,
@@ -714,12 +619,12 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             );
         }
 
-        Command::Directed { family, n, seed } => {
-            let g = make_directed(family, *n, *seed)?;
+        Subcommand::Directed => {
+            let g = make_directed(family, n, seed)?;
             let mut check = ClosureReached::for_graph(&g);
             let target = check.target_arcs();
             let n_actual = g.n() as f64;
-            let mut engine = Engine::new(g, DirectedPull, *seed);
+            let mut engine = Engine::new(g, DirectedPull, seed);
             let outcome = engine.run_until(&mut check, u64::MAX);
             let _ = writeln!(
                 out,
@@ -742,16 +647,24 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    /// Parses and executes one command line.
+    fn exec(line: &str) -> Result<String, String> {
+        execute(&Command::parse(&argv(line))?)
+    }
+
     #[test]
     fn parse_generate() {
         let cmd = Command::parse(&argv("generate --family star --n 8 --seed 3")).unwrap();
         assert_eq!(
             cmd,
-            Command::Generate {
-                family: "star".into(),
-                n: 8,
-                seed: 3,
-                param: None
+            Command {
+                sub: Subcommand::Generate,
+                flags: Flags {
+                    family: Some("star".into()),
+                    n: Some(8),
+                    seed: 3,
+                    ..Flags::default()
+                }
             }
         );
     }
@@ -767,30 +680,26 @@ mod tests {
     #[test]
     fn parse_defaults() {
         let cmd = Command::parse(&argv("trials --process pull --family cycle --n 10")).unwrap();
-        match cmd {
-            Command::Trials { trials, seed, .. } => {
-                assert_eq!(trials, 16);
-                assert_eq!(seed, 42);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        assert_eq!(cmd.sub, Subcommand::Trials);
+        assert_eq!((cmd.flags.trials, cmd.flags.seed), (16, 42));
     }
 
     #[test]
     fn help_is_default() {
-        assert_eq!(Command::parse(&[]).unwrap(), Command::Help);
-        assert!(execute(&Command::Help).unwrap().contains("USAGE"));
+        let help = Command::parse(&[]).unwrap();
+        assert_eq!(
+            help,
+            Command {
+                sub: Subcommand::Help,
+                flags: Flags::default()
+            }
+        );
+        assert!(execute(&help).unwrap().contains("USAGE"));
     }
 
     #[test]
     fn generate_emits_parseable_edge_list() {
-        let out = execute(&Command::Generate {
-            family: "cycle".into(),
-            n: 6,
-            seed: 1,
-            param: None,
-        })
-        .unwrap();
+        let out = exec("generate --family cycle --n 6 --seed 1").unwrap();
         let g = gio::parse_undirected(&out).unwrap();
         assert_eq!(g.n(), 6);
         assert_eq!(g.m(), 6);
@@ -798,17 +707,7 @@ mod tests {
 
     #[test]
     fn run_completes_and_traces() {
-        let out = execute(&Command::Run {
-            process: "push".into(),
-            family: Some("star".into()),
-            n: 8,
-            graph_file: None,
-            seed: 5,
-            trace: true,
-            param: None,
-            churn: 0,
-        })
-        .unwrap();
+        let out = exec("run --protocol push --family star --n 8 --seed 5 --trace").unwrap();
         assert!(out.contains("process = push"));
         assert!(out.contains("round,introducer,a,b"));
         // Star on 8 gains C(7,2) = 21 edges: header + 21 trace lines + summary.
@@ -817,45 +716,31 @@ mod tests {
 
     #[test]
     fn trials_reports_stats() {
-        let out = execute(&Command::Trials {
-            process: "pull".into(),
-            family: "cycle".into(),
-            n: 12,
-            trials: 4,
-            seed: 9,
-            param: None,
-        })
-        .unwrap();
+        let out = exec("trials --protocol pull --family cycle --n 12 --trials 4 --seed 9").unwrap();
         assert!(out.contains("mean ="));
         assert!(out.contains("trials = 4"));
     }
 
     #[test]
     fn exact_matches_solver() {
-        let out = execute(&Command::Exact {
-            process: "push".into(),
-            edges: "0-1,1-2".into(),
-            n: 3,
-        })
-        .unwrap();
+        let out = exec("exact --protocol push --edges 0-1,1-2 --n 3").unwrap();
         assert!(
             out.contains("2.000000"),
             "path-3 push is exactly 2 rounds: {out}"
         );
         // Hybrid is one more kernel: P(no edge per round) = 1/8, E = 8/7.
-        let out = execute(&Command::Exact {
-            process: "hybrid".into(),
-            edges: "0-1,1-2".into(),
-            n: 3,
-        })
-        .unwrap();
+        let out = exec("exact --protocol hybrid --edges 0-1,1-2 --n 3").unwrap();
         assert!(out.contains("1.142857"), "path-3 hybrid is 8/7: {out}");
         // n outside the solver's range is a clean error, not a panic.
         for n in [0, 1, 6, 9] {
-            let err = execute(&Command::Exact {
-                process: "push".into(),
-                edges: String::new(),
-                n,
+            let err = execute(&Command {
+                sub: Subcommand::Exact,
+                flags: Flags {
+                    protocol: Some("push".into()),
+                    edges: Some(String::new()),
+                    n: Some(n),
+                    ..Flags::default()
+                },
             })
             .unwrap_err();
             assert!(err.contains("2 <= n <= 5"), "n = {n}: {err}");
@@ -872,12 +757,7 @@ mod tests {
 
     #[test]
     fn directed_runs() {
-        let out = execute(&Command::Directed {
-            family: "cycle".into(),
-            n: 8,
-            seed: 2,
-        })
-        .unwrap();
+        let out = exec("directed --family cycle --n 8 --seed 2").unwrap();
         assert!(out.contains("closure arcs = 56"));
     }
 
@@ -887,20 +767,10 @@ mod tests {
         // subcommand; 4 rounds of push on a 64-star is deterministic.
         let mut lines = Vec::new();
         for shards in [1usize, 4] {
-            let out = execute(&Command::Serve {
-                process: "push".into(),
-                family: "star".into(),
-                n: 64,
-                rounds: 4,
-                shards,
-                snapshot_every: 2,
-                seed: 11,
-                param: None,
-                churn: 0,
-                transport: Transport::Inproc,
-                bind: None,
-                peers: None,
-            })
+            let out = exec(&format!(
+                "serve --protocol push --family star --n 64 --rounds 4 --shards {shards} \
+                 --snapshot-every 2 --seed 11"
+            ))
             .unwrap();
             assert!(out.contains("rounds = 4"), "{out}");
             assert!(out.contains("coverage ="), "{out}");
@@ -918,17 +788,9 @@ mod tests {
             "serve --process pull --family sparse --n 100 --rounds 9 --shards 2 --snapshot-every 3",
         ))
         .unwrap();
-        match cmd {
-            Command::Serve {
-                rounds,
-                shards,
-                snapshot_every,
-                ..
-            } => {
-                assert_eq!((rounds, shards, snapshot_every), (9, 2, 3));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        assert_eq!(cmd.sub, Subcommand::Serve);
+        let f = cmd.flags;
+        assert_eq!((f.rounds, f.shards, f.snapshot_every), (9, 2, 3));
         assert!(Command::parse(&argv("serve --family star --n 8")).is_err());
     }
 
@@ -939,10 +801,7 @@ mod tests {
                 "serve --protocol push --family star --n 32 --shards 2 --transport {word}"
             )))
             .unwrap();
-            match cmd {
-                Command::Serve { transport, .. } => assert_eq!(transport, want),
-                other => panic!("wrong parse: {other:?}"),
-            }
+            assert_eq!(cmd.flags.transport, want);
         }
         // Unknown mode, serialized transport without real shards, and
         // --transport on a non-serve subcommand are all clean errors.
@@ -970,24 +829,15 @@ mod tests {
 
     #[test]
     fn parse_peer_table_flags() {
-        let cmd = Command::parse(&argv(
+        let f = Command::parse(&argv(
             "serve --protocol push --family star --n 32 --shards 2 --transport udp \
              --bind 127.0.0.1:7000 --peers 127.0.0.1:7001",
         ))
-        .unwrap();
-        match cmd {
-            Command::Serve {
-                transport,
-                bind,
-                peers,
-                ..
-            } => {
-                assert_eq!(transport, Transport::Udp);
-                assert_eq!(bind.as_deref(), Some("127.0.0.1:7000"));
-                assert_eq!(peers.as_deref(), Some("127.0.0.1:7001"));
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
+        .unwrap()
+        .flags;
+        assert_eq!(f.transport, Transport::Udp);
+        assert_eq!(f.bind.as_deref(), Some("127.0.0.1:7000"));
+        assert_eq!(f.peers.as_deref(), Some("127.0.0.1:7001"));
         // The peer-table flags are meaningless off the datagram path.
         assert!(Command::parse(&argv(
             "serve --protocol push --family star --n 32 --shards 2 --transport uds \
@@ -1004,21 +854,11 @@ mod tests {
 
     #[test]
     fn parse_churn_flag() {
-        let cmd = Command::parse(&argv(
-            "run --protocol push --family sparse --n 64 --churn 2",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Run { churn, .. } => assert_eq!(churn, 2),
-            other => panic!("wrong parse: {other:?}"),
-        }
-        let cmd = Command::parse(&argv(
-            "serve --protocol pull --family star --n 32 --churn 1",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Serve { churn, .. } => assert_eq!(churn, 1),
-            other => panic!("wrong parse: {other:?}"),
+        for (line, churn) in [
+            ("run --protocol push --family sparse --n 64 --churn 2", 2),
+            ("serve --protocol pull --family star --n 32 --churn 1", 1),
+        ] {
+            assert_eq!(Command::parse(&argv(line)).unwrap().flags.churn, churn);
         }
         assert!(
             Command::parse(&argv("run --protocol push --family star --n 8 --churn x")).is_err()
@@ -1027,17 +867,7 @@ mod tests {
 
     #[test]
     fn run_under_churn_reports_membership_and_completes() {
-        let out = execute(&Command::Run {
-            process: "push".into(),
-            family: Some("sparse".into()),
-            n: 96,
-            graph_file: None,
-            seed: 7,
-            trace: false,
-            param: None,
-            churn: 2,
-        })
-        .unwrap();
+        let out = exec("run --protocol push --family sparse --n 96 --seed 7 --churn 2").unwrap();
         assert!(out.contains("process = push"), "{out}");
         // 2 bursts of 96/16 = 6 nodes, each leaving once and rejoining once.
         assert!(
@@ -1052,20 +882,10 @@ mod tests {
         // resident engine — the membership seam rides the builder into both.
         let mut lines = Vec::new();
         for shards in [1usize, 4] {
-            let out = execute(&Command::Serve {
-                process: "pull".into(),
-                family: "sparse".into(),
-                n: 128,
-                rounds: 8,
-                shards,
-                snapshot_every: 2,
-                seed: 13,
-                param: None,
-                churn: 1,
-                transport: Transport::Inproc,
-                bind: None,
-                peers: None,
-            })
+            let out = exec(&format!(
+                "serve --protocol pull --family sparse --n 128 --rounds 8 --shards {shards} \
+                 --snapshot-every 2 --seed 13 --churn 1"
+            ))
             .unwrap();
             assert!(out.contains("churn=1"), "{out}");
             lines.push(out.split_once("): ").unwrap().1.to_string());

@@ -73,7 +73,7 @@ pub mod prelude {
         ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PullProtocol as NetPull,
         PushProtocol as NetPush,
     };
-    pub use gossip_serve::{GossipService, MetricsCounters, ServeConfig, Snapshot};
+    pub use gossip_serve::{GossipService, ServeConfig, Snapshot};
     pub use gossip_shard::{
         BuildSharded, ShardedEngine, TransportBuilder, TransportEngine, TransportMode,
     };
