@@ -67,8 +67,8 @@ pub use kernel::{
     PushKernel, RngChooser, Share, ThrottledKernel,
 };
 pub use listener::{
-    Chain, ListenerSet, PhaseAccumulator, PhaseEvent, PhaseNanos, RoundControl, RoundEvent,
-    RoundListener, RoundPhase, StopWhen,
+    Chain, ListenerSet, PhaseEvent, PhaseNanos, RoundControl, RoundEvent, RoundListener,
+    RoundPhase, StopWhen,
 };
 pub use membership::{ChurnBursts, MembershipEvent, MembershipPlan, MembershipStats};
 pub use process::{GossipGraph, ProposalRule, ProposalSet, RoundStats, TaggedProposal};

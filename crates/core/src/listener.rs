@@ -314,38 +314,6 @@ impl PhaseNanos {
     }
 }
 
-/// Listener that accumulates [`PhaseEvent`]s into cumulative
-/// [`PhaseNanos`] — the unified-API replacement for the sharded engine's
-/// ad-hoc phase timers (and the implementation behind them).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseAccumulator {
-    totals: PhaseNanos,
-}
-
-impl PhaseAccumulator {
-    /// A zeroed accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cumulative totals so far.
-    pub fn totals(&self) -> PhaseNanos {
-        self.totals
-    }
-
-    /// Zeroes the totals (e.g. after warm-up rounds).
-    pub fn reset(&mut self) {
-        self.totals = PhaseNanos::default();
-    }
-}
-
-impl<G: GossipGraph> RoundListener<G> for PhaseAccumulator {
-    #[inline]
-    fn on_phase(&mut self, ev: &PhaseEvent) {
-        self.totals.absorb(ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,7 +418,14 @@ mod tests {
 
     #[test]
     fn phase_accumulator_absorbs_events() {
-        let mut acc = PhaseAccumulator::new();
+        /// Totals every phase event it hears, as the engines' timers do.
+        struct Absorb(PhaseNanos);
+        impl<G: GossipGraph> RoundListener<G> for Absorb {
+            fn on_phase(&mut self, ev: &PhaseEvent) {
+                self.0.absorb(ev);
+            }
+        }
+        let mut acc = Absorb(PhaseNanos::default());
         for (phase, nanos) in [
             (RoundPhase::Propose, 5),
             (RoundPhase::Route, 7),
@@ -470,7 +445,7 @@ mod tests {
             );
         }
         assert_eq!(
-            acc.totals(),
+            acc.0,
             PhaseNanos {
                 membership: 0,
                 propose: 18,
@@ -481,8 +456,6 @@ mod tests {
                 apply: 11
             }
         );
-        assert_eq!(acc.totals().total(), 45);
-        acc.reset();
-        assert_eq!(acc.totals(), PhaseNanos::default());
+        assert_eq!(acc.0.total(), 45);
     }
 }
