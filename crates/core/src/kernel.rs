@@ -43,10 +43,12 @@
 //!   gives each [`Share`] its delivery and bit cost; Name Dropper, pointer
 //!   jumping, the throttled variant and flooding are that one runner with
 //!   four kernels.
-//! * **message world** — `gossip-net`'s `PushProtocol` drives
-//!   `on_round` only: it runs the kernel through [`LocalView`] and turns
-//!   each connect into a pair of introductions on its outbox; learning an
-//!   introduced peer is the protocol's own message handler.
+//! * **message world** — `gossip-net`'s `PushProtocol` and
+//!   `NameDropperProtocol` drive `on_round` only: each runs its kernel
+//!   through [`LocalView`] and [`RngChooser`] and puts the decisions on
+//!   its outbox — a connect as a pair of introductions, a
+//!   [`Share::KnownList`] as one full-list message; learning what arrives
+//!   is the protocol's own message handler.
 //! * **model checker** — `gossip-model` swaps the chooser for an
 //!   enumerating one and applies every outcome of a graph- or
 //!   knowledge-world kernel to a packed joint state, at `n ≤ 5`.

@@ -9,8 +9,27 @@
 
 use crate::message::Message;
 use crate::network::{NodeCtx, Protocol};
-use gossip_core::{Effects, LocalView, NodeState, ProtocolKernel, PushKernel, RngChooser};
+use gossip_core::{
+    Effects, LocalView, NameDropperKernel, NodeState, ProtocolKernel, PushKernel, RngChooser,
+};
 use gossip_graph::NodeId;
+
+/// Runs one stateless kernel's round for the node behind `ctx`: through a
+/// [`LocalView`] over its contact set and a [`RngChooser`] on its stream.
+/// Returns the kernel's decisions for the caller to put on the wire.
+fn kernel_round(kernel: impl ProtocolKernel, ctx: &mut NodeCtx<'_>) -> Effects {
+    let mut out = Effects::default();
+    kernel.on_round(
+        &mut NodeState::Stateless,
+        &LocalView {
+            me: ctx.me,
+            contacts: ctx.contacts,
+        },
+        &mut RngChooser(ctx.rng),
+        &mut out,
+    );
+    out
+}
 
 /// Push discovery on the wire: each round a node draws two contacts `v, w`
 /// i.i.d. and, when distinct, mails `Introduce{w}` to `v` and
@@ -27,17 +46,7 @@ pub struct PushProtocol;
 
 impl Protocol for PushProtocol {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>) {
-        let mut out = Effects::default();
-        PushKernel.on_round(
-            &mut NodeState::Stateless,
-            &LocalView {
-                me: ctx.me,
-                contacts: ctx.contacts,
-            },
-            &mut RngChooser(ctx.rng),
-            &mut out,
-        );
-        for &(v, w) in out.connects.as_slice() {
+        for &(v, w) in kernel_round(PushKernel, ctx).connects.as_slice() {
             ctx.send(v, Message::Introduce { peer: w });
             ctx.send(w, Message::Introduce { peer: v });
         }
@@ -97,12 +106,18 @@ impl Protocol for PullProtocol {
 /// Name Dropper on the wire: each round a node ships its **entire** contact
 /// list to one random contact. Fast in rounds, `Θ(n)` bytes per message at
 /// the end — the bandwidth profile the paper contrasts against.
+///
+/// The decision logic is [`NameDropperKernel`], the kernel the model
+/// checker proves, driven like [`PushProtocol`]'s: each
+/// [`Share::KnownList`](gossip_core::Share::KnownList) it decides becomes
+/// a `FullList` message.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NameDropperProtocol;
 
 impl Protocol for NameDropperProtocol {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>) {
-        if let Some(v) = ctx.random_contact() {
+        // The kernel's one share is `Share::KnownList`: the whole list.
+        for (v, _) in kernel_round(NameDropperKernel, ctx).shares {
             let peers = ctx.contacts().to_vec();
             ctx.send(v, Message::FullList { peers });
         }
