@@ -246,9 +246,8 @@ impl ClusterBuilder {
 
         // Resolve the peer table. The coordinator binds first so
         // `peers[0]` is concrete even when auto-assigned.
-        let bind = self
-            .bind
-            .unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback addr"));
+        let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+        let bind = self.bind.unwrap_or(loopback);
         let coord_socket = UdpSocket::bind(bind)?;
         let mut table = vec![coord_socket.local_addr()?];
         let worker_addrs: Vec<Option<SocketAddr>> = match &self.peers {
@@ -272,7 +271,7 @@ impl ClusterBuilder {
         // is acceptable on loopback and absent with explicit tables.
         let mut worker_sockets: Vec<UdpSocket> = Vec::new();
         for (i, want) in worker_addrs.iter().enumerate() {
-            let addr = want.unwrap_or_else(|| "127.0.0.1:0".parse().expect("loopback addr"));
+            let addr = want.unwrap_or(loopback);
             let sock = UdpSocket::bind(addr).map_err(|e| {
                 io::Error::new(e.kind(), format!("binding worker {} at {addr}: {e}", i + 1))
             })?;

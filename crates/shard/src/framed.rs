@@ -34,21 +34,21 @@ pub fn check_frame_len(len: usize) -> io::Result<()> {
 /// is the datagram transport's entry into the shared decoder — both for
 /// single-datagram frames and for reassembled fragment payloads.
 pub fn parse_framed(bytes: &[u8]) -> io::Result<Frame> {
-    if bytes.len() < 4 {
+    let Some((prefix, body)) = bytes.split_first_chunk::<4>() else {
         return Err(protocol_err(format!(
             "framed blob of {} bytes has no length prefix",
             bytes.len()
         )));
-    }
-    let len = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     check_frame_len(len)?;
-    if bytes.len() - 4 != len {
+    if body.len() != len {
         return Err(protocol_err(format!(
             "frame length prefix {len} but {} body bytes",
-            bytes.len() - 4
+            body.len()
         )));
     }
-    Frame::decode(&bytes[4..]).map_err(protocol_err)
+    Frame::decode(body).map_err(protocol_err)
 }
 
 /// One framed Unix-domain connection: buffered halves plus reusable

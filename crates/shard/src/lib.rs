@@ -213,6 +213,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
 
         let proposed = self.replica.propose_and_route(self.round);
         let t = Instant::now();
+        // `apply_mail` errs only on a received half-edge, and `&[]` has none.
         self.replica
             .apply_mail(&[])
             .expect("a replica that owns every span receives no mail");

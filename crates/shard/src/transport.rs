@@ -384,6 +384,7 @@ impl HubLink {
 impl ShardLink for HubLink {
     fn bootstrap(&mut self) -> io::Result<ShardReplica> {
         let replica = ShardReplica::bootstrap(|| self.recv(0))?;
+        // `bootstrap` builds its replica on the one span `shard..shard + 1`.
         let shard = replica.shard().expect("a bootstrapped replica has a span");
         self.worker = Some(WorkerEnd {
             shard,

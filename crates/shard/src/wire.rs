@@ -295,11 +295,13 @@ const KIND_NAK_RANGE: u8 = 12;
 const KIND_FRAGMENT: u8 = 13;
 const KIND_SNAPSHOT_CHUNK: u8 = 14;
 
+/// The rule's position in [`RuleId::ALL`], its wire byte.
 fn rule_index(rule: RuleId) -> u8 {
-    RuleId::ALL
-        .iter()
-        .position(|&r| r == rule)
-        .expect("rule registered") as u8
+    match rule {
+        RuleId::Push => 0,
+        RuleId::Pull => 1,
+        RuleId::Hybrid => 2,
+    }
 }
 
 fn put_mail_header(buf: &mut BytesMut, f: &MailFrame) {
@@ -513,13 +515,14 @@ impl Frame {
                 if cur.remaining() != count * 12 {
                     return Err(WireError::Bad("mail entry bytes mismatch"));
                 }
-                let mut entries = Vec::with_capacity(count);
-                for chunk in cur.chunk().chunks_exact(12) {
-                    let slot = u32::from_le_bytes(chunk[0..4].try_into().unwrap());
-                    let row = u32::from_le_bytes(chunk[4..8].try_into().unwrap());
-                    let other = u32::from_le_bytes(chunk[8..12].try_into().unwrap());
-                    entries.push((slot, NodeId(row), NodeId(other)));
-                }
+                // Each entry is three little-endian words: slot, row, other.
+                let (words, _) = cur.chunk().as_chunks::<4>();
+                let (triples, _) = words.as_chunks::<3>();
+                let word = u32::from_le_bytes;
+                let entries = triples
+                    .iter()
+                    .map(|&[slot, row, other]| (word(slot), NodeId(word(row)), NodeId(word(other))))
+                    .collect();
                 cur.advance(count * 12);
                 Frame::Mail(MailFrame {
                     round,
@@ -621,10 +624,10 @@ impl Frame {
                 if cur.remaining() != total * 4 {
                     return Err(WireError::Bad("snapshot chunk entry bytes mismatch"));
                 }
-                let entries = cur
-                    .chunk()
-                    .chunks_exact(4)
-                    .map(|b| NodeId(u32::from_le_bytes(b.try_into().unwrap())))
+                let (words, _) = cur.chunk().as_chunks::<4>();
+                let entries = words
+                    .iter()
+                    .map(|&w| NodeId(u32::from_le_bytes(w)))
                     .collect();
                 cur.advance(total * 4);
                 Frame::SnapshotChunk {
@@ -1249,6 +1252,19 @@ mod tests {
             );
         }
         assert!(Frame::decode(&wire[4..]).is_ok());
+    }
+
+    #[test]
+    fn every_rule_crosses_the_wire_as_its_registry_position() {
+        for (i, rule) in RuleId::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(rule_index(rule)), i, "{rule:?}");
+            let Frame::Config(c) = sample_frames().swap_remove(1) else {
+                unreachable!("frame 1 is the Config")
+            };
+            let sent = Frame::Config(WorkerConfig { rule, ..c });
+            let wire = encode_one(&sent);
+            assert_eq!(Frame::decode(&wire[4..]), Ok(sent));
+        }
     }
 
     #[test]
