@@ -34,7 +34,7 @@ fn async_times(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> V
         .map(|t| {
             let mut check = ComponentwiseComplete::for_graph(g);
             let mut e = EngineBuilder::new(g.clone(), rule, trial_seed(base_seed, t)).build_async();
-            let out = run_engine_until(&mut e, &mut check, u64::MAX);
+            let Ok(out) = run_engine_until(&mut e, &mut check, u64::MAX);
             assert!(out.converged);
             e.time()
         })

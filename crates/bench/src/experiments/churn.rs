@@ -35,7 +35,7 @@ use crate::experiments::shard::{recorded, row_checksum, sparse_sharded, FixedHor
 use crate::harness::{Args, Report};
 use gossip_analysis::Table;
 use gossip_core::{
-    ChurnBursts, Engine, EngineBuilder, GossipGraph, ListenerSet, MembershipEvent, MembershipPlan,
+    ChurnBursts, Engine, EngineBuilder, GossipGraph, MembershipEvent, MembershipPlan,
     MembershipStats, Pull, RoundRecorder,
 };
 use gossip_graph::NodeId;
@@ -152,7 +152,7 @@ fn served_run(n: usize, seed: u64, horizon: u64) -> FixedHorizon {
             snapshot_every: 1,
             budget: horizon,
         },
-        ListenerSet::new().with(rec.clone()),
+        rec.clone(),
     );
     let (engine, _outcome) = svc.join();
     FixedHorizon {

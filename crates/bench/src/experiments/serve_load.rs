@@ -24,7 +24,7 @@
 use crate::experiments::shard::{fixed_horizon, row_checksum, sparse_sharded, FixedHorizon};
 use crate::harness::{Args, Report};
 use gossip_analysis::Table;
-use gossip_core::{EngineBuilder, ListenerSet, Pull, RoundRecorder};
+use gossip_core::{EngineBuilder, Pull, RoundRecorder};
 use gossip_graph::{NodeId, ShardedArenaGraph};
 use gossip_serve::{GossipService, ServeConfig};
 use gossip_shard::{BuildSharded, ShardedEngine};
@@ -90,7 +90,7 @@ fn serve_under_load(g: ShardedArenaGraph, seed: u64, horizon: u64) -> ServeRun {
             snapshot_every: 1,
             budget: horizon,
         },
-        ListenerSet::new().with(rec.clone()),
+        rec.clone(),
     );
     let done = Arc::new(AtomicBool::new(false));
     let readers: Vec<_> = (0..READERS)

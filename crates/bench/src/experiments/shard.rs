@@ -85,12 +85,13 @@ impl FixedHorizon {
 
 /// Runs any engine — in-process or cross-process, over either carrier —
 /// `horizon` rounds under `rec` and reduces the run to a [`FixedHorizon`].
-pub(crate) fn recorded<E: RoundEngine>(
+/// A failed round fails the experiment.
+pub(crate) fn recorded<E: RoundEngine<Error: std::fmt::Debug>>(
     e: &mut E,
     horizon: u64,
     mut rec: RoundRecorder<E::Graph>,
 ) -> FixedHorizon {
-    run_engine_listened(e, &mut rec, horizon);
+    run_engine_listened(e, &mut rec, horizon).expect("a round of the run failed");
     FixedHorizon {
         rows: rec.rows(),
         checksum: row_checksum(e.graph()),
@@ -98,7 +99,10 @@ pub(crate) fn recorded<E: RoundEngine>(
 }
 
 /// [`recorded`] with no probe.
-pub(crate) fn fixed_horizon<E: RoundEngine>(e: &mut E, horizon: u64) -> FixedHorizon {
+pub(crate) fn fixed_horizon<E: RoundEngine<Error: std::fmt::Debug>>(
+    e: &mut E,
+    horizon: u64,
+) -> FixedHorizon {
     recorded(e, horizon, RoundRecorder::new())
 }
 

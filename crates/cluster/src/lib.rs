@@ -75,20 +75,22 @@
 //!
 //! ```
 //! use gossip_cluster::ClusterBuilder;
-//! use gossip_core::{ComponentwiseComplete, RuleId};
+//! use gossip_core::{run_engine_until, ComponentwiseComplete, RuleId};
 //! use gossip_graph::{generators, ShardedArenaGraph};
 //!
 //! let und = generators::star(256);
 //! let g = ShardedArenaGraph::from_arena(&und, 2);
 //! let mut check = ComponentwiseComplete::for_graph(&und);
 //! let mut cluster = ClusterBuilder::new(g, RuleId::Push, 7).spawn().unwrap();
-//! let out = cluster.run_until(&mut check, 1_000_000);
+//! let out = run_engine_until(&mut cluster, &mut check, 1_000_000).unwrap();
 //! assert!(out.converged && cluster.graph().is_complete());
 //! cluster.shutdown().unwrap();
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
 
 use gossip_core::{MembershipPlan, Parallelism, RuleId};
 use gossip_graph::{HalfEdge, ShardedArenaGraph};
@@ -639,7 +641,7 @@ fn parse_mtu(value: Option<&str>) -> Result<usize, &str> {
 mod tests {
     use super::*;
     use gossip_core::rng::stream_rng;
-    use gossip_core::{ChurnBursts, ComponentwiseComplete, Pull, Push};
+    use gossip_core::{run_engine_until, ChurnBursts, ComponentwiseComplete, Pull, Push};
     use gossip_graph::generators;
     use gossip_shard::ShardedEngine;
 
@@ -676,7 +678,7 @@ mod tests {
             for round in 0..6 {
                 assert_eq!(
                     inproc.step(),
-                    cluster.step(),
+                    cluster.try_step(None).unwrap(),
                     "S={shards} round={round}: stats diverged over datagrams"
                 );
             }
@@ -700,7 +702,11 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..4 {
-            assert_eq!(inproc.step(), cluster.step(), "round {round}");
+            assert_eq!(
+                inproc.step(),
+                cluster.try_step(None).unwrap(),
+                "round {round}"
+            );
         }
         assert_graphs_equal(inproc.graph(), cluster.graph(), "lossy cluster");
         let stats = cluster.stats();
@@ -733,7 +739,11 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..6 {
-            assert_eq!(inproc.step(), cluster.step(), "round {round}");
+            assert_eq!(
+                inproc.step(),
+                cluster.try_step(None).unwrap(),
+                "round {round}"
+            );
         }
         assert_graphs_equal(inproc.graph(), cluster.graph(), "churn over datagrams");
         cluster.shutdown().unwrap();
@@ -747,7 +757,7 @@ mod tests {
         let mut cluster = ClusterBuilder::new(g, RuleId::Push, 4)
             .spawn()
             .expect("spawn");
-        let out = cluster.run_until(&mut check, 1_000_000);
+        let out = run_engine_until(&mut cluster, &mut check, 1_000_000).unwrap();
         assert!(out.converged);
         assert!(cluster.graph().is_complete());
         assert_eq!(out.rounds, cluster.round());
@@ -764,7 +774,11 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..3 {
-            assert_eq!(inproc.step(), cluster.step(), "round {round}");
+            assert_eq!(
+                inproc.step(),
+                cluster.try_step(None).unwrap(),
+                "round {round}"
+            );
         }
         assert_graphs_equal(inproc.graph(), cluster.graph(), "tiny mtu");
         assert!(cluster.stats().endpoint.fragments_sent > 0);
@@ -783,7 +797,7 @@ mod tests {
             .spawn()
             .expect("spawn");
         assert_eq!(cluster.peer_table()[1], addr);
-        cluster.step();
+        cluster.try_step(None).unwrap();
         cluster.shutdown().unwrap();
     }
 
@@ -795,7 +809,11 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..4 {
-            assert_eq!(inproc.step(), cluster.step(), "round {round}");
+            assert_eq!(
+                inproc.step(),
+                cluster.try_step(None).unwrap(),
+                "round {round}"
+            );
         }
         assert_graphs_equal(inproc.graph(), cluster.graph(), "single shard");
         cluster.shutdown().unwrap();
@@ -807,8 +825,8 @@ mod tests {
         let mut cluster = ClusterBuilder::new(g, RuleId::Push, 3)
             .spawn()
             .expect("spawn");
-        cluster.step();
-        cluster.step();
+        cluster.try_step(None).unwrap();
+        cluster.try_step(None).unwrap();
         let s = cluster.stats();
         assert!(s.endpoint.data_datagrams > 0);
         assert!(s.endpoint.datagrams_sent > 0 && s.endpoint.datagrams_received > 0);

@@ -59,7 +59,7 @@ proptest! {
         let mut cluster = ClusterBuilder::new(g, rule, engine_seed)
             .spawn()
             .expect("spawn cluster");
-        let cluster_stats: Vec<_> = (0..rounds).map(|_| cluster.step()).collect();
+        let cluster_stats: Vec<_> = (0..rounds).map(|_| cluster.try_step(None).unwrap()).collect();
         prop_assert_eq!(seq_stats, cluster_stats, "trajectory diverged");
         prop_assert_eq!(seq_g.m(), cluster.graph().m());
         for u in seq_g.nodes() {
@@ -97,7 +97,7 @@ proptest! {
                 .with_mtu(mtu)
                 .spawn()
                 .expect("spawn lossy cluster");
-            let stats: Vec<_> = (0..rounds).map(|_| cluster.step()).collect();
+            let stats: Vec<_> = (0..rounds).map(|_| cluster.try_step(None).unwrap()).collect();
             let injected = (
                 cluster.stats().endpoint.injected_drops,
                 cluster.stats().endpoint.injected_dups,
@@ -132,7 +132,7 @@ proptest! {
             .spawn()
             .expect("spawn cluster");
         for r in 0..rounds {
-            prop_assert_eq!(seq.step(), cluster.step(), "round {} diverged at mtu {}", r, mtu);
+            prop_assert_eq!(seq.step(), cluster.try_step(None).unwrap(), "round {} diverged at mtu {}", r, mtu);
         }
         cluster.shutdown().expect("clean shutdown");
     }

@@ -8,7 +8,7 @@
 
 use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::rng::stream_rng;
-use gossip_core::{Pull, Push, RuleId};
+use gossip_core::{run_engine_until, Pull, Push, RuleId};
 use gossip_graph::{generators, NodeId, ShardedArenaGraph};
 use gossip_shard::{ShardedEngine, TransportMode};
 use std::net::SocketAddr;
@@ -36,7 +36,11 @@ fn process_cluster_matches_in_process_engine() {
         .spawn()
         .expect("spawn process cluster");
     for round in 0..5 {
-        assert_eq!(inproc.step(), cluster.step(), "round {round}");
+        assert_eq!(
+            inproc.step(),
+            cluster.try_step(None).unwrap(),
+            "round {round}"
+        );
     }
     assert_graphs_equal(inproc.graph(), cluster.graph(), "process cluster");
     cluster.graph().validate().unwrap();
@@ -60,7 +64,11 @@ fn lossy_process_cluster_recovers() {
         .spawn()
         .expect("spawn lossy process cluster");
     for round in 0..4 {
-        assert_eq!(inproc.step(), cluster.step(), "round {round}");
+        assert_eq!(
+            inproc.step(),
+            cluster.try_step(None).unwrap(),
+            "round {round}"
+        );
     }
     assert_graphs_equal(inproc.graph(), cluster.graph(), "lossy process cluster");
     let stats = cluster.stats();
@@ -104,7 +112,11 @@ fn two_host_loopback_grid_is_bit_identical() {
         .expect("spawn two-host grid");
     assert_eq!(&cluster.peer_table()[1..], peers.as_slice());
     for round in 0..4 {
-        assert_eq!(inproc.step(), cluster.step(), "round {round}");
+        assert_eq!(
+            inproc.step(),
+            cluster.try_step(None).unwrap(),
+            "round {round}"
+        );
     }
     assert_graphs_equal(inproc.graph(), cluster.graph(), "two-host grid");
     cluster.shutdown().expect("clean shutdown");
@@ -121,7 +133,7 @@ fn converged_cluster_answers_queries() {
         .with_mode(TransportMode::Process)
         .spawn()
         .expect("spawn");
-    let out = cluster.run_until(&mut check, 1_000_000);
+    let out = run_engine_until(&mut cluster, &mut check, 1_000_000).unwrap();
     assert!(out.converged);
     cluster.shutdown().expect("clean shutdown");
     assert!(cluster.graph().is_complete());

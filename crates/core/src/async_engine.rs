@@ -20,6 +20,7 @@
 //! single RNG stream, so runs are deterministic in the seed (the process is
 //! inherently sequential — there is no parallel phase to keep consistent).
 
+use crate::listener::RoundListener;
 use crate::process::{GossipGraph, ProposalRule, RoundStats};
 use crate::rng::stream_rng;
 use gossip_graph::NodeId;
@@ -27,6 +28,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::convert::Infallible;
 
 /// Total-ordered f64 wrapper for the event queue (activation times are
 /// finite by construction; NaN cannot occur).
@@ -61,7 +63,7 @@ impl Ord for Time {
 /// let g = generators::star(12);
 /// let mut check = ComponentwiseComplete::for_graph(&g);
 /// let mut engine = AsyncEngine::new(g, Push, 7);
-/// let out = run_engine_until(&mut engine, &mut check, u64::MAX);
+/// let Ok(out) = run_engine_until(&mut engine, &mut check, u64::MAX);
 /// assert!(out.converged);
 /// assert!(engine.time() > 0.0);
 /// ```
@@ -131,6 +133,7 @@ impl<G: GossipGraph, R: ProposalRule<G>> AsyncEngine<G, R> {
 
 impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for AsyncEngine<G, R> {
     type Graph = G;
+    type Error = Infallible;
     #[inline]
     fn graph(&self) -> &G {
         &self.graph
@@ -141,8 +144,8 @@ impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for AsyncEngin
         self.activations
     }
     #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step().1
+    fn step_listened(&mut self, _: &mut dyn RoundListener<G>) -> Result<RoundStats, Infallible> {
+        Ok(self.step().1)
     }
 }
 
@@ -165,7 +168,7 @@ mod tests {
         let g = generators::star(16);
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut engine = AsyncEngine::new(g, Push, 7);
-        let out = run_engine_until(&mut engine, &mut check, u64::MAX);
+        let Ok(out) = run_engine_until(&mut engine, &mut check, u64::MAX);
         assert!(out.converged);
         assert!(engine.graph().is_complete());
         assert!(engine.time() > 0.0);
@@ -177,7 +180,7 @@ mod tests {
         let g = generators::path(14);
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut engine = AsyncEngine::new(g, Pull, 3);
-        let out = run_engine_until(&mut engine, &mut check, u64::MAX);
+        let Ok(out) = run_engine_until(&mut engine, &mut check, u64::MAX);
         assert!(out.converged);
     }
 
@@ -202,7 +205,7 @@ mod tests {
         let run = |seed| {
             let mut check = ComponentwiseComplete::for_graph(&g);
             let mut e = AsyncEngine::new(g.clone(), Push, seed);
-            let out = run_engine_until(&mut e, &mut check, u64::MAX);
+            let Ok(out) = run_engine_until(&mut e, &mut check, u64::MAX);
             (e.activations(), e.time().to_bits(), out.final_edges)
         };
         assert_eq!(run(11), run(11));
@@ -222,7 +225,7 @@ mod tests {
         let async_time = {
             let mut check = ComponentwiseComplete::for_graph(&g);
             let mut e = AsyncEngine::new(g.clone(), Push, 9);
-            run_engine_until(&mut e, &mut check, u64::MAX);
+            let Ok(_) = run_engine_until(&mut e, &mut check, u64::MAX);
             e.time()
         };
         let ratio = async_time / sync;
@@ -239,7 +242,7 @@ mod tests {
         let g = generators::directed_cycle(8);
         let mut check = ClosureReached::for_graph(&g);
         let mut e = AsyncEngine::new(g, DirectedPull, 4);
-        let out = run_engine_until(&mut e, &mut check, u64::MAX);
+        let Ok(out) = run_engine_until(&mut e, &mut check, u64::MAX);
         assert!(out.converged);
         assert_eq!(out.final_edges, 56);
     }

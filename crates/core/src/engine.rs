@@ -31,9 +31,11 @@
 //! and gives batch-capable graphs the whole round at once.
 
 use crate::convergence::ConvergenceCheck;
+use crate::listener::RoundListener;
 use crate::membership::{MembershipPlan, MembershipStats};
 use crate::process::{GossipGraph, ProposalRule, RoundStats, TaggedProposal};
 use rayon::prelude::*;
+use std::convert::Infallible;
 
 /// Nodes per propose-phase chunk. Fixed (never derived from the thread
 /// count) so the chunk decomposition — and with it every buffer boundary —
@@ -296,12 +298,14 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
         check: &mut C,
         max_rounds: u64,
     ) -> RunOutcome {
-        crate::seam::run_engine_until(self, check, max_rounds)
+        let Ok(out) = crate::seam::run_engine_until(self, check, max_rounds);
+        out
     }
 }
 
 impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for Engine<G, R> {
     type Graph = G;
+    type Error = Infallible;
     #[inline]
     fn graph(&self) -> &G {
         &self.graph
@@ -311,8 +315,8 @@ impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for Engine<G, 
         self.round
     }
     #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step()
+    fn step_listened(&mut self, _: &mut dyn RoundListener<G>) -> Result<RoundStats, Infallible> {
+        Ok(self.step())
     }
 }
 

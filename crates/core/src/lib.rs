@@ -67,8 +67,7 @@ pub use kernel::{
     PushKernel, RngChooser, Share, ThrottledKernel,
 };
 pub use listener::{
-    Chain, ListenerSet, PhaseEvent, PhaseNanos, RoundControl, RoundEvent, RoundListener,
-    RoundPhase, StopWhen,
+    Chain, PhaseEvent, PhaseNanos, RoundControl, RoundEvent, RoundListener, RoundPhase, StopWhen,
 };
 pub use membership::{ChurnBursts, MembershipEvent, MembershipPlan, MembershipStats};
 pub use process::{GossipGraph, ProposalRule, ProposalSet, RoundStats, TaggedProposal};

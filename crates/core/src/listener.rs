@@ -19,14 +19,14 @@
 //! the seam through the [`StopWhen`] adapter; the round recorder in
 //! [`crate::recorder`] is itself a listener. Nothing outside this
 //! module observes a run any other way — the engines route through
-//! [`crate::seam::run_engine_listened`] exclusively. Multiple listeners
-//! compose with [`Chain`] (two, statically) or [`ListenerSet`] (N, boxed —
-//! the plugin fan-out `gossip-serve` drives).
+//! [`crate::seam::run_engine_listened`] exclusively. Listeners compose
+//! with [`Chain`], and `()` is the listener that hears nothing.
 //!
 //! The no-listener path costs nothing: `run_until` wraps the check in a
-//! zero-size adapter and the default
+//! zero-size adapter, and engines without a phase breakdown ignore the
+//! listener their
 //! [`RoundEngine::step_listened`](crate::seam::RoundEngine::step_listened)
-//! forwards straight to `step_quantum`.
+//! is handed.
 
 use crate::convergence::ConvergenceCheck;
 use crate::process::{GossipGraph, RoundStats};
@@ -147,6 +147,9 @@ impl<G: GossipGraph, L: RoundListener<G> + ?Sized> RoundListener<G> for &mut L {
     }
 }
 
+/// The listener that hears nothing and never stops a run.
+impl<G: GossipGraph> RoundListener<G> for () {}
+
 /// Adapter: a [`ConvergenceCheck`] as a stop-deciding listener. This is how
 /// the pre-listener API (`run_until(check, budget)`) is expressed on the
 /// unified surface — the check keeps compiling untouched.
@@ -191,77 +194,6 @@ impl<G: GossipGraph, A: RoundListener<G>, B: RoundListener<G>> RoundListener<G> 
     fn on_phase(&mut self, ev: &PhaseEvent) {
         self.0.on_phase(ev);
         self.1.on_phase(ev);
-    }
-}
-
-/// A dynamic 1:N fan-out of boxed listeners — the plugin seam. Every
-/// registered listener sees every event in registration order; the run
-/// stops when any listener says stop.
-pub struct ListenerSet<G: GossipGraph> {
-    items: Vec<Box<dyn RoundListener<G> + Send>>,
-}
-
-impl<G: GossipGraph> Default for ListenerSet<G> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<G: GossipGraph> ListenerSet<G> {
-    /// An empty set.
-    pub fn new() -> Self {
-        ListenerSet { items: Vec::new() }
-    }
-
-    /// Registers a listener (fluent).
-    pub fn with(mut self, l: impl RoundListener<G> + Send + 'static) -> Self {
-        self.push(l);
-        self
-    }
-
-    /// Registers a listener.
-    pub fn push(&mut self, l: impl RoundListener<G> + Send + 'static) {
-        self.items.push(Box::new(l));
-    }
-
-    /// Number of registered listeners.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether no listeners are registered.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
-impl<G: GossipGraph> std::fmt::Debug for ListenerSet<G> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ListenerSet")
-            .field("len", &self.items.len())
-            .finish()
-    }
-}
-
-impl<G: GossipGraph> RoundListener<G> for ListenerSet<G> {
-    fn on_start(&mut self, graph: &G) -> RoundControl {
-        let mut ctl = RoundControl::Continue;
-        for l in &mut self.items {
-            ctl = ctl.or(l.on_start(graph));
-        }
-        ctl
-    }
-    fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
-        let mut ctl = RoundControl::Continue;
-        for l in &mut self.items {
-            ctl = ctl.or(l.on_round(ev));
-        }
-        ctl
-    }
-    fn on_phase(&mut self, ev: &PhaseEvent) {
-        for l in &mut self.items {
-            l.on_phase(ev);
-        }
     }
 }
 
@@ -332,7 +264,7 @@ mod tests {
         let mut ca = ComponentwiseComplete::for_graph(a.graph());
         let mut cb = ComponentwiseComplete::for_graph(b.graph());
         let oa = a.run_until(&mut ca, 1_000_000);
-        let ob = run_engine_listened(&mut b, &mut StopWhen(&mut cb), 1_000_000);
+        let Ok(ob) = run_engine_listened(&mut b, &mut StopWhen(&mut cb), 1_000_000);
         assert_eq!(oa, ob);
     }
 
@@ -342,7 +274,7 @@ mod tests {
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut rec = RoundRecorder::new();
         let mut engine = Engine::new(g, Push, 42);
-        let out = run_engine_listened(
+        let Ok(out) = run_engine_listened(
             &mut engine,
             &mut Chain(&mut rec, StopWhen(&mut check)),
             100_000,
@@ -375,45 +307,11 @@ mod tests {
         let g = generators::cycle(24);
         let mut engine = Engine::new(g, Push, 1);
         let mut chain = Chain(StopAt(4), CountRounds::default());
-        let out = run_engine_listened(&mut engine, &mut chain, 1_000);
+        let Ok(out) = run_engine_listened(&mut engine, &mut chain, 1_000);
         assert!(out.converged, "StopAt verdict must surface as converged");
         assert_eq!(out.rounds, 4);
         // The stopping listener did not shadow the counter.
         assert_eq!(chain.1 .0, 4);
-    }
-
-    #[test]
-    fn listener_set_fans_out_and_stops_on_any() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-        struct CountInto(Arc<AtomicU64>);
-        impl<G: GossipGraph> RoundListener<G> for CountInto {
-            fn on_round(&mut self, _ev: &RoundEvent<'_, G>) -> RoundControl {
-                self.0.fetch_add(1, Ordering::Relaxed);
-                RoundControl::Continue
-            }
-        }
-        struct StopAt(u64);
-        impl<G: GossipGraph> RoundListener<G> for StopAt {
-            fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
-                if ev.round >= self.0 {
-                    RoundControl::Stop
-                } else {
-                    RoundControl::Continue
-                }
-            }
-        }
-        let seen = Arc::new(AtomicU64::new(0));
-        let mut set = ListenerSet::new()
-            .with(CountInto(seen.clone()))
-            .with(StopAt(3));
-        assert_eq!(set.len(), 2);
-        let g = generators::cycle(24);
-        let mut engine = Engine::new(g, Push, 1);
-        let out = run_engine_listened(&mut engine, &mut set, 1_000);
-        assert_eq!(out.rounds, 3);
-        assert!(out.converged);
-        assert_eq!(seen.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! what each round did: its [`RoundStats`], the edge count after it, and
 //! optionally a caller-chosen probe of the post-round graph. Its rows sit
 //! behind a shared handle, so the same recorder rides a batch run
-//! ([`crate::seam::run_engine_listened`]) or a served one (a
-//! `ListenerSet` handed to `gossip-serve`), and two runs compare row for
-//! row. Chain one next to a stopping listener to record a run:
+//! ([`crate::seam::run_engine_listened`]) or a served one (the listener
+//! handed to `gossip-serve`), and two runs compare row for row. Chain one next to a stopping listener to record a run:
 //!
 //! ```
 //! use gossip_core::{
@@ -19,7 +18,7 @@
 //! let mut check = ComponentwiseComplete::for_graph(&g);
 //! let mut rec = RoundRecorder::probing(|g: &ArenaGraph| vec![g.min_degree() as u64]);
 //! let mut engine = Engine::new(g, Push, 7);
-//! let out = run_engine_listened(
+//! let Ok(out) = run_engine_listened(
 //!     &mut engine,
 //!     &mut Chain(&mut rec, StopWhen(&mut check)),
 //!     100_000,
@@ -114,7 +113,7 @@ mod tests {
         let plain = RoundRecorder::new();
         let mut probed = RoundRecorder::probing(|g: &ArenaGraph| vec![g.min_degree() as u64]);
         let mut engine = Engine::new(g, Push, 42);
-        let out = run_engine_listened(
+        let Ok(out) = run_engine_listened(
             &mut engine,
             &mut Chain(plain.clone(), Chain(&mut probed, StopWhen(&mut check))),
             100_000,

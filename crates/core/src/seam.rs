@@ -1,16 +1,21 @@
 //! The engine-selection seam: one driving loop for every engine.
 //!
-//! The repository now has three execution engines over the same
-//! [`ProposalRule`](crate::process::ProposalRule)/[`GossipGraph`] plumbing:
-//! the synchronous [`Engine`](crate::engine::Engine), the Poisson-clock
-//! [`AsyncEngine`](crate::async_engine::AsyncEngine), and the multi-shard
-//! `ShardedEngine` (crate `gossip-shard`). They differ in *how a quantum of
-//! work is scheduled*, not in what a run is: advance quanta, watch a
+//! Every execution engine — the synchronous [`Engine`](crate::engine::Engine),
+//! the Poisson-clock [`AsyncEngine`](crate::async_engine::AsyncEngine), the
+//! in-process `ShardedEngine` and the cross-process `ShardRoundDriver`
+//! (crate `gossip-shard`) — differs in *how a quantum of work is
+//! scheduled*, not in what a run is: advance quanta, watch a
 //! [`ConvergenceCheck`], stop at a budget. [`RoundEngine`] captures exactly
 //! that seam, and [`run_engine_listened`] is the one shared implementation
 //! of the run loop — experiments select an engine by constructing it, and
 //! everything downstream (convergence, recorders, outcome reporting) is
 //! engine-agnostic and rides the [`RoundListener`] seam.
+//!
+//! A quantum can fail: an engine whose round crosses a process boundary
+//! reports a lost peer as its [`RoundEngine::Error`], and the loop hands
+//! it to the caller. The in-process engines use
+//! [`Infallible`](std::convert::Infallible), so their callers bind the
+//! outcome with an irrefutable `let Ok(out) = …;`.
 //!
 //! A "quantum" is one synchronous round for the round-based engines and one
 //! activation for the asynchronous engine (its natural scheduling unit);
@@ -27,33 +32,37 @@ pub trait RoundEngine {
     /// The graph type the engine mutates.
     type Graph: GossipGraph;
 
+    /// Why a quantum failed; `Infallible` for engines whose quanta cannot.
+    type Error;
+
     /// The current graph `G_t`.
     fn graph(&self) -> &Self::Graph;
 
     /// Quanta executed so far.
     fn quanta(&self) -> u64;
 
-    /// Executes one quantum; returns what happened.
-    fn step_quantum(&mut self) -> RoundStats;
-
     /// Executes one quantum, delivering any
     /// [`PhaseEvent`](crate::listener::PhaseEvent)s the engine's step
-    /// decomposes into to `listener`. The default forwards to
-    /// [`RoundEngine::step_quantum`] with no events — engines without a
-    /// phase breakdown (sequential, async) pay nothing for the seam.
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<Self::Graph>) -> RoundStats {
-        let _ = listener;
-        self.step_quantum()
-    }
+    /// decomposes into to `listener` (engines without a phase breakdown
+    /// ignore it), and returns what happened.
+    fn step_listened(
+        &mut self,
+        listener: &mut dyn RoundListener<Self::Graph>,
+    ) -> Result<RoundStats, Self::Error>;
 }
 
 /// The one shared run loop: advances `engine` until `listener` votes
 /// [`RoundControl::Stop`] or `budget` quanta have executed. `converged` in
-/// the outcome means "a listener stopped the run".
+/// the outcome means "a listener stopped the run". A failed quantum ends
+/// the run with the engine's error.
 ///
 /// Event order per quantum: the engine's phase events (from inside
 /// `step_listened`), then one [`RoundEvent`] with the post-round graph.
-pub fn run_engine_listened<E, L>(engine: &mut E, listener: &mut L, budget: u64) -> RunOutcome
+pub fn run_engine_listened<E, L>(
+    engine: &mut E,
+    listener: &mut L,
+    budget: u64,
+) -> Result<RunOutcome, E::Error>
 where
     E: RoundEngine + ?Sized,
     L: RoundListener<E::Graph> + ?Sized,
@@ -65,7 +74,7 @@ where
     };
     // The start graph may already satisfy a listener's target.
     if listener.on_start(engine.graph()) == RoundControl::Stop {
-        return outcome(engine, true);
+        return Ok(outcome(engine, true));
     }
     let start = engine.quanta();
     while engine.quanta() - start < budget {
@@ -73,7 +82,7 @@ where
             // Re-borrow as a Sized forwarder so the ?Sized listener can be
             // handed to the engine's dyn phase hook.
             let mut fwd: &mut L = &mut *listener;
-            engine.step_listened(&mut fwd)
+            engine.step_listened(&mut fwd)?
         };
         let ev = RoundEvent {
             round: engine.quanta(),
@@ -81,16 +90,20 @@ where
             stats,
         };
         if listener.on_round(&ev) == RoundControl::Stop {
-            return outcome(engine, true);
+            return Ok(outcome(engine, true));
         }
     }
-    outcome(engine, false)
+    Ok(outcome(engine, false))
 }
 
 /// Runs `engine` until `check` fires or `budget` quanta have executed —
-/// the pre-listener entry point, now a thin adapter over
-/// [`run_engine_listened`] (the check rides as a [`StopWhen`] listener).
-pub fn run_engine_until<E, C>(engine: &mut E, check: &mut C, budget: u64) -> RunOutcome
+/// [`run_engine_listened`] with the check riding as a [`StopWhen`]
+/// listener.
+pub fn run_engine_until<E, C>(
+    engine: &mut E,
+    check: &mut C,
+    budget: u64,
+) -> Result<RunOutcome, E::Error>
 where
     E: RoundEngine,
     C: ConvergenceCheck<E::Graph>,
@@ -114,7 +127,7 @@ mod tests {
         let mut ca = ComponentwiseComplete::for_graph(a.graph());
         let mut cb = ComponentwiseComplete::for_graph(b.graph());
         let oa = a.run_until(&mut ca, 1_000_000);
-        let ob = run_engine_until(&mut b, &mut cb, 1_000_000);
+        let Ok(ob) = run_engine_until(&mut b, &mut cb, 1_000_000);
         assert_eq!(oa, ob);
     }
 
@@ -125,7 +138,7 @@ mod tests {
         let mut check = ComponentwiseComplete::for_graph(&g);
         let mut e = AsyncEngine::new(g, Push, 3);
         // Budget counts activations for the async engine.
-        let out = run_engine_until(&mut e, &mut check, 1_000_000);
+        let Ok(out) = run_engine_until(&mut e, &mut check, 1_000_000);
         assert!(out.converged);
         assert_eq!(out.rounds, e.activations());
         assert!(e.graph().is_complete());
@@ -135,7 +148,7 @@ mod tests {
     fn budget_is_respected_across_engines() {
         let g = generators::cycle(24);
         let mut e = Engine::new(g, Push, 1);
-        let out = run_engine_until(&mut e, &mut Never, 7);
+        let Ok(out) = run_engine_until(&mut e, &mut Never, 7);
         assert!(!out.converged);
         assert_eq!(out.rounds, 7);
     }

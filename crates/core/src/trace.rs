@@ -8,9 +8,11 @@
 
 use crate::convergence::ConvergenceCheck;
 use crate::engine::Engine;
-use crate::process::{GossipGraph, ProposalRule};
+use crate::listener::RoundListener;
+use crate::process::{GossipGraph, ProposalRule, RoundStats};
 use crate::seam::RoundEngine;
 use gossip_graph::NodeId;
+use std::convert::Infallible;
 use std::fmt::Write as _;
 
 /// One edge birth.
@@ -82,7 +84,7 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
     /// Like [`Engine::step`], additionally appending one [`EdgeEvent`] per
     /// *new* edge to `trace`. Identical random choices and graph evolution
     /// as `step` — tracing is observation only.
-    pub fn step_traced(&mut self, trace: &mut DiscoveryTrace) -> crate::process::RoundStats {
+    pub fn step_traced(&mut self, trace: &mut DiscoveryTrace) -> RoundStats {
         self.step_attributed(|round, introducer, a, b| {
             trace.events.push(EdgeEvent {
                 round,
@@ -107,7 +109,8 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
             engine: self,
             trace,
         };
-        crate::seam::run_engine_until(&mut traced, check, max_rounds)
+        let Ok(out) = crate::seam::run_engine_until(&mut traced, check, max_rounds);
+        out
     }
 }
 
@@ -119,14 +122,15 @@ struct Traced<'a, G, R> {
 
 impl<G: GossipGraph, R: ProposalRule<G>> RoundEngine for Traced<'_, G, R> {
     type Graph = G;
+    type Error = Infallible;
     fn graph(&self) -> &G {
         self.engine.graph()
     }
     fn quanta(&self) -> u64 {
         self.engine.round()
     }
-    fn step_quantum(&mut self) -> crate::process::RoundStats {
-        self.engine.step_traced(self.trace)
+    fn step_listened(&mut self, _: &mut dyn RoundListener<G>) -> Result<RoundStats, Infallible> {
+        Ok(self.engine.step_traced(self.trace))
     }
 }
 

@@ -16,8 +16,8 @@
 use gossip_core::engine::AUTO_PARALLEL_THRESHOLD;
 use gossip_core::rng::stream_rng;
 use gossip_core::{
-    ChurnBursts, ComponentwiseComplete, Engine, MembershipPlan, Never, Parallelism, Pull, Push,
-    RunOutcome,
+    run_engine_until, ChurnBursts, ComponentwiseComplete, Engine, MembershipPlan, Never,
+    Parallelism, Pull, Push, RunOutcome,
 };
 use gossip_graph::{generators, ArenaGraph, ShardedArenaGraph};
 use gossip_shard::ShardedEngine;
@@ -272,12 +272,12 @@ fn sharded_engine_pool_reuse_across_runs_leaks_no_state() {
     let g = ShardedArenaGraph::from_arena(&und, 8);
 
     let mut resumed = ShardedEngine::new(g.clone(), Pull, 5);
-    resumed.run_until(&mut Never, 3);
-    let second = resumed.run_until(&mut Never, 4);
+    let Ok(_) = run_engine_until(&mut resumed, &mut Never, 3);
+    let Ok(second) = run_engine_until(&mut resumed, &mut Never, 4);
     assert_eq!(second.rounds, 7);
 
     let mut fresh = ShardedEngine::new(g, Pull, 5);
-    let all = fresh.run_until(&mut Never, 7);
+    let Ok(all) = run_engine_until(&mut fresh, &mut Never, 7);
     assert_eq!(all.final_edges, second.final_edges);
     for u in fresh.graph().nodes() {
         assert_eq!(fresh.graph().neighbors(u), resumed.graph().neighbors(u));
@@ -444,7 +444,7 @@ fn transport_engine_bit_identical_to_sequential_across_shard_counts() {
                     .with_parallelism(policy)
                     .spawn()
                     .expect("spawn transport workers");
-                let stats: Vec<_> = (0..6).map(|_| wire.step()).collect();
+                let stats: Vec<_> = (0..6).map(|_| wire.try_step(None).unwrap()).collect();
                 assert_eq!(
                     stats, stats_ref,
                     "{rule} S={shards} {policy:?}: stats diverged over the wire"
@@ -486,7 +486,7 @@ fn churned_transport_engine_bit_identical_to_sequential() {
             .with_membership(plan.clone())
             .spawn()
             .expect("spawn transport workers");
-        let stats: Vec<_> = (0..10).map(|_| wire.step()).collect();
+        let stats: Vec<_> = (0..10).map(|_| wire.try_step(None).unwrap()).collect();
         assert_eq!(stats, stats_ref, "S={shards}: churned wire stats diverged");
         assert_sharded_matches_arena(
             seq.graph(),
@@ -548,7 +548,9 @@ fn cluster_datagram_transport_is_bit_identical_across_loss_rates() {
             });
         }
         let mut cluster = b.spawn().expect("spawn cluster");
-        let stats: Vec<_> = (0..rounds).map(|_| cluster.step()).collect();
+        let stats: Vec<_> = (0..rounds)
+            .map(|_| cluster.try_step(None).unwrap())
+            .collect();
         assert_eq!(
             stats, stats_ref,
             "drop={drop_per_mille}‰: cluster stats diverged from sequential"

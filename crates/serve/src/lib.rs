@@ -16,10 +16,12 @@
 //! - [`Snapshot`] is one published epoch. For the sharded backend a
 //!   snapshot is O(shards) thanks to copy-on-write segments — publishing a
 //!   view of a million-node graph does not copy the graph.
-//! - [`RoundListener`](gossip_core::RoundListener)s — core's
-//!   [`RoundRecorder`](gossip_core::RoundRecorder), or anything
-//!   caller-written — ride the worker loop via
-//!   [`GossipService::spawn_with`].
+//! - One [`RoundListener`](gossip_core::RoundListener) — core's
+//!   [`RoundRecorder`](gossip_core::RoundRecorder), anything
+//!   caller-written, or several joined by [`Chain`](gossip_core::Chain) —
+//!   rides the worker loop via [`GossipService::spawn_with`]. A round the
+//!   engine fails ends the loop, and [`GossipService::join`] reports the
+//!   error in its [`ServeOutcome`].
 //!
 //! ## Quickstart
 //!
@@ -40,6 +42,8 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
 
 pub mod service;
 pub mod snapshot;

@@ -13,6 +13,10 @@
 //! only *reads* the graph between rounds, a served run is bit-identical to
 //! the same configuration run in batch — the determinism suite pins this.
 //!
+//! A round that fails (a cross-process engine losing a worker) ends the
+//! loop: [`GossipService::join`] hands the engine's error to the caller
+//! inside the [`ServeOutcome`], and readers keep the last published epoch.
+//!
 //! ## Readers
 //!
 //! [`ServiceHandle`] is `Clone + Send`; any thread holding one can grab the
@@ -21,7 +25,7 @@
 //! never block readers for longer than one pointer swap.
 
 use crate::snapshot::Snapshot;
-use gossip_core::listener::{ListenerSet, RoundControl, RoundEvent, RoundListener};
+use gossip_core::listener::{RoundControl, RoundEvent, RoundListener};
 use gossip_core::seam::{run_engine_listened, RoundEngine};
 use gossip_core::{Chain, GossipGraph, RunOutcome};
 use std::panic::resume_unwind;
@@ -52,15 +56,18 @@ impl Default for ServeConfig {
 
 /// Why and where the serve loop ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeOutcome {
+pub struct ServeOutcome<Err> {
     /// Total quanta the engine had executed when the loop ended.
     pub rounds: u64,
     /// `true` if a listener (convergence check, stop request) ended the
-    /// run; `false` if the budget ran out.
+    /// run; `false` if the budget ran out or a round failed.
     pub listener_stopped: bool,
     /// Snapshots published over the service's lifetime (≥ 2: initial +
-    /// final, unless the run never started).
+    /// final, unless the run never started or a round failed).
     pub epochs: u64,
+    /// The engine's error, if a round failed and so ended the run. Readers
+    /// keep the epoch published before it.
+    pub error: Option<Err>,
 }
 
 struct Shared<G> {
@@ -148,8 +155,11 @@ impl<G: GossipGraph> RoundListener<G> for Publisher<G> {
     }
 }
 
+/// What the serve loop hands back: the engine and how its run ended.
+type Ran<E> = (E, Result<RunOutcome, <E as RoundEngine>::Error>);
+
 /// The serve loop, boxed so that whichever side runs it can take it.
-type Run<E> = Box<dyn FnOnce() -> (E, RunOutcome) + Send>;
+type Run<E> = Box<dyn FnOnce() -> Ran<E> + Send>;
 
 fn take<T>(slot: &Mutex<Option<T>>) -> Option<T> {
     // Poison cannot tear it: the only write is one `Option::take`.
@@ -163,28 +173,33 @@ pub struct GossipService<E: RoundEngine> {
     /// The serve loop until the worker thread takes it — or until `join`
     /// does, if the OS refused the thread.
     run: Arc<Mutex<Option<Run<E>>>>,
-    worker: Option<JoinHandle<Option<(E, RunOutcome)>>>,
+    worker: Option<JoinHandle<Option<Ran<E>>>>,
 }
 
 impl<E> GossipService<E>
 where
     E: RoundEngine + Send + 'static,
     E::Graph: 'static,
+    E::Error: Send + 'static,
 {
-    /// Spawns the worker with no extra listeners.
+    /// Spawns the worker with no extra listener.
     pub fn spawn(engine: E, cfg: ServeConfig) -> Self {
-        Self::spawn_with(engine, cfg, ListenerSet::new())
+        Self::spawn_with(engine, cfg, ())
     }
 
-    /// Spawns the worker with caller-supplied listeners (round recorders,
-    /// convergence stoppers — anything
-    /// implementing [`RoundListener`]) riding the same loop. A listener
-    /// voting stop ends the serve run exactly as it would a batch run. If
-    /// the OS cannot start the worker thread, the rounds run inside
+    /// Spawns the worker with a caller-supplied listener (a round
+    /// recorder, a convergence stopper — anything implementing
+    /// [`RoundListener`]; [`Chain`] several) riding the same loop. A
+    /// listener voting stop ends the serve run exactly as it would a batch
+    /// run. If the OS cannot start the worker thread, the rounds run inside
     /// [`GossipService::join`] (or `stop`) instead, and readers see epoch
     /// 0 until then.
-    pub fn spawn_with(engine: E, cfg: ServeConfig, listeners: ListenerSet<E::Graph>) -> Self {
-        let mut svc = Self::unstarted(engine, cfg, listeners);
+    pub fn spawn_with(
+        engine: E,
+        cfg: ServeConfig,
+        listener: impl RoundListener<E::Graph> + Send + 'static,
+    ) -> Self {
+        let mut svc = Self::unstarted(engine, cfg, listener);
         let run = svc.run.clone();
         svc.worker = thread::Builder::new()
             .name("gossip-serve".into())
@@ -194,7 +209,11 @@ where
     }
 
     /// The service with no worker thread: its rounds wait for `join`.
-    fn unstarted(engine: E, cfg: ServeConfig, listeners: ListenerSet<E::Graph>) -> Self {
+    fn unstarted(
+        mut engine: E,
+        cfg: ServeConfig,
+        mut listener: impl RoundListener<E::Graph> + Send + 'static,
+    ) -> Self {
         // Publish the initial graph as epoch 0 before the thread exists,
         // so a handle can never observe an empty service.
         let initial = Arc::new(Snapshot {
@@ -214,16 +233,17 @@ where
             next_epoch: 1,
         };
         let budget = cfg.budget;
-        let mut engine = engine;
-        let mut listeners = listeners;
         let run: Run<E> = Box::new(move || {
             let out = run_engine_listened(
                 &mut engine,
-                &mut Chain(&mut publisher, &mut listeners),
+                &mut Chain(&mut publisher, &mut listener),
                 budget,
             );
-            // Final state is always visible, whatever the cadence.
-            publisher.publish(engine.quanta(), engine.graph());
+            // Final state is always visible, whatever the cadence; after a
+            // failed round readers keep the last epoch published.
+            if out.is_ok() {
+                publisher.publish(engine.quanta(), engine.graph());
+            }
             (engine, out)
         });
         GossipService {
@@ -249,25 +269,27 @@ where
     /// Requests a stop at the next round boundary and joins, returning the
     /// engine (for trajectory comparison against batch runs) and the
     /// outcome.
-    pub fn stop(self) -> (E, ServeOutcome) {
+    pub fn stop(self) -> (E, ServeOutcome<E::Error>) {
         self.shared.stop.store(true, Ordering::Release);
         self.join()
     }
 
     /// Joins without requesting a stop — use when the budget or a
     /// convergence listener bounds the run.
-    pub fn join(self) -> (E, ServeOutcome) {
+    pub fn join(self) -> (E, ServeOutcome<E::Error>) {
         let ran = match self.worker {
             // Re-raises the engine's or a listener's panic, not a new one.
             Some(worker) => worker.join().unwrap_or_else(|p| resume_unwind(p)),
             None => take(&self.run).map(|run| run()),
         };
         // The loop is taken once: by the thread if it started, else here.
+        #[expect(clippy::expect_used, reason = "the loop is taken exactly once")]
         let (engine, out) = ran.expect("the serve loop runs exactly once");
         let outcome = ServeOutcome {
-            rounds: out.rounds,
-            listener_stopped: out.converged,
+            rounds: engine.quanta(),
+            listener_stopped: out.as_ref().is_ok_and(|out| out.converged),
             epochs: self.shared.epoch.load(Ordering::Acquire) + 1,
+            error: out.err(),
         };
         (engine, outcome)
     }
@@ -334,7 +356,7 @@ mod tests {
         let deferred = GossipService::unstarted(
             EngineBuilder::new(generators::star(64), Push, 5).build(),
             cfg,
-            ListenerSet::new(),
+            (),
         );
         let h = deferred.handle();
         assert!(!deferred.is_finished());
@@ -375,7 +397,7 @@ mod tests {
                 snapshot_every: 10,
                 budget: 20,
             },
-            ListenerSet::new().with(rec.clone()),
+            rec.clone(),
         );
         let (engine, out) = svc.join();
         assert_eq!(out.rounds, 20);
@@ -386,5 +408,67 @@ mod tests {
             .enumerate()
             .all(|(i, r)| r.round == i as u64 + 1));
         assert_eq!(rows.last().unwrap().m, engine.graph().edge_count());
+    }
+
+    /// An engine whose round `fail_at` fails; the rounds before it are
+    /// `inner`'s.
+    struct FailsAt<E> {
+        inner: E,
+        fail_at: u64,
+    }
+
+    impl<E: RoundEngine<Error = std::convert::Infallible>> RoundEngine for FailsAt<E> {
+        type Graph = E::Graph;
+        type Error = String;
+        fn graph(&self) -> &E::Graph {
+            self.inner.graph()
+        }
+        fn quanta(&self) -> u64 {
+            self.inner.quanta()
+        }
+        fn step_listened(
+            &mut self,
+            listener: &mut dyn RoundListener<E::Graph>,
+        ) -> Result<gossip_core::RoundStats, String> {
+            if self.inner.quanta() + 1 == self.fail_at {
+                return Err(format!("round {} lost a worker", self.fail_at));
+            }
+            let Ok(stats) = self.inner.step_listened(listener);
+            Ok(stats)
+        }
+    }
+
+    #[test]
+    fn a_failed_round_ends_the_run_and_readers_keep_the_last_epoch() {
+        let g = generators::star(64);
+        let engine = FailsAt {
+            inner: EngineBuilder::new(g.clone(), Push, 13).build(),
+            fail_at: 6,
+        };
+        let rec = RoundRecorder::new();
+        let svc = GossipService::spawn_with(
+            engine,
+            ServeConfig {
+                snapshot_every: 2,
+                budget: 100,
+            },
+            rec.clone(),
+        );
+        let h = svc.handle();
+        let (engine, out) = svc.join();
+        assert_eq!(out.error.as_deref(), Some("round 6 lost a worker"));
+        assert_eq!(out.rounds, 5);
+        assert!(!out.listener_stopped);
+        // Epochs 0, 1 (round 2) and 2 (round 4); no final publish.
+        assert_eq!(out.epochs, 3);
+        assert_eq!(rec.rows().len(), 5);
+        let snap = h.snapshot();
+        assert_eq!((snap.epoch, snap.round), (2, 4));
+        let mut batch = EngineBuilder::new(g, Push, 13).build();
+        for _ in 0..4 {
+            batch.step();
+        }
+        assert_eq!(snap.edge_count(), batch.graph().edge_count());
+        assert_eq!(engine.quanta(), 5);
     }
 }

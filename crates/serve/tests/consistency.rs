@@ -14,9 +14,7 @@
 //!    graph — serving is observation, not perturbation.
 
 use gossip_core::rng::stream_rng;
-use gossip_core::{
-    run_engine_listened, Engine, EngineBuilder, ListenerSet, Parallelism, Pull, RoundRecorder,
-};
+use gossip_core::{run_engine_listened, Engine, EngineBuilder, Parallelism, Pull, RoundRecorder};
 use gossip_graph::{generators, ArenaGraph, NodeId, ShardedArenaGraph, UniformNeighbors};
 use gossip_serve::{GossipService, ServeConfig, Snapshot};
 use gossip_shard::{BuildSharded, ShardedEngine};
@@ -169,7 +167,7 @@ fn served_trajectory_is_bit_identical_to_batch() {
 
     let mut batch = ShardedEngine::new(sharded.clone(), Pull, SEED);
     let batch_rows = recorder();
-    run_engine_listened(&mut batch, &mut batch_rows.clone(), BUDGET);
+    let Ok(_) = run_engine_listened(&mut batch, &mut batch_rows.clone(), BUDGET);
 
     let served_rows = recorder();
     let engine = EngineBuilder::new(sharded, Pull, SEED).build_sharded();
@@ -179,7 +177,7 @@ fn served_trajectory_is_bit_identical_to_batch() {
             snapshot_every: 3, // deliberately not a divisor of the budget
             budget: BUDGET,
         },
-        ListenerSet::new().with(served_rows.clone()),
+        served_rows.clone(),
     );
     let handle = svc.handle();
     let (served, out) = svc.join();

@@ -27,10 +27,9 @@
 use crate::wire::{DoneBarrier, Frame, MailFrame, MailboxAssembler, ProposedBarrier, WorkerConfig};
 use gossip_core::engine::{propose_chunk_range, PROPOSAL_CHUNK};
 use gossip_core::listener::{PhaseEvent, PhaseNanos, RoundListener, RoundPhase};
-use gossip_core::seam::{run_engine_until, RoundEngine};
+use gossip_core::seam::RoundEngine;
 use gossip_core::{
-    ConvergenceCheck, MembershipPlan, MembershipStats, Parallelism, ProposalRule, RoundStats,
-    RuleId, RunOutcome, TaggedProposal,
+    MembershipPlan, MembershipStats, Parallelism, ProposalRule, RoundStats, RuleId, TaggedProposal,
 };
 use gossip_graph::{
     HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardedArenaGraph,
@@ -859,11 +858,13 @@ pub fn run_shard_process<L: ShardLink>(link: io::Result<L>) -> ! {
 /// authoritative replica (what [`ShardRoundDriver::graph`] exposes and
 /// the convergence seam reads), drives one synchronous round per
 /// [`ShardRoundDriver::try_step`] over its link, and cross-checks every
-/// worker's merge against its own. Implements [`RoundEngine`], so
-/// everything that drives a [`ShardedEngine`](crate::ShardedEngine) —
-/// the convergence seam, listeners, the serve layer — drives this
-/// unchanged. Dereferences to the link for carrier-specific accessors
-/// (`stats()`, the datagram transport's `peer_table()`).
+/// worker's merge against its own. Implements [`RoundEngine`] with
+/// `try_step`'s `io::Error` as its error, so everything that drives a
+/// [`ShardedEngine`](crate::ShardedEngine) — the convergence seam,
+/// listeners, the serve layer — drives this unchanged, and a failed round
+/// reaches the caller as that error. Dereferences to the link for
+/// carrier-specific accessors (`stats()`, the datagram transport's
+/// `peer_table()`).
 #[derive(Debug)]
 pub struct ShardRoundDriver<L: ShardLink> {
     replica: ShardReplica,
@@ -893,7 +894,7 @@ impl<L: ShardLink> ShardRoundDriver<L> {
         self.replica.graph()
     }
 
-    /// Rounds executed so far.
+    /// Rounds completed so far; a failed round does not count.
     #[inline]
     pub fn round(&self) -> u64 {
         self.round
@@ -919,21 +920,6 @@ impl<L: ShardLink> ShardRoundDriver<L> {
         self.phases
     }
 
-    /// Executes one synchronous round across the shards.
-    pub fn step(&mut self) -> RoundStats {
-        self.try_step(None).expect("shard round failed")
-    }
-
-    /// Runs until `check` fires or `max_rounds` is reached (the shared
-    /// loop from [`gossip_core::seam`]).
-    pub fn run_until<C: ConvergenceCheck<ShardedArenaGraph>>(
-        &mut self,
-        check: &mut C,
-        max_rounds: u64,
-    ) -> RunOutcome {
-        run_engine_until(self, check, max_rounds)
-    }
-
     /// One round, with full error reporting (worker death, protocol
     /// violations, cross-check failures all surface as `io::Error`).
     pub fn try_step(
@@ -952,7 +938,6 @@ impl<L: ShardLink> ShardRoundDriver<L> {
         let t = Instant::now();
         self.link.start(r)?;
         let start_ns = t.elapsed().as_nanos() as u64;
-        self.round += 1;
 
         let report = replica_round(&mut self.link, &mut self.replica, r)?;
 
@@ -966,6 +951,9 @@ impl<L: ShardLink> ShardRoundDriver<L> {
                 )));
             }
         }
+
+        // Only a round that completed counts.
+        self.round += 1;
 
         // Phase events in enum order (the accumulator sums, but listeners
         // see a canonical sequence).
@@ -1013,6 +1001,7 @@ impl<L: ShardLink> Drop for ShardRoundDriver<L> {
 
 impl<L: ShardLink> RoundEngine for ShardRoundDriver<L> {
     type Graph = ShardedArenaGraph;
+    type Error = io::Error;
     #[inline]
     fn graph(&self) -> &ShardedArenaGraph {
         self.replica.graph()
@@ -1022,12 +1011,11 @@ impl<L: ShardLink> RoundEngine for ShardRoundDriver<L> {
         self.round
     }
     #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step()
-    }
-    #[inline]
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<ShardedArenaGraph>) -> RoundStats {
-        self.try_step(Some(listener)).expect("shard round failed")
+    fn step_listened(
+        &mut self,
+        listener: &mut dyn RoundListener<ShardedArenaGraph>,
+    ) -> io::Result<RoundStats> {
+        self.try_step(Some(listener))
     }
 }
 
@@ -1039,6 +1027,7 @@ mod tests {
     use crate::ShardedEngine;
     use bytes::{BufMut, BytesMut};
     use gossip_core::rng::stream_rng;
+    use gossip_core::seam::run_engine_listened;
     use gossip_core::Pull;
     use gossip_graph::{generators, NodeId};
     use std::cell::RefCell;
@@ -1237,6 +1226,20 @@ mod tests {
             .borrow()
             .iter()
             .any(|f| matches!(f, Frame::Mail(_))));
+        driver.shutdown().unwrap();
+        assert_eq!(driver.sent.borrow().last(), Some(&Frame::Shutdown));
+    }
+
+    #[test]
+    fn a_far_side_lost_mid_round_fails_the_run_and_shutdown_still_returns() {
+        let mut script = honest_worker_script(&round0());
+        // Worker 1 goes silent after its first mail frame.
+        script.truncate(1);
+        let mut driver = coordinator(script);
+        let err = run_engine_listened(&mut driver, &mut (), 5).expect_err("round 0 is cut off");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("round 0"), "{err}");
+        assert_eq!(driver.round(), 0, "a failed round does not count");
         driver.shutdown().unwrap();
         assert_eq!(driver.sent.borrow().last(), Some(&Frame::Shutdown));
     }

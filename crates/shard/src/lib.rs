@@ -55,29 +55,31 @@
 //! ## Quickstart
 //!
 //! ```
-//! use gossip_core::{ComponentwiseComplete, Pull};
+//! use gossip_core::{run_engine_until, ComponentwiseComplete, Pull};
 //! use gossip_graph::{generators, ShardedArenaGraph};
 //! use gossip_shard::ShardedEngine;
 //!
 //! let g0 = ShardedArenaGraph::from_arena(&generators::star(64), 4);
 //! let mut check = ComponentwiseComplete::for_graph(&generators::star(64));
 //! let mut engine = ShardedEngine::new(g0, Pull, 42);
-//! let out = engine.run_until(&mut check, 1_000_000);
+//! let Ok(out) = run_engine_until(&mut engine, &mut check, 1_000_000);
 //! assert!(out.converged);
 //! assert!(engine.graph().is_complete());
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), warn(clippy::panic))]
 
 use gossip_core::engine::PROPOSAL_CHUNK;
 use gossip_core::listener::{RoundListener, RoundPhase};
-use gossip_core::seam::{run_engine_until, RoundEngine};
+use gossip_core::seam::RoundEngine;
 use gossip_core::{
-    ConvergenceCheck, EngineBuilder, MembershipPlan, MembershipStats, Parallelism, ProposalRule,
-    RoundStats, RunOutcome,
+    EngineBuilder, MembershipPlan, MembershipStats, Parallelism, ProposalRule, RoundStats,
 };
 use gossip_graph::{ShardedArenaGraph, SHARD_ALIGN};
+use std::convert::Infallible;
 use std::time::Instant;
 
 pub use gossip_core::listener::PhaseNanos;
@@ -214,6 +216,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         let proposed = self.replica.propose_and_route(self.round);
         let t = Instant::now();
         // `apply_mail` errs only on a received half-edge, and `&[]` has none.
+        #[expect(clippy::expect_used, reason = "`&[]` carries no half-edge to reject")]
         self.replica
             .apply_mail(&[])
             .expect("a replica that owns every span receives no mail");
@@ -233,20 +236,11 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
             added: self.replica.added().iter().sum(),
         }
     }
-
-    /// Runs until `check` fires or `max_rounds` is reached (the shared loop
-    /// from [`gossip_core::seam`]).
-    pub fn run_until<C: ConvergenceCheck<ShardedArenaGraph>>(
-        &mut self,
-        check: &mut C,
-        max_rounds: u64,
-    ) -> RunOutcome {
-        run_engine_until(self, check, max_rounds)
-    }
 }
 
 impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
     type Graph = ShardedArenaGraph;
+    type Error = Infallible;
     #[inline]
     fn graph(&self) -> &ShardedArenaGraph {
         self.replica.graph()
@@ -256,12 +250,11 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
         self.round
     }
     #[inline]
-    fn step_quantum(&mut self) -> RoundStats {
-        self.step()
-    }
-    #[inline]
-    fn step_listened(&mut self, listener: &mut dyn RoundListener<ShardedArenaGraph>) -> RoundStats {
-        self.step_inner(Some(listener))
+    fn step_listened(
+        &mut self,
+        listener: &mut dyn RoundListener<ShardedArenaGraph>,
+    ) -> Result<RoundStats, Infallible> {
+        Ok(self.step_inner(Some(listener)))
     }
 }
 
@@ -272,7 +265,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
 /// needed here.
 ///
 /// ```
-/// use gossip_core::{ComponentwiseComplete, EngineBuilder, Pull};
+/// use gossip_core::{run_engine_until, ComponentwiseComplete, EngineBuilder, Pull};
 /// use gossip_graph::{generators, ShardedArenaGraph};
 /// use gossip_shard::BuildSharded;
 ///
@@ -280,7 +273,8 @@ impl<R: ProposalRule<ShardedArenaGraph>> RoundEngine for ShardedEngine<R> {
 /// let mut check = ComponentwiseComplete::for_graph(&und);
 /// let mut engine =
 ///     EngineBuilder::new(ShardedArenaGraph::from_arena(&und, 8), Pull, 7).build_sharded();
-/// assert!(engine.run_until(&mut check, 1_000_000).converged);
+/// let Ok(out) = run_engine_until(&mut engine, &mut check, 1_000_000);
+/// assert!(out.converged);
 /// ```
 pub trait BuildSharded<R> {
     /// Builds the multi-shard round engine.
@@ -302,7 +296,7 @@ impl<R: ProposalRule<ShardedArenaGraph>> BuildSharded<R> for EngineBuilder<Shard
 mod tests {
     use super::*;
     use gossip_core::rng::stream_rng;
-    use gossip_core::{ComponentwiseComplete, Engine, Never, Pull, Push};
+    use gossip_core::{run_engine_until, ComponentwiseComplete, Engine, Never, Pull, Push};
     use gossip_graph::generators;
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
@@ -316,7 +310,7 @@ mod tests {
         let g = ShardedArenaGraph::from_arena(&und, 4);
         let mut check = ComponentwiseComplete::for_graph(&und);
         let mut e = ShardedEngine::new(g, Push, 0xBEEF);
-        let out = e.run_until(&mut check, 1_000_000);
+        let Ok(out) = run_engine_until(&mut e, &mut check, 1_000_000);
         assert!(out.converged);
         assert!(e.graph().is_complete());
         assert_eq!(out.rounds, e.round());
@@ -401,7 +395,7 @@ mod tests {
         let g = sharded(1500, 3000, 4, 3);
         let mut e = ShardedEngine::new(g, Pull, 8);
         let mut acc = Absorb(PhaseNanos::default());
-        run_engine_listened(&mut e, &mut acc, 5);
+        let Ok(_) = run_engine_listened(&mut e, &mut acc, 5);
         // The listener saw exactly what the engine's own timers absorbed.
         assert_eq!(acc.0, e.phases());
         assert!(acc.0.propose > 0 && acc.0.apply > 0);
@@ -425,11 +419,11 @@ mod tests {
     fn run_until_budget_and_resume() {
         let g = sharded(1500, 3000, 6, 3);
         let mut resumed = ShardedEngine::new(g.clone(), Pull, 5);
-        resumed.run_until(&mut Never, 3);
-        let second = resumed.run_until(&mut Never, 4);
+        let Ok(_) = run_engine_until(&mut resumed, &mut Never, 3);
+        let Ok(second) = run_engine_until(&mut resumed, &mut Never, 4);
         assert_eq!(second.rounds, 7);
         let mut fresh = ShardedEngine::new(g, Pull, 5);
-        let all = fresh.run_until(&mut Never, 7);
+        let Ok(all) = run_engine_until(&mut fresh, &mut Never, 7);
         assert_eq!(all.final_edges, second.final_edges);
     }
 }

@@ -187,7 +187,15 @@ impl TransportBuilder {
             };
             conns.push(FramedConn::from_stream(stream)?);
         }
+        let mut link = HubLink::over(conns);
+        link.workers = workers;
+        self.bootstrap(link)
+    }
 
+    /// Ships bootstrap state to the workers `link` reaches, one per
+    /// connection in shard order, and returns the running engine.
+    fn bootstrap(self, mut link: HubLink) -> io::Result<TransportEngine> {
+        let shards = link.conns.len();
         let replica = ShardReplica::new(
             self.graph,
             self.rule,
@@ -196,8 +204,6 @@ impl TransportBuilder {
             self.membership,
             0..0,
         );
-        let mut link = HubLink::over(conns);
-        link.workers = workers;
         link.stats.worker_peak_rss_bytes = vec![0; shards];
 
         // Bootstrap each worker: Config, then every segment's chunk stream,
@@ -385,6 +391,7 @@ impl ShardLink for HubLink {
     fn bootstrap(&mut self) -> io::Result<ShardReplica> {
         let replica = ShardReplica::bootstrap(|| self.recv(0))?;
         // `bootstrap` builds its replica on the one span `shard..shard + 1`.
+        #[expect(clippy::expect_used, reason = "`bootstrap` builds one span")]
         let shard = replica.shard().expect("a bootstrapped replica has a span");
         self.worker = Some(WorkerEnd {
             shard,
@@ -466,7 +473,7 @@ mod tests {
     use super::*;
     use crate::ShardedEngine;
     use gossip_core::rng::stream_rng;
-    use gossip_core::{ChurnBursts, ComponentwiseComplete, Pull};
+    use gossip_core::{run_engine_until, ChurnBursts, ComponentwiseComplete, Pull};
     use gossip_graph::{generators, NodeId};
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
@@ -493,7 +500,7 @@ mod tests {
             for round in 0..6 {
                 assert_eq!(
                     inproc.step(),
-                    wire.step(),
+                    wire.try_step(None).unwrap(),
                     "S={shards} round={round}: stats diverged over the wire"
                 );
             }
@@ -520,7 +527,7 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..4 {
-            assert_eq!(inproc.step(), wire.step(), "round {round}");
+            assert_eq!(inproc.step(), wire.try_step(None).unwrap(), "round {round}");
         }
         assert_graphs_equal(inproc.graph(), wire.graph(), "tombstoned bootstrap");
         wire.graph().validate().unwrap();
@@ -568,7 +575,7 @@ mod tests {
             .spawn()
             .expect("spawn");
         for round in 0..6 {
-            assert_eq!(inproc.step(), wire.step(), "round {round}");
+            assert_eq!(inproc.step(), wire.try_step(None).unwrap(), "round {round}");
         }
         assert_graphs_equal(inproc.graph(), wire.graph(), "churn over transport");
         wire.shutdown().unwrap();
@@ -582,7 +589,7 @@ mod tests {
         let mut wire = TransportBuilder::new(g, RuleId::Push, 4)
             .spawn()
             .expect("spawn");
-        let out = wire.run_until(&mut check, 1_000_000);
+        let out = run_engine_until(&mut wire, &mut check, 1_000_000).unwrap();
         assert!(out.converged);
         assert!(wire.graph().is_complete());
         assert_eq!(out.rounds, wire.round());
@@ -595,8 +602,8 @@ mod tests {
         let mut wire = TransportBuilder::new(g, RuleId::Push, 3)
             .spawn()
             .expect("spawn");
-        wire.step();
-        wire.step();
+        wire.try_step(None).unwrap();
+        wire.try_step(None).unwrap();
         let s = wire.stats().clone();
         assert!(s.wire.frames_sent > 0 && s.wire.frames_received > 0);
         assert!(
@@ -605,5 +612,40 @@ mod tests {
         );
         assert!(s.worker_peak_rss_bytes.iter().all(|&b| b > 0));
         wire.shutdown().unwrap();
+    }
+
+    /// Thread-mode workers over socketpairs, as `spawn` makes them, with
+    /// the supervisor's end of each stream also handed back to the test.
+    fn spawn_keeping_hub_ends(g: ShardedArenaGraph) -> (TransportEngine, Vec<UnixStream>) {
+        let mut link = HubLink::over(Vec::new());
+        let mut hub_ends = Vec::new();
+        for s in 0..g.shard_count() {
+            let (sup, wrk) = UnixStream::pair().unwrap();
+            let body = move || run_shard(HubLink::worker(wrk)?);
+            link.workers.spawn_thread(format!("w{s}"), body).unwrap();
+            hub_ends.push(sup.try_clone().unwrap());
+            link.conns.push(FramedConn::from_stream(sup).unwrap());
+        }
+        let wire = TransportBuilder::new(g, RuleId::Push, 3).bootstrap(link);
+        (wire.unwrap(), hub_ends)
+    }
+
+    #[test]
+    fn a_worker_lost_between_rounds_fails_the_next_round_and_is_reaped() {
+        for explicit_shutdown in [true, false] {
+            let (mut wire, hub_ends) = spawn_keeping_hub_ends(sharded(1500, 1500, 2, 2));
+            wire.try_step(None).unwrap();
+            hub_ends[1].shutdown(std::net::Shutdown::Both).unwrap();
+            let t = Instant::now();
+            assert!(wire.try_step(None).is_err());
+            if explicit_shutdown {
+                // Both workers end in error: one lost its stream, the
+                // other its round.
+                assert!(wire.shutdown().is_err());
+            }
+            drop(wire);
+            // Well inside any receive timeout: nobody waited on a peer.
+            assert!(t.elapsed() < std::time::Duration::from_secs(10));
+        }
     }
 }

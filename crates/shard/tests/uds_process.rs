@@ -40,7 +40,7 @@ fn process_transport_matches_in_process_engine() {
         for round in 0..5 {
             assert_eq!(
                 inproc.step(),
-                wire.step(),
+                wire.try_step(None).unwrap(),
                 "S={shards} round={round}: stats diverged across processes"
             );
         }

@@ -13,7 +13,7 @@ fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
     let mut check = ComponentwiseComplete::for_graph(g0);
     let mut recorder = RoundRecorder::probing(|g: &ArenaGraph| vec![g.min_degree() as u64]);
     let mut engine = Engine::new(g0.clone(), rule, seed);
-    let out = run_engine_listened(
+    let Ok(out) = run_engine_listened(
         &mut engine,
         &mut Chain(&mut recorder, StopWhen(&mut check)),
         100_000_000,

@@ -9,8 +9,8 @@ use gossip_analysis::Summary;
 use gossip_cluster::{ClusterBuilder, DatagramLoss};
 use gossip_core::{
     convergence_rounds, ChurnBursts, ClosureReached, ComponentwiseComplete, DirectedPull,
-    DiscoveryTrace, Engine, EngineBuilder, ListenerSet, MembershipPlan, RoundEngine, RoundRecorder,
-    RuleId, TrialConfig,
+    DiscoveryTrace, Engine, EngineBuilder, GossipGraph, MembershipPlan, RoundControl, RoundEngine,
+    RoundEvent, RoundListener, RuleId, TrialConfig,
 };
 use gossip_graph::{generators, io as gio, ArenaGraph, DirectedGraph, ShardedArenaGraph};
 use gossip_model::exact_expected_rounds;
@@ -18,6 +18,8 @@ use gossip_serve::{GossipService, ServeConfig};
 use gossip_shard::transport::{TransportBuilder, TransportMode};
 use gossip_shard::BuildSharded;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A parsed invocation: which subcommand runs, and every flag.
 #[derive(Clone, Debug, PartialEq)]
@@ -418,20 +420,34 @@ fn parse_edges(spec: &str, n: usize) -> Result<ArenaGraph, String> {
     Ok(g)
 }
 
+/// Totals the edges a served run adds, round by round.
+struct AddedTotal(Arc<AtomicU64>);
+
+impl<G: GossipGraph> RoundListener<G> for AddedTotal {
+    fn on_round(&mut self, ev: &RoundEvent<'_, G>) -> RoundControl {
+        self.0.fetch_add(ev.stats.added, Ordering::Relaxed);
+        RoundControl::Continue
+    }
+}
+
 /// Runs an engine behind a [`GossipService`] for the configured budget and
-/// summarizes what the final snapshot serves. A [`RoundRecorder`] rides
-/// the loop, and `added` totals the rounds it recorded.
-fn serve_report<E>(engine: E, cfg: ServeConfig) -> String
+/// summarizes what the final snapshot serves; an [`AddedTotal`] rides the
+/// loop. A failed round is the error.
+fn serve_report<E>(engine: E, cfg: ServeConfig) -> Result<String, String>
 where
     E: RoundEngine + Send + 'static,
     E::Graph: 'static,
+    E::Error: std::fmt::Display + Send + 'static,
 {
-    let rec = RoundRecorder::new();
-    let svc = GossipService::spawn_with(engine, cfg, ListenerSet::new().with(rec.clone()));
+    let added = Arc::new(AtomicU64::new(0));
+    let svc = GossipService::spawn_with(engine, cfg, AddedTotal(added.clone()));
     let handle = svc.handle();
     let (_, outcome) = svc.join();
+    if let Some(e) = outcome.error {
+        return Err(format!("round {} failed: {e}", outcome.rounds + 1));
+    }
     let stats = handle.snapshot().stats();
-    format!(
+    Ok(format!(
         "rounds = {}, epochs = {}, edges = {}, coverage = {:.4}, \
          degree min/mean/max = {}/{:.1}/{}, added = {}",
         outcome.rounds,
@@ -441,8 +457,8 @@ where
         stats.min_degree,
         stats.mean_degree,
         stats.max_degree,
-        rec.rows().iter().map(|r| r.stats.added).sum::<u64>(),
-    )
+        added.load(Ordering::Relaxed),
+    ))
 }
 
 /// Executes a command, returning its stdout payload.
@@ -575,7 +591,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     b = b.with_peers(table);
                 }
                 let engine = b.spawn().map_err(|e| format!("cluster spawn: {e}"))?;
-                serve_report(engine, cfg)
+                serve_report(engine, cfg)?
             } else if f.transport == Transport::Uds {
                 // Serialized seam: one OS process per shard, framed
                 // mailboxes over UDS. Worker copies of this binary never
@@ -587,20 +603,20 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                     b = b.with_membership(plan);
                 }
                 let engine = b.spawn().map_err(|e| format!("transport spawn: {e}"))?;
-                serve_report(engine, cfg)
+                serve_report(engine, cfg)?
             } else if shards > 1 {
                 let g = ShardedArenaGraph::from_arena(&g, shards);
                 let mut b = EngineBuilder::new(g, id, seed);
                 if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
-                serve_report(b.build_sharded(), cfg)
+                serve_report(b.build_sharded(), cfg)?
             } else {
                 let mut b = EngineBuilder::new(g, id, seed);
                 if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
-                serve_report(b.build(), cfg)
+                serve_report(b.build(), cfg)?
             };
             let churn_note = if churn > 0 {
                 format!(", churn={churn}")

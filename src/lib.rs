@@ -62,10 +62,9 @@ pub mod prelude {
     pub use gossip_core::{
         convergence_rounds, run_engine_listened, run_engine_until, run_trials, stream_trials,
         ChurnBursts, ClosureReached, ComponentwiseComplete, ConvergenceCheck, DirectedPull,
-        DiscoveryTrace, Engine, EngineBuilder, Faulty, HybridPushPull, ListenerSet,
-        MembershipEvent, MembershipPlan, MembershipStats, MinDegreeAtLeast, Never, OnlySubset,
-        Parallelism, Partial, Pull, Push, RoundEngine, RoundListener, RoundRecorder, RuleId,
-        SubsetComplete, TrialConfig,
+        DiscoveryTrace, Engine, EngineBuilder, Faulty, HybridPushPull, MembershipEvent,
+        MembershipPlan, MembershipStats, MinDegreeAtLeast, Never, OnlySubset, Parallelism, Partial,
+        Pull, Push, RoundEngine, RoundListener, RoundRecorder, RuleId, SubsetComplete, TrialConfig,
     };
     pub use gossip_graph::{generators, ArenaGraph, DirectedGraph, NodeId, ShardedArenaGraph};
     pub use gossip_model::{exact_expected_rounds, find_nonmonotone_pairs};

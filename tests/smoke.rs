@@ -43,7 +43,8 @@ fn quickstart_sharded_engine_runs_the_same_process() {
     let g0 = ShardedArenaGraph::from_arena(&und, 8);
     let mut check = ComponentwiseComplete::for_graph(&und);
     let mut engine = ShardedEngine::new(g0, Pull, 7);
-    assert!(engine.run_until(&mut check, 1_000_000).converged);
+    let Ok(out) = run_engine_until(&mut engine, &mut check, 1_000_000);
+    assert!(out.converged);
     assert!(engine.graph().is_complete());
 }
 
@@ -65,7 +66,7 @@ fn quickstart_churn_applies_membership_bursts() {
     });
     let g0 = ShardedArenaGraph::from_arena(&und, 8);
     let mut engine = ShardedEngine::new(g0, Pull, 7).with_membership(plan);
-    engine.run_until(&mut Never, 12);
+    let Ok(_) = run_engine_until(&mut engine, &mut Never, 12);
     assert_eq!(engine.membership_stats().leaves, 32);
 }
 
@@ -80,7 +81,7 @@ fn quickstart_transport_runs_shard_workers_over_framed_sockets() {
         .with_mode(TransportMode::Thread)
         .spawn()
         .unwrap();
-    engine.run_until(&mut Never, 6);
+    run_engine_until(&mut engine, &mut Never, 6).unwrap();
     let stats = engine.stats().clone();
     assert!(stats.wire.frames_sent > 0 && stats.wire.bytes_received > 0);
     engine.shutdown().unwrap();
@@ -104,7 +105,7 @@ fn quickstart_cluster_runs_shard_peers_over_udp() {
         })
         .spawn()
         .unwrap();
-    engine.run_until(&mut Never, 6);
+    run_engine_until(&mut engine, &mut Never, 6).unwrap();
     let stats = engine.stats();
     assert!(stats.endpoint.injected_drops > 0 && stats.endpoint.retransmitted > 0);
     engine.shutdown().unwrap();
