@@ -97,14 +97,13 @@ fn spanning_pair_nonmonotone_in_simulation() {
     );
 }
 
-#[test]
-fn exact_values_are_pinned_bit_for_bit() {
-    // Every labelled graph on 2..=5 nodes under push and pull, plus every
-    // 4-node counterexample pair at tolerance 0.05, folded into one FNV-1a
-    // digest of the values' bit patterns: a solver change that moves any
-    // value by one ulp, or reorders the pairs, moves the digest.
+/// Every labelled graph on 2..=5 nodes under `rule`, plus every 4-node
+/// counterexample pair at tolerance 0.05, folded into one FNV-1a digest of
+/// the values' bit patterns: a solver change that moves any value by one
+/// ulp, or reorders the pairs, moves the digest.
+fn exact_digest(rules: &[RuleId]) -> u64 {
     let mut h = discovery_gossip::analysis::Fnv1a::new();
-    for rule in [RuleId::Push, RuleId::Pull] {
+    for &rule in rules {
         for n in 2..=5u32 {
             let pairs: Vec<(u32, u32)> = (0..n)
                 .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
@@ -125,5 +124,18 @@ fn exact_values_are_pinned_bit_for_bit() {
                 .write_u64(p.h_expected.to_bits());
         }
     }
-    assert_eq!(h.finish(), 0x8d5d_950e_6420_7d9e);
+    h.finish()
+}
+
+#[test]
+fn exact_values_are_pinned_bit_for_bit() {
+    assert_eq!(
+        exact_digest(&[RuleId::Push, RuleId::Pull]),
+        0x8d5d_950e_6420_7d9e
+    );
+}
+
+#[test]
+fn hybrid_exact_values_are_pinned_bit_for_bit() {
+    assert_eq!(exact_digest(&[RuleId::Hybrid]), 0x0744_c4ea_7a83_0a28);
 }
