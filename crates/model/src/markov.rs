@@ -6,7 +6,10 @@
 //! transitions by the union of all nodes' independently proposed edges;
 //! because edges are only ever *added*, the state graph is a DAG ordered
 //! by popcount (plus self-loops), so expected hitting times solve by
-//! memoized recursion — no linear system.
+//! memoized recursion — no linear system. Components never merge either,
+//! so no target is needed: the fixed point is the state whose round adds
+//! no edge ("no move"), worth 0 rounds. A state's value depends on its mask
+//! alone, so one memo, indexed by mask, serves every start a search solves.
 //!
 //! Each node's one-round distribution over proposed pairs comes from the
 //! same kernel the engines run: every leaf of its choice tree
@@ -19,12 +22,11 @@
 //! it is exactly what's needed to verify the paper's Figure 1(c)
 //! non-monotonicity example.
 
-use crate::enumerate::{canonicalize, rows_to_lists, walk_leaves, World};
+use crate::enumerate::{rows_to_lists, walk_leaves, World};
 use crate::instance::{is_connected, pair_index, Instance, MAX_N};
 use gossip_core::{
     Effects, HybridKernel, NodeState, ProtocolKernel, PullKernel, PushKernel, RuleId,
 };
-use gossip_graph::components::connected_components;
 use gossip_graph::{ArenaGraph, NodeId};
 // BTreeMap, not HashMap: the hitting-time recursion and the convolution both
 // *iterate* these maps while accumulating f64 sums, and HashMap's per-process
@@ -47,8 +49,8 @@ fn node_dist<K: ProtocolKernel>(
     let mut dist: Vec<(u16, f64)> = Vec::new();
     let mut leaf = |_: &[usize], effects: &Effects, _: NodeState, product: u64| {
         let p = 1.0 / product as f64;
-        let m = canonicalize(effects).0.iter().fold(0u16, |m, &(a, b)| {
-            m | 1 << pair_index(n, a as usize, b as usize)
+        let m = effects.connects.as_slice().iter().fold(0u16, |m, &(a, b)| {
+            m | 1 << pair_index(n, a.min(b).index(), a.max(b).index())
         });
         match dist.iter_mut().find(|(k, _)| *k == m) {
             Some(entry) => entry.1 += p,
@@ -91,43 +93,37 @@ fn round_transition<K: ProtocolKernel>(kernel: &K, n: usize, mask: u16) -> BTree
     dist
 }
 
-fn expected_from<K: ProtocolKernel>(
-    kernel: &K,
-    n: usize,
-    mask: u16,
-    target: u16,
-    memo: &mut BTreeMap<u16, f64>,
-) -> f64 {
-    if mask == target {
-        return 0.0;
-    }
-    if let Some(&e) = memo.get(&mask) {
-        return e;
+/// Expected rounds from edge mask `mask` to its fixed point, the state
+/// whose round adds no edge, memoised in `memo` by mask (`NaN`: not yet
+/// solved).
+fn expected<K: ProtocolKernel>(kernel: &K, n: usize, mask: u16, memo: &mut [f64]) -> f64 {
+    let known = memo[usize::from(mask)];
+    if !known.is_nan() {
+        return known;
     }
     let trans = round_transition(kernel, n, mask);
-    let stay = trans.get(&0).copied().unwrap_or(0.0);
-    assert!(
-        stay < 1.0 - 1e-12,
-        "state {mask:b} is absorbing but below target {target:b}"
-    );
-    let mut acc = 1.0; // the round we are about to spend
-    for (&added, &p) in &trans {
-        if added != 0 {
-            acc += p * expected_from(kernel, n, mask | added, target, memo);
+    let e = if trans.range(1..).next().is_none() {
+        0.0
+    } else {
+        let stay = trans.get(&0).copied().unwrap_or(0.0);
+        let mut acc = 1.0; // the round we are about to spend
+        for (&added, &p) in trans.range(1..) {
+            acc += p * expected(kernel, n, mask | added, memo);
         }
-    }
-    let e = acc / (1.0 - stay);
-    memo.insert(mask, e);
+        acc / (1.0 - stay)
+    };
+    memo[usize::from(mask)] = e;
     e
 }
 
-/// Expected rounds from edge mask `start` to edge mask `target` under `rule`.
-fn expected_rounds(n: usize, start: u16, target: u16, rule: RuleId) -> f64 {
-    let mut memo = BTreeMap::new();
-    match rule {
-        RuleId::Push => expected_from(&PushKernel, n, start, target, &mut memo),
-        RuleId::Pull => expected_from(&PullKernel, n, start, target, &mut memo),
-        RuleId::Hybrid => expected_from(&HybridKernel, n, start, target, &mut memo),
+/// Exact expected rounds under `rule` from any `n`-node edge mask, every
+/// call sharing one memo.
+fn solver(n: usize, rule: RuleId) -> impl FnMut(u16) -> f64 {
+    let mut memo = vec![f64::NAN; 1 << (n * (n - 1) / 2)];
+    move |start| match rule {
+        RuleId::Push => expected(&PushKernel, n, start, &mut memo),
+        RuleId::Pull => expected(&PullKernel, n, start, &mut memo),
+        RuleId::Hybrid => expected(&HybridKernel, n, start, &mut memo),
     }
 }
 
@@ -145,18 +141,7 @@ pub fn exact_expected_rounds(g: &ArenaGraph, rule: RuleId) -> f64 {
     let start = g.edges().fold(0u16, |m, e| {
         m | 1 << pair_index(n, e.a.index(), e.b.index())
     });
-    // Fixed point: complete within each component of the *initial* graph
-    // (components never merge, so the target is invariant along every path).
-    let (labels, _) = connected_components(g);
-    let mut target = 0u16;
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if labels[a] == labels[b] {
-                target |= 1 << pair_index(n, a, b);
-            }
-        }
-    }
-    expected_rounds(n, start, target, rule)
+    solver(n, rule)(start)
 }
 
 /// A non-monotonicity witness: a supergraph that converges slower than its
@@ -187,13 +172,11 @@ impl NonMonotonePair {
 pub fn find_nonmonotone_pairs(n: usize, rule: RuleId, tolerance: f64) -> Vec<NonMonotonePair> {
     assert!((2..=MAX_N).contains(&n));
     let complete = (1u16 << (n * (n - 1) / 2)) - 1;
+    let mut solve = solver(n, rule);
     // Expected time per connected mask.
     let connected: Vec<(Instance, f64)> = (1..=complete)
         .filter(|&edge_mask| is_connected(n, edge_mask))
-        .map(|edge_mask| {
-            let e = expected_rounds(n, edge_mask, complete, rule);
-            (Instance { n, edge_mask }, e)
-        })
+        .map(|edge_mask| (Instance { n, edge_mask }, solve(edge_mask)))
         .collect();
     let mut out = Vec::new();
     for &(g, eg) in &connected {
@@ -210,13 +193,14 @@ pub fn find_nonmonotone_pairs(n: usize, rule: RuleId, tolerance: f64) -> Vec<Non
             }
         }
     }
-    out.sort_by(|a, b| b.gap().partial_cmp(&a.gap()).unwrap());
+    out.sort_by(|a, b| b.gap().total_cmp(&a.gap()));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gossip_graph::components::connected_components;
     use gossip_graph::generators;
     use std::collections::BTreeSet;
 
@@ -277,6 +261,36 @@ mod tests {
             (e - 2.0).abs() < 1e-9,
             "isolated node must not affect E[T]: {e}"
         );
+    }
+
+    #[test]
+    fn zero_exactly_when_every_component_is_a_clique() {
+        // The whole input domain: every mask on 2..=5 nodes, every rule. A
+        // kernel stuck below its componentwise completion reads 0 here.
+        for n in 2..=MAX_N {
+            for edge_mask in 0..1u16 << (n * (n - 1) / 2) {
+                let inst = Instance { n, edge_mask };
+                let edges = inst.edges();
+                let g = ArenaGraph::from_edges(n, edges.iter().map(|&(a, b)| (a as u32, b as u32)));
+                let (labels, _) = connected_components(&g);
+                let labels = &labels;
+                // Every edge joins one component, so the components are
+                // cliques exactly when the edges fill every same-component pair.
+                let cliques = edges.len()
+                    == (0..n)
+                        .flat_map(|a| (a + 1..n).filter(move |&b| labels[a] == labels[b]))
+                        .count();
+                for rule in RuleId::ALL {
+                    let e = exact_expected_rounds(&g, rule);
+                    let ok = if cliques {
+                        e == 0.0
+                    } else {
+                        e.is_finite() && e >= 1.0
+                    };
+                    assert!(ok, "{rule} on {}: {e}", inst.describe());
+                }
+            }
+        }
     }
 
     #[test]
