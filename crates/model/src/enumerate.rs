@@ -42,6 +42,12 @@ impl NodeView for ModelView<'_> {
     fn contacts(&self) -> &[NodeId] {
         &self.rows[self.me.index()]
     }
+    #[expect(
+        clippy::panic,
+        reason = "`NodeView` documents this panic for worlds without remote \
+                  visibility; the knowledge world mirrors the message-passing \
+                  simulator, which has none"
+    )]
     fn peer_contacts(&self, v: NodeId) -> &[NodeId] {
         match self.world {
             World::Graph => &self.rows[v.index()],

@@ -137,7 +137,7 @@ pub fn connected_instances(n: usize) -> Vec<Instance> {
         if !is_connected(n, mask) {
             continue;
         }
-        let canon = perms.iter().map(|p| relabel(n, mask, p)).min().unwrap();
+        let canon = perms.iter().fold(mask, |m, p| m.min(relabel(n, mask, p)));
         if canon == mask {
             out.push(Instance { n, edge_mask: mask });
         }
