@@ -12,7 +12,12 @@ fn main() {
     match discovery_gossip::cli::Command::parse(&args)
         .and_then(|c| discovery_gossip::cli::execute(&c))
     {
-        Ok(output) => print!("{output}"),
+        Ok(Ok(output)) => print!("{output}"),
+        // The command line was fine and the run failed: usage would mislead.
+        Ok(Err(e)) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
         Err(e) => {
             eprintln!("error: {e}\n\n{}", discovery_gossip::cli::USAGE);
             std::process::exit(2);

@@ -461,8 +461,11 @@ where
     ))
 }
 
-/// Executes a command, returning its stdout payload.
-pub fn execute(cmd: &Command) -> Result<String, String> {
+/// Executes a command, returning its stdout payload. The outer `Err` is a
+/// usage error: the command line asks for something that cannot run. The
+/// inner `Err` is a run that started and failed: a worker that could not
+/// be spawned, or a served round that failed.
+pub fn execute(cmd: &Command) -> Result<Result<String, String>, String> {
     let f = &cmd.flags;
     // `parse` rejects a subcommand missing one of its required flags; a
     // hand-built `Command` missing one reads it as empty.
@@ -564,7 +567,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             };
             let id = RuleId::parse(process)?;
             let plan = (churn > 0).then(|| churn_plan(g.n(), churn, seed));
-            let line = if matches!(f.transport, Transport::Udp | Transport::Lossy) {
+            let run = if matches!(f.transport, Transport::Udp | Transport::Lossy) {
                 // Datagram cluster: coordinator in this process, one
                 // re-execed worker process per remaining peer-table slot
                 // (`maybe_run_cluster_shard` diverts the copies).
@@ -590,8 +593,9 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                         .collect::<Result<Vec<_>, _>>()?;
                     b = b.with_peers(table);
                 }
-                let engine = b.spawn().map_err(|e| format!("cluster spawn: {e}"))?;
-                serve_report(engine, cfg)?
+                b.spawn()
+                    .map_err(|e| format!("cluster spawn: {e}"))
+                    .and_then(|engine| serve_report(engine, cfg))
             } else if f.transport == Transport::Uds {
                 // Serialized seam: one OS process per shard, framed
                 // mailboxes over UDS. Worker copies of this binary never
@@ -602,21 +606,26 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
                 if let Some(plan) = plan {
                     b = b.with_membership(plan);
                 }
-                let engine = b.spawn().map_err(|e| format!("transport spawn: {e}"))?;
-                serve_report(engine, cfg)?
+                b.spawn()
+                    .map_err(|e| format!("transport spawn: {e}"))
+                    .and_then(|engine| serve_report(engine, cfg))
             } else if shards > 1 {
                 let g = ShardedArenaGraph::from_arena(&g, shards);
                 let mut b = EngineBuilder::new(g, id, seed);
                 if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
-                serve_report(b.build_sharded(), cfg)?
+                serve_report(b.build_sharded(), cfg)
             } else {
                 let mut b = EngineBuilder::new(g, id, seed);
                 if let Some(plan) = plan {
                     b = b.membership(plan);
                 }
-                serve_report(b.build(), cfg)?
+                serve_report(b.build(), cfg)
+            };
+            let line = match run {
+                Ok(line) => line,
+                Err(e) => return Ok(Err(e)),
             };
             let churn_note = if churn > 0 {
                 format!(", churn={churn}")
@@ -652,7 +661,7 @@ pub fn execute(cmd: &Command) -> Result<String, String> {
             );
         }
     }
-    Ok(out)
+    Ok(Ok(out))
 }
 
 #[cfg(test)]
@@ -663,9 +672,10 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
-    /// Parses and executes one command line.
+    /// Parses and executes one command line; usage errors and run
+    /// failures both come back as the `Err`.
     fn exec(line: &str) -> Result<String, String> {
-        execute(&Command::parse(&argv(line))?)
+        execute(&Command::parse(&argv(line))?)?
     }
 
     #[test]
@@ -710,7 +720,7 @@ mod tests {
                 flags: Flags::default()
             }
         );
-        assert!(execute(&help).unwrap().contains("USAGE"));
+        assert!(execute(&help).unwrap().unwrap().contains("USAGE"));
     }
 
     #[test]
@@ -796,6 +806,52 @@ mod tests {
         }
         // Same trajectory regardless of the engine serving it.
         assert_eq!(lines[0], lines[1]);
+    }
+
+    /// An engine whose round `fail_at` fails; the rounds before it are
+    /// `inner`'s.
+    struct FailsAt<E> {
+        inner: E,
+        fail_at: u64,
+    }
+
+    impl<E: RoundEngine<Error = std::convert::Infallible>> RoundEngine for FailsAt<E> {
+        type Graph = E::Graph;
+        type Error = String;
+        fn graph(&self) -> &E::Graph {
+            self.inner.graph()
+        }
+        fn quanta(&self) -> u64 {
+            self.inner.quanta()
+        }
+        fn step_listened(
+            &mut self,
+            listener: &mut dyn RoundListener<E::Graph>,
+        ) -> Result<gossip_core::RoundStats, String> {
+            if self.inner.quanta() + 1 == self.fail_at {
+                return Err(format!("round {} lost a worker", self.fail_at));
+            }
+            let Ok(stats) = self.inner.step_listened(listener);
+            Ok(stats)
+        }
+    }
+
+    #[test]
+    fn a_failed_serve_round_is_a_run_failure() {
+        // `execute` passes `serve_report`'s error on as the inner `Err`,
+        // which the binary prints without usage and exits 1 on.
+        let engine = FailsAt {
+            inner: EngineBuilder::new(generators::star(64), RuleId::Push, 11).build(),
+            fail_at: 3,
+        };
+        let cfg = ServeConfig {
+            snapshot_every: 2,
+            budget: 8,
+        };
+        assert_eq!(
+            serve_report(engine, cfg),
+            Err("round 3 failed: round 3 lost a worker".to_string())
+        );
     }
 
     #[test]
