@@ -209,8 +209,8 @@ impl TransportBuilder {
         // Bootstrap each worker: Config, then every segment's chunk stream,
         // then wait for its Hello ack.
         replica.send_bootstrap(0..shards, MAX_FRAME_ENTRIES, |s, frame| link.send(s, frame))?;
-        for conn in &mut link.conns {
-            conn.flush()?;
+        for s in 0..shards {
+            link.flush(s)?;
         }
         for s in 0..shards {
             match link.recv(s)? {
@@ -260,10 +260,13 @@ pub struct HubLink {
     workers: Workers,
     stats: TransportStats,
     enc: BytesMut,
+    /// `true` at a worker's end, from before its bootstrap: names the far
+    /// end in errors.
+    at_worker: bool,
 }
 
 impl HubLink {
-    /// A link over `conns` with nothing else set: as is, a worker's end.
+    /// A supervisor's end over `conns`, with no workers yet.
     fn over(conns: Vec<FramedConn>) -> HubLink {
         HubLink {
             conns,
@@ -271,12 +274,26 @@ impl HubLink {
             workers: Workers::default(),
             stats: TransportStats::default(),
             enc: BytesMut::new(),
+            at_worker: false,
         }
     }
 
     /// A worker's end, over its connection to the supervisor.
     fn worker(stream: UnixStream) -> io::Result<HubLink> {
-        Ok(HubLink::over(vec![FramedConn::from_stream(stream)?]))
+        let mut link = HubLink::over(vec![FramedConn::from_stream(stream)?]);
+        link.at_worker = true;
+        Ok(link)
+    }
+
+    /// `e`, its kind kept, naming the far end of connection `s`: a lost
+    /// peer otherwise reads as a bare `failed to fill whole buffer`.
+    fn far_end(&self, s: usize, e: io::Error) -> io::Error {
+        let far = if self.at_worker {
+            "supervisor".to_string()
+        } else {
+            format!("shard {s}")
+        };
+        io::Error::new(e.kind(), format!("{far}: {e}"))
     }
 
     /// Transport counters so far (supervisor's viewpoint).
@@ -285,25 +302,30 @@ impl HubLink {
     }
 
     fn send(&mut self, s: usize, frame: &Frame) -> io::Result<()> {
-        let bytes = self.conns[s].send(frame)?;
+        let bytes = self.conns[s].send(frame).map_err(|e| self.far_end(s, e))?;
         self.stats.wire.frames_sent += 1;
         self.stats.wire.bytes_sent += bytes;
         Ok(())
     }
 
     fn send_raw(&mut self, s: usize, bytes: &[u8]) -> io::Result<()> {
-        self.conns[s].send_raw(bytes)?;
+        self.conns[s]
+            .send_raw(bytes)
+            .map_err(|e| self.far_end(s, e))?;
         self.stats.wire.frames_sent += 1;
         self.stats.wire.bytes_sent += bytes.len() as u64;
         Ok(())
     }
 
     fn recv(&mut self, s: usize) -> io::Result<Frame> {
-        let conn = &mut self.conns[s];
-        let frame = conn.recv()?;
+        let frame = self.conns[s].recv().map_err(|e| self.far_end(s, e))?;
         self.stats.wire.frames_received += 1;
-        self.stats.wire.bytes_received += conn.last_recv_bytes();
+        self.stats.wire.bytes_received += self.conns[s].last_recv_bytes();
         Ok(frame)
+    }
+
+    fn flush(&mut self, s: usize) -> io::Result<()> {
+        self.conns[s].flush().map_err(|e| self.far_end(s, e))
     }
 
     /// The supervisor's `collect`: reassemble every worker's upload,
@@ -359,7 +381,7 @@ impl HubLink {
                 self.send_raw(d, &e.bytes)?;
             }
             self.send(d, &Frame::EndMail { round: r })?;
-            self.conns[d].flush()?;
+            self.flush(d)?;
         }
         Ok(())
     }
@@ -414,7 +436,7 @@ impl ShardLink for HubLink {
     fn start(&mut self, round: u64) -> io::Result<()> {
         for s in 0..self.conns.len() {
             self.send(s, &Frame::Start { round })?;
-            self.conns[s].flush()?;
+            self.flush(s)?;
         }
         Ok(())
     }
@@ -422,7 +444,7 @@ impl ShardLink for HubLink {
     fn stop(&mut self) -> io::Result<()> {
         for s in 0..self.conns.len() {
             let _ = self.send(s, &Frame::Shutdown);
-            let _ = self.conns[s].flush();
+            let _ = self.flush(s);
         }
         self.workers.reap()
     }
@@ -446,7 +468,7 @@ impl ShardLink for HubLink {
 
     fn report(&mut self, barrier: &Frame) -> io::Result<()> {
         self.send(0, barrier)?;
-        self.conns[0].flush()
+        self.flush(0)
     }
 
     fn collect(&mut self, round: u64) -> io::Result<RoundInbox> {
@@ -637,7 +659,8 @@ mod tests {
             wire.try_step(None).unwrap();
             hub_ends[1].shutdown(std::net::Shutdown::Both).unwrap();
             let t = Instant::now();
-            assert!(wire.try_step(None).is_err());
+            let err = wire.try_step(None).expect_err("shard 1 is gone");
+            assert!(err.to_string().starts_with("shard 1: "), "{err}");
             if explicit_shutdown {
                 // Both workers end in error: one lost its stream, the
                 // other its round.
