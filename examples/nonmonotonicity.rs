@@ -41,8 +41,12 @@ fn main() {
     println!("\nMonte Carlo cross-check (push, 20k trials):");
     let (mg, cg) = monte_carlo_mean(&g, 20_000);
     let (mh, ch) = monte_carlo_mean(&h, 20_000);
-    println!("  G: measured {mg:.3} ± {cg:.3}   (exact 11.158)");
-    println!("  H: measured {mh:.3} ± {ch:.3}   (exact  6.281)");
+    let (eg, eh) = (
+        exact_expected_rounds(&g, RuleId::Push),
+        exact_expected_rounds(&h, RuleId::Push),
+    );
+    println!("  G: measured {mg:.3} ± {cg:.3}   (exact {eg:6.3})");
+    println!("  H: measured {mh:.3} ± {ch:.3}   (exact {eh:6.3})");
 
     println!("\nExhaustive search, all connected 4-node graphs, same vertex set (push):");
     let pairs = find_nonmonotone_pairs(4, RuleId::Push, 0.05);
