@@ -10,7 +10,6 @@ use std::fmt;
 
 /// A node identifier: an index into the graph's node table.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[repr(transparent)]
 pub struct NodeId(pub u32);
 
@@ -60,7 +59,6 @@ impl From<NodeId> for u32 {
 
 /// An undirected edge, stored with endpoints in canonical (sorted) order.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Edge {
     /// Smaller endpoint.
     pub a: NodeId,
@@ -92,7 +90,6 @@ impl Edge {
 
 /// A directed arc `from -> to`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Arc {
     /// Tail (source) of the arc.
     pub from: NodeId,
@@ -154,21 +151,5 @@ mod tests {
         let e2 = Edge::new(NodeId(0), NodeId(2));
         let e3 = Edge::new(NodeId(1), NodeId(2));
         assert!(e1 < e2 && e2 < e3);
-    }
-
-    /// Guards the optional `serde` feature: NodeId is a newtype (serializes
-    /// as its inner id), Edge as an object.
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_derives_follow_the_data_model() {
-        use serde::ser::{Serialize as _, Value};
-        assert_eq!(NodeId(7).serialize_value(), Value::Int(7));
-        assert_eq!(
-            Edge::new(NodeId(1), NodeId(2)).serialize_value(),
-            Value::Object(vec![
-                ("a".into(), Value::Int(1)),
-                ("b".into(), Value::Int(2)),
-            ])
-        );
     }
 }
