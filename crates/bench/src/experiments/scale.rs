@@ -34,9 +34,6 @@ impl ConvergenceCheck<ArenaGraph> for EdgesAtLeast {
     fn is_converged(&mut self, g: &ArenaGraph) -> bool {
         g.m() >= self.target
     }
-    fn describe(&self) -> String {
-        format!("edge count >= {}", self.target)
-    }
 }
 
 /// Feeds a connected sparse start graph's edges to `add_edge` (which

@@ -13,9 +13,6 @@ use gossip_graph::{closure::Closure, ArenaGraph, BitSet, DirectedGraph, NodeId};
 pub trait ConvergenceCheck<G: GossipGraph>: Send {
     /// Whether the target has been reached on `g`.
     fn is_converged(&mut self, g: &G) -> bool;
-
-    /// Short description of the target for logs.
-    fn describe(&self) -> String;
 }
 
 /// Undirected target: every pair of nodes *in the same initial component* is
@@ -51,10 +48,6 @@ macro_rules! impl_componentwise_complete {
                 debug_assert!(g.m() <= self.target_m, "grew past the fixed point");
                 g.m() >= self.target_m
             }
-
-            fn describe(&self) -> String {
-                format!("componentwise-complete ({} edges)", self.target_m)
-            }
         }
     )+};
 }
@@ -87,10 +80,6 @@ impl ConvergenceCheck<DirectedGraph> for ClosureReached {
     fn is_converged(&mut self, g: &DirectedGraph) -> bool {
         debug_assert!(g.arc_count() <= self.target_arcs, "grew past the closure");
         g.arc_count() >= self.target_arcs
-    }
-
-    fn describe(&self) -> String {
-        format!("transitive-closure ({} arcs)", self.target_arcs)
     }
 }
 
@@ -136,10 +125,6 @@ impl ConvergenceCheck<ArenaGraph> for SubsetComplete {
         debug_assert!(ordered <= self.target_ordered);
         ordered == self.target_ordered
     }
-
-    fn describe(&self) -> String {
-        format!("subset-complete (k = {})", self.members.len())
-    }
 }
 
 /// Degree target: minimum degree at least `target` (or graph complete).
@@ -162,10 +147,6 @@ impl ConvergenceCheck<ArenaGraph> for MinDegreeAtLeast {
         // (vacuously) satisfy any degree target, like the complete graph.
         g.min_degree() >= self.target.min(g.n().saturating_sub(1))
     }
-
-    fn describe(&self) -> String {
-        format!("min-degree >= {}", self.target)
-    }
 }
 
 /// Never converges — for fixed-horizon runs.
@@ -176,10 +157,6 @@ impl<G: GossipGraph> ConvergenceCheck<G> for Never {
     #[inline]
     fn is_converged(&mut self, _g: &G) -> bool {
         false
-    }
-
-    fn describe(&self) -> String {
-        "never (fixed horizon)".into()
     }
 }
 
@@ -196,8 +173,6 @@ mod tests {
         assert!(!c.is_converged(&g));
         let k4 = generators::complete(4);
         assert!(c.is_converged(&k4));
-        // Multiple graph-type impls exist now; pick one to name `describe`.
-        assert!(ConvergenceCheck::<ArenaGraph>::describe(&c).contains('6'));
     }
 
     #[test]
