@@ -565,21 +565,10 @@ fn build_trace<K: ProtocolKernel + ?Sized>(
 }
 
 /// Exhaustively check one kernel on one instance: BFS every reachable
-/// joint state under `schedule`, verifying safety on every enumerated
-/// outcome and liveness (no stuck incomplete state) on every state.
-pub fn check_kernel<K: ProtocolKernel + ?Sized>(
-    kernel: &K,
-    world: World,
-    schedule: Schedule,
-    inst: Instance,
-    max_rounds: usize,
-) -> Result<CheckStats, Box<Counterexample>> {
-    check_kernel_with(kernel, world, inst, &CheckConfig::new(schedule, max_rounds))
-}
-
-/// [`check_kernel`] with the full knob set: omission/lossless schedule,
-/// optional liveness checking, and a bounded churn script the adversary
-/// interleaves with rounds.
+/// joint state under `cfg`'s omission/lossless schedule, verifying safety
+/// on every enumerated outcome and, unless `cfg` turns it off, liveness (no
+/// stuck incomplete state) on every state; `cfg`'s bounded churn script is
+/// interleaved with rounds by the adversary.
 pub fn check_kernel_with<K: ProtocolKernel + ?Sized>(
     kernel: &K,
     world: World,
@@ -746,7 +735,12 @@ pub fn check_all<K: ProtocolKernel + ?Sized>(
 ) -> Result<CheckStats, Box<Counterexample>> {
     let mut total = CheckStats::default();
     for inst in all_instances(max_n) {
-        total.absorb(check_kernel(kernel, world, schedule, inst, max_rounds)?);
+        total.absorb(check_kernel_with(
+            kernel,
+            world,
+            inst,
+            &CheckConfig::new(schedule, max_rounds),
+        )?);
     }
     Ok(total)
 }
@@ -833,7 +827,8 @@ mod tests {
             .into_iter()
             .find(|i| i.edges().len() == 2)
             .unwrap();
-        let stats = check_kernel(&PushKernel, World::Graph, Schedule::Lossless, inst, 32).unwrap();
+        let cfg = CheckConfig::new(Schedule::Lossless, 32);
+        let stats = check_kernel_with(&PushKernel, World::Graph, inst, &cfg).unwrap();
         // States: path and triangle (the only strict superset).
         assert_eq!(stats.states, 2);
         assert!(!stats.truncated);
@@ -847,7 +842,8 @@ mod tests {
             .into_iter()
             .find(|i| i.edges().len() == 3)
             .unwrap();
-        let stats = check_kernel(&PushKernel, World::Graph, Schedule::Omission, inst, 32).unwrap();
+        let cfg = CheckConfig::new(Schedule::Omission, 32);
+        let stats = check_kernel_with(&PushKernel, World::Graph, inst, &cfg).unwrap();
         assert_eq!(stats.states, 1);
         assert_eq!(stats.transitions, 0);
     }

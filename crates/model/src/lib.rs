@@ -44,8 +44,8 @@ pub mod markov;
 
 pub use broken::{PhantomPush, StalePeerPush, StallingPush};
 pub use checker::{
-    check_all, check_churn_family, check_kernel, check_kernel_with, churn_scripts, CheckConfig,
-    CheckStats, ChurnEvent, Counterexample, Schedule, TraceStep, Violation,
+    check_all, check_churn_family, check_kernel_with, churn_scripts, CheckConfig, CheckStats,
+    ChurnEvent, Counterexample, Schedule, TraceStep, Violation,
 };
 pub use enumerate::{node_menu, Outcome, World};
 pub use instance::{all_instances, connected_instances, pair_index, Instance, MAX_N};

@@ -8,12 +8,13 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use gossip_model::{all_instances, check_kernel, PhantomPush, Schedule, World};
+use gossip_model::{all_instances, check_kernel_with, CheckConfig, PhantomPush, Schedule, World};
 use proptest::test_runner::{run_cases, Config, TestCaseError};
 
 fn phantom_push_case(idx: usize) -> Result<(), TestCaseError> {
     let inst = all_instances(5)[idx];
-    match check_kernel(&PhantomPush, World::Graph, Schedule::Lossless, inst, 64) {
+    let cfg = CheckConfig::new(Schedule::Lossless, 64);
+    match check_kernel_with(&PhantomPush, World::Graph, inst, &cfg) {
         Ok(_) => Ok(()),
         Err(ce) => Err(TestCaseError::fail(format!(
             "kernel violated safety on instance #{idx} ({}): {:?}",
