@@ -11,22 +11,11 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, ks_statistic, ks_threshold_95, Ecdf, Summary, Table};
 use gossip_core::rng::trial_seed;
-use gossip_core::{run_engine_until, ComponentwiseComplete, EngineBuilder, RuleId};
+use gossip_core::{
+    convergence_rounds, run_engine_until, ComponentwiseComplete, EngineBuilder, RuleId, TrialConfig,
+};
 use gossip_graph::{generators, ArenaGraph};
 use rayon::prelude::*;
-
-fn sync_rounds(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> Vec<f64> {
-    (0..trials)
-        .into_par_iter()
-        .map(|t| {
-            let mut check = ComponentwiseComplete::for_graph(g);
-            let mut e = EngineBuilder::new(g.clone(), rule, trial_seed(base_seed, t)).build();
-            let out = e.run_until(&mut check, u64::MAX);
-            assert!(out.converged);
-            out.rounds as f64
-        })
-        .collect()
-}
 
 fn async_times(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> Vec<f64> {
     (0..trials)
@@ -76,7 +65,16 @@ pub fn run(args: &Args) -> Report {
         for (fam, g) in &families {
             for id in [RuleId::Push, RuleId::Pull] {
                 let proc_name = id.name();
-                let sync = sync_rounds(g, id, trials, args.seed ^ n as u64);
+                let cfg = TrialConfig {
+                    trials,
+                    base_seed: args.seed ^ n as u64,
+                    max_rounds: u64::MAX,
+                };
+                let sync: Vec<f64> =
+                    convergence_rounds(g, id, ComponentwiseComplete::for_graph, &cfg)
+                        .into_iter()
+                        .map(|r| r as f64)
+                        .collect();
                 let asynch = async_times(g, id, trials, args.seed ^ n as u64 ^ 0xA5);
                 report.measure("rounds", format!("{proc_name}-sync"), *fam, n as u64, &sync);
                 report.measure(
