@@ -84,21 +84,6 @@ pub fn grid(rows: usize, cols: usize) -> ArenaGraph {
     g
 }
 
-/// `rows x cols` torus (grid with wraparound); needs both dims >= 3 to stay
-/// simple (no parallel edges collapse anyway, but 2-wide wraps self-dedup).
-pub fn torus(rows: usize, cols: usize) -> ArenaGraph {
-    assert!(rows >= 3 && cols >= 3, "torus needs dims >= 3");
-    let mut g = ArenaGraph::new(rows * cols);
-    let id = |r: usize, c: usize| NodeId::new(r * cols + c);
-    for r in 0..rows {
-        for c in 0..cols {
-            g.add_edge(id(r, c), id(r, (c + 1) % cols));
-            g.add_edge(id(r, c), id((r + 1) % rows, c));
-        }
-    }
-    g
-}
-
 /// `d`-dimensional hypercube on `2^d` nodes.
 pub fn hypercube(d: u32) -> ArenaGraph {
     let n = 1usize << d;
@@ -143,45 +128,6 @@ pub fn lollipop(k: usize, tail: usize) -> ArenaGraph {
     for i in 0..tail {
         let prev = if i == 0 { k - 1 } else { k + i - 1 };
         g.add_edge(NodeId::new(prev), NodeId::new(k + i));
-    }
-    g
-}
-
-/// Complete bipartite graph `K_{a,b}`: parts `{0..a}` and `{a..a+b}`.
-/// Diameter 2 but strongly non-clustered — the opposite corner of the
-/// topology space from the caveman graphs.
-pub fn complete_bipartite(a: usize, b: usize) -> ArenaGraph {
-    assert!(a >= 1 && b >= 1);
-    let mut g = ArenaGraph::new(a + b);
-    for u in 0..a {
-        for v in a..(a + b) {
-            g.add_edge(NodeId::new(u), NodeId::new(v));
-        }
-    }
-    g
-}
-
-/// Connected caveman graph: `cliques` cliques of size `k`, arranged in a
-/// ring with one edge of each clique rewired to the next clique — maximal
-/// clustering with long range only through bottlenecks (Watts' original
-/// small-world starting point).
-pub fn caveman(cliques: usize, k: usize) -> ArenaGraph {
-    assert!(
-        cliques >= 2 && k >= 2,
-        "caveman needs >= 2 cliques of size >= 2"
-    );
-    let n = cliques * k;
-    let mut g = ArenaGraph::new(n);
-    for c in 0..cliques {
-        let base = c * k;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                g.add_edge(NodeId::new(base + i), NodeId::new(base + j));
-            }
-        }
-        // Bridge: last member of this cave to first member of the next.
-        let next = ((c + 1) % cliques) * k;
-        g.add_edge(NodeId::new(base + k - 1), NodeId::new(next));
     }
     g
 }
@@ -567,7 +513,6 @@ mod tests {
         assert!(complete(10).is_complete());
         assert_eq!(binary_tree(15).m(), 14);
         assert_eq!(grid(3, 4).m(), (2 * 4) + (3 * 3));
-        assert_eq!(torus(3, 4).m(), 24);
         assert_eq!(hypercube(4).m(), 32);
         assert_eq!(barbell(4).n(), 8);
         assert_eq!(barbell(4).m(), 13);
@@ -583,7 +528,6 @@ mod tests {
             double_star(17),
             binary_tree(17),
             grid(4, 5),
-            torus(4, 5),
             hypercube(4),
             barbell(8),
             lollipop(8, 9),
@@ -591,31 +535,6 @@ mod tests {
             assert!(is_connected(&g));
             g.validate().unwrap();
         }
-    }
-
-    #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.n(), 7);
-        assert_eq!(g.m(), 12);
-        assert!(is_connected(&g));
-        // No edge within a part.
-        assert!(!g.has_edge(NodeId(0), NodeId(1)));
-        assert!(!g.has_edge(NodeId(3), NodeId(4)));
-        assert!(g.has_edge(NodeId(0), NodeId(3)));
-        assert_eq!(diameter(&g), Some(2));
-        assert!((crate::metrics::average_clustering(&g) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn caveman_shape() {
-        let g = caveman(4, 5);
-        assert_eq!(g.n(), 20);
-        // 4 * C(5,2) intra + 4 bridges.
-        assert_eq!(g.m(), 4 * 10 + 4);
-        assert!(is_connected(&g));
-        assert!(crate::metrics::average_clustering(&g) > 0.7);
-        g.validate().unwrap();
     }
 
     #[test]

@@ -28,21 +28,9 @@ pub fn bfs_distances<G: UniformNeighbors>(g: &G, source: NodeId) -> Vec<u32> {
     dist
 }
 
-/// The neighborhood ring `N^i(u)`: nodes at distance exactly `i` from `u`
-/// (the paper's `N^i_t(u)` notation, Table 1).
-pub fn ring<G: UniformNeighbors>(g: &G, u: NodeId, i: u32) -> Vec<NodeId> {
-    let dist = bfs_distances(g, u);
-    let mut out: Vec<NodeId> = dist
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d == i)
-        .map(|(v, _)| NodeId::new(v))
-        .collect();
-    out.sort();
-    out
-}
-
-/// All rings up to `max_i`, computed in one BFS: `rings[i]` is `N^i(u)`.
+/// All neighborhood rings up to `max_i`, computed in one BFS: `rings[i]`
+/// is `N^i(u)`, the nodes at distance exactly `i` from `u` (the paper's
+/// `N^i_t(u)` notation, Table 1), in ascending order.
 pub fn rings_up_to<G: UniformNeighbors>(g: &G, u: NodeId, max_i: u32) -> Vec<Vec<NodeId>> {
     let dist = bfs_distances(g, u);
     let mut out = vec![Vec::new(); (max_i + 1) as usize];
@@ -107,12 +95,13 @@ mod tests {
     #[test]
     fn rings_match_definition() {
         let g = path5();
-        assert_eq!(ring(&g, NodeId(0), 2), vec![NodeId(2)]);
-        assert_eq!(ring(&g, NodeId(2), 1), vec![NodeId(1), NodeId(3)]);
-        assert_eq!(ring(&g, NodeId(2), 3), vec![]);
         let rings = rings_up_to(&g, NodeId(0), 4);
         assert_eq!(rings[0], vec![NodeId(0)]);
+        assert_eq!(rings[2], vec![NodeId(2)]);
         assert_eq!(rings[4], vec![NodeId(4)]);
+        let mid = rings_up_to(&g, NodeId(2), 3);
+        assert_eq!(mid[1], vec![NodeId(1), NodeId(3)]);
+        assert_eq!(mid[3], vec![]);
     }
 
     #[test]
