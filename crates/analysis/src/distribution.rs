@@ -12,7 +12,7 @@
 /// use gossip_analysis::Ecdf;
 /// let e = Ecdf::new(&[1.0, 2.0, 3.0, 4.0]);
 /// assert_eq!(e.eval(2.5), 0.5);
-/// assert_eq!(e.quantile(0.5), 2.0);
+/// assert_eq!(e.eval(4.0), 1.0);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Ecdf {
@@ -47,14 +47,6 @@ impl Ecdf {
         // partition_point: first index with value > x.
         let idx = self.sorted.partition_point(|&v| v <= x);
         idx as f64 / self.sorted.len() as f64
-    }
-
-    /// Inverse CDF by order statistic (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        let n = self.sorted.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        self.sorted[idx]
     }
 
     /// The underlying sorted sample.
@@ -112,15 +104,6 @@ mod tests {
         assert!((e.eval(2.5) - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(e.eval(3.0), 1.0);
         assert_eq!(e.eval(99.0), 1.0);
-    }
-
-    #[test]
-    fn quantiles_are_order_statistics() {
-        let e = Ecdf::new(&[10.0, 20.0, 30.0, 40.0]);
-        assert_eq!(e.quantile(0.0), 10.0);
-        assert_eq!(e.quantile(0.25), 10.0);
-        assert_eq!(e.quantile(0.5), 20.0);
-        assert_eq!(e.quantile(1.0), 40.0);
     }
 
     #[test]
