@@ -42,15 +42,6 @@ impl ProposalSet {
         }
     }
 
-    /// Two proposed edges.
-    #[inline]
-    pub fn two(e1: (NodeId, NodeId), e2: (NodeId, NodeId)) -> Self {
-        ProposalSet {
-            edges: [e1, e2],
-            len: 2,
-        }
-    }
-
     /// Appends an edge.
     ///
     /// # Panics
@@ -280,7 +271,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn proposal_set_overflow() {
-        let mut p = ProposalSet::two((NodeId(0), NodeId(1)), (NodeId(1), NodeId(2)));
+        let mut p = ProposalSet::one(NodeId(0), NodeId(1));
+        p.push((NodeId(1), NodeId(2)));
         p.push((NodeId(2), NodeId(3)));
     }
 
