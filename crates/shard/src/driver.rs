@@ -454,6 +454,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 
 static SOCKET_COUNTER: AtomicU64 = AtomicU64::new(0);
 
+#[derive(Debug)]
 enum WorkerHandle {
     Thread(JoinHandle<io::Result<()>>),
     Process(Child),
@@ -464,19 +465,10 @@ enum WorkerHandle {
 /// and reaps them. Whatever was started and never reaped — a spawn that
 /// failed half-way, an engine dropped after a failed round — is cleaned
 /// up on drop: children are killed and waited for, socket files unlinked.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub struct Workers {
     handles: Vec<WorkerHandle>,
     socket_paths: Vec<PathBuf>,
-}
-
-impl std::fmt::Debug for Workers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Workers")
-            .field("live", &self.handles.len())
-            .field("socket_paths", &self.socket_paths)
-            .finish()
-    }
 }
 
 impl Workers {
@@ -898,17 +890,6 @@ impl<L: ShardLink> ShardRoundDriver<L> {
     #[inline]
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// Number of shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.replica.shards()
-    }
-
-    /// The rule's registry id.
-    pub fn rule(&self) -> RuleId {
-        *self.replica.rule()
     }
 
     /// Cumulative per-phase wall time. `Propose`/`Route`/`Serialize` are
