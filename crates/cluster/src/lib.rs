@@ -667,6 +667,29 @@ mod tests {
     }
 
     #[test]
+    fn a_shutdown_before_the_rounds_mail_ends_the_worker_cleanly() {
+        let loopback = SocketAddr::from(([127, 0, 0, 1], 0));
+        let (coord, wrk) = (
+            UdpSocket::bind(loopback).unwrap(),
+            UdpSocket::bind(loopback).unwrap(),
+        );
+        let peers = vec![coord.local_addr().unwrap(), wrk.local_addr().unwrap()];
+        let mut link = MeshLink::worker(coord, peers.clone(), 0, None, DEFAULT_MTU).unwrap();
+        let body = move || run_shard(MeshLink::worker(wrk, peers, 1, None, DEFAULT_MTU)?);
+        link.workers.spawn_thread("w1".into(), body).unwrap();
+        let policy = Parallelism::Sequential;
+        let replica = ShardReplica::new(sharded(64, 64, 3, 2), RuleId::Pull, 5, policy, None, 0..1);
+        let chunk_entries = snapshot_chunk_entries(DEFAULT_MTU);
+        replica
+            .send_bootstrap(1..2, chunk_entries, |d, f| link.endpoint.send_frame(d, f))
+            .unwrap();
+        // Round 0 starts, and stops before shard 0's mail. `stop` reaps
+        // the worker thread, so it is `Ok` only if `run_shard` was.
+        link.start(0).unwrap();
+        link.stop().expect("a stop mid-round is orderly");
+    }
+
+    #[test]
     fn cluster_matches_in_process_engine() {
         let n = 3000;
         for shards in [2, 4] {

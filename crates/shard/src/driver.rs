@@ -595,11 +595,17 @@ impl Drop for Workers {
 /// barriers still owed by the workers. Every frame a link receives
 /// during a round goes through [`RoundInbox::accept`], which is the one
 /// place that decides whether it is legal — anything else is an
-/// `InvalidData` error naming the shard and the round.
+/// `InvalidData` error naming the shard and the round. The one frame
+/// that ends a round early is the coordinator's `Shutdown` at a worker:
+/// the coordinator stops that way after a failed round, and
+/// [`run_shard`] ends in `Ok(())`.
 #[derive(Debug)]
 pub struct RoundInbox {
     round: u64,
     asm: MailboxAssembler,
+    /// Owed no barrier at all: a worker's inbox, where a `Shutdown` from
+    /// the coordinator (shard 0 on both carriers) may arrive mid-round.
+    at_worker: bool,
     owes_proposed: Vec<bool>,
     owes_done: Vec<bool>,
     done: Vec<Option<DoneBarrier>>,
@@ -626,6 +632,7 @@ impl RoundInbox {
         RoundInbox {
             round,
             asm,
+            at_worker: !owed.contains(&true),
             owes_proposed: owed.clone(),
             done: vec![None; owed.len()],
             owes_done: owed,
@@ -680,7 +687,9 @@ impl RoundInbox {
     /// Feeds one frame received from shard `from`. Mail must be `from`'s
     /// own and for this round; a `Proposed` barrier must be owed and come
     /// after `from`'s mail streams closed; a `Done` barrier must be owed
-    /// and follow `from`'s `Proposed`.
+    /// and follow `from`'s `Proposed`. At a worker, the coordinator's
+    /// `Shutdown` ends the round with the error [`run_shard`] reads as an
+    /// orderly stop.
     pub fn accept(&mut self, from: usize, frame: Frame) -> io::Result<()> {
         let r = self.round;
         // `get`, not indexing: a shard index from outside the grid is the
@@ -708,6 +717,7 @@ impl RoundInbox {
                 self.done[from] = Some(b);
                 Ok(())
             }
+            Frame::Shutdown if from == 0 && self.at_worker => Err(io::Error::other(MidRoundStop)),
             other => Err(self.reject(from, format_args!("unexpected {other:?}"))),
         }
     }
@@ -822,13 +832,31 @@ fn replica_round<L: ShardLink>(
     })
 }
 
+/// What a worker's round ends with when the coordinator's `Shutdown`
+/// arrives before the round's mail is complete (see [`RoundInbox`]).
+#[derive(Debug)]
+struct MidRoundStop;
+
+impl std::fmt::Display for MidRoundStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("the coordinator shut the run down mid-round")
+    }
+}
+
+impl std::error::Error for MidRoundStop {}
+
 /// The worker loop, the same for every carrier and hosting mode:
-/// bootstrap, then one replica round per `Start` until `Shutdown`.
+/// bootstrap, then one replica round per `Start` until `Shutdown` —
+/// between rounds, or in the middle of one when the coordinator stops
+/// after a failed round.
 pub fn run_shard<L: ShardLink>(mut link: L) -> io::Result<()> {
     let mut replica = link.bootstrap()?;
     while let Some(r) = link.next_round()? {
         replica.apply_membership(r);
-        replica_round(&mut link, &mut replica, r)?;
+        if let Err(e) = replica_round(&mut link, &mut replica, r) {
+            let stopped = e.get_ref().is_some_and(|e| e.is::<MidRoundStop>());
+            return if stopped { Ok(()) } else { Err(e) };
+        }
     }
     Ok(())
 }
@@ -1512,6 +1540,18 @@ mod tests {
         };
         assert_eq!((p.round, p.source, p.proposed), (0, 1, h.proposed.proposed));
         assert_eq!((d.round, d.source, d.added), (0, 1, h.done.added));
+    }
+
+    #[test]
+    fn a_shutdown_mid_round_ends_a_worker_cleanly_and_is_rejected_at_the_coordinator() {
+        // The coordinator stops before shard 0's mail came: an orderly end.
+        run_shard(worker(vec![(0, Frame::Shutdown)])).unwrap();
+
+        // Nobody may stop the coordinator: a `Shutdown` from shard 0, as
+        // the stream supervisor would hear it from its first worker.
+        let mut script = honest_worker_script(&round0());
+        script.insert(0, (0, Frame::Shutdown));
+        assert_rejected(coordinator(script).try_step(None), 0, 0);
     }
 
     #[test]

@@ -397,6 +397,8 @@ impl HubLink {
                 Frame::EndMail { round } if round == r && inbox.mail_complete() => {
                     return Ok(inbox)
                 }
+                // The supervisor stopping mid-round: the inbox ends the round.
+                frame @ Frame::Shutdown => inbox.accept(0, frame)?,
                 other => {
                     return Err(protocol_err(format!(
                         "shard {}, round {r}: expected Mail, or EndMail once the mail is \
@@ -576,6 +578,22 @@ mod tests {
     }
 
     #[test]
+    fn a_shutdown_before_the_rounds_mail_ends_the_worker_cleanly() {
+        let (sup, wrk) = UnixStream::pair().unwrap();
+        let mut sup = FramedConn::from_stream(sup).unwrap();
+        let policy = Parallelism::Sequential;
+        let replica = ShardReplica::new(sharded(64, 64, 3, 2), RuleId::Pull, 5, policy, None, 0..0);
+        replica
+            .send_bootstrap(1..2, MAX_FRAME_ENTRIES, |_, f| sup.send(f).map(drop))
+            .unwrap();
+        sup.send(&Frame::Start { round: 0 }).unwrap();
+        sup.send(&Frame::Shutdown).unwrap();
+        sup.flush().unwrap();
+        run_shard(HubLink::worker(wrk).unwrap()).expect("a stop mid-round is orderly");
+        assert_eq!(sup.recv().unwrap(), Frame::Hello { shard: 1 });
+    }
+
+    #[test]
     fn transport_runs_membership_plans_without_wire_traffic_per_round() {
         let n = 2048;
         let g = sharded(n, n as u64, 3, 2);
@@ -662,8 +680,8 @@ mod tests {
             let err = wire.try_step(None).expect_err("shard 1 is gone");
             assert!(err.to_string().starts_with("shard 1: "), "{err}");
             if explicit_shutdown {
-                // Both workers end in error: one lost its stream, the
-                // other its round.
+                // Shard 1's worker lost its stream and ends in error;
+                // shard 0's is stopped mid-round and ends cleanly.
                 assert!(wire.shutdown().is_err());
             }
             drop(wire);
