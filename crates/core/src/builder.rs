@@ -72,11 +72,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> EngineBuilder<G, R> {
         self
     }
 
-    /// The configured seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Decomposes the builder into
     /// `(graph, rule, seed, parallelism, membership)` — the hook
     /// downstream crates use to add variants (the sharded engine's

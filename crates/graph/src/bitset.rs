@@ -103,12 +103,6 @@ impl BitSet {
         }
     }
 
-    /// Raw word access (read-only), for word-parallel algorithms.
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Grows capacity to at least `new_capacity`, preserving contents.
     pub fn grow(&mut self, new_capacity: usize) {
         if new_capacity > self.capacity {

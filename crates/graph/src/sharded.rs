@@ -170,12 +170,6 @@ impl ShardSeg {
         }
     }
 
-    /// First global node id of the segment.
-    #[inline]
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
     /// Number of rows owned.
     #[inline]
     pub fn len(&self) -> usize {
