@@ -140,6 +140,10 @@ impl<K: ProtocolKernel> DiscoveryAlgorithm for KernelBaseline<K> {
         // windows, which need no snapshot.
         let lists =
             (self.kernel.max_message_ids().is_none()).then(|| self.knowledge.sorted_snapshot());
+        #[expect(
+            clippy::expect_used,
+            reason = "only kernels declaring unbounded messages share whole lists, and they get the snapshot"
+        )]
         let whole_list = |of: NodeId| {
             lists
                 .as_ref()

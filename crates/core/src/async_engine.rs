@@ -30,8 +30,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::convert::Infallible;
 
-/// Total-ordered f64 wrapper for the event queue (activation times are
-/// finite by construction; NaN cannot occur).
+/// Total-ordered f64 wrapper for the event queue. Activation times are
+/// finite and positive by construction, where `total_cmp` is the usual
+/// `<` order.
 #[derive(Clone, Copy, PartialEq, Debug)]
 struct Time(f64);
 
@@ -45,9 +46,7 @@ impl PartialOrd for Time {
 
 impl Ord for Time {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("activation time is NaN")
+        self.0.total_cmp(&other.0)
     }
 }
 
@@ -113,7 +112,14 @@ impl<G: GossipGraph, R: ProposalRule<G>> AsyncEngine<G, R> {
     }
 
     /// Executes the next activation; returns `(node, stats)`.
+    ///
+    /// # Panics
+    /// Panics on a graph with no nodes: nothing can activate.
     pub fn step(&mut self) -> (NodeId, RoundStats) {
+        #[expect(
+            clippy::expect_used,
+            reason = "`new` queues every node and each pop is pushed back, so only a 0-node queue is empty"
+        )]
         let Reverse((Time(t), u)) = self.queue.pop().expect("empty activation queue");
         debug_assert!(t >= self.now);
         self.now = t;

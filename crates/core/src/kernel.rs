@@ -146,6 +146,10 @@ impl NodeView for LocalView<'_> {
     fn contacts(&self) -> &[NodeId] {
         self.contacts
     }
+    #[expect(
+        clippy::panic,
+        reason = "`NodeView::peer_contacts` documents the panic for views without remote visibility"
+    )]
     fn peer_contacts(&self, v: NodeId) -> &[NodeId] {
         panic!("LocalView has no remote visibility (asked for contacts of {v:?})")
     }
@@ -217,8 +221,13 @@ pub enum NodeState {
 }
 
 impl NodeState {
-    /// The cursor vector; panics if the state is [`NodeState::Stateless`].
+    /// The cursor vector.
+    ///
+    /// # Panics
+    /// Panics if the state is [`NodeState::Stateless`]: only a kernel whose
+    /// `initial_state` gives cursors may ask for them.
     #[inline]
+    #[expect(clippy::panic, reason = "the documented contract of a cursor kernel")]
     pub fn cursors_mut(&mut self) -> &mut Vec<u32> {
         match self {
             NodeState::Cursors(c) => c,

@@ -225,8 +225,8 @@ impl MembershipPlan {
                              away: &mut usize,
                              events: &mut Vec<(u64, MembershipEvent)>,
                              rng: &mut rand::rngs::SmallRng| {
-            while pending.front().is_some_and(|&(r, _)| r <= up_to) {
-                let (r, node) = pending.pop_front().unwrap();
+            while let Some(&(r, node)) = pending.front().filter(|&&(r, _)| r <= up_to) {
+                pending.pop_front();
                 departed[node.index()] = false;
                 *away -= 1;
                 let live = cfg.n - *away;
