@@ -21,7 +21,6 @@
 //! would cap baseline experiments in the tens of thousands of nodes).
 
 use gossip_graph::{ArenaGraph, NodeId, SliceArena};
-use rand::Rng;
 
 /// Directed "who-knows-whom" state for `n` nodes.
 ///
@@ -113,23 +112,6 @@ impl Knowledge {
     /// snapshot, so cloning the whole `Knowledge` would double the cost.
     pub fn sorted_snapshot(&self) -> SliceArena {
         self.sorted.clone()
-    }
-
-    /// Number of contacts `u` knows.
-    #[inline]
-    pub fn count(&self, u: NodeId) -> usize {
-        self.arrival.len(u.index())
-    }
-
-    /// Uniformly random contact of `u` (arrival-order sampling surface).
-    #[inline]
-    pub fn random_contact<R: Rng + ?Sized>(&self, u: NodeId, rng: &mut R) -> Option<NodeId> {
-        let row = self.contacts(u);
-        if row.is_empty() {
-            None
-        } else {
-            Some(row[rng.random_range(0..row.len())])
-        }
     }
 
     /// Total ordered known pairs (target: `n * (n-1)`).

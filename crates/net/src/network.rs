@@ -55,22 +55,13 @@ pub struct Traffic {
     pub lost: u64,
 }
 
-/// Network configuration.
-#[derive(Clone, Copy, Debug)]
+/// Network configuration; the default is lossless, seed 0.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct NetConfig {
     /// Independent per-message loss probability.
     pub drop_prob: f64,
     /// Experiment seed.
     pub seed: u64,
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig {
-            drop_prob: 0.0,
-            seed: 0,
-        }
-    }
 }
 
 /// What a protocol sees and can do on behalf of one node.
