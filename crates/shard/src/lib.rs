@@ -94,14 +94,11 @@ pub use driver::{
     peak_rss_bytes, protocol_err, run_shard, run_shard_process, RoundInbox, ShardLink,
     ShardReplica, ShardRoundDriver, Workers,
 };
-pub use framed::{parse_framed, FramedConn};
+pub use framed::FramedConn;
 pub use transport::{
     maybe_run_worker, HubLink, TransportBuilder, TransportEngine, TransportMode, TransportStats,
 };
-pub use wire::{
-    fragment_frames, AckFrame, Defragmenter, FragmentError, FragmentFrame, Frame, MailboxAssembler,
-    WireError, WireStats, MAX_FRAME_BYTES, MAX_FRAME_ENTRIES,
-};
+pub use wire::{Frame, MailboxAssembler, MAX_FRAME_ENTRIES};
 
 // Shard spans are aligned to propose chunks so that a chunk never straddles
 // two source shards — the mailbox ordering proof in the module docs leans
