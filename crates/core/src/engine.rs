@@ -242,11 +242,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> Engine<G, R> {
         self.round
     }
 
-    /// The rule's name.
-    pub fn rule_name(&self) -> &'static str {
-        self.rule.name()
-    }
-
     /// Executes one synchronous round; returns what happened.
     pub fn step(&mut self) -> RoundStats {
         self.step_attributed(|_, _, _, _| {})

@@ -237,9 +237,6 @@ pub trait ProposalRule<G: GossipGraph>: Send + Sync {
             }
         }
     }
-
-    /// Human-readable rule name for logs and result tables.
-    fn name(&self) -> &'static str;
 }
 
 /// Statistics for one applied round.

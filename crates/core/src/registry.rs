@@ -32,8 +32,7 @@ impl RuleId {
     /// Every registered rule, in registry order.
     pub const ALL: [RuleId; 3] = [RuleId::Push, RuleId::Pull, RuleId::Hybrid];
 
-    /// The registry name (what [`RuleId::parse`] accepts and what the
-    /// rule's `ProposalRule::name` reports).
+    /// The registry name (what [`RuleId::parse`] accepts).
     pub fn name(&self) -> &'static str {
         match self {
             RuleId::Push => "push",
@@ -95,14 +94,6 @@ impl<G: GossipGraph> ProposalRule<G> for RuleId {
             RuleId::Hybrid => HybridPushPull.propose_range(g, seed, round, nodes, buf),
         }
     }
-
-    fn name(&self) -> &'static str {
-        match self {
-            RuleId::Push => ProposalRule::<G>::name(&Push),
-            RuleId::Pull => ProposalRule::<G>::name(&Pull),
-            RuleId::Hybrid => ProposalRule::<G>::name(&HybridPushPull),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +147,6 @@ mod tests {
         };
         assert!(!oracle[1].is_empty(), "{id} on {what}: nothing proposed");
         assert_eq!(proposals(&id, g), oracle, "{id} on {what}");
-        assert_eq!(ProposalRule::<G>::name(&id), id.name());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! engines' per-node RNG stream — bit-identical to the pre-kernel
 //! hand-written rules (same draws, same order, same guards).
 
-use crate::kernel::{kernel_propose, HybridKernel, ProtocolKernel, PullKernel, PushKernel};
+use crate::kernel::{kernel_propose, HybridKernel, PullKernel, PushKernel};
 use crate::process::{GossipGraph, ProposalRule, ProposalSet, TaggedProposal};
 use crate::rng::stream_rng;
 use gossip_graph::{DirectedGraph, NodeId, UniformNeighbors};
@@ -31,10 +31,6 @@ impl<G: GossipGraph> ProposalRule<G> for Push {
     #[inline]
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         kernel_propose(&PushKernel, g, u, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        PushKernel.name()
     }
 }
 
@@ -61,10 +57,6 @@ impl<G: GossipGraph> ProposalRule<G> for Pull {
         buf: &mut Vec<TaggedProposal>,
     ) {
         two_hop_range(g, seed, round, nodes, buf);
-    }
-
-    fn name(&self) -> &'static str {
-        PullKernel.name()
     }
 }
 
@@ -144,10 +136,6 @@ impl ProposalRule<DirectedGraph> for DirectedPull {
     ) {
         two_hop_range(g, seed, round, nodes, buf);
     }
-
-    fn name(&self) -> &'static str {
-        "directed-pull"
-    }
 }
 
 /// **Hybrid push + pull**: each node performs both a triangulation step and
@@ -160,10 +148,6 @@ impl<G: GossipGraph> ProposalRule<G> for HybridPushPull {
     #[inline]
     fn propose(&self, g: &G, u: NodeId, rng: &mut SmallRng) -> ProposalSet {
         kernel_propose(&HybridKernel, g, u, rng)
-    }
-
-    fn name(&self) -> &'static str {
-        HybridKernel.name()
     }
 }
 
@@ -256,16 +240,5 @@ mod tests {
             total += p.len();
         }
         assert!(total > 100, "hybrid should usually propose edges: {total}");
-    }
-
-    #[test]
-    fn rule_names() {
-        assert_eq!(ProposalRule::<ArenaGraph>::name(&Push), "push");
-        assert_eq!(ProposalRule::<ArenaGraph>::name(&Pull), "pull");
-        assert_eq!(
-            ProposalRule::<DirectedGraph>::name(&DirectedPull),
-            "directed-pull"
-        );
-        assert_eq!(ProposalRule::<ArenaGraph>::name(&HybridPushPull), "hybrid");
     }
 }

@@ -45,10 +45,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> ProposalRule<G> for Faulty<R> {
         }
         out
     }
-
-    fn name(&self) -> &'static str {
-        "faulty"
-    }
 }
 
 /// Wraps a rule so each node only participates in a round with probability
@@ -88,10 +84,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> ProposalRule<G> for Partial<R> {
             ProposalSet::empty()
         }
     }
-
-    fn name(&self) -> &'static str {
-        "partial"
-    }
 }
 
 /// Restricts a rule to a fixed set of active nodes: only members propose.
@@ -123,10 +115,6 @@ impl<G: GossipGraph, R: ProposalRule<G>> ProposalRule<G> for OnlySubset<R> {
         } else {
             ProposalSet::empty()
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "subset"
     }
 }
 

@@ -24,6 +24,7 @@ use gossip_graph::{
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::fmt::Debug;
 
 /// The pre-kernel push: draw `v, w` i.i.d. from the own row, propose
 /// `(v, w)` unless they coincide.
@@ -107,7 +108,7 @@ fn assert_equivalent<R, L>(
     seed: u64,
 ) -> Result<(), TestCaseError>
 where
-    R: ProposalRule<ArenaGraph>,
+    R: ProposalRule<ArenaGraph> + Debug,
     L: Fn(&ArenaGraph, NodeId, &mut SmallRng) -> ProposalSet,
 {
     for round in 0..4u64 {
@@ -120,8 +121,7 @@ where
             prop_assert_eq!(
                 kernelized.as_slice(),
                 reference.as_slice(),
-                "rule {} diverged at node {} round {round}",
-                rule.name(),
+                "rule {rule:?} diverged at node {} round {round}",
                 u.0
             );
             // Same *number* of draws too: the streams must stay aligned.
@@ -192,7 +192,11 @@ fn single_edge_graph_saturates_to_no_op() {
 
 /// `propose_range` over `lo..hi` against the loop it stands for: every
 /// node's `propose` on its own `(seed, round, node)` stream, in node order.
-fn assert_range_is_the_node_loop<G: GossipGraph, R: ProposalRule<G>>(g: &G, rule: &R, seed: u64) {
+fn assert_range_is_the_node_loop<G: GossipGraph, R: ProposalRule<G> + Debug>(
+    g: &G,
+    rule: &R,
+    seed: u64,
+) {
     let n = g.node_count();
     // Whole graph, mid-block starts and ends, one node, nothing.
     let ranges = [
@@ -221,8 +225,7 @@ fn assert_range_is_the_node_loop<G: GossipGraph, R: ProposalRule<G>>(g: &G, rule
         assert_eq!(
             got[1..],
             want[..],
-            "rule {} diverged on {range:?} of {n} nodes, round {round}",
-            rule.name()
+            "rule {rule:?} diverged on {range:?} of {n} nodes, round {round}"
         );
     }
 }

@@ -194,11 +194,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
         self.graph
     }
 
-    /// The rule every replica replays.
-    pub fn rule(&self) -> &R {
-        &self.rule
-    }
-
     /// Number of shards in the grid.
     #[inline]
     pub fn shards(&self) -> usize {

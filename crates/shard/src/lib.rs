@@ -174,11 +174,6 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardedEngine<R> {
         self.round
     }
 
-    /// The rule's name.
-    pub fn rule_name(&self) -> &'static str {
-        self.replica.rule().name()
-    }
-
     /// Number of shards.
     #[inline]
     pub fn shard_count(&self) -> usize {

@@ -6,9 +6,9 @@
 //! ```
 
 use discovery_gossip::prelude::*;
-use gossip_core::{run_engine_listened, Chain, ProposalRule, StopWhen};
+use gossip_core::{run_engine_listened, Chain, RuleId, StopWhen};
 
-fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
+fn run(g0: &ArenaGraph, rule: RuleId, seed: u64) {
     let n = g0.n() as f64;
     let mut check = ComponentwiseComplete::for_graph(g0);
     let mut recorder = RoundRecorder::probing(|g: &ArenaGraph| vec![g.min_degree() as u64]);
@@ -20,7 +20,7 @@ fn run<R: ProposalRule<ArenaGraph>>(g0: &ArenaGraph, rule: R, seed: u64) {
     );
     assert!(out.converged && engine.graph().is_complete());
 
-    println!("\n== {} discovery ==", engine.rule_name());
+    println!("\n== {rule} discovery ==");
     println!(
         "{:>10} {:>10} {:>8} {:>8}",
         "round", "edges", "min-deg", "added"
@@ -62,6 +62,6 @@ fn main() {
         g0.min_degree()
     );
 
-    run(&g0, Push, seed);
-    run(&g0, Pull, seed);
+    run(&g0, RuleId::Push, seed);
+    run(&g0, RuleId::Pull, seed);
 }
