@@ -132,9 +132,6 @@ pub trait Protocol {
 
     /// Called for every delivered message.
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, msg: Message);
-
-    /// Protocol name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// The simulated network.
@@ -387,9 +384,6 @@ mod tests {
     impl Protocol for NoopProtocol {
         fn on_round(&mut self, _ctx: &mut NodeCtx<'_>) {}
         fn on_message(&mut self, _ctx: &mut NodeCtx<'_>, _from: NodeId, _msg: Message) {}
-        fn name(&self) -> &'static str {
-            "noop"
-        }
     }
 
     /// Every node pings contact 0 each round (for traffic/drop tests).
@@ -402,9 +396,6 @@ mod tests {
         }
         fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, _msg: Message) {
             ctx.learn(from);
-        }
-        fn name(&self) -> &'static str {
-            "ping"
         }
     }
 

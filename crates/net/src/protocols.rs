@@ -57,10 +57,6 @@ impl Protocol for PushProtocol {
             ctx.learn(peer);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "push-protocol"
-    }
 }
 
 /// Pull discovery on the wire: `u` asks a random contact `v` for one of
@@ -97,10 +93,6 @@ impl Protocol for PullProtocol {
             _ => {}
         }
     }
-
-    fn name(&self) -> &'static str {
-        "pull-protocol"
-    }
 }
 
 /// Name Dropper on the wire: each round a node ships its **entire** contact
@@ -130,10 +122,6 @@ impl Protocol for NameDropperProtocol {
             }
             ctx.learn(from);
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "name-dropper-protocol"
     }
 }
 
@@ -227,10 +215,6 @@ impl Protocol for HeartbeatPushProtocol {
             }
             _ => {}
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "heartbeat-push-protocol"
     }
 }
 
