@@ -25,16 +25,6 @@ pub struct TrialConfig {
     pub max_rounds: u64,
 }
 
-impl Default for TrialConfig {
-    fn default() -> Self {
-        TrialConfig {
-            trials: 16,
-            base_seed: 0x6055_1734,
-            max_rounds: 100_000_000,
-        }
-    }
-}
-
 /// Runs `cfg.trials` independent trials of `rule` on clones of `g0`,
 /// spread across the rayon pool (each engine itself runs sequentially).
 ///
