@@ -25,7 +25,7 @@ fn wire_row(
             seed,
         },
     );
-    let (rounds, done, t) = net.run_until_coverage(proto, 1.0, 50_000_000);
+    let (rounds, done, t) = net.run_until_coverage(proto, 50_000_000);
     assert!(done, "{name} failed to reach full coverage at n={n}");
     report.measure_scalar("rounds", name, "wire-clean", n as u64, rounds as f64);
     report.measure_scalar(
@@ -102,7 +102,7 @@ pub fn run(args: &Args) -> Report {
                 },
             );
             let mut proto = wire_protocol(proto_name).unwrap();
-            let (rounds, done, _) = net.run_until_coverage(proto.as_mut(), 1.0, 50_000_000);
+            let (rounds, done, _) = net.run_until_coverage(proto.as_mut(), 50_000_000);
             assert!(done, "{proto_name} under loss {p} did not converge");
             report.measure_scalar(
                 "rounds",

@@ -351,18 +351,18 @@ impl Network {
         g
     }
 
-    /// Runs `protocol` until coverage reaches `target` or the budget runs
-    /// out; returns `(rounds, reached, accumulated traffic)`.
+    /// Runs `protocol` until coverage reaches 1.0 (every live peer knows
+    /// every other) or the budget runs out; returns `(rounds, reached,
+    /// accumulated traffic)`.
     pub fn run_until_coverage<P: Protocol + ?Sized>(
         &mut self,
         protocol: &mut P,
-        target: f64,
         max_rounds: u64,
     ) -> (u64, bool, Traffic) {
         let mut acc = Traffic::default();
         let start = self.round;
         while self.round - start < max_rounds {
-            if self.coverage() >= target {
+            if self.coverage() >= 1.0 {
                 return (self.round - start, true, acc);
             }
             let t = self.step(protocol);
@@ -371,7 +371,7 @@ impl Network {
             acc.lost += t.lost;
             acc.max_message_bytes = acc.max_message_bytes.max(t.max_message_bytes);
         }
-        (self.round - start, self.coverage() >= target, acc)
+        (self.round - start, self.coverage() >= 1.0, acc)
     }
 }
 

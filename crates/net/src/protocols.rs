@@ -253,7 +253,7 @@ mod tests {
                 seed: 1,
             },
         );
-        let (rounds, done, traffic) = net.run_until_coverage(&mut PushProtocol, 1.0, 100_000);
+        let (rounds, done, traffic) = net.run_until_coverage(&mut PushProtocol, 100_000);
         assert!(done, "push protocol stalled after {rounds} rounds");
         // Constant-size messages only.
         assert_eq!(traffic.max_message_bytes, 5);
@@ -270,7 +270,7 @@ mod tests {
                 seed: 2,
             },
         );
-        let (rounds, done, traffic) = net.run_until_coverage(&mut PullProtocol, 1.0, 100_000);
+        let (rounds, done, traffic) = net.run_until_coverage(&mut PullProtocol, 100_000);
         assert!(done, "pull protocol stalled after {rounds} rounds");
         assert_eq!(traffic.max_message_bytes, 5);
     }
@@ -286,7 +286,7 @@ mod tests {
                 seed: 3,
             },
         );
-        let (rounds, done, traffic) = net.run_until_coverage(&mut NameDropperProtocol, 1.0, 10_000);
+        let (rounds, done, traffic) = net.run_until_coverage(&mut NameDropperProtocol, 10_000);
         assert!(done);
         assert!(rounds < 60, "ND should be fast: {rounds}");
         // Somebody eventually ships a near-full list: >= half the directory.
@@ -304,7 +304,7 @@ mod tests {
                 seed: 4,
             },
         );
-        let (_, done, traffic) = net.run_until_coverage(&mut PushProtocol, 1.0, 200_000);
+        let (_, done, traffic) = net.run_until_coverage(&mut PushProtocol, 200_000);
         assert!(done, "push under 30% loss must still converge");
         assert!(traffic.lost > 0);
     }
@@ -321,7 +321,7 @@ mod tests {
                     seed,
                 },
             );
-            net.run_until_coverage(&mut PullProtocol, 1.0, 100_000)
+            net.run_until_coverage(&mut PullProtocol, 100_000)
         };
         let a = run(7);
         let b = run(7);
@@ -343,7 +343,7 @@ mod tests {
             },
         );
         let mut proto = HeartbeatPushProtocol::new(12, 4, 6);
-        let (rounds, done, _) = net.run_until_coverage(&mut proto, 1.0, 100_000);
+        let (rounds, done, _) = net.run_until_coverage(&mut proto, 100_000);
         assert!(done, "heartbeat-push stalled after {rounds} rounds");
     }
 

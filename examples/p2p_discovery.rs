@@ -33,7 +33,7 @@ fn main() {
                 seed,
             },
         );
-        let (rounds, done, t) = net.run_until_coverage(&mut NetPush, 1.0, 10_000_000);
+        let (rounds, done, t) = net.run_until_coverage(&mut NetPush, 10_000_000);
         assert!(done);
         println!(
             "{:<22} {:>8} {:>14.2} {:>16}",
@@ -52,7 +52,7 @@ fn main() {
                 seed,
             },
         );
-        let (rounds, done, t) = net.run_until_coverage(&mut NameDropperProtocol, 1.0, 10_000_000);
+        let (rounds, done, t) = net.run_until_coverage(&mut NameDropperProtocol, 10_000_000);
         assert!(done);
         println!(
             "{:<22} {:>8} {:>14.2} {:>16}",
