@@ -19,7 +19,6 @@ fn wire_row(
 ) {
     let mut net = Network::from_graph(
         g,
-        n,
         NetConfig {
             drop_prob: 0.0,
             seed,
@@ -95,7 +94,6 @@ pub fn run(args: &Args) -> Report {
         for proto_name in ["push", "pull"] {
             let mut net = Network::from_graph(
                 &g,
-                n,
                 NetConfig {
                     drop_prob: p,
                     seed: args.seed,
@@ -133,7 +131,6 @@ pub fn run(args: &Args) -> Report {
     let run_timeline = |proto: &mut dyn Protocol| {
         let mut net = Network::from_graph(
             &g,
-            capacity,
             NetConfig {
                 drop_prob: 0.1,
                 seed: args.seed,

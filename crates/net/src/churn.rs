@@ -35,8 +35,7 @@ impl ChurnModel {
         let mut rng = stream_rng(self.seed, round, u64::MAX - 7);
         let mut joined = None;
         let mut left = None;
-        if self.join_prob > 0.0 && rng.random_bool(self.join_prob) && net.peer_count() < usize::MAX
-        {
+        if self.join_prob > 0.0 && rng.random_bool(self.join_prob) {
             let alive = net.alive_ids();
             if !alive.is_empty() {
                 let k = self.bootstrap_contacts.min(alive.len());
@@ -72,7 +71,7 @@ mod tests {
     #[test]
     fn churn_changes_membership() {
         let g = generators::complete(8);
-        let mut net = Network::from_graph(&g, 64, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let churn = ChurnModel {
             join_prob: 1.0,
             leave_prob: 1.0,
@@ -94,7 +93,7 @@ mod tests {
     #[test]
     fn never_kills_below_two() {
         let g = generators::complete(3);
-        let mut net = Network::from_graph(&g, 8, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let churn = ChurnModel {
             join_prob: 0.0,
             leave_prob: 1.0,
@@ -112,7 +111,6 @@ mod tests {
         let g = generators::complete(12);
         let mut net = Network::from_graph(
             &g,
-            256,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 9,
@@ -141,7 +139,7 @@ mod tests {
     fn churn_is_deterministic() {
         let g = generators::complete(6);
         let run = || {
-            let mut net = Network::from_graph(&g, 64, NetConfig::default());
+            let mut net = Network::from_graph(&g, NetConfig::default());
             let churn = ChurnModel {
                 join_prob: 0.5,
                 leave_prob: 0.3,

@@ -18,7 +18,7 @@
 //! use gossip_graph::generators;
 //!
 //! let g0 = generators::star(16);
-//! let mut net = Network::from_graph(&g0, 16, NetConfig { drop_prob: 0.1, seed: 1 });
+//! let mut net = Network::from_graph(&g0, NetConfig { drop_prob: 0.1, seed: 1 });
 //! let (rounds, done, traffic) = net.run_until_coverage(&mut PushProtocol, 100_000);
 //! assert!(done);
 //! assert_eq!(traffic.max_message_bytes, 5); // one id + tag, always

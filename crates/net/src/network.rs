@@ -134,21 +134,20 @@ pub trait Protocol {
     fn on_message(&mut self, ctx: &mut NodeCtx<'_>, from: NodeId, msg: Message);
 }
 
-/// The simulated network.
+/// The simulated network. Peers are indexed by id; a churn join appends
+/// one, so the peer table grows without a size cap, and a dead peer keeps
+/// its slot (ids are never reused).
 pub struct Network {
     peers: Vec<Peer>,
     in_flight: Vec<Envelope>,
     round: u64,
     cfg: NetConfig,
-    capacity: usize,
 }
 
 impl Network {
     /// Builds a network whose initial knowledge mirrors an undirected graph.
-    /// `capacity` bounds the node ids that can ever exist (for churn joins);
-    /// it must be at least `g.n()`.
-    pub fn from_graph(g: &ArenaGraph, capacity: usize, cfg: NetConfig) -> Self {
-        assert!(capacity >= g.n(), "capacity below initial size");
+    /// Churn joins ([`Network::join`]) append peers after its `g.n()` nodes.
+    pub fn from_graph(g: &ArenaGraph, cfg: NetConfig) -> Self {
         let peers = g
             .nodes()
             .map(|u| Peer {
@@ -161,7 +160,6 @@ impl Network {
             in_flight: Vec::new(),
             round: 0,
             cfg,
-            capacity,
         }
     }
 
@@ -198,14 +196,7 @@ impl Network {
     /// contact also learns the joiner. Without this, a pure-push network
     /// could never discover a newcomer — nobody would know its address to
     /// introduce it. Returns the new id.
-    ///
-    /// # Panics
-    /// Panics if capacity is exhausted.
     pub fn join(&mut self, bootstrap: &[NodeId]) -> NodeId {
-        assert!(
-            self.peers.len() < self.capacity,
-            "network capacity exhausted"
-        );
         let id = NodeId::new(self.peers.len());
         let mut contacts = Vec::new();
         for &b in bootstrap {
@@ -402,7 +393,7 @@ mod tests {
     #[test]
     fn initial_coverage_matches_graph() {
         let g = generators::path(4);
-        let net = Network::from_graph(&g, 8, NetConfig::default());
+        let net = Network::from_graph(&g, NetConfig::default());
         // Path 0-1-2-3: 6 known ordered pairs of 12.
         assert!((net.coverage() - 0.5).abs() < 1e-12);
         assert_eq!(net.alive_count(), 4);
@@ -412,14 +403,14 @@ mod tests {
     #[test]
     fn complete_graph_coverage_is_one() {
         let g = generators::complete(5);
-        let net = Network::from_graph(&g, 5, NetConfig::default());
+        let net = Network::from_graph(&g, NetConfig::default());
         assert_eq!(net.coverage(), 1.0);
     }
 
     #[test]
     fn one_round_latency() {
         let g = generators::path(3);
-        let mut net = Network::from_graph(&g, 3, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let mut p = PingProtocol;
         let t = net.step(&mut p);
         assert!(t.messages >= 1);
@@ -433,7 +424,6 @@ mod tests {
         let g = generators::complete(4);
         let mut net = Network::from_graph(
             &g,
-            4,
             NetConfig {
                 drop_prob: 1.0,
                 seed: 3,
@@ -448,7 +438,7 @@ mod tests {
     #[test]
     fn churn_join_and_kill() {
         let g = generators::complete(3);
-        let mut net = Network::from_graph(&g, 10, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let id = net.join(&[NodeId(0), NodeId(1)]);
         assert_eq!(id, NodeId(3));
         assert_eq!(net.alive_count(), 4);
@@ -464,7 +454,7 @@ mod tests {
     #[test]
     fn dead_peers_receive_nothing() {
         let g = generators::complete(3);
-        let mut net = Network::from_graph(&g, 3, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         net.kill(NodeId(2));
         let mut p = PingProtocol;
         let t1 = net.step(&mut p);
@@ -476,7 +466,7 @@ mod tests {
     #[test]
     fn knowledge_graph_snapshot() {
         let g = generators::path(3);
-        let net = Network::from_graph(&g, 3, NetConfig::default());
+        let net = Network::from_graph(&g, NetConfig::default());
         let kg = net.knowledge_graph();
         assert_eq!(kg.arc_count(), 4); // symmetric path knowledge
         assert!(kg.has_arc(NodeId(0), NodeId(1)));
@@ -486,7 +476,7 @@ mod tests {
     #[test]
     fn noop_makes_no_progress() {
         let g = generators::path(5);
-        let mut net = Network::from_graph(&g, 5, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let before = net.coverage();
         let mut p = NoopProtocol;
         for _ in 0..10 {
@@ -494,13 +484,5 @@ mod tests {
             assert_eq!(t.messages, 0);
         }
         assert_eq!(net.coverage(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity")]
-    fn join_respects_capacity() {
-        let g = generators::path(3);
-        let mut net = Network::from_graph(&g, 3, NetConfig::default());
-        let _ = net.join(&[]);
     }
 }

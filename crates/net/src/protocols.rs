@@ -247,7 +247,6 @@ mod tests {
         let g = generators::star(12);
         let mut net = Network::from_graph(
             &g,
-            12,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 1,
@@ -264,7 +263,6 @@ mod tests {
         let g = generators::path(10);
         let mut net = Network::from_graph(
             &g,
-            10,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 2,
@@ -280,7 +278,6 @@ mod tests {
         let g = generators::star(16);
         let mut net = Network::from_graph(
             &g,
-            16,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 3,
@@ -298,7 +295,6 @@ mod tests {
         let g = generators::star(10);
         let mut net = Network::from_graph(
             &g,
-            10,
             NetConfig {
                 drop_prob: 0.3,
                 seed: 4,
@@ -315,7 +311,6 @@ mod tests {
         let run = |seed| {
             let mut net = Network::from_graph(
                 &g,
-                8,
                 NetConfig {
                     drop_prob: 0.1,
                     seed,
@@ -336,7 +331,6 @@ mod tests {
         let g = generators::star(12);
         let mut net = Network::from_graph(
             &g,
-            12,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 6,
@@ -352,7 +346,6 @@ mod tests {
         let g = generators::complete(10);
         let mut net = Network::from_graph(
             &g,
-            10,
             NetConfig {
                 drop_prob: 0.0,
                 seed: 7,
@@ -388,7 +381,6 @@ mod tests {
         let run = |mut proto: Box<dyn crate::network::Protocol>| {
             let mut net = Network::from_graph(
                 &g,
-                256,
                 NetConfig {
                     drop_prob: 0.0,
                     seed: 8,
@@ -432,7 +424,7 @@ mod tests {
     #[test]
     fn pull_announce_makes_knowledge_mutual() {
         let g = generators::path(3);
-        let mut net = Network::from_graph(&g, 3, NetConfig::default());
+        let mut net = Network::from_graph(&g, NetConfig::default());
         let mut p = PullProtocol;
         for _ in 0..50 {
             net.step(&mut p);

@@ -64,7 +64,6 @@ fn run_trajectory(net_seed: u64, churn_seed: u64, rounds: u64) -> Vec<Snap> {
     let g = generators::complete(10);
     let mut net = Network::from_graph(
         &g,
-        128,
         NetConfig {
             drop_prob: 0.0,
             seed: net_seed,

@@ -39,7 +39,7 @@ proptest! {
     #[test]
     fn traffic_accounting_sane(seed in any::<u64>(), drop in 0.0f64..1.0, n in 3usize..20) {
         let g = gossip_graph::generators::cycle(n.max(3));
-        let mut net = Network::from_graph(&g, n.max(3), NetConfig { drop_prob: drop, seed });
+        let mut net = Network::from_graph(&g, NetConfig { drop_prob: drop, seed });
         let mut push = PushProtocol;
         let mut pull = PullProtocol;
         for i in 0..20 {
@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn coverage_monotone_without_loss(seed in any::<u64>(), n in 3usize..16) {
         let g = gossip_graph::generators::star(n.max(3));
-        let mut net = Network::from_graph(&g, n.max(3), NetConfig { drop_prob: 0.0, seed });
+        let mut net = Network::from_graph(&g, NetConfig { drop_prob: 0.0, seed });
         let mut proto = PushProtocol;
         let mut last = net.coverage();
         for _ in 0..60 {
@@ -74,7 +74,7 @@ proptest! {
     fn push_symmetry_without_loss(seed in any::<u64>(), n in 3usize..14) {
         let n = n.max(3);
         let g = gossip_graph::generators::cycle(n);
-        let mut net = Network::from_graph(&g, n, NetConfig { drop_prob: 0.0, seed });
+        let mut net = Network::from_graph(&g, NetConfig { drop_prob: 0.0, seed });
         let mut proto = PushProtocol;
         for _ in 0..80 {
             net.step(&mut proto);

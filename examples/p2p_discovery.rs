@@ -27,7 +27,6 @@ fn main() {
     {
         let mut net = Network::from_graph(
             &g0,
-            n,
             NetConfig {
                 drop_prob: 0.0,
                 seed,
@@ -46,7 +45,6 @@ fn main() {
     {
         let mut net = Network::from_graph(
             &g0,
-            n,
             NetConfig {
                 drop_prob: 0.0,
                 seed,
@@ -67,7 +65,6 @@ fn main() {
     println!("\n== hostile network: 20% loss, churn (join 10%/round, leave 10%/round) ==");
     let mut net = Network::from_graph(
         &g0,
-        4 * n,
         NetConfig {
             drop_prob: 0.2,
             seed,

@@ -79,7 +79,6 @@ fn network_simulation_repeatable_under_loss_and_churn() {
     let run = || {
         let mut net = Network::from_graph(
             &g,
-            64,
             NetConfig {
                 drop_prob: 0.25,
                 seed: 33,
