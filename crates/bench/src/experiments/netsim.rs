@@ -121,7 +121,6 @@ pub fn run(args: &Args) -> Report {
     // (§6's "failures / joining and leaving" future work) keeps both
     // metrics healthy on the same membership schedule.
     let horizon: u64 = if args.quick { 600 } else { 3000 };
-    let capacity = 16 * n;
     let churn = ChurnModel {
         join_prob: 0.04,
         leave_prob: 0.04,
@@ -153,7 +152,7 @@ pub fn run(args: &Args) -> Report {
         rows
     };
     let plain = run_timeline(&mut PushProtocol);
-    let mut hb = gossip_net::HeartbeatPushProtocol::new(capacity, 1, 4);
+    let mut hb = gossip_net::HeartbeatPushProtocol::default();
     let healed = run_timeline(&mut hb);
     let mut churn_table = Table::new([
         "round",

@@ -125,40 +125,27 @@ impl Protocol for NameDropperProtocol {
     }
 }
 
+/// Rounds a probe may go unanswered before its contact is evicted.
+const TIMEOUT: u64 = 4;
+// A Pong takes two rounds to come back; a shorter deadline evicts live peers.
+const _: () = assert!(TIMEOUT >= 2);
+
 /// Push discovery with **failure detection** (a §6 "extension" the paper
-/// leaves open, SWIM-flavored): alongside introductions, each node
-/// periodically pings a random contact and evicts contacts that miss the
-/// reply deadline. This turns churn-induced staleness from permanent garbage
-/// into a decaying quantity, at the cost of 1-byte probe traffic and the
-/// risk of evicting live peers when message loss is high.
-#[derive(Clone, Debug)]
+/// leaves open, SWIM-flavored): alongside introductions, every node pings a
+/// random contact each round and evicts a contact whose Pong has not come
+/// back within 4 rounds. This turns churn-induced staleness from permanent
+/// garbage into a decaying quantity, at the cost of 1-byte probe traffic and
+/// the risk of evicting live peers when message loss is high.
+///
+/// `default()` starts with no probe outstanding; the per-node probe table
+/// grows as node ids appear, churn joins included.
+#[derive(Clone, Debug, Default)]
 pub struct HeartbeatPushProtocol {
-    /// Probe a random contact every `ping_every` rounds (per node).
-    pub ping_every: u64,
-    /// Evict a contact whose Pong hasn't arrived after this many rounds.
-    pub timeout: u64,
     /// Outstanding probes per node: `(peer, sent_round)`.
     pending: Vec<Vec<(NodeId, u64)>>,
 }
 
 impl HeartbeatPushProtocol {
-    /// Creates the protocol for up to `capacity` nodes.
-    ///
-    /// # Panics
-    /// Panics if `timeout < 2` (a Pong takes two rounds to come back).
-    pub fn new(capacity: usize, ping_every: u64, timeout: u64) -> Self {
-        assert!(
-            timeout >= 2,
-            "a round-trip takes 2 rounds; timeout must be >= 2"
-        );
-        assert!(ping_every >= 1);
-        HeartbeatPushProtocol {
-            ping_every,
-            timeout,
-            pending: vec![Vec::new(); capacity],
-        }
-    }
-
     fn slot(&mut self, me: NodeId) -> &mut Vec<(NodeId, u64)> {
         if me.index() >= self.pending.len() {
             self.pending.resize(me.index() + 1, Vec::new());
@@ -171,10 +158,9 @@ impl Protocol for HeartbeatPushProtocol {
     fn on_round(&mut self, ctx: &mut NodeCtx<'_>) {
         // Expire overdue probes: evict the silent contact.
         let now = ctx.round;
-        let timeout = self.timeout;
         let mut evict: Vec<NodeId> = Vec::new();
         self.slot(ctx.me).retain(|&(peer, sent)| {
-            if now.saturating_sub(sent) > timeout {
+            if now.saturating_sub(sent) > TIMEOUT {
                 evict.push(peer);
                 false
             } else {
@@ -188,15 +174,12 @@ impl Protocol for HeartbeatPushProtocol {
         // The push step proper.
         PushProtocol.on_round(ctx);
 
-        // Periodic probe.
-        if ctx.round.is_multiple_of(self.ping_every) {
-            if let Some(p) = ctx.random_contact() {
-                let already = self.slot(ctx.me).iter().any(|&(peer, _)| peer == p);
-                if !already {
-                    ctx.send(p, Message::Ping);
-                    let round = ctx.round;
-                    self.slot(ctx.me).push((p, round));
-                }
+        // This round's probe.
+        if let Some(p) = ctx.random_contact() {
+            let already = self.slot(ctx.me).iter().any(|&(peer, _)| peer == p);
+            if !already {
+                ctx.send(p, Message::Ping);
+                self.slot(ctx.me).push((p, now));
             }
         }
     }
@@ -336,7 +319,7 @@ mod tests {
                 seed: 6,
             },
         );
-        let mut proto = HeartbeatPushProtocol::new(12, 4, 6);
+        let mut proto = HeartbeatPushProtocol::default();
         let (rounds, done, _) = net.run_until_coverage(&mut proto, 100_000);
         assert!(done, "heartbeat-push stalled after {rounds} rounds");
     }
@@ -356,7 +339,7 @@ mod tests {
             net.kill(gossip_graph::NodeId(dead));
         }
         assert!(net.staleness() > 0.3);
-        let mut proto = HeartbeatPushProtocol::new(10, 1, 4);
+        let mut proto = HeartbeatPushProtocol::default();
         // Dead contacts can be *re-introduced* by peers that haven't purged
         // them yet, so staleness decays epidemically; run until extinction.
         let mut rounds = 0;
@@ -393,7 +376,7 @@ mod tests {
             net.staleness()
         };
         let plain = run(Box::new(PushProtocol));
-        let heartbeat = run(Box::new(HeartbeatPushProtocol::new(256, 1, 4)));
+        let heartbeat = run(Box::<HeartbeatPushProtocol>::default());
         // Under sustained churn staleness is a steady state (eviction races
         // re-introduction), not zero — but it must sit clearly below the
         // evict-nothing baseline.
@@ -401,12 +384,6 @@ mod tests {
             heartbeat < plain * 0.75,
             "heartbeat staleness {heartbeat} should be well below plain push {plain}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "timeout")]
-    fn heartbeat_rejects_impossible_timeout() {
-        let _ = HeartbeatPushProtocol::new(4, 1, 1);
     }
 
     #[test]
