@@ -6,7 +6,10 @@
 use crate::harness::{Args, Report};
 use gossip_analysis::{fmt_f64, Table};
 use gossip_graph::generators;
-use gossip_net::{wire_protocol, ChurnModel, NetConfig, Network, Protocol, PushProtocol};
+use gossip_net::{
+    ChurnModel, HeartbeatPushProtocol, NameDropperProtocol, NetConfig, Network, Protocol,
+    PullProtocol, PushProtocol,
+};
 
 fn wire_row(
     report: &mut Report,
@@ -65,17 +68,13 @@ pub fn run(args: &Args) -> Report {
     for &n in &sizes {
         let mut rng = gossip_core::rng::stream_rng(args.seed, 0xE7, n as u64);
         let g = generators::tree_plus_random_edges(n, 2 * n as u64, &mut rng);
-        for name in ["push", "pull", "name-dropper"] {
-            let mut proto = wire_protocol(name).unwrap();
-            wire_row(
-                &mut report,
-                &mut wire,
-                n,
-                proto.as_mut(),
-                name,
-                &g,
-                args.seed,
-            );
+        let protocols: [(&str, &mut dyn Protocol); 3] = [
+            ("push", &mut PushProtocol),
+            ("pull", &mut PullProtocol),
+            ("name-dropper", &mut NameDropperProtocol),
+        ];
+        for (name, proto) in protocols {
+            wire_row(&mut report, &mut wire, n, proto, name, &g, args.seed);
         }
     }
     report.note(
@@ -91,7 +90,9 @@ pub fn run(args: &Args) -> Report {
     let mut loss = Table::new(["drop prob", "push rounds", "pull rounds"]);
     for &p in &[0.0, 0.1, 0.3, 0.5] {
         let mut row = vec![format!("{p}")];
-        for proto_name in ["push", "pull"] {
+        let protocols: [(&str, &mut dyn Protocol); 2] =
+            [("push", &mut PushProtocol), ("pull", &mut PullProtocol)];
+        for (proto_name, proto) in protocols {
             let mut net = Network::from_graph(
                 &g,
                 NetConfig {
@@ -99,8 +100,7 @@ pub fn run(args: &Args) -> Report {
                     seed: args.seed,
                 },
             );
-            let mut proto = wire_protocol(proto_name).unwrap();
-            let (rounds, done, _) = net.run_until_coverage(proto.as_mut(), 50_000_000);
+            let (rounds, done, _) = net.run_until_coverage(proto, 50_000_000);
             assert!(done, "{proto_name} under loss {p} did not converge");
             report.measure_scalar(
                 "rounds",
@@ -152,7 +152,7 @@ pub fn run(args: &Args) -> Report {
         rows
     };
     let plain = run_timeline(&mut PushProtocol);
-    let mut hb = gossip_net::HeartbeatPushProtocol::default();
+    let mut hb = HeartbeatPushProtocol::default();
     let healed = run_timeline(&mut hb);
     let mut churn_table = Table::new([
         "round",

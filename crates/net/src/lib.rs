@@ -38,6 +38,4 @@ pub mod protocols;
 pub use churn::ChurnModel;
 pub use message::Message;
 pub use network::{Envelope, NetConfig, Network, NodeCtx, Peer, Protocol, Traffic};
-pub use protocols::{
-    wire_protocol, HeartbeatPushProtocol, NameDropperProtocol, PullProtocol, PushProtocol,
-};
+pub use protocols::{HeartbeatPushProtocol, NameDropperProtocol, PullProtocol, PushProtocol};

@@ -201,24 +201,6 @@ impl Protocol for HeartbeatPushProtocol {
     }
 }
 
-/// The wire-protocol registry: constructs the message-passing protocol
-/// registered under a `gossip-core` registry name (`push`, `pull`,
-/// `name-dropper`). The single name → protocol site for the simulator —
-/// experiments and bins resolve through it instead of hand-matching. The
-/// error lists every registered name.
-pub fn wire_protocol(name: &str) -> Result<Box<dyn Protocol>, String> {
-    const NAMES: [&str; 3] = ["push", "pull", "name-dropper"];
-    match name {
-        "push" => Ok(Box::new(PushProtocol)),
-        "pull" => Ok(Box::new(PullProtocol)),
-        "name-dropper" => Ok(Box::new(NameDropperProtocol)),
-        other => Err(format!(
-            "unknown wire protocol {other:?}; registered wire protocols: {}",
-            NAMES.join(", ")
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,18 +365,6 @@ mod tests {
         assert!(
             heartbeat < plain * 0.75,
             "heartbeat staleness {heartbeat} should be well below plain push {plain}"
-        );
-    }
-
-    #[test]
-    fn wire_registry_resolves_and_errors() {
-        for name in ["push", "pull", "name-dropper"] {
-            assert!(wire_protocol(name).is_ok(), "{name} missing from registry");
-        }
-        let err = wire_protocol("hybrid").map(|_| ()).unwrap_err();
-        assert!(
-            err.contains("push") && err.contains("name-dropper"),
-            "{err}"
         );
     }
 
