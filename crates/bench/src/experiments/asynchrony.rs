@@ -33,13 +33,7 @@ fn async_times(g: &ArenaGraph, rule: RuleId, trials: usize, base_seed: u64) -> V
 /// E14.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E14-asynchrony");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        24
-    } else {
-        64
-    };
+    let trials = args.trials_or(24, 64);
     let sizes: Vec<usize> = if args.quick {
         vec![32, 64]
     } else {

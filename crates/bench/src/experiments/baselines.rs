@@ -35,13 +35,7 @@ fn process_row(name: &str, rule_rounds: f64, ids_per_node_round: u64, n: usize) 
 /// E10.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E10-baseline-comparison");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        3
-    } else {
-        6
-    };
+    let trials = args.trials_or(3, 6);
     let sizes: Vec<usize> = if args.quick {
         vec![64]
     } else {

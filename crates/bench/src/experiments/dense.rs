@@ -18,13 +18,7 @@ fn sweep<R: ProposalRule<ArenaGraph> + Clone>(
     table: &mut Table,
     label: &str,
 ) -> (Vec<f64>, Vec<f64>) {
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
     let mut lnks = Vec::new();
     let mut means = Vec::new();
     for &k in ks {

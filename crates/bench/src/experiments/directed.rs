@@ -24,13 +24,7 @@ fn sample_rounds(g: &DirectedGraph, trials: usize, seed: u64) -> Vec<u64> {
 /// E5 + E6.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E5-E6-directed");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
     let sizes: Vec<usize> = if args.quick {
         vec![8, 16, 32]
     } else {

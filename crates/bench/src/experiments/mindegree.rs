@@ -35,13 +35,7 @@ fn degree_growth_sweep<R: ProposalRule<ArenaGraph> + Clone>(
     report: &mut Report,
     table: &mut Table,
 ) -> (Vec<f64>, Vec<f64>) {
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
     let sizes = if args.quick {
         geometric_sizes(64, 3)
     } else {

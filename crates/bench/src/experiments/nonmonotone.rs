@@ -20,13 +20,7 @@ fn mc(g: &ArenaGraph, rule: RuleId, trials: usize, seed: u64) -> Vec<u64> {
 /// E7.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E7-nonmonotonicity");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        2_000
-    } else {
-        20_000
-    };
+    let trials = args.trials_or(2_000, 20_000);
 
     // Part 1: the Figure 1(c) pair, exact + Monte Carlo agreement.
     let (g, h) = generators::nonmonotone_pair();

@@ -13,13 +13,7 @@ use gossip_graph::generators;
 /// E11.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E11-robustness");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
     let n = if args.quick { 64 } else { 256 };
     let mut rng = gossip_core::rng::stream_rng(args.seed, 0x0B, n as u64);
     let g = generators::tree_plus_random_edges(n, 2 * n as u64, &mut rng);

@@ -90,13 +90,7 @@ pub fn run(args: &Args) -> Report {
     let horizon: u64 = if args.quick { 6 } else { 16 };
     // Edge-doubling trials stay at sizes where a trial is milliseconds.
     let doubling_cap: usize = if args.quick { 1 << 14 } else { 1 << 16 };
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        2
-    } else {
-        3
-    };
+    let trials = args.trials_or(2, 3);
     // The paper-facing comparison point: 2^17, where bitmap rows would
     // hold ≈ 2 GiB. Both sweeps include it.
     let cmp_n: usize = 1 << 17;

@@ -40,13 +40,7 @@ fn run_process<R: ProposalRule<ArenaGraph> + Clone>(id: &str, rule: R, args: &Ar
     } else {
         geometric_sizes(64, 5) // 64 .. 1024
     };
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
 
     let mut table = Table::new([
         "family",

@@ -23,13 +23,7 @@ fn club(host: &ArenaGraph, k: usize, anchor: usize) -> Vec<NodeId> {
 /// E9.
 pub fn run(args: &Args) -> Report {
     let mut report = Report::new("E9-subgroup-discovery");
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.quick {
-        4
-    } else {
-        8
-    };
+    let trials = args.trials_or(4, 8);
     let host_sizes: Vec<usize> = if args.quick {
         vec![256, 1024]
     } else {

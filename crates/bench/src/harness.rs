@@ -38,6 +38,18 @@ impl Default for Args {
     }
 }
 
+impl Args {
+    /// Trials per configuration: `--trials N` when given, otherwise the
+    /// experiment's `quick` or `full` default.
+    pub fn trials_or(&self, quick: usize, full: usize) -> usize {
+        match self.trials {
+            0 if self.quick => quick,
+            0 => full,
+            n => n,
+        }
+    }
+}
+
 /// Parses `--only ID[,ID…]`, `--quick`, `--seed N`, `--trials N`,
 /// `--out DIR`, `--report`, `--report-seeds N` from argv. Unknown flags
 /// abort with usage — silent typos in experiment flags have burned too
@@ -358,6 +370,19 @@ mod tests {
         let s = &r.measurements[1];
         assert_eq!((s.trials, s.stddev, s.ci95), (1, 0.0, 0.0));
         assert_eq!(s.mean, 4096.0);
+    }
+
+    #[test]
+    fn trials_flag_overrides_the_quick_and_full_defaults() {
+        let full = Args::default();
+        let quick = Args {
+            quick: true,
+            ..Args::default()
+        };
+        assert_eq!((full.trials_or(4, 8), quick.trials_or(4, 8)), (8, 4));
+        for args in [full, quick] {
+            assert_eq!(Args { trials: 5, ..args }.trials_or(4, 8), 5);
+        }
     }
 
     #[test]
