@@ -248,16 +248,21 @@ impl Report {
         self.measure(metric, algorithm, family, n, &[value]);
     }
 
-    /// Prints the report to stdout as markdown.
-    pub fn print(&self) {
-        println!("\n## {}\n", self.id);
+    /// The report as markdown: the id, the notes, then each titled table.
+    fn to_markdown(&self) -> String {
+        let mut md = format!("## {}\n\n", self.id);
         for n in &self.notes {
-            println!("* {n}");
+            md += &format!("* {n}\n");
         }
         for (title, t) in &self.tables {
-            println!("\n### {title}\n");
-            print!("{}", t.to_markdown());
+            md += &format!("\n### {title}\n\n{}", t.to_markdown());
         }
+        md
+    }
+
+    /// Prints the report to stdout as markdown.
+    pub fn print(&self) {
+        print!("\n{}", self.to_markdown());
     }
 
     /// Writes `<out>/<id>.md`, `<out>/<id>.csv` (tables concatenated), and
@@ -265,16 +270,7 @@ impl Report {
     pub fn save(&self, out_dir: &std::path::Path) -> std::io::Result<()> {
         std::fs::create_dir_all(out_dir)?;
         let base = out_dir.join(&self.id);
-        // Markdown
-        let mut md = std::fs::File::create(base.with_extension("md"))?;
-        writeln!(md, "## {}\n", self.id)?;
-        for n in &self.notes {
-            writeln!(md, "* {n}")?;
-        }
-        for (title, t) in &self.tables {
-            writeln!(md, "\n### {title}\n")?;
-            write!(md, "{}", t.to_markdown())?;
-        }
+        std::fs::write(base.with_extension("md"), self.to_markdown())?;
         // CSV (sections separated by comment lines)
         let mut csv = std::fs::File::create(base.with_extension("csv"))?;
         for (title, t) in &self.tables {
