@@ -495,7 +495,6 @@ pub fn execute(cmd: &Command) -> Result<Result<String, String>, String> {
             let mut check = ComponentwiseComplete::for_graph(&g);
             let nf = g.n() as f64;
             let n_nodes = g.n();
-            let mut t = DiscoveryTrace::default();
             let id = RuleId::parse(process)?;
             // Under churn a loaded disconnected graph can end up with a
             // rejoined node bootstrapped outside its original component,
@@ -507,7 +506,13 @@ pub fn execute(cmd: &Command) -> Result<Result<String, String>, String> {
             if churn > 0 {
                 engine = engine.with_membership(churn_plan(n_nodes, churn, seed));
             }
-            let outcome = engine.run_traced(&mut check, budget, &mut t);
+            // Both paths make the same draws; only `--trace` keeps the
+            // per-edge events.
+            let mut trace = f.trace.then(DiscoveryTrace::default);
+            let outcome = match &mut trace {
+                Some(t) => engine.run_traced(&mut check, budget, t),
+                None => engine.run_until(&mut check, budget),
+            };
             let mem = engine.membership_stats();
             let _ = writeln!(
                 out,
@@ -524,7 +529,7 @@ pub fn execute(cmd: &Command) -> Result<Result<String, String>, String> {
                     mem.leaves, mem.joins, mem.edges_removed, mem.edges_added,
                 );
             }
-            if f.trace {
+            if let Some(t) = trace {
                 out.push_str(&t.to_csv());
             }
         }
