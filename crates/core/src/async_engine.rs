@@ -111,29 +111,25 @@ impl<G: GossipGraph, R: ProposalRule<G>> AsyncEngine<G, R> {
         &self.graph
     }
 
-    /// Executes the next activation; returns `(node, stats)`.
-    ///
-    /// # Panics
-    /// Panics on a graph with no nodes: nothing can activate.
-    pub fn step(&mut self) -> (NodeId, RoundStats) {
-        #[expect(
-            clippy::expect_used,
-            reason = "`new` queues every node and each pop is pushed back, so only a 0-node queue is empty"
-        )]
-        let Reverse((Time(t), u)) = self.queue.pop().expect("empty activation queue");
+    /// Executes the next activation; returns what it proposed and added.
+    /// On a graph with no nodes nothing activates: the activation is empty
+    /// and still counts, as a synchronous round on an empty graph does.
+    pub fn step(&mut self) -> RoundStats {
+        self.activations += 1;
+        let mut stats = RoundStats::default();
+        let Some(Reverse((Time(t), u))) = self.queue.pop() else {
+            return stats;
+        };
         debug_assert!(t >= self.now);
         self.now = t;
-        self.activations += 1;
-        let node = NodeId(u);
-        let proposal = self.rule.propose(&self.graph, node, &mut self.rng);
-        let mut stats = RoundStats::default();
+        let proposal = self.rule.propose(&self.graph, NodeId(u), &mut self.rng);
         for &(a, b) in proposal.as_slice() {
             stats.proposed += 1;
             stats.added += self.graph.apply_edge(a, b) as u64;
         }
         let next = t + exponential(&mut self.rng);
         self.queue.push(Reverse((Time(next), u)));
-        (node, stats)
+        stats
     }
 }
 
@@ -151,7 +147,7 @@ impl<G: GossipGraph, R: ProposalRule<G>> crate::seam::RoundEngine for AsyncEngin
     }
     #[inline]
     fn step_listened(&mut self, _: &mut dyn RoundListener<G>) -> Result<RoundStats, Infallible> {
-        Ok(self.step().1)
+        Ok(self.step())
     }
 }
 
@@ -251,6 +247,16 @@ mod tests {
         let Ok(out) = run_engine_until(&mut e, &mut check, u64::MAX);
         assert!(out.converged);
         assert_eq!(out.final_edges, 56);
+    }
+
+    #[test]
+    fn an_empty_graph_runs_empty_activations_to_the_budget() {
+        use crate::convergence::Never;
+        use gossip_graph::ArenaGraph;
+        let mut e = AsyncEngine::new(ArenaGraph::new(0), Push, 7);
+        let Ok(out) = run_engine_until(&mut e, &mut Never, 3);
+        assert_eq!((out.rounds, out.converged, out.final_edges), (3, false, 0));
+        assert_eq!((e.activations(), e.time()), (3, 0.0));
     }
 
     #[test]
