@@ -14,7 +14,7 @@
 //! payloads.
 //!
 //! ```
-//! use gossip_net::{NetConfig, Network, PushProtocol};
+//! use gossip_net::{ChurnModel, HeartbeatPushProtocol, NetConfig, Network, PushProtocol};
 //! use gossip_graph::generators;
 //!
 //! let g0 = generators::star(16);
@@ -23,6 +23,16 @@
 //! assert!(done);
 //! assert_eq!(traffic.max_message_bytes, 5); // one id + tag, always
 //! # let _ = rounds;
+//!
+//! // Churn appends joiners to the peer table; heartbeat push evicts the
+//! // departed contacts it stops hearing from.
+//! let churn = ChurnModel { join_prob: 0.2, leave_prob: 0.2, bootstrap_contacts: 3, seed: 2 };
+//! let mut heartbeat = HeartbeatPushProtocol::default();
+//! for round in 0..200 {
+//!     churn.apply(&mut net, round);
+//!     net.step(&mut heartbeat);
+//! }
+//! assert!(net.peer_count() > 16);
 //! ```
 
 #![warn(missing_docs)]
