@@ -98,6 +98,48 @@ pub struct MergeScratch {
     cand: Vec<(NodeId, u32)>,
 }
 
+impl MergeScratch {
+    /// Counting-sorts `halves`, `(list, other, slot)` in arrival order, by
+    /// destination list among `lists` (histogram, prefix sums, stable
+    /// scatter): list `u`'s candidates end up in arrival order in
+    /// `cand[ends[u - 1]..ends[u]]`. The first step of both merge writers.
+    ///
+    /// # Panics
+    /// Panics if `halves` yields more than `u32::MAX` half-edges.
+    #[inline(always)]
+    fn scatter<I>(&mut self, lists: usize, halves: I)
+    where
+        I: Iterator<Item = (usize, NodeId, u32)> + Clone,
+    {
+        let MergeScratch { ends, cand } = self;
+        ends.clear();
+        ends.resize(lists, 0);
+        let mut total = 0u64;
+        halves.clone().for_each(|(u, _, _)| {
+            ends[u] += 1;
+            total += 1;
+        });
+        assert!(
+            total <= u64::from(u32::MAX),
+            "a round routes at most u32::MAX half-edges, got {total}"
+        );
+        let mut first = 0;
+        for e in ends.iter_mut() {
+            // `*e` becomes list u's first index; the scatter advances it
+            // to one past its last.
+            let count = *e;
+            *e = first;
+            first += count;
+        }
+        cand.clear();
+        cand.resize(total as usize, (NodeId(0), 0));
+        halves.for_each(|(u, other, slot)| {
+            cand[ends[u] as usize] = (other, slot);
+            ends[u] += 1;
+        });
+    }
+}
+
 /// A slab of per-node growable lists packed into one `Vec<NodeId>`.
 ///
 /// Node `u`'s list is `data[start[u] .. start[u] + len[u]]`, with
@@ -400,9 +442,9 @@ impl SliceArena {
         })
     }
 
-    /// Merges one round's half-edges into the **sorted** lists, visiting
-    /// the lists in ascending order so every access after the scatter is
-    /// sequential.
+    /// Merges one round's half-edges into the **sorted** lists in place,
+    /// visiting the lists in ascending order so every access after the
+    /// scatter is sequential.
     ///
     /// `halves` yields `(list, other, slot)` in arrival order and is walked
     /// twice: the half-edges are counting-sorted by destination list
@@ -414,6 +456,10 @@ impl SliceArena {
     /// insertion points. `on_new(list, other, slot)` fires for every entry
     /// inserted, in list order.
     ///
+    /// [`SliceArena::merged`] is the other writer of the same merge: the
+    /// scatter and the per-list lookup are shared, so both leave the same
+    /// lists and fire the same `on_new` sequence.
+    ///
     /// # Panics
     /// Panics if `halves` yields more than `u32::MAX` half-edges.
     pub fn merge_rows<I>(
@@ -424,32 +470,8 @@ impl SliceArena {
     ) where
         I: Iterator<Item = (usize, NodeId, u32)> + Clone,
     {
+        scratch.scatter(self.lists(), halves);
         let MergeScratch { ends, cand } = scratch;
-        ends.clear();
-        ends.resize(self.lists(), 0);
-        let mut total = 0u64;
-        halves.clone().for_each(|(u, _, _)| {
-            ends[u] += 1;
-            total += 1;
-        });
-        assert!(
-            total <= u64::from(u32::MAX),
-            "a round routes at most u32::MAX half-edges, got {total}"
-        );
-        let mut first = 0;
-        for e in ends.iter_mut() {
-            // `*e` becomes list u's first index; the scatter advances it
-            // to one past its last.
-            let count = *e;
-            *e = first;
-            first += count;
-        }
-        cand.clear();
-        cand.resize(total as usize, (NodeId(0), 0));
-        halves.for_each(|(u, other, slot)| {
-            cand[ends[u] as usize] = (other, slot);
-            ends[u] += 1;
-        });
         let mut lo = 0;
         for (u, &hi) in ends.iter().enumerate() {
             let hi = hi as usize;
@@ -460,19 +482,130 @@ impl SliceArena {
         }
     }
 
-    /// Merges list `u`'s candidates (arrival order) into the sorted list.
+    /// The rebuild writer of [`SliceArena::merge_rows`]: the lists with
+    /// one round's half-edges merged in, written into a new arena in one
+    /// pass, `self` left as it was. Same `halves`, same `on_new` sequence
+    /// and the same lists as the in-place merge; the layout is the one a
+    /// compaction writes — dense, in list order, `compacted(len)` slots
+    /// per list with the reserve zeroed, a sidecar on each list past the
+    /// density rule — and the slab is allocated at exactly that size.
+    ///
+    /// This is how a list arena still shared with a reader takes a round:
+    /// one streaming pass over its lists, where a copy followed by the
+    /// in-place merge makes three (the copy, the relocations, the
+    /// compactions they trigger) and keeps the copy's dead space.
+    ///
+    /// # Panics
+    /// Panics if `halves` yields more than `u32::MAX` half-edges.
+    pub fn merged<I>(
+        &self,
+        scratch: &mut MergeScratch,
+        halves: I,
+        mut on_new: impl FnMut(usize, NodeId, u32),
+    ) -> SliceArena
+    where
+        I: Iterator<Item = (usize, NodeId, u32)> + Clone,
+    {
+        scratch.scatter(self.lists(), halves);
+        let MergeScratch { ends, cand } = scratch;
+        // Pass one: each list's fresh entries, into `cand[lo..][..fresh]`,
+        // and so every new length.
+        let (mut len, mut added, mut lo) = (self.len.clone(), 0, 0);
+        for (u, &hi) in ends.iter().enumerate() {
+            let hi = hi as usize;
+            if lo < hi {
+                let fresh = self.fresh_in(u, &mut cand[lo..hi], &mut on_new);
+                len[u] += fresh as u32;
+                added += fresh;
+            }
+            lo = hi;
+        }
+        // Pass two: every list copied into its place, its fresh entries
+        // taken in between at their insertion points.
+        let cap: Vec<u32> = len.iter().map(|&l| compacted(l as usize) as u32).collect();
+        let (mut start, mut total) = (Vec::with_capacity(cap.len()), 0);
+        for &c in &cap {
+            start.push(total);
+            total += c as usize;
+        }
+        let mut out = SliceArena {
+            data: Vec::with_capacity(total),
+            start,
+            len,
+            cap,
+            reserved: total,
+            live: self.live + added,
+            home_end: total,
+            side: Sidecars {
+                universe: self.side.universe,
+                words: self.side.words,
+                ..Sidecars::default()
+            },
+        };
+        let mut lo = 0;
+        for (u, &hi) in ends.iter().enumerate() {
+            let (row, mut from) = (self.slice(u), 0);
+            let fresh = (out.len[u] - self.len[u]) as usize;
+            for &(other, at) in &cand[lo..lo + fresh] {
+                out.data.extend_from_slice(&row[from..at as usize]);
+                out.data.push(other);
+                from = at as usize;
+            }
+            out.data.extend_from_slice(&row[from..]);
+            out.data
+                .resize(out.start[u] + out.cap[u] as usize, NodeId(0));
+            out.mark(u, []);
+            lo = hi as usize;
+        }
+        out
+    }
+
+    /// Merges list `u`'s candidates (arrival order) into the sorted list,
+    /// in place.
     fn merge_row(
         &mut self,
         u: usize,
         cand: &mut [(NodeId, u32)],
         on_new: &mut impl FnMut(usize, NodeId, u32),
     ) {
+        let fresh = self.fresh_in(u, cand, on_new);
+        if fresh == 0 {
+            return;
+        }
+        let l = self.len[u] as usize;
+        if l + fresh > self.cap[u] as usize {
+            self.relocate(u, l + fresh);
+        }
+        // Back to front: the tail behind the j-th insertion point moves
+        // j + 1 slots right, in one copy per segment.
+        let s = self.start[u];
+        let mut tail_end = l;
+        for (j, &(other, at)) in cand[..fresh].iter().enumerate().rev() {
+            let at = at as usize;
+            self.data.copy_within(s + at..s + tail_end, s + at + j + 1);
+            self.data[s + at + j] = other;
+            tail_end = at;
+        }
+        self.len[u] += fresh as u32;
+        self.live += fresh;
+        self.mark(u, cand[..fresh].iter().map(|&(other, _)| other));
+    }
+
+    /// The per-list step both writers share: sorts list `u`'s candidates
+    /// (arrival order) by id, stably, and looks every distinct one up,
+    /// left to right. The absent ones are compacted to `cand[..fresh]`,
+    /// ascending, with the slot (handed to `on_new`, which fires for each)
+    /// overwritten by the insertion point in the list. On a dense list the
+    /// sidecar answers the lookup, and only an absent candidate pays the
+    /// search for its insertion point. Returns `fresh`.
+    #[inline(always)]
+    fn fresh_in(
+        &self,
+        u: usize,
+        cand: &mut [(NodeId, u32)],
+        on_new: &mut impl FnMut(usize, NodeId, u32),
+    ) -> usize {
         cand.sort_by_key(|&(other, _)| other);
-        // Look every distinct candidate up, left to right; the absent ones
-        // are compacted to `cand[..fresh]` with the slot (handed to
-        // `on_new`) overwritten by the insertion point. On a dense list the
-        // sidecar answers the lookup, and only an absent candidate pays the
-        // search for its insertion point.
         let (row, bits) = (self.slice(u), self.side.of(u));
         let (mut fresh, mut from, mut last) = (0, 0, None);
         for i in 0..cand.len() {
@@ -496,26 +629,7 @@ impl SliceArena {
             cand[fresh] = (other, from as u32);
             fresh += 1;
         }
-        if fresh == 0 {
-            return;
-        }
-        let l = self.len[u] as usize;
-        if l + fresh > self.cap[u] as usize {
-            self.relocate(u, l + fresh);
-        }
-        // Back to front: the tail behind the j-th insertion point moves
-        // j + 1 slots right, in one copy per segment.
-        let s = self.start[u];
-        let mut tail_end = l;
-        for (j, &(other, at)) in cand[..fresh].iter().enumerate().rev() {
-            let at = at as usize;
-            self.data.copy_within(s + at..s + tail_end, s + at + j + 1);
-            self.data[s + at + j] = other;
-            tail_end = at;
-        }
-        self.len[u] += fresh as u32;
-        self.live += fresh;
-        self.mark(u, cand[..fresh].iter().map(|&(other, _)| other));
+        fresh
     }
 
     /// Tombstones list `u`: drops every entry and releases the row's

@@ -52,8 +52,8 @@ pub use closure::Closure;
 pub use directed::DirectedGraph;
 pub use node::{Arc, Edge, NodeId};
 pub use sharded::{
-    HalfEdge, SegSnapshotAssembler, SegSnapshotChunk, ShardPlan, ShardSeg, ShardedArenaGraph,
-    SHARD_ALIGN,
+    HalfEdge, SegCommit, SegSnapshotAssembler, SegSnapshotChunk, ShardPlan, ShardSeg,
+    ShardedArenaGraph, SHARD_ALIGN,
 };
 
 /// The undirected graph's name before [`ArenaGraph`] was the only one,

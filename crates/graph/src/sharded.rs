@@ -32,9 +32,21 @@
 //! [`ShardedArenaGraph`] is `O(S)` — one reference-count bump per segment,
 //! no matter how many edges the graph holds. The clone *is* the snapshot:
 //! a segment's storage is physically shared until the **owner shard next
-//! writes it**, at which point the write path (`Arc::make_mut` inside
-//! [`ShardedArenaGraph::segments_mut`] / [`ShardedArenaGraph::add_edge`])
-//! deep-copies that one segment and leaves the snapshot's copy untouched.
+//! writes it**, and that write leaves the snapshot's segment untouched.
+//! A round commits through [`ShardedArenaGraph::segment_commits`]: a
+//! segment that gets no half-edge stays shared; one the live graph alone
+//! holds merges in place; and one still shared is **rebuilt by the
+//! round's merge** ([`SegCommit::apply_half_edges`]) — its rows read once
+//! and written, each with its new half-edges merged in, into a new dense,
+//! node-ordered segment that replaces the live graph's reference. No copy
+//! is made first, so the shared segment's dead space is not carried over
+//! and the round makes one pass over its rows, not a copy followed by the
+//! merge's relocations and compactions. Both writers share the scatter
+//! and the per-row lookup, so they leave the same rows and counts. The
+//! one-edge writes ([`ShardedArenaGraph::add_edge`],
+//! [`ShardedArenaGraph::remove_member`]) and
+//! [`ShardedArenaGraph::segments_mut`] deep-copy a shared segment
+//! (`Arc::make_mut`) instead.
 //! Readers of a snapshot therefore see the exact round the snapshot was
 //! taken at, forever, while the live graph advances — the seam
 //! `gossip-serve` builds its epoch-snapshot query surface on. Stat reads
@@ -203,10 +215,10 @@ impl ShardSeg {
     }
 
     /// Applies one round's half-edges routed to this shard, already
-    /// concatenated in global arrival order across `sources`. Returns the
-    /// number of genuinely new **canonical** edges (smaller endpoint owned
-    /// here), so summing the return values across shards counts each new
-    /// edge exactly once.
+    /// concatenated in global arrival order across `sources`, in place.
+    /// Returns the number of genuinely new **canonical** edges (smaller
+    /// endpoint owned here), so summing the return values across shards
+    /// counts each new edge exactly once.
     ///
     /// The merge is [`SliceArena::merge_rows`] over the segment's local
     /// rows, the one [`ArenaGraph::apply_batch`] ends in; the two
@@ -214,23 +226,31 @@ impl ShardSeg {
     /// filtered beforehand and every half-edge is looked up in its row.
     /// `scratch` is caller-provided so steady-state rounds allocate nothing.
     pub fn apply_half_edges(&mut self, sources: &[&[HalfEdge]], scratch: &mut MergeScratch) -> u64 {
-        let (base, rows) = (self.base, self.adj.lists());
-        let halves = sources
+        let mut added = 0u64;
+        let halves = self.local_halves(sources);
+        self.adj
+            .merge_rows(scratch, halves, canonical(self.base, &mut added));
+        self.m_canonical += added;
+        added
+    }
+
+    /// `sources`' half-edges as `(local row, other, slot)`, the merge
+    /// writers' input.
+    fn local_halves<'a>(
+        &self,
+        sources: &'a [&'a [HalfEdge]],
+    ) -> impl Iterator<Item = (usize, NodeId, u32)> + Clone + 'a {
+        let (base, rows) = (self.base, self.len());
+        sources
             .iter()
             .flat_map(|src| src.iter())
-            .map(|&(slot, row, other)| {
+            .map(move |&(slot, row, other)| {
                 debug_assert!(
                     row.index() >= base && row.index() - base < rows,
                     "half-edge {row:?} routed to the wrong shard (base {base})"
                 );
                 (row.index() - base, other, slot)
-            });
-        let mut added = 0u64;
-        self.adj.merge_rows(scratch, halves, |local, other, _| {
-            added += u64::from(base + local < other.index());
-        });
-        self.m_canonical += added;
-        added
+            })
     }
 
     /// The segment as a stream of row-contiguous chunks, each read straight
@@ -277,6 +297,50 @@ impl ShardSeg {
                 entries,
             })
         })
+    }
+}
+
+/// The merge writers' `on_new` for a segment based at `base`: counts into
+/// `added` each new half-edge whose row is the edge's smaller endpoint.
+fn canonical(base: usize, added: &mut u64) -> impl FnMut(usize, NodeId, u32) + '_ {
+    move |local, other, _| *added += u64::from(base + local < other.index())
+}
+
+/// One segment's place in a round's commit, as
+/// [`ShardedArenaGraph::segment_commits`] hands it out: what the round
+/// engine fans out across workers, one per shard, with no aliasing.
+#[derive(Debug)]
+pub struct SegCommit<'a>(&'a mut Arc<ShardSeg>);
+
+impl SegCommit<'_> {
+    /// Commits the round's half-edges routed to this segment, as
+    /// [`ShardSeg::apply_half_edges`] (same rows, same return value),
+    /// copy-on-write:
+    ///
+    /// * with no half-edge, the segment is left as it is, shared or not;
+    /// * a segment the graph alone holds merges in place;
+    /// * a segment still shared with a snapshot is rebuilt by the merge —
+    ///   its rows read once and written, with the round merged in, into a
+    ///   new dense segment ([`SliceArena::merged`]) that replaces the
+    ///   graph's reference. The snapshot keeps the old one, untouched.
+    pub fn apply_half_edges(&mut self, sources: &[&[HalfEdge]], scratch: &mut MergeScratch) -> u64 {
+        if sources.iter().all(|src| src.is_empty()) {
+            return 0;
+        }
+        if let Some(seg) = Arc::get_mut(self.0) {
+            return seg.apply_half_edges(sources, scratch);
+        }
+        let (seg, mut added) = (&**self.0, 0u64);
+        let halves = seg.local_halves(sources);
+        let adj = seg
+            .adj
+            .merged(scratch, halves, canonical(seg.base, &mut added));
+        *self.0 = Arc::new(ShardSeg {
+            base: seg.base,
+            adj,
+            m_canonical: seg.m_canonical + added,
+        });
+        added
     }
 }
 
@@ -436,10 +500,11 @@ impl SegSnapshotAssembler {
 ///
 /// Behaviorally a drop-in for [`ArenaGraph`]: same sorted canonical rows,
 /// same query surface, same `O(m + n)` memory — plus a shard seam
-/// ([`ShardedArenaGraph::segments_mut`]) that hands each shard's rows to a
-/// different worker with no aliasing, and `O(S)` copy-on-write snapshots
-/// (`clone()` bumps one [`Arc`] per segment; a segment is deep-copied only
-/// when its owner next writes — see the [module docs](self)).
+/// ([`ShardedArenaGraph::segment_commits`]) that hands each shard's rows to
+/// a different worker with no aliasing, and `O(S)` copy-on-write snapshots
+/// (`clone()` bumps one [`Arc`] per segment; a shared segment is rebuilt
+/// by its owner's next round merge, or deep-copied by a one-edge write —
+/// see the [module docs](self)).
 ///
 /// ```
 /// use gossip_graph::{NodeId, ShardedArenaGraph};
@@ -554,7 +619,7 @@ impl ShardedArenaGraph {
 
     /// Adds edge `(u, v)`; returns `true` if new. Self-loops are no-ops.
     /// The one-at-a-time path (construction, oracle tests); rounds go
-    /// through [`ShardSeg::apply_half_edges`].
+    /// through [`ShardedArenaGraph::segment_commits`].
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) -> bool {
         if u == v {
             return false;
@@ -617,14 +682,24 @@ impl ShardedArenaGraph {
         contacts.iter().map(|&v| self.add_edge(u, v) as u64).sum()
     }
 
-    /// The shard segments, mutably and disjointly — the apply-phase seam
-    /// the round engine fans out across workers. Segment order is shard
-    /// order; each segment only ever touches its own rows.
-    ///
-    /// This is the copy-on-write commit point: a segment still shared with
-    /// a snapshot is deep-copied here (`Arc::make_mut`) before the caller
-    /// sees `&mut`, so snapshots never observe in-flight writes. Segments
-    /// not shared are handed out with zero copying.
+    /// The round's commit, one [`SegCommit`] per shard in shard order —
+    /// the apply-phase seam the round engine fans out across workers. Each
+    /// segment only ever touches its own rows, and one still shared with a
+    /// snapshot is rebuilt by the round's merge rather than copied and then
+    /// merged ([`SegCommit::apply_half_edges`]), so snapshots never observe
+    /// in-flight writes.
+    #[inline]
+    pub fn segment_commits(&mut self) -> Vec<SegCommit<'_>> {
+        self.segs.iter_mut().map(SegCommit).collect()
+    }
+
+    /// The shard segments, mutably and disjointly, in shard order. A
+    /// segment still shared with a snapshot is deep-copied here
+    /// (`Arc::make_mut`), dead space and all, before the caller sees
+    /// `&mut`; segments not shared are handed out with zero copying. The
+    /// round engine commits through [`ShardedArenaGraph::segment_commits`]
+    /// instead, which copies nothing; this is the unconditional copy, for
+    /// callers that want every segment unshared.
     #[inline]
     pub fn segments_mut(&mut self) -> Vec<&mut ShardSeg> {
         self.segs.iter_mut().map(Arc::make_mut).collect()

@@ -736,3 +736,137 @@ proptest! {
         snap.validate().unwrap();
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The two merge writers agree. A segment still shared with a snapshot
+    /// is rebuilt by the round's merge, one its graph alone holds merges in
+    /// place; on random segments — hot rows past the density rule (with
+    /// sidecars), tombstoned rows of members that left, duplicate
+    /// candidates in both orientations and of edges already held, and
+    /// shards that get no mail — the two leave identical rows, per-segment
+    /// `m_canonical` and `added`, both pass `validate`, the snapshot stays
+    /// frozen, and exactly the segments that got mail stop sharing with
+    /// it. On bare arenas the rebuild (`SliceArena::merged`) fires the same
+    /// `on_new` sequence as the in-place `merge_rows` and leaves its source
+    /// as it was.
+    #[test]
+    fn rebuild_and_in_place_merge_agree(
+        seed in any::<u64>(),
+        small in 2usize..80,
+        scale in 0usize..2,
+        shards_at in 0usize..4,
+        receives in any::<u8>(),
+        rounds in 1usize..5,
+    ) {
+        use gossip_graph::{HalfEdge, MergeScratch, ShardedArenaGraph, SliceArena};
+
+        let n = small + [0, 2_100][scale];
+        let shards = [1, 2, 3, 8][shards_at];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x2EB1);
+        let mut g = ShardedArenaGraph::new(n, shards);
+        let node = |rng: &mut SmallRng| NodeId(rng.random_range(0..n as u32));
+        for _ in 0..2 * n {
+            g.add_edge(node(&mut rng), node(&mut rng));
+        }
+        // A few hot rows past n/32 entries, so they carry sidecars.
+        let hot = (n / 64).max(2) as u32;
+        for h in 0..hot {
+            for _ in 0..n / 16 + 4 {
+                g.add_edge(NodeId(h), node(&mut rng));
+            }
+        }
+        for _ in 0..rng.random_range(0..6) {
+            g.remove_member(node(&mut rng));
+        }
+        let plan = *g.plan();
+        // Mail only among the rows of the shards `receives` picks (shard
+        // 0 always, so no round is empty), so the others get none.
+        let picked: Vec<u32> = (0..n as u32)
+            .filter(|&u| {
+                let s = plan.owner(NodeId(u));
+                s == 0 || receives >> (s % 8) & 1 == 1
+            })
+            .collect();
+        let pick = |rng: &mut SmallRng| NodeId(picked[rng.random_range(0..picked.len())]);
+        let (mut rebuild_scratch, mut in_place_scratch) = (MergeScratch::default(), MergeScratch::default());
+        for round in 0..rounds {
+            let snap = g.clone();
+            let frozen: Vec<Vec<NodeId>> = snap.nodes().map(|u| snap.neighbors(u).to_vec()).collect();
+            let mut in_place = g.clone();
+            in_place.segments_mut();
+            let mut proposals: Vec<(NodeId, NodeId)> = Vec::new();
+            for i in 0..n {
+                let a = if i % 3 == 0 { NodeId(picked[i % hot as usize % picked.len()]) } else { pick(&mut rng) };
+                proposals.push((a, pick(&mut rng)));
+                // An edge the row already holds, when its other end is mailable.
+                if let Some(&b) = g.neighbors(a).first().filter(|b| picked.binary_search(&b.0).is_ok()) {
+                    proposals.push((b, a));
+                }
+            }
+            let echoes: Vec<(NodeId, NodeId)> = proposals.iter().step_by(4).map(|&(a, b)| (b, a)).collect();
+            proposals.extend(echoes);
+            let mut mail: Vec<Vec<HalfEdge>> = vec![Vec::new(); shards];
+            for (slot, &(a, b)) in proposals.iter().enumerate() {
+                if a != b {
+                    mail[plan.owner(a)].push((slot as u32, a, b));
+                    mail[plan.owner(b)].push((slot as u32, b, a));
+                }
+            }
+            let mut added = [Vec::new(), Vec::new()];
+            for ((h, scratch), added) in [(&mut g, &mut rebuild_scratch), (&mut in_place, &mut in_place_scratch)]
+                .into_iter()
+                .zip(&mut added)
+            {
+                for (mut commit, entries) in h.segment_commits().into_iter().zip(&mail) {
+                    added.push(commit.apply_half_edges(&[entries.as_slice()], scratch));
+                }
+            }
+            prop_assert_eq!(&added[0], &added[1], "added, round {}", round);
+            for (s, entries) in mail.iter().enumerate() {
+                prop_assert_eq!(g.segment(s).m_canonical(), in_place.segment(s).m_canonical(), "segment {}", s);
+                prop_assert_eq!(g.shares_segment(&snap, s), entries.is_empty(), "round {} segment {}", round, s);
+                prop_assert!(!in_place.shares_segment(&snap, s));
+            }
+            for u in g.nodes() {
+                prop_assert_eq!(g.neighbors(u), in_place.neighbors(u), "round {} row {:?}", round, u);
+                prop_assert_eq!(snap.neighbors(u), &frozen[u.index()][..], "snapshot row {:?}", u);
+            }
+            g.validate().unwrap();
+            in_place.validate().unwrap();
+        }
+
+        // Bare arenas, ids below 64: most lists are dense.
+        const UNIVERSE: u32 = 64;
+        let mut a = SliceArena::new(0, UNIVERSE as usize);
+        for _ in 0..rng.random_range(4..40) {
+            let row: BTreeSet<u32> = (0..rng.random_range(0..UNIVERSE)).map(|_| rng.random_range(0..UNIVERSE)).collect();
+            let entries: Vec<NodeId> = row.iter().map(|&x| NodeId(x)).collect();
+            a.push_list(&entries, (entries.len() + rng.random_range(0..3usize)) as u32);
+        }
+        for _ in 0..rng.random_range(0..4) {
+            a.clear(rng.random_range(0..a.lists()));
+        }
+        let lists = a.lists();
+        // Candidates for every other list, each id drawn from a small
+        // range so that duplicates are common.
+        let halves: Vec<(usize, NodeId, u32)> = (0..rng.random_range(0..4 * lists as u32))
+            .map(|slot| (2 * rng.random_range(0..lists.div_ceil(2)), NodeId(rng.random_range(0..UNIVERSE)), slot))
+            .collect();
+        let rows = |a: &SliceArena| (0..a.lists()).map(|u| a.slice(u).to_vec()).collect::<Vec<_>>();
+        let before = rows(&a);
+        let (mut by_rebuild, mut by_merge) = (Vec::new(), Vec::new());
+        let rebuilt = a.merged(&mut rebuild_scratch, halves.iter().copied(), |u, v, slot| by_rebuild.push((u, v, slot)));
+        prop_assert_eq!(&rows(&a), &before, "the rebuild wrote its source");
+        a.merge_rows(&mut in_place_scratch, halves.iter().copied(), |u, v, slot| by_merge.push((u, v, slot)));
+        prop_assert_eq!(&by_rebuild, &by_merge, "on_new sequence");
+        prop_assert_eq!(rows(&rebuilt), rows(&a));
+        prop_assert_eq!(rebuilt.total_len(), a.total_len());
+        for x in 0..UNIVERSE + 4 {
+            for u in 0..lists {
+                prop_assert_eq!(rebuilt.contains_sorted(u, NodeId(x)), a.contains_sorted(u, NodeId(x)), "{} in list {}", x, u);
+            }
+        }
+    }
+}
