@@ -32,7 +32,7 @@ use gossip_core::{
     MembershipPlan, MembershipStats, Parallelism, ProposalRule, RoundStats, RuleId, TaggedProposal,
 };
 use gossip_graph::{
-    HalfEdge, MergeScratch, SegSnapshotAssembler, ShardPlan, ShardSeg, ShardedArenaGraph,
+    HalfEdge, MergeScratch, SegCommit, SegSnapshotAssembler, ShardPlan, ShardedArenaGraph,
 };
 use rayon::prelude::*;
 use std::io;
@@ -86,7 +86,7 @@ pub(crate) fn record_phases(
 /// with its `u32` slot in the span's own node-order stream.
 ///
 /// Slots are local to the source span. That is safe because the merge
-/// ([`ShardSeg::apply_half_edges`]) never reads one: it groups a row's
+/// ([`SegCommit::apply_half_edges`]) never reads one: it groups a row's
 /// half-edges in arrival order and keeps one of each, so the slot of the
 /// one it keeps decides nothing.
 fn route_span(
@@ -113,10 +113,10 @@ fn route_span(
     }
 }
 
-/// One owner shard's apply-phase work unit: `(shard index, its segment,
-/// its merge scratch, its added-count slot)` — disjoint borrows the pool
-/// fans out with no aliasing.
-type ShardWork<'a> = (usize, &'a mut ShardSeg, &'a mut MergeScratch, &'a mut u64);
+/// One owner shard's apply-phase work unit: `(shard index, its segment's
+/// commit, its merge scratch, its added-count slot)` — disjoint borrows the
+/// pool fans out with no aliasing.
+type ShardWork<'a> = (usize, SegCommit<'a>, &'a mut MergeScratch, &'a mut u64);
 
 /// One participant's state for the sharded round, and the only code that
 /// proposes, routes and applies one: a **full replica** of `G_t` (a Pull
@@ -281,10 +281,12 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
     /// Merges the round's grid into the replica: owner `t` merges its
     /// column `mail[0][t], mail[1][t], …` — fixed source order — into its
     /// own segment, shard-parallel when the policy engages, no locks and
-    /// no cross-shard writes. The owned sources' rows are the replica's
-    /// own; `received[s]` holds the row of every other source `s` (as a
-    /// [`MailboxAssembler`] hands it back — a replica that owns every span
-    /// receives nothing, and passes `&[]`).
+    /// no cross-shard writes. A segment a published snapshot still shares
+    /// is rebuilt by that merge rather than copied and then merged
+    /// ([`SegCommit::apply_half_edges`]). The owned sources' rows are the
+    /// replica's own; `received[s]` holds the row of every other source
+    /// `s` (as a [`MailboxAssembler`] hands it back — a replica that owns
+    /// every span receives nothing, and passes `&[]`).
     ///
     /// Received mail is outside input, and the merge indexes rows with
     /// it: a half-edge whose row its owner does not hold, or whose other
@@ -315,21 +317,22 @@ impl<R: ProposalRule<ShardedArenaGraph>> ShardReplica<R> {
             }
         }
 
-        // segments_mut is the CoW commit point: any segment still shared
-        // with an epoch snapshot is deep-copied here, before the fan-out.
+        // The copy-on-write commit: a segment an epoch snapshot still
+        // shares is rebuilt by its merge, one the graph alone holds merges
+        // in place, and one that gets no mail stays as it is.
         let mut work: Vec<ShardWork<'_>> = self
             .graph
-            .segments_mut()
+            .segment_commits()
             .into_iter()
             .zip(self.scratch.iter_mut())
             .zip(self.added.iter_mut())
             .enumerate()
-            .map(|(t, ((seg, scratch), added))| (t, seg, scratch, added))
+            .map(|(t, ((commit, scratch), added))| (t, commit, scratch, added))
             .collect();
-        let apply = |(t, seg, scratch, added): &mut ShardWork<'_>| {
+        let apply = |(t, commit, scratch, added): &mut ShardWork<'_>| {
             let sources: Vec<&[HalfEdge]> =
                 (0..mail.len()).map(|s| row(s)[*t].as_slice()).collect();
-            **added = seg.apply_half_edges(&sources, scratch);
+            **added = commit.apply_half_edges(&sources, scratch);
         };
         if self.parallel {
             work.par_iter_mut().for_each(apply);

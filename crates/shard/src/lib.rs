@@ -28,8 +28,9 @@
 //!    `mail[0][t], mail[1][t], …` — fixed *(source shard, chunk index)*
 //!    order — which is exactly the node-order proposal stream restricted to
 //!    `t`'s rows, then merges it into its own arena segment
-//!    ([`gossip_graph::ShardSeg::apply_half_edges`]) with no locks and no
-//!    cross-shard writes.
+//!    ([`gossip_graph::SegCommit::apply_half_edges`]) with no locks and no
+//!    cross-shard writes. A segment a published snapshot still shares is
+//!    rebuilt by that merge into a new one, not copied first.
 //!
 //! ## Determinism argument
 //!
@@ -289,7 +290,7 @@ mod tests {
     use super::*;
     use gossip_core::rng::stream_rng;
     use gossip_core::{run_engine_until, ComponentwiseComplete, Engine, Never, Pull, Push};
-    use gossip_graph::generators;
+    use gossip_graph::{generators, NodeId};
 
     fn sharded(n: usize, extra: u64, seed: u64, shards: usize) -> ShardedArenaGraph {
         let und = generators::tree_plus_random_edges(n, extra, &mut stream_rng(seed, 0, 0));
@@ -350,6 +351,48 @@ mod tests {
         }
         for u in a.graph().nodes() {
             assert_eq!(a.graph().neighbors(u), b.graph().neighbors(u));
+        }
+    }
+
+    #[test]
+    fn a_held_clone_stays_frozen_and_shares_exactly_the_unmailed_segments() {
+        // Rounds under a held clone, on both fan-outs. Nodes 2048.. are
+        // isolated, so shards 2 and 3 get no half-edge and must stay
+        // shared with the clone; shards 0 and 1 must not (the round's
+        // merge rebuilt them). The clone never moves, and the rounds equal
+        // those of a twin that never had a clone taken.
+        let und = generators::tree_plus_random_edges(2048, 4096, &mut stream_rng(5, 0, 0));
+        let g = ShardedArenaGraph::from_edges(4096, 4, und.edges().map(|e| (e.a.0, e.b.0)));
+        for p in [Parallelism::Sequential, Parallelism::Parallel] {
+            let mut e = ShardedEngine::new(g.clone(), Pull, 9).with_parallelism(p);
+            let mut twin = ShardedEngine::new(g.clone(), Pull, 9).with_parallelism(p);
+            for round in 0..6 {
+                let held = e.graph().clone();
+                let rows: Vec<Vec<NodeId>> =
+                    held.nodes().map(|u| held.neighbors(u).to_vec()).collect();
+                let m = held.m();
+                assert_eq!(e.step(), twin.step(), "{p:?} round {round}");
+                let mailed: Vec<bool> = (0..4)
+                    .map(|t| e.replica.mail().iter().any(|row| !row[t].is_empty()))
+                    .collect();
+                assert_eq!(mailed, [true, true, false, false], "{p:?} round {round}");
+                for (t, &mailed) in mailed.iter().enumerate() {
+                    assert_eq!(
+                        held.shares_segment(e.graph(), t),
+                        !mailed,
+                        "{p:?} round {round} segment {t}"
+                    );
+                }
+                assert_eq!(held.m(), m, "{p:?} round {round}");
+                for u in held.nodes() {
+                    assert_eq!(held.neighbors(u), &rows[u.index()][..], "{p:?} row {u:?}");
+                }
+                e.graph().validate().unwrap();
+            }
+            assert!(e.graph().m() > g.m(), "{p:?}: the rounds added nothing");
+            for u in e.graph().nodes() {
+                assert_eq!(e.graph().neighbors(u), twin.graph().neighbors(u));
+            }
         }
     }
 

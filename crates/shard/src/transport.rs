@@ -45,7 +45,7 @@
 //!
 //! Workers tag half-edges with slots local to their own source stream.
 //! That is safe because the merge
-//! ([`gossip_graph::ShardSeg::apply_half_edges`]) groups a row's
+//! ([`gossip_graph::SegCommit::apply_half_edges`]) groups a row's
 //! half-edges in arrival order, keeps one of each and never reads a slot
 //! — the one it keeps decides nothing.
 //! Hence no global slot prefix-sum synchronization round is needed, and
