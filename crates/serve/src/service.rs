@@ -126,8 +126,14 @@ impl<G: GossipGraph> Publisher<G> {
             graph: graph.clone(),
         });
         // As in `ServiceHandle::snapshot`: poison cannot tear the slot.
-        let slot = self.shared.snap.write();
-        *slot.unwrap_or_else(PoisonError::into_inner) = snap;
+        let retired = {
+            let slot = self.shared.snap.write();
+            std::mem::replace(&mut *slot.unwrap_or_else(PoisonError::into_inner), snap)
+        };
+        // Dropped once the write guard is gone: when no reader holds the
+        // old epoch, this frees every segment only it still shares, and
+        // readers must not wait for that.
+        drop(retired);
         self.shared.epoch.store(self.next_epoch, Ordering::Release);
         self.next_epoch += 1;
     }
@@ -408,6 +414,85 @@ mod tests {
             .enumerate()
             .all(|(i, r)| r.round == i as u64 + 1));
         assert_eq!(rows.last().unwrap().m, engine.graph().edge_count());
+    }
+
+    /// A graph that, when dropped, checks that the service whose lock it
+    /// names can be read: a graph freed under the publisher's write guard
+    /// fails the check. Counts the checked drops.
+    #[derive(Clone)]
+    struct Probed {
+        graph: gossip_graph::ArenaGraph,
+        service: Arc<std::sync::OnceLock<std::sync::Weak<Shared<Probed>>>>,
+        checked: Arc<AtomicU64>,
+    }
+
+    impl Drop for Probed {
+        fn drop(&mut self) {
+            if let Some(shared) = self.service.get().and_then(std::sync::Weak::upgrade) {
+                assert!(
+                    shared.snap.try_read().is_ok(),
+                    "a retired snapshot was freed under the write lock"
+                );
+                self.checked.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    impl gossip_graph::UniformNeighbors for Probed {
+        fn node_count(&self) -> usize {
+            self.graph.n()
+        }
+        fn neighbor_row(&self, u: gossip_graph::NodeId) -> &[gossip_graph::NodeId] {
+            self.graph.neighbors(u)
+        }
+    }
+
+    impl GossipGraph for Probed {
+        fn apply_edge(&mut self, a: gossip_graph::NodeId, b: gossip_graph::NodeId) -> bool {
+            self.graph.add_edge(a, b)
+        }
+        fn edge_count(&self) -> u64 {
+            self.graph.m()
+        }
+    }
+
+    #[test]
+    fn publish_frees_the_retired_snapshot_outside_the_lock() {
+        let g = Probed {
+            graph: generators::star(8),
+            service: Arc::default(),
+            checked: Arc::default(),
+        };
+        let shared = Arc::new(Shared {
+            snap: RwLock::new(Arc::new(Snapshot {
+                epoch: 0,
+                round: 0,
+                graph: g.clone(),
+            })),
+            epoch: AtomicU64::new(0),
+            rounds: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+        });
+        assert!(g.service.set(Arc::downgrade(&shared)).is_ok());
+        let mut publisher = Publisher {
+            shared: shared.clone(),
+            every: 1,
+            next_epoch: 1,
+        };
+        // The publisher holds the last reference to each retired epoch.
+        for round in 1..=3 {
+            publisher.publish(round, &g);
+        }
+        assert_eq!(g.checked.load(Ordering::Relaxed), 3, "retired epochs freed");
+        // One a reader still holds is freed by the reader, also unlocked.
+        let held = ServiceHandle {
+            shared: shared.clone(),
+        }
+        .snapshot();
+        publisher.publish(4, &g);
+        assert_eq!(g.checked.load(Ordering::Relaxed), 3);
+        drop(held);
+        assert_eq!(g.checked.load(Ordering::Relaxed), 4);
     }
 
     /// An engine whose round `fail_at` fails; the rounds before it are

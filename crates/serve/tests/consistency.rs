@@ -152,7 +152,10 @@ fn concurrent_readers_only_ever_see_exact_round_states() {
 
 /// Pin 3: serving does not perturb the trajectory — a served run's rows
 /// (stats, edge count, a probe of two degrees) equal the same engine's
-/// batch rows round by round, and its final graph is bit-identical.
+/// batch rows round by round, and its final graph is bit-identical. On
+/// both fan-outs, and with a snapshot every round and every third, so the
+/// rounds that rebuild a snapshot-shared segment alternate with rounds
+/// that merge in place.
 #[test]
 fn served_trajectory_is_bit_identical_to_batch() {
     const BUDGET: u64 = 8;
@@ -164,39 +167,54 @@ fn served_trajectory_is_bit_identical_to_batch() {
                 .to_vec()
         })
     };
+    let runs = [
+        (Parallelism::default(), 3), // every 3: deliberately not a divisor of the budget
+        (Parallelism::Parallel, 1),
+        (Parallelism::Parallel, 3),
+    ];
+    for (parallelism, snapshot_every) in runs {
+        let ctx = format!("{parallelism:?}, a snapshot every {snapshot_every}");
+        let mut batch =
+            ShardedEngine::new(sharded.clone(), Pull, SEED).with_parallelism(parallelism);
+        let batch_rows = recorder();
+        let Ok(_) = run_engine_listened(&mut batch, &mut batch_rows.clone(), BUDGET);
 
-    let mut batch = ShardedEngine::new(sharded.clone(), Pull, SEED);
-    let batch_rows = recorder();
-    let Ok(_) = run_engine_listened(&mut batch, &mut batch_rows.clone(), BUDGET);
+        let served_rows = recorder();
+        let engine = EngineBuilder::new(sharded.clone(), Pull, SEED)
+            .parallelism(parallelism)
+            .build_sharded();
+        let svc = GossipService::spawn_with(
+            engine,
+            ServeConfig {
+                snapshot_every,
+                budget: BUDGET,
+            },
+            served_rows.clone(),
+        );
+        let handle = svc.handle();
+        let (served, out) = svc.join();
+        assert_eq!(out.rounds, BUDGET, "{ctx}");
 
-    let served_rows = recorder();
-    let engine = EngineBuilder::new(sharded, Pull, SEED).build_sharded();
-    let svc = GossipService::spawn_with(
-        engine,
-        ServeConfig {
-            snapshot_every: 3, // deliberately not a divisor of the budget
-            budget: BUDGET,
-        },
-        served_rows.clone(),
-    );
-    let handle = svc.handle();
-    let (served, out) = svc.join();
-    assert_eq!(out.rounds, BUDGET);
+        let (batch_rows, served_rows) = (batch_rows.rows(), served_rows.rows());
+        assert_eq!(batch_rows.len() as u64, BUDGET, "{ctx}");
+        for (b, s) in batch_rows.iter().zip(&served_rows) {
+            assert_eq!(b, s, "{ctx}: round {}", b.round);
+        }
+        assert_eq!(batch_rows, served_rows, "{ctx}");
 
-    let (batch_rows, served_rows) = (batch_rows.rows(), served_rows.rows());
-    assert_eq!(batch_rows.len() as u64, BUDGET);
-    for (b, s) in batch_rows.iter().zip(&served_rows) {
-        assert_eq!(b, s, "round {}", b.round);
+        assert_eq!(served.graph().m(), batch.graph().m(), "{ctx}");
+        for u in batch.graph().nodes() {
+            assert_eq!(
+                batch.graph().neighbors(u),
+                served.graph().neighbors(u),
+                "{ctx}: row {u:?}"
+            );
+        }
+        served.graph().validate().unwrap();
+        // The final published snapshot equals the engine state even where
+        // the cadence never landed on round 8 naturally.
+        let snap = handle.snapshot();
+        assert_eq!(snap.round, BUDGET, "{ctx}");
+        assert_eq!(snap.edge_count(), served.graph().m(), "{ctx}");
     }
-    assert_eq!(batch_rows, served_rows);
-
-    assert_eq!(served.graph().m(), batch.graph().m());
-    for u in batch.graph().nodes() {
-        assert_eq!(batch.graph().neighbors(u), served.graph().neighbors(u));
-    }
-    // The final published snapshot equals the engine state even though the
-    // cadence (every 3) never landed on round 8 naturally.
-    let snap = handle.snapshot();
-    assert_eq!(snap.round, BUDGET);
-    assert_eq!(snap.edge_count(), served.graph().m());
 }
