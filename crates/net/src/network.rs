@@ -353,7 +353,7 @@ impl Network {
         let mut acc = Traffic::default();
         let start = self.round;
         while self.round - start < max_rounds {
-            if self.coverage() >= 1.0 {
+            if self.covered() {
                 return (self.round - start, true, acc);
             }
             let t = self.step(protocol);
@@ -362,7 +362,17 @@ impl Network {
             acc.lost += t.lost;
             acc.max_message_bytes = acc.max_message_bytes.max(t.max_message_bytes);
         }
-        (self.round - start, self.coverage() >= 1.0, acc)
+        (self.round - start, self.covered(), acc)
+    }
+
+    /// Whether [`Network::coverage`] is 1.0. A live peer knows at most as
+    /// many peers as it holds contacts, so one holding fewer than the other
+    /// live peers settles it in `O(n)`; the pair scan runs only once every
+    /// live peer passes that test.
+    fn covered(&self) -> bool {
+        let alive = self.peers.iter().filter(|p| p.alive).count();
+        let short = |p: &Peer| p.alive && p.contacts.len() + 1 < alive;
+        !self.peers.iter().any(short) && self.coverage() >= 1.0
     }
 }
 
@@ -449,6 +459,26 @@ mod tests {
         assert_eq!(net.alive_count(), 3);
         // Peers 1, 2 and the joiner still hold 0 in contacts -> stale.
         assert!(net.staleness() > 0.0);
+    }
+
+    #[test]
+    fn covered_is_full_coverage_with_or_without_the_pair_scan() {
+        let mut net = Network::from_graph(&generators::complete(4), NetConfig::default());
+        assert!(net.covered());
+        net.kill(NodeId(3));
+        assert!(net.covered(), "a dead contact costs no coverage");
+        // Every live peer now holds three contacts, one of them dead, so
+        // each passes the contact count; only the pair scan sees that 2
+        // does not know the joiner.
+        let joiner = net.join(&[NodeId(0), NodeId(1), NodeId(3)]);
+        let alive = net.alive_ids();
+        assert!(alive.iter().all(|&u| net.peer(u).contacts.len() >= 3));
+        assert!(!net.peer(NodeId(2)).contacts.contains(&joiner));
+        assert!(!net.covered());
+        assert!(net.coverage() < 1.0);
+        // A peer short of contacts settles it before the scan.
+        net.join(&[NodeId(0)]);
+        assert!(!net.covered());
     }
 
     #[test]
